@@ -68,7 +68,6 @@ from .ingest import (
     Rejection,
     SchemaError,
     Stop,
-    TransactionRecord,
     geocode,
     load_stops,
     parse_minute,

@@ -16,10 +16,9 @@ home inference.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from datetime import date, datetime
 from typing import Iterable, Mapping, Sequence
 
-from .ingest import FARE_DISTANCE, TransactionRecord
+from .ingest import DAY_MINUTES, Ride
 
 STRICT = "strict"
 PERMISSIVE = "permissive"
@@ -28,12 +27,12 @@ STAY_MODES = (STRICT, PERMISSIVE)
 
 @dataclass(slots=True)
 class Leg:
-    """One ride with stops resolved to places."""
+    """One ride with stops resolved to places; times in minutes from the week start."""
 
     board_place: int
     alight_place: int | None
-    board_time: datetime
-    alight_time: datetime | None
+    board_time: int
+    alight_time: int | None
     route_id: str
 
     @property
@@ -43,50 +42,36 @@ class Leg:
 
 @dataclass(slots=True)
 class Stay:
+    """Time at one place; times in minutes from the week start."""
+
     card_id: str
     place_id: int
-    arrive_time: datetime | None
-    depart_time: datetime
+    arrive_time: int | None
+    depart_time: int
     duration_min: int
     approximate: bool
     first_of_day: bool
 
     @property
-    def day(self) -> date:
-        return self.depart_time.date()
+    def day(self) -> int:
+        return self.depart_time // DAY_MINUTES
 
 
-def build_legs(
-    records: Iterable[TransactionRecord], stop_to_place: Mapping[str, int]
-) -> list[Leg]:
-    """Resolve one card's records to legs, ordered by boarding time.
+def build_legs(rides: Iterable[Ride], stop_to_place: Mapping[str, int]) -> list[Leg]:
+    """Resolve one card's rides to legs, ordered by boarding time.
 
-    Ties on boarding time are broken by the remaining fields so the order
-    is a pure function of the record set, not of file order.
+    Rides sort as tuples, boarding minute first and the remaining fields
+    as tie-breakers, so the order is a pure function of the ride set, not
+    of file order.
     """
-    recs = sorted(
-        records,
-        key=lambda r: (
-            r.board_time,
-            r.route_id,
-            r.board_stop,
-            r.alight_stop or "",
-            r.alight_time or r.board_time,
-        ),
-    )
     legs = []
-    for r in recs:
-        alight_place = None
-        if r.fare_type == FARE_DISTANCE:
-            alight_place = stop_to_place[r.alight_stop]
-        legs.append(
-            Leg(stop_to_place[r.board_stop], alight_place, r.board_time, r.alight_time, r.route_id)
-        )
+    for board, route_id, board_stop, alight_stop, alight in sorted(rides):
+        if alight_stop:
+            leg = Leg(stop_to_place[board_stop], stop_to_place[alight_stop], board, alight, route_id)
+        else:
+            leg = Leg(stop_to_place[board_stop], None, board, None, route_id)
+        legs.append(leg)
     return legs
-
-
-def _minutes(delta_seconds: float) -> int:
-    return int(delta_seconds // 60)
 
 
 def build_stays(card_id: str, legs: Sequence[Leg], mode: str = PERMISSIVE) -> list[Stay]:
@@ -109,9 +94,9 @@ def build_stays(card_id: str, legs: Sequence[Leg], mode: str = PERMISSIVE) -> li
         raise ValueError(f"unknown stay mode: {mode!r}")
     stays: list[Stay] = []
     prev: Leg | None = None
-    current_day: date | None = None
+    current_day = None
     for leg in legs:
-        day = leg.board_time.date()
+        day = leg.board_time // DAY_MINUTES
         first = day != current_day
         if first:
             current_day = day
@@ -119,12 +104,12 @@ def build_stays(card_id: str, legs: Sequence[Leg], mode: str = PERMISSIVE) -> li
         if prev is not None:
             if prev.alight_place is not None:
                 if prev.alight_place == leg.board_place and prev.alight_time <= leg.board_time:
-                    dur = _minutes((leg.board_time - prev.alight_time).total_seconds())
+                    dur = leg.board_time - prev.alight_time
                     formed = Stay(
                         card_id, leg.board_place, prev.alight_time, leg.board_time, dur, False, first
                     )
             elif mode == PERMISSIVE:
-                dur = _minutes((leg.board_time - prev.board_time).total_seconds())
+                dur = leg.board_time - prev.board_time
                 formed = Stay(card_id, leg.board_place, None, leg.board_time, dur, True, first)
         if formed is None and first:
             formed = Stay(card_id, leg.board_place, None, leg.board_time, 0, False, True)

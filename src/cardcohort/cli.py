@@ -19,7 +19,15 @@ from . import reports
 from .chain import PERMISSIVE, STAY_MODES, build_legs, build_stays
 from .geo import DEFAULT_CENTER
 from .infer import HOME_RULE_RELAXED, HOME_RULES
-from .ingest import SchemaError, geocode, group_by_card, iter_lines, load_stops, parse_transactions
+from .ingest import (
+    ObservationWeek,
+    SchemaError,
+    geocode,
+    group_by_card,
+    iter_lines,
+    load_stops,
+    parse_transactions,
+)
 from .pipeline import MissingInputError, RunConfig, process_year, run_pipeline
 from .synth import GeneratorConfig, generate
 
@@ -145,17 +153,13 @@ def _add_tuning(p: argparse.ArgumentParser) -> None:
 
 
 def cmd_ingest_check(args) -> int:
-    from datetime import date as _date
-
-    from .ingest import ObservationWeek, derive_week_start
-
     for p in (args.transactions, args.stops):
         if not os.path.exists(p):
             raise MissingInputError(f"missing input file(s): {p}")
     stops, stop_rejections = load_stops(iter_lines(args.stops))
-    start = args.week_start or derive_week_start(iter_lines(args.transactions)) or _date(1970, 1, 5)
-    week = ObservationWeek(label=str(start.year), start_date=start)
+    week = ObservationWeek.starting(args.week_start) if args.week_start else None
     records, rejections = parse_transactions(iter_lines(args.transactions), week)
+    week = records.week
     kept, unmatched = geocode(records, stops)
     os.makedirs(args.out, exist_ok=True)
     reports.write_rejections(os.path.join(args.out, "rejections.csv"), rejections)
@@ -188,10 +192,10 @@ def cmd_infer(args) -> int:
             )[0]
         )
         stays = {
-            card: build_stays(card, build_legs(recs, year.places.stop_to_place), cfg.stay_mode)
-            for card, recs in by_card.items()
+            card: build_stays(card, build_legs(rides, year.places.stop_to_place), cfg.stay_mode)
+            for card, rides in by_card.items()
         }
-        reports.write_stays(os.path.join(args.out, "stays.csv"), stays)
+        reports.write_stays(os.path.join(args.out, "stays.csv"), stays, year.week)
     log.info("infer: %d cards profiled", len(year.profiles))
     return 0
 

@@ -24,13 +24,12 @@ home-to-work leg chain of the day, when complete timestamps exist.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from datetime import date
 from statistics import median
 from typing import Callable, Iterable, Sequence
 
 from .chain import Leg, Stay
 from .geo import Coord, haversine_km
-from .ingest import CARD_STUDENT
+from .ingest import CARD_STUDENT, DAY_MINUTES
 
 STAY_MIN_DEFAULT = 360
 
@@ -55,17 +54,20 @@ class YearProfile:
 def identify_work(
     stays: Sequence[Stay],
     card_type: str,
-    weekdays: frozenset[date],
+    weekdays: frozenset[int],
     stay_min: int = STAY_MIN_DEFAULT,
 ) -> int | None:
     if card_type == CARD_STUDENT:
         return None
-    days: dict[int, set[date]] = {}
+    days: dict[int, set[int]] = {}
     qual_dur: dict[int, int] = {}
     for s in stays:
-        if s.first_of_day or s.duration_min < stay_min or s.day not in weekdays:
+        if s.first_of_day or s.duration_min < stay_min:
             continue
-        days.setdefault(s.place_id, set()).add(s.day)
+        day = s.depart_time // DAY_MINUTES
+        if day not in weekdays:
+            continue
+        days.setdefault(s.place_id, set()).add(day)
         qual_dur[s.place_id] = qual_dur.get(s.place_id, 0) + s.duration_min
     if not days:
         return None
@@ -76,7 +78,7 @@ def identify_home(
     stays: Sequence[Stay],
     work: int | None,
     card_type: str,
-    weekdays: frozenset[date],
+    weekdays: frozenset[int],
     home_rule: str = HOME_RULE_RELAXED,
     stay_min: int = STAY_MIN_DEFAULT,
 ) -> int | None:
@@ -86,15 +88,16 @@ def identify_home(
         return None
     if home_rule == HOME_RULE_PAPER and work is None:
         return None
-    first_days: dict[int, set[date]] = {}
+    first_days: dict[int, set[int]] = {}
     long_places: set[int] = set()
     total_dur: dict[int, int] = {}
     work_stays = 0
     for s in stays:
-        if s.day not in weekdays:
+        day = s.depart_time // DAY_MINUTES
+        if day not in weekdays:
             continue
         if s.first_of_day:
-            first_days.setdefault(s.place_id, set()).add(s.day)
+            first_days.setdefault(s.place_id, set()).add(day)
         if s.duration_min >= stay_min:
             long_places.add(s.place_id)
         total_dur[s.place_id] = total_dur.get(s.place_id, 0) + s.duration_min
@@ -115,7 +118,7 @@ def commute_metrics(
     legs: Sequence[Leg],
     home: int | None,
     work: int | None,
-    weekdays: frozenset[date],
+    weekdays: frozenset[int],
     centroid_of: Callable[[int], Coord],
 ) -> tuple[float | None, int | None]:
     """Commute distance and, when measurable, in-vehicle time.
@@ -129,31 +132,34 @@ def commute_metrics(
         return None, None
     km = haversine_km(centroid_of(home), centroid_of(work))
     day_minutes: list[int] = []
-    by_day: dict[date, list[Leg]] = {}
+    # Per weekday: (minutes so far, place the next leg must board at) while
+    # a chain is open; None once the day has its answer.
+    chains: dict[int, tuple[int, int] | None] = {}
     for leg in legs:
-        d = leg.board_time.date()
-        if d in weekdays:
-            by_day.setdefault(d, []).append(leg)
-    for d in sorted(by_day):
-        legs_of_day = by_day[d]
-        start = next(
-            (i for i, leg in enumerate(legs_of_day) if leg.board_place == home), None
-        )
-        if start is None:
+        d = leg.board_time // DAY_MINUTES
+        if d not in weekdays:
             continue
-        total = 0
-        i = start
-        while True:
-            leg = legs_of_day[i]
-            if leg.alight_place is None:
-                break
-            total += int((leg.alight_time - leg.board_time).total_seconds() // 60)
-            if leg.alight_place == work:
-                day_minutes.append(total)
-                break
-            i += 1
-            if i >= len(legs_of_day) or legs_of_day[i].board_place != leg.alight_place:
-                break
+        if d in chains:
+            chain = chains[d]
+            if chain is None:
+                continue
+            total, at = chain
+            if leg.board_place != at:
+                chains[d] = None
+                continue
+        elif leg.board_place == home:
+            total = 0
+        else:
+            continue
+        if leg.alight_place is None:
+            chains[d] = None
+            continue
+        total += leg.alight_time - leg.board_time
+        if leg.alight_place == work:
+            day_minutes.append(total)
+            chains[d] = None
+        else:
+            chains[d] = (total, leg.alight_place)
     commute_min = int(median(day_minutes)) if day_minutes else None
     return km, commute_min
 
@@ -164,7 +170,7 @@ def build_profile(
     card_type: str,
     legs: Sequence[Leg],
     stays: Sequence[Stay],
-    weekdays: frozenset[date],
+    weekdays: frozenset[int],
     centroid_of: Callable[[int], Coord],
     rides: int,
     home_rule: str = HOME_RULE_RELAXED,

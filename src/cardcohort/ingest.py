@@ -10,13 +10,20 @@ Parsing is strict but line-scoped: a malformed line is rejected with a
 reason and a line number, never silently dropped, and never aborts the
 run unless the rejection rate makes it obvious the file is not in this
 schema at all.
+
+Times are integers.  :func:`parse_minute` reads a timestamp as minutes
+after 0001-01-01T00:00; an accepted row carries its times as minutes
+after the start of its observation week, so day ``t // 1440`` is 0 to 6
+inside the week.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from datetime import date, datetime, timedelta
+from operator import attrgetter
 from typing import Iterable, Iterator, Mapping
 
 TRANSACTIONS_HEADER = "card_id,card_type,fare_type,route_id,board_stop,board_time,alight_stop,alight_time"
@@ -27,9 +34,25 @@ CARD_STUDENT = "S"
 FARE_FIXED = "FIX"
 FARE_DISTANCE = "DST"
 
+DAY_MINUTES = 1440
+WEEK_MINUTES = 7 * DAY_MINUTES
+
+# Week start when none is configured and no boarding time parses.
+DEFAULT_WEEK_START = date(1970, 1, 5)
+
+OUTSIDE_WEEK = "outside observation week"
+
 # A file whose rejection rate exceeds this fraction is treated as being in
 # the wrong schema entirely rather than merely dirty.
 FATAL_REJECT_FRACTION = 0.5
+
+# One ride of one card: (board_min, route_id, board_stop, alight_stop,
+# alight_min).  A fixed-fare ride has alight_stop "" and alight_min equal
+# to board_min, so rides sort by boarding time with the other fields as
+# tie-breakers.
+Ride = tuple[int, str, str, str, int]
+# One accepted transactions line: (card_id, card_type, ride).
+Row = tuple[str, str, Ride]
 
 
 class SchemaError(Exception):
@@ -49,206 +72,258 @@ class Stop:
     lat: float
 
 
-@dataclass(slots=True)
-class TransactionRecord:
-    """One validated transaction line.
-
-    Fixed-fare records have ``alight_stop`` and ``alight_time`` set to
-    None; distance-fare records always carry both.
-    """
-
-    card_id: str
-    card_type: str
-    fare_type: str
-    route_id: str
-    board_stop: str
-    board_time: datetime
-    alight_stop: str | None
-    alight_time: datetime | None
-
-    def to_csv_row(self) -> str:
-        a_stop = self.alight_stop or ""
-        a_time = format_minute(self.alight_time) if self.alight_time else ""
-        return ",".join(
-            (
-                self.card_id,
-                self.card_type,
-                self.fare_type,
-                self.route_id,
-                self.board_stop,
-                format_minute(self.board_time),
-                a_stop,
-                a_time,
-            )
-        )
-
-
 @dataclass(frozen=True)
 class ObservationWeek:
-    """A seven-day observation window starting at ``start_date``.
+    """A seven-day observation window starting at midnight of ``start_date``.
 
-    All rule evaluation happens against the five Monday-to-Friday dates
-    inside the window; weekend records are kept for chaining but carry no
-    evidential weight.
+    Times inside the window are minutes from its start.  All rule
+    evaluation happens on the day indices of its Monday-to-Friday dates;
+    weekend records are kept for chaining but carry no evidential weight.
     """
 
     label: str
     start_date: date
+
+    @classmethod
+    def starting(cls, start: date) -> ObservationWeek:
+        return cls(str(start.year), start)
+
+    @property
+    def start_minute(self) -> int:
+        """The window start in :func:`parse_minute` units."""
+        return (self.start_date.toordinal() - 1) * DAY_MINUTES
 
     @property
     def dates(self) -> tuple[date, ...]:
         return tuple(self.start_date + timedelta(days=i) for i in range(7))
 
     @property
-    def weekdays(self) -> frozenset[date]:
-        return frozenset(d for d in self.dates if d.weekday() < 5)
+    def weekdays(self) -> frozenset[int]:
+        """Day indices (0 is ``start_date``) of the Monday-to-Friday dates."""
+        return frozenset(i for i, d in enumerate(self.dates) if d.weekday() < 5)
 
-    def contains(self, d: date) -> bool:
-        return self.start_date <= d < self.start_date + timedelta(days=7)
+    def contains(self, t: int) -> bool:
+        return 0 <= t < WEEK_MINUTES
+
+    def format(self, t: int) -> str:
+        """The timestamp text of ``t`` minutes from the window start."""
+        return format_minute(self.start_minute + t)
 
 
-def format_minute(t: datetime) -> str:
-    return f"{t.year:04d}-{t.month:02d}-{t.day:02d}T{t.hour:02d}:{t.minute:02d}"
+def format_minute(t: int) -> str:
+    """``YYYY-MM-DDTHH:MM`` for ``t`` minutes after 0001-01-01T00:00."""
+    day, minute = divmod(t, DAY_MINUTES)
+    d = date.fromordinal(day + 1)
+    return f"{d.year:04d}-{d.month:02d}-{d.day:02d}T{minute // 60:02d}:{minute % 60:02d}"
 
 
-def parse_minute(text: str) -> datetime:
-    """Parse the canonical minute timestamp ``YYYY-MM-DDTHH:MM``.
+def parse_minute(text: str) -> int:
+    """Minutes after 0001-01-01T00:00 of the timestamp ``YYYY-MM-DDTHH:MM``.
 
-    Only the exact sixteen-character form is accepted so that parsing and
-    :func:`format_minute` round-trip byte for byte.
+    Only the exact form :func:`format_minute` writes is accepted, so the
+    two round-trip byte for byte.  (``datetime.fromisoformat`` alone also
+    takes ISO week dates and UTC offsets on newer Pythons.)
     """
     if len(text) != 16 or text[10] != "T":
         raise ValueError(f"not a minute timestamp: {text!r}")
-    return datetime.fromisoformat(text)
+    t = datetime.fromisoformat(text)
+    minute = (t.toordinal() - 1) * DAY_MINUTES + t.hour * 60 + t.minute
+    if format_minute(minute) != text:
+        raise ValueError(f"not a minute timestamp: {text!r}")
+    return minute
+
+
+class WeekRows(list):
+    """Accepted rows of one transactions file in file order, with the week
+    their minutes count from."""
+
+    __slots__ = ("week",)
+
+    def __init__(self, week: ObservationWeek | None = None):
+        super().__init__()
+        self.week = week
+
+
+class _Minutes(dict):
+    """Timestamp text -> minutes after ``base``, or None when it does not parse.
+
+    A week has at most 10,080 distinct minutes, so each is parsed once.
+    With no base given, the first timestamp that parses fixes it at the
+    midnight before it.
+    """
+
+    def __init__(self, base: int | None):
+        super().__init__()
+        self.base = base
+
+    def __missing__(self, text: str) -> int | None:
+        try:
+            t = parse_minute(text)
+        except ValueError:
+            t = None
+        else:
+            if self.base is None:
+                self.base = t - t % DAY_MINUTES
+            t -= self.base
+        self[text] = t
+        return t
 
 
 def _clean(line: str) -> str:
     return line.rstrip("\r\n")
 
 
-def parse_transactions(
-    lines: Iterable[str], week: ObservationWeek
-) -> tuple[list[TransactionRecord], list[Rejection]]:
-    """Validate a transaction stream against its header and ``week``.
+def _bail_early(rejected: int, seen: int) -> None:
+    # Bail out early on files that are clearly not in this schema.
+    if seen >= 1000 and rejected * 2 > seen:
+        raise SchemaError(f"rejected {rejected} of first {seen} lines; wrong schema")
 
-    Returns the accepted records in file order together with the per-line
-    rejections.  Every data line lands in exactly one of the two lists.
-    Raises :class:`SchemaError` when the header is wrong or when more than
-    half of the data lines are rejected.
+
+def parse_transactions(
+    lines: Iterable[str], week: ObservationWeek | None = None
+) -> tuple[WeekRows, list[Rejection]]:
+    """Validate a transaction stream against its header and observation week.
+
+    The stream is read once.  Without ``week``, the week starts on the
+    earliest boarding date that parses on any eight-column line, whether
+    that line is accepted or not (:data:`DEFAULT_WEEK_START` when none
+    parses).
+
+    Returns the accepted rows in file order, carrying their week, together
+    with the per-line rejections in line order.  Every data line lands in
+    exactly one of the two lists.  Raises :class:`SchemaError` when the
+    header is wrong or when more than half of the data lines are rejected.
+    Fields are split on bare commas; the schema has no quoting and ids
+    containing separators are rejected as a column-count error.
     """
     it = iter(lines)
     try:
         header = _clean(next(it))
     except StopIteration:
-        return [], []
+        return WeekRows(week or ObservationWeek.starting(DEFAULT_WEEK_START)), []
     if header != TRANSACTIONS_HEADER:
         raise SchemaError(f"unexpected transactions header: {header!r}")
 
-    records: list[TransactionRecord] = []
+    derive = week is None
+    minutes = _Minutes(None if derive else week.start_minute)
+    pool: dict[str, str] = {}
+    intern = pool.setdefault
+    rows = WeekRows(week)
     rejections: list[Rejection] = []
+    blank_lines: list[int] = []
+    # Board minute of lines rejected after the week check passed; only a
+    # derived week that moves earlier later in the file reads them.
+    checked_board: dict[int, int] = {}
+    # The week in minutes after ``minutes.base``.  A derived week starts on
+    # the earliest boarding day seen so far, so it can only move earlier.
+    lo, hi = 0, WEEK_MINUTES
     total = 0
+    line_no = 1
     for line_no, raw in enumerate(it, start=2):
-        line = _clean(raw)
+        line = raw.rstrip("\r\n")
         if not line:
+            blank_lines.append(line_no)
             continue
         total += 1
-        reason = _parse_line(line, week, records)
-        if reason is not None:
-            rejections.append(Rejection(line_no, reason))
-            # Bail out early on files that are clearly not in this schema.
-            if total >= 1000 and len(rejections) * 2 > total:
-                raise SchemaError(
-                    f"rejected {len(rejections)} of first {total} lines; wrong schema"
-                )
+        parts = line.split(",")
+        if len(parts) != 8:
+            reason = "bad column count"
+        else:
+            card_id, card_type, fare_type, route_id, b_stop, b_time, a_stop, a_time = parts
+            board = minutes[b_time]
+            if derive and board is not None and board < lo:
+                lo = board - board % DAY_MINUTES
+                hi = lo + WEEK_MINUTES
+            if not card_id:
+                reason = "empty card_id"
+            elif card_type != CARD_REGULAR and card_type != CARD_STUDENT:
+                reason = "unknown card type"
+            elif fare_type != FARE_FIXED and fare_type != FARE_DISTANCE:
+                reason = "unknown fare type"
+            elif not route_id:
+                reason = "empty route_id"
+            elif not b_stop:
+                reason = "empty board_stop"
+            elif board is None:
+                reason = "bad board_time"
+            elif not lo <= board < hi:
+                reason = OUTSIDE_WEEK
+            else:
+                if fare_type == FARE_FIXED:
+                    reason = "fixed fare with alight fields" if a_stop or a_time else None
+                    alight = board
+                elif not a_stop or not a_time:
+                    reason = "distance fare missing alight fields"
+                else:
+                    alight = minutes[a_time]
+                    if alight is None:
+                        reason = "bad alight_time"
+                    elif alight < board:
+                        reason = "negative leg duration"
+                    else:
+                        reason = None
+                if reason is None:
+                    rows.append(
+                        (
+                            intern(card_id, card_id),
+                            card_type,
+                            (board, intern(route_id, route_id), intern(b_stop, b_stop),
+                             intern(a_stop, a_stop), alight),
+                        )
+                    )
+                    continue
+                checked_board[line_no] = board
+        rejections.append(Rejection(line_no, reason))
+        _bail_early(len(rejections), total)
+
+    if derive:
+        if lo:
+            rows, rejections = _move_week_start(
+                rows, rejections, checked_board, blank_lines, line_no, lo
+            )
+        if minutes.base is None:
+            start = DEFAULT_WEEK_START
+        else:
+            start = date.fromordinal((minutes.base + lo) // DAY_MINUTES + 1)
+        rows.week = ObservationWeek.starting(start)
     if total and len(rejections) > total * FATAL_REJECT_FRACTION:
         raise SchemaError(f"rejected {len(rejections)} of {total} lines; wrong schema")
-    return records, rejections
+    return rows, rejections
 
 
-def _parse_line(
-    line: str, week: ObservationWeek, out: list[TransactionRecord]
-) -> str | None:
-    """Validate one data line, appending to ``out`` on success.
+def _move_week_start(
+    rows: WeekRows,
+    rejections: list[Rejection],
+    checked_board: dict[int, int],
+    blank_lines: list[int],
+    last_line: int,
+    lo: int,
+) -> tuple[WeekRows, list[Rejection]]:
+    """Redo the week check after a derived week start moved earlier.
 
-    Returns a rejection reason, or None when the line was accepted.
-    Fields are split on bare commas; the schema has no quoting and ids
-    containing separators are rejected as a column-count error.
+    Lines checked against the later start may now lie a week or more after
+    the final one; they become ``outside observation week`` rejections,
+    also where an alighting check had rejected them, since the week check
+    comes first.  Kept rows shift to minutes from the final start.  The early-bail rule is replayed over the merged
+    rejections in line order, as if the start had been known from line 2.
     """
-    parts = line.split(",")
-    if len(parts) != 8:
-        return "bad column count"
-    card_id, card_type, fare_type, route_id, b_stop, b_time, a_stop, a_time = parts
-    if not card_id:
-        return "empty card_id"
-    if card_type not in (CARD_REGULAR, CARD_STUDENT):
-        return "unknown card type"
-    if fare_type not in (FARE_FIXED, FARE_DISTANCE):
-        return "unknown fare type"
-    if not route_id:
-        return "empty route_id"
-    if not b_stop:
-        return "empty board_stop"
-    try:
-        board_time = parse_minute(b_time)
-    except ValueError:
-        return "bad board_time"
-    if not week.contains(board_time.date()):
-        return "outside observation week"
-    if fare_type == FARE_FIXED:
-        if a_stop or a_time:
-            return "fixed fare with alight fields"
-        out.append(
-            TransactionRecord(
-                card_id, card_type, fare_type, route_id, b_stop, board_time, None, None
-            )
-        )
-        return None
-    if not a_stop or not a_time:
-        return "distance fare missing alight fields"
-    try:
-        alight_time = parse_minute(a_time)
-    except ValueError:
-        return "bad alight_time"
-    if alight_time < board_time:
-        return "negative leg duration"
-    out.append(
-        TransactionRecord(
-            card_id,
-            card_type,
-            fare_type,
-            route_id,
-            b_stop,
-            board_time,
-            a_stop,
-            alight_time,
-        )
-    )
-    return None
-
-
-def derive_week_start(lines: Iterable[str]) -> date | None:
-    """Scan a transaction stream for the earliest parseable boarding date.
-
-    Used when no explicit week start is configured.  The scan looks only
-    at the boarding-time column and ignores lines it cannot read, so the
-    result does not depend on the order of good and bad lines.
-    """
-    earliest: date | None = None
-    first = True
-    for raw in lines:
-        if first:
-            first = False
-            continue
-        parts = _clean(raw).split(",")
-        if len(parts) != 8:
-            continue
-        try:
-            d = parse_minute(parts[5]).date()
-        except ValueError:
-            continue
-        if earliest is None or d < earliest:
-            earliest = d
-    return earliest
+    skipped = {r.line_no for r in rejections}.union(blank_lines)
+    row_lines = (n for n in range(2, last_line + 1) if n not in skipped)
+    hi = lo + WEEK_MINUTES
+    kept = WeekRows()
+    moved = [
+        Rejection(r.line_no, OUTSIDE_WEEK) if checked_board.get(r.line_no, lo) >= hi else r
+        for r in rejections
+    ]
+    for (card_id, card_type, (board, route_id, b_stop, a_stop, alight)), n in zip(rows, row_lines):
+        if board >= hi:
+            moved.append(Rejection(n, OUTSIDE_WEEK))
+        else:
+            kept.append((card_id, card_type, (board - lo, route_id, b_stop, a_stop, alight - lo)))
+    moved.sort(key=attrgetter("line_no"))
+    for k, r in enumerate(moved, start=1):
+        _bail_early(k, r.line_no - 1 - bisect_right(blank_lines, r.line_no))
+    return kept, moved
 
 
 def load_stops(lines: Iterable[str]) -> tuple[dict[str, Stop], list[Rejection]]:
@@ -294,37 +369,57 @@ def load_stops(lines: Iterable[str]) -> tuple[dict[str, Stop], list[Rejection]]:
     return stops, rejections
 
 
-def geocode(
-    records: Iterable[TransactionRecord], known_stops: Mapping[str, Stop]
-) -> tuple[list[TransactionRecord], Counter[str]]:
-    """Drop records naming stops absent from the registry.
+def geocode(rows: Iterable[Row], known_stops: Mapping[str, object]) -> tuple[list[Row], Counter[str]]:
+    """Drop rows naming stops absent from the registry.
 
-    Returns the surviving records and a counter of unmatched stop ids.
-    A record is dropped if either end references an unknown stop; both
-    unknown ids on one record are counted.
+    Returns the surviving rows and a counter of unmatched stop ids.  A row
+    is dropped if either end references an unknown stop; both unknown ids
+    on one row are counted.
     """
-    kept: list[TransactionRecord] = []
+    kept: list[Row] = []
     unmatched: Counter[str] = Counter()
-    for rec in records:
-        ok = True
-        if rec.board_stop not in known_stops:
-            unmatched[rec.board_stop] += 1
-            ok = False
-        if rec.alight_stop is not None and rec.alight_stop not in known_stops:
-            unmatched[rec.alight_stop] += 1
-            ok = False
-        if ok:
-            kept.append(rec)
+    for row in rows:
+        _board, _route, b_stop, a_stop, _alight = row[2]
+        if b_stop in known_stops:
+            if not a_stop or a_stop in known_stops:
+                kept.append(row)
+                continue
+        else:
+            unmatched[b_stop] += 1
+        if a_stop and a_stop not in known_stops:
+            unmatched[a_stop] += 1
     return kept, unmatched
 
 
-def group_by_card(records: Iterable[TransactionRecord]) -> dict[str, list[TransactionRecord]]:
-    by_card: dict[str, list[TransactionRecord]] = {}
-    for rec in records:
-        by_card.setdefault(rec.card_id, []).append(rec)
+class CardGroups(dict):
+    """Card id -> that card's rides in file order, with the ids of the
+    student cards.
+
+    A card with any student row is a student card, whatever the order of
+    its rows.
+    """
+
+    __slots__ = ("students",)
+
+    def card_type(self, card_id: str) -> str:
+        return CARD_STUDENT if card_id in self.students else CARD_REGULAR
+
+
+def group_by_card(rows: Iterable[Row]) -> CardGroups:
+    by_card = CardGroups()
+    students = by_card.students = set()
+    for card_id, card_type, ride in rows:
+        rides = by_card.get(card_id)
+        if rides is None:
+            by_card[card_id] = [ride]
+        else:
+            rides.append(ride)
+        if card_type == CARD_STUDENT:
+            students.add(card_id)
     return by_card
 
 
 def iter_lines(path: str) -> Iterator[str]:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    """The lines of a CSV input, without a leading UTF-8 byte order mark."""
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         yield from fh

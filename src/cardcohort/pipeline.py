@@ -16,6 +16,7 @@ from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from datetime import date
+from operator import itemgetter
 
 from . import chain, infer
 from .cohort import CHANGE_KM_DEFAULT, CohortDelta, build_delta, match_cohort
@@ -32,10 +33,9 @@ from .geo import (
 )
 from .groups import DeprivationScore, DeprivationSummary, GroupAssignment, classify, score_deprivation
 from .ingest import (
+    CardGroups,
     ObservationWeek,
     Rejection,
-    TransactionRecord,
-    derive_week_start,
     geocode,
     group_by_card,
     iter_lines,
@@ -136,7 +136,7 @@ class PipelineResult:
 
 def _infer_cards(
     cards: list[str],
-    by_card: dict[str, list[TransactionRecord]],
+    by_card: CardGroups,
     places: PlaceIndex,
     week: ObservationWeek,
     cfg: RunConfig,
@@ -145,18 +145,18 @@ def _infer_cards(
     weekdays = week.weekdays
     out: dict[str, infer.YearProfile] = {}
     for card in cards:
-        recs = by_card[card]
-        legs = chain.build_legs(recs, places.stop_to_place)
+        rides = by_card[card]
+        legs = chain.build_legs(rides, places.stop_to_place)
         stays = chain.build_stays(card, legs, cfg.stay_mode)
         out[card] = infer.build_profile(
             card,
             label,
-            recs[0].card_type,
+            by_card.card_type(card),
             legs,
             stays,
             weekdays,
             places.centroid,
-            rides=len(recs),
+            rides=len(rides),
             home_rule=cfg.home_rule,
             stay_min=cfg.stay_min,
         )
@@ -170,16 +170,14 @@ def process_year(
     places = build_places(stops, cfg.cluster_m)
     log.info("%s: %d stops in %d places", stops_path, len(stops), len(places))
 
-    start = week_start or derive_week_start(iter_lines(tx_path)) or date(1970, 1, 5)
-    week = ObservationWeek(label=str(start.year), start_date=start)
-
-    records, rejections = parse_transactions(iter_lines(tx_path), week)
-    kept, unmatched = geocode(records, stops)
+    rows, rejections = parse_transactions(iter_lines(tx_path), _week(week_start))
+    week = rows.week
+    kept, unmatched = geocode(rows, stops)
     by_card = group_by_card(kept)
     cards = sorted(by_card)
     log.info(
         "%s: %d records parsed, %d rejected, %d geocoded, %d cards",
-        tx_path, len(records), len(rejections), len(kept), len(cards),
+        tx_path, len(rows), len(rejections), len(kept), len(cards),
     )
 
     if cfg.threads <= 1 or len(cards) < 2:
@@ -198,16 +196,23 @@ def process_year(
             for f in futures:
                 profiles.update(f.result())
     return YearData(
-        week, places, profiles, rejections, stop_rejections, unmatched, len(records), len(kept)
+        week, places, profiles, rejections, stop_rejections, unmatched, len(rows), len(kept)
     )
 
 
+def _week(start: date | None) -> ObservationWeek | None:
+    """The configured week, or None to derive it from the file."""
+    return ObservationWeek.starting(start) if start else None
+
+
 def _count_followup(path: str, week_start: date | None) -> tuple[Counter, list[Rejection]]:
-    start = week_start or derive_week_start(iter_lines(path)) or date(1970, 1, 5)
-    week = ObservationWeek(label=str(start.year), start_date=start)
-    records, rejections = parse_transactions(iter_lines(path), week)
-    counts: Counter = Counter(r.card_id for r in records)
-    return counts, rejections
+    """Accepted follow-up rows per card.
+
+    Follow-up rows are counted as parsed, without geocoding: a row naming
+    a stop absent from the registries still counts as a trip.
+    """
+    rows, rejections = parse_transactions(iter_lines(path), _week(week_start))
+    return Counter(map(itemgetter(0), rows)), rejections
 
 
 def aggregate_taz(

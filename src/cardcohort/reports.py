@@ -18,7 +18,7 @@ from .cohort import CHANGED, COMMUTE_BINS, FOUND, JOBLESS, LOST, MOVE_BINS, NOT_
 from .geo import INWARD, OUTWARD
 from .groups import GROUP_COUNT, DeprivationScore, DeprivationSummary, GroupAssignment, group_triple
 from .infer import YearProfile
-from .ingest import Rejection, format_minute
+from .ingest import ObservationWeek, Rejection
 from .pipeline import PipelineResult
 
 
@@ -65,14 +65,15 @@ def write_profiles(path: str, profiles: dict[str, YearProfile]) -> None:
             )
 
 
-def write_stays(path: str, stays_by_card: dict[str, list[Stay]]) -> None:
+def write_stays(path: str, stays_by_card: dict[str, list[Stay]], week: ObservationWeek) -> None:
+    """Stays with their times written back as timestamps through ``week``."""
     with _open(path) as fh:
         fh.write("card_id,place_id,arrive,depart,approx,first_of_day\n")
         for card in sorted(stays_by_card):
             for s in stays_by_card[card]:
-                arrive = format_minute(s.arrive_time) if s.arrive_time else ""
+                arrive = "" if s.arrive_time is None else week.format(s.arrive_time)
                 fh.write(
-                    f"{s.card_id},{s.place_id},{arrive},{format_minute(s.depart_time)},"
+                    f"{s.card_id},{s.place_id},{arrive},{week.format(s.depart_time)},"
                     f"{1 if s.approximate else 0},{1 if s.first_of_day else 0}\n"
                 )
 

@@ -14,7 +14,7 @@ import math
 import os
 import time
 from collections import Counter
-from datetime import date, datetime, timedelta
+from datetime import date
 
 import pytest
 
@@ -36,6 +36,7 @@ from cardcohort.groups import group_counts, group_index, group_triple
 from cardcohort.infer import YearProfile, identify_work
 from cardcohort.ingest import (
     STOPS_HEADER,
+    ObservationWeek,
     Stop,
     TRANSACTIONS_HEADER,
     iter_lines,
@@ -331,14 +332,14 @@ def test_criterion_6_geometry(tmp_path):
 
 
 def test_criterion_7_threshold_edges():
-    monday = date(2012, 3, 5)
-    weekdays = frozenset(monday + timedelta(days=i) for i in range(5))
+    # Monday 5 March 2012 starts the week; day indices 0-4 are its weekdays.
+    weekdays = ObservationWeek.starting(date(2012, 3, 5)).weekdays
 
     def stay(dur: int) -> list[Stay]:
         out = []
         for d in sorted(weekdays):
-            arrive = datetime(d.year, d.month, d.day, 9, 0)
-            out.append(Stay("C", 7, arrive, arrive + timedelta(minutes=dur), dur, False, False))
+            arrive = d * 1440 + 9 * 60
+            out.append(Stay("C", 7, arrive, arrive + dur, dur, False, False))
         return out
 
     stay_ok = (

@@ -46,6 +46,23 @@ class TestIngestCheck:
         assert os.path.exists(tmp_path / "rejections.csv")
         assert os.path.exists(tmp_path / "unmatched.csv")
 
+    def test_byte_order_marks_are_not_schema_errors(self, mini_bundle, tmp_path):
+        paths = {}
+        for key in ("year1", "stops"):
+            with open(mini_bundle[key], encoding="utf-8") as fh:
+                body = fh.read()
+            paths[key] = tmp_path / f"bom_{key}.csv"
+            paths[key].write_text("\ufeff" + body, encoding="utf-8")
+        code = run_cli(
+            "ingest-check",
+            "--transactions", str(paths["year1"]),
+            "--stops", str(paths["stops"]),
+            "--out", str(tmp_path / "out"),
+        )
+        assert code == 0
+        stats = {r[0]: r[1] for r in read_rows(str(tmp_path / "out" / "stats.csv"))[1:]}
+        assert (stats["stops"], stats["parsed"], stats["geocoded"]) == ("4", "30", "30")
+
     def test_missing_input_is_exit_2(self, mini_bundle, tmp_path):
         code = run_cli(
             "ingest-check",

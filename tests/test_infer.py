@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
-from datetime import date, datetime, timedelta
+from datetime import date
+from statistics import median
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cardcohort.chain import Leg, Stay
 from cardcohort.geo import haversine_km
@@ -22,14 +25,18 @@ WEEK = ObservationWeek("2008", date(2008, 4, 7))
 WEEKDAYS = WEEK.weekdays
 
 
+def t(day: int, hh: int, mm: int = 0) -> int:
+    """Minutes from the start of WEEK (Monday 7 April 2008)."""
+    return (day - 7) * 1440 + hh * 60 + mm
+
+
 def stay(place: int, day: int, dur: int, first: bool = False, hour: int = 20) -> Stay:
-    depart = datetime(2008, 4, day, hour, 0)
-    arrive = depart - timedelta(minutes=dur)
-    return Stay("C", place, arrive, depart, dur, False, first)
+    depart = t(day, hour)
+    return Stay("C", place, depart - dur, depart, dur, False, first)
 
 
 def opener(place: int, day: int) -> Stay:
-    return Stay("C", place, None, datetime(2008, 4, day, 7, 30), 0, False, True)
+    return Stay("C", place, None, t(day, 7, 30), 0, False, True)
 
 
 class TestIdentifyWork:
@@ -157,8 +164,8 @@ def centroid_of(place: int):
 
 
 def leg(board: int, alight, day: int, bh: int, bm: int, dur=None) -> Leg:
-    b = datetime(2008, 4, day, bh, bm)
-    a = b + timedelta(minutes=dur) if dur is not None else None
+    b = t(day, bh, bm)
+    a = b + dur if dur is not None else None
     return Leg(board, alight, b, a, "B1")
 
 
@@ -215,15 +222,63 @@ class TestCommuteMetrics:
         assert minutes is None
 
 
+def reference_commute_minutes(legs, home, work, weekdays):
+    """The commute time rule written the slow way: group each weekday's
+    legs in order, start at the first home boarding, and follow
+    consecutive same-place transfers to work."""
+    by_day = {}
+    for lg in legs:
+        if lg.board_time // 1440 in weekdays:
+            by_day.setdefault(lg.board_time // 1440, []).append(lg)
+    minutes = []
+    for day_legs in by_day.values():
+        starts = [i for i, lg in enumerate(day_legs) if lg.board_place == home]
+        if not starts:
+            continue
+        total, i = 0, starts[0]
+        while day_legs[i].alight_place is not None:
+            total += day_legs[i].alight_time - day_legs[i].board_time
+            if day_legs[i].alight_place == work:
+                minutes.append(total)
+                break
+            i += 1
+            if i == len(day_legs) or day_legs[i].board_place != day_legs[i - 1].alight_place:
+                break
+    return int(median(minutes)) if minutes else None
+
+
+@st.composite
+def card_legs(draw):
+    """Legs over a week among three places, in any order."""
+    legs = []
+    for _ in range(draw(st.integers(0, 14))):
+        board = draw(st.integers(0, 6 * 1440 + 1439))
+        if draw(st.integers(0, 3)) == 0:
+            legs.append(Leg(draw(st.integers(0, 2)), None, board, None, "B"))
+        else:
+            alight = board + draw(st.integers(0, 90))
+            legs.append(Leg(draw(st.integers(0, 2)), draw(st.integers(0, 2)), board, alight, "B"))
+    if draw(st.booleans()):
+        legs.sort(key=lambda lg: lg.board_time)
+    return legs
+
+
+@settings(max_examples=300, deadline=None)
+@given(card_legs(), st.integers(0, 2), st.integers(0, 2))
+def test_commute_minutes_match_reference(legs, home, work):
+    _, minutes = commute_metrics(legs, home, work, WEEKDAYS, centroid_of)
+    assert minutes == reference_commute_minutes(legs, home, work, WEEKDAYS)
+
+
 class TestBuildProfile:
     def test_wires_everything_together(self):
-        stays = [Stay("C", 0, None, datetime(2008, 4, 7, 7, 30), 0, False, True)]
+        stays = [Stay("C", 0, None, t(7, 7, 30), 0, False, True)]
         for day in (8, 9):
-            dep = datetime(2008, 4, day, 7, 30)
-            stays.append(Stay("C", 0, dep - timedelta(minutes=770), dep, 770, False, True))
+            dep = t(day, 7, 30)
+            stays.append(Stay("C", 0, dep - 770, dep, 770, False, True))
         for day in (7, 8, 9):
-            dep = datetime(2008, 4, day, 18, 0)
-            stays.append(Stay("C", 1, dep - timedelta(minutes=590), dep, 590, False, False))
+            dep = t(day, 18, 0)
+            stays.append(Stay("C", 1, dep - 590, dep, 590, False, False))
         legs = [leg(0, 1, d, 7, 30, dur=40) for d in (7, 8, 9)]
         profile = build_profile(
             "C", "2008", CARD_REGULAR, legs, stays, WEEKDAYS, centroid_of, rides=6

@@ -2,22 +2,25 @@
 
 from __future__ import annotations
 
-from datetime import date, datetime
+from datetime import date, datetime, timedelta
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cardcohort.ingest import (
+    DEFAULT_WEEK_START,
+    STOPS_HEADER,
     TRANSACTIONS_HEADER,
+    WEEK_MINUTES,
     ObservationWeek,
     Rejection,
     SchemaError,
     Stop,
-    derive_week_start,
     format_minute,
     geocode,
     group_by_card,
+    iter_lines,
     load_stops,
     parse_minute,
     parse_transactions,
@@ -30,12 +33,30 @@ def lines(*rows: str) -> list[str]:
     return [TRANSACTIONS_HEADER] + list(rows)
 
 
+def minute_of(t: datetime) -> int:
+    """Minutes after 0001-01-01T00:00, the unit of parse_minute."""
+    return (t.toordinal() - 1) * 1440 + t.hour * 60 + t.minute
+
+
+def to_csv_row(row, week: ObservationWeek) -> str:
+    """An accepted row written back as the transactions line it came from."""
+    card_id, card_type, (board, route_id, b_stop, a_stop, alight) = row
+    fare, a_time = ("DST", week.format(alight)) if a_stop else ("FIX", "")
+    return ",".join(
+        (card_id, card_type, fare, route_id, b_stop, week.format(board), a_stop, a_time)
+    )
+
+
+def derived_start(rows) -> date:
+    return parse_transactions(rows)[0].week.start_date
+
+
 class TestMinuteTimestamps:
     def test_parse(self):
-        assert parse_minute("2008-04-07T07:30") == datetime(2008, 4, 7, 7, 30)
+        assert parse_minute("2008-04-07T07:30") == minute_of(datetime(2008, 4, 7, 7, 30))
 
     def test_format(self):
-        assert format_minute(datetime(2008, 4, 7, 7, 30)) == "2008-04-07T07:30"
+        assert format_minute(minute_of(datetime(2008, 4, 7, 7, 30))) == "2008-04-07T07:30"
 
     @pytest.mark.parametrize(
         "bad",
@@ -47,6 +68,10 @@ class TestMinuteTimestamps:
             "",
             "not a timestamp!",
             "2008-13-07T07:30",
+            "2008-02-30T07:30",
+            "2008-W15-1T07:30",
+            "2008-04-07T07+01",
+            "2008-04-07T0730Z",
         ],
     )
     def test_rejects_non_canonical_forms(self, bad):
@@ -60,7 +85,9 @@ class TestMinuteTimestamps:
         ).map(lambda t: t.replace(second=0, microsecond=0))
     )
     def test_round_trip(self, t):
-        assert parse_minute(format_minute(t)) == t
+        text = t.strftime("%Y-%m-%dT%H:%M")
+        assert format_minute(minute_of(t)) == text
+        assert parse_minute(text) == minute_of(t)
 
 
 class TestObservationWeek:
@@ -68,13 +95,21 @@ class TestObservationWeek:
         assert len(WEEK.dates) == 7
         assert WEEK.dates[0] == date(2008, 4, 7)
         assert WEEK.dates[-1] == date(2008, 4, 13)
-        assert WEEK.weekdays == frozenset(date(2008, 4, d) for d in range(7, 12))
+        # Day indices of Monday 7 April to Friday 11 April.
+        assert WEEK.weekdays == frozenset(range(5))
 
     def test_contains_is_half_open(self):
-        assert WEEK.contains(date(2008, 4, 7))
-        assert WEEK.contains(date(2008, 4, 13))
-        assert not WEEK.contains(date(2008, 4, 6))
-        assert not WEEK.contains(date(2008, 4, 14))
+        # Minutes from the week start: 7 and 13 April are in, 6 and 14 out.
+        assert WEEK.contains(0)
+        assert WEEK.contains(6 * 1440 + 23 * 60 + 59)
+        assert not WEEK.contains(-1)
+        assert not WEEK.contains(7 * 1440)
+        assert WEEK_MINUTES == 7 * 1440
+
+    def test_format_counts_from_the_start(self):
+        assert WEEK.format(0) == "2008-04-07T00:00"
+        assert WEEK.format(6 * 1440 + 23 * 60 + 59) == "2008-04-13T23:59"
+        assert WEEK.format(7 * 1440 + 10) == "2008-04-14T00:10"
 
     def test_midweek_start_still_seven_days(self):
         week = ObservationWeek("w", date(2008, 4, 9))
@@ -92,13 +127,12 @@ class TestParseTransactions:
         )
         assert rejections == []
         assert len(records) == 2
+        assert records.week == WEEK
         dst, fix = records
-        assert dst.card_id == "C1"
-        assert dst.alight_stop == "S2"
-        assert dst.alight_time == datetime(2008, 4, 7, 8, 10)
-        assert fix.card_type == "S"
-        assert fix.alight_stop is None
-        assert fix.alight_time is None
+        assert dst == ("C1", "R", (7 * 60 + 30, "B1", "S1", "S2", 8 * 60 + 10))
+        # Fixed fares: no alight stop, alight minute equals board minute.
+        board = 1440 + 9 * 60
+        assert fix == ("C2", "S", (board, "B2", "S3", "", board))
 
     def test_empty_stream(self):
         assert parse_transactions([], WEEK) == ([], [])
@@ -193,7 +227,7 @@ class TestParseTransactions:
             "C2,S,FIX,B2,S3,2008-04-08T09:00,,",
         ]
         records, _ = parse_transactions(lines(*rows), WEEK)
-        assert [r.to_csv_row() for r in records] == rows
+        assert [to_csv_row(r, records.week) for r in records] == rows
 
 
 class TestDeriveWeekStart:
@@ -203,15 +237,21 @@ class TestDeriveWeekStart:
             "C2,R,FIX,B1,S1,2008-04-07T23:50,,",
             "C3,R,FIX,B1,S1,2008-04-11T07:30,,",
         )
-        assert derive_week_start(rows) == date(2008, 4, 7)
+        assert derived_start(rows) == date(2008, 4, 7)
 
     def test_ignores_unparseable_lines(self):
-        rows = lines("garbage", "C1,R,FIX,B1,S1,not a time,,", "C2,R,FIX,B1,S1,2008-04-08T07:30,,")
-        assert derive_week_start(rows) == date(2008, 4, 8)
+        rows = lines(
+            "garbage",
+            "C1,R,FIX,B1,S1,not a time,,",
+            "C2,R,FIX,B1,S1,2008-04-08T07:30,,",
+            "C3,R,FIX,B1,S1,2008-04-09T07:30,,",
+        )
+        assert derived_start(rows) == date(2008, 4, 8)
 
-    def test_none_when_nothing_parses(self):
-        assert derive_week_start(lines("garbage")) is None
-        assert derive_week_start([]) is None
+    def test_default_start_when_nothing_parses(self):
+        assert derived_start(lines()) == DEFAULT_WEEK_START
+        assert derived_start([]) == DEFAULT_WEEK_START
+        assert parse_transactions(lines())[0].week.label == "1970"
 
 
 class TestLoadStops:
@@ -265,7 +305,7 @@ class TestGeocode:
         )
         known = {"S1": Stop("S1", 0, 0), "S2": Stop("S2", 0, 0)}
         kept, unmatched = geocode(records, known)
-        assert [r.card_id for r in kept] == ["C1", "C4"]
+        assert [r[0] for r in kept] == ["C1", "C4"]
         assert unmatched == {"SX": 2, "SY": 1}
 
     def test_fixed_fare_needs_only_board_stop(self):
@@ -287,4 +327,296 @@ def test_group_by_card_preserves_order():
     grouped = group_by_card(records)
     assert set(grouped) == {"C1", "C2"}
     # File order within a card is preserved; sorting is chaining's job.
-    assert [r.board_time.hour for r in grouped["C2"]] == [8, 7]
+    assert [ride[0] // 60 for ride in grouped["C2"]] == [8, 7]
+
+
+def test_group_by_card_any_student_row_makes_a_student_card():
+    rows = [
+        "C1,R,FIX,B1,S1,2008-04-07T08:00,,",
+        "C1,S,FIX,B1,S1,2008-04-07T09:00,,",
+        "C1,R,FIX,B1,S1,2008-04-07T10:00,,",
+        "C2,R,FIX,B1,S1,2008-04-07T08:00,,",
+    ]
+    for order in (rows, rows[::-1], rows[1:] + rows[:1]):
+        grouped = group_by_card(parse_transactions(lines(*order), WEEK)[0])
+        assert grouped.students == {"C1"}
+        assert grouped.card_type("C1") == "S"
+        assert grouped.card_type("C2") == "R"
+
+
+class TestByteOrderMark:
+    """A UTF-8 BOM before the header is not part of the header."""
+
+    def _pair(self, tmp_path, name: str, body: str) -> tuple[str, str]:
+        plain = tmp_path / f"{name}.csv"
+        bom = tmp_path / f"{name}_bom.csv"
+        plain.write_text(body, encoding="utf-8")
+        bom.write_text("﻿" + body, encoding="utf-8")
+        assert bom.read_bytes().startswith(b"\xef\xbb\xbf")
+        return str(plain), str(bom)
+
+    def test_transactions_file(self, tmp_path):
+        body = "\n".join(
+            lines(
+                "C1,R,DST,B1,S1,2008-04-07T07:30,S2,2008-04-07T08:10",
+                "C2,S,FIX,B2,S3,2008-04-08T09:00,,",
+                "C3,X,FIX,B2,S3,2008-04-08T09:00,,",
+            )
+        ) + "\n"
+        plain, bom = self._pair(tmp_path, "tx", body)
+        expected = parse_transactions(iter_lines(plain))
+        got = parse_transactions(iter_lines(bom))
+        assert got == expected
+        assert got[0].week == expected[0].week
+        assert len(got[0]) == 2
+        assert got[1] == [Rejection(4, "unknown card type")]
+
+    def test_stops_file(self, tmp_path):
+        body = f"{STOPS_HEADER}\nS1,116.30,39.90\nS2,abc,39.91\n"
+        plain, bom = self._pair(tmp_path, "stops", body)
+        assert load_stops(iter_lines(bom)) == load_stops(iter_lines(plain))
+        assert set(load_stops(iter_lines(bom))[0]) == {"S1"}
+
+    def test_bom_inside_a_field_is_still_data(self):
+        records, rejections = parse_transactions(
+            lines("﻿C1,R,FIX,B1,S1,2008-04-07T07:30,,"), WEEK
+        )
+        assert records[0][0] == "﻿C1"
+        assert rejections == []
+
+
+def reference_parse(text_lines: list[str], week: ObservationWeek | None):
+    """The reading the one-pass parser must reproduce, written the slow way.
+
+    A first scan over every eight-column line finds the earliest boarding
+    date (the derived week start); a second scan checks each line against
+    that week in schema order.  Returns ("schema",) when the file would be
+    refused, else (week start, accepted lines as text, rejections).
+    """
+
+    def minute(text: str):
+        try:
+            return parse_minute(text)
+        except ValueError:
+            return None
+
+    data = [raw.rstrip("\r\n") for raw in text_lines[1:]]
+    if week is None:
+        boards = [
+            minute(p[5]) for p in (line.split(",") for line in data) if len(p) == 8
+        ]
+        days = [b // 1440 for b in boards if b is not None]
+        start = date.fromordinal(min(days) + 1) if days else DEFAULT_WEEK_START
+    else:
+        start = week.start_date
+    lo = (start.toordinal() - 1) * 1440
+    accepted, rejections, total = [], [], 0
+    for line_no, line in enumerate(data, start=2):
+        if not line:
+            continue
+        total += 1
+        p = line.split(",")
+        if len(p) != 8:
+            reason = "bad column count"
+        elif not p[0]:
+            reason = "empty card_id"
+        elif p[1] not in ("R", "S"):
+            reason = "unknown card type"
+        elif p[2] not in ("FIX", "DST"):
+            reason = "unknown fare type"
+        elif not p[3]:
+            reason = "empty route_id"
+        elif not p[4]:
+            reason = "empty board_stop"
+        elif minute(p[5]) is None:
+            reason = "bad board_time"
+        elif not lo <= minute(p[5]) < lo + 7 * 1440:
+            reason = "outside observation week"
+        elif p[2] == "FIX":
+            reason = "fixed fare with alight fields" if p[6] or p[7] else None
+        elif not p[6] or not p[7]:
+            reason = "distance fare missing alight fields"
+        elif minute(p[7]) is None:
+            reason = "bad alight_time"
+        elif minute(p[7]) < minute(p[5]):
+            reason = "negative leg duration"
+        else:
+            reason = None
+        if reason is None:
+            accepted.append(line)
+            continue
+        rejections.append((line_no, reason))
+        if total >= 1000 and len(rejections) * 2 > total:
+            return ("schema",)
+    if total and len(rejections) > total * 0.5:
+        return ("schema",)
+    return start, accepted, rejections
+
+
+def one_pass(text_lines: list[str], week: ObservationWeek | None):
+    try:
+        rows, rejections = parse_transactions(text_lines, week)
+    except SchemaError:
+        return ("schema",)
+    return (
+        rows.week.start_date,
+        [to_csv_row(r, rows.week) for r in rows],
+        [(r.line_no, r.reason) for r in rejections],
+    )
+
+
+# A leap day, a month end and a year end, each inside a week's reach.
+ERAS = (datetime(2012, 2, 27), datetime(2008, 12, 29), datetime(2016, 2, 25))
+
+
+CORRUPTIONS = (
+    lambda f: f[:7],
+    lambda f: ["", *f[1:]],
+    lambda f: [f[0], "X", *f[2:]],
+    lambda f: [*f[:2], "ZZZ", *f[3:]],
+    lambda f: [*f[:3], "", *f[4:]],
+    lambda f: [*f[:4], "", *f[5:]],
+    lambda f: [*f[:5], "2012-02-30T07:30", *f[6:]],
+    lambda f: [*f[:5], f[5].replace("T", " "), *f[6:]],
+    lambda f: [*f[:2], "FIX", *f[3:6], "S2", f[7]],
+    lambda f: [*f[:2], "DST", *f[3:6], f[6], ""],
+    lambda f: [*f[:2], "DST", *f[3:6], "S2", "tuesday"],
+    lambda f: [*f[:2], "DST", *f[3:6], "S2", "2012-W09-3T07:30"],
+)
+
+
+@st.composite
+def transaction_lines(draw):
+    """Mostly good lines around one era, some with one defect each."""
+    era = draw(st.sampled_from(ERAS))
+    out = [TRANSACTIONS_HEADER]
+    for _ in range(draw(st.integers(0, 25))):
+        if draw(st.integers(0, 19)) == 0:
+            out.append("")
+            continue
+        # Few distinct minutes, so duplicate timestamps are common; days
+        # run from before to after one week.
+        board = era + timedelta(
+            days=draw(st.integers(-1, 8)), minutes=draw(st.sampled_from([0, 1, 450, 1439]))
+        )
+        alight = board + timedelta(minutes=draw(st.sampled_from([-5, 0, 1, 40, 600])))
+        fields = [
+            draw(st.sampled_from(["C1", "C2", "C3"])),
+            draw(st.sampled_from(["R", "R", "S"])),
+            "FIX",
+            draw(st.sampled_from(["B1", "B2"])),
+            draw(st.sampled_from(["S1", "S2"])),
+            board.strftime("%Y-%m-%dT%H:%M"),
+            "",
+            "",
+        ]
+        if draw(st.booleans()):
+            fields[2] = "DST"
+            fields[6] = draw(st.sampled_from(["S1", "S2"]))
+            fields[7] = alight.strftime("%Y-%m-%dT%H:%M")
+        if draw(st.integers(0, 3)) == 0:
+            fields = draw(st.sampled_from(CORRUPTIONS))(fields)
+        out.append(",".join(fields) + draw(st.sampled_from(["", "\n", "\r\n"])))
+    return out
+
+
+class TestOnePassParity:
+    """The one-pass parser against the two-scan reading it replaces."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(transaction_lines(), st.sampled_from([None, 0, 1]))
+    def test_matches_two_scan_reading(self, text_lines, shift):
+        week = None
+        if shift is not None:
+            start = ERAS[0].date() + timedelta(days=shift)
+            # The generated lines pick their own era; a fixed week
+            # elsewhere rejects them all, which is still worth checking.
+            week = ObservationWeek.starting(start)
+        assert one_pass(text_lines, week) == reference_parse(text_lines, week)
+
+    @pytest.mark.parametrize(
+        "rows,start,rejections",
+        [
+            # An unknown-card-type line still sets the derived start.
+            (
+                [
+                    "C2,R,FIX,B1,S1,2008-04-07T07:30,,",
+                    "C1,X,FIX,B1,S1,2008-04-06T10:00,,",
+                    "C2,R,FIX,B1,S1,2008-04-12T23:59,,",
+                    "C2,R,FIX,B1,S1,2008-04-13T00:00,,",
+                ],
+                date(2008, 4, 6),
+                [(3, "unknown card type"), (5, "outside observation week")],
+            ),
+            # The earliest date comes last: earlier verdicts are redone,
+            # and outside-the-week wins over a later alight check.
+            (
+                [
+                    "C1,R,FIX,B1,S1,2008-04-09T07:30,,",
+                    "C1,R,FIX,B1,S1,2008-04-15T07:30,,",
+                    "C1,R,DST,B1,S1,2008-04-15T08:00,S2,2008-04-15T07:00",
+                    "C1,R,DST,B1,S1,2008-04-14T08:00,S2,2008-04-14T07:00",
+                    "C1,R,FIX,B1,S1,2008-04-08T23:59,,",
+                    "C2,R,FIX,B1,S1,2008-04-10T07:30,,",
+                    "C3,R,FIX,B1,S1,2008-04-10T07:30,,",
+                ],
+                date(2008, 4, 8),
+                [
+                    (3, "outside observation week"),
+                    (4, "outside observation week"),
+                    (5, "negative leg duration"),
+                ],
+            ),
+            # Leap day and month end inside one derived week.
+            (
+                [
+                    "C1,R,FIX,B1,S1,2012-02-29T00:00,,",
+                    "C1,R,DST,B1,S1,2012-02-28T23:59,S2,2012-03-01T00:10",
+                    "C1,R,FIX,B1,S1,2012-03-06T00:00,,",
+                    "C1,R,FIX,B1,S1,2012-03-05T23:59,,",
+                ],
+                date(2012, 2, 28),
+                [(4, "outside observation week")],
+            ),
+            # Year end, with a duplicate timestamp.
+            (
+                [
+                    "C1,R,FIX,B1,S1,2008-12-31T23:59,,",
+                    "C2,R,FIX,B1,S1,2008-12-31T23:59,,",
+                    "C1,R,FIX,B1,S1,2009-01-01T00:00,,",
+                ],
+                date(2008, 12, 31),
+                [],
+            ),
+        ],
+    )
+    def test_table(self, rows, start, rejections):
+        text_lines = lines(*rows)
+        got = one_pass(text_lines, None)
+        assert got == reference_parse(text_lines, None)
+        assert got[0] == start
+        assert got[2] == rejections
+        accepted = [r for n, r in enumerate(rows, start=2) if n not in dict(rejections)]
+        assert got[1] == accepted
+
+    def test_minutes_count_from_the_derived_start(self):
+        rows, _ = parse_transactions(
+            lines("C1,R,FIX,B1,S1,2008-04-09T07:30,,", "C1,R,FIX,B1,S1,2008-04-08T00:10,,")
+        )
+        assert rows.week.start_date == date(2008, 4, 8)
+        assert [r[2][0] for r in rows] == [1440 + 450, 10]
+
+    def test_early_bail_counts_rejections_found_after_the_week_moved(self):
+        # 1,200 lines look in-week until the last-but-many line moves the
+        # start a day earlier; read in order they are a majority of the
+        # first thousand lines, so the file is refused as before even
+        # though the whole file is mostly good.
+        text_lines = lines(
+            "C1,R,FIX,B1,S1,2008-04-08T07:30,,",
+            *["C1,R,FIX,B1,S1,2008-04-14T07:30,,"] * 1200,
+            "C1,R,FIX,B1,S1,2008-04-07T07:30,,",
+            *["C1,R,FIX,B1,S1,2008-04-08T07:30,,"] * 3000,
+        )
+        assert reference_parse(text_lines, None) == ("schema",)
+        with pytest.raises(SchemaError):
+            parse_transactions(text_lines)

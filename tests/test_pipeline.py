@@ -323,3 +323,62 @@ class TestEmptyInputs:
         rows = read_rows(os.path.join(tmp_path, "groups.csv"))
         assert len(rows) == 21
         assert all(r[4] == "0" for r in rows[1:])
+
+
+class TestInputRules:
+    """Rules the README documents for ambiguous input."""
+
+    def _write(self, tmp_path, name: str, data: list[str]) -> str:
+        header = "card_id,card_type,fare_type,route_id,board_stop,board_time,alight_stop,alight_time"
+        path = tmp_path / name
+        path.write_text("\n".join([header] + data) + "\n")
+        return str(path)
+
+    def test_card_type_does_not_depend_on_row_order(self, tmp_path, mini_bundle, mini_config):
+        import random
+
+        days = [f"2008-04-{d:02d}" for d in range(7, 12)]
+        rows = []
+        for i, day in enumerate(days):
+            # One student row among regular ones, in the middle of the week.
+            kind = "S" if i == 2 else "R"
+            rows.append(f"M1,{kind},DST,B1,HA,{day}T07:30,WA,{day}T08:10")
+            rows.append(f"M1,R,DST,B1,WA,{day}T18:00,HA,{day}T18:40")
+            rows.append(f"R1,R,DST,B1,HA,{day}T07:30,WA,{day}T08:10")
+            rows.append(f"R1,R,DST,B1,WA,{day}T18:00,HA,{day}T18:40")
+        rng = random.Random(5)
+        orders = [rows, rows[::-1]]
+        for _ in range(4):
+            shuffled = list(rows)
+            rng.shuffle(shuffled)
+            orders.append(shuffled)
+        # Regular rows first in file order would once have made M1 regular.
+        orders.append(sorted(rows, key=lambda r: r.split(",")[1]))
+        profiles = []
+        for k, order in enumerate(orders):
+            path = self._write(tmp_path, f"y{k}.csv", order)
+            profiles.append(process_year(path, mini_bundle["stops"], mini_config, None).profiles)
+        assert all(p == profiles[0] for p in profiles)
+        # Any student row makes a student card: no home, no work.
+        assert (profiles[0]["M1"].home, profiles[0]["M1"].work) == (None, None)
+        assert profiles[0]["M1"].rides == 10
+        assert (profiles[0]["R1"].home, profiles[0]["R1"].work) == (0, 1)
+
+    def test_followup_rows_count_without_geocoding(self, tmp_path, mini_config):
+        path = self._write(
+            tmp_path,
+            "followup.csv",
+            [
+                "F1,R,FIX,B2,HA,2014-04-07T09:00,,",
+                "F1,R,FIX,B2,NOSTOP,2014-04-08T09:00,,",
+                "A1,R,DST,B1,NOSTOP,2014-04-08T07:30,WA,2014-04-08T08:10",
+                "F1,R,FIX,B2,HA,2014-04-09T09:00,,",
+            ],
+        )
+        result = run_pipeline(dataclasses.replace(mini_config, followup=path))
+        # Rows naming stops absent from both registries still count as trips.
+        assert result.followup_rejections == []
+        assert result.followup_counts == {"F1": 3, "A1": 1}
+        by_card = {s.card_id: s for s in result.scores}
+        assert by_card["A1"].followup_trips == 1 and by_card["A1"].scored
+        assert by_card["F1"].followup_trips == 3

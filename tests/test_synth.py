@@ -174,7 +174,7 @@ class TestGenerate:
         assert len(retained) == math.floor(cfg.total_agents * cfg.followup_retention)
         week = ObservationWeek("f", cfg.followup_start)
         records, _ = parse_transactions(iter_lines(small_bundle.paths["followup"]), week)
-        assert {r.card_id for r in records} == retained
+        assert {r[0] for r in records} == retained
 
     def test_same_seed_is_byte_identical(self, tmp_path):
         a = generate(GeneratorConfig(**SMALL), str(tmp_path / "a"))
