@@ -91,27 +91,8 @@ def _build_run_config(args, need_year2: bool = True) -> RunConfig:
     values: dict = {}
     if getattr(args, "config", None):
         values.update(_load_run_config_file(args.config))
-    flag_map = {
-        "year1": "year1",
-        "year2": "year2",
-        "followup": "followup",
-        "stops1": "stops1",
-        "stops2": "stops2",
-        "r4": "r4",
-        "taz": "taz",
-        "center": "center",
-        "stay_mode": "stay_mode",
-        "home_rule": "home_rule",
-        "stay_min": "stay_min",
-        "cluster_m": "cluster_m",
-        "change_km": "change_km",
-        "threads": "threads",
-        "week1_start": "week1_start",
-        "week2_start": "week2_start",
-        "followup_start": "followup_start",
-    }
-    for attr, key in flag_map.items():
-        v = getattr(args, attr, None)
+    for key in _RUN_KEYS:
+        v = getattr(args, key, None)
         if v is not None:
             values[key] = v
     values = _coerce_run_values(values)
@@ -149,7 +130,8 @@ def _add_tuning(p: argparse.ArgumentParser) -> None:
     p.add_argument("--stay-min", dest="stay_min", type=int, default=None)
     p.add_argument("--cluster-m", dest="cluster_m", type=float, default=None)
     p.add_argument("--change-km", dest="change_km", type=float, default=None)
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--threads", type=int, default=None,
+                   help="processes for the year 1, year 2 and follow-up jobs (default 1)")
 
 
 def cmd_ingest_check(args) -> int:
@@ -204,8 +186,8 @@ def cmd_diff(args) -> int:
     cfg = _build_run_config(args)
     result = run_pipeline(cfg)
     os.makedirs(args.out, exist_ok=True)
-    reports.write_profiles(os.path.join(args.out, "profiles_year1.csv"), result.profiles1)
-    reports.write_profiles(os.path.join(args.out, "profiles_year2.csv"), result.profiles2)
+    reports.write_profiles(os.path.join(args.out, "profiles_year1.csv"), result.year1.profiles)
+    reports.write_profiles(os.path.join(args.out, "profiles_year2.csv"), result.year2.profiles)
     reports.write_deltas(os.path.join(args.out, "deltas.csv"), result.deltas)
     log.info("diff: %d frequent riders", len(result.fr_cards))
     return 0

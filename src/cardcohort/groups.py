@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping
+from typing import Iterable, Mapping
 
 from .cohort import CHANGED, FOUND, JOBLESS, LOST, NOT_CHANGED, CohortDelta
 
@@ -126,24 +126,3 @@ def score_deprivation(
     std = math.sqrt(max(variance, 0.0))
     return scores, DeprivationSummary(fr_count, n_scored, fraction, mean, std)
 
-
-# Alternative scorers (trajectory similarity, residence context) are a
-# declared extension point: a scorer maps an FR card id to a numeric
-# degree.  Only the follow-up trip count scorer ships.
-Scorer = Callable[[str], float]
-
-_SCORERS: dict[str, Scorer] = {}
-
-
-def register_scorer(name: str, scorer: Scorer) -> None:
-    if name in _SCORERS:
-        raise ValueError(f"scorer already registered: {name!r}")
-    _SCORERS[name] = scorer
-
-
-def get_scorer(name: str) -> Scorer:
-    return _SCORERS[name]
-
-
-def scorer_names() -> tuple[str, ...]:
-    return tuple(sorted(_SCORERS))

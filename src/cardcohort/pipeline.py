@@ -1,19 +1,20 @@
 """End-to-end batch pipeline: two observation years to cohort reports.
 
-Stages run sequentially; the per-card inference inside a year is
-partitioned across threads by a stable hash of the card id.  Every
-reduction is either a dict merge of disjoint key sets or an iteration in
-sorted card order, so the output bytes cannot depend on the thread
-count.
+Year 1, year 2 and the follow-up count read separate files and share
+nothing, so with ``threads > 1`` they run at the same time in separate
+processes; everything after them runs in the parent.  Each year's cards
+are inferred in one loop in sorted card order, and job results are
+gathered in fixed job order, so the output bytes cannot depend on the
+thread count.
 """
 
 from __future__ import annotations
 
+import gc
 import logging
 import os
-import zlib
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import date
 from operator import itemgetter
@@ -33,7 +34,6 @@ from .geo import (
 )
 from .groups import DeprivationScore, DeprivationSummary, GroupAssignment, classify, score_deprivation
 from .ingest import (
-    CardGroups,
     ObservationWeek,
     Rejection,
     geocode,
@@ -117,52 +117,25 @@ class PipelineResult:
     taz_outside: int | None = None
     taz_overlap: bool = False
 
-    @property
-    def profiles1(self) -> dict[str, infer.YearProfile]:
-        return self.year1.profiles
 
-    @property
-    def profiles2(self) -> dict[str, infer.YearProfile]:
-        return self.year2.profiles
+@contextmanager
+def _collector_off():
+    """Keep the cyclic garbage collector off inside the block.
 
-    @property
-    def places1(self) -> PlaceIndex:
-        return self.year1.places
-
-    @property
-    def places2(self) -> PlaceIndex:
-        return self.year2.places
-
-
-def _infer_cards(
-    cards: list[str],
-    by_card: CardGroups,
-    places: PlaceIndex,
-    week: ObservationWeek,
-    cfg: RunConfig,
-    label: str,
-) -> dict[str, infer.YearProfile]:
-    weekdays = week.weekdays
-    out: dict[str, infer.YearProfile] = {}
-    for card in cards:
-        rides = by_card[card]
-        legs = chain.build_legs(rides, places.stop_to_place)
-        stays = chain.build_stays(card, legs, cfg.stay_mode)
-        out[card] = infer.build_profile(
-            card,
-            label,
-            by_card.card_type(card),
-            legs,
-            stays,
-            weekdays,
-            places.centroid,
-            rides=len(rides),
-            home_rule=cfg.home_rule,
-            stay_min=cfg.stay_min,
-        )
-    return out
+    The pipeline builds millions of short-lived acyclic containers (legs,
+    stays, per-card lists) and no reference cycles, so a collection costs
+    time and frees nothing.  The earlier state comes back on exit.
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
+@_collector_off()
 def process_year(
     tx_path: str, stops_path: str, cfg: RunConfig, week_start: date | None
 ) -> YearData:
@@ -174,27 +147,28 @@ def process_year(
     week = rows.week
     kept, unmatched = geocode(rows, stops)
     by_card = group_by_card(kept)
-    cards = sorted(by_card)
     log.info(
         "%s: %d records parsed, %d rejected, %d geocoded, %d cards",
-        tx_path, len(rows), len(rejections), len(kept), len(cards),
+        tx_path, len(rows), len(rejections), len(kept), len(by_card),
     )
-
-    if cfg.threads <= 1 or len(cards) < 2:
-        profiles = _infer_cards(cards, by_card, places, week, cfg, week.label)
-    else:
-        shards: list[list[str]] = [[] for _ in range(cfg.threads)]
-        for card in cards:
-            shards[zlib.crc32(card.encode()) % cfg.threads].append(card)
-        profiles = {}
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            futures = [
-                pool.submit(_infer_cards, shard, by_card, places, week, cfg, week.label)
-                for shard in shards
-                if shard
-            ]
-            for f in futures:
-                profiles.update(f.result())
+    weekdays = week.weekdays
+    profiles: dict[str, infer.YearProfile] = {}
+    for card in sorted(by_card):
+        rides = by_card[card]
+        legs = chain.build_legs(rides, places.stop_to_place)
+        stays = chain.build_stays(card, legs, cfg.stay_mode)
+        profiles[card] = infer.build_profile(
+            card,
+            week.label,
+            by_card.card_type(card),
+            legs,
+            stays,
+            weekdays,
+            places.centroid,
+            rides=len(rides),
+            home_rule=cfg.home_rule,
+            stay_min=cfg.stay_min,
+        )
     return YearData(
         week, places, profiles, rejections, stop_rejections, unmatched, len(rows), len(kept)
     )
@@ -205,6 +179,7 @@ def _week(start: date | None) -> ObservationWeek | None:
     return ObservationWeek.starting(start) if start else None
 
 
+@_collector_off()
 def _count_followup(path: str, week_start: date | None) -> tuple[Counter, list[Rejection]]:
     """Accepted follow-up rows per card.
 
@@ -237,6 +212,37 @@ def aggregate_taz(
     return counts, outside, overlap
 
 
+def _run_jobs(cfg: RunConfig) -> list:
+    """Year 1, year 2 and, if configured, the follow-up count, in that order.
+
+    With ``cfg.threads`` = n > 1 they run on min(n, jobs) processes.  The
+    parent runs the first job and any left over; each of the n - 1
+    workers runs one of the others.  Only the workers' results are
+    pickled, and the parent's own jobs stay visible to in-process
+    profilers.  Results come back in job order, and a worker's exception
+    is raised again here with its type.
+    """
+    jobs = [
+        (process_year, (cfg.year1, cfg.stops1, cfg, cfg.week1_start)),
+        (process_year, (cfg.year2, cfg.stops2, cfg, cfg.week2_start)),
+    ]
+    if cfg.followup:
+        jobs.append((_count_followup, (cfg.followup, cfg.followup_start)))
+    n = min(cfg.threads, len(jobs))
+    if n == 1:
+        return [fn(*args) for fn, args in jobs]
+
+    # Imported here so that a single-process run does not load
+    # multiprocessing at all.
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=n - 1) as pool:
+        futures = [pool.submit(fn, *args) for fn, args in jobs[1:n]]
+        inline = [fn(*args) for fn, args in jobs[:1] + jobs[n:]]
+        return inline[:1] + [f.result() for f in futures] + inline[1:]
+
+
+@_collector_off()
 def run_pipeline(cfg: RunConfig) -> PipelineResult:
     """Compute everything the configured inputs allow.
 
@@ -245,8 +251,7 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
     """
     cfg.validate()
 
-    y1 = process_year(cfg.year1, cfg.stops1, cfg, cfg.week1_start)
-    y2 = process_year(cfg.year2, cfg.stops2, cfg, cfg.week2_start)
+    y1, y2, *followup = _run_jobs(cfg)
 
     r4_region = load_region(cfg.r4, "R4") if cfg.r4 else None
     in_r4 = (lambda c: point_in_region(c, r4_region)) if r4_region is not None else None
@@ -272,7 +277,7 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
     )
 
     if cfg.followup:
-        counts, rejections = _count_followup(cfg.followup, cfg.followup_start)
+        counts, rejections = followup[0]
         result.followup_counts = counts
         result.followup_rejections = rejections
         result.scores, result.dep_summary = score_deprivation(fr_cards, counts)

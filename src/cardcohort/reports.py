@@ -101,7 +101,7 @@ def _mean(values: list[float]) -> float | None:
 
 def write_summary(path: str, result: PipelineResult) -> None:
     """Cardholder and identification counts per year plus the overlap."""
-    p1, p2 = result.profiles1, result.profiles2
+    p1, p2 = result.year1.profiles, result.year2.profiles
     both = set(p1) & set(p2)
 
     def count(profiles, pred) -> int:
@@ -267,8 +267,8 @@ def write_run_reports(result: PipelineResult, out_dir: str) -> list[str]:
         writer(os.path.join(out_dir, name), *args)
         written.append(name)
 
-    emit("profiles_year1.csv", write_profiles, result.profiles1)
-    emit("profiles_year2.csv", write_profiles, result.profiles2)
+    emit("profiles_year1.csv", write_profiles, result.year1.profiles)
+    emit("profiles_year2.csv", write_profiles, result.year2.profiles)
     emit("rejections_year1.csv", write_rejections, result.year1.rejections)
     emit("rejections_year2.csv", write_rejections, result.year2.rejections)
     emit("rejections_stops1.csv", write_rejections, result.year1.stop_rejections)

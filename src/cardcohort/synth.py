@@ -860,7 +860,7 @@ def evaluate_recovery(truth: Sequence[TruthRow], result, tolerance_km: float = 0
     classification arithmetic is shared.
     """
     truth_cards = {t.card_id for t in truth}
-    seen_cards = set(result.profiles1) | set(result.profiles2)
+    seen_cards = set(result.year1.profiles) | set(result.year2.profiles)
     if truth_cards != seen_cards:
         missing = sorted(truth_cards ^ seen_cards)[:5]
         raise ValueError(f"card-id mismatch between truth and pipeline output: {missing}")
@@ -882,8 +882,8 @@ def evaluate_recovery(truth: Sequence[TruthRow], result, tolerance_km: float = 0
 
     for t in truth:
         anchors = (
-            (result.places1, result.profiles1.get(t.card_id), t.home1, t.work1),
-            (result.places2, result.profiles2.get(t.card_id), t.home2, t.work2),
+            (result.year1.places, result.year1.profiles.get(t.card_id), t.home1, t.work1),
+            (result.year2.places, result.year2.profiles.get(t.card_id), t.home2, t.work2),
         )
         cents = []
         for places, profile, home_anchor, work_anchor in anchors:

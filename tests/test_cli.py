@@ -194,6 +194,26 @@ class TestRun:
         )
         assert code == 3
 
+    def test_wrong_year2_header_in_worker_is_exit_3(self, mini_args, tmp_path):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("x,y\n1,2\n")
+        args = list(mini_args)
+        args[args.index("--year2") + 1] = str(bad)
+        code = run_cli("run", *args, "--threads", "2", "--out", str(tmp_path / "out"))
+        assert code == 3
+
+    def test_single_process_run_loads_no_multiprocessing(self, mini_args, tmp_path):
+        script = (
+            "import sys; from cardcohort.cli import main; "
+            "code = main(sys.argv[1:]); print(code, 'multiprocessing' in sys.modules)"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "run", *mini_args, "--out", str(tmp_path)],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.stdout == "0 False\n"
+
 
 class TestConfigFile:
     def _write_config(self, tmp_path, mini_bundle, extra: str = "") -> str:

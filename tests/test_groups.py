@@ -8,13 +8,10 @@ from cardcohort.cohort import CHANGED, FOUND, JOBLESS, LOST, NOT_CHANGED, Cohort
 from cardcohort.groups import (
     GROUP_COUNT,
     classify,
-    get_scorer,
     group_counts,
     group_index,
     group_triple,
-    register_scorer,
     score_deprivation,
-    scorer_names,
 )
 
 # The canonical ordering of the twenty (housing, job, location) triples.
@@ -157,21 +154,3 @@ class TestScoreDeprivation:
         assert summary.mean_trips == 13.0
         assert summary.std_trips == 0.0
 
-
-class TestScorerRegistry:
-    def test_register_and_fetch(self):
-        register_scorer("test-trips-a", lambda card: 1.0)
-        register_scorer("test-trips-b", lambda card: 2.0)
-        assert get_scorer("test-trips-a")("X") == 1.0
-        names = scorer_names()
-        assert "test-trips-a" in names and "test-trips-b" in names
-        assert list(names) == sorted(names)
-
-    def test_duplicate_name_rejected(self):
-        register_scorer("test-trips-dup", lambda card: 0.0)
-        with pytest.raises(ValueError):
-            register_scorer("test-trips-dup", lambda card: 0.0)
-
-    def test_unknown_name_raises(self):
-        with pytest.raises(KeyError):
-            get_scorer("no-such-scorer")

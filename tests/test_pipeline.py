@@ -3,13 +3,16 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import json
 import os
 
 import pytest
 
+from cardcohort import pipeline
 from cardcohort.cohort import CHANGED, NOT_CHANGED
 from cardcohort.geo import OUTWARD, Region, haversine_km
+from cardcohort.ingest import SchemaError
 from cardcohort.pipeline import (
     MissingInputError,
     RunConfig,
@@ -115,11 +118,65 @@ class TestProcessYear:
         assert year.profiles["F1"].home is None
         assert year.profiles["F1"].work is None
 
-    def test_thread_count_does_not_change_profiles(self, mini_config):
-        serial = process_year(mini_config.year1, mini_config.stops1, mini_config, None)
-        threaded_cfg = dataclasses.replace(mini_config, threads=4)
-        threaded = process_year(threaded_cfg.year1, threaded_cfg.stops1, threaded_cfg, None)
-        assert serial.profiles == threaded.profiles
+
+class TestJobs:
+    """Year 1, year 2 and the follow-up run as processes at threads > 1."""
+
+    def test_thread_count_does_not_change_results(self, mini_config, tmp_path):
+        runs = {}
+        for threads in (1, 2, 3):
+            result = run_pipeline(dataclasses.replace(mini_config, threads=threads))
+            out = tmp_path / f"t{threads}"
+            names = write_run_reports(result, str(out))
+            files = {n: (out / n).read_bytes() for n in names}
+            runs[threads] = result, files
+        serial, serial_files = runs[1]
+        for threads in (2, 3):
+            result, files = runs[threads]
+            assert result.year1.profiles == serial.year1.profiles
+            assert result.year2.profiles == serial.year2.profiles
+            assert result.deltas == serial.deltas
+            assert result.assignments == serial.assignments
+            assert result.followup_counts == serial.followup_counts
+            assert files == serial_files
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_collector_state_restored(self, mini_config, tmp_path, enabled):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("x,y\n1,2\n")
+        was = gc.isenabled()
+        try:
+            (gc.enable if enabled else gc.disable)()
+            run_pipeline(mini_config)
+            assert gc.isenabled() is enabled
+            with pytest.raises(SchemaError):
+                run_pipeline(dataclasses.replace(mini_config, year1=str(bad)))
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
+
+    def test_each_job_runs_without_collector(self, mini_config, monkeypatch):
+        # A worker started by spawn or forkserver does not inherit the
+        # parent's collector state, so the jobs turn it off themselves.
+        seen = []
+        real = pipeline.parse_transactions
+
+        def spy(*args, **kwargs):
+            seen.append(gc.isenabled())
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "parse_transactions", spy)
+        assert gc.isenabled()
+        process_year(mini_config.year1, mini_config.stops1, mini_config, None)
+        pipeline._count_followup(mini_config.followup, None)
+        assert seen == [False, False]
+        assert gc.isenabled()
+
+    def test_run_leaves_no_cyclic_garbage(self, mini_config):
+        gc.collect()
+        result = run_pipeline(mini_config)
+        assert gc.collect() == 0
+        assert result.fr_cards == ["A1", "F1"]
 
 
 @pytest.fixture(scope="module")
