@@ -16,9 +16,9 @@ from dataclasses import fields
 from datetime import date
 
 from . import reports
-from .chain import PERMISSIVE, STAY_MODES, build_legs, build_stays
+from .chain import STAY_MODES
 from .geo import DEFAULT_CENTER
-from .infer import HOME_RULE_RELAXED, HOME_RULES
+from .infer import HOME_RULES
 from .ingest import (
     ObservationWeek,
     SchemaError,
@@ -34,6 +34,21 @@ from .synth import GeneratorConfig, generate
 log = logging.getLogger("cardcohort")
 
 _RUN_KEYS = {f.name for f in fields(RunConfig)}
+
+_TWO_YEAR_INPUTS = ("year1", "stops1", "year2", "stops2")
+
+# The two-year subcommands: name, help, the run bundle files they write
+# (None for all of them, see reports.write_run_reports) and the inputs
+# they require.
+_TWO_YEAR_COMMANDS = (
+    ("diff", "two-year profiles and per-rider deltas",
+     ("profiles_year1.csv", "profiles_year2.csv", "deltas.csv"), _TWO_YEAR_INPUTS),
+    ("classify", "assign frequent riders to the 20 groups",
+     ("deltas.csv", "groups.csv"), _TWO_YEAR_INPUTS),
+    ("score", "deprivation scores against a follow-up week",
+     ("deprivation.csv", "scores.csv"), _TWO_YEAR_INPUTS + ("followup",)),
+    ("run", "full pipeline with all reports", None, _TWO_YEAR_INPUTS),
+)
 
 
 def _parse_center(text: str) -> tuple[float, float]:
@@ -87,7 +102,8 @@ def _coerce_run_values(raw: dict) -> dict:
     return coerced
 
 
-def _build_run_config(args, need_year2: bool = True) -> RunConfig:
+def _build_run_config(args) -> RunConfig:
+    """The validated run config; ``args.required`` names the inputs it must have."""
     values: dict = {}
     if getattr(args, "config", None):
         values.update(_load_run_config_file(args.config))
@@ -96,14 +112,15 @@ def _build_run_config(args, need_year2: bool = True) -> RunConfig:
         if v is not None:
             values[key] = v
     values = _coerce_run_values(values)
-    for req in ("year1", "stops1") + (("year2", "stops2") if need_year2 else ()):
+    for req in args.required:
         if req not in values:
             raise MissingInputError(f"required input not configured: --{req}")
-    if need_year2:
-        return RunConfig(**values)
+    # infer reads one year; the year-2 fields then name the same files.
     values.setdefault("year2", values["year1"])
     values.setdefault("stops2", values["stops1"])
-    return RunConfig(**values)
+    cfg = RunConfig(**values)
+    cfg.validate()
+    return cfg
 
 
 def _add_common_inputs(p: argparse.ArgumentParser, followup: bool = True) -> None:
@@ -160,70 +177,25 @@ def cmd_ingest_check(args) -> int:
 
 
 def cmd_infer(args) -> int:
-    cfg = _build_run_config(args, need_year2=False)
-    year = process_year(cfg.year1, cfg.stops1, cfg, cfg.week1_start)
+    cfg = _build_run_config(args)
+    stays = {} if args.dump_stays else None
+    year = process_year(cfg.year1, cfg.stops1, cfg, cfg.week1_start, stays)
     os.makedirs(args.out, exist_ok=True)
     reports.write_profiles(os.path.join(args.out, "profiles.csv"), year.profiles)
     reports.write_rejections(os.path.join(args.out, "rejections.csv"), year.rejections)
     reports.write_unmatched(os.path.join(args.out, "unmatched.csv"), year.unmatched)
-    if args.dump_stays:
-        by_card = group_by_card(
-            geocode(
-                parse_transactions(iter_lines(cfg.year1), year.week)[0],
-                year.places.stop_to_place,
-            )[0]
-        )
-        stays = {
-            card: build_stays(card, build_legs(rides, year.places.stop_to_place), cfg.stay_mode)
-            for card, rides in by_card.items()
-        }
+    if stays is not None:
         reports.write_stays(os.path.join(args.out, "stays.csv"), stays, year.week)
     log.info("infer: %d cards profiled", len(year.profiles))
     return 0
 
 
-def cmd_diff(args) -> int:
-    cfg = _build_run_config(args)
-    result = run_pipeline(cfg)
-    os.makedirs(args.out, exist_ok=True)
-    reports.write_profiles(os.path.join(args.out, "profiles_year1.csv"), result.year1.profiles)
-    reports.write_profiles(os.path.join(args.out, "profiles_year2.csv"), result.year2.profiles)
-    reports.write_deltas(os.path.join(args.out, "deltas.csv"), result.deltas)
-    log.info("diff: %d frequent riders", len(result.fr_cards))
-    return 0
-
-
-def cmd_classify(args) -> int:
-    cfg = _build_run_config(args)
-    result = run_pipeline(cfg)
-    os.makedirs(args.out, exist_ok=True)
-    reports.write_deltas(os.path.join(args.out, "deltas.csv"), result.deltas)
-    reports.write_groups(os.path.join(args.out, "groups.csv"), result.assignments)
-    log.info("classify: %d riders in 20 groups", len(result.assignments))
-    return 0
-
-
-def cmd_score(args) -> int:
-    cfg = _build_run_config(args)
-    if not cfg.followup:
-        raise MissingInputError("required input not configured: --followup")
-    result = run_pipeline(cfg)
-    os.makedirs(args.out, exist_ok=True)
-    reports.write_deprivation(os.path.join(args.out, "deprivation.csv"), result.dep_summary)
-    reports.write_scores(os.path.join(args.out, "scores.csv"), result.scores, result.assignments)
-    log.info(
-        "score: %d of %d FRs scored",
-        result.dep_summary.scored_count if result.dep_summary else 0,
-        len(result.fr_cards),
-    )
-    return 0
-
-
 def cmd_run(args) -> int:
+    """run, diff, classify and score: the full pipeline, then their report files."""
     cfg = _build_run_config(args)
     result = run_pipeline(cfg)
-    written = reports.write_run_reports(result, args.out)
-    log.info("run: wrote %d report files to %s", len(written), args.out)
+    written = reports.write_run_reports(result, args.out, args.reports)
+    log.info("%s: wrote %d report files to %s", args.command, len(written), args.out)
     return 0
 
 
@@ -275,25 +247,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dump-stays", dest="dump_stays", action="store_true")
     _add_tuning(p)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_infer)
+    p.set_defaults(func=cmd_infer, required=("year1", "stops1"))
 
-    p = sub.add_parser("diff", help="two-year profiles and per-rider deltas")
-    _add_common_inputs(p, followup=False)
-    _add_tuning(p)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_diff)
-
-    p = sub.add_parser("classify", help="assign frequent riders to the 20 groups")
-    _add_common_inputs(p, followup=False)
-    _add_tuning(p)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_classify)
-
-    p = sub.add_parser("score", help="deprivation scores against a follow-up week")
-    _add_common_inputs(p)
-    _add_tuning(p)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_score)
+    for name, help_text, names, required in _TWO_YEAR_COMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        # Only run and score write reports that read a follow-up week.
+        _add_common_inputs(p, followup=names is None or "followup" in required)
+        _add_tuning(p)
+        p.add_argument("--out", required=True)
+        p.set_defaults(func=cmd_run, reports=names, required=required)
 
     p = sub.add_parser("synth", help="generate a synthetic bundle with ground truth")
     p.add_argument("--out", required=True)
@@ -314,12 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--noise-rate", dest="noise_rate", type=float, default=None)
     p.add_argument("--retention", dest="followup_retention", type=float, default=None)
     p.set_defaults(func=cmd_synth)
-
-    p = sub.add_parser("run", help="full pipeline with all reports")
-    _add_common_inputs(p)
-    _add_tuning(p)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_run)
 
     return parser
 

@@ -102,9 +102,6 @@ class ObservationWeek:
         """Day indices (0 is ``start_date``) of the Monday-to-Friday dates."""
         return frozenset(i for i, d in enumerate(self.dates) if d.weekday() < 5)
 
-    def contains(self, t: int) -> bool:
-        return 0 <= t < WEEK_MINUTES
-
     def format(self, t: int) -> str:
         """The timestamp text of ``t`` minutes from the window start."""
         return format_minute(self.start_minute + t)

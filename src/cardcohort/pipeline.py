@@ -66,7 +66,6 @@ class RunConfig:
     cluster_m: float = CLUSTER_RADIUS_M
     change_km: float = CHANGE_KM_DEFAULT
     threads: int = 1
-    out_dir: str | None = None
     week1_start: date | None = None
     week2_start: date | None = None
     followup_start: date | None = None
@@ -137,8 +136,17 @@ def _collector_off():
 
 @_collector_off()
 def process_year(
-    tx_path: str, stops_path: str, cfg: RunConfig, week_start: date | None
+    tx_path: str,
+    stops_path: str,
+    cfg: RunConfig,
+    week_start: date | None,
+    stays: dict[str, list[chain.Stay]] | None = None,
 ) -> YearData:
+    """Profile one observation year.
+
+    When ``stays`` is a dict, each card's stays are stored in it as they
+    are built; otherwise they are dropped once the card is profiled.
+    """
     stops, stop_rejections = load_stops(iter_lines(stops_path))
     places = build_places(stops, cfg.cluster_m)
     log.info("%s: %d stops in %d places", stops_path, len(stops), len(places))
@@ -156,13 +164,15 @@ def process_year(
     for card in sorted(by_card):
         rides = by_card[card]
         legs = chain.build_legs(rides, places.stop_to_place)
-        stays = chain.build_stays(card, legs, cfg.stay_mode)
+        card_stays = chain.build_stays(card, legs, cfg.stay_mode)
+        if stays is not None:
+            stays[card] = card_stays
         profiles[card] = infer.build_profile(
             card,
             week.label,
             by_card.card_type(card),
             legs,
-            stays,
+            card_stays,
             weekdays,
             places.centroid,
             rides=len(rides),

@@ -11,12 +11,19 @@ import json
 import math
 import os
 from collections import Counter
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Sequence
 
 from .chain import Stay
 from .cohort import CHANGED, COMMUTE_BINS, FOUND, JOBLESS, LOST, MOVE_BINS, NOT_CHANGED, CohortDelta
 from .geo import INWARD, OUTWARD
-from .groups import GROUP_COUNT, DeprivationScore, DeprivationSummary, GroupAssignment, group_triple
+from .groups import (
+    GROUP_COUNT,
+    DeprivationScore,
+    DeprivationSummary,
+    GroupAssignment,
+    group_counts,
+    group_triple,
+)
 from .infer import YearProfile
 from .ingest import ObservationWeek, Rejection
 from .pipeline import PipelineResult
@@ -206,7 +213,7 @@ def write_commute_variation(path: str, deltas: dict[str, CohortDelta]) -> None:
 
 
 def write_groups(path: str, assignments: dict[str, GroupAssignment]) -> None:
-    counts = Counter(a.group for a in assignments.values())
+    counts = group_counts(assignments.values())
     total = len(assignments)
     with _open(path) as fh:
         fh.write("group,housing_change,job_change,location,count,share_pct\n")
@@ -258,14 +265,21 @@ def write_taz_geojson(path: str, taz_path: str, result: PipelineResult) -> None:
         fh.write("\n")
 
 
-def write_run_reports(result: PipelineResult, out_dir: str) -> list[str]:
-    """Write the full report bundle; returns the file names written."""
+def write_run_reports(
+    result: PipelineResult, out_dir: str, names: Collection[str] | None = None
+) -> list[str]:
+    """Write the report bundle; returns the file names written, in bundle order.
+
+    With ``names``, only the bundle files so named are written, with the
+    same bytes as in the full bundle.
+    """
     os.makedirs(out_dir, exist_ok=True)
     written = []
 
     def emit(name: str, writer, *args) -> None:
-        writer(os.path.join(out_dir, name), *args)
-        written.append(name)
+        if names is None or name in names:
+            writer(os.path.join(out_dir, name), *args)
+            written.append(name)
 
     emit("profiles_year1.csv", write_profiles, result.year1.profiles)
     emit("profiles_year2.csv", write_profiles, result.year2.profiles)

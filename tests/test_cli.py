@@ -8,7 +8,9 @@ import sys
 
 import pytest
 
+from cardcohort import chain, cli, ingest, pipeline, reports
 from cardcohort.cli import main
+from cardcohort.geo import build_places
 
 from test_pipeline import read_rows
 
@@ -115,8 +117,106 @@ class TestInfer:
         assert any(r[0] == "F1" and r[4] == "1" for r in rows[1:])
         assert all(r[4] == "0" for r in rows[1:] if r[0] == "A1")
 
+    def test_dump_stays_reads_transactions_once(self, mini_bundle, tmp_path, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return ingest.parse_transactions(*args, **kwargs)
+
+        for mod in (cli, pipeline):
+            monkeypatch.setattr(mod, "parse_transactions", counting)
+        code = run_cli(
+            "infer",
+            "--year1", mini_bundle["year1"],
+            "--stops1", mini_bundle["stops"],
+            "--dump-stays",
+            "--out", str(tmp_path),
+        )
+        assert code == 0
+        assert len(calls) == 1
+
+    def test_dump_stays_matches_direct_chaining(self, mini_bundle, tmp_path):
+        code = run_cli(
+            "infer",
+            "--year1", mini_bundle["year1"],
+            "--stops1", mini_bundle["stops"],
+            "--dump-stays",
+            "--out", str(tmp_path / "cli"),
+        )
+        assert code == 0
+        stops, _ = ingest.load_stops(ingest.iter_lines(mini_bundle["stops"]))
+        stop_to_place = build_places(stops).stop_to_place
+        rows, _ = ingest.parse_transactions(ingest.iter_lines(mini_bundle["year1"]))
+        by_card = ingest.group_by_card(ingest.geocode(rows, stops)[0])
+        stays = {
+            card: chain.build_stays(card, chain.build_legs(rides, stop_to_place), chain.PERMISSIVE)
+            for card, rides in by_card.items()
+        }
+        direct = tmp_path / "direct.csv"
+        reports.write_stays(str(direct), stays, rows.week)
+        assert (tmp_path / "cli" / "stays.csv").read_bytes() == direct.read_bytes()
+
+    def test_missing_input_is_exit_2(self, mini_bundle, tmp_path):
+        code = run_cli(
+            "infer",
+            "--year1", str(tmp_path / "gone.csv"),
+            "--stops1", mini_bundle["stops"],
+            "--out", str(tmp_path / "out"),
+        )
+        assert code == 2
+
+    @pytest.mark.parametrize("flag", ["--stay-min", "--threads"])
+    def test_invalid_setting_is_exit_2(self, mini_bundle, tmp_path, flag):
+        code = run_cli(
+            "infer",
+            "--year1", mini_bundle["year1"],
+            "--stops1", mini_bundle["stops"],
+            flag, "0",
+            "--out", str(tmp_path),
+        )
+        assert code == 2
+
+
+SUBSETS = {
+    "diff": ["profiles_year1.csv", "profiles_year2.csv", "deltas.csv"],
+    "classify": ["deltas.csv", "groups.csv"],
+    "score": ["deprivation.csv", "scores.csv"],
+}
+
+
+@pytest.fixture(scope="module")
+def full_config(mini_bundle, tmp_path_factory):
+    """A run config naming every input of the mini bundle."""
+    conf = tmp_path_factory.mktemp("full") / "run.conf"
+    conf.write_text(
+        "".join(
+            f"{key}={mini_bundle[src]}\n"
+            for key, src in (
+                ("year1", "year1"), ("year2", "year2"), ("stops1", "stops"), ("stops2", "stops"),
+                ("followup", "followup"), ("r4", "r4"), ("taz", "taz"),
+            )
+        )
+        + f"center={mini_bundle['center'][0]},{mini_bundle['center'][1]}\n"
+    )
+    return str(conf)
+
+
+@pytest.fixture(scope="module")
+def run_out(full_config, tmp_path_factory):
+    out = tmp_path_factory.mktemp("run")
+    assert run_cli("run", "--config", full_config, "--out", str(out)) == 0
+    return out
+
 
 class TestDiffClassifyScore:
+    @pytest.mark.parametrize("command", sorted(SUBSETS))
+    def test_writes_its_subset_of_the_run_bundle(self, command, full_config, run_out, tmp_path):
+        assert run_cli(command, "--config", full_config, "--out", str(tmp_path)) == 0
+        assert sorted(os.listdir(tmp_path)) == sorted(SUBSETS[command])
+        for name in SUBSETS[command]:
+            assert (tmp_path / name).read_bytes() == (run_out / name).read_bytes(), name
+
     def test_diff(self, mini_args, tmp_path):
         assert run_cli("diff", *mini_args, "--out", str(tmp_path)) == 0
         rows = read_rows(str(tmp_path / "deltas.csv"))
@@ -249,6 +349,10 @@ class TestConfigFile:
     def test_unknown_key_is_exit_2(self, mini_bundle, tmp_path):
         conf = self._write_config(tmp_path, mini_bundle, extra="velocity=9\n")
         assert run_cli("diff", "--config", conf, "--out", str(tmp_path / "o")) == 2
+
+    def test_out_dir_key_is_exit_2(self, mini_bundle, tmp_path):
+        conf = self._write_config(tmp_path, mini_bundle, extra=f"out_dir={tmp_path / 'o'}\n")
+        assert run_cli("run", "--config", conf, "--out", str(tmp_path / "o")) == 2
 
     def test_bad_center_value_is_exit_2(self, mini_bundle, tmp_path):
         conf = tmp_path / "bad_center.conf"

@@ -97,13 +97,6 @@ class TestObservationWeek:
         assert WEEK.dates[-1] == date(2008, 4, 13)
         # Day indices of Monday 7 April to Friday 11 April.
         assert WEEK.weekdays == frozenset(range(5))
-
-    def test_contains_is_half_open(self):
-        # Minutes from the week start: 7 and 13 April are in, 6 and 14 out.
-        assert WEEK.contains(0)
-        assert WEEK.contains(6 * 1440 + 23 * 60 + 59)
-        assert not WEEK.contains(-1)
-        assert not WEEK.contains(7 * 1440)
         assert WEEK_MINUTES == 7 * 1440
 
     def test_format_counts_from_the_start(self):
@@ -182,6 +175,23 @@ class TestParseTransactions:
         records, rejections = parse_transactions(lines(good, row), WEEK)
         assert len(records) == 1
         assert rejections == [Rejection(3, reason)]
+
+    def test_week_is_half_open(self):
+        # 7 and 13 April are in the week starting 7 April; 6 and 14 are out.
+        records, rejections = parse_transactions(
+            lines(
+                "C1,R,FIX,B1,S1,2008-04-07T00:00,,",
+                "C1,R,FIX,B1,S1,2008-04-06T23:59,,",
+                "C1,R,FIX,B1,S1,2008-04-13T23:59,,",
+                "C1,R,FIX,B1,S1,2008-04-14T00:00,,",
+            ),
+            WEEK,
+        )
+        assert [r[2][0] for r in records] == [0, WEEK_MINUTES - 1]
+        assert rejections == [
+            Rejection(3, "outside observation week"),
+            Rejection(5, "outside observation week"),
+        ]
 
     def test_every_line_lands_exactly_once(self):
         rows = [

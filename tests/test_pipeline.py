@@ -259,6 +259,18 @@ class TestMiniPipeline:
             assert b"\r" not in blob, name
             assert blob.endswith(b"\n"), name
 
+    def test_named_subset_of_the_bundle(self, result, tmp_path_factory):
+        full = tmp_path_factory.mktemp("full")
+        write_run_reports(result, str(full))
+        part = tmp_path_factory.mktemp("part")
+        names = ["taz_fr_homes.geojson", "scores.csv", "profiles_year2.csv"]
+        written = write_run_reports(result, str(part), names)
+        # Bundle order, not the order asked for.
+        assert written == ["profiles_year2.csv", "scores.csv", "taz_fr_homes.geojson"]
+        assert sorted(os.listdir(part)) == written
+        for name in written:
+            assert (part / name).read_bytes() == (full / name).read_bytes(), name
+
     def test_deltas_csv_rows(self, result, tmp_path):
         out = str(tmp_path)
         write_run_reports(result, out)
