@@ -12,8 +12,7 @@ import argparse
 import logging
 import os
 import sys
-from dataclasses import fields
-from datetime import date
+from dataclasses import fields, replace
 
 from . import reports
 from .chain import STAY_MODES
@@ -26,14 +25,15 @@ from .ingest import (
     group_by_card,
     iter_lines,
     load_stops,
+    parse_coord,
+    parse_date,
     parse_transactions,
+    read_config,
 )
-from .pipeline import MissingInputError, RunConfig, process_year, run_pipeline
+from .pipeline import PATH_FIELDS, MissingInputError, RunConfig, process_year, run_pipeline
 from .synth import GeneratorConfig, generate
 
 log = logging.getLogger("cardcohort")
-
-_RUN_KEYS = {f.name for f in fields(RunConfig)}
 
 _TWO_YEAR_INPUTS = ("year1", "stops1", "year2", "stops2")
 
@@ -51,67 +51,20 @@ _TWO_YEAR_COMMANDS = (
 )
 
 
-def _parse_center(text: str) -> tuple[float, float]:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise ValueError(f"expected lon,lat: {text!r}")
-    return float(parts[0]), float(parts[1])
-
-
-def _parse_date(text: str) -> date:
-    return date.fromisoformat(text)
-
-
-def _load_run_config_file(path: str) -> dict:
-    """Flat key=value run config; relative paths resolve next to the file."""
-    base = os.path.dirname(os.path.abspath(path))
-    out: dict = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"bad config line: {line!r}")
-            key, value = (s.strip() for s in line.split("=", 1))
-            if key not in _RUN_KEYS:
-                raise ValueError(f"unknown run config key: {key!r}")
-            out[key] = value
-    for key in ("year1", "year2", "followup", "stops1", "stops2", "r4", "taz"):
-        if key in out and out[key]:
-            if not os.path.isabs(out[key]):
-                out[key] = os.path.join(base, out[key])
-    return out
-
-
-def _coerce_run_values(raw: dict) -> dict:
-    coerced = dict(raw)
-    if "center" in coerced and isinstance(coerced["center"], str):
-        coerced["center"] = _parse_center(coerced["center"])
-    for key in ("week1_start", "week2_start", "followup_start"):
-        if key in coerced and isinstance(coerced[key], str):
-            coerced[key] = _parse_date(coerced[key])
-    for key, cast in (
-        ("stay_min", int),
-        ("threads", int),
-        ("cluster_m", float),
-        ("change_km", float),
-    ):
-        if key in coerced and isinstance(coerced[key], str):
-            coerced[key] = cast(coerced[key])
-    return coerced
+def _flags(args, cls) -> dict:
+    """The options given on the command line that set fields of the dataclass ``cls``."""
+    return {f.name: v for f in fields(cls) if (v := getattr(args, f.name, None)) is not None}
 
 
 def _build_run_config(args) -> RunConfig:
     """The validated run config; ``args.required`` names the inputs it must have."""
-    values: dict = {}
-    if getattr(args, "config", None):
-        values.update(_load_run_config_file(args.config))
-    for key in _RUN_KEYS:
-        v = getattr(args, key, None)
-        if v is not None:
-            values[key] = v
-    values = _coerce_run_values(values)
+    values = {}
+    if args.config:
+        values = read_config(args.config, RunConfig)
+        # Relative paths resolve next to the config file.
+        base = os.path.dirname(os.path.abspath(args.config))
+        values.update((k, os.path.join(base, values[k])) for k in PATH_FIELDS if values.get(k))
+    values.update(_flags(args, RunConfig))
     for req in args.required:
         if req not in values:
             raise MissingInputError(f"required input not configured: --{req}")
@@ -133,14 +86,14 @@ def _add_common_inputs(p: argparse.ArgumentParser, followup: bool = True) -> Non
     p.add_argument("--r4", help="GeoJSON polygon for the inner-city boundary")
     p.add_argument("--taz", help="GeoJSON zone layer for home aggregation")
     p.add_argument("--config", help="flat key=value run config (flags override)")
-    p.add_argument("--week1-start", dest="week1_start", type=_parse_date, default=None)
-    p.add_argument("--week2-start", dest="week2_start", type=_parse_date, default=None)
+    p.add_argument("--week1-start", dest="week1_start", type=parse_date, default=None)
+    p.add_argument("--week2-start", dest="week2_start", type=parse_date, default=None)
     if followup:
-        p.add_argument("--followup-start", dest="followup_start", type=_parse_date, default=None)
+        p.add_argument("--followup-start", dest="followup_start", type=parse_date, default=None)
 
 
 def _add_tuning(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--center", type=_parse_center, default=None, metavar="LON,LAT",
+    p.add_argument("--center", type=parse_coord, default=None, metavar="LON,LAT",
                    help=f"city center (default {DEFAULT_CENTER[0]},{DEFAULT_CENTER[1]})")
     p.add_argument("--stay-mode", dest="stay_mode", choices=STAY_MODES, default=None)
     p.add_argument("--home-rule", dest="home_rule", choices=HOME_RULES, default=None)
@@ -191,8 +144,12 @@ def cmd_infer(args) -> int:
 
 
 def cmd_run(args) -> int:
-    """run, diff, classify and score: the full pipeline, then their report files."""
+    """run, diff, classify and score: the pipeline their report files need, then the files."""
     cfg = _build_run_config(args)
+    if args.reports is not None:
+        # Skip the optional inputs that no file of the subset reads.
+        unread = [k for k, files in reports.OPTIONAL_INPUT_FILES.items() if files.isdisjoint(args.reports)]
+        cfg = replace(cfg, **dict.fromkeys(unread))
     result = run_pipeline(cfg)
     written = reports.write_run_reports(result, args.out, args.reports)
     log.info("%s: wrote %d report files to %s", args.command, len(written), args.out)
@@ -200,22 +157,12 @@ def cmd_run(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    if args.config:
-        cfg = GeneratorConfig.from_file(args.config)
-    else:
-        cfg = GeneratorConfig()
+    cfg = GeneratorConfig.from_file(args.config) if args.config else GeneratorConfig()
     if args.agents is not None:
         base, rem = divmod(args.agents, 5)
         counts = [base + (1 if i < rem else 0) for i in range(5)]
         cfg.commuters, cfg.movers, cfg.job_changers, cfg.jobless, cfg.churners = counts
-    for attr in (
-        "seed", "commuters", "movers", "job_changers", "jobless", "churners",
-        "grid_rows", "grid_cols", "site_stops", "stop_spacing_m", "site_pitch_m",
-        "fixed_fare_fraction", "noise_rate", "followup_retention",
-    ):
-        v = getattr(args, attr, None)
-        if v is not None:
-            setattr(cfg, attr, v)
+    cfg = replace(cfg, **_flags(args, GeneratorConfig))
     bundle = generate(cfg, args.out)
     log.info(
         "synth: %d agents, %d stops, bundle in %s",
@@ -235,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ingest-check", help="validate a transactions file against a stop registry")
     p.add_argument("--transactions", required=True)
     p.add_argument("--stops", required=True)
-    p.add_argument("--week-start", dest="week_start", type=_parse_date, default=None)
+    p.add_argument("--week-start", dest="week_start", type=parse_date, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_ingest_check)
 
@@ -243,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--year1", help="transactions CSV")
     p.add_argument("--stops1", help="stop registry CSV")
     p.add_argument("--config", help="flat key=value run config")
-    p.add_argument("--week1-start", dest="week1_start", type=_parse_date, default=None)
+    p.add_argument("--week1-start", dest="week1_start", type=parse_date, default=None)
     p.add_argument("--dump-stays", dest="dump_stays", action="store_true")
     _add_tuning(p)
     p.add_argument("--out", required=True)

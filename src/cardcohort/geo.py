@@ -177,41 +177,50 @@ def _check_ring(ring: Sequence[Sequence[float]]) -> tuple[Coord, ...]:
     return pts
 
 
-def _rings_of_geometry(geom: Mapping) -> list[tuple[Coord, ...]]:
-    gtype = geom.get("type")
+def _rings_of_geometry(geom: Mapping | None) -> list[tuple[Coord, ...]]:
+    # A feature's geometry may be null in GeoJSON; it has no rings to use.
+    gtype = (geom or {}).get("type")
     if gtype == "Polygon":
-        return [_check_ring(r) for r in geom["coordinates"]]
-    if gtype == "MultiPolygon":
-        rings: list[tuple[Coord, ...]] = []
-        for poly in geom["coordinates"]:
-            rings.extend(_check_ring(r) for r in poly)
-        return rings
-    raise ValueError(f"unsupported geometry type: {gtype!r}")
+        polygons = [geom["coordinates"]]
+    elif gtype == "MultiPolygon":
+        polygons = geom["coordinates"]
+    else:
+        raise ValueError(f"unsupported geometry type: {gtype!r}")
+    return [_check_ring(r) for poly in polygons for r in poly]
+
+
+def read_features(path: str) -> list[tuple[dict, Mapping]]:
+    """The (properties, geometry) of each feature of a GeoJSON file, in file order.
+
+    A FeatureCollection gives its features, a Feature gives itself, and a
+    bare geometry gives one feature; missing or null properties read as
+    an empty dict.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        doc = json.load(fh)
+    dtype = doc.get("type")
+    if dtype == "FeatureCollection":
+        feats = doc.get("features", [])
+    elif dtype == "Feature":
+        feats = [doc]
+    else:
+        return [({}, doc)]
+    return [(feat.get("properties") or {}, feat["geometry"]) for feat in feats]
 
 
 def load_region(path: str, name: str | None = None) -> Region:
     """Load a GeoJSON file as one region.
 
-    Accepts a FeatureCollection, a single Feature, or a bare geometry;
-    multiple features merge into one region (their rings are unioned
-    under the even-odd rule).
+    Multiple features merge into one region (their rings are unioned
+    under the even-odd rule), named after the first feature that has a
+    name unless ``name`` is given.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
     rings: list[tuple[Coord, ...]] = []
     label = name
-    dtype = doc.get("type")
-    if dtype == "FeatureCollection":
-        for feat in doc.get("features", []):
-            rings.extend(_rings_of_geometry(feat["geometry"]))
-            if label is None:
-                label = feat.get("properties", {}).get("name")
-    elif dtype == "Feature":
-        rings.extend(_rings_of_geometry(doc["geometry"]))
+    for props, geom in read_features(path):
+        rings.extend(_rings_of_geometry(geom))
         if label is None:
-            label = doc.get("properties", {}).get("name")
-    else:
-        rings.extend(_rings_of_geometry(doc))
+            label = props.get("name")
     if not rings:
         raise ValueError(f"no polygon rings in {path}")
     return Region(label or "region", tuple(rings))
@@ -220,23 +229,13 @@ def load_region(path: str, name: str | None = None) -> Region:
 def load_region_features(path: str) -> list[Region]:
     """Load a GeoJSON file as one region per feature, in file order.
 
-    Used for zone layers where each feature is its own unit; a bare
-    geometry or single Feature yields a one-element list.  Unnamed
+    Used for zone layers where each feature is its own unit.  Unnamed
     features get zero-based positional names.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    dtype = doc.get("type")
-    regions: list[Region] = []
-    if dtype == "FeatureCollection":
-        feats = doc.get("features", [])
-    elif dtype == "Feature":
-        feats = [doc]
-    else:
-        return [Region("zone_0", tuple(_rings_of_geometry(doc)))]
-    for i, feat in enumerate(feats):
-        name = (feat.get("properties") or {}).get("name") or f"zone_{i}"
-        regions.append(Region(str(name), tuple(_rings_of_geometry(feat["geometry"]))))
+    regions = [
+        Region(str(props.get("name") or f"zone_{i}"), tuple(_rings_of_geometry(geom)))
+        for i, (props, geom) in enumerate(read_features(path))
+    ]
     if not regions:
         raise ValueError(f"no features in {path}")
     return regions

@@ -1,4 +1,5 @@
-"""Reading and validating smartcard transaction logs and stop registries.
+"""Reading and validating smartcard transaction logs, stop registries and
+``key=value`` config files.
 
 The transaction format is a plain CSV with one boarding (and, for
 distance-based fares, one alighting) per line.  Fixed-fare lines carry no
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from datetime import date, datetime, timedelta
 from operator import attrgetter
 from typing import Iterable, Iterator, Mapping
@@ -420,3 +421,47 @@ def iter_lines(path: str) -> Iterator[str]:
     """The lines of a CSV input, without a leading UTF-8 byte order mark."""
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         yield from fh
+
+
+def parse_date(text: str) -> date:
+    """A date written exactly as ``YYYY-MM-DD``."""
+    d = date.fromisoformat(text)
+    if d.isoformat() != text:
+        raise ValueError(f"expected YYYY-MM-DD: {text!r}")
+    return d
+
+
+def parse_coord(text: str) -> tuple[float, float]:
+    """A ``lon,lat`` pair."""
+    lon, lat = text.split(",")
+    return float(lon), float(lat)
+
+
+_VALUE_PARSERS = {"int": int, "float": float, "date": parse_date, "Coord": parse_coord, "str": str}
+
+
+def read_config(path: str, cls) -> dict:
+    """The values of a ``key=value`` config file for the dataclass ``cls``.
+
+    Blank lines and ``#`` comments are skipped.  Each value is parsed by
+    the annotation of its field: ``int``, ``float``, ``date``, ``Coord``
+    or ``str``, each optionally ``| None``.  A line without ``=``, a key
+    that is not a field and a value that does not parse raise ValueError.
+    """
+    parsers = {f.name: _VALUE_PARSERS[f.type.removesuffix(" | None")] for f in fields(cls)}
+    values = {}
+    with open(path, "r", encoding="utf-8") as fh:
+        for line in fh:
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            key, eq, text = (s.strip() for s in line.partition("="))
+            if not eq:
+                raise ValueError(f"bad config line: {line!r}")
+            if key not in parsers:
+                raise ValueError(f"unknown config key: {key!r}")
+            try:
+                values[key] = parsers[key](text)
+            except ValueError as exc:
+                raise ValueError(f"bad value for {key}: {text!r} ({exc})") from None
+    return values

@@ -50,6 +50,10 @@ class MissingInputError(Exception):
     """A configured input path does not exist."""
 
 
+# The RunConfig fields that name input files.
+PATH_FIELDS = ("year1", "year2", "stops1", "stops2", "followup", "r4", "taz")
+
+
 @dataclass
 class RunConfig:
     year1: str
@@ -77,11 +81,12 @@ class RunConfig:
             raise ValueError("change_km must be non-negative")
         if self.threads < 1:
             raise ValueError("threads must be at least 1")
-        missing = [
-            p
-            for p in (self.year1, self.year2, self.stops1, self.stops2, self.followup, self.r4, self.taz)
-            if p is not None and not os.path.exists(p)
-        ]
+        if self.stay_mode not in chain.STAY_MODES:
+            raise ValueError(f"unknown stay_mode: {self.stay_mode!r}")
+        if self.home_rule not in infer.HOME_RULES:
+            raise ValueError(f"unknown home_rule: {self.home_rule!r}")
+        paths = [getattr(self, key) for key in PATH_FIELDS]
+        missing = [p for p in paths if p is not None and not os.path.exists(p)]
         if missing:
             raise MissingInputError(f"missing input file(s): {', '.join(missing)}")
 

@@ -15,7 +15,7 @@ from typing import Collection, Iterable, Sequence
 
 from .chain import Stay
 from .cohort import CHANGED, COMMUTE_BINS, FOUND, JOBLESS, LOST, MOVE_BINS, NOT_CHANGED, CohortDelta
-from .geo import INWARD, OUTWARD
+from .geo import INWARD, OUTWARD, read_features
 from .groups import (
     GROUP_COUNT,
     DeprivationScore,
@@ -245,16 +245,10 @@ def write_scores(
 
 def write_taz_geojson(path: str, taz_path: str, result: PipelineResult) -> None:
     """Copy the zone layer with an fr_homes count injected per feature."""
-    with open(taz_path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    feats = doc.get("features", []) if doc.get("type") == "FeatureCollection" else [doc]
-    out_feats = []
-    for i, feat in enumerate(feats):
-        props = dict(feat.get("properties") or {})
-        props["fr_homes"] = result.taz_counts[i]
-        out_feats.append(
-            {"type": "Feature", "properties": props, "geometry": feat["geometry"]}
-        )
+    out_feats = [
+        {"type": "Feature", "properties": {**props, "fr_homes": count}, "geometry": geom}
+        for (props, geom), count in zip(read_features(taz_path), result.taz_counts)
+    ]
     out = {
         "type": "FeatureCollection",
         "outside_count": result.taz_outside,
@@ -263,6 +257,13 @@ def write_taz_geojson(path: str, taz_path: str, result: PipelineResult) -> None:
     with _open(path) as fh:
         json.dump(out, fh, indent=1)
         fh.write("\n")
+
+
+# The bundle files that read an optional run input; without it they are not written.
+OPTIONAL_INPUT_FILES = {
+    "followup": {"deprivation.csv", "scores.csv", "rejections_followup.csv"},
+    "taz": {"taz_fr_homes.geojson"},
+}
 
 
 def write_run_reports(

@@ -63,7 +63,7 @@ from .geo import (
     radial_direction,
 )
 from .groups import group_index
-from .ingest import TRANSACTIONS_HEADER
+from .ingest import TRANSACTIONS_HEADER, read_config
 
 GOLDEN = 0x9E3779B97F4A7C15
 _MASK = (1 << 64) - 1
@@ -182,40 +182,13 @@ class GeneratorConfig:
         return self.commuters + self.movers + self.job_changers + self.jobless + self.churners
 
     def to_file(self, path: str) -> None:
+        # A date prints as YYYY-MM-DD, the format read_config parses.
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            for f in fields(self):
-                v = getattr(self, f.name)
-                if isinstance(v, date):
-                    v = v.isoformat()
-                fh.write(f"{f.name}={v}\n")
+            fh.writelines(f"{f.name}={getattr(self, f.name)}\n" for f in fields(self))
 
     @classmethod
     def from_file(cls, path: str) -> "GeneratorConfig":
-        raw: dict[str, str] = {}
-        with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if "=" not in line:
-                    raise ValueError(f"bad config line: {line!r}")
-                k, v = line.split("=", 1)
-                raw[k.strip()] = v.strip()
-        kwargs = {}
-        by_name = {f.name: f for f in fields(cls)}
-        for k, v in raw.items():
-            if k not in by_name:
-                raise ValueError(f"unknown config key: {k!r}")
-            t = by_name[k].type
-            if t == "int":
-                kwargs[k] = int(v)
-            elif t == "float":
-                kwargs[k] = float(v)
-            elif t == "date":
-                kwargs[k] = date.fromisoformat(v)
-            else:
-                kwargs[k] = v
-        return cls(**kwargs)
+        return cls(**read_config(path, cls))
 
 
 @dataclass(frozen=True, slots=True)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
@@ -217,6 +218,25 @@ class TestDiffClassifyScore:
         for name in SUBSETS[command]:
             assert (tmp_path / name).read_bytes() == (run_out / name).read_bytes(), name
 
+    @pytest.mark.parametrize("command", ["diff", "classify", "score", "run"])
+    def test_skips_inputs_its_files_do_not_read(self, command, full_config, tmp_path, monkeypatch):
+        loaded = {"score": ["followup"], "run": ["followup", "taz"]}.get(command, [])
+        calls = []
+        count_followup, load_taz = pipeline._count_followup, pipeline.load_region_features
+        monkeypatch.setattr(
+            pipeline, "_count_followup", lambda *a: calls.append("followup") or count_followup(*a)
+        )
+        monkeypatch.setattr(
+            pipeline, "load_region_features", lambda *a: calls.append("taz") or load_taz(*a)
+        )
+        assert run_cli(command, "--config", full_config, "--out", str(tmp_path)) == 0
+        assert calls == loaded
+
+    @pytest.mark.parametrize("command", sorted(SUBSETS))
+    def test_skipped_inputs_are_still_validated(self, command, full_config, tmp_path):
+        gone = str(tmp_path / "gone.geojson")
+        assert run_cli(command, "--config", full_config, "--taz", gone, "--out", str(tmp_path)) == 2
+
     def test_diff(self, mini_args, tmp_path):
         assert run_cli("diff", *mini_args, "--out", str(tmp_path)) == 0
         rows = read_rows(str(tmp_path / "deltas.csv"))
@@ -269,6 +289,26 @@ class TestRun:
 
     def test_missing_required_input_is_exit_2(self, tmp_path):
         assert run_cli("run", "--out", str(tmp_path)) == 2
+
+    def test_bare_polygon_taz(self, mini_args, mini_bundle, tmp_path):
+        with open(mini_bundle["taz"], encoding="utf-8") as fh:
+            near = json.load(fh)["features"][0]["geometry"]
+        taz = tmp_path / "near.geojson"
+        taz.write_text(json.dumps(near))
+        out = tmp_path / "out"
+        assert run_cli("run", *mini_args, "--taz", str(taz), "--out", str(out)) == 0
+        with open(out / "taz_fr_homes.geojson", encoding="utf-8") as fh:
+            doc = json.load(fh)
+        assert doc == {
+            "type": "FeatureCollection",
+            "outside_count": 1,
+            "features": [{"type": "Feature", "properties": {"fr_homes": 1}, "geometry": near}],
+        }
+
+    def test_non_canonical_date_flag_is_exit_2(self, mini_args, tmp_path):
+        with pytest.raises(SystemExit) as err:
+            run_cli("run", *mini_args, "--week1-start", "20080407", "--out", str(tmp_path))
+        assert err.value.code == 2
 
     def test_nonexistent_input_is_exit_2(self, mini_bundle, tmp_path):
         code = run_cli(
@@ -365,6 +405,27 @@ class TestConfigFile:
         )
         assert run_cli("diff", "--config", str(conf), "--out", str(tmp_path / "o")) == 2
 
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "stay_min=abc",
+            "week1_start=2008-13-01",
+            "week1_start=20080407",
+            "stay_mode=bogus",
+            "home_rule=bogus",
+        ],
+    )
+    def test_bad_value_is_exit_2_before_any_input_is_read(self, tmp_path, line):
+        # Header-only inputs: a check that waits for the first card never fires.
+        (tmp_path / "week.csv").write_text(ingest.TRANSACTIONS_HEADER + "\n")
+        (tmp_path / "stops.csv").write_text(ingest.STOPS_HEADER + "\n")
+        conf = tmp_path / "run.conf"
+        conf.write_text("year1=week.csv\nyear2=week.csv\nstops1=stops.csv\nstops2=stops.csv\n")
+        assert run_cli("run", "--config", str(conf), "--out", str(tmp_path / "ok")) == 0
+        with open(conf, "a", encoding="utf-8") as fh:
+            fh.write(line + "\n")
+        assert run_cli("run", "--config", str(conf), "--out", str(tmp_path / "bad")) == 2
+
     def test_relative_paths_resolve_next_to_config(self, mini_bundle, tmp_path):
         import shutil
 
@@ -409,6 +470,21 @@ class TestSynthCommand:
 
     def test_invalid_generator_setting_is_exit_2(self, tmp_path):
         assert run_cli("synth", "--out", str(tmp_path / "x"), "--noise-rate", "3.0") == 2
+
+    @pytest.mark.parametrize("line", ["velocity=9", "seed=abc", "seed 7"])
+    def test_bad_config_file_is_exit_2(self, tmp_path, line):
+        conf = tmp_path / "generator.conf"
+        conf.write_text(f"commuters=4\n{line}\n")
+        assert run_cli("synth", "--config", str(conf), "--out", str(tmp_path / "x")) == 2
+        assert not (tmp_path / "x").exists()
+
+    def test_generator_conf_reproduces_the_bundle(self, tmp_path):
+        b1, b2 = tmp_path / "b1", tmp_path / "b2"
+        assert run_cli("synth", "--out", str(b1), "--agents", "10", "--seed", "11", "--noise-rate", "0.2") == 0
+        assert run_cli("synth", "--config", str(b1 / "generator.conf"), "--out", str(b2)) == 0
+        assert sorted(os.listdir(b1)) == sorted(os.listdir(b2))
+        for name in os.listdir(b1):
+            assert (b1 / name).read_bytes() == (b2 / name).read_bytes(), name
 
 
 class TestEntryPoints:

@@ -22,6 +22,7 @@ from cardcohort.geo import (
     load_region_features,
     point_in_region,
     radial_direction,
+    read_features,
 )
 from cardcohort.ingest import Stop
 
@@ -248,6 +249,20 @@ class TestRegionLoading:
         region = load_region(self._write(tmp_path, doc), name="override")
         assert region.name == "override"
 
+    def test_load_region_name_skips_null_properties(self, tmp_path):
+        first = self._feature(None, self.RING_A)
+        first["properties"] = None
+        doc = {"type": "FeatureCollection", "features": [first, self._feature("beta", self.RING_B)]}
+        assert load_region(self._write(tmp_path, doc)).name == "beta"
+
+    def test_read_features_of_each_document_shape(self, tmp_path):
+        geom = {"type": "Polygon", "coordinates": [self.RING_A]}
+        feat = self._feature("alpha", self.RING_A)
+        collection = {"type": "FeatureCollection", "features": [feat]}
+        assert read_features(self._write(tmp_path, collection)) == [({"name": "alpha"}, geom)]
+        assert read_features(self._write(tmp_path, feat)) == [({"name": "alpha"}, geom)]
+        assert read_features(self._write(tmp_path, geom)) == [({}, geom)]
+
     def test_load_region_bare_geometry(self, tmp_path):
         doc = {"type": "Polygon", "coordinates": [self.RING_A]}
         region = load_region(self._write(tmp_path, doc))
@@ -289,6 +304,15 @@ class TestRegionLoading:
         doc = {"type": "Point", "coordinates": [0, 0]}
         with pytest.raises(ValueError):
             load_region(self._write(tmp_path, doc))
+
+    def test_null_geometry_rejected(self, tmp_path):
+        feat = self._feature("alpha", self.RING_A)
+        feat["geometry"] = None
+        path = self._write(tmp_path, {"type": "FeatureCollection", "features": [feat]})
+        with pytest.raises(ValueError):
+            load_region(path)
+        with pytest.raises(ValueError):
+            load_region_features(path)
 
     def test_empty_collection_rejected(self, tmp_path):
         doc = {"type": "FeatureCollection", "features": []}

@@ -1,4 +1,4 @@
-"""Transaction and stop registry parsing."""
+"""Transaction, stop registry and config file parsing."""
 
 from __future__ import annotations
 
@@ -22,9 +22,13 @@ from cardcohort.ingest import (
     group_by_card,
     iter_lines,
     load_stops,
+    parse_coord,
+    parse_date,
     parse_minute,
     parse_transactions,
+    read_config,
 )
+from cardcohort.pipeline import RunConfig
 
 WEEK = ObservationWeek("2008", date(2008, 4, 7))
 
@@ -630,3 +634,37 @@ class TestOnePassParity:
         assert reference_parse(text_lines, None) == ("schema",)
         with pytest.raises(SchemaError):
             parse_transactions(text_lines)
+
+
+class TestReadConfig:
+    def test_values_parse_by_field_type(self, tmp_path):
+        p = tmp_path / "run.conf"
+        p.write_text(
+            "# comment\n\n"
+            "year1 = a.csv\n"
+            "taz=\n"
+            "center=116.5,39.75\n"
+            "stay_min=300\n"
+            "change_km=2.5\n"
+            "week2_start=2010-04-05\n"
+        )
+        assert read_config(str(p), RunConfig) == {
+            "year1": "a.csv",
+            "taz": "",
+            "center": (116.5, 39.75),
+            "stay_min": 300,
+            "change_km": 2.5,
+            "week2_start": date(2010, 4, 5),
+        }
+
+    @pytest.mark.parametrize("text", ["20080407", "2008-4-7", "2008-W15-1", " 2008-04-07"])
+    def test_date_must_be_exactly_yyyy_mm_dd(self, text):
+        assert parse_date("2008-04-07") == date(2008, 4, 7)
+        with pytest.raises(ValueError):
+            parse_date(text)
+
+    @pytest.mark.parametrize("text", ["116.4", "1,2,3", "a,b"])
+    def test_coord_is_one_lon_lat_pair(self, text):
+        assert parse_coord("116.4,39.9") == (116.4, 39.9)
+        with pytest.raises(ValueError):
+            parse_coord(text)

@@ -73,7 +73,15 @@ class TestRunConfigValidate:
         assert "gone.csv" in str(err.value)
 
     @pytest.mark.parametrize(
-        "kwargs", [{"stay_min": 0}, {"cluster_m": -5.0}, {"change_km": -1.0}, {"threads": 0}]
+        "kwargs",
+        [
+            {"stay_min": 0},
+            {"cluster_m": -5.0},
+            {"change_km": -1.0},
+            {"threads": 0},
+            {"stay_mode": "bogus"},
+            {"home_rule": "bogus"},
+        ],
     )
     def test_bad_thresholds_rejected(self, kwargs):
         with pytest.raises(ValueError):
