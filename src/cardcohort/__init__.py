@@ -8,7 +8,7 @@ seeded synthetic-population generator provides ground truth for all of
 it.
 """
 
-from .chain import PERMISSIVE, STRICT, Leg, Stay, build_legs, build_stays
+from .chain import PERMISSIVE, STRICT, Stay
 from .cohort import (
     CHANGED,
     COMMUTE_BINS,
@@ -55,9 +55,6 @@ from .infer import (
     HOME_RULE_RELAXED,
     YearProfile,
     build_profile,
-    commute_metrics,
-    identify_home,
-    identify_work,
 )
 from .ingest import (
     CARD_REGULAR,

@@ -111,22 +111,37 @@ def match_cohort(
     )
 
 
+def _move(
+    old: Coord, new: Coord, center: Coord, change_km: float, moves: dict | None
+) -> tuple[str, str | None, float, str | None]:
+    """(status, direction, km, bin) of a move between two centroids.
+
+    ``moves`` caches the answer per centroid pair; it must only ever see
+    one ``center`` and ``change_km``.  A move of exactly ``change_km``
+    counts as Changed: the benchmark is a lower bound on what registers
+    as a change.
+    """
+    if moves is not None and (old, new) in moves:
+        return moves[old, new]
+    km = haversine_km(old, new)
+    if km < change_km:
+        move = NOT_CHANGED, None, km, None
+    else:
+        move = CHANGED, radial_direction(old, new, center), km, move_bin(km)
+    if moves is not None:
+        moves[old, new] = move
+    return move
+
+
 def housing_delta(
     p1: YearProfile,
     p2: YearProfile,
     center: Coord,
     change_km: float = CHANGE_KM_DEFAULT,
+    moves: dict | None = None,
 ) -> tuple[str, str | None, float, str | None]:
-    """(status, direction, move_km, bin) for an FR's home pair.
-
-    A move of exactly ``change_km`` counts as Changed: the benchmark is a
-    lower bound on what registers as a change.
-    """
-    move_km = haversine_km(p1.home_centroid, p2.home_centroid)
-    if move_km < change_km:
-        return NOT_CHANGED, None, move_km, None
-    direction = radial_direction(p1.home_centroid, p2.home_centroid, center)
-    return CHANGED, direction, move_km, move_bin(move_km)
+    """(status, direction, move_km, bin) for an FR's home pair."""
+    return _move(p1.home_centroid, p2.home_centroid, center, change_km, moves)
 
 
 def work_delta(
@@ -134,6 +149,7 @@ def work_delta(
     p2: YearProfile,
     center: Coord,
     change_km: float = CHANGE_KM_DEFAULT,
+    moves: dict | None = None,
 ) -> tuple[str, str | None, float | None, str | None]:
     """(status, direction, move_km, bin) for an FR's work pair."""
     w1, w2 = p1.work, p2.work
@@ -143,11 +159,7 @@ def work_delta(
         return LOST, None, None, None
     if w1 is None:
         return FOUND, None, None, None
-    km = haversine_km(p1.work_centroid, p2.work_centroid)
-    if km < change_km:
-        return NOT_CHANGED, None, km, None
-    direction = radial_direction(p1.work_centroid, p2.work_centroid, center)
-    return CHANGED, direction, km, move_bin(km)
+    return _move(p1.work_centroid, p2.work_centroid, center, change_km, moves)
 
 
 def commute_delta(p1: YearProfile, p2: YearProfile) -> tuple[float, str] | None:
@@ -163,15 +175,17 @@ def build_delta(
     center: Coord,
     in_r4,
     change_km: float = CHANGE_KM_DEFAULT,
+    moves: dict | None = None,
 ) -> CohortDelta:
     """Assemble the full delta row for one FR.
 
     ``in_r4`` is a predicate over a (lon, lat) coordinate; pass a region
     containment closure, or None when no R4 layer is configured (every
-    card then counts as outside).
+    card then counts as outside).  ``moves`` is a dict that caches home
+    and work moves per centroid pair across the FRs of one run.
     """
-    h_status, h_dir, h_km, h_bin = housing_delta(p1, p2, center, change_km)
-    w_status, w_dir, w_km, w_bin = work_delta(p1, p2, center, change_km)
+    h_status, h_dir, h_km, h_bin = housing_delta(p1, p2, center, change_km, moves)
+    w_status, w_dir, w_km, w_bin = work_delta(p1, p2, center, change_km, moves)
     cd = commute_delta(p1, p2)
     return CohortDelta(
         card_id=p1.card_id,

@@ -1,6 +1,9 @@
-"""Weekly rule system: identify a card's work place, home place, commute.
+"""Weekly rule system: one card's rides to its work place, home place, commute.
 
-The rules operate on one card's stays over one observation week:
+``build_profile`` walks a card's rides once, in boarding order.  It forms
+each stay with the chaining rules of the ``chain`` module and, as the
+stay is formed, counts it for both rules below; no stay outlives the
+walk unless the caller passes a list to keep them in.
 
 Work: among weekday stays of at least ``stay_min`` minutes that are not
 the day's first stay, the place seen on the most distinct weekdays wins.
@@ -18,18 +21,19 @@ precondition cannot produce.
 
 Commute: distance is between home and work centroids; time is the
 median over weekdays of the in-vehicle minutes of the first complete
-home-to-work leg chain of the day, when complete timestamps exist.
+home-to-work ride chain of the day, when complete timestamps exist.
+Only a card with both places is walked a second time, for the chain.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from statistics import median
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Mapping, Sequence
 
-from .chain import Leg, Stay
+from .chain import PERMISSIVE, STAY_MODES, Stay
 from .geo import Coord, haversine_km
-from .ingest import CARD_STUDENT, DAY_MINUTES
+from .ingest import CARD_STUDENT, DAY_MINUTES, Ride
 
 STAY_MIN_DEFAULT = 360
 
@@ -51,134 +55,113 @@ class YearProfile:
     rides: int
 
 
-def identify_work(
-    stays: Sequence[Stay],
-    card_type: str,
-    weekdays: frozenset[int],
-    stay_min: int = STAY_MIN_DEFAULT,
-) -> int | None:
-    if card_type == CARD_STUDENT:
-        return None
-    days: dict[int, set[int]] = {}
-    qual_dur: dict[int, int] = {}
-    for s in stays:
-        if s.first_of_day or s.duration_min < stay_min:
-            continue
-        day = s.depart_time // DAY_MINUTES
-        if day not in weekdays:
-            continue
-        days.setdefault(s.place_id, set()).add(day)
-        qual_dur[s.place_id] = qual_dur.get(s.place_id, 0) + s.duration_min
-    if not days:
-        return None
-    return min(days, key=lambda p: (-len(days[p]), -qual_dur[p], p))
-
-
-def identify_home(
-    stays: Sequence[Stay],
-    work: int | None,
-    card_type: str,
-    weekdays: frozenset[int],
-    home_rule: str = HOME_RULE_RELAXED,
-    stay_min: int = STAY_MIN_DEFAULT,
-) -> int | None:
-    if home_rule not in HOME_RULES:
-        raise ValueError(f"unknown home rule: {home_rule!r}")
-    if card_type == CARD_STUDENT:
-        return None
-    if home_rule == HOME_RULE_PAPER and work is None:
-        return None
-    first_days: dict[int, set[int]] = {}
-    long_places: set[int] = set()
-    total_dur: dict[int, int] = {}
-    work_stays = 0
-    for s in stays:
-        day = s.depart_time // DAY_MINUTES
-        if day not in weekdays:
-            continue
-        if s.first_of_day:
-            first_days.setdefault(s.place_id, set()).add(day)
-        if s.duration_min >= stay_min:
-            long_places.add(s.place_id)
-        total_dur[s.place_id] = total_dur.get(s.place_id, 0) + s.duration_min
-        if work is not None and s.place_id == work:
-            work_stays += 1
-    f_j = work_stays if work is not None else 0
-    candidates = [
-        p
-        for p, d in first_days.items()
-        if p in long_places and p != work and len(d) >= f_j
-    ]
-    if not candidates:
-        return None
-    return min(candidates, key=lambda p: (-len(first_days[p]), -total_dur[p], p))
-
-
-def commute_metrics(
-    legs: Sequence[Leg],
-    home: int | None,
-    work: int | None,
-    weekdays: frozenset[int],
-    centroid_of: Callable[[int], Coord],
-) -> tuple[float | None, int | None]:
-    """Commute distance and, when measurable, in-vehicle time.
-
-    The time is taken from the first leg of each weekday that boards at
-    the home place, followed through consecutive same-place transfers to
-    the work place.  A chain broken by a missing alighting or an
-    off-grid transfer contributes nothing for that day.
-    """
-    if home is None or work is None:
-        return None, None
-    km = haversine_km(centroid_of(home), centroid_of(work))
-    day_minutes: list[int] = []
-    # Per weekday: (minutes so far, place the next leg must board at) while
-    # a chain is open; None once the day has its answer.
-    chains: dict[int, tuple[int, int] | None] = {}
-    for leg in legs:
-        d = leg.board_time // DAY_MINUTES
-        if d not in weekdays:
-            continue
-        if d in chains:
-            chain = chains[d]
-            if chain is None:
-                continue
-            total, at = chain
-            if leg.board_place != at:
-                chains[d] = None
-                continue
-        elif leg.board_place == home:
-            total = 0
-        else:
-            continue
-        if leg.alight_place is None:
-            chains[d] = None
-            continue
-        total += leg.alight_time - leg.board_time
-        if leg.alight_place == work:
-            day_minutes.append(total)
-            chains[d] = None
-        else:
-            chains[d] = (total, leg.alight_place)
-    commute_min = int(median(day_minutes)) if day_minutes else None
-    return km, commute_min
-
-
 def build_profile(
     card_id: str,
     year_label: str,
     card_type: str,
-    legs: Sequence[Leg],
-    stays: Sequence[Stay],
+    rides: Sequence[Ride],
+    stop_to_place: Mapping[str, int],
     weekdays: frozenset[int],
     centroid_of: Callable[[int], Coord],
-    rides: int,
+    stay_mode: str = PERMISSIVE,
     home_rule: str = HOME_RULE_RELAXED,
     stay_min: int = STAY_MIN_DEFAULT,
+    commute_km: dict[tuple[int, int], float] | None = None,
+    stays: list[Stay] | None = None,
 ) -> YearProfile:
-    work = identify_work(stays, card_type, weekdays, stay_min)
-    home = identify_home(stays, work, card_type, weekdays, home_rule, stay_min)
-    commute_km, commute_min = commute_metrics(legs, home, work, weekdays, centroid_of)
+    """One card's profile for one observation week.
+
+    Rides sort as tuples, boarding minute first and the remaining fields
+    as tie-breakers, so the result is a pure function of the ride set,
+    not of file order.  ``commute_km`` caches the distance per (home,
+    work) pair across the cards of one year; ``stays``, when given,
+    receives the card's stays in order.
+    """
+    if stay_mode not in STAY_MODES:
+        raise ValueError(f"unknown stay mode: {stay_mode!r}")
+    if home_rule not in HOME_RULES:
+        raise ValueError(f"unknown home rule: {home_rule!r}")
+    rides = sorted(rides)
+    permissive = stay_mode == PERMISSIVE
+    # Per place, counted over its weekday stays:
+    #   [0] weekdays it opened (F_h)   [1] minutes   [2] stays (F_j)
+    #   [3] has a long stay            [4] work days [5] work minutes
+    #   [6] last work day
+    # where work days and minutes count long stays that do not open
+    # the day.  Rides come in day order, so a work day is new when it
+    # differs from the place's last one.
+    acc: dict[int, list] = {}
+    current_day = None
+    prev_board = None  # None before the first ride
+    prev_at = prev_alight = None  # prev_at is None after a ride with no alighting
+    for board, _route, board_stop, alight_stop, alight in rides:
+        place = stop_to_place[board_stop]
+        day = board // DAY_MINUTES
+        first = day != current_day
+        if first:
+            current_day = day
+        dur = None
+        if prev_at is not None:
+            if prev_at == place and prev_alight <= board:
+                dur = board - prev_alight
+                arrive = prev_alight
+                approx = False
+        elif permissive and prev_board is not None:
+            dur = board - prev_board
+            arrive = None
+            approx = True
+        prev_board = board
+        prev_at = stop_to_place[alight_stop] if alight_stop else None
+        prev_alight = alight
+        if dur is None:
+            if not first:
+                continue
+            dur = 0
+            arrive = None
+            approx = False
+        if stays is not None:
+            stays.append(Stay(place, arrive, board, dur, approx, first))
+        if day not in weekdays:
+            continue
+        a = acc.get(place)
+        if a is None:
+            a = acc[place] = [0, 0, 0, False, 0, 0, None]
+        a[1] += dur
+        a[2] += 1
+        long = dur >= stay_min
+        if long:
+            a[3] = True
+        if first:
+            a[0] += 1
+        elif long:
+            if a[6] != day:
+                a[6] = day
+                a[4] += 1
+            a[5] += dur
+    home = work = None
+    if card_type != CARD_STUDENT:
+        # Ties go to more minutes, then to the smaller place id.
+        works = [(-a[4], -a[5], p) for p, a in acc.items() if a[4]]
+        if works:
+            work = min(works)[2]
+        if work is not None or home_rule == HOME_RULE_RELAXED:
+            f_j = acc[work][2] if work is not None else 0
+            homes = [
+                (-a[0], -a[1], p)
+                for p, a in acc.items()
+                if a[0] and a[3] and p != work and a[0] >= f_j
+            ]
+            if homes:
+                home = min(homes)[2]
+
+    km = minutes = None
+    if home is not None and work is not None:
+        if commute_km is None:
+            commute_km = {}
+        km = commute_km.get((home, work))
+        if km is None:
+            km = commute_km[home, work] = haversine_km(centroid_of(home), centroid_of(work))
+        minutes = _commute_minutes(rides, stop_to_place, weekdays, home, work)
     return YearProfile(
         card_id=card_id,
         year=year_label,
@@ -186,7 +169,50 @@ def build_profile(
         work=work,
         home_centroid=centroid_of(home) if home is not None else None,
         work_centroid=centroid_of(work) if work is not None else None,
-        commute_km=commute_km,
-        commute_min=commute_min,
-        rides=rides,
+        commute_km=km,
+        commute_min=minutes,
+        rides=len(rides),
     )
+
+
+def _commute_minutes(
+    rides: list[Ride],
+    stop_to_place: Mapping[str, int],
+    weekdays: frozenset[int],
+    home: int,
+    work: int,
+) -> int | None:
+    """Median in-vehicle minutes of each weekday's home-to-work chain.
+
+    A day's chain starts at its first ride boarding at home and follows
+    consecutive same-place transfers to work.  A chain broken by a
+    missing alighting or an off-grid transfer contributes nothing for
+    that day.  ``rides`` are sorted, so days come in order.
+    """
+    day_minutes: list[int] = []
+    chain_day = None  # the last day whose chain started
+    at = None  # place the next ride must board at; None once the day has its answer
+    total = 0
+    for board, _route, board_stop, alight_stop, alight in rides:
+        day = board // DAY_MINUTES
+        if day not in weekdays:
+            continue
+        place = stop_to_place[board_stop]
+        if day == chain_day:
+            if at is None or place != at:
+                at = None
+                continue
+        elif place == home:
+            chain_day = day
+            total = 0
+        else:
+            continue
+        if not alight_stop:
+            at = None
+            continue
+        total += alight - board
+        at = stop_to_place[alight_stop]
+        if at == work:
+            day_minutes.append(total)
+            at = None
+    return int(median(day_minutes)) if day_minutes else None

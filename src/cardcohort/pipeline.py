@@ -85,8 +85,13 @@ class RunConfig:
             raise ValueError(f"unknown stay_mode: {self.stay_mode!r}")
         if self.home_rule not in infer.HOME_RULES:
             raise ValueError(f"unknown home_rule: {self.home_rule!r}")
-        paths = [getattr(self, key) for key in PATH_FIELDS]
-        missing = [p for p in paths if p is not None and not os.path.exists(p)]
+        paths = {key: getattr(self, key) for key in PATH_FIELDS}
+        empty = [key for key, p in paths.items() if p == ""]
+        if empty:
+            raise MissingInputError(
+                f"empty path for {', '.join(empty)} (leave an optional input out by omitting its key)"
+            )
+        missing = [p for p in paths.values() if p is not None and not os.path.exists(p)]
         if missing:
             raise MissingInputError(f"missing input file(s): {', '.join(missing)}")
 
@@ -126,9 +131,9 @@ class PipelineResult:
 def _collector_off():
     """Keep the cyclic garbage collector off inside the block.
 
-    The pipeline builds millions of short-lived acyclic containers (legs,
-    stays, per-card lists) and no reference cycles, so a collection costs
-    time and frees nothing.  The earlier state comes back on exit.
+    The pipeline builds millions of short-lived acyclic containers (rows,
+    per-card lists and counters) and no reference cycles, so a collection
+    costs time and frees nothing.  The earlier state comes back on exit.
     """
     was_enabled = gc.isenabled()
     gc.disable()
@@ -150,7 +155,7 @@ def process_year(
     """Profile one observation year.
 
     When ``stays`` is a dict, each card's stays are stored in it as they
-    are built; otherwise they are dropped once the card is profiled.
+    are formed; otherwise no stay object is built.
     """
     stops, stop_rejections = load_stops(iter_lines(stops_path))
     places = build_places(stops, cfg.cluster_m)
@@ -165,24 +170,24 @@ def process_year(
         tx_path, len(rows), len(rejections), len(kept), len(by_card),
     )
     weekdays = week.weekdays
+    stop_to_place = places.stop_to_place
+    commute_km: dict[tuple[int, int], float] = {}
     profiles: dict[str, infer.YearProfile] = {}
     for card in sorted(by_card):
-        rides = by_card[card]
-        legs = chain.build_legs(rides, places.stop_to_place)
-        card_stays = chain.build_stays(card, legs, cfg.stay_mode)
-        if stays is not None:
-            stays[card] = card_stays
+        card_stays = None if stays is None else stays.setdefault(card, [])
         profiles[card] = infer.build_profile(
             card,
             week.label,
             by_card.card_type(card),
-            legs,
-            card_stays,
+            by_card[card],
+            stop_to_place,
             weekdays,
             places.centroid,
-            rides=len(rides),
-            home_rule=cfg.home_rule,
-            stay_min=cfg.stay_min,
+            cfg.stay_mode,
+            cfg.home_rule,
+            cfg.stay_min,
+            commute_km,
+            card_stays,
         )
     return YearData(
         week, places, profiles, rejections, stop_rejections, unmatched, len(rows), len(kept)
@@ -211,13 +216,17 @@ def aggregate_taz(
     """Assign each centroid to the first containing region.
 
     Returns per-region counts, the count outside all regions, and a flag
-    telling whether any centroid fell inside more than one region.
+    telling whether any centroid fell inside more than one region.  Many
+    homes share a place, so each distinct centroid is tested once.
     """
     counts = [0] * len(regions)
     outside = 0
     overlap = False
+    hits_of: dict[Coord, list[int]] = {}
     for c in centroids:
-        hits = [i for i, r in enumerate(regions) if point_in_region(c, r)]
+        hits = hits_of.get(c)
+        if hits is None:
+            hits = hits_of[c] = [i for i, r in enumerate(regions) if point_in_region(c, r)]
         if not hits:
             outside += 1
             continue
@@ -265,19 +274,31 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
     function is pure computation plus input loading.
     """
     cfg.validate()
+    # The layers are small; loading them first lets a malformed one fail
+    # before any transactions file is read.
+    r4_region = load_region(cfg.r4, "R4") if cfg.r4 else None
+    taz_regions = load_region_features(cfg.taz) if cfg.taz else None
 
     y1, y2, *followup = _run_jobs(cfg)
 
-    r4_region = load_region(cfg.r4, "R4") if cfg.r4 else None
-    in_r4 = (lambda c: point_in_region(c, r4_region)) if r4_region is not None else None
+    in_r4 = None
+    if r4_region is not None:
+        r4_of: dict[Coord, bool] = {}
+
+        def in_r4(c: Coord) -> bool:
+            inside = r4_of.get(c)
+            if inside is None:
+                inside = r4_of[c] = point_in_region(c, r4_region)
+            return inside
 
     fr_cards = match_cohort(y1.profiles, y2.profiles)
     log.info("cohort: %d frequent riders", len(fr_cards))
 
     deltas: dict[str, CohortDelta] = {}
     assignments: dict[str, GroupAssignment] = {}
+    moves: dict = {}
     for card in fr_cards:
-        d = build_delta(y1.profiles[card], y2.profiles[card], cfg.center, in_r4, cfg.change_km)
+        d = build_delta(y1.profiles[card], y2.profiles[card], cfg.center, in_r4, cfg.change_km, moves)
         deltas[card] = d
         assignments[card] = classify(d)
 
@@ -301,11 +322,10 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
             len(counts), result.dep_summary.scored_count, len(fr_cards),
         )
 
-    if cfg.taz:
-        regions = load_region_features(cfg.taz)
+    if taz_regions is not None:
         homes = [y2.profiles[c].home_centroid for c in fr_cards]
-        counts, outside, overlap = aggregate_taz(homes, regions)
-        result.taz_regions = regions
+        counts, outside, overlap = aggregate_taz(homes, taz_regions)
+        result.taz_regions = taz_regions
         result.taz_counts = counts
         result.taz_outside = outside
         result.taz_overlap = overlap

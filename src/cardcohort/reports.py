@@ -80,7 +80,7 @@ def write_stays(path: str, stays_by_card: dict[str, list[Stay]], week: Observati
             for s in stays_by_card[card]:
                 arrive = "" if s.arrive_time is None else week.format(s.arrive_time)
                 fh.write(
-                    f"{s.card_id},{s.place_id},{arrive},{week.format(s.depart_time)},"
+                    f"{card},{s.place_id},{arrive},{week.format(s.depart_time)},"
                     f"{1 if s.approximate else 0},{1 if s.first_of_day else 0}\n"
                 )
 

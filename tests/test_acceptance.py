@@ -18,7 +18,6 @@ from datetime import date
 
 import pytest
 
-from cardcohort.chain import Stay
 from cardcohort.cli import main as cli_main
 from cardcohort.cohort import (
     CHANGED,
@@ -33,7 +32,7 @@ from cardcohort.cohort import (
 )
 from cardcohort.geo import INWARD, OUTWARD, build_places, haversine_km
 from cardcohort.groups import group_counts, group_index, group_triple
-from cardcohort.infer import YearProfile, identify_work
+from cardcohort.infer import YearProfile, build_profile
 from cardcohort.ingest import (
     STOPS_HEADER,
     ObservationWeek,
@@ -335,17 +334,16 @@ def test_criterion_7_threshold_edges():
     # Monday 5 March 2012 starts the week; day indices 0-4 are its weekdays.
     weekdays = ObservationWeek.starting(date(2012, 3, 5)).weekdays
 
-    def stay(dur: int) -> list[Stay]:
-        out = []
+    def work(dur: int) -> int | None:
+        """Work place of a card that spends ``dur`` minutes at stop W each weekday."""
+        rides = []
         for d in sorted(weekdays):
             arrive = d * 1440 + 9 * 60
-            out.append(Stay("C", 7, arrive, arrive + dur, dur, False, False))
-        return out
+            rides.append((arrive - 40, "B1", "H", "W", arrive))
+            rides.append((arrive + dur, "B1", "W", "H", arrive + dur + 40))
+        return build_profile("C", "y", "R", rides, {"H": 0, "W": 7}, weekdays, lambda p: (0.0, 0.0)).work
 
-    stay_ok = (
-        identify_work(stay(360), "R", weekdays) == 7
-        and identify_work(stay(359), "R", weekdays) is None
-    )
+    stay_ok = work(360) == 7 and work(359) is None
 
     # No coordinate pair lands on exactly 2.0 km in floats, so the edge
     # is probed at the representable boundary: a benchmark equal to the

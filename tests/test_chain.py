@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cardcohort.chain import PERMISSIVE, STRICT, Leg, Stay, build_legs, build_stays
 from cardcohort.ingest import TRANSACTIONS_HEADER, ObservationWeek, parse_transactions
+
+from reference_profile import PERMISSIVE, STRICT, Leg, Stay, build_legs, build_stays
 
 WEEK = ObservationWeek("2008", date(2008, 4, 7))
 PLACES = {"S1": 0, "S2": 1, "S3": 2}

@@ -9,10 +9,11 @@ import sys
 
 import pytest
 
-from cardcohort import chain, cli, ingest, pipeline, reports
+from cardcohort import cli, ingest, pipeline, reports
 from cardcohort.cli import main
 from cardcohort.geo import build_places
 
+import reference_profile
 from test_pipeline import read_rows
 
 
@@ -151,7 +152,9 @@ class TestInfer:
         rows, _ = ingest.parse_transactions(ingest.iter_lines(mini_bundle["year1"]))
         by_card = ingest.group_by_card(ingest.geocode(rows, stops)[0])
         stays = {
-            card: chain.build_stays(card, chain.build_legs(rides, stop_to_place), chain.PERMISSIVE)
+            card: reference_profile.build_stays(
+                card, reference_profile.build_legs(rides, stop_to_place), reference_profile.PERMISSIVE
+            )
             for card, rides in by_card.items()
         }
         direct = tmp_path / "direct.csv"
@@ -220,7 +223,8 @@ class TestDiffClassifyScore:
 
     @pytest.mark.parametrize("command", ["diff", "classify", "score", "run"])
     def test_skips_inputs_its_files_do_not_read(self, command, full_config, tmp_path, monkeypatch):
-        loaded = {"score": ["followup"], "run": ["followup", "taz"]}.get(command, [])
+        # The TAZ layer loads before any transactions file is read.
+        loaded = {"score": ["followup"], "run": ["taz", "followup"]}.get(command, [])
         calls = []
         count_followup, load_taz = pipeline._count_followup, pipeline.load_region_features
         monkeypatch.setattr(
@@ -289,6 +293,23 @@ class TestRun:
 
     def test_missing_required_input_is_exit_2(self, tmp_path):
         assert run_cli("run", "--out", str(tmp_path)) == 2
+
+    @pytest.mark.parametrize("layer", ["r4", "taz"])
+    def test_malformed_layer_fails_before_any_transactions_file_is_read(
+        self, mini_args, mini_bundle, tmp_path, monkeypatch, layer
+    ):
+        bad = tmp_path / "bad.geojson"
+        bad.write_text(json.dumps({"type": "Feature", "properties": {}, "geometry": None}))
+
+        def fail(*args, **kwargs):
+            raise AssertionError("a transactions file was read")
+
+        monkeypatch.setattr(pipeline, "parse_transactions", fail)
+        code = run_cli(
+            "run", *mini_args, "--followup", mini_bundle["followup"],
+            f"--{layer}", str(bad), "--out", str(tmp_path / "o"),
+        )
+        assert code == 2
 
     def test_bare_polygon_taz(self, mini_args, mini_bundle, tmp_path):
         with open(mini_bundle["taz"], encoding="utf-8") as fh:
@@ -425,6 +446,13 @@ class TestConfigFile:
         with open(conf, "a", encoding="utf-8") as fh:
             fh.write(line + "\n")
         assert run_cli("run", "--config", str(conf), "--out", str(tmp_path / "bad")) == 2
+
+    @pytest.mark.parametrize("key", ["followup", "r4", "taz"])
+    def test_empty_path_value_names_its_key(self, mini_bundle, tmp_path, capsys, key):
+        conf = self._write_config(tmp_path, mini_bundle, extra=f"{key}=\n")
+        assert run_cli("run", "--config", conf, "--out", str(tmp_path / "o")) == 2
+        assert f"error: empty path for {key} " in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "o")
 
     def test_relative_paths_resolve_next_to_config(self, mini_bundle, tmp_path):
         import shutil

@@ -9,17 +9,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cardcohort.chain import Leg, Stay
 from cardcohort.geo import haversine_km
-from cardcohort.infer import (
+from cardcohort.ingest import CARD_REGULAR, CARD_STUDENT, ObservationWeek
+
+from reference_profile import (
     HOME_RULE_PAPER,
     HOME_RULE_RELAXED,
+    Leg,
+    Stay,
     build_profile,
     commute_metrics,
     identify_home,
     identify_work,
 )
-from cardcohort.ingest import CARD_REGULAR, CARD_STUDENT, ObservationWeek
 
 WEEK = ObservationWeek("2008", date(2008, 4, 7))
 WEEKDAYS = WEEK.weekdays

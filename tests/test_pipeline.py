@@ -10,7 +10,7 @@ import os
 import pytest
 
 from cardcohort import pipeline
-from cardcohort.cohort import CHANGED, NOT_CHANGED
+from cardcohort.cohort import CHANGED, NOT_CHANGED, build_delta
 from cardcohort.geo import OUTWARD, Region, haversine_km
 from cardcohort.ingest import SchemaError
 from cardcohort.pipeline import (
@@ -21,6 +21,7 @@ from cardcohort.pipeline import (
     run_pipeline,
 )
 from cardcohort.reports import write_run_reports
+from cardcohort.synth import GeneratorConfig, generate
 
 from conftest import MINI_ORIGIN, offset_coord
 
@@ -367,6 +368,60 @@ class TestAggregateTaz:
     def test_empty_inputs(self):
         assert aggregate_taz([], [self.SQ1]) == ([0], 0, False)
         assert aggregate_taz([(1.0, 1.0)], []) == ([], 1, False)
+
+    def test_repeated_centroids_tested_once(self, monkeypatch):
+        centroids = [(1.0, 1.0), (1.5, 1.0), (6.0, 1.0), (9.0, 9.0)]
+        regions = [self.SQ1, self.SQ2, self.SQ_OVERLAP]
+        repeated = centroids * 3 + centroids[::-1] + [(1.5, 1.0)]
+        # Expected: the sum of the one-centroid aggregates.
+        counts, outside, overlap = [0, 0, 0], 0, False
+        for c in repeated:
+            one = aggregate_taz([c], regions)
+            counts = [a + b for a, b in zip(counts, one[0])]
+            outside += one[1]
+            overlap = overlap or one[2]
+        calls = []
+        test = pipeline.point_in_region
+        monkeypatch.setattr(pipeline, "point_in_region", lambda c, r: calls.append((c, r)) or test(c, r))
+        assert aggregate_taz(repeated, regions) == (counts, outside, overlap)
+        assert (counts, outside, overlap) == ([9, 4, 0], 4, True)
+        assert len(calls) == len(set(calls)) == len(centroids) * len(regions)
+
+
+class TestGeometryOncePerPlace:
+    def test_r4_and_taz_tested_once_per_distinct_home(self, tmp_path, monkeypatch):
+        bundle = generate(
+            GeneratorConfig(commuters=60, movers=60, job_changers=60, jobless=60, churners=60),
+            str(tmp_path),
+        )
+        calls = []
+        test = pipeline.point_in_region
+        monkeypatch.setattr(pipeline, "point_in_region", lambda c, r: calls.append((c, r.name)) or test(c, r))
+        result = run_pipeline(RunConfig(
+            year1=bundle.paths["week1"], year2=bundle.paths["week2"],
+            stops1=bundle.paths["stops"], stops2=bundle.paths["stops"],
+            r4=bundle.paths["r4"], taz=bundle.paths["taz"], center=bundle.center,
+        ))
+        homes = [result.year2.profiles[c].home_centroid for c in result.fr_cards]
+        assert len(set(homes)) < len(homes)
+        r4_calls = [c for c, name in calls if name == "R4"]
+        assert sorted(r4_calls) == sorted(set(homes))
+        assert len(calls) == len(set(calls)) == len(set(homes)) * (1 + len(result.taz_regions))
+        for card, home in zip(result.fr_cards, homes):
+            assert result.deltas[card].r4_2010 == test(home, result.r4_region)
+
+    def test_moves_cached_per_centroid_pair(self, result, mini_bundle):
+        moves = {}
+        for card in result.fr_cards:
+            p1, p2 = result.year1.profiles[card], result.year2.profiles[card]
+            cached = build_delta(p1, p2, mini_bundle["center"], None, 2.0, moves)
+            assert cached == build_delta(p1, p2, mini_bundle["center"], None, 2.0)
+            assert build_delta(p1, p2, mini_bundle["center"], None, 2.0, moves) == cached
+        # A1 moved home, F1 did not; both kept work at WA.
+        y1, y2 = result.year1.profiles, result.year2.profiles
+        pairs = {(y1[c].home_centroid, y2[c].home_centroid) for c in result.fr_cards}
+        pairs |= {(y1[c].work_centroid, y2[c].work_centroid) for c in result.fr_cards}
+        assert set(moves) == pairs
 
 
 @pytest.fixture(scope="module")
