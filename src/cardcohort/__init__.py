@@ -20,11 +20,8 @@ from .cohort import (
     CohortDelta,
     build_delta,
     commute_bin,
-    commute_delta,
-    housing_delta,
     match_cohort,
     move_bin,
-    work_delta,
 )
 from .geo import (
     DEFAULT_CENTER,
@@ -44,7 +41,6 @@ from .geo import (
 from .groups import (
     DeprivationScore,
     DeprivationSummary,
-    GroupAssignment,
     classify,
     group_index,
     group_triple,

@@ -133,42 +133,6 @@ def _move(
     return move
 
 
-def housing_delta(
-    p1: YearProfile,
-    p2: YearProfile,
-    center: Coord,
-    change_km: float = CHANGE_KM_DEFAULT,
-    moves: dict | None = None,
-) -> tuple[str, str | None, float, str | None]:
-    """(status, direction, move_km, bin) for an FR's home pair."""
-    return _move(p1.home_centroid, p2.home_centroid, center, change_km, moves)
-
-
-def work_delta(
-    p1: YearProfile,
-    p2: YearProfile,
-    center: Coord,
-    change_km: float = CHANGE_KM_DEFAULT,
-    moves: dict | None = None,
-) -> tuple[str, str | None, float | None, str | None]:
-    """(status, direction, move_km, bin) for an FR's work pair."""
-    w1, w2 = p1.work, p2.work
-    if w1 is None and w2 is None:
-        return JOBLESS, None, None, None
-    if w1 is not None and w2 is None:
-        return LOST, None, None, None
-    if w1 is None:
-        return FOUND, None, None, None
-    return _move(p1.work_centroid, p2.work_centroid, center, change_km, moves)
-
-
-def commute_delta(p1: YearProfile, p2: YearProfile) -> tuple[float, str] | None:
-    if p1.commute_km is None or p2.commute_km is None:
-        return None
-    delta = p2.commute_km - p1.commute_km
-    return delta, commute_bin(delta)
-
-
 def build_delta(
     p1: YearProfile,
     p2: YearProfile,
@@ -184,9 +148,16 @@ def build_delta(
     card then counts as outside).  ``moves`` is a dict that caches home
     and work moves per centroid pair across the FRs of one run.
     """
-    h_status, h_dir, h_km, h_bin = housing_delta(p1, p2, center, change_km, moves)
-    w_status, w_dir, w_km, w_bin = work_delta(p1, p2, center, change_km, moves)
-    cd = commute_delta(p1, p2)
+    h_status, h_dir, h_km, h_bin = _move(p1.home_centroid, p2.home_centroid, center, change_km, moves)
+    w1, w2 = p1.work, p2.work
+    if w1 is not None and w2 is not None:
+        w_status, w_dir, w_km, w_bin = _move(p1.work_centroid, p2.work_centroid, center, change_km, moves)
+    else:
+        w_status = JOBLESS if w1 is None and w2 is None else LOST if w2 is None else FOUND
+        w_dir = w_km = w_bin = None
+    commute_delta_km = None
+    if p1.commute_km is not None and p2.commute_km is not None:
+        commute_delta_km = p2.commute_km - p1.commute_km
     return CohortDelta(
         card_id=p1.card_id,
         housing_status=h_status,
@@ -197,7 +168,7 @@ def build_delta(
         work_dir=w_dir,
         work_move_km=w_km,
         work_move_bin=w_bin,
-        commute_delta_km=cd[0] if cd else None,
-        commute_bin=cd[1] if cd else None,
+        commute_delta_km=commute_delta_km,
+        commute_bin=None if commute_delta_km is None else commute_bin(commute_delta_km),
         r4_2010=bool(in_r4(p2.home_centroid)) if in_r4 is not None else False,
     )

@@ -35,15 +35,6 @@ LOCATION_OUT = "Out of R4"
 GROUP_COUNT = 20
 
 
-@dataclass(frozen=True, slots=True)
-class GroupAssignment:
-    card_id: str
-    group: int
-    housing_changed: bool
-    job_category: str
-    within_r4: bool
-
-
 def group_index(housing_changed: bool, job_category: str, within_r4: bool) -> int:
     """Group number 1..20 for a (housing, job, location) triple."""
     return (0 if housing_changed else 10) + 2 * JOB_RANK[job_category] + (2 if within_r4 else 1)
@@ -60,21 +51,15 @@ def group_triple(group: int) -> tuple[str, str, str]:
     return housing, job, location
 
 
-def classify(delta: CohortDelta) -> GroupAssignment:
-    housing_changed = delta.housing_status == CHANGED
-    return GroupAssignment(
-        card_id=delta.card_id,
-        group=group_index(housing_changed, delta.work_status, delta.r4_2010),
-        housing_changed=housing_changed,
-        job_category=delta.work_status,
-        within_r4=delta.r4_2010,
-    )
+def classify(delta: CohortDelta) -> int:
+    """Group number 1..20 of one FR's delta."""
+    return group_index(delta.housing_status == CHANGED, delta.work_status, delta.r4_2010)
 
 
-def group_counts(assignments: Iterable[GroupAssignment]) -> dict[int, int]:
+def group_counts(groups: Iterable[int]) -> dict[int, int]:
     counts = {g: 0 for g in range(1, GROUP_COUNT + 1)}
-    for a in assignments:
-        counts[a.group] += 1
+    for g in groups:
+        counts[g] += 1
     return counts
 
 

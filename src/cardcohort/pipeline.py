@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import gc
 import logging
+import math
 import os
 from collections import Counter
 from contextlib import contextmanager
@@ -32,7 +33,7 @@ from .geo import (
     load_region_features,
     point_in_region,
 )
-from .groups import DeprivationScore, DeprivationSummary, GroupAssignment, classify, score_deprivation
+from .groups import DeprivationScore, DeprivationSummary, classify, score_deprivation
 from .ingest import (
     ObservationWeek,
     Rejection,
@@ -75,10 +76,16 @@ class RunConfig:
     followup_start: date | None = None
 
     def validate(self) -> None:
-        if self.stay_min <= 0 or self.cluster_m <= 0:
-            raise ValueError("thresholds must be positive")
-        if self.change_km < 0:
-            raise ValueError("change_km must be non-negative")
+        # Written so that NaN fails every comparison and is rejected.
+        if self.stay_min <= 0:
+            raise ValueError("stay_min must be positive")
+        if not 0 < self.cluster_m < math.inf:
+            raise ValueError("cluster_m must be positive and finite")
+        if not 0 <= self.change_km < math.inf:
+            raise ValueError("change_km must be non-negative and finite")
+        lon, lat = self.center
+        if not (-180.0 <= lon <= 180.0 and -90.0 <= lat <= 90.0):
+            raise ValueError("center must be a lon,lat within [-180, 180] x [-90, 90]")
         if self.threads < 1:
             raise ValueError("threads must be at least 1")
         if self.stay_mode not in chain.STAY_MODES:
@@ -115,7 +122,7 @@ class PipelineResult:
     year2: YearData
     fr_cards: list[str]
     deltas: dict[str, CohortDelta]
-    assignments: dict[str, GroupAssignment]
+    groups: dict[str, int]
     scores: list[DeprivationScore] = field(default_factory=list)
     dep_summary: DeprivationSummary | None = None
     followup_counts: Counter = field(default_factory=Counter)
@@ -295,12 +302,12 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
     log.info("cohort: %d frequent riders", len(fr_cards))
 
     deltas: dict[str, CohortDelta] = {}
-    assignments: dict[str, GroupAssignment] = {}
+    groups: dict[str, int] = {}
     moves: dict = {}
     for card in fr_cards:
         d = build_delta(y1.profiles[card], y2.profiles[card], cfg.center, in_r4, cfg.change_km, moves)
         deltas[card] = d
-        assignments[card] = classify(d)
+        groups[card] = classify(d)
 
     result = PipelineResult(
         config=cfg,
@@ -308,7 +315,7 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
         year2=y2,
         fr_cards=fr_cards,
         deltas=deltas,
-        assignments=assignments,
+        groups=groups,
         r4_region=r4_region,
     )
 

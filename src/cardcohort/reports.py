@@ -16,14 +16,7 @@ from typing import Collection, Iterable, Sequence
 from .chain import Stay
 from .cohort import CHANGED, COMMUTE_BINS, FOUND, JOBLESS, LOST, MOVE_BINS, NOT_CHANGED, CohortDelta
 from .geo import INWARD, OUTWARD, read_features
-from .groups import (
-    GROUP_COUNT,
-    DeprivationScore,
-    DeprivationSummary,
-    GroupAssignment,
-    group_counts,
-    group_triple,
-)
+from .groups import GROUP_COUNT, DeprivationScore, DeprivationSummary, group_counts, group_triple
 from .infer import YearProfile
 from .ingest import ObservationWeek, Rejection
 from .pipeline import PipelineResult
@@ -143,68 +136,54 @@ def write_summary(path: str, result: PipelineResult) -> None:
         fh.write(f"avg_commute_min,{fmt(avg1_min)},{fmt(avg2_min)},\n")
 
 
-def _bin_rows(
-    deltas: Iterable, status_attr: str, dir_attr: str, bin_attr: str, total: int
-) -> list[tuple[str, str, str, int, str]]:
-    """Status/direction/bin breakdown rows for a changed-place table."""
-    by_dir: dict[str, Counter] = {INWARD: Counter(), OUTWARD: Counter()}
+def _write_dynamics(path: str, moves: Iterable[tuple], tail_statuses: Sequence[str] = ()) -> None:
+    """A place-change table from one (status, direction, bin) triple per FR.
+
+    NotChanged comes first, then Changed broken down by direction and move
+    bin, then one row per status in ``tail_statuses``, then the Sum.
+    """
+    counts = Counter(moves)
+    total = sum(counts.values())
     statuses: Counter = Counter()
-    for d in deltas:
-        status = getattr(d, status_attr)
-        statuses[status] += 1
-        if status == CHANGED:
-            by_dir[getattr(d, dir_attr)][getattr(d, bin_attr)] += 1
-    rows = []
-    changed = statuses[CHANGED]
-    rows.append((CHANGED, "", "", changed, _pct(changed, total)))
-    for direction in (INWARD, OUTWARD):
-        bins = by_dir[direction]
-        dir_total = sum(bins.values())
-        rows.append((CHANGED, direction, "", dir_total, _pct(dir_total, total)))
-        for label in MOVE_BINS:
-            if label == "0-2" and bins[label] == 0:
-                # Sub-benchmark bin appears only under a nonstandard
+    for (status, _, _), n in counts.items():
+        statuses[status] += n
+    with _open(path) as fh:
+        fh.write("status,direction,bin,count,share_pct\n")
+
+        def row(status: str, direction: str, label: str, count: int) -> None:
+            fh.write(f"{status},{direction},{label},{count},{_pct(count, total)}\n")
+
+        row(NOT_CHANGED, "", "", statuses[NOT_CHANGED])
+        row(CHANGED, "", "", statuses[CHANGED])
+        for direction in (INWARD, OUTWARD):
+            bins = {label: counts[CHANGED, direction, label] for label in MOVE_BINS}
+            row(CHANGED, direction, "", sum(bins.values()))
+            for label, count in bins.items():
+                # The sub-benchmark bin appears only under a nonstandard
                 # change threshold; suppressed otherwise to keep the
                 # standard four-bin shape.
-                continue
-            rows.append((CHANGED, direction, label, bins[label], _pct(bins[label], total)))
-    return rows
+                if label != "0-2" or count:
+                    row(CHANGED, direction, label, count)
+        for status in tail_statuses:
+            row(status, "", "", statuses[status])
+        row("Sum", "", "", total)
 
 
 def write_housing_dynamics(path: str, deltas: dict[str, CohortDelta]) -> None:
-    total = len(deltas)
-    ds = [deltas[c] for c in sorted(deltas)]
-    not_changed = sum(1 for d in ds if d.housing_status == NOT_CHANGED)
-    with _open(path) as fh:
-        fh.write("status,direction,bin,count,share_pct\n")
-        fh.write(f"{NOT_CHANGED},,,{not_changed},{_pct(not_changed, total)}\n")
-        for status, direction, label, count, pct in _bin_rows(
-            ds, "housing_status", "housing_dir", "move_bin", total
-        ):
-            fh.write(f"{status},{direction},{label},{count},{pct}\n")
-        fh.write(f"Sum,,,{total},{_pct(total, total)}\n")
+    _write_dynamics(path, ((d.housing_status, d.housing_dir, d.move_bin) for d in deltas.values()))
 
 
 def write_work_dynamics(path: str, deltas: dict[str, CohortDelta]) -> None:
-    total = len(deltas)
-    ds = [deltas[c] for c in sorted(deltas)]
-    statuses = Counter(d.work_status for d in ds)
-    with _open(path) as fh:
-        fh.write("status,direction,bin,count,share_pct\n")
-        fh.write(f"{NOT_CHANGED},,,{statuses[NOT_CHANGED]},{_pct(statuses[NOT_CHANGED], total)}\n")
-        for status, direction, label, count, pct in _bin_rows(
-            ds, "work_status", "work_dir", "work_move_bin", total
-        ):
-            fh.write(f"{status},{direction},{label},{count},{pct}\n")
-        for status in (LOST, FOUND, JOBLESS):
-            fh.write(f"{status},,,{statuses[status]},{_pct(statuses[status], total)}\n")
-        fh.write(f"Sum,,,{total},{_pct(total, total)}\n")
+    _write_dynamics(
+        path,
+        ((d.work_status, d.work_dir, d.work_move_bin) for d in deltas.values()),
+        (LOST, FOUND, JOBLESS),
+    )
 
 
 def write_commute_variation(path: str, deltas: dict[str, CohortDelta]) -> None:
-    pairs = [d for _, d in sorted(deltas.items()) if d.commute_bin is not None]
-    bins = Counter(d.commute_bin for d in pairs)
-    total = len(pairs)
+    bins = Counter(d.commute_bin for d in deltas.values() if d.commute_bin is not None)
+    total = sum(bins.values())
     with _open(path) as fh:
         fh.write("bin,count,share_pct\n")
         for label in COMMUTE_BINS:
@@ -212,9 +191,9 @@ def write_commute_variation(path: str, deltas: dict[str, CohortDelta]) -> None:
         fh.write(f"Sum,{total},{_pct(total, total)}\n")
 
 
-def write_groups(path: str, assignments: dict[str, GroupAssignment]) -> None:
-    counts = group_counts(assignments.values())
-    total = len(assignments)
+def write_groups(path: str, groups: dict[str, int]) -> None:
+    counts = group_counts(groups.values())
+    total = len(groups)
     with _open(path) as fh:
         fh.write("group,housing_change,job_change,location,count,share_pct\n")
         for g in range(1, GROUP_COUNT + 1):
@@ -233,13 +212,11 @@ def write_deprivation(path: str, summary: DeprivationSummary) -> None:
         fh.write(f"std_trips,{'' if summary.std_trips is None else f'{summary.std_trips:.1f}'}\n")
 
 
-def write_scores(
-    path: str, scores: Sequence[DeprivationScore], assignments: dict[str, GroupAssignment]
-) -> None:
+def write_scores(path: str, scores: Sequence[DeprivationScore], groups: dict[str, int]) -> None:
     with _open(path) as fh:
         fh.write("card_id,group,followup_trips,scored\n")
         for s in scores:
-            group = assignments[s.card_id].group if s.card_id in assignments else ""
+            group = groups.get(s.card_id, "")
             fh.write(f"{s.card_id},{group},{s.followup_trips},{1 if s.scored else 0}\n")
 
 
@@ -295,10 +272,10 @@ def write_run_reports(
     emit("housing_dynamics.csv", write_housing_dynamics, result.deltas)
     emit("work_dynamics.csv", write_work_dynamics, result.deltas)
     emit("commute_variation.csv", write_commute_variation, result.deltas)
-    emit("groups.csv", write_groups, result.assignments)
+    emit("groups.csv", write_groups, result.groups)
     if result.config.followup:
         emit("deprivation.csv", write_deprivation, result.dep_summary)
-        emit("scores.csv", write_scores, result.scores, result.assignments)
+        emit("scores.csv", write_scores, result.scores, result.groups)
         emit("rejections_followup.csv", write_rejections, result.followup_rejections)
     if result.config.taz:
         emit("taz_fr_homes.geojson", write_taz_geojson, result.config.taz, result)

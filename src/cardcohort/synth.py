@@ -905,8 +905,7 @@ def evaluate_recovery(truth: Sequence[TruthRow], result, tolerance_km: float = 0
         in_r4 = point_in_region(h2c, region) if region is not None else False
         truth_group = group_index(housing_truth != NOT_CHANGED, work_truth.split("/")[0], in_r4)
         group_total += 1
-        assignment = result.assignments.get(t.card_id)
-        if assignment is not None and assignment.group == truth_group:
+        if result.groups.get(t.card_id) == truth_group:
             group_correct += 1
 
     return RecoveryMetrics(

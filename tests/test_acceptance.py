@@ -26,8 +26,8 @@ from cardcohort.cohort import (
     JOBLESS,
     LOST,
     NOT_CHANGED,
+    build_delta,
     commute_bin,
-    housing_delta,
     move_bin,
 )
 from cardcohort.geo import INWARD, OUTWARD, build_places, haversine_km
@@ -149,7 +149,7 @@ def _partition_failures(result) -> list[str]:
     if sorted(deltas) != sorted(result.fr_cards):
         fails.append("delta keys differ from FR cards")
 
-    counts = group_counts(result.assignments.values())
+    counts = group_counts(result.groups.values())
     if set(counts) != set(range(1, 21)):
         fails.append("group table is not exactly 1..20")
     if sum(counts.values()) != n:
@@ -356,9 +356,9 @@ def test_criterion_7_threshold_edges():
         return YearProfile("C", year, 0, None, centroid, None, None, None, 10)
 
     p1, p2 = profile("y1", c1), profile("y2", c2)
-    at_edge = housing_delta(p1, p2, c1, change_km=km)
-    above = housing_delta(p1, p2, c1, change_km=math.nextafter(km, math.inf))
-    move_ok = at_edge[0] == CHANGED and above[0] == NOT_CHANGED
+    at_edge = build_delta(p1, p2, c1, None, change_km=km)
+    above = build_delta(p1, p2, c1, None, change_km=math.nextafter(km, math.inf))
+    move_ok = at_edge.housing_status == CHANGED and above.housing_status == NOT_CHANGED
 
     bin_ok = move_bin(2.0) == "2-5" and commute_bin(0.0) == "0-2"
 

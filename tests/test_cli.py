@@ -434,18 +434,25 @@ class TestConfigFile:
             "week1_start=20080407",
             "stay_mode=bogus",
             "home_rule=bogus",
+            "cluster_m=nan",
+            "cluster_m=inf",
+            "change_km=nan",
+            "center=nan,nan",
+            "center=116.4,95",
         ],
     )
-    def test_bad_value_is_exit_2_before_any_input_is_read(self, tmp_path, line):
+    def test_bad_value_is_exit_2_before_any_input_is_read(self, tmp_path, capsys, line):
         # Header-only inputs: a check that waits for the first card never fires.
         (tmp_path / "week.csv").write_text(ingest.TRANSACTIONS_HEADER + "\n")
         (tmp_path / "stops.csv").write_text(ingest.STOPS_HEADER + "\n")
         conf = tmp_path / "run.conf"
         conf.write_text("year1=week.csv\nyear2=week.csv\nstops1=stops.csv\nstops2=stops.csv\n")
         assert run_cli("run", "--config", str(conf), "--out", str(tmp_path / "ok")) == 0
+        capsys.readouterr()
         with open(conf, "a", encoding="utf-8") as fh:
             fh.write(line + "\n")
         assert run_cli("run", "--config", str(conf), "--out", str(tmp_path / "bad")) == 2
+        assert line.split("=")[0] in capsys.readouterr().err
 
     @pytest.mark.parametrize("key", ["followup", "r4", "taz"])
     def test_empty_path_value_names_its_key(self, mini_bundle, tmp_path, capsys, key):

@@ -18,11 +18,8 @@ from cardcohort.cohort import (
     NOT_CHANGED,
     build_delta,
     commute_bin,
-    commute_delta,
-    housing_delta,
     match_cohort,
     move_bin,
-    work_delta,
 )
 from cardcohort.geo import INWARD, OUTWARD, haversine_km
 from cardcohort.infer import YearProfile
@@ -36,7 +33,7 @@ NEW_HOME = (116.42647069969344, 39.9053)
 MOVE_KM = 11.9999987594
 
 
-def prof(card="C", home=0, work=None, hc=None, wc=None, ckm=None) -> YearProfile:
+def prof(card="C", home=0, work=None, hc=OLD_HOME, wc=None, ckm=None) -> YearProfile:
     return YearProfile(
         card_id=card,
         year="y",
@@ -128,11 +125,27 @@ def test_match_cohort_output_is_sorted():
     assert match_cohort(p1, p2) == ["A", "M", "Z"]
 
 
+# The home, work and commute parts of one FR's delta, each as a tuple.
+def housing(p1, p2, change_km=2.0):
+    d = build_delta(p1, p2, CENTER, None, change_km)
+    return d.housing_status, d.housing_dir, d.move_km, d.move_bin
+
+
+def work(p1, p2):
+    d = build_delta(p1, p2, CENTER, None)
+    return d.work_status, d.work_dir, d.work_move_km, d.work_move_bin
+
+
+def commute(p1, p2):
+    d = build_delta(p1, p2, CENTER, None)
+    return d.commute_delta_km, d.commute_bin
+
+
 class TestHousingDelta:
     def test_frozen_inward_move(self):
         p1 = prof(hc=OLD_HOME)
         p2 = prof(hc=NEW_HOME)
-        status, direction, km, label = housing_delta(p1, p2, CENTER)
+        status, direction, km, label = housing(p1, p2)
         assert status == CHANGED
         assert direction == INWARD
         assert km == pytest.approx(MOVE_KM, abs=1e-6)
@@ -141,20 +154,20 @@ class TestHousingDelta:
     def test_same_centroid_not_changed(self):
         p1 = prof(hc=OLD_HOME)
         p2 = prof(hc=OLD_HOME)
-        assert housing_delta(p1, p2, CENTER) == (NOT_CHANGED, None, 0.0, None)
+        assert housing(p1, p2) == (NOT_CHANGED, None, 0.0, None)
 
     def test_benchmark_is_inclusive(self):
         # A move of exactly the configured benchmark counts as Changed;
         # the tiniest representable increase of the benchmark flips it.
         d = haversine_km(OLD_HOME, NEW_HOME)
         p1, p2 = prof(hc=OLD_HOME), prof(hc=NEW_HOME)
-        status, _, _, _ = housing_delta(p1, p2, CENTER, change_km=d)
+        status, _, _, _ = housing(p1, p2, change_km=d)
         assert status == CHANGED
-        status, _, _, _ = housing_delta(p1, p2, CENTER, change_km=math.nextafter(d, math.inf))
+        status, _, _, _ = housing(p1, p2, change_km=math.nextafter(d, math.inf))
         assert status == NOT_CHANGED
 
     def test_outward_move(self):
-        status, direction, _, _ = housing_delta(prof(hc=NEW_HOME), prof(hc=OLD_HOME), CENTER)
+        status, direction, _, _ = housing(prof(hc=NEW_HOME), prof(hc=OLD_HOME))
         assert status == CHANGED
         assert direction == OUTWARD
 
@@ -164,26 +177,26 @@ class TestWorkDelta:
     W2 = NEW_HOME
 
     def test_jobless(self):
-        assert work_delta(prof(), prof(), CENTER) == (JOBLESS, None, None, None)
+        assert work(prof(), prof()) == (JOBLESS, None, None, None)
 
     def test_lost(self):
         p1 = prof(work=1, wc=self.W1)
-        assert work_delta(p1, prof(), CENTER) == (LOST, None, None, None)
+        assert work(p1, prof()) == (LOST, None, None, None)
 
     def test_found(self):
         p2 = prof(work=1, wc=self.W2)
-        assert work_delta(prof(), p2, CENTER) == (FOUND, None, None, None)
+        assert work(prof(), p2) == (FOUND, None, None, None)
 
     def test_not_changed_under_benchmark(self):
         p1 = prof(work=1, wc=self.W1)
         p2 = prof(work=2, wc=self.W1)
-        status, direction, km, label = work_delta(p1, p2, CENTER)
+        status, direction, km, label = work(p1, p2)
         assert (status, direction, km, label) == (NOT_CHANGED, None, 0.0, None)
 
     def test_changed_with_direction_and_bin(self):
         p1 = prof(work=1, wc=self.W1)
         p2 = prof(work=2, wc=self.W2)
-        status, direction, km, label = work_delta(p1, p2, CENTER)
+        status, direction, km, label = work(p1, p2)
         assert status == CHANGED
         assert direction == INWARD
         assert km == pytest.approx(MOVE_KM, abs=1e-6)
@@ -192,21 +205,21 @@ class TestWorkDelta:
 
 class TestCommuteDelta:
     def test_none_when_either_missing(self):
-        assert commute_delta(prof(ckm=5.0), prof()) is None
-        assert commute_delta(prof(), prof(ckm=5.0)) is None
+        assert commute(prof(ckm=5.0), prof()) == (None, None)
+        assert commute(prof(), prof(ckm=5.0)) == (None, None)
 
     def test_signed_difference(self):
-        delta, label = commute_delta(prof(ckm=5.0), prof(ckm=12.5))
+        delta, label = commute(prof(ckm=5.0), prof(ckm=12.5))
         assert delta == pytest.approx(7.5)
         assert label == "5-10"
 
     def test_shrinking_commute_is_negative(self):
-        delta, label = commute_delta(prof(ckm=12.5), prof(ckm=5.0))
+        delta, label = commute(prof(ckm=12.5), prof(ckm=5.0))
         assert delta == pytest.approx(-7.5)
         assert label == "-10-(-5)"
 
     def test_zero_delta_bins_low(self):
-        assert commute_delta(prof(ckm=6.0), prof(ckm=6.0)) == (0.0, "0-2")
+        assert commute(prof(ckm=6.0), prof(ckm=6.0)) == (0.0, "0-2")
 
 
 class TestBuildDelta:

@@ -5,13 +5,15 @@ from __future__ import annotations
 import dataclasses
 import gc
 import json
+import math
 import os
+from collections import Counter
 
 import pytest
 
 from cardcohort import pipeline
-from cardcohort.cohort import CHANGED, NOT_CHANGED, build_delta
-from cardcohort.geo import OUTWARD, Region, haversine_km
+from cardcohort.cohort import CHANGED, FOUND, JOBLESS, LOST, NOT_CHANGED, build_delta
+from cardcohort.geo import INWARD, OUTWARD, Region, haversine_km
 from cardcohort.ingest import SchemaError
 from cardcohort.pipeline import (
     MissingInputError,
@@ -82,10 +84,18 @@ class TestRunConfigValidate:
             {"threads": 0},
             {"stay_mode": "bogus"},
             {"home_rule": "bogus"},
+            {"cluster_m": math.nan},
+            {"cluster_m": math.inf},
+            {"change_km": math.nan},
+            {"change_km": math.inf},
+            {"center": (math.nan, math.nan)},
+            {"center": (116.4, math.inf)},
+            {"center": (181.0, 39.9)},
+            {"center": (116.4, -90.5)},
         ],
     )
     def test_bad_thresholds_rejected(self, kwargs):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
             self._cfg(**kwargs).validate()
 
 
@@ -145,7 +155,7 @@ class TestJobs:
             assert result.year1.profiles == serial.year1.profiles
             assert result.year2.profiles == serial.year2.profiles
             assert result.deltas == serial.deltas
-            assert result.assignments == serial.assignments
+            assert result.groups == serial.groups
             assert result.followup_counts == serial.followup_counts
             assert files == serial_files
 
@@ -233,8 +243,7 @@ class TestMiniPipeline:
         assert d.r4_2010 is True
 
     def test_group_assignments(self, result):
-        assert result.assignments["A1"].group == 9
-        assert result.assignments["F1"].group == 20
+        assert result.groups == {"A1": 9, "F1": 20}
 
     def test_deprivation(self, result):
         summary = result.dep_summary
@@ -346,6 +355,87 @@ class TestMiniPipeline:
         assert homes == [1, 1]
 
 
+@pytest.fixture(scope="module")
+def dynamics_bundle(tmp_path_factory):
+    """Two years in which every row kind of both dynamics tables is non-empty.
+
+    Stops lie on one parallel, in metres east of MINI_ORIGIN: homes H0 at
+    0, H1 at 1000 and H2 at 8000; workplaces W0 at 5000 and W1 at 6200;
+    an errand stop E0 at -3000.  Workers ride H->W each weekday morning
+    and back each evening; riders without work go from home to E0 at
+    09:00 and back at 11:00.
+
+    * N1: H0/W0 to H1/W1, a 1 km home move and a 1.2 km work move.
+    * M1: H0/W0 to H2/W0, an 8 km home move with work unchanged.
+    * L1 works in year 1 only, F1 in year 2 only, J1 in neither.
+    """
+    d = tmp_path_factory.mktemp("dynamics")
+    east = {"H0": 0, "H1": 1000, "H2": 8000, "W0": 5000, "W1": 6200, "E0": -3000}
+    (d / "stops.csv").write_text(
+        "stop_id,lon,lat\n"
+        + "".join("{},{:.7f},{:.7f}\n".format(s, *offset_coord(MINI_ORIGIN, m, 0)) for s, m in east.items())
+    )
+
+    def week(start: int, year: int, plans: dict[str, tuple[str, str | None]]) -> str:
+        lines = ["card_id,card_type,fare_type,route_id,board_stop,board_time,alight_stop,alight_time"]
+        for card, (home, work) in plans.items():
+            for day in (f"{year}-04-{d:02d}" for d in range(start, start + 5)):
+                if work is None:
+                    lines.append(f"{card},R,DST,B1,{home},{day}T09:00,E0,{day}T09:30")
+                    lines.append(f"{card},R,DST,B1,E0,{day}T11:00,{home},{day}T11:30")
+                else:
+                    lines.append(f"{card},R,DST,B1,{home},{day}T07:30,{work},{day}T08:10")
+                    lines.append(f"{card},R,DST,B1,{work},{day}T18:00,{home},{day}T18:40")
+        return "\n".join(lines) + "\n"
+
+    (d / "year1.csv").write_text(week(7, 2008, {
+        "N1": ("H0", "W0"), "M1": ("H0", "W0"), "L1": ("H0", "W0"), "F1": ("H0", None), "J1": ("H0", None),
+    }))
+    (d / "year2.csv").write_text(week(5, 2010, {
+        "N1": ("H1", "W1"), "M1": ("H2", "W0"), "L1": ("H0", None), "F1": ("H0", "W0"), "J1": ("H0", None),
+    }))
+    return d
+
+
+class TestDynamicsTables:
+    @pytest.mark.parametrize("change_km", [2.0, 0.5])
+    @pytest.mark.parametrize(
+        "name,status_of,tail",
+        [
+            ("housing_dynamics.csv", "housing_status", ()),
+            ("work_dynamics.csv", "work_status", (LOST, FOUND, JOBLESS)),
+        ],
+    )
+    def test_rows_are_sums_of_their_parts(self, dynamics_bundle, tmp_path, change_km, name, status_of, tail):
+        d = dynamics_bundle
+        cfg = RunConfig(
+            year1=str(d / "year1.csv"), year2=str(d / "year2.csv"),
+            stops1=str(d / "stops.csv"), stops2=str(d / "stops.csv"),
+            center=offset_coord(MINI_ORIGIN, -10000, 0), change_km=change_km,
+        )
+        result = run_pipeline(cfg)
+        assert result.fr_cards == ["F1", "J1", "L1", "M1", "N1"]
+        write_run_reports(result, str(tmp_path), {name})
+        rows = read_rows(os.path.join(tmp_path, name))[1:]
+        count = {(r[0], r[1], r[2]): int(r[3]) for r in rows}
+        assert [r[0] for r in rows if not r[1]] == [NOT_CHANGED, CHANGED, *tail, "Sum"]
+
+        statuses = (NOT_CHANGED, CHANGED, *tail)
+        expected = Counter(getattr(delta, status_of) for delta in result.deltas.values())
+        assert {s: count[s, "", ""] for s in statuses} == {s: expected[s] for s in statuses}
+        assert count["Sum", "", ""] == sum(expected.values()) == len(result.fr_cards)
+        for direction in (INWARD, OUTWARD):
+            bins = [n for (s, dir_, label), n in count.items() if s == CHANGED and dir_ == direction and label]
+            assert count[CHANGED, direction, ""] == sum(bins)
+        assert count[CHANGED, "", ""] == count[CHANGED, INWARD, ""] + count[CHANGED, OUTWARD, ""]
+        assert all(count[s, "", ""] == 1 for s in tail)
+
+        # N1's 1 km home move and 1.2 km work move fill a "0-2" row only
+        # under a benchmark below 2 km; otherwise the row is left out.
+        near = {key: n for key, n in count.items() if key[2] == "0-2"}
+        assert near == ({(CHANGED, OUTWARD, "0-2"): 1} if change_km < 2.0 else {})
+
+
 class TestAggregateTaz:
     SQ1 = Region("one", (((0.0, 0.0), (2.0, 0.0), (2.0, 2.0), (0.0, 2.0), (0.0, 0.0)),))
     SQ2 = Region("two", (((5.0, 0.0), (7.0, 0.0), (7.0, 2.0), (5.0, 2.0), (5.0, 0.0)),))
@@ -445,7 +535,7 @@ class TestEmptyInputs:
     def test_no_riders_no_cohort(self, empty_result):
         assert empty_result.fr_cards == []
         assert empty_result.deltas == {}
-        assert empty_result.assignments == {}
+        assert empty_result.groups == {}
         assert empty_result.dep_summary.fr_count == 0
         assert empty_result.dep_summary.mean_trips is None
 

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
+from datetime import date
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,11 +12,19 @@ from hypothesis import strategies as st
 from cardcohort.chain import PERMISSIVE, STRICT
 from cardcohort.geo import haversine_km
 from cardcohort.infer import HOME_RULE_PAPER, HOME_RULE_RELAXED, build_profile
-from cardcohort.ingest import CARD_REGULAR, CARD_STUDENT, WEEK_MINUTES
+from cardcohort.ingest import (
+    CARD_REGULAR,
+    CARD_STUDENT,
+    TRANSACTIONS_HEADER,
+    WEEK_MINUTES,
+    ObservationWeek,
+    parse_transactions,
+)
 
 import reference_profile as ref
 
 WEEKDAYS = frozenset(range(5))
+MONDAY = date(2008, 4, 7)
 # Two stops share place 0, so a transfer between them is no off-grid move.
 STOP_TO_PLACE = {"H": 0, "H2": 0, "W": 1, "X": 2, "Y": 3}
 CENTROIDS = {0: (116.30, 39.90), 1: (116.30, 39.99532809022739), 2: (116.35, 39.95), 3: (116.40, 39.92)}
@@ -338,3 +349,70 @@ class TestCommute:
         rides[2] = ride("H", t(1, 7, 30))
         p = profile(rides)
         assert (p.home, p.work, p.commute_min) == (0, 1, None)
+
+
+class TestInputRules:
+    """The README's input rules for duplicate rows and late alightings."""
+
+    def test_duplicate_rows_are_all_kept(self):
+        line = "C,R,DST,B1,H,2008-04-07T07:30,W,2008-04-07T08:10"
+        rows, rejections = parse_transactions([TRANSACTIONS_HEADER, line, line], ObservationWeek.starting(MONDAY))
+        assert (len(rows), rejections) == (2, [])
+
+        # A copied distance-fare ride boards before the original alighted,
+        # so no stay forms between them: only the ride count changes.
+        rides = commuter()
+        once, twice = [], []
+        p = profile(rides, stays=once)
+        doubled = profile(rides + rides, stays=twice)
+        assert stay_tuples(twice) == stay_tuples(once)
+        assert doubled.rides == 2 * p.rides
+        assert dataclasses.replace(doubled, rides=p.rides) == p
+        # But a copied first leg of a transfer chain does not board where
+        # the original alighted, so it breaks that day's commute chain.
+        chain = []
+        for d in range(5):
+            chain.append(ride("H", t(d, 7, 30), "X", t(d, 7, 50)))
+            chain.append(ride("X", t(d, 8), "W", t(d, 8, 10)))
+            chain.append(ride("W", t(d, 18), "H", t(d, 18, 40)))
+        assert profile(chain).commute_min == 30
+        p = profile(chain + chain[::3])
+        assert (p.home, p.work, p.commute_min) == (0, 1, None)
+
+        # A copied fixed-fare tap forms a 0-minute approximate stay at its
+        # place in permissive mode, and that stay counts toward F_j.
+        # Copies at work on four of five days make F_j = 9 > F_h = 5.
+        taps = [r for d in range(5) for r in (ride("H", t(d, 7, 30)), ride("W", t(d, 18)))]
+        copies = [ride("W", t(d, 18)) for d in range(4)]
+        p = profile(taps)
+        assert (p.home, p.work) == (0, 1)
+        kept = []
+        p = profile(taps + copies, stays=kept)
+        assert (1, None, t(0, 18), 0, True, False) in stay_tuples(kept)
+        assert (p.home, p.work) == (None, 1)
+
+    def test_late_alightings(self):
+        # Back from work after midnight: the ride belongs to its boarding
+        # day, and the night at home, from the alighting on, opens the next.
+        rides = []
+        for d in range(5):
+            rides.append(ride("H", t(d, 7, 30), "W", t(d, 8, 10)))
+            rides.append(ride("W", t(d, 23, 30), "H", t(d + 1, 0, 10)))
+        kept = []
+        p = profile(rides, stays=kept)
+        assert (p.home, p.work, p.commute_min) == (0, 1, 40)
+        assert (0, t(1, 0, 10), t(1, 7, 30), 440, False, True) in stay_tuples(kept)
+
+        # A ride boarding inside the week may alight after it ends: the row
+        # is kept with its alighting past the week, and no stay follows it.
+        line = "C,R,DST,B1,W,2008-04-13T23:50,H,2008-04-14T00:20"
+        rows, rejections = parse_transactions([TRANSACTIONS_HEADER, line], ObservationWeek.starting(MONDAY))
+        assert rejections == []
+        last = rows[0][2]
+        assert last == (t(6, 23, 50), "B1", "W", "H", WEEK_MINUTES + 20)
+        before, after = [], []
+        p = profile(commuter(), stays=before)
+        with_last = profile(commuter() + [last], stays=after)
+        assert dataclasses.replace(with_last, rides=p.rides) == p
+        # Its boarding opens Sunday; the alighting starts nothing.
+        assert stay_tuples(after) == stay_tuples(before) + [(1, None, t(6, 23, 50), 0, False, True)]
