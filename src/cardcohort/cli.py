@@ -15,9 +15,8 @@ import sys
 from dataclasses import fields, replace
 
 from . import reports
-from .chain import STAY_MODES
 from .geo import DEFAULT_CENTER
-from .infer import HOME_RULES
+from .infer import HOME_RULES, STAY_MODES
 from .ingest import (
     ObservationWeek,
     SchemaError,
@@ -134,7 +133,7 @@ def cmd_infer(args) -> int:
     stays = {} if args.dump_stays else None
     year = process_year(cfg.year1, cfg.stops1, cfg, cfg.week1_start, stays)
     os.makedirs(args.out, exist_ok=True)
-    reports.write_profiles(os.path.join(args.out, "profiles.csv"), year.profiles)
+    reports.write_profiles(os.path.join(args.out, "profiles.csv"), year.profiles, year.week)
     reports.write_rejections(os.path.join(args.out, "rejections.csv"), year.rejections)
     reports.write_unmatched(os.path.join(args.out, "unmatched.csv"), year.unmatched)
     if stays is not None:

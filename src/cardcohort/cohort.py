@@ -27,8 +27,6 @@ LOST = "Lost"
 FOUND = "Found"
 JOBLESS = "Jobless"
 
-WORK_STATUSES = (CHANGED, NOT_CHANGED, LOST, FOUND, JOBLESS)
-
 # Move-distance bins, lower bound inclusive.  "0-2" appears only when the
 # change benchmark is configured below 2 km; the standard taxonomy is the
 # last four labels.
@@ -86,7 +84,6 @@ def commute_bin(delta_km: float) -> str:
 
 @dataclass(slots=True)
 class CohortDelta:
-    card_id: str
     housing_status: str
     housing_dir: str | None
     move_km: float
@@ -159,7 +156,6 @@ def build_delta(
     if p1.commute_km is not None and p2.commute_km is not None:
         commute_delta_km = p2.commute_km - p1.commute_km
     return CohortDelta(
-        card_id=p1.card_id,
         housing_status=h_status,
         housing_dir=h_dir,
         move_km=h_km,

@@ -168,25 +168,45 @@ class Region:
     rings: tuple[tuple[Coord, ...], ...]
 
 
-def _check_ring(ring: Sequence[Sequence[float]]) -> tuple[Coord, ...]:
-    if len(ring) < 4:
+def _expect(value, kind: type, what: str):
+    """``value`` when it is a ``kind`` (dict for a JSON object, list for an array)."""
+    if not isinstance(value, kind):
+        raise ValueError(f"{what} is not a JSON {'object' if kind is dict else 'array'}")
+    return value
+
+
+def _position(pos) -> Coord:
+    """The (lon, lat) of a GeoJSON position; an altitude after them is ignored.
+
+    JSON has no NaN or infinity, though Python's reader accepts them.
+    """
+    if isinstance(pos, list) and len(pos) >= 2 and all(type(v) in (int, float) for v in pos):
+        try:
+            if all(map(math.isfinite, pos)):
+                return float(pos[0]), float(pos[1])
+        except OverflowError:  # an integer beyond the float range
+            pass
+    raise ValueError(f"position is not an array of at least two finite numbers: {pos!r}")
+
+
+def _check_ring(ring) -> tuple[Coord, ...]:
+    if len(_expect(ring, list, "ring")) < 4:
         raise ValueError("ring has fewer than 4 vertices")
-    pts = tuple((float(x), float(y)) for x, y in ring)
+    pts = tuple(map(_position, ring))
     if pts[0] != pts[-1]:
         raise ValueError("ring is not closed")
     return pts
 
 
-def _rings_of_geometry(geom: Mapping | None) -> list[tuple[Coord, ...]]:
+def _rings_of_geometry(geom) -> list[tuple[Coord, ...]]:
     # A feature's geometry may be null in GeoJSON; it has no rings to use.
-    gtype = (geom or {}).get("type")
-    if gtype == "Polygon":
-        polygons = [geom["coordinates"]]
-    elif gtype == "MultiPolygon":
-        polygons = geom["coordinates"]
-    else:
+    gtype = geom.get("type") if isinstance(geom, dict) else None
+    if gtype not in ("Polygon", "MultiPolygon"):
         raise ValueError(f"unsupported geometry type: {gtype!r}")
-    return [_check_ring(r) for poly in polygons for r in poly]
+    polygons = _expect(geom.get("coordinates"), list, "coordinates")
+    if gtype == "Polygon":
+        polygons = [polygons]
+    return [_check_ring(r) for poly in polygons for r in _expect(poly, list, "polygon")]
 
 
 def read_features(path: str) -> list[tuple[dict, Mapping]]:
@@ -194,18 +214,26 @@ def read_features(path: str) -> list[tuple[dict, Mapping]]:
 
     A FeatureCollection gives its features, a Feature gives itself, and a
     bare geometry gives one feature; missing or null properties read as
-    an empty dict.
+    an empty dict.  A document, feature or properties member that is not
+    a JSON object, a ``features`` member that is not an array, and a
+    feature without a ``geometry`` member raise ValueError.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        doc = _expect(json.load(fh), dict, "GeoJSON document")
     dtype = doc.get("type")
     if dtype == "FeatureCollection":
-        feats = doc.get("features", [])
+        feats = _expect(doc.get("features", []), list, "features")
     elif dtype == "Feature":
         feats = [doc]
     else:
         return [({}, doc)]
-    return [(feat.get("properties") or {}, feat["geometry"]) for feat in feats]
+    out = []
+    for feat in feats:
+        if "geometry" not in _expect(feat, dict, "feature"):
+            raise ValueError("feature has no geometry member")
+        props = feat.get("properties")
+        out.append(({} if props is None else _expect(props, dict, "feature properties"), feat["geometry"]))
+    return out
 
 
 def load_region(path: str, name: str | None = None) -> Region:

@@ -1,9 +1,26 @@
 """Weekly rule system: one card's rides to its work place, home place, commute.
 
 ``build_profile`` walks a card's rides once, in boarding order.  It forms
-each stay with the chaining rules of the ``chain`` module and, as the
-stay is formed, counts it for both rules below; no stay outlives the
-walk unless the caller passes a list to keep them in.
+each stay and, as the stay is formed, counts it for both rules below; no
+stay outlives the walk unless the caller passes a list to keep them in
+(``infer --dump-stays``).
+
+Stays: a stay is the time between arriving at a place and boarding the
+next vehicle there; its place and its departure are that boarding's.
+For consecutive rides k and k+1:
+
+* ride k alighted where ride k+1 boards, no later than that boarding:
+  an exact stay over [alight_k, board_k+1];
+* ride k has no alighting (fixed fare): in permissive mode an
+  approximate stay over [board_k, board_k+1], with no arrival time; in
+  strict mode nothing, because strict mode refuses to guess;
+* ride k alighted somewhere else (the card moved off-grid) or after
+  ride k+1 boarded (overlapping rides): no stay.
+
+Whatever chaining yields, the first boarding of each calendar day is
+marked first-of-day; if chaining produced no stay for it, a zero-length
+stay stands in, because the first boarding of the day is evidence in
+its own right for home inference.
 
 Work: among weekday stays of at least ``stay_min`` minutes that are not
 the day's first stay, the place seen on the most distinct weekdays wins.
@@ -31,11 +48,14 @@ from dataclasses import dataclass
 from statistics import median
 from typing import Callable, Mapping, Sequence
 
-from .chain import PERMISSIVE, STAY_MODES, Stay
 from .geo import Coord, haversine_km
 from .ingest import CARD_STUDENT, DAY_MINUTES, Ride
 
 STAY_MIN_DEFAULT = 360
+
+STRICT = "strict"
+PERMISSIVE = "permissive"
+STAY_MODES = (STRICT, PERMISSIVE)
 
 HOME_RULE_PAPER = "paper"
 HOME_RULE_RELAXED = "relaxed"
@@ -43,9 +63,21 @@ HOME_RULES = (HOME_RULE_PAPER, HOME_RULE_RELAXED)
 
 
 @dataclass(slots=True)
+class Stay:
+    """Time at one place; times in minutes from the week start."""
+
+    place_id: int
+    arrive_time: int | None
+    depart_time: int
+    duration_min: int
+    approximate: bool
+    first_of_day: bool
+
+
+@dataclass(slots=True)
 class YearProfile:
-    card_id: str
-    year: str
+    """One card's places and commute in one week; callers key it by card id."""
+
     home: int | None
     work: int | None
     home_centroid: Coord | None
@@ -56,8 +88,6 @@ class YearProfile:
 
 
 def build_profile(
-    card_id: str,
-    year_label: str,
     card_type: str,
     rides: Sequence[Ride],
     stop_to_place: Mapping[str, int],
@@ -163,8 +193,6 @@ def build_profile(
             km = commute_km[home, work] = haversine_km(centroid_of(home), centroid_of(work))
         minutes = _commute_minutes(rides, stop_to_place, weekdays, home, work)
     return YearProfile(
-        card_id=card_id,
-        year=year_label,
         home=home,
         work=work,
         home_centroid=centroid_of(home) if home is not None else None,

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from datetime import date
 from operator import itemgetter
 
-from . import chain, infer
+from . import infer
 from .cohort import CHANGE_KM_DEFAULT, CohortDelta, build_delta, match_cohort
 from .geo import (
     CLUSTER_RADIUS_M,
@@ -65,7 +65,7 @@ class RunConfig:
     r4: str | None = None
     taz: str | None = None
     center: Coord = DEFAULT_CENTER
-    stay_mode: str = chain.PERMISSIVE
+    stay_mode: str = infer.PERMISSIVE
     home_rule: str = infer.HOME_RULE_RELAXED
     stay_min: int = infer.STAY_MIN_DEFAULT
     cluster_m: float = CLUSTER_RADIUS_M
@@ -88,7 +88,7 @@ class RunConfig:
             raise ValueError("center must be a lon,lat within [-180, 180] x [-90, 90]")
         if self.threads < 1:
             raise ValueError("threads must be at least 1")
-        if self.stay_mode not in chain.STAY_MODES:
+        if self.stay_mode not in infer.STAY_MODES:
             raise ValueError(f"unknown stay_mode: {self.stay_mode!r}")
         if self.home_rule not in infer.HOME_RULES:
             raise ValueError(f"unknown home_rule: {self.home_rule!r}")
@@ -157,7 +157,7 @@ def process_year(
     stops_path: str,
     cfg: RunConfig,
     week_start: date | None,
-    stays: dict[str, list[chain.Stay]] | None = None,
+    stays: dict[str, list[infer.Stay]] | None = None,
 ) -> YearData:
     """Profile one observation year.
 
@@ -183,8 +183,6 @@ def process_year(
     for card in sorted(by_card):
         card_stays = None if stays is None else stays.setdefault(card, [])
         profiles[card] = infer.build_profile(
-            card,
-            week.label,
             by_card.card_type(card),
             by_card[card],
             stop_to_place,

@@ -13,11 +13,10 @@ import os
 from collections import Counter
 from typing import Collection, Iterable, Sequence
 
-from .chain import Stay
 from .cohort import CHANGED, COMMUTE_BINS, FOUND, JOBLESS, LOST, MOVE_BINS, NOT_CHANGED, CohortDelta
 from .geo import INWARD, OUTWARD, read_features
 from .groups import GROUP_COUNT, DeprivationScore, DeprivationSummary, group_counts, group_triple
-from .infer import YearProfile
+from .infer import Stay, YearProfile
 from .ingest import ObservationWeek, Rejection
 from .pipeline import PipelineResult
 
@@ -54,13 +53,13 @@ def write_unmatched(path: str, unmatched: Counter) -> None:
             fh.write(f"{stop_id},{unmatched[stop_id]}\n")
 
 
-def write_profiles(path: str, profiles: dict[str, YearProfile]) -> None:
+def write_profiles(path: str, profiles: dict[str, YearProfile], week: ObservationWeek) -> None:
     with _open(path) as fh:
         fh.write("card_id,year,home_place,work_place,commute_km,commute_min,rides\n")
         for card in sorted(profiles):
             p = profiles[card]
             fh.write(
-                f"{p.card_id},{p.year},{_opt(p.home)},{_opt(p.work)},"
+                f"{card},{week.label},{_opt(p.home)},{_opt(p.work)},"
                 f"{_km(p.commute_km)},{_opt(p.commute_min)},{p.rides}\n"
             )
 
@@ -87,7 +86,7 @@ def write_deltas(path: str, deltas: dict[str, CohortDelta]) -> None:
         for card in sorted(deltas):
             d = deltas[card]
             fh.write(
-                f"{d.card_id},{d.housing_status},{_opt(d.housing_dir)},{_km(d.move_km)},"
+                f"{card},{d.housing_status},{_opt(d.housing_dir)},{_km(d.move_km)},"
                 f"{_opt(d.move_bin)},{d.work_status},{_opt(d.work_dir)},{_km(d.work_move_km)},"
                 f"{_km(d.commute_delta_km)},{_opt(d.commute_bin)},{1 if d.r4_2010 else 0}\n"
             )
@@ -259,8 +258,8 @@ def write_run_reports(
             writer(os.path.join(out_dir, name), *args)
             written.append(name)
 
-    emit("profiles_year1.csv", write_profiles, result.year1.profiles)
-    emit("profiles_year2.csv", write_profiles, result.year2.profiles)
+    emit("profiles_year1.csv", write_profiles, result.year1.profiles, result.year1.week)
+    emit("profiles_year2.csv", write_profiles, result.year2.profiles, result.year2.week)
     emit("rejections_year1.csv", write_rejections, result.year1.rejections)
     emit("rejections_year2.csv", write_rejections, result.year2.rejections)
     emit("rejections_stops1.csv", write_rejections, result.year1.stop_rejections)

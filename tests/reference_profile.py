@@ -14,13 +14,15 @@ from dataclasses import dataclass
 from statistics import median
 from typing import Callable, Iterable, Mapping, Sequence
 
-from cardcohort.chain import PERMISSIVE, STAY_MODES, STRICT  # noqa: F401
 from cardcohort.geo import Coord, haversine_km
 from cardcohort.infer import (  # noqa: F401
     HOME_RULE_PAPER,
     HOME_RULE_RELAXED,
     HOME_RULES,
+    PERMISSIVE,
     STAY_MIN_DEFAULT,
+    STAY_MODES,
+    STRICT,
     YearProfile,
 )
 from cardcohort.ingest import CARD_STUDENT, DAY_MINUTES, Ride
@@ -249,8 +251,6 @@ def build_profile(
     home = identify_home(stays, work, card_type, weekdays, home_rule, stay_min)
     commute_km, commute_min = commute_metrics(legs, home, work, weekdays, centroid_of)
     return YearProfile(
-        card_id=card_id,
-        year=year_label,
         home=home,
         work=work,
         home_centroid=centroid_of(home) if home is not None else None,

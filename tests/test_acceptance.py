@@ -195,10 +195,9 @@ def test_criterion_3_partition_invariants(clean_run, noisy_run, empty_run):
     )
 
 
-def _fixture_delta(i: int, status: str, direction: str | None) -> CohortDelta:
+def _fixture_delta(status: str, direction: str | None) -> CohortDelta:
     changed = status == CHANGED
     return CohortDelta(
-        card_id=f"C{i:06d}",
         housing_status=status,
         housing_dir=direction,
         move_km=3.0 if changed else 0.4,
@@ -224,8 +223,7 @@ def test_criterion_4_published_arithmetic(tmp_path):
         (25492, NOT_CHANGED, None),
     ):
         for _ in range(count):
-            d = _fixture_delta(i, status, direction)
-            deltas[d.card_id] = d
+            deltas[f"C{i:06d}"] = _fixture_delta(status, direction)
             i += 1
 
     path = str(tmp_path / "housing_dynamics.csv")
@@ -341,7 +339,7 @@ def test_criterion_7_threshold_edges():
             arrive = d * 1440 + 9 * 60
             rides.append((arrive - 40, "B1", "H", "W", arrive))
             rides.append((arrive + dur, "B1", "W", "H", arrive + dur + 40))
-        return build_profile("C", "y", "R", rides, {"H": 0, "W": 7}, weekdays, lambda p: (0.0, 0.0)).work
+        return build_profile("R", rides, {"H": 0, "W": 7}, weekdays, lambda p: (0.0, 0.0)).work
 
     stay_ok = work(360) == 7 and work(359) is None
 
@@ -352,10 +350,10 @@ def test_criterion_7_threshold_edges():
     c2 = offset_coord(c1, 7000.0, 0.0)
     km = haversine_km(c1, c2)
 
-    def profile(year: str, centroid) -> YearProfile:
-        return YearProfile("C", year, 0, None, centroid, None, None, None, 10)
+    def profile(centroid) -> YearProfile:
+        return YearProfile(0, None, centroid, None, None, None, 10)
 
-    p1, p2 = profile("y1", c1), profile("y2", c2)
+    p1, p2 = profile(c1), profile(c2)
     at_edge = build_delta(p1, p2, c1, None, change_km=km)
     above = build_delta(p1, p2, c1, None, change_km=math.nextafter(km, math.inf))
     move_ok = at_edge.housing_status == CHANGED and above.housing_status == NOT_CHANGED

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -99,6 +100,7 @@ class TestInfer:
         assert code == 0
         rows = read_rows(str(tmp_path / "profiles.csv"))
         by_card = {r[0]: r for r in rows[1:]}
+        assert {r[1] for r in rows[1:]} == {"2008"}
         assert by_card["A1"][2] == "0"
         assert by_card["A1"][3] == "1"
         assert by_card["S1"][2] == ""
@@ -276,6 +278,33 @@ class TestDiffClassifyScore:
         assert dep["std_trips"] == "0.0"
 
 
+# GeoJSON layers that must be refused with exit 2, by what is wrong with them.
+MALFORMED_LAYERS = {
+    "null-geometry": {"type": "Feature", "properties": {}, "geometry": None},
+    "no-geometry": {"type": "Feature", "properties": {}},
+    "document-not-object": [1, 2],
+    "features-not-array": {"type": "FeatureCollection", "features": {}},
+    "feature-not-object": {"type": "FeatureCollection", "features": [5]},
+    "properties-not-object": {
+        "type": "Feature",
+        "properties": [1],
+        "geometry": {"type": "Polygon", "coordinates": [[[0, 0], [1, 0], [1, 1], [0, 1], [0, 0]]]},
+    },
+    "no-coordinates": {"type": "Polygon"},
+    "ring-not-array": {"type": "Polygon", "coordinates": [5]},
+    "short-position": {"type": "Polygon", "coordinates": [[[0, 0], [1], [1, 1], [0, 1], [0, 0]]]},
+    "string-coordinate": {"type": "Polygon", "coordinates": [[[0, 0], [1, "0"], [1, 1], [0, 1], [0, 0]]]},
+    "nan-coordinate": {"type": "Polygon", "coordinates": [[[0, 0], [math.nan, 0], [1, 1], [0, 1], [0, 0]]]},
+    "huge-coordinate": {"type": "Polygon", "coordinates": [[[0, 0], [10**400, 0], [1, 1], [0, 1], [0, 0]]]},
+}
+# The null-geometry case goes by the bare layer name.
+MALFORMED_LAYER_CASES = [
+    pytest.param(layer, doc, id=layer if what == "null-geometry" else f"{layer}-{what}")
+    for layer in ("r4", "taz")
+    for what, doc in MALFORMED_LAYERS.items()
+]
+
+
 class TestRun:
     def test_full_run_with_all_layers(self, mini_args, mini_bundle, tmp_path):
         code = run_cli(
@@ -294,12 +323,12 @@ class TestRun:
     def test_missing_required_input_is_exit_2(self, tmp_path):
         assert run_cli("run", "--out", str(tmp_path)) == 2
 
-    @pytest.mark.parametrize("layer", ["r4", "taz"])
+    @pytest.mark.parametrize("layer,doc", MALFORMED_LAYER_CASES)
     def test_malformed_layer_fails_before_any_transactions_file_is_read(
-        self, mini_args, mini_bundle, tmp_path, monkeypatch, layer
+        self, mini_args, mini_bundle, tmp_path, monkeypatch, layer, doc
     ):
         bad = tmp_path / "bad.geojson"
-        bad.write_text(json.dumps({"type": "Feature", "properties": {}, "geometry": None}))
+        bad.write_text(json.dumps(doc))
 
         def fail(*args, **kwargs):
             raise AssertionError("a transactions file was read")
@@ -374,6 +403,11 @@ class TestRun:
             text=True,
         )
         assert proc.stdout == "0 False\n"
+
+    def test_importing_geo_loads_only_geo_and_ingest(self):
+        script = "import sys, cardcohort.geo; print(sorted(m for m in sys.modules if m.startswith('cardcohort')))"
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.stdout == "['cardcohort', 'cardcohort.geo', 'cardcohort.ingest']\n"
 
 
 class TestConfigFile:

@@ -33,10 +33,8 @@ NEW_HOME = (116.42647069969344, 39.9053)
 MOVE_KM = 11.9999987594
 
 
-def prof(card="C", home=0, work=None, hc=OLD_HOME, wc=None, ckm=None) -> YearProfile:
+def prof(home=0, work=None, hc=OLD_HOME, wc=None, ckm=None) -> YearProfile:
     return YearProfile(
-        card_id=card,
-        year="y",
         home=home,
         work=work,
         home_centroid=hc,
@@ -106,22 +104,22 @@ class TestCommuteBin:
 
 def test_match_cohort_requires_home_both_years():
     p1 = {
-        "A": prof("A", home=1),
-        "B": prof("B", home=None),
-        "C": prof("C", home=2),
-        "D": prof("D", home=3),
+        "A": prof(home=1),
+        "B": prof(home=None),
+        "C": prof(home=2),
+        "D": prof(home=3),
     }
     p2 = {
-        "A": prof("A", home=9),
-        "B": prof("B", home=1),
-        "C": prof("C", home=None),
+        "A": prof(home=9),
+        "B": prof(home=1),
+        "C": prof(home=None),
     }
     assert match_cohort(p1, p2) == ["A"]
 
 
 def test_match_cohort_output_is_sorted():
-    p1 = {c: prof(c, home=1) for c in ("Z", "M", "A")}
-    p2 = {c: prof(c, home=1) for c in ("Z", "M", "A")}
+    p1 = {c: prof(home=1) for c in ("Z", "M", "A")}
+    p2 = {c: prof(home=1) for c in ("Z", "M", "A")}
     assert match_cohort(p1, p2) == ["A", "M", "Z"]
 
 
@@ -224,10 +222,9 @@ class TestCommuteDelta:
 
 class TestBuildDelta:
     def test_assembles_all_components(self):
-        p1 = prof("CARD", hc=OLD_HOME, work=1, wc=OLD_HOME, ckm=10.0)
-        p2 = prof("CARD", hc=NEW_HOME, work=1, wc=OLD_HOME, ckm=4.0)
+        p1 = prof(hc=OLD_HOME, work=1, wc=OLD_HOME, ckm=10.0)
+        p2 = prof(hc=NEW_HOME, work=1, wc=OLD_HOME, ckm=4.0)
         d = build_delta(p1, p2, CENTER, in_r4=lambda c: c[0] < 116.5, change_km=2.0)
-        assert d.card_id == "CARD"
         assert d.housing_status == CHANGED
         assert d.housing_dir == INWARD
         assert d.move_bin == "10-20"
@@ -238,8 +235,8 @@ class TestBuildDelta:
         assert d.r4_2010 is True
 
     def test_no_region_means_outside(self):
-        p1 = prof("CARD", hc=OLD_HOME)
-        p2 = prof("CARD", hc=OLD_HOME)
+        p1 = prof(hc=OLD_HOME)
+        p2 = prof(hc=OLD_HOME)
         d = build_delta(p1, p2, CENTER, in_r4=None)
         assert d.r4_2010 is False
         assert d.housing_status == NOT_CHANGED

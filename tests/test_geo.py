@@ -269,6 +269,12 @@ class TestRegionLoading:
         assert region.name == "region"
         assert len(region.rings) == 1
 
+    def test_positions_with_altitude_read_lon_lat(self, tmp_path):
+        ring = [[x, y, 43.5] for x, y in self.RING_A]
+        region = load_region(self._write(tmp_path, {"type": "Polygon", "coordinates": [ring]}))
+        assert region.rings == (tuple((float(x), float(y)) for x, y in self.RING_A),)
+        assert point_in_region((0.5, 0.5), region)
+
     def test_load_region_multipolygon(self, tmp_path):
         doc = {"type": "MultiPolygon", "coordinates": [[self.RING_A], [self.RING_B]]}
         region = load_region(self._write(tmp_path, doc))

@@ -33,9 +33,8 @@ CANONICAL_LABELS = [
 ]
 
 
-def delta(card="C", housing=NOT_CHANGED, work=NOT_CHANGED, r4=False) -> CohortDelta:
+def delta(housing=NOT_CHANGED, work=NOT_CHANGED, r4=False) -> CohortDelta:
     return CohortDelta(
-        card_id=card,
         housing_status=housing,
         housing_dir=None,
         move_km=0.0,
@@ -90,7 +89,7 @@ def test_group_counts_always_has_twenty_keys():
     counts = group_counts([])
     assert sorted(counts) == list(range(1, 21))
     assert sum(counts.values()) == 0
-    counts = group_counts(classify(delta(card=f"C{i}", work=JOBLESS)) for i in range(3))
+    counts = group_counts(classify(delta(work=JOBLESS)) for _ in range(3))
     assert sum(counts.values()) == 3
     assert counts[15] == 3
 

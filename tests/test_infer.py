@@ -292,7 +292,6 @@ class TestBuildProfile:
         assert profile.commute_km == pytest.approx(10.6, abs=1e-9)
         assert profile.commute_min == 40
         assert profile.rides == 6
-        assert profile.year == "2008"
 
     def test_student_profile_is_empty_but_counted(self):
         profile = build_profile(

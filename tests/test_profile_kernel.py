@@ -9,9 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cardcohort.chain import PERMISSIVE, STRICT
 from cardcohort.geo import haversine_km
-from cardcohort.infer import HOME_RULE_PAPER, HOME_RULE_RELAXED, build_profile
+from cardcohort.infer import HOME_RULE_PAPER, HOME_RULE_RELAXED, PERMISSIVE, STRICT, build_profile
 from cardcohort.ingest import (
     CARD_REGULAR,
     CARD_STUDENT,
@@ -48,7 +47,7 @@ def ride(board_stop: str, board: int, alight_stop: str | None = None, alight: in
 
 def profile(rides, card_type=CARD_REGULAR, stays=None, commute_km=None, **kw):
     return build_profile(
-        "C", "2008", card_type, rides, STOP_TO_PLACE, WEEKDAYS, centroid_of,
+        card_type, rides, STOP_TO_PLACE, WEEKDAYS, centroid_of,
         commute_km=commute_km, stays=stays, **kw,
     )
 
