@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from .ingest import Stop
 
@@ -209,30 +209,40 @@ def _rings_of_geometry(geom) -> list[tuple[Coord, ...]]:
     return [_check_ring(r) for poly in polygons for r in _expect(poly, list, "polygon")]
 
 
-def read_features(path: str) -> list[tuple[dict, Mapping]]:
+def read_features(path: str, parse: Callable[[Any], Any] = lambda geom: geom) -> list[tuple[dict, Any]]:
     """The (properties, geometry) of each feature of a GeoJSON file, in file order.
 
     A FeatureCollection gives its features, a Feature gives itself, and a
     bare geometry gives one feature; missing or null properties read as
-    an empty dict.  A document, feature or properties member that is not
-    a JSON object, a ``features`` member that is not an array, and a
-    feature without a ``geometry`` member raise ValueError.
+    an empty dict.  With ``parse``, each geometry is replaced by
+    ``parse(geometry)``.  A document, feature or properties member that
+    is not a JSON object, a ``features`` member that is not an array, a
+    feature without a ``geometry`` member and a ValueError from ``parse``
+    raise ValueError, prefixed with ``path`` and, for a fault within one
+    feature of a collection, the feature's zero-based index.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = _expect(json.load(fh), dict, "GeoJSON document")
-    dtype = doc.get("type")
-    if dtype == "FeatureCollection":
-        feats = _expect(doc.get("features", []), list, "features")
-    elif dtype == "Feature":
-        feats = [doc]
-    else:
-        return [({}, doc)]
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = _expect(json.load(fh), dict, "GeoJSON document")
+        dtype = doc.get("type")
+        if dtype == "FeatureCollection":
+            feats = _expect(doc.get("features", []), list, "features")
+        elif dtype == "Feature":
+            feats = [doc]
+        else:
+            return [({}, parse(doc))]
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     out = []
-    for feat in feats:
-        if "geometry" not in _expect(feat, dict, "feature"):
-            raise ValueError("feature has no geometry member")
-        props = feat.get("properties")
-        out.append(({} if props is None else _expect(props, dict, "feature properties"), feat["geometry"]))
+    for i, feat in enumerate(feats):
+        try:
+            if "geometry" not in _expect(feat, dict, "feature"):
+                raise ValueError("feature has no geometry member")
+            props = feat.get("properties")
+            props = {} if props is None else _expect(props, dict, "feature properties")
+            out.append((props, parse(feat["geometry"])))
+        except ValueError as exc:
+            raise ValueError(f"{path}: feature {i}: {exc}") from None
     return out
 
 
@@ -245,8 +255,8 @@ def load_region(path: str, name: str | None = None) -> Region:
     """
     rings: list[tuple[Coord, ...]] = []
     label = name
-    for props, geom in read_features(path):
-        rings.extend(_rings_of_geometry(geom))
+    for props, feature_rings in read_features(path, _rings_of_geometry):
+        rings.extend(feature_rings)
         if label is None:
             label = props.get("name")
     if not rings:
@@ -261,8 +271,8 @@ def load_region_features(path: str) -> list[Region]:
     features get zero-based positional names.
     """
     regions = [
-        Region(str(props.get("name") or f"zone_{i}"), tuple(_rings_of_geometry(geom)))
-        for i, (props, geom) in enumerate(read_features(path))
+        Region(str(props.get("name") or f"zone_{i}"), tuple(rings))
+        for i, (props, rings) in enumerate(read_features(path, _rings_of_geometry))
     ]
     if not regions:
         raise ValueError(f"no features in {path}")

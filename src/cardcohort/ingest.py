@@ -445,12 +445,17 @@ def read_config(path: str, cls) -> dict:
 
     Blank lines and ``#`` comments are skipped.  Each value is parsed by
     the annotation of its field: ``int``, ``float``, ``date``, ``Coord``
-    or ``str``, each optionally ``| None``.  A line without ``=``, a key
-    that is not a field and a value that does not parse raise ValueError.
+    or ``str``, each optionally ``| None``.  A file that cannot be opened,
+    a line without ``=``, a key that is not a field and a value that does
+    not parse raise ValueError.
     """
     parsers = {f.name: _VALUE_PARSERS[f.type.removesuffix(" | None")] for f in fields(cls)}
     values = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    try:
+        fh = open(path, "r", encoding="utf-8")
+    except OSError as exc:
+        raise ValueError(f"cannot read config file {path}: {exc.strerror}") from None
+    with fh:
         for line in fh:
             line = line.strip()
             if not line or line.startswith("#"):

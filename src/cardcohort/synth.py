@@ -49,6 +49,7 @@ from __future__ import annotations
 import json
 import math
 import os
+from collections import Counter
 from dataclasses import dataclass, fields
 from datetime import date, timedelta
 from typing import Iterable, Mapping, Sequence
@@ -118,6 +119,15 @@ ARCHETYPE_ORDER = (ARCH_COMMUTER, ARCH_MOVER, ARCH_JOB_CHANGER, ARCH_JOBLESS, AR
 
 TRUTH_HEADER = "card_id,archetype,home1,home2,work1,work2,retained"
 
+# The south-west corner of the stop grid (lon, lat).
+ORIGIN: Coord = (116.20, 39.75)
+# Boarding windows in minutes after midnight, [start, end).  The evening
+# window ends by minute 1250 because evening noise needs headroom before
+# midnight.
+MORNING = (420, 540)
+EVENING = (1050, 1170)
+ERRAND = (480, 600)
+
 
 @dataclass
 class GeneratorConfig:
@@ -132,14 +142,6 @@ class GeneratorConfig:
     site_stops: int = 2
     stop_spacing_m: float = 300.0
     site_pitch_m: float = 2000.0
-    origin_lon: float = 116.20
-    origin_lat: float = 39.75
-    morning_start: int = 420
-    morning_end: int = 540
-    evening_start: int = 1050
-    evening_end: int = 1170
-    errand_start: int = 480
-    errand_end: int = 600
     fixed_fare_fraction: float = 0.3
     noise_rate: float = 0.0
     followup_retention: float = 0.25
@@ -159,20 +161,10 @@ class GeneratorConfig:
             raise ValueError("followup_retention must lie in [0, 1]")
         if not (0.0 <= self.fixed_fare_fraction <= 1.0):
             raise ValueError("fixed_fare_fraction must lie in [0, 1]")
-        for lo, hi in (
-            (self.morning_start, self.morning_end),
-            (self.evening_start, self.evening_end),
-            (self.errand_start, self.errand_end),
-        ):
-            if not (0 <= lo < hi <= 1440):
-                raise ValueError("schedule windows must be ordered within a day")
-        if self.morning_end > self.evening_start:
-            raise ValueError("morning window must end before the evening window")
-        if self.evening_end > 1250:
-            # Evening noise needs headroom before midnight.
-            raise ValueError("evening window must end by minute 1250")
-        if self.stop_spacing_m <= 0 or self.site_pitch_m <= 0:
-            raise ValueError("spacings must be positive")
+        for key in ("stop_spacing_m", "site_pitch_m"):
+            # Written so that NaN fails the comparison and is rejected.
+            if not 0 < getattr(self, key) < math.inf:
+                raise ValueError(f"{key} must be positive and finite")
         span = (self.site_stops - 1) * self.stop_spacing_m
         if span + 2 * 500.0 >= self.site_pitch_m:
             raise ValueError("sites too close: clusters would merge across sites")
@@ -220,7 +212,7 @@ class _Geom:
         self.k = cfg.site_stops
         self.k2 = self.k * self.k
         self.n_sites = self.rows * self.cols
-        m_per_deg_lon = M_PER_DEG_LAT * math.cos(math.radians(cfg.origin_lat))
+        m_per_deg_lon = M_PER_DEG_LAT * math.cos(math.radians(ORIGIN[1]))
         self._dlon = 1.0 / m_per_deg_lon
         self._dlat = 1.0 / M_PER_DEG_LAT
         self.cfg = cfg
@@ -237,10 +229,7 @@ class _Geom:
         self.center = self._to_lonlat(cx, cy)
 
     def _to_lonlat(self, x_m: float, y_m: float) -> Coord:
-        return (
-            self.cfg.origin_lon + x_m * self._dlon,
-            self.cfg.origin_lat + y_m * self._dlat,
-        )
+        return ORIGIN[0] + x_m * self._dlon, ORIGIN[1] + y_m * self._dlat
 
     def stop_id(self, site: int, member: int) -> str:
         return f"S{site * self.k2 + member:06d}"
@@ -302,31 +291,43 @@ def _stride(n: int, preferred: int) -> int:
     return 1
 
 
-def _toward_center(rc: tuple[int, int], cr: float, cc: float) -> tuple[int, int] | None:
-    r, c = rc
-    nr = r + 2 if cr - r >= 2.5 else (r - 2 if r - cr >= 2.5 else r)
-    nc = c + 2 if cc - c >= 2.5 else (c - 2 if c - cc >= 2.5 else c)
-    if (nr, nc) == (r, c):
-        return None
-    return nr, nc
+def _axis_step(x: int, n: int, inward: bool) -> int:
+    """Cell ``x`` of an ``n``-cell axis moved two cells toward (or away from)
+    the axis middle, or ``x`` itself when it cannot move that way."""
+    mid = (n - 1) / 2.0
+    if inward:
+        if mid - x >= 2.5:
+            return x + 2
+        return x - 2 if x - mid >= 2.5 else x
+    if x >= mid:
+        return x + 2 if x + 2 <= n - 1 else x
+    return x - 2 if x >= 2 else x
 
 
-def _away_from_center(
-    rc: tuple[int, int], cr: float, cc: float, rows: int, cols: int
-) -> tuple[int, int] | None:
-    r, c = rc
-    nr, nc = r, c
-    if r >= cr and r + 2 <= rows - 1:
-        nr = r + 2
-    elif r < cr and r - 2 >= 0:
-        nr = r - 2
-    if c >= cc and c + 2 <= cols - 1:
-        nc = c + 2
-    elif c < cc and c - 2 >= 0:
-        nc = c - 2
-    if (nr, nc) == (r, c):
+def _moved_site(site: int, rows: int, cols: int, inward: bool) -> int | None:
+    """Where a home at ``site`` moves: two pitches toward (or away from) the
+    grid center on each axis that allows it; None when neither axis does."""
+    r, c = divmod(site, cols)
+    nr, nc = _axis_step(r, rows, inward), _axis_step(c, cols, inward)
+    return None if (nr, nc) == (r, c) else nr * cols + nc
+
+
+def _home_move(archetype: str, i: int) -> bool | None:
+    """Whether agent ``i`` of ``archetype`` moves home inward; None when its home stays.
+
+    Movers always move; job changers and the jobless move when ``i`` is
+    odd, churners when ``i // 2`` is odd.  Each archetype's movers
+    alternate inward and outward.
+    """
+    if archetype == ARCH_MOVER:
+        j = i
+    elif archetype in (ARCH_JOB_CHANGER, ARCH_JOBLESS) and i % 2:
+        j = i // 2
+    elif archetype == ARCH_CHURNER and i // 2 % 2:
+        j = i // 4
+    else:
         return None
-    return nr, nc
+    return j % 2 == 0
 
 
 @dataclass(slots=True)
@@ -356,88 +357,45 @@ def _place_agents(cfg: GeneratorConfig, geom: _Geom) -> list[_AgentPlan]:
     site pitches, far clear of the 2 km benchmark, and mover directions
     alternate inward/outward by construction.
     """
-    rows, cols = geom.rows, geom.cols
-    cr, cc = (rows - 1) / 2.0, (cols - 1) / 2.0
-    n_sites = geom.n_sites
+    rows, cols, n_sites = geom.rows, geom.cols, geom.n_sites
     s_home = _stride(n_sites, 7)
     s_work = _stride(n_sites, 11)
-
-    inward_pool = []
-    outward_pool = []
-    for s in range(n_sites):
-        rc = divmod(s, cols)
-        if _toward_center(rc, cr, cc):
-            inward_pool.append(s)
-        if _away_from_center(rc, cr, cc, rows, cols):
-            outward_pool.append(s)
-
-    def moved_home(i: int, inward: bool) -> tuple[int, int]:
-        if inward:
-            if not inward_pool:
-                raise ValueError("grid too small for inward relocations (needs >= 6x6)")
-            h1 = inward_pool[(i * 3 + 1) % len(inward_pool)]
-            rc2 = _toward_center(divmod(h1, cols), cr, cc)
-        else:
-            if not outward_pool:
-                raise ValueError("grid too small for outward relocations (needs >= 6x6)")
-            h1 = outward_pool[(i * 3 + 2) % len(outward_pool)]
-            rc2 = _away_from_center(divmod(h1, cols), cr, cc, rows, cols)
-        h2 = rc2[0] * cols + rc2[1]
-        return h1, h2
+    movable = {
+        inward: [s for s in range(n_sites) if _moved_site(s, rows, cols, inward) is not None]
+        for inward in (True, False)
+    }
+    counts = (cfg.commuters, cfg.movers, cfg.job_changers, cfg.jobless, cfg.churners)
+    agents = [(archetype, i) for archetype, count in zip(ARCHETYPE_ORDER, counts) for i in range(count)]
+    r = cfg.followup_retention
 
     plans: list[_AgentPlan] = []
-    counts = (cfg.commuters, cfg.movers, cfg.job_changers, cfg.jobless, cfg.churners)
-    g = 0
-    for archetype, count in zip(ARCHETYPE_ORDER, counts):
-        for i in range(count):
-            card_id = f"C{g:06d}"
-            if archetype == ARCH_COMMUTER:
-                h1 = (g * s_home) % n_sites
-                h2 = h1
-                w1 = _pick_free(geom, g * s_work + n_sites // 3, {h1})
-                w2 = w1
-            elif archetype == ARCH_MOVER:
-                h1, h2 = moved_home(i, inward=i % 2 == 0)
-                w1 = _pick_free(geom, g * s_work + n_sites // 3, {h1, h2})
-                w2 = w1
-            elif archetype == ARCH_JOB_CHANGER:
-                if i % 2 == 0:
-                    h1 = (g * s_home) % n_sites
-                    h2 = h1
-                else:
-                    h1, h2 = moved_home(i, inward=(i // 2) % 2 == 0)
-                w1 = _pick_free(geom, g * s_work + n_sites // 3, {h1, h2})
-                r, c = divmod(w1, cols)
-                mirror = (rows - 1 - r) * cols + (cols - 1 - c)
-                w2 = mirror
-                if w2 in {h1, h2, w1} or geom.site_km(w1, w2) < 2.5:
-                    w2 = _pick_free(geom, mirror + 1, {h1, h2, w1})
-                    while geom.site_km(w1, w2) < 2.5:
-                        w2 = _pick_free(geom, w2 + 1, {h1, h2, w1})
-            elif archetype == ARCH_JOBLESS:
-                if i % 2 == 0:
-                    h1 = (g * s_home) % n_sites
-                    h2 = h1
-                else:
-                    h1, h2 = moved_home(i, inward=(i // 2) % 2 == 0)
-                w1 = w2 = None
-            else:  # Churner
-                if (i // 2) % 2 == 0:
-                    h1 = (g * s_home) % n_sites
-                    h2 = h1
-                else:
-                    h1, h2 = moved_home(i, inward=(i // 4) % 2 == 0)
-                w = _pick_free(geom, g * s_work + n_sites // 3, {h1, h2})
-                if i % 2 == 0:
-                    w1, w2 = w, None
-                else:
-                    w1, w2 = None, w
-            plans.append(_AgentPlan(g, card_id, archetype, h1, h2, w1, w2, False))
-            g += 1
-
-    r = cfg.followup_retention
-    for p in plans:
-        p.retained = math.floor((p.g + 1) * r) > math.floor(p.g * r)
+    for g, (archetype, i) in enumerate(agents):
+        inward = _home_move(archetype, i)
+        if inward is None:
+            h1 = h2 = (g * s_home) % n_sites
+        else:
+            pool = movable[inward]
+            if not pool:
+                way = "inward" if inward else "outward"
+                raise ValueError(f"grid too small for {way} relocations (needs >= 6x6)")
+            h1 = pool[(i * 3 + (1 if inward else 2)) % len(pool)]
+            h2 = _moved_site(h1, rows, cols, inward)
+        if archetype == ARCH_JOBLESS:
+            w1 = w2 = None
+        else:
+            w1 = w2 = _pick_free(geom, g * s_work + n_sites // 3, {h1, h2})
+            if archetype == ARCH_JOB_CHANGER:
+                # The site mirrored through the grid center, else the next
+                # free one at least 2.5 km away.
+                mirror = w2 = n_sites - 1 - w1
+                while w2 in (h1, h2, w1) or geom.site_km(w1, w2) < 2.5:
+                    w2 = (w2 + 1) % n_sites
+                    if w2 == mirror:
+                        raise ValueError("grid too small for job changes (no free site 2.5 km from work)")
+            elif archetype == ARCH_CHURNER:
+                w1, w2 = (w1, None) if i % 2 == 0 else (None, w1)
+        retained = math.floor((g + 1) * r) > math.floor(g * r)
+        plans.append(_AgentPlan(g, f"C{g:06d}", archetype, h1, h2, w1, w2, retained))
 
     _check_plans(geom, plans)
     return plans
@@ -470,26 +428,23 @@ def _check_plans(geom: _Geom, plans: Sequence[_AgentPlan]) -> None:
             raise ValueError(f"{p.card_id}: move direction margin too small")
 
 
-def _day_prefixes(start: date) -> list[str]:
-    return [(start + timedelta(days=i)).isoformat() + "T" for i in range(7)]
-
-
-def _weekday_offsets(start: date) -> list[int]:
-    return [i for i in range(7) if (start + timedelta(days=i)).weekday() < 5]
-
-
 def _emit_agent_week(
     rows: list[str],
     cfg: GeneratorConfig,
     geom: _Geom,
     rng: SplitMix64,
     plan: _AgentPlan,
-    week_start: date,
+    prefixes: Sequence[str],
+    weekday_offsets: Sequence[int],
     home: int,
     work: int | None,
     metro_flavor: bool,
 ) -> None:
     """Emit one agent-week of transactions.
+
+    ``prefixes`` holds the ``YYYY-MM-DDT`` stamp of each of the week's
+    seven days and ``weekday_offsets`` the days among them that fall on
+    Monday to Friday.
 
     Draw order (the fixture contract):
 
@@ -504,8 +459,6 @@ def _emit_agent_week(
        d. one noise chance; when it fires: noise variant, departure
           offset, dwell, then the two noise legs' jitter/fare draws.
     """
-    prefixes = _day_prefixes(week_start)
-    weekday_offsets = _weekday_offsets(week_start)
     p = cfg.noise_rate
 
     u = rng.unit()
@@ -554,12 +507,12 @@ def _emit_agent_week(
         day_end_arrival = None
         sleep_tonight = sleep_day is not None and di == sleep_day - 1
         if working_week:
-            m_t = base + rng.randrange(cfg.morning_start, cfg.morning_end)
+            m_t = base + rng.randrange(*MORNING)
             plan_mid = mid_day is not None and di == mid_day
             if plan_mid:
                 out_t = base + rng.randrange(660, 840)
                 mid_dwell = 20 + rng.below(41)
-            e_t = base + rng.randrange(cfg.evening_start, cfg.evening_end)
+            e_t = base + rng.randrange(*EVENING)
             emit_leg(loc, work, m_t)
             loc = work
             if plan_mid:
@@ -570,7 +523,7 @@ def _emit_agent_week(
             day_end_arrival = emit_leg(work, dest, e_t)
             loc = dest
         else:
-            d_t = base + rng.randrange(cfg.errand_start, cfg.errand_end)
+            d_t = base + rng.randrange(*ERRAND)
             dwell = 60 + rng.below(241)
             forbidden = frozenset((loc,)) if work is None else frozenset((loc, work))
             errand = _nearby_site(geom, home, plan.g * 3 + di, forbidden | {home})
@@ -597,28 +550,32 @@ def _emit_agent_week(
             emit_leg(y, loc, t2)
 
 
-def _write_lines(path: str, header: str, lines: Iterable[str]) -> None:
+BUNDLE_FILES = (
+    "stops.csv", "week1.csv", "week2.csv", "followup.csv", "truth.csv",
+    "r4.geojson", "taz.geojson", "bundle.conf", "generator.conf",
+)
+
+
+def _write_lines(path: str, lines: Iterable[str]) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(header + "\n")
         for line in lines:
             fh.write(line + "\n")
 
 
-def _square_ring(center_m: tuple[float, float], half_m: float, geom: _Geom) -> list[list[float]]:
-    cx, cy = center_m
-    corners = [
-        (cx - half_m, cy - half_m),
-        (cx + half_m, cy - half_m),
-        (cx + half_m, cy + half_m),
-        (cx - half_m, cy + half_m),
-        (cx - half_m, cy - half_m),
-    ]
-    return [[round(lon, 7), round(lat, 7)] for lon, lat in (geom._to_lonlat(x, y) for x, y in corners)]
-
-
-def _write_geojson(path: str, obj) -> None:
+def _write_zones(path: str, geom: _Geom, zones: Iterable[tuple[str, float, float, float, float]]) -> None:
+    """Write rectangles ``(name, x0, y0, x1, y1)``, in metres from the origin,
+    as a GeoJSON FeatureCollection with one Polygon feature each."""
+    features = []
+    for name, x0, y0, x1, y1 in zones:
+        corners = ((x0, y0), (x1, y0), (x1, y1), (x0, y1), (x0, y0))
+        ring = [[round(lon, 7), round(lat, 7)] for lon, lat in (geom._to_lonlat(x, y) for x, y in corners)]
+        features.append({
+            "type": "Feature",
+            "properties": {"name": name},
+            "geometry": {"type": "Polygon", "coordinates": [ring]},
+        })
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(obj, fh, indent=1)
+        json.dump({"type": "FeatureCollection", "features": features}, fh, indent=1)
         fh.write("\n")
 
 
@@ -631,22 +588,23 @@ def generate(cfg: GeneratorConfig, out_dir: str) -> GeneratedBundle:
     paths and analysis parameters that a pipeline run needs.
     """
     cfg.validate()
-    os.makedirs(out_dir, exist_ok=True)
     geom = _Geom(cfg)
     plans = _place_agents(cfg, geom)
+    os.makedirs(out_dir, exist_ok=True)
+    paths = {name.partition(".")[0]: os.path.join(out_dir, name) for name in BUNDLE_FILES}
 
-    def path(name: str) -> str:
-        return os.path.join(out_dir, name)
-
-    _write_lines(path("stops.csv"), "stop_id,lon,lat", geom.stop_rows())
+    _write_lines(paths["stops"], ["stop_id,lon,lat", *geom.stop_rows()])
 
     week_files = (
-        ("week1.csv", cfg.week1_start, 1, False),
-        ("week2.csv", cfg.week2_start, 2, True),
-        ("followup.csv", cfg.followup_start, 3, True),
+        ("week1", cfg.week1_start, 1, False),
+        ("week2", cfg.week2_start, 2, True),
+        ("followup", cfg.followup_start, 3, True),
     )
-    for fname, start, year_idx, metro in week_files:
-        rows: list[str] = []
+    for key, start, year_idx, metro in week_files:
+        days = [start + timedelta(days=i) for i in range(7)]
+        prefixes = [d.isoformat() + "T" for d in days]
+        weekday_offsets = [i for i, d in enumerate(days) if d.weekday() < 5]
+        rows = [TRANSACTIONS_HEADER]
         for plan in plans:
             if year_idx == 3 and not plan.retained:
                 continue
@@ -654,8 +612,8 @@ def generate(cfg: GeneratorConfig, out_dir: str) -> GeneratedBundle:
             rng = SplitMix64(_mix64(cfg.seed + (plan.g + 1) * GOLDEN) ^ year_idx * 0x9E37)
             home = plan.home1 if year_idx == 1 else plan.home2
             work = plan.work1 if year_idx == 1 else plan.work2
-            _emit_agent_week(rows, cfg, geom, rng, plan, start, home, work, metro)
-        _write_lines(path(fname), TRANSACTIONS_HEADER, rows)
+            _emit_agent_week(rows, cfg, geom, rng, plan, prefixes, weekday_offsets, home, work, metro)
+        _write_lines(paths[key], rows)
 
     truth = [
         TruthRow(
@@ -669,79 +627,36 @@ def generate(cfg: GeneratorConfig, out_dir: str) -> GeneratedBundle:
         )
         for p in plans
     ]
-    _write_lines(
-        path("truth.csv"),
-        TRUTH_HEADER,
-        (
-            f"{t.card_id},{t.archetype},{t.home1},{t.home2},"
-            f"{t.work1 or ''},{t.work2 or ''},{1 if t.retained else 0}"
-            for t in truth
-        ),
-    )
-
-    r4_half = cfg.site_pitch_m * geom.rows / 4.0
-    r4 = {
-        "type": "FeatureCollection",
-        "features": [
-            {
-                "type": "Feature",
-                "properties": {"name": "R4"},
-                "geometry": {
-                    "type": "Polygon",
-                    "coordinates": [_square_ring(geom.center_m, r4_half, geom)],
-                },
-            }
-        ],
-    }
-    _write_geojson(path("r4.geojson"), r4)
+    _write_lines(paths["truth"], [TRUTH_HEADER, *(
+        f"{t.card_id},{t.archetype},{t.home1},{t.home2},"
+        f"{t.work1 or ''},{t.work2 or ''},{1 if t.retained else 0}"
+        for t in truth
+    )])
 
     cx, cy = geom.center_m
+    half = cfg.site_pitch_m * geom.rows / 4.0
+    _write_zones(paths["r4"], geom, [("R4", cx - half, cy - half, cx + half, cy + half)])
     reach = max(geom.rows, geom.cols) * cfg.site_pitch_m
-    quads = []
-    for qname, sx, sy in (("SW", -1, -1), ("SE", 1, -1), ("NW", -1, 1), ("NE", 1, 1)):
-        ring = [
-            [cx, cy],
-            [cx + sx * reach, cy],
-            [cx + sx * reach, cy + sy * reach],
-            [cx, cy + sy * reach],
-            [cx, cy],
-        ]
-        coords = [[round(lon, 7), round(lat, 7)] for lon, lat in (geom._to_lonlat(x, y) for x, y in ring)]
-        quads.append(
-            {
-                "type": "Feature",
-                "properties": {"name": qname},
-                "geometry": {"type": "Polygon", "coordinates": [coords]},
-            }
-        )
-    _write_geojson(path("taz.geojson"), {"type": "FeatureCollection", "features": quads})
+    _write_zones(paths["taz"], geom, [
+        (name, cx, cy, cx + sx * reach, cy + sy * reach)
+        for name, sx, sy in (("SW", -1, -1), ("SE", 1, -1), ("NW", -1, 1), ("NE", 1, 1))
+    ])
 
-    cfg.to_file(path("generator.conf"))
+    cfg.to_file(paths["generator"])
     center = geom.center
-    with open(path("bundle.conf"), "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("year1=week1.csv\n")
-        fh.write("year2=week2.csv\n")
-        fh.write("followup=followup.csv\n")
-        fh.write("stops1=stops.csv\n")
-        fh.write("stops2=stops.csv\n")
-        fh.write("r4=r4.geojson\n")
-        fh.write("taz=taz.geojson\n")
-        fh.write(f"center={center[0]:.7f},{center[1]:.7f}\n")
-        fh.write(f"week1_start={cfg.week1_start.isoformat()}\n")
-        fh.write(f"week2_start={cfg.week2_start.isoformat()}\n")
-        fh.write(f"followup_start={cfg.followup_start.isoformat()}\n")
-
-    paths = {
-        "stops": path("stops.csv"),
-        "week1": path("week1.csv"),
-        "week2": path("week2.csv"),
-        "followup": path("followup.csv"),
-        "truth": path("truth.csv"),
-        "r4": path("r4.geojson"),
-        "taz": path("taz.geojson"),
-        "bundle": path("bundle.conf"),
-        "generator": path("generator.conf"),
-    }
+    _write_lines(paths["bundle"], [
+        "year1=week1.csv",
+        "year2=week2.csv",
+        "followup=followup.csv",
+        "stops1=stops.csv",
+        "stops2=stops.csv",
+        "r4=r4.geojson",
+        "taz=taz.geojson",
+        f"center={center[0]:.7f},{center[1]:.7f}",
+        f"week1_start={cfg.week1_start}",
+        f"week2_start={cfg.week2_start}",
+        f"followup_start={cfg.followup_start}",
+    ])
     return GeneratedBundle(out_dir, paths, truth, cfg, center)
 
 
@@ -769,6 +684,11 @@ def load_truth(path: str) -> list[TruthRow]:
     return rows
 
 
+def _ratio(num: int, den: int) -> float:
+    """``num / den``, or 1.0 when there was nothing to find."""
+    return num / den if den else 1.0
+
+
 @dataclass
 class RecoveryMetrics:
     home_planted: int
@@ -777,33 +697,30 @@ class RecoveryMetrics:
     work_planted: int
     work_recovered: int
     work_correct: int
-    housing_confusion: dict[tuple[str, str], int]
-    work_confusion: dict[tuple[str, str], int]
+    housing_confusion: Mapping[tuple[str, str], int]
+    work_confusion: Mapping[tuple[str, str], int]
     group_total: int
     group_correct: int
 
     @property
     def home_recall(self) -> float:
-        return self.home_correct / self.home_planted if self.home_planted else 1.0
+        return _ratio(self.home_correct, self.home_planted)
 
     @property
     def home_precision(self) -> float:
-        return self.home_correct / self.home_recovered if self.home_recovered else 1.0
+        return _ratio(self.home_correct, self.home_recovered)
 
     @property
     def work_recall(self) -> float:
-        return self.work_correct / self.work_planted if self.work_planted else 1.0
+        return _ratio(self.work_correct, self.work_planted)
 
     @property
     def work_precision(self) -> float:
-        return self.work_correct / self.work_recovered if self.work_recovered else 1.0
+        return _ratio(self.work_correct, self.work_recovered)
 
     @staticmethod
     def _diag(conf: Mapping[tuple[str, str], int]) -> float:
-        total = sum(conf.values())
-        if not total:
-            return 1.0
-        return sum(c for (t, p), c in conf.items() if t == p) / total
+        return _ratio(sum(c for (t, p), c in conf.items() if t == p), sum(conf.values()))
 
     @property
     def housing_diag(self) -> float:
@@ -815,7 +732,7 @@ class RecoveryMetrics:
 
     @property
     def group_accuracy(self) -> float:
-        return self.group_correct / self.group_total if self.group_total else 1.0
+        return _ratio(self.group_correct, self.group_total)
 
 
 def _cat_with_dir(status: str, direction: str | None) -> str:
@@ -829,8 +746,8 @@ def evaluate_recovery(truth: Sequence[TruthRow], result, tolerance_km: float = 0
     place is correct when its centroid lies within ``tolerance_km`` of
     the planted place's centroid.  Truth-side delta categories are
     recomputed from planted coordinates with the run's own benchmark
-    parameters, so the comparison inputs are independent even though the
-    classification arithmetic is shared.
+    parameters by a rule stated here, apart from the pipeline's, so the
+    pipeline is scored against an independent reference.
     """
     truth_cards = {t.card_id for t in truth}
     seen_cards = set(result.year1.profiles) | set(result.year2.profiles)
@@ -842,16 +759,26 @@ def evaluate_recovery(truth: Sequence[TruthRow], result, tolerance_km: float = 0
     change_km = result.config.change_km
     region: Region | None = result.r4_region
 
-    home_planted = home_recovered = home_correct = 0
-    work_planted = work_recovered = work_correct = 0
-    housing_conf: dict[tuple[str, str], int] = {}
-    work_conf: dict[tuple[str, str], int] = {}
-    group_total = group_correct = 0
+    def planted_move(old: Coord | None, new: Coord | None) -> str:
+        """The delta category of a planted place pair (either may be absent)."""
+        if old is None:
+            return JOBLESS if new is None else FOUND
+        if new is None:
+            return LOST
+        if haversine_km(old, new) < change_km:
+            return NOT_CHANGED
+        return _cat_with_dir(CHANGED, radial_direction(old, new, center))
 
     def planted_centroid(places, anchor: str | None) -> Coord | None:
         if anchor is None:
             return None
         return places.centroid(places.place_of_stop(anchor))
+
+    home_planted = home_recovered = home_correct = 0
+    work_planted = work_recovered = work_correct = 0
+    housing_conf: Counter[tuple[str, str]] = Counter()
+    work_conf: Counter[tuple[str, str]] = Counter()
+    group_correct = 0
 
     for t in truth:
         anchors = (
@@ -876,35 +803,19 @@ def evaluate_recovery(truth: Sequence[TruthRow], result, tolerance_km: float = 0
                     work_correct += 1
 
         (h1c, w1c), (h2c, w2c) = cents
-        move_km = haversine_km(h1c, h2c)
-        if move_km >= change_km:
-            housing_truth = _cat_with_dir(CHANGED, radial_direction(h1c, h2c, center))
-        else:
-            housing_truth = NOT_CHANGED
-        if w1c is None and w2c is None:
-            work_truth = JOBLESS
-        elif w1c is not None and w2c is None:
-            work_truth = LOST
-        elif w1c is None:
-            work_truth = FOUND
-        else:
-            wkm = haversine_km(w1c, w2c)
-            if wkm >= change_km:
-                work_truth = _cat_with_dir(CHANGED, radial_direction(w1c, w2c, center))
-            else:
-                work_truth = NOT_CHANGED
-
+        housing_truth = planted_move(h1c, h2c)
+        work_truth = planted_move(w1c, w2c)
         delta = result.deltas.get(t.card_id)
-        housing_pred = (
-            _cat_with_dir(delta.housing_status, delta.housing_dir) if delta else "(missing)"
-        )
-        work_pred = _cat_with_dir(delta.work_status, delta.work_dir) if delta else "(missing)"
-        housing_conf[(housing_truth, housing_pred)] = housing_conf.get((housing_truth, housing_pred), 0) + 1
-        work_conf[(work_truth, work_pred)] = work_conf.get((work_truth, work_pred), 0) + 1
+        if delta:
+            housing_pred = _cat_with_dir(delta.housing_status, delta.housing_dir)
+            work_pred = _cat_with_dir(delta.work_status, delta.work_dir)
+        else:
+            housing_pred = work_pred = "(missing)"
+        housing_conf[housing_truth, housing_pred] += 1
+        work_conf[work_truth, work_pred] += 1
 
         in_r4 = point_in_region(h2c, region) if region is not None else False
         truth_group = group_index(housing_truth != NOT_CHANGED, work_truth.split("/")[0], in_r4)
-        group_total += 1
         if result.groups.get(t.card_id) == truth_group:
             group_correct += 1
 
@@ -917,6 +828,6 @@ def evaluate_recovery(truth: Sequence[TruthRow], result, tolerance_km: float = 0
         work_correct,
         housing_conf,
         work_conf,
-        group_total,
+        len(truth),
         group_correct,
     )

@@ -325,7 +325,7 @@ class TestRun:
 
     @pytest.mark.parametrize("layer,doc", MALFORMED_LAYER_CASES)
     def test_malformed_layer_fails_before_any_transactions_file_is_read(
-        self, mini_args, mini_bundle, tmp_path, monkeypatch, layer, doc
+        self, mini_args, mini_bundle, tmp_path, monkeypatch, capsys, layer, doc
     ):
         bad = tmp_path / "bad.geojson"
         bad.write_text(json.dumps(doc))
@@ -339,6 +339,8 @@ class TestRun:
             f"--{layer}", str(bad), "--out", str(tmp_path / "o"),
         )
         assert code == 2
+        # With both layers configured, the error says which file is at fault.
+        assert f"error: {bad}: " in capsys.readouterr().err
 
     def test_bare_polygon_taz(self, mini_args, mini_bundle, tmp_path):
         with open(mini_bundle["taz"], encoding="utf-8") as fh:
@@ -495,6 +497,13 @@ class TestConfigFile:
         assert f"error: empty path for {key} " in capsys.readouterr().err
         assert not os.path.exists(tmp_path / "o")
 
+    @pytest.mark.parametrize("command", ["run", "infer", "synth"])
+    def test_missing_config_file_is_exit_2(self, tmp_path, capsys, command):
+        conf = tmp_path / "absent.conf"
+        assert run_cli(command, "--config", str(conf), "--out", str(tmp_path / "o")) == 2
+        assert str(conf) in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "o")
+
     def test_relative_paths_resolve_next_to_config(self, mini_bundle, tmp_path):
         import shutil
 
@@ -540,12 +549,27 @@ class TestSynthCommand:
     def test_invalid_generator_setting_is_exit_2(self, tmp_path):
         assert run_cli("synth", "--out", str(tmp_path / "x"), "--noise-rate", "3.0") == 2
 
-    @pytest.mark.parametrize("line", ["velocity=9", "seed=abc", "seed 7"])
-    def test_bad_config_file_is_exit_2(self, tmp_path, line):
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "velocity=9",
+            "seed=abc",
+            "seed 7",
+            # A removed knob; the boarding windows are fixed.
+            "morning_start=420",
+            "stop_spacing_m=nan",
+            "site_pitch_m=nan",
+            "site_pitch_m=inf",
+            "site_stops=1\nstop_spacing_m=inf",
+        ],
+    )
+    def test_bad_config_file_is_exit_2(self, tmp_path, capsys, line):
         conf = tmp_path / "generator.conf"
         conf.write_text(f"commuters=4\n{line}\n")
         assert run_cli("synth", "--config", str(conf), "--out", str(tmp_path / "x")) == 2
         assert not (tmp_path / "x").exists()
+        # The error names the offending key (or line).
+        assert line.splitlines()[-1].partition("=")[0] in capsys.readouterr().err
 
     def test_generator_conf_reproduces_the_bundle(self, tmp_path):
         b1, b2 = tmp_path / "b1", tmp_path / "b2"

@@ -1,8 +1,8 @@
-"""Golden report digests: the exact bytes of two full runs on a fixed synth bundle.
+"""Golden digests: the exact bytes of a fixed synth bundle and of two full runs on it.
 
-A refactor that means to keep every report byte-identical must leave this
-table alone.  A change that alters report bytes on purpose records the
-new digests here and says why in CHANGES.md.
+A refactor that means to keep every bundle and report byte-identical must
+leave these tables alone.  A change that alters those bytes on purpose
+records the new digests here and says why in CHANGES.md.
 """
 
 from __future__ import annotations
@@ -58,6 +58,27 @@ GOLDEN = {
     }),
 }
 
+# The bundle's own files.  generator.conf is left out: it lists the
+# generator's settings, so it changes whenever a setting is added or removed.
+GOLDEN_BUNDLE = {
+    "bundle.conf": "22485a90875f99ad4a7f4227567faa89edd68f8d6fba82b59aa5026a6800a3d9",
+    "followup.csv": "170b9983eb7511a2f1d0f40f1fc09d496ca259d9a6b9f0ced551ff74f8230d0e",
+    "r4.geojson": "1d0822f9430573b310f19c571095e1f32c5658e2d7a83ed9075926192e68c0b5",
+    "stops.csv": "eea95720c8509e2043e54d1620d21b2eaa4b044c0b1d53dfb2cc1c3539c49495",
+    "taz.geojson": "01126ef3148baa066939d76a5ff25808e96d5e0162ec0a5f88b2ec42b6e4ebbb",
+    "truth.csv": "e9f2475144c021338e036c059b738a0b5e43a3d905f94498a16db7bf7c724fbb",
+    "week1.csv": "c6de5cdd3e4127f672a1929438bc6ac421601dc2e554e9a0debb5b2d444a5be0",
+    "week2.csv": "947cc29fea466be7b32835706d785e8b940e828328fd0128bb6a7aaf0454fec8",
+}
+
+
+def sha256_of_files(directory, skip=()):
+    return {
+        f: hashlib.sha256((directory / f).read_bytes()).hexdigest()
+        for f in os.listdir(directory)
+        if f not in skip
+    }
+
 
 @pytest.fixture(scope="module")
 def golden_bundle(tmp_path_factory):
@@ -72,5 +93,8 @@ def test_run_reports_match_golden_digests(golden_bundle, tmp_path, name):
     flags, expected = GOLDEN[name]
     out = tmp_path / "reports"
     assert main(["run", "--config", str(golden_bundle / "bundle.conf"), "--out", str(out), *flags]) == 0
-    digests = {f: hashlib.sha256((out / f).read_bytes()).hexdigest() for f in os.listdir(out)}
-    assert digests == expected
+    assert sha256_of_files(out) == expected
+
+
+def test_bundle_files_match_golden_digests(golden_bundle):
+    assert sha256_of_files(golden_bundle, skip={"generator.conf"}) == GOLDEN_BUNDLE

@@ -71,11 +71,12 @@ class TestGeneratorConfig:
             {"noise_rate": 1.5},
             {"followup_retention": -0.1},
             {"fixed_fare_fraction": 2.0},
-            {"morning_start": 600, "morning_end": 500},
-            {"morning_end": 1100, "evening_start": 1050},
-            {"evening_start": 1200, "evening_end": 1300},
+            {"stop_spacing_m": math.nan},
+            {"site_pitch_m": math.nan},
+            {"site_pitch_m": math.inf},
             {"stop_spacing_m": 0.0},
             {"site_stops": 3, "stop_spacing_m": 600.0},
+            {"site_stops": 1, "stop_spacing_m": math.inf},
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
@@ -201,6 +202,20 @@ class TestGenerate:
             records, rejections = parse_transactions(iter_lines(noisy.paths[key]), week)
             assert rejections == []
             assert records
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            # No site can move two pitches toward the center.
+            {"grid_rows": 4, "grid_cols": 4},
+            # No site lies 2.5 km from the job changer's first work site.
+            {**dict.fromkeys(SMALL, 0), "job_changers": 1, "grid_rows": 1, "grid_cols": 2},
+        ],
+    )
+    def test_grid_too_small_is_rejected_before_anything_is_written(self, tmp_path, kwargs):
+        with pytest.raises(ValueError, match="grid too small"):
+            generate(GeneratorConfig(**kwargs), str(tmp_path / "x"))
+        assert not (tmp_path / "x").exists()
 
     def test_report_lines_use_lf_only(self, small_bundle):
         for key in ("stops", "week1", "truth", "bundle", "generator"):
