@@ -29,7 +29,7 @@ from .ingest import (
     parse_transactions,
     read_config,
 )
-from .pipeline import PATH_FIELDS, MissingInputError, RunConfig, process_year, run_pipeline
+from .pipeline import PATH_FIELDS, MissingInputError, RunConfig, process_year, require_files, run_pipeline
 from .synth import GeneratorConfig, generate
 
 log = logging.getLogger("cardcohort")
@@ -104,9 +104,7 @@ def _add_tuning(p: argparse.ArgumentParser) -> None:
 
 
 def cmd_ingest_check(args) -> int:
-    for p in (args.transactions, args.stops):
-        if not os.path.exists(p):
-            raise MissingInputError(f"missing input file(s): {p}")
+    require_files([args.transactions, args.stops])
     stops, stop_rejections = load_stops(iter_lines(args.stops))
     week = ObservationWeek.starting(args.week_start) if args.week_start else None
     records, rejections = parse_transactions(iter_lines(args.transactions), week)

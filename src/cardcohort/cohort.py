@@ -14,6 +14,7 @@ observation years.  For each FR this module derives:
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from .geo import Coord, haversine_km, radial_direction
@@ -27,10 +28,11 @@ LOST = "Lost"
 FOUND = "Found"
 JOBLESS = "Jobless"
 
-# Move-distance bins, lower bound inclusive.  "0-2" appears only when the
-# change benchmark is configured below 2 km; the standard taxonomy is the
-# last four labels.
+# Move-distance bins, lower bound inclusive, and the edges between them.
+# "0-2" appears only when the change benchmark is configured below 2 km;
+# the standard taxonomy is the last four labels.
 MOVE_BINS = ("0-2", "2-5", "5-10", "10-20", ">=20")
+_MOVE_EDGES = (2.0, 5.0, 10.0, 20.0)
 
 # Commute-delta bins from largest increase to largest decrease.  Each bin
 # is [lower, upper) with the lower bound inclusive; "<=-20" is open below.
@@ -46,40 +48,16 @@ COMMUTE_BINS = (
     "-20-(-10)",
     "<=-20",
 )
+_COMMUTE_EDGES = (-20.0, -10.0, -5.0, -2.0, 0.0, 2.0, 5.0, 10.0, 20.0)
 
 
 def move_bin(km: float) -> str:
-    if km >= 20.0:
-        return ">=20"
-    if km >= 10.0:
-        return "10-20"
-    if km >= 5.0:
-        return "5-10"
-    if km >= 2.0:
-        return "2-5"
-    return "0-2"
+    return MOVE_BINS[bisect_right(_MOVE_EDGES, km)]
 
 
 def commute_bin(delta_km: float) -> str:
-    if delta_km >= 20.0:
-        return ">=20"
-    if delta_km >= 10.0:
-        return "10-20"
-    if delta_km >= 5.0:
-        return "5-10"
-    if delta_km >= 2.0:
-        return "2-5"
-    if delta_km >= 0.0:
-        return "0-2"
-    if delta_km >= -2.0:
-        return "-2-0"
-    if delta_km >= -5.0:
-        return "-5-(-2)"
-    if delta_km >= -10.0:
-        return "-10-(-5)"
-    if delta_km >= -20.0:
-        return "-20-(-10)"
-    return "<=-20"
+    # The edges ascend and the labels descend; -0.0 lands with 0.0.
+    return COMMUTE_BINS[-1 - bisect_right(_COMMUTE_EDGES, delta_km)]
 
 
 @dataclass(slots=True)

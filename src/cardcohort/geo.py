@@ -11,9 +11,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Mapping, Sequence
-
-from .ingest import Stop
+from typing import Any, Callable, Mapping, Sequence
 
 EARTH_RADIUS_KM = 6371.0
 # Metres per degree of latitude on the reference sphere.
@@ -50,109 +48,73 @@ class Place:
     is adequate at the sub-kilometre scale of a cluster.
     """
 
-    place_id: int
     stop_ids: tuple[str, ...]
     centroid: Coord
 
 
 class PlaceIndex:
-    """Lookup layer over clustered stops."""
+    """Clustered stops; a place id is the place's index in ``places``."""
 
     def __init__(self, places: Sequence[Place]):
         self.places = list(places)
-        self._by_id = {p.place_id: p for p in self.places}
-        self.stop_to_place: dict[str, int] = {}
-        for p in self.places:
-            for sid in p.stop_ids:
-                self.stop_to_place[sid] = p.place_id
+        self.stop_to_place = {sid: i for i, p in enumerate(self.places) for sid in p.stop_ids}
 
     def __len__(self) -> int:
         return len(self.places)
 
-    def place(self, place_id: int) -> Place:
-        return self._by_id[place_id]
-
     def centroid(self, place_id: int) -> Coord:
-        return self._by_id[place_id].centroid
-
-    def place_of_stop(self, stop_id: str) -> int:
-        return self.stop_to_place[stop_id]
+        return self.places[place_id].centroid
 
 
-def build_places(
-    stops: Mapping[str, Stop] | Iterable[Stop], radius_m: float = CLUSTER_RADIUS_M
-) -> PlaceIndex:
-    """Cluster stops into places by single-linkage within ``radius_m``.
+def build_places(stops: Mapping[str, Coord], radius_m: float = CLUSTER_RADIUS_M) -> PlaceIndex:
+    """Cluster stops (stop id -> (lon, lat)) into places by single-linkage within ``radius_m``.
 
     Two stops belong to the same place when they are joined by a chain of
-    pairwise distances each at most ``radius_m``.  Place ids are assigned
-    in ascending order of each cluster's smallest stop id, so the labels
-    are a pure function of the stop registry.
+    pairwise distances each at most ``radius_m``.  Each place is grown by
+    a flood fill from its smallest stop id, in ascending id order, so
+    place ids follow each cluster's smallest stop id and are a pure
+    function of the stop registry.
 
     Candidate pairs come from a lat/lon grid whose cells are at least
     ``radius_m`` wide, so only the 3x3 neighbourhood of a cell needs
     checking; the construction is linear-ish for realistic registries.
     """
-    if isinstance(stops, Mapping):
-        stop_list = sorted(stops.values(), key=lambda s: s.stop_id)
-    else:
-        stop_list = sorted(stops, key=lambda s: s.stop_id)
-    n = len(stop_list)
-    parent = list(range(n))
+    if not stops:
+        return PlaceIndex([])
+    ids = sorted(stops)
+    coords = [stops[sid] for sid in ids]
+    max_abs_lat = max(abs(lat) for _, lat in coords)
+    cell_lat = radius_m / M_PER_DEG_LAT
+    # Cell width must be >= radius_m everywhere in the data, and the
+    # metre width of a degree of longitude shrinks with latitude.
+    cos_lat = max(math.cos(math.radians(min(max_abs_lat, 89.9))), 1e-6)
+    cell_lon = radius_m / (M_PER_DEG_LAT * cos_lat)
+    cells = [(math.floor(lon / cell_lon), math.floor(lat / cell_lat)) for lon, lat in coords]
+    buckets: dict[tuple[int, int], list[int]] = {}
+    for i, cell in enumerate(cells):
+        buckets.setdefault(cell, []).append(i)
 
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def union(i: int, j: int) -> None:
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            if ri < rj:
-                parent[rj] = ri
-            else:
-                parent[ri] = rj
-
-    if n:
-        max_abs_lat = max(abs(s.lat) for s in stop_list)
-        cell_lat = radius_m / M_PER_DEG_LAT
-        # Cell width must be >= radius_m everywhere in the data, and the
-        # metre width of a degree of longitude shrinks with latitude.
-        cos_lat = max(math.cos(math.radians(min(max_abs_lat, 89.9))), 1e-6)
-        cell_lon = radius_m / (M_PER_DEG_LAT * cos_lat)
-
-        buckets: dict[tuple[int, int], list[int]] = {}
-        cells: list[tuple[int, int]] = []
-        for idx, s in enumerate(stop_list):
-            cell = (math.floor(s.lon / cell_lon), math.floor(s.lat / cell_lat))
-            cells.append(cell)
-            buckets.setdefault(cell, []).append(idx)
-
-        radius_km = radius_m / 1000.0
-        for idx, s in enumerate(stop_list):
-            cx, cy = cells[idx]
+    radius_km = radius_m / 1000.0
+    seen = bytearray(len(ids))
+    places = []
+    for first in range(len(ids)):
+        if seen[first]:
+            continue
+        seen[first] = 1
+        group = [first]
+        for i in group:  # grows while it is walked
+            here = coords[i]
+            cx, cy = cells[i]
             for dx in (-1, 0, 1):
                 for dy in (-1, 0, 1):
-                    for jdx in buckets.get((cx + dx, cy + dy), ()):
-                        if jdx <= idx:
-                            continue
-                        t = stop_list[jdx]
-                        if haversine_km((s.lon, s.lat), (t.lon, t.lat)) <= radius_km:
-                            union(idx, jdx)
-
-    members: dict[int, list[int]] = {}
-    for idx in range(n):
-        members.setdefault(find(idx), []).append(idx)
-    # Stop list is sorted by id, so the root's member list is already in
-    # ascending stop id order and roots sort by their first member.
-    places = []
-    for place_id, root in enumerate(sorted(members, key=lambda r: members[r][0])):
-        group = members[root]
-        ids = tuple(stop_list[i].stop_id for i in group)
-        lon = math.fsum(stop_list[i].lon for i in group) / len(group)
-        lat = math.fsum(stop_list[i].lat for i in group) / len(group)
-        places.append(Place(place_id, ids, (lon, lat)))
+                    for j in buckets.get((cx + dx, cy + dy), ()):
+                        if not seen[j] and haversine_km(here, coords[j]) <= radius_km:
+                            seen[j] = 1
+                            group.append(j)
+        group.sort()
+        lon = math.fsum(coords[i][0] for i in group) / len(group)
+        lat = math.fsum(coords[i][1] for i in group) / len(group)
+        places.append(Place(tuple(ids[i] for i in group), (lon, lat)))
     return PlaceIndex(places)
 
 
@@ -161,11 +123,13 @@ class Region:
     """A polygonal region as a set of closed rings (lon, lat vertices).
 
     Ring orientation does not matter: containment is decided by even-odd
-    ray casting across all rings, so holes fall out naturally.
+    ray casting across all rings, so holes fall out naturally.  A zone of
+    a layer keeps the (properties, geometry) of its feature as read.
     """
 
     name: str
     rings: tuple[tuple[Coord, ...], ...]
+    feature: tuple[dict, Any] | None = None
 
 
 def _expect(value, kind: type, what: str):
@@ -270,9 +234,10 @@ def load_region_features(path: str) -> list[Region]:
     Used for zone layers where each feature is its own unit.  Unnamed
     features get zero-based positional names.
     """
+    features = read_features(path, lambda geom: (geom, tuple(_rings_of_geometry(geom))))
     regions = [
-        Region(str(props.get("name") or f"zone_{i}"), tuple(rings))
-        for i, (props, rings) in enumerate(read_features(path, _rings_of_geometry))
+        Region(str(props.get("name") or f"zone_{i}"), rings, (props, geom))
+        for i, (props, (geom, rings)) in enumerate(features)
     ]
     if not regions:
         raise ValueError(f"no features in {path}")
@@ -290,19 +255,14 @@ def _on_segment(x: float, y: float, a: Coord, b: Coord) -> bool:
 def point_in_region(p: Coord, region: Region) -> bool:
     """Even-odd containment test; points on a ring edge count as inside."""
     x, y = p
-    for ring in region.rings:
-        for k in range(len(ring) - 1):
-            if _on_segment(x, y, ring[k], ring[k + 1]):
-                return True
     inside = False
     for ring in region.rings:
-        for k in range(len(ring) - 1):
-            x1, y1 = ring[k]
-            x2, y2 = ring[k + 1]
-            if (y1 > y) != (y2 > y):
-                x_cross = (x2 - x1) * (y - y1) / (y2 - y1) + x1
-                if x < x_cross:
-                    inside = not inside
+        for a, b in zip(ring, ring[1:]):
+            if _on_segment(x, y, a, b):
+                return True
+            (x1, y1), (x2, y2) = a, b
+            if (y1 > y) != (y2 > y) and x < (x2 - x1) * (y - y1) / (y2 - y1) + x1:
+                inside = not inside
     return inside
 
 

@@ -66,13 +66,6 @@ class Rejection:
     reason: str
 
 
-@dataclass(frozen=True, slots=True)
-class Stop:
-    stop_id: str
-    lon: float
-    lat: float
-
-
 @dataclass(frozen=True)
 class ObservationWeek:
     """A seven-day observation window starting at midnight of ``start_date``.
@@ -324,8 +317,8 @@ def _move_week_start(
     return kept, moved
 
 
-def load_stops(lines: Iterable[str]) -> tuple[dict[str, Stop], list[Rejection]]:
-    """Read a stop registry into a dict keyed by stop id.
+def load_stops(lines: Iterable[str]) -> tuple[dict[str, tuple[float, float]], list[Rejection]]:
+    """Read a stop registry as stop id -> (lon, lat).
 
     Duplicate ids are a fatal SchemaError: two conflicting coordinates for
     one stop would silently corrupt every distance downstream.  Bad
@@ -338,7 +331,7 @@ def load_stops(lines: Iterable[str]) -> tuple[dict[str, Stop], list[Rejection]]:
         return {}, []
     if header != STOPS_HEADER:
         raise SchemaError(f"unexpected stops header: {header!r}")
-    stops: dict[str, Stop] = {}
+    stops: dict[str, tuple[float, float]] = {}
     rejections: list[Rejection] = []
     for line_no, raw in enumerate(it, start=2):
         line = _clean(raw)
@@ -363,7 +356,7 @@ def load_stops(lines: Iterable[str]) -> tuple[dict[str, Stop], list[Rejection]]:
         if not (-180.0 <= lon <= 180.0 and -90.0 <= lat <= 90.0):
             rejections.append(Rejection(line_no, "coordinate out of range"))
             continue
-        stops[stop_id] = Stop(stop_id, lon, lat)
+        stops[stop_id] = (lon, lat)
     return stops, rejections
 
 
@@ -418,9 +411,15 @@ def group_by_card(rows: Iterable[Row]) -> CardGroups:
 
 
 def iter_lines(path: str) -> Iterator[str]:
-    """The lines of a CSV input, without a leading UTF-8 byte order mark."""
+    """The lines of a CSV input, without a leading UTF-8 byte order mark.
+
+    Text that is not UTF-8 raises ValueError naming ``path``.
+    """
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        yield from fh
+        try:
+            yield from fh
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
 def parse_date(text: str) -> date:
@@ -445,9 +444,9 @@ def read_config(path: str, cls) -> dict:
 
     Blank lines and ``#`` comments are skipped.  Each value is parsed by
     the annotation of its field: ``int``, ``float``, ``date``, ``Coord``
-    or ``str``, each optionally ``| None``.  A file that cannot be opened,
-    a line without ``=``, a key that is not a field and a value that does
-    not parse raise ValueError.
+    or ``str``, each optionally ``| None``.  A file that cannot be opened
+    or is not UTF-8, a line without ``=``, a key that is not a field and a
+    value that does not parse raise ValueError.
     """
     parsers = {f.name: _VALUE_PARSERS[f.type.removesuffix(" | None")] for f in fields(cls)}
     values = {}
@@ -456,7 +455,11 @@ def read_config(path: str, cls) -> dict:
     except OSError as exc:
         raise ValueError(f"cannot read config file {path}: {exc.strerror}") from None
     with fh:
-        for line in fh:
+        try:
+            lines = fh.readlines()
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: not UTF-8 text ({exc.reason})") from None
+        for line in lines:
             line = line.strip()
             if not line or line.startswith("#"):
                 continue

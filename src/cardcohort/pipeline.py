@@ -98,9 +98,17 @@ class RunConfig:
             raise MissingInputError(
                 f"empty path for {', '.join(empty)} (leave an optional input out by omitting its key)"
             )
-        missing = [p for p in paths.values() if p is not None and not os.path.exists(p)]
-        if missing:
-            raise MissingInputError(f"missing input file(s): {', '.join(missing)}")
+        require_files([p for p in paths.values() if p is not None])
+
+
+def require_files(paths: list[str]) -> None:
+    """Raise MissingInputError naming the paths that are not existing regular files."""
+    missing = [p for p in paths if not os.path.exists(p)]
+    if missing:
+        raise MissingInputError(f"missing input file(s): {', '.join(missing)}")
+    not_files = [p for p in paths if not os.path.isfile(p)]
+    if not_files:
+        raise MissingInputError(f"input path(s) not a regular file: {', '.join(not_files)}")
 
 
 @dataclass

@@ -14,7 +14,7 @@ from collections import Counter
 from typing import Collection, Iterable, Sequence
 
 from .cohort import CHANGED, COMMUTE_BINS, FOUND, JOBLESS, LOST, MOVE_BINS, NOT_CHANGED, CohortDelta
-from .geo import INWARD, OUTWARD, read_features
+from .geo import INWARD, OUTWARD
 from .groups import GROUP_COUNT, DeprivationScore, DeprivationSummary, group_counts, group_triple
 from .infer import Stay, YearProfile
 from .ingest import ObservationWeek, Rejection
@@ -219,12 +219,12 @@ def write_scores(path: str, scores: Sequence[DeprivationScore], groups: dict[str
             fh.write(f"{s.card_id},{group},{s.followup_trips},{1 if s.scored else 0}\n")
 
 
-def write_taz_geojson(path: str, taz_path: str, result: PipelineResult) -> None:
-    """Copy the zone layer with an fr_homes count injected per feature."""
-    out_feats = [
-        {"type": "Feature", "properties": {**props, "fr_homes": count}, "geometry": geom}
-        for (props, geom), count in zip(read_features(taz_path), result.taz_counts)
-    ]
+def write_taz_geojson(path: str, result: PipelineResult) -> None:
+    """The zone layer as the pipeline read it, with an fr_homes count injected per feature."""
+    out_feats = []
+    for zone, count in zip(result.taz_regions, result.taz_counts):
+        props, geom = zone.feature
+        out_feats.append({"type": "Feature", "properties": {**props, "fr_homes": count}, "geometry": geom})
     out = {
         "type": "FeatureCollection",
         "outside_count": result.taz_outside,
@@ -277,5 +277,5 @@ def write_run_reports(
         emit("scores.csv", write_scores, result.scores, result.groups)
         emit("rejections_followup.csv", write_rejections, result.followup_rejections)
     if result.config.taz:
-        emit("taz_fr_homes.geojson", write_taz_geojson, result.config.taz, result)
+        emit("taz_fr_homes.geojson", write_taz_geojson, result)
     return written

@@ -36,7 +36,6 @@ from cardcohort.infer import YearProfile, build_profile
 from cardcohort.ingest import (
     STOPS_HEADER,
     ObservationWeek,
-    Stop,
     TRANSACTIONS_HEADER,
     iter_lines,
     load_stops,
@@ -310,14 +309,14 @@ def test_criterion_6_geometry(tmp_path):
     sites = dense.config.grid_rows * dense.config.grid_cols
     per_site = dense.config.site_stops ** 2
     dense_ok = len(places) == sites and all(
-        len(places.place(p).stop_ids) == per_site for p in range(len(places))
+        len(p.stop_ids) == per_site for p in places.places
     )
 
     sparse = generate(GeneratorConfig(**small, stop_spacing_m=600.0), str(tmp_path / "sparse"))
     stops, _ = load_stops(iter_lines(sparse.paths["stops"]))
     places = build_places(stops)
     sparse_ok = len(places) == sites * per_site and all(
-        len(places.place(p).stop_ids) == 1 for p in range(len(places))
+        len(p.stop_ids) == 1 for p in places.places
     )
 
     record_criterion(
@@ -395,7 +394,7 @@ def test_criterion_8_performance(tmp_path_factory):
     run_s = time.perf_counter() - t0
     pipeline_ok = tx == 1_000_000 and run_s < 60.0 and len(result.fr_cards) == 50000
 
-    stops = []
+    stops = {}
     base = (116.30, 39.90)
     # 1,000 clumps of 5x5 stops at 300 m spacing on a 3 km pitch: far
     # more cells than an all-pairs scan could handle inside the budget.
@@ -403,10 +402,9 @@ def test_criterion_8_performance(tmp_path_factory):
         row, col = divmod(clump, 25)
         for i in range(5):
             for j in range(5):
-                lon, lat = offset_coord(
+                stops[f"s{clump:04d}_{i}{j}"] = offset_coord(
                     base, col * 3000.0 + i * 300.0, row * 3000.0 + j * 300.0
                 )
-                stops.append(Stop(f"s{clump:04d}_{i}{j}", lon, lat))
     t0 = time.perf_counter()
     places = build_places(stops)
     cluster_s = time.perf_counter() - t0

@@ -76,6 +76,14 @@ class TestIngestCheck:
             "--out", str(tmp_path),
         )
         assert code == 2
+        # A directory is refused before it is opened.
+        code = run_cli(
+            "ingest-check",
+            "--transactions", str(tmp_path),
+            "--stops", mini_bundle["stops"],
+            "--out", str(tmp_path / "out"),
+        )
+        assert code == 2
 
     def test_wrong_schema_is_exit_3(self, mini_bundle, tmp_path):
         bad = tmp_path / "bad.csv"
@@ -386,6 +394,21 @@ class TestRun:
         )
         assert code == 3
 
+    @pytest.mark.parametrize("flag", ["--year1", "--stops1", "--config"])
+    def test_non_utf8_input_names_its_file(self, mini_args, tmp_path, capsys, flag):
+        bad = tmp_path / "bad.txt"
+        args = list(mini_args)
+        if flag == "--config":
+            bad.write_bytes(b"# caf\xe9\n")
+            args += [flag, str(bad)]
+        else:
+            i = args.index(flag) + 1
+            with open(args[i], "rb") as fh:
+                bad.write_bytes(fh.read() + b"# caf\xe9\n")
+            args[i] = str(bad)
+        assert run_cli("run", *args, "--out", str(tmp_path / "out")) == 2
+        assert f"{bad}: not UTF-8 text" in capsys.readouterr().err
+
     def test_wrong_year2_header_in_worker_is_exit_3(self, mini_args, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("x,y\n1,2\n")
@@ -406,10 +429,10 @@ class TestRun:
         )
         assert proc.stdout == "0 False\n"
 
-    def test_importing_geo_loads_only_geo_and_ingest(self):
+    def test_importing_geo_loads_only_geo(self):
         script = "import sys, cardcohort.geo; print(sorted(m for m in sys.modules if m.startswith('cardcohort')))"
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
-        assert proc.stdout == "['cardcohort', 'cardcohort.geo', 'cardcohort.ingest']\n"
+        assert proc.stdout == "['cardcohort', 'cardcohort.geo']\n"
 
 
 class TestConfigFile:

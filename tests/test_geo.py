@@ -24,7 +24,6 @@ from cardcohort.geo import (
     radial_direction,
     read_features,
 )
-from cardcohort.ingest import Stop
 
 from conftest import offset_coord
 
@@ -72,8 +71,8 @@ class TestHaversine:
         assert d <= math.pi * EARTH_RADIUS_KM + 1e-9
 
 
-def _stops(coords: list[tuple[float, float]]) -> list[Stop]:
-    return [Stop(f"S{i:03d}", lon, lat) for i, (lon, lat) in enumerate(coords)]
+def _stops(coords: list[tuple[float, float]]) -> dict[str, tuple[float, float]]:
+    return {f"S{i:03d}": coord for i, coord in enumerate(coords)}
 
 
 ORIGIN = (116.30, 39.90)
@@ -109,19 +108,17 @@ class TestBuildPlaces:
         east = offset_coord(ORIGIN, 5000, 0)
         # The eastern cluster holds the lexically smallest stop id, so it
         # must get place 0 even though it appears later in the input.
-        stops = [Stop("S9", *west), Stop("S1", *east), Stop("S2", *east)]
-        places = build_places(stops)
+        places = build_places({"S9": west, "S1": east, "S2": east})
         assert places.places[0].stop_ids == ("S1", "S2")
         assert places.places[1].stop_ids == ("S9",)
-        assert [p.place_id for p in places.places] == [0, 1]
+        assert places.stop_to_place == {"S1": 0, "S2": 0, "S9": 1}
 
     def test_input_order_is_irrelevant(self):
         coords = [offset_coord(ORIGIN, x, y) for x in (0, 400, 2000) for y in (0, 300)]
         stops = _stops(coords)
         a = build_places(stops)
-        b = build_places(list(reversed(stops)))
-        c = build_places({s.stop_id: s for s in stops})
-        assert a.places == b.places == c.places
+        b = build_places(dict(reversed(stops.items())))
+        assert a.places == b.places
 
     def test_centroid_is_member_mean(self):
         coords = [offset_coord(ORIGIN, x, 0) for x in (0, 300)]
@@ -133,16 +130,15 @@ class TestBuildPlaces:
         assert got[1] == pytest.approx(lat, abs=1e-12)
 
     def test_empty_registry(self):
-        places = build_places([])
+        places = build_places({})
         assert len(places) == 0
         assert places.stop_to_place == {}
 
     def test_index_lookups(self):
         coords = [offset_coord(ORIGIN, x, 0) for x in (0, 5000)]
         places = build_places(_stops(coords))
-        assert places.place_of_stop("S000") == 0
-        assert places.place_of_stop("S001") == 1
-        assert places.place(1).stop_ids == ("S001",)
+        assert places.stop_to_place == {"S000": 0, "S001": 1}
+        assert places.places[1].stop_ids == ("S001",)
         assert places.centroid(0) == places.places[0].centroid
 
     @settings(max_examples=60, deadline=None)
@@ -161,7 +157,7 @@ class TestBuildPlaces:
         stops = _stops(coords)
         got = {frozenset(p.stop_ids) for p in build_places(stops).places}
 
-        ordered = sorted(stops, key=lambda s: s.stop_id)
+        ordered = sorted(stops)
         n = len(ordered)
         parent = list(range(n))
 
@@ -172,14 +168,13 @@ class TestBuildPlaces:
 
         for i in range(n):
             for j in range(i + 1, n):
-                a, b = ordered[i], ordered[j]
-                if haversine_km((a.lon, a.lat), (b.lon, b.lat)) <= CLUSTER_RADIUS_M / 1000.0:
+                if haversine_km(stops[ordered[i]], stops[ordered[j]]) <= CLUSTER_RADIUS_M / 1000.0:
                     ri, rj = find(i), find(j)
                     if ri != rj:
                         parent[rj] = ri
         groups: dict[int, set[str]] = {}
         for i in range(n):
-            groups.setdefault(find(i), set()).add(ordered[i].stop_id)
+            groups.setdefault(find(i), set()).add(ordered[i])
         expected = {frozenset(g) for g in groups.values()}
         assert got == expected
 

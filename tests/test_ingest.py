@@ -16,7 +16,6 @@ from cardcohort.ingest import (
     ObservationWeek,
     Rejection,
     SchemaError,
-    Stop,
     format_minute,
     geocode,
     group_by_card,
@@ -274,7 +273,7 @@ class TestLoadStops:
             ["stop_id,lon,lat", "S1,116.30,39.90", "S2,116.31,39.91"]
         )
         assert rejections == []
-        assert stops["S1"] == Stop("S1", 116.30, 39.90)
+        assert stops["S1"] == (116.30, 39.90)
         assert set(stops) == {"S1", "S2"}
 
     def test_duplicate_id_is_fatal(self):
@@ -317,14 +316,14 @@ class TestGeocode:
             "C3,R,DST,B1,SX,2008-04-07T07:30,SY,2008-04-07T08:10",
             "C4,R,FIX,B1,S1,2008-04-07T07:30,,",
         )
-        known = {"S1": Stop("S1", 0, 0), "S2": Stop("S2", 0, 0)}
+        known = {"S1": (0.0, 0.0), "S2": (0.0, 0.0)}
         kept, unmatched = geocode(records, known)
         assert [r[0] for r in kept] == ["C1", "C4"]
         assert unmatched == {"SX": 2, "SY": 1}
 
     def test_fixed_fare_needs_only_board_stop(self):
         records = self._records("C1,R,FIX,B1,S1,2008-04-07T07:30,,")
-        kept, unmatched = geocode(records, {"S1": Stop("S1", 0, 0)})
+        kept, unmatched = geocode(records, {"S1": (0.0, 0.0)})
         assert len(kept) == 1
         assert not unmatched
 

@@ -74,6 +74,11 @@ class TestRunConfigValidate:
         with pytest.raises(MissingInputError) as err:
             cfg.validate()
         assert "gone.csv" in str(err.value)
+        # A directory is not an input file.
+        cfg = self._cfg(year1=str(real), year2=str(real), stops1=str(real), stops2=str(real), taz=str(tmp_path))
+        with pytest.raises(MissingInputError) as err:
+            cfg.validate()
+        assert f"not a regular file: {tmp_path}" in str(err.value)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -288,6 +293,30 @@ class TestMiniPipeline:
         assert sorted(os.listdir(part)) == written
         for name in written:
             assert (part / name).read_bytes() == (full / name).read_bytes(), name
+
+    def test_zone_layer_is_written_as_the_pipeline_read_it(self, mini_bundle, tmp_path):
+        taz = tmp_path / "taz.geojson"
+        with open(mini_bundle["taz"], "rb") as fh:
+            taz.write_bytes(fh.read())
+        cfg = RunConfig(
+            year1=mini_bundle["year1"],
+            year2=mini_bundle["year2"],
+            stops1=mini_bundle["stops"],
+            stops2=mini_bundle["stops"],
+            taz=str(taz),
+            center=mini_bundle["center"],
+        )
+        result = run_pipeline(cfg)
+        with open(taz, encoding="utf-8") as fh:
+            before = json.load(fh)
+        # A valid layer of one other zone replaces the file after the run.
+        taz.write_text(json.dumps({"type": "Polygon", "coordinates": [[[0, 0], [1, 0], [1, 1], [0, 0]]]}))
+        write_run_reports(result, str(tmp_path / "out"))
+        with open(tmp_path / "out" / "taz_fr_homes.geojson", encoding="utf-8") as fh:
+            doc = json.load(fh)
+        assert [f["geometry"] for f in doc["features"]] == [f["geometry"] for f in before["features"]]
+        assert [f["properties"]["name"] for f in doc["features"]] == ["near", "far"]
+        assert [f["properties"]["fr_homes"] for f in doc["features"]] == result.taz_counts
 
     def test_deltas_csv_rows(self, result, tmp_path):
         out = str(tmp_path)
