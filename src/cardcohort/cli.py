@@ -18,16 +18,13 @@ from . import reports
 from .geo import DEFAULT_CENTER
 from .infer import HOME_RULES, STAY_MODES
 from .ingest import (
-    ObservationWeek,
     SchemaError,
-    geocode,
-    group_by_card,
     iter_lines,
     load_stops,
     parse_coord,
     parse_date,
-    parse_transactions,
     read_config,
+    read_transactions,
 )
 from .pipeline import PATH_FIELDS, MissingInputError, RunConfig, process_year, require_files, run_pipeline
 from .synth import GeneratorConfig, generate
@@ -106,23 +103,20 @@ def _add_tuning(p: argparse.ArgumentParser) -> None:
 def cmd_ingest_check(args) -> int:
     require_files([args.transactions, args.stops])
     stops, stop_rejections = load_stops(iter_lines(args.stops))
-    week = ObservationWeek.starting(args.week_start) if args.week_start else None
-    records, rejections = parse_transactions(iter_lines(args.transactions), week)
-    week = records.week
-    kept, unmatched = geocode(records, stops)
+    tx = read_transactions(iter_lines(args.transactions), args.week_start, stops)
     os.makedirs(args.out, exist_ok=True)
-    reports.write_rejections(os.path.join(args.out, "rejections.csv"), rejections)
+    reports.write_rejections(os.path.join(args.out, "rejections.csv"), tx.rejections)
     reports.write_rejections(os.path.join(args.out, "rejections_stops.csv"), stop_rejections)
-    reports.write_unmatched(os.path.join(args.out, "unmatched.csv"), unmatched)
+    reports.write_unmatched(os.path.join(args.out, "unmatched.csv"), tx.unmatched)
     with open(os.path.join(args.out, "stats.csv"), "w", encoding="utf-8", newline="\n") as fh:
         fh.write("metric,value\n")
-        fh.write(f"week_start,{week.start_date.isoformat()}\n")
+        fh.write(f"week_start,{tx.week.start_date.isoformat()}\n")
         fh.write(f"stops,{len(stops)}\n")
-        fh.write(f"parsed,{len(records)}\n")
-        fh.write(f"rejected,{len(rejections)}\n")
-        fh.write(f"geocoded,{len(kept)}\n")
-        fh.write(f"cards,{len(group_by_card(kept))}\n")
-    log.info("ingest-check: %d parsed, %d rejected, %d geocoded", len(records), len(rejections), len(kept))
+        fh.write(f"parsed,{tx.parsed}\n")
+        fh.write(f"rejected,{len(tx.rejections)}\n")
+        fh.write(f"geocoded,{tx.geocoded}\n")
+        fh.write(f"cards,{len(tx.rides)}\n")
+    log.info("ingest-check: %d parsed, %d rejected, %d geocoded", tx.parsed, len(tx.rejections), tx.geocoded)
     return 0
 
 
@@ -166,6 +160,15 @@ def cmd_synth(args) -> int:
         cfg.total_agents, cfg.grid_rows * cfg.grid_cols * cfg.site_stops ** 2, bundle.out_dir,
     )
     return 0
+
+
+def _require_out_dir(path: str) -> None:
+    """Refuse an --out that is, or lies under, something other than a directory."""
+    head = path
+    while not os.path.exists(head):
+        head = os.path.dirname(head) or "."
+    if not os.path.isdir(head):
+        raise ValueError(f"--out {path}: {head} is not a directory")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -229,6 +232,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     logging.basicConfig(stream=sys.stderr, level=logging.INFO, format="%(message)s")
     try:
+        _require_out_dir(args.out)
         return args.func(args)
     except MissingInputError as exc:
         print(f"error: {exc}", file=sys.stderr)

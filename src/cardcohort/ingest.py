@@ -12,6 +12,10 @@ reason and a line number, never silently dropped, and never aborts the
 run unless the rejection rate makes it obvious the file is not in this
 schema at all.
 
+:func:`read_transactions` reads a transactions file in one pass: each
+line is split, checked, tested against the stop registry and appended to
+its card's rides, so no list of all rows is built.
+
 Times are integers.  :func:`parse_minute` reads a timestamp as minutes
 after 0001-01-01T00:00; an accepted row carries its times as minutes
 after the start of its observation week, so day ``t // 1440`` is 0 to 6
@@ -20,6 +24,7 @@ inside the week.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, fields
@@ -52,8 +57,6 @@ FATAL_REJECT_FRACTION = 0.5
 # to board_min, so rides sort by boarding time with the other fields as
 # tie-breakers.
 Ride = tuple[int, str, str, str, int]
-# One accepted transactions line: (card_id, card_type, ride).
-Row = tuple[str, str, Ride]
 
 
 class SchemaError(Exception):
@@ -124,17 +127,6 @@ def parse_minute(text: str) -> int:
     return minute
 
 
-class WeekRows(list):
-    """Accepted rows of one transactions file in file order, with the week
-    their minutes count from."""
-
-    __slots__ = ("week",)
-
-    def __init__(self, week: ObservationWeek | None = None):
-        super().__init__()
-        self.week = week
-
-
 class _Minutes(dict):
     """Timestamp text -> minutes after ``base``, or None when it does not parse.
 
@@ -170,46 +162,77 @@ def _bail_early(rejected: int, seen: int) -> None:
         raise SchemaError(f"rejected {rejected} of first {seen} lines; wrong schema")
 
 
-def parse_transactions(
-    lines: Iterable[str], week: ObservationWeek | None = None
-) -> tuple[WeekRows, list[Rejection]]:
-    """Validate a transaction stream against its header and observation week.
+@dataclass
+class Transactions:
+    """One transactions file read into each card's rides.
 
-    The stream is read once.  Without ``week``, the week starts on the
-    earliest boarding date that parses on any eight-column line, whether
-    that line is accepted or not (:data:`DEFAULT_WEEK_START` when none
-    parses).
+    ``rides`` maps each card id to its kept rides in file order: a line is
+    kept when it is accepted and, when a stop registry is given, both of
+    its stops are listed.  ``students`` holds the cards with a kept
+    student line.  ``parsed`` counts the accepted lines, those dropped for
+    an unknown stop included, and ``unmatched`` counts each unknown stop
+    id once per dropped line that names it.
+    """
 
-    Returns the accepted rows in file order, carrying their week, together
-    with the per-line rejections in line order.  Every data line lands in
-    exactly one of the two lists.  Raises :class:`SchemaError` when the
-    header is wrong or when more than half of the data lines are rejected.
-    Fields are split on bare commas; the schema has no quoting and ids
-    containing separators are rejected as a column-count error.
+    week: ObservationWeek
+    rides: dict[str, list[Ride]]
+    students: set[str]
+    rejections: list[Rejection]
+    unmatched: Counter[str]
+    parsed: int
+
+    @property
+    def geocoded(self) -> int:
+        """The number of kept lines."""
+        return sum(map(len, self.rides.values()))
+
+    def card_type(self, card_id: str) -> str:
+        return CARD_STUDENT if card_id in self.students else CARD_REGULAR
+
+
+def read_transactions(
+    lines: Iterable[str],
+    week_start: date | None = None,
+    known_stops: Mapping[str, object] | None = None,
+) -> Transactions:
+    """Read a transaction stream once into each card's rides.
+
+    Without ``week_start``, the week starts on the earliest boarding date
+    that parses on any eight-column line, whether that line is accepted or
+    not (:data:`DEFAULT_WEEK_START` when none parses).  Stops are tested
+    against ``known_stops`` only when it is given.
+
+    Every data line is either accepted or lands in the rejections, in
+    line order.  Raises :class:`SchemaError` when the header is wrong or
+    when more than half of the data lines are rejected.  Fields are split
+    on bare commas; the schema has no quoting and ids containing
+    separators are rejected as a column-count error.
     """
     it = iter(lines)
-    try:
-        header = _clean(next(it))
-    except StopIteration:
-        return WeekRows(week or ObservationWeek.starting(DEFAULT_WEEK_START)), []
+    # An empty stream reads as a header with no lines.
+    header = _clean(next(it, TRANSACTIONS_HEADER))
     if header != TRANSACTIONS_HEADER:
         raise SchemaError(f"unexpected transactions header: {header!r}")
 
-    derive = week is None
-    minutes = _Minutes(None if derive else week.start_minute)
+    derive = week_start is None
+    minutes = _Minutes(None if derive else ObservationWeek.starting(week_start).start_minute)
     pool: dict[str, str] = {}
     intern = pool.setdefault
-    rows = WeekRows(week)
+    by_card: dict[str, list[Ride]] = {}
+    # A derived week is final only at the end of the file, so what depends
+    # on it is kept by boarding minute: the earliest kept student boarding
+    # of each card, each line dropped for naming unknown stops, and, when
+    # deriving, the number and boarding of each line that passed the week
+    # check (64-bit: a file may span the whole calendar).
+    student_board: dict[str, int] = {}
+    dropped: list[tuple[int, tuple[str, ...]]] = []
+    checked_lines, checked_boards = array("q"), array("q")
     rejections: list[Rejection] = []
     blank_lines: list[int] = []
-    # Board minute of lines rejected after the week check passed; only a
-    # derived week that moves earlier later in the file reads them.
-    checked_board: dict[int, int] = {}
     # The week in minutes after ``minutes.base``.  A derived week starts on
     # the earliest boarding day seen so far, so it can only move earlier.
     lo, hi = 0, WEEK_MINUTES
     total = 0
-    line_no = 1
     for line_no, raw in enumerate(it, start=2):
         line = raw.rstrip("\r\n")
         if not line:
@@ -240,6 +263,9 @@ def parse_transactions(
             elif not lo <= board < hi:
                 reason = OUTSIDE_WEEK
             else:
+                if derive:
+                    checked_lines.append(line_no)
+                    checked_boards.append(board)
                 if fare_type == FARE_FIXED:
                     reason = "fixed fare with alight fields" if a_stop or a_time else None
                     alight = board
@@ -254,67 +280,67 @@ def parse_transactions(
                     else:
                         reason = None
                 if reason is None:
-                    rows.append(
-                        (
-                            intern(card_id, card_id),
-                            card_type,
-                            (board, intern(route_id, route_id), intern(b_stop, b_stop),
-                             intern(a_stop, a_stop), alight),
-                        )
-                    )
+                    if known_stops is not None and (
+                        b_stop not in known_stops or a_stop and a_stop not in known_stops
+                    ):
+                        unknown = tuple(s for s in (b_stop, a_stop) if s and s not in known_stops)
+                        dropped.append((board, unknown))
+                        continue
+                    ride = (board, intern(route_id, route_id), intern(b_stop, b_stop),
+                            intern(a_stop, a_stop), alight)
+                    rides = by_card.get(card_id)
+                    if rides is None:
+                        by_card[card_id] = [ride]
+                    else:
+                        rides.append(ride)
+                    if card_type == CARD_STUDENT and board < student_board.get(card_id, hi):
+                        student_board[card_id] = board
                     continue
-                checked_board[line_no] = board
         rejections.append(Rejection(line_no, reason))
         _bail_early(len(rejections), total)
 
     if derive:
         if lo:
-            rows, rejections = _move_week_start(
-                rows, rejections, checked_board, blank_lines, line_no, lo
-            )
+            # The start moved earlier.  A line that passed the week check
+            # against a later start may now lie a week or more after the
+            # final one: it becomes an ``outside observation week``
+            # rejection, also where an alighting check had rejected it,
+            # since the week check comes first.  The early bail is replayed
+            # over the merged rejections in line order, as if the start had
+            # been known from line 2.
+            outside = {n for n, board in zip(checked_lines, checked_boards) if board >= hi}
+            rejections = [r for r in rejections if r.line_no not in outside]
+            rejections += (Rejection(n, OUTSIDE_WEEK) for n in outside)
+            rejections.sort(key=attrgetter("line_no"))
+            for k, r in enumerate(rejections, start=1):
+                _bail_early(k, r.line_no - 1 - bisect_right(blank_lines, r.line_no))
+            # Each card keeps its rides inside the final week, shifted in
+            # place through one int per distinct minute (as ``minutes``
+            # hands them out), and a card left with none goes.
+            shifted = {t: t - lo for t in minutes.values() if t is not None}
+            for card in list(by_card):
+                rides = by_card[card]
+                rides[:] = [
+                    (shifted[board], route_id, b_stop, a_stop, shifted[alight])
+                    for board, route_id, b_stop, a_stop, alight in rides
+                    if board < hi
+                ]
+                if not rides:
+                    del by_card[card]
         if minutes.base is None:
-            start = DEFAULT_WEEK_START
+            week_start = DEFAULT_WEEK_START
         else:
-            start = date.fromordinal((minutes.base + lo) // DAY_MINUTES + 1)
-        rows.week = ObservationWeek.starting(start)
+            week_start = date.fromordinal((minutes.base + lo) // DAY_MINUTES + 1)
     if total and len(rejections) > total * FATAL_REJECT_FRACTION:
         raise SchemaError(f"rejected {len(rejections)} of {total} lines; wrong schema")
-    return rows, rejections
-
-
-def _move_week_start(
-    rows: WeekRows,
-    rejections: list[Rejection],
-    checked_board: dict[int, int],
-    blank_lines: list[int],
-    last_line: int,
-    lo: int,
-) -> tuple[WeekRows, list[Rejection]]:
-    """Redo the week check after a derived week start moved earlier.
-
-    Lines checked against the later start may now lie a week or more after
-    the final one; they become ``outside observation week`` rejections,
-    also where an alighting check had rejected them, since the week check
-    comes first.  Kept rows shift to minutes from the final start.  The early-bail rule is replayed over the merged
-    rejections in line order, as if the start had been known from line 2.
-    """
-    skipped = {r.line_no for r in rejections}.union(blank_lines)
-    row_lines = (n for n in range(2, last_line + 1) if n not in skipped)
-    hi = lo + WEEK_MINUTES
-    kept = WeekRows()
-    moved = [
-        Rejection(r.line_no, OUTSIDE_WEEK) if checked_board.get(r.line_no, lo) >= hi else r
-        for r in rejections
-    ]
-    for (card_id, card_type, (board, route_id, b_stop, a_stop, alight)), n in zip(rows, row_lines):
-        if board >= hi:
-            moved.append(Rejection(n, OUTSIDE_WEEK))
-        else:
-            kept.append((card_id, card_type, (board - lo, route_id, b_stop, a_stop, alight - lo)))
-    moved.sort(key=attrgetter("line_no"))
-    for k, r in enumerate(moved, start=1):
-        _bail_early(k, r.line_no - 1 - bisect_right(blank_lines, r.line_no))
-    return kept, moved
+    return Transactions(
+        ObservationWeek.starting(week_start),
+        by_card,
+        {card for card, board in student_board.items() if board < hi},
+        rejections,
+        Counter(stop for board, unknown in dropped if board < hi for stop in unknown),
+        total - len(rejections),
+    )
 
 
 def load_stops(lines: Iterable[str]) -> tuple[dict[str, tuple[float, float]], list[Rejection]]:
@@ -358,56 +384,6 @@ def load_stops(lines: Iterable[str]) -> tuple[dict[str, tuple[float, float]], li
             continue
         stops[stop_id] = (lon, lat)
     return stops, rejections
-
-
-def geocode(rows: Iterable[Row], known_stops: Mapping[str, object]) -> tuple[list[Row], Counter[str]]:
-    """Drop rows naming stops absent from the registry.
-
-    Returns the surviving rows and a counter of unmatched stop ids.  A row
-    is dropped if either end references an unknown stop; both unknown ids
-    on one row are counted.
-    """
-    kept: list[Row] = []
-    unmatched: Counter[str] = Counter()
-    for row in rows:
-        _board, _route, b_stop, a_stop, _alight = row[2]
-        if b_stop in known_stops:
-            if not a_stop or a_stop in known_stops:
-                kept.append(row)
-                continue
-        else:
-            unmatched[b_stop] += 1
-        if a_stop and a_stop not in known_stops:
-            unmatched[a_stop] += 1
-    return kept, unmatched
-
-
-class CardGroups(dict):
-    """Card id -> that card's rides in file order, with the ids of the
-    student cards.
-
-    A card with any student row is a student card, whatever the order of
-    its rows.
-    """
-
-    __slots__ = ("students",)
-
-    def card_type(self, card_id: str) -> str:
-        return CARD_STUDENT if card_id in self.students else CARD_REGULAR
-
-
-def group_by_card(rows: Iterable[Row]) -> CardGroups:
-    by_card = CardGroups()
-    students = by_card.students = set()
-    for card_id, card_type, ride in rows:
-        rides = by_card.get(card_id)
-        if rides is None:
-            by_card[card_id] = [ride]
-        else:
-            rides.append(ride)
-        if card_type == CARD_STUDENT:
-            students.add(card_id)
-    return by_card
 
 
 def iter_lines(path: str) -> Iterator[str]:

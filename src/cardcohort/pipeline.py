@@ -18,7 +18,6 @@ from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import date
-from operator import itemgetter
 
 from . import infer
 from .cohort import CHANGE_KM_DEFAULT, CohortDelta, build_delta, match_cohort
@@ -34,15 +33,7 @@ from .geo import (
     point_in_region,
 )
 from .groups import DeprivationScore, DeprivationSummary, classify, score_deprivation
-from .ingest import (
-    ObservationWeek,
-    Rejection,
-    geocode,
-    group_by_card,
-    iter_lines,
-    load_stops,
-    parse_transactions,
-)
+from .ingest import ObservationWeek, Rejection, iter_lines, load_stops, read_transactions
 
 log = logging.getLogger(__name__)
 
@@ -176,23 +167,20 @@ def process_year(
     places = build_places(stops, cfg.cluster_m)
     log.info("%s: %d stops in %d places", stops_path, len(stops), len(places))
 
-    rows, rejections = parse_transactions(iter_lines(tx_path), _week(week_start))
-    week = rows.week
-    kept, unmatched = geocode(rows, stops)
-    by_card = group_by_card(kept)
+    tx = read_transactions(iter_lines(tx_path), week_start, stops)
     log.info(
         "%s: %d records parsed, %d rejected, %d geocoded, %d cards",
-        tx_path, len(rows), len(rejections), len(kept), len(by_card),
+        tx_path, tx.parsed, len(tx.rejections), tx.geocoded, len(tx.rides),
     )
-    weekdays = week.weekdays
+    weekdays = tx.week.weekdays
     stop_to_place = places.stop_to_place
     commute_km: dict[tuple[int, int], float] = {}
     profiles: dict[str, infer.YearProfile] = {}
-    for card in sorted(by_card):
+    for card in sorted(tx.rides):
         card_stays = None if stays is None else stays.setdefault(card, [])
         profiles[card] = infer.build_profile(
-            by_card.card_type(card),
-            by_card[card],
+            tx.card_type(card),
+            tx.rides[card],
             stop_to_place,
             weekdays,
             places.centroid,
@@ -203,13 +191,8 @@ def process_year(
             card_stays,
         )
     return YearData(
-        week, places, profiles, rejections, stop_rejections, unmatched, len(rows), len(kept)
+        tx.week, places, profiles, tx.rejections, stop_rejections, tx.unmatched, tx.parsed, tx.geocoded
     )
-
-
-def _week(start: date | None) -> ObservationWeek | None:
-    """The configured week, or None to derive it from the file."""
-    return ObservationWeek.starting(start) if start else None
 
 
 @_collector_off()
@@ -219,8 +202,8 @@ def _count_followup(path: str, week_start: date | None) -> tuple[Counter, list[R
     Follow-up rows are counted as parsed, without geocoding: a row naming
     a stop absent from the registries still counts as a trip.
     """
-    rows, rejections = parse_transactions(iter_lines(path), _week(week_start))
-    return Counter(map(itemgetter(0), rows)), rejections
+    tx = read_transactions(iter_lines(path), week_start)
+    return Counter({card: len(rides) for card, rides in tx.rides.items()}), tx.rejections
 
 
 def aggregate_taz(

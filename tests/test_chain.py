@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cardcohort.ingest import TRANSACTIONS_HEADER, ObservationWeek, parse_transactions
+from cardcohort.ingest import TRANSACTIONS_HEADER, ObservationWeek, read_transactions
 
 from reference_profile import PERMISSIVE, STRICT, Leg, Stay, build_legs, build_stays
 
@@ -22,9 +22,9 @@ def t(day: int, hh: int, mm: int = 0) -> int:
 
 
 def records(*rows: str):
-    recs, rejections = parse_transactions([TRANSACTIONS_HEADER] + list(rows), WEEK)
-    assert not rejections
-    return [ride for _card, _type, ride in recs]
+    tx = read_transactions([TRANSACTIONS_HEADER] + list(rows), WEEK.start_date)
+    assert not tx.rejections
+    return [ride for rides in tx.rides.values() for ride in rides]
 
 
 class TestBuildLegs:

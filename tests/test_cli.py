@@ -134,10 +134,10 @@ class TestInfer:
 
         def counting(*args, **kwargs):
             calls.append(args)
-            return ingest.parse_transactions(*args, **kwargs)
+            return ingest.read_transactions(*args, **kwargs)
 
         for mod in (cli, pipeline):
-            monkeypatch.setattr(mod, "parse_transactions", counting)
+            monkeypatch.setattr(mod, "read_transactions", counting)
         code = run_cli(
             "infer",
             "--year1", mini_bundle["year1"],
@@ -147,6 +147,15 @@ class TestInfer:
         )
         assert code == 0
         assert len(calls) == 1
+        # ingest-check reads its file once too, with the same reader.
+        code = run_cli(
+            "ingest-check",
+            "--transactions", mini_bundle["year1"],
+            "--stops", mini_bundle["stops"],
+            "--out", str(tmp_path / "check"),
+        )
+        assert code == 0
+        assert len(calls) == 2
 
     def test_dump_stays_matches_direct_chaining(self, mini_bundle, tmp_path):
         code = run_cli(
@@ -159,16 +168,15 @@ class TestInfer:
         assert code == 0
         stops, _ = ingest.load_stops(ingest.iter_lines(mini_bundle["stops"]))
         stop_to_place = build_places(stops).stop_to_place
-        rows, _ = ingest.parse_transactions(ingest.iter_lines(mini_bundle["year1"]))
-        by_card = ingest.group_by_card(ingest.geocode(rows, stops)[0])
+        tx = ingest.read_transactions(ingest.iter_lines(mini_bundle["year1"]), None, stops)
         stays = {
             card: reference_profile.build_stays(
                 card, reference_profile.build_legs(rides, stop_to_place), reference_profile.PERMISSIVE
             )
-            for card, rides in by_card.items()
+            for card, rides in tx.rides.items()
         }
         direct = tmp_path / "direct.csv"
-        reports.write_stays(str(direct), stays, rows.week)
+        reports.write_stays(str(direct), stays, tx.week)
         assert (tmp_path / "cli" / "stays.csv").read_bytes() == direct.read_bytes()
 
     def test_missing_input_is_exit_2(self, mini_bundle, tmp_path):
@@ -341,7 +349,7 @@ class TestRun:
         def fail(*args, **kwargs):
             raise AssertionError("a transactions file was read")
 
-        monkeypatch.setattr(pipeline, "parse_transactions", fail)
+        monkeypatch.setattr(pipeline, "read_transactions", fail)
         code = run_cli(
             "run", *mini_args, "--followup", mini_bundle["followup"],
             f"--{layer}", str(bad), "--out", str(tmp_path / "o"),
@@ -604,6 +612,32 @@ class TestSynthCommand:
 
 
 class TestEntryPoints:
+    @pytest.mark.parametrize("under", [False, True])
+    @pytest.mark.parametrize("command", ["run", "infer", "ingest-check"])
+    def test_out_that_is_a_file_is_exit_2_before_any_work(
+        self, mini_args, mini_bundle, tmp_path, monkeypatch, capsys, command, under
+    ):
+        opened = []
+
+        def recording(path):
+            opened.append(path)
+            return ingest.iter_lines(path)
+
+        for mod in (cli, pipeline):
+            monkeypatch.setattr(mod, "iter_lines", recording)
+        taken = tmp_path / "taken.csv"
+        taken.write_text("a file\n")
+        out = taken / "reports" if under else taken
+        args = {
+            "run": mini_args,
+            "infer": ["--year1", mini_bundle["year1"], "--stops1", mini_bundle["stops"]],
+            "ingest-check": ["--transactions", mini_bundle["year1"], "--stops", mini_bundle["stops"]],
+        }[command]
+        assert run_cli(command, *args, "--out", str(out)) == 2
+        assert f"error: --out {out}: {taken} is not a directory" in capsys.readouterr().err
+        assert opened == []
+        assert taken.read_text() == "a file\n"
+
     def test_help_exits_zero(self):
         with pytest.raises(SystemExit) as err:
             main(["--help"])

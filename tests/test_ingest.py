@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from datetime import date, datetime, timedelta
 
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from cardcohort.ingest import (
     DEFAULT_WEEK_START,
+    OUTSIDE_WEEK,
     STOPS_HEADER,
     TRANSACTIONS_HEADER,
     WEEK_MINUTES,
@@ -17,19 +19,18 @@ from cardcohort.ingest import (
     Rejection,
     SchemaError,
     format_minute,
-    geocode,
-    group_by_card,
     iter_lines,
     load_stops,
     parse_coord,
     parse_date,
     parse_minute,
-    parse_transactions,
     read_config,
+    read_transactions,
 )
 from cardcohort.pipeline import RunConfig
 
-WEEK = ObservationWeek("2008", date(2008, 4, 7))
+MONDAY = date(2008, 4, 7)
+WEEK = ObservationWeek("2008", MONDAY)
 
 
 def lines(*rows: str) -> list[str]:
@@ -41,17 +42,26 @@ def minute_of(t: datetime) -> int:
     return (t.toordinal() - 1) * 1440 + t.hour * 60 + t.minute
 
 
-def to_csv_row(row, week: ObservationWeek) -> str:
-    """An accepted row written back as the transactions line it came from."""
-    card_id, card_type, (board, route_id, b_stop, a_stop, alight) = row
+def to_csv_row(card_id: str, card_type: str, ride, week: ObservationWeek) -> str:
+    """A kept ride written back as the transactions line it came from."""
+    board, route_id, b_stop, a_stop, alight = ride
     fare, a_time = ("DST", week.format(alight)) if a_stop else ("FIX", "")
     return ",".join(
         (card_id, card_type, fare, route_id, b_stop, week.format(board), a_stop, a_time)
     )
 
 
+def csv_rows(tx) -> list[str]:
+    """The kept rides of a read written back as lines, card by card."""
+    return [
+        to_csv_row(card, tx.card_type(card), ride, tx.week)
+        for card, rides in tx.rides.items()
+        for ride in rides
+    ]
+
+
 def derived_start(rows) -> date:
-    return parse_transactions(rows)[0].week.start_date
+    return read_transactions(rows).week.start_date
 
 
 class TestMinuteTimestamps:
@@ -114,45 +124,45 @@ class TestObservationWeek:
 
 class TestParseTransactions:
     def test_accepts_distance_and_fixed(self):
-        records, rejections = parse_transactions(
+        tx = read_transactions(
             lines(
                 "C1,R,DST,B1,S1,2008-04-07T07:30,S2,2008-04-07T08:10",
                 "C2,S,FIX,B2,S3,2008-04-08T09:00,,",
             ),
-            WEEK,
+            MONDAY,
         )
-        assert rejections == []
-        assert len(records) == 2
-        assert records.week == WEEK
-        dst, fix = records
-        assert dst == ("C1", "R", (7 * 60 + 30, "B1", "S1", "S2", 8 * 60 + 10))
+        assert tx.rejections == []
+        assert tx.parsed == 2
+        assert tx.week == WEEK
+        assert tx.rides["C1"] == [(7 * 60 + 30, "B1", "S1", "S2", 8 * 60 + 10)]
+        assert (tx.card_type("C1"), tx.card_type("C2")) == ("R", "S")
         # Fixed fares: no alight stop, alight minute equals board minute.
         board = 1440 + 9 * 60
-        assert fix == ("C2", "S", (board, "B2", "S3", "", board))
+        assert tx.rides["C2"] == [(board, "B2", "S3", "", board)]
 
     def test_empty_stream(self):
-        assert parse_transactions([], WEEK) == ([], [])
+        tx = read_transactions([], MONDAY)
+        assert (tx.rides, tx.rejections, tx.parsed) == ({}, [], 0)
 
     def test_header_only(self):
-        assert parse_transactions([TRANSACTIONS_HEADER], WEEK) == ([], [])
+        tx = read_transactions([TRANSACTIONS_HEADER], MONDAY)
+        assert (tx.rides, tx.rejections, tx.parsed) == ({}, [], 0)
 
     def test_wrong_header_is_fatal(self):
         with pytest.raises(SchemaError):
-            parse_transactions(["card,type,other"], WEEK)
+            read_transactions(["card,type,other"], MONDAY)
 
     def test_blank_lines_skipped(self):
-        records, rejections = parse_transactions(
-            lines("", "C1,R,FIX,B1,S1,2008-04-07T07:30,,", ""), WEEK
-        )
-        assert len(records) == 1
-        assert rejections == []
+        tx = read_transactions(lines("", "C1,R,FIX,B1,S1,2008-04-07T07:30,,", ""), MONDAY)
+        assert tx.parsed == 1
+        assert tx.rejections == []
 
     def test_crlf_tolerated(self):
-        records, rejections = parse_transactions(
-            [TRANSACTIONS_HEADER + "\r\n", "C1,R,FIX,B1,S1,2008-04-07T07:30,,\r\n"], WEEK
+        tx = read_transactions(
+            [TRANSACTIONS_HEADER + "\r\n", "C1,R,FIX,B1,S1,2008-04-07T07:30,,\r\n"], MONDAY
         )
-        assert len(records) == 1
-        assert rejections == []
+        assert tx.parsed == 1
+        assert tx.rejections == []
 
     @pytest.mark.parametrize(
         "row,reason",
@@ -175,23 +185,23 @@ class TestParseTransactions:
     )
     def test_rejection_reasons(self, row, reason):
         good = "C9,R,FIX,B9,S9,2008-04-07T12:00,,"
-        records, rejections = parse_transactions(lines(good, row), WEEK)
-        assert len(records) == 1
-        assert rejections == [Rejection(3, reason)]
+        tx = read_transactions(lines(good, row), MONDAY)
+        assert tx.parsed == 1
+        assert tx.rejections == [Rejection(3, reason)]
 
     def test_week_is_half_open(self):
         # 7 and 13 April are in the week starting 7 April; 6 and 14 are out.
-        records, rejections = parse_transactions(
+        tx = read_transactions(
             lines(
                 "C1,R,FIX,B1,S1,2008-04-07T00:00,,",
                 "C1,R,FIX,B1,S1,2008-04-06T23:59,,",
                 "C1,R,FIX,B1,S1,2008-04-13T23:59,,",
                 "C1,R,FIX,B1,S1,2008-04-14T00:00,,",
             ),
-            WEEK,
+            MONDAY,
         )
-        assert [r[2][0] for r in records] == [0, WEEK_MINUTES - 1]
-        assert rejections == [
+        assert [r[0] for r in tx.rides["C1"]] == [0, WEEK_MINUTES - 1]
+        assert tx.rejections == [
             Rejection(3, "outside observation week"),
             Rejection(5, "outside observation week"),
         ]
@@ -203,20 +213,20 @@ class TestParseTransactions:
             "C2,R,FIX,B1,S1,2008-04-08T07:30,,",
             "C3,Q,FIX,B1,S1,2008-04-08T07:30,,",
         ]
-        records, rejections = parse_transactions(lines(*rows), WEEK)
-        assert len(records) + len(rejections) == len(rows)
-        assert [r.line_no for r in rejections] == [3, 5]
+        tx = read_transactions(lines(*rows), MONDAY)
+        assert tx.parsed + len(tx.rejections) == len(rows)
+        assert [r.line_no for r in tx.rejections] == [3, 5]
 
     def test_majority_rejects_is_fatal(self):
         rows = ["junk,1", "junk,2", "C1,R,FIX,B1,S1,2008-04-07T07:30,,"]
         with pytest.raises(SchemaError):
-            parse_transactions(lines(*rows), WEEK)
+            read_transactions(lines(*rows), MONDAY)
 
     def test_exactly_half_rejects_is_tolerated(self):
         rows = ["junk,1", "C1,R,FIX,B1,S1,2008-04-07T07:30,,"]
-        records, rejections = parse_transactions(lines(*rows), WEEK)
-        assert len(records) == 1
-        assert len(rejections) == 1
+        tx = read_transactions(lines(*rows), MONDAY)
+        assert tx.parsed == 1
+        assert len(tx.rejections) == 1
 
     def test_early_bail_on_wrong_schema(self):
         # A thousand rejects in a row must abort the scan rather than
@@ -231,7 +241,7 @@ class TestParseTransactions:
                 yield f"wrong schema line {i}"
 
         with pytest.raises(SchemaError):
-            parse_transactions(stream(), WEEK)
+            read_transactions(stream(), MONDAY)
         assert seen < 1100
 
     def test_csv_row_round_trip(self):
@@ -239,8 +249,7 @@ class TestParseTransactions:
             "C1,R,DST,B1,S1,2008-04-07T07:30,S2,2008-04-07T08:10",
             "C2,S,FIX,B2,S3,2008-04-08T09:00,,",
         ]
-        records, _ = parse_transactions(lines(*rows), WEEK)
-        assert [to_csv_row(r, records.week) for r in records] == rows
+        assert csv_rows(read_transactions(lines(*rows), MONDAY)) == rows
 
 
 class TestDeriveWeekStart:
@@ -264,7 +273,7 @@ class TestDeriveWeekStart:
     def test_default_start_when_nothing_parses(self):
         assert derived_start(lines()) == DEFAULT_WEEK_START
         assert derived_start([]) == DEFAULT_WEEK_START
-        assert parse_transactions(lines())[0].week.label == "1970"
+        assert read_transactions(lines()).week.label == "1970"
 
 
 class TestLoadStops:
@@ -304,43 +313,56 @@ class TestLoadStops:
 
 
 class TestGeocode:
-    def _records(self, *rows):
-        records, rejections = parse_transactions(lines(*rows), WEEK)
-        assert not rejections
-        return records
+    KNOWN = {"S1": (0.0, 0.0), "S2": (0.0, 0.0)}
 
     def test_drops_unknown_stops_and_counts_them(self):
-        records = self._records(
-            "C1,R,DST,B1,S1,2008-04-07T07:30,S2,2008-04-07T08:10",
-            "C2,R,DST,B1,SX,2008-04-07T07:30,S2,2008-04-07T08:10",
-            "C3,R,DST,B1,SX,2008-04-07T07:30,SY,2008-04-07T08:10",
-            "C4,R,FIX,B1,S1,2008-04-07T07:30,,",
+        tx = read_transactions(
+            lines(
+                "C1,R,DST,B1,S1,2008-04-07T07:30,S2,2008-04-07T08:10",
+                "C2,R,DST,B1,SX,2008-04-07T07:30,S2,2008-04-07T08:10",
+                "C3,R,DST,B1,SX,2008-04-07T07:30,SY,2008-04-07T08:10",
+                "C4,R,FIX,B1,S1,2008-04-07T07:30,,",
+            ),
+            MONDAY,
+            self.KNOWN,
         )
-        known = {"S1": (0.0, 0.0), "S2": (0.0, 0.0)}
-        kept, unmatched = geocode(records, known)
-        assert [r[0] for r in kept] == ["C1", "C4"]
-        assert unmatched == {"SX": 2, "SY": 1}
+        assert not tx.rejections
+        assert list(tx.rides) == ["C1", "C4"]
+        assert tx.unmatched == {"SX": 2, "SY": 1}
+        # A dropped line was still accepted.
+        assert (tx.parsed, tx.geocoded) == (4, 2)
 
     def test_fixed_fare_needs_only_board_stop(self):
-        records = self._records("C1,R,FIX,B1,S1,2008-04-07T07:30,,")
-        kept, unmatched = geocode(records, {"S1": (0.0, 0.0)})
-        assert len(kept) == 1
-        assert not unmatched
+        tx = read_transactions(lines("C1,R,FIX,B1,S1,2008-04-07T07:30,,"), MONDAY, {"S1": (0.0, 0.0)})
+        assert tx.geocoded == 1
+        assert not tx.unmatched
+
+    def test_without_a_registry_nothing_is_dropped(self):
+        tx = read_transactions(lines("C1,R,DST,B1,SX,2008-04-07T07:30,SY,2008-04-07T08:10"), MONDAY)
+        assert (tx.geocoded, tx.unmatched) == (1, {})
+
+    def test_a_student_line_naming_an_unknown_stop_makes_no_student(self):
+        tx = read_transactions(
+            lines("C1,R,FIX,B1,S1,2008-04-07T07:30,,", "C1,S,FIX,B1,SX,2008-04-07T08:30,,"),
+            MONDAY,
+            self.KNOWN,
+        )
+        assert tx.students == set()
+        assert tx.card_type("C1") == "R"
 
 
 def test_group_by_card_preserves_order():
-    records, _ = parse_transactions(
+    tx = read_transactions(
         lines(
             "C2,R,FIX,B1,S1,2008-04-07T08:00,,",
             "C1,R,FIX,B1,S1,2008-04-07T09:00,,",
             "C2,R,FIX,B1,S1,2008-04-07T07:00,,",
         ),
-        WEEK,
+        MONDAY,
     )
-    grouped = group_by_card(records)
-    assert set(grouped) == {"C1", "C2"}
+    assert set(tx.rides) == {"C1", "C2"}
     # File order within a card is preserved; sorting is chaining's job.
-    assert [ride[0] // 60 for ride in grouped["C2"]] == [8, 7]
+    assert [ride[0] // 60 for ride in tx.rides["C2"]] == [8, 7]
 
 
 def test_group_by_card_any_student_row_makes_a_student_card():
@@ -351,7 +373,7 @@ def test_group_by_card_any_student_row_makes_a_student_card():
         "C2,R,FIX,B1,S1,2008-04-07T08:00,,",
     ]
     for order in (rows, rows[::-1], rows[1:] + rows[:1]):
-        grouped = group_by_card(parse_transactions(lines(*order), WEEK)[0])
+        grouped = read_transactions(lines(*order), MONDAY)
         assert grouped.students == {"C1"}
         assert grouped.card_type("C1") == "S"
         assert grouped.card_type("C2") == "R"
@@ -377,12 +399,12 @@ class TestByteOrderMark:
             )
         ) + "\n"
         plain, bom = self._pair(tmp_path, "tx", body)
-        expected = parse_transactions(iter_lines(plain))
-        got = parse_transactions(iter_lines(bom))
+        expected = read_transactions(iter_lines(plain))
+        got = read_transactions(iter_lines(bom))
         assert got == expected
-        assert got[0].week == expected[0].week
-        assert len(got[0]) == 2
-        assert got[1] == [Rejection(4, "unknown card type")]
+        assert got.week == expected.week
+        assert got.parsed == 2
+        assert got.rejections == [Rejection(4, "unknown card type")]
 
     def test_stops_file(self, tmp_path):
         body = f"{STOPS_HEADER}\nS1,116.30,39.90\nS2,abc,39.91\n"
@@ -391,20 +413,21 @@ class TestByteOrderMark:
         assert set(load_stops(iter_lines(bom))[0]) == {"S1"}
 
     def test_bom_inside_a_field_is_still_data(self):
-        records, rejections = parse_transactions(
-            lines("﻿C1,R,FIX,B1,S1,2008-04-07T07:30,,"), WEEK
-        )
-        assert records[0][0] == "﻿C1"
-        assert rejections == []
+        tx = read_transactions(lines("﻿C1,R,FIX,B1,S1,2008-04-07T07:30,,"), MONDAY)
+        assert list(tx.rides) == ["﻿C1"]
+        assert tx.rejections == []
 
 
-def reference_parse(text_lines: list[str], week: ObservationWeek | None):
-    """The reading the one-pass parser must reproduce, written the slow way.
+def reference_parse(text_lines: list[str], week_start: date | None, known_stops=None):
+    """The reading the one-pass reader must reproduce, written the slow way.
 
     A first scan over every eight-column line finds the earliest boarding
     date (the derived week start); a second scan checks each line against
-    that week in schema order.  Returns ("schema",) when the file would be
-    refused, else (week start, accepted lines as text, rejections).
+    that week in schema order; a third drops the accepted lines that name
+    a stop absent from ``known_stops`` and groups the rest by card.
+    Returns ("schema",) when the file would be refused, else (week start,
+    card -> rides, student cards, rejections, unmatched stop counts,
+    number of accepted lines).
     """
 
     def minute(text: str):
@@ -414,14 +437,13 @@ def reference_parse(text_lines: list[str], week: ObservationWeek | None):
             return None
 
     data = [raw.rstrip("\r\n") for raw in text_lines[1:]]
-    if week is None:
+    start = week_start
+    if start is None:
         boards = [
             minute(p[5]) for p in (line.split(",") for line in data) if len(p) == 8
         ]
         days = [b // 1440 for b in boards if b is not None]
         start = date.fromordinal(min(days) + 1) if days else DEFAULT_WEEK_START
-    else:
-        start = week.start_date
     lo = (start.toordinal() - 1) * 1440
     accepted, rejections, total = [], [], 0
     for line_no, line in enumerate(data, start=2):
@@ -463,18 +485,33 @@ def reference_parse(text_lines: list[str], week: ObservationWeek | None):
             return ("schema",)
     if total and len(rejections) > total * 0.5:
         return ("schema",)
-    return start, accepted, rejections
+    rides, students, unmatched = {}, set(), Counter()
+    for line in accepted:
+        p = line.split(",")
+        unknown = [s for s in (p[4], p[6]) if s and known_stops is not None and s not in known_stops]
+        if unknown:
+            unmatched.update(unknown)
+            continue
+        board = minute(p[5]) - lo
+        alight = minute(p[7]) - lo if p[2] == "DST" else board
+        rides.setdefault(p[0], []).append((board, p[3], p[4], p[6], alight))
+        if p[1] == "S":
+            students.add(p[0])
+    return start, rides, students, rejections, unmatched, len(accepted)
 
 
-def one_pass(text_lines: list[str], week: ObservationWeek | None):
+def one_pass(text_lines: list[str], week_start: date | None, known_stops=None):
     try:
-        rows, rejections = parse_transactions(text_lines, week)
+        tx = read_transactions(text_lines, week_start, known_stops)
     except SchemaError:
         return ("schema",)
     return (
-        rows.week.start_date,
-        [to_csv_row(r, rows.week) for r in rows],
-        [(r.line_no, r.reason) for r in rejections],
+        tx.week.start_date,
+        tx.rides,
+        tx.students,
+        [(r.line_no, r.reason) for r in tx.rejections],
+        tx.unmatched,
+        tx.parsed,
     )
 
 
@@ -498,6 +535,16 @@ CORRUPTIONS = (
 )
 
 
+STOP_IDS = ("S1", "S2", "S3", "S4")
+
+# No registry (as for the follow-up week), or one that leaves out at
+# least one of the stops the lines name.
+registries = st.one_of(
+    st.none(),
+    st.sets(st.sampled_from(STOP_IDS), max_size=3).map(lambda ids: dict.fromkeys(ids, (0.0, 0.0))),
+)
+
+
 @st.composite
 def transaction_lines(draw):
     """Mostly good lines around one era, some with one defect each."""
@@ -508,24 +555,24 @@ def transaction_lines(draw):
             out.append("")
             continue
         # Few distinct minutes, so duplicate timestamps are common; days
-        # run from before to after one week.
+        # span two weeks, so a derived week can move by more than seven.
         board = era + timedelta(
-            days=draw(st.integers(-1, 8)), minutes=draw(st.sampled_from([0, 1, 450, 1439]))
+            days=draw(st.integers(-3, 10)), minutes=draw(st.sampled_from([0, 1, 450, 1439]))
         )
         alight = board + timedelta(minutes=draw(st.sampled_from([-5, 0, 1, 40, 600])))
         fields = [
-            draw(st.sampled_from(["C1", "C2", "C3"])),
+            draw(st.sampled_from(["C1", "C2", "C3", "C4"])),
             draw(st.sampled_from(["R", "R", "S"])),
             "FIX",
             draw(st.sampled_from(["B1", "B2"])),
-            draw(st.sampled_from(["S1", "S2"])),
+            draw(st.sampled_from(STOP_IDS)),
             board.strftime("%Y-%m-%dT%H:%M"),
             "",
             "",
         ]
         if draw(st.booleans()):
             fields[2] = "DST"
-            fields[6] = draw(st.sampled_from(["S1", "S2"]))
+            fields[6] = draw(st.sampled_from(STOP_IDS))
             fields[7] = alight.strftime("%Y-%m-%dT%H:%M")
         if draw(st.integers(0, 3)) == 0:
             fields = draw(st.sampled_from(CORRUPTIONS))(fields)
@@ -534,18 +581,18 @@ def transaction_lines(draw):
 
 
 class TestOnePassParity:
-    """The one-pass parser against the two-scan reading it replaces."""
+    """The one-pass reader against the scan-by-scan reading it replaces."""
 
-    @settings(max_examples=400, deadline=None)
-    @given(transaction_lines(), st.sampled_from([None, 0, 1]))
-    def test_matches_two_scan_reading(self, text_lines, shift):
-        week = None
+    @settings(max_examples=1000, deadline=None)
+    @given(transaction_lines(), st.sampled_from([None, None, 0, 1]), registries)
+    def test_matches_two_scan_reading(self, text_lines, shift, known_stops):
+        start = None
         if shift is not None:
-            start = ERAS[0].date() + timedelta(days=shift)
             # The generated lines pick their own era; a fixed week
             # elsewhere rejects them all, which is still worth checking.
-            week = ObservationWeek.starting(start)
-        assert one_pass(text_lines, week) == reference_parse(text_lines, week)
+            start = ERAS[0].date() + timedelta(days=shift)
+        expected = reference_parse(text_lines, start, known_stops)
+        assert one_pass(text_lines, start, known_stops) == expected
 
     @pytest.mark.parametrize(
         "rows,start,rejections",
@@ -601,6 +648,17 @@ class TestOnePassParity:
                 date(2008, 12, 31),
                 [],
             ),
+            # The first and the last day of the calendar: the week moves
+            # back by more than 2**31 minutes.
+            (
+                [
+                    "C1,R,FIX,B1,S1,9999-12-31T23:59,,",
+                    "C1,R,FIX,B1,S1,0001-01-01T00:00,,",
+                    "C2,R,FIX,B1,S1,0001-01-07T23:59,,",
+                ],
+                date(1, 1, 1),
+                [(2, "outside observation week")],
+            ),
         ],
     )
     def test_table(self, rows, start, rejections):
@@ -608,16 +666,75 @@ class TestOnePassParity:
         got = one_pass(text_lines, None)
         assert got == reference_parse(text_lines, None)
         assert got[0] == start
-        assert got[2] == rejections
+        assert got[3] == rejections
         accepted = [r for n, r in enumerate(rows, start=2) if n not in dict(rejections)]
-        assert got[1] == accepted
+        assert sorted(csv_rows(read_transactions(text_lines))) == sorted(accepted)
+
+    @pytest.mark.parametrize(
+        "rows,field,value",
+        [
+            # A student line that the move puts after the week makes no
+            # student, though its card keeps a ride.
+            (
+                [
+                    "C1,S,FIX,B1,S1,2008-04-16T07:30,,",
+                    "C1,R,FIX,B1,S1,2008-04-10T07:30,,",
+                    "C2,R,FIX,B1,S1,2008-04-08T07:30,,",
+                ],
+                "students",
+                set(),
+            ),
+            # A line dropped for its unknown stop and then put after the
+            # week by the move counts in no unmatched total.
+            (
+                [
+                    "C1,R,FIX,B1,SX,2008-04-16T07:30,,",
+                    "C1,R,FIX,B1,S1,2008-04-08T07:30,,",
+                    "C2,R,DST,B1,S1,2008-04-09T07:30,SY,2008-04-09T08:00",
+                ],
+                "unmatched",
+                {"SY": 1},
+            ),
+            # A card whose every ride the move puts after the week is gone.
+            (
+                [
+                    "C9,R,FIX,B1,S1,2008-04-16T07:30,,",
+                    "C1,R,FIX,B1,S1,2008-04-08T07:30,,",
+                    "C1,R,FIX,B1,S1,2008-04-09T07:30,,",
+                ],
+                "rides",
+                {"C1": [(450, "B1", "S1", "", 450), (1440 + 450, "B1", "S1", "", 1440 + 450)]},
+            ),
+        ],
+    )
+    def test_rules_that_wait_for_the_final_week(self, rows, field, value):
+        text_lines = lines(*rows)
+        known = {"S1": (0.0, 0.0)}
+        assert one_pass(text_lines, None, known) == reference_parse(text_lines, None, known)
+        tx = read_transactions(text_lines, None, known)
+        assert (tx.week.start_date, tx.rejections) == (date(2008, 4, 8), [Rejection(2, OUTSIDE_WEEK)])
+        assert getattr(tx, field) == value
 
     def test_minutes_count_from_the_derived_start(self):
-        rows, _ = parse_transactions(
+        tx = read_transactions(
             lines("C1,R,FIX,B1,S1,2008-04-09T07:30,,", "C1,R,FIX,B1,S1,2008-04-08T00:10,,")
         )
-        assert rows.week.start_date == date(2008, 4, 8)
-        assert [r[2][0] for r in rows] == [1440 + 450, 10]
+        assert tx.week.start_date == date(2008, 4, 8)
+        assert [r[0] for r in tx.rides["C1"]] == [1440 + 450, 10]
+
+    def test_a_moved_week_keeps_one_int_per_minute(self):
+        # Rides share the int of each distinct minute, also after a move
+        # shifts them, so a year's rides hold no int per ride.
+        tx = read_transactions(
+            lines(
+                "C1,R,FIX,B1,S1,2008-04-09T07:30,,",
+                "C2,R,FIX,B1,S1,2008-04-09T07:30,,",
+                "C3,R,FIX,B1,S1,2008-04-08T00:10,,",
+            )
+        )
+        (c1,), (c2,) = tx.rides["C1"], tx.rides["C2"]
+        assert c1[0] == 1440 + 450
+        assert c1[0] is c2[0] is c1[4]
 
     def test_early_bail_counts_rejections_found_after_the_week_moved(self):
         # 1,200 lines look in-week until the last-but-many line moves the
@@ -632,7 +749,7 @@ class TestOnePassParity:
         )
         assert reference_parse(text_lines, None) == ("schema",)
         with pytest.raises(SchemaError):
-            parse_transactions(text_lines)
+            read_transactions(text_lines)
 
 
 class TestReadConfig:

@@ -183,13 +183,13 @@ class TestJobs:
         # A worker started by spawn or forkserver does not inherit the
         # parent's collector state, so the jobs turn it off themselves.
         seen = []
-        real = pipeline.parse_transactions
+        real = pipeline.read_transactions
 
         def spy(*args, **kwargs):
             seen.append(gc.isenabled())
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(pipeline, "parse_transactions", spy)
+        monkeypatch.setattr(pipeline, "read_transactions", spy)
         assert gc.isenabled()
         process_year(mini_config.year1, mini_config.stops1, mini_config, None)
         pipeline._count_followup(mini_config.followup, None)

@@ -16,8 +16,7 @@ from cardcohort.ingest import (
     CARD_STUDENT,
     TRANSACTIONS_HEADER,
     WEEK_MINUTES,
-    ObservationWeek,
-    parse_transactions,
+    read_transactions,
 )
 
 import reference_profile as ref
@@ -355,8 +354,8 @@ class TestInputRules:
 
     def test_duplicate_rows_are_all_kept(self):
         line = "C,R,DST,B1,H,2008-04-07T07:30,W,2008-04-07T08:10"
-        rows, rejections = parse_transactions([TRANSACTIONS_HEADER, line, line], ObservationWeek.starting(MONDAY))
-        assert (len(rows), rejections) == (2, [])
+        tx = read_transactions([TRANSACTIONS_HEADER, line, line], MONDAY)
+        assert (len(tx.rides["C"]), tx.rejections) == (2, [])
 
         # A copied distance-fare ride boards before the original alighted,
         # so no stay forms between them: only the ride count changes.
@@ -405,9 +404,9 @@ class TestInputRules:
         # A ride boarding inside the week may alight after it ends: the row
         # is kept with its alighting past the week, and no stay follows it.
         line = "C,R,DST,B1,W,2008-04-13T23:50,H,2008-04-14T00:20"
-        rows, rejections = parse_transactions([TRANSACTIONS_HEADER, line], ObservationWeek.starting(MONDAY))
-        assert rejections == []
-        last = rows[0][2]
+        tx = read_transactions([TRANSACTIONS_HEADER, line], MONDAY)
+        assert tx.rejections == []
+        (last,) = tx.rides["C"]
         assert last == (t(6, 23, 50), "B1", "W", "H", WEEK_MINUTES + 20)
         before, after = [], []
         p = profile(commuter(), stays=before)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cardcohort.ingest import ObservationWeek, geocode, iter_lines, load_stops, parse_transactions
+from cardcohort.ingest import iter_lines, load_stops, read_transactions
 from cardcohort.pipeline import RunConfig, run_pipeline
 from cardcohort.synth import (
     ARCHETYPE_ORDER,
@@ -162,20 +162,17 @@ class TestGenerate:
             ("week2", cfg.week2_start),
             ("followup", cfg.followup_start),
         ):
-            week = ObservationWeek(key, start)
-            records, rejections = parse_transactions(iter_lines(small_bundle.paths[key]), week)
-            assert rejections == [], key
-            kept, unmatched = geocode(records, stops)
-            assert not unmatched, key
-            assert len(kept) == len(records)
+            tx = read_transactions(iter_lines(small_bundle.paths[key]), start, stops)
+            assert tx.rejections == [], key
+            assert not tx.unmatched, key
+            assert tx.geocoded == tx.parsed
 
     def test_retention_count_and_followup_cards(self, small_bundle):
         cfg = small_bundle.config
         retained = {t.card_id for t in small_bundle.truth if t.retained}
         assert len(retained) == math.floor(cfg.total_agents * cfg.followup_retention)
-        week = ObservationWeek("f", cfg.followup_start)
-        records, _ = parse_transactions(iter_lines(small_bundle.paths["followup"]), week)
-        assert {r[0] for r in records} == retained
+        tx = read_transactions(iter_lines(small_bundle.paths["followup"]), cfg.followup_start)
+        assert set(tx.rides) == retained
 
     def test_same_seed_is_byte_identical(self, tmp_path):
         a = generate(GeneratorConfig(**SMALL), str(tmp_path / "a"))
@@ -198,10 +195,9 @@ class TestGenerate:
         # with coherent timestamps; the parser enforces exactly that.
         cfg = noisy.config
         for key, start in (("week1", cfg.week1_start), ("week2", cfg.week2_start)):
-            week = ObservationWeek(key, start)
-            records, rejections = parse_transactions(iter_lines(noisy.paths[key]), week)
-            assert rejections == []
-            assert records
+            tx = read_transactions(iter_lines(noisy.paths[key]), start)
+            assert tx.rejections == []
+            assert tx.rides
 
     @pytest.mark.parametrize(
         "kwargs",
