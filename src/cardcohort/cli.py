@@ -163,9 +163,14 @@ def cmd_synth(args) -> int:
 
 
 def _require_out_dir(path: str) -> None:
-    """Refuse an --out that is, or lies under, something other than a directory."""
+    """Refuse an --out that is empty, or is or lies under something other than a directory.
+
+    A dangling symlink counts as something other than a directory.
+    """
+    if not path:
+        raise ValueError("--out '': an empty path names no directory")
     head = path
-    while not os.path.exists(head):
+    while not os.path.lexists(head):
         head = os.path.dirname(head) or "."
     if not os.path.isdir(head):
         raise ValueError(f"--out {path}: {head} is not a directory")

@@ -86,26 +86,16 @@ def match_cohort(
     )
 
 
-def _move(
-    old: Coord, new: Coord, center: Coord, change_km: float, moves: dict | None
-) -> tuple[str, str | None, float, str | None]:
+def move(old: Coord, new: Coord, center: Coord, change_km: float) -> tuple[str, str | None, float, str | None]:
     """(status, direction, km, bin) of a move between two centroids.
 
-    ``moves`` caches the answer per centroid pair; it must only ever see
-    one ``center`` and ``change_km``.  A move of exactly ``change_km``
-    counts as Changed: the benchmark is a lower bound on what registers
-    as a change.
+    A move of exactly ``change_km`` counts as Changed: the benchmark is a
+    lower bound on what registers as a change.
     """
-    if moves is not None and (old, new) in moves:
-        return moves[old, new]
     km = haversine_km(old, new)
     if km < change_km:
-        move = NOT_CHANGED, None, km, None
-    else:
-        move = CHANGED, radial_direction(old, new, center), km, move_bin(km)
-    if moves is not None:
-        moves[old, new] = move
-    return move
+        return NOT_CHANGED, None, km, None
+    return CHANGED, radial_direction(old, new, center), km, move_bin(km)
 
 
 def build_delta(
@@ -114,19 +104,20 @@ def build_delta(
     center: Coord,
     in_r4,
     change_km: float = CHANGE_KM_DEFAULT,
-    moves: dict | None = None,
+    move=move,
 ) -> CohortDelta:
     """Assemble the full delta row for one FR.
 
     ``in_r4`` is a predicate over a (lon, lat) coordinate; pass a region
     containment closure, or None when no R4 layer is configured (every
-    card then counts as outside).  ``moves`` is a dict that caches home
-    and work moves per centroid pair across the FRs of one run.
+    card then counts as outside).  ``move`` answers the home and the work
+    move; a caller may pass a cached :func:`move` to share answers across
+    the FRs of a run.
     """
-    h_status, h_dir, h_km, h_bin = _move(p1.home_centroid, p2.home_centroid, center, change_km, moves)
+    h_status, h_dir, h_km, h_bin = move(p1.home_centroid, p2.home_centroid, center, change_km)
     w1, w2 = p1.work, p2.work
     if w1 is not None and w2 is not None:
-        w_status, w_dir, w_km, w_bin = _move(p1.work_centroid, p2.work_centroid, center, change_km, moves)
+        w_status, w_dir, w_km, w_bin = move(p1.work_centroid, p2.work_centroid, center, change_km)
     else:
         w_status = JOBLESS if w1 is None and w2 is None else LOST if w2 is None else FOUND
         w_dir = w_km = w_bin = None

@@ -96,16 +96,17 @@ def build_profile(
     stay_mode: str = PERMISSIVE,
     home_rule: str = HOME_RULE_RELAXED,
     stay_min: int = STAY_MIN_DEFAULT,
-    commute_km: dict[tuple[int, int], float] | None = None,
+    distance_km: Callable[[int, int], float] | None = None,
     stays: list[Stay] | None = None,
 ) -> YearProfile:
     """One card's profile for one observation week.
 
     Rides sort as tuples, boarding minute first and the remaining fields
     as tie-breakers, so the result is a pure function of the ride set,
-    not of file order.  ``commute_km`` caches the distance per (home,
-    work) pair across the cards of one year; ``stays``, when given,
-    receives the card's stays in order.
+    not of file order.  ``distance_km(home, work)``, when given, answers
+    the commute distance in place of the haversine between the two
+    centroids, so a caller can cache it across cards; ``stays``, when
+    given, receives the card's stays in order.
     """
     if stay_mode not in STAY_MODES:
         raise ValueError(f"unknown stay mode: {stay_mode!r}")
@@ -186,11 +187,7 @@ def build_profile(
 
     km = minutes = None
     if home is not None and work is not None:
-        if commute_km is None:
-            commute_km = {}
-        km = commute_km.get((home, work))
-        if km is None:
-            km = commute_km[home, work] = haversine_km(centroid_of(home), centroid_of(work))
+        km = distance_km(home, work) if distance_km else haversine_km(centroid_of(home), centroid_of(work))
         minutes = _commute_minutes(rides, stop_to_place, weekdays, home, work)
     return YearProfile(
         home=home,

@@ -78,12 +78,11 @@ class ObservationWeek:
     weekend records are kept for chaining but carry no evidential weight.
     """
 
-    label: str
     start_date: date
 
-    @classmethod
-    def starting(cls, start: date) -> ObservationWeek:
-        return cls(str(start.year), start)
+    @property
+    def label(self) -> str:
+        return str(self.start_date.year)
 
     @property
     def start_minute(self) -> int:
@@ -215,7 +214,7 @@ def read_transactions(
         raise SchemaError(f"unexpected transactions header: {header!r}")
 
     derive = week_start is None
-    minutes = _Minutes(None if derive else ObservationWeek.starting(week_start).start_minute)
+    minutes = _Minutes(None if derive else ObservationWeek(week_start).start_minute)
     pool: dict[str, str] = {}
     intern = pool.setdefault
     by_card: dict[str, list[Ride]] = {}
@@ -334,7 +333,7 @@ def read_transactions(
     if total and len(rejections) > total * FATAL_REJECT_FRACTION:
         raise SchemaError(f"rejected {len(rejections)} of {total} lines; wrong schema")
     return Transactions(
-        ObservationWeek.starting(week_start),
+        ObservationWeek(week_start),
         by_card,
         {card for card, board in student_board.items() if board < hi},
         rejections,

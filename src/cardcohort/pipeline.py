@@ -18,9 +18,10 @@ from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import date
+from functools import cache
 
 from . import infer
-from .cohort import CHANGE_KM_DEFAULT, CohortDelta, build_delta, match_cohort
+from .cohort import CHANGE_KM_DEFAULT, CohortDelta, build_delta, match_cohort, move
 from .geo import (
     CLUSTER_RADIUS_M,
     Coord,
@@ -28,6 +29,7 @@ from .geo import (
     PlaceIndex,
     Region,
     build_places,
+    haversine_km,
     load_region,
     load_region_features,
     point_in_region,
@@ -174,7 +176,8 @@ def process_year(
     )
     weekdays = tx.week.weekdays
     stop_to_place = places.stop_to_place
-    commute_km: dict[tuple[int, int], float] = {}
+    # Many cards share a (home, work) pair.
+    distance_km = cache(lambda home, work: haversine_km(places.centroid(home), places.centroid(work)))
     profiles: dict[str, infer.YearProfile] = {}
     for card in sorted(tx.rides):
         card_stays = None if stays is None else stays.setdefault(card, [])
@@ -187,7 +190,7 @@ def process_year(
             cfg.stay_mode,
             cfg.home_rule,
             cfg.stay_min,
-            commute_km,
+            distance_km,
             card_stays,
         )
     return YearData(
@@ -218,11 +221,9 @@ def aggregate_taz(
     counts = [0] * len(regions)
     outside = 0
     overlap = False
-    hits_of: dict[Coord, list[int]] = {}
+    hits_of = cache(lambda c: [i for i, r in enumerate(regions) if point_in_region(c, r)])
     for c in centroids:
-        hits = hits_of.get(c)
-        if hits is None:
-            hits = hits_of[c] = [i for i, r in enumerate(regions) if point_in_region(c, r)]
+        hits = hits_of(c)
         if not hits:
             outside += 1
             continue
@@ -277,24 +278,16 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
 
     y1, y2, *followup = _run_jobs(cfg)
 
-    in_r4 = None
-    if r4_region is not None:
-        r4_of: dict[Coord, bool] = {}
-
-        def in_r4(c: Coord) -> bool:
-            inside = r4_of.get(c)
-            if inside is None:
-                inside = r4_of[c] = point_in_region(c, r4_region)
-            return inside
-
+    # Many FRs share a home place, or a pair of home or work places.
+    in_r4 = cache(lambda c: point_in_region(c, r4_region)) if r4_region is not None else None
+    cached_move = cache(move)
     fr_cards = match_cohort(y1.profiles, y2.profiles)
     log.info("cohort: %d frequent riders", len(fr_cards))
 
     deltas: dict[str, CohortDelta] = {}
     groups: dict[str, int] = {}
-    moves: dict = {}
     for card in fr_cards:
-        d = build_delta(y1.profiles[card], y2.profiles[card], cfg.center, in_r4, cfg.change_km, moves)
+        d = build_delta(y1.profiles[card], y2.profiles[card], cfg.center, in_r4, cfg.change_km, cached_move)
         deltas[card] = d
         groups[card] = classify(d)
 

@@ -329,7 +329,7 @@ def test_criterion_6_geometry(tmp_path):
 
 def test_criterion_7_threshold_edges():
     # Monday 5 March 2012 starts the week; day indices 0-4 are its weekdays.
-    weekdays = ObservationWeek.starting(date(2012, 3, 5)).weekdays
+    weekdays = ObservationWeek(date(2012, 3, 5)).weekdays
 
     def work(dur: int) -> int | None:
         """Work place of a card that spends ``dur`` minutes at stop W each weekday."""

@@ -12,7 +12,7 @@ from cardcohort.ingest import TRANSACTIONS_HEADER, ObservationWeek, read_transac
 
 from reference_profile import PERMISSIVE, STRICT, Leg, Stay, build_legs, build_stays
 
-WEEK = ObservationWeek("2008", date(2008, 4, 7))
+WEEK = ObservationWeek(date(2008, 4, 7))
 PLACES = {"S1": 0, "S2": 1, "S3": 2}
 
 

@@ -611,32 +611,65 @@ class TestSynthCommand:
             assert (b1 / name).read_bytes() == (b2 / name).read_bytes(), name
 
 
+OUT_COMMANDS = ("run", "diff", "classify", "score", "infer", "ingest-check", "synth")
+
+
+@pytest.fixture
+def command_args(mini_args, mini_bundle):
+    """Each subcommand's inputs on the mini bundle, without --out."""
+    return {
+        "run": mini_args,
+        "diff": mini_args,
+        "classify": mini_args,
+        "score": mini_args + ["--followup", mini_bundle["followup"]],
+        "infer": ["--year1", mini_bundle["year1"], "--stops1", mini_bundle["stops"]],
+        "ingest-check": ["--transactions", mini_bundle["year1"], "--stops", mini_bundle["stops"]],
+        "synth": ["--agents", "5"],
+    }
+
+
+@pytest.fixture
+def opened(monkeypatch):
+    """Every input file read and every synth bundle generated, in order."""
+    opened = []
+
+    def recording(path):
+        opened.append(path)
+        return ingest.iter_lines(path)
+
+    for mod in (cli, pipeline):
+        monkeypatch.setattr(mod, "iter_lines", recording)
+    monkeypatch.setattr(cli, "generate", lambda cfg, out: opened.append(out))
+    return opened
+
+
 class TestEntryPoints:
     @pytest.mark.parametrize("under", [False, True])
-    @pytest.mark.parametrize("command", ["run", "infer", "ingest-check"])
+    @pytest.mark.parametrize("command", OUT_COMMANDS)
     def test_out_that_is_a_file_is_exit_2_before_any_work(
-        self, mini_args, mini_bundle, tmp_path, monkeypatch, capsys, command, under
+        self, command_args, opened, tmp_path, capsys, command, under
     ):
-        opened = []
-
-        def recording(path):
-            opened.append(path)
-            return ingest.iter_lines(path)
-
-        for mod in (cli, pipeline):
-            monkeypatch.setattr(mod, "iter_lines", recording)
         taken = tmp_path / "taken.csv"
         taken.write_text("a file\n")
         out = taken / "reports" if under else taken
-        args = {
-            "run": mini_args,
-            "infer": ["--year1", mini_bundle["year1"], "--stops1", mini_bundle["stops"]],
-            "ingest-check": ["--transactions", mini_bundle["year1"], "--stops", mini_bundle["stops"]],
-        }[command]
-        assert run_cli(command, *args, "--out", str(out)) == 2
+        assert run_cli(command, *command_args[command], "--out", str(out)) == 2
         assert f"error: --out {out}: {taken} is not a directory" in capsys.readouterr().err
         assert opened == []
         assert taken.read_text() == "a file\n"
+
+    @pytest.mark.parametrize("case", ["empty", "dangling", "under dangling"])
+    @pytest.mark.parametrize("command", OUT_COMMANDS)
+    def test_empty_or_dangling_out_is_exit_2_before_any_work(
+        self, command_args, opened, tmp_path, capsys, command, case
+    ):
+        link = tmp_path / "link"
+        link.symlink_to(tmp_path / "gone")
+        out = {"empty": "", "dangling": str(link), "under dangling": str(link / "reports")}[case]
+        assert run_cli(command, *command_args[command], "--out", out) == 2
+        expected = "--out '': an empty path" if case == "empty" else f"--out {out}: {link} is not a directory"
+        assert f"error: {expected}" in capsys.readouterr().err
+        assert opened == []
+        assert os.listdir(tmp_path) == ["link"]
 
     def test_help_exits_zero(self):
         with pytest.raises(SystemExit) as err:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from functools import cache
 
 import pytest
 from hypothesis import given
@@ -19,6 +20,7 @@ from cardcohort.cohort import (
     build_delta,
     commute_bin,
     match_cohort,
+    move,
     move_bin,
 )
 from cardcohort.geo import INWARD, OUTWARD, haversine_km
@@ -242,3 +244,15 @@ class TestBuildDelta:
         assert d.housing_status == NOT_CHANGED
         assert d.commute_delta_km is None
         assert d.commute_bin is None
+
+    def test_shared_move_cache_keys_on_the_benchmark(self):
+        # A 3 km outward home move, a quarter of the way from NEW_HOME to OLD_HOME.
+        farther = (NEW_HOME[0] + (OLD_HOME[0] - NEW_HOME[0]) / 4, NEW_HOME[1])
+        p1, p2 = prof(hc=NEW_HOME), prof(hc=farther)
+        assert haversine_km(NEW_HOME, farther) == pytest.approx(3.0, abs=1e-5)
+        cached_move = cache(move)
+        near = build_delta(p1, p2, CENTER, None, 1.0, cached_move)
+        far = build_delta(p1, p2, CENTER, None, 5.0, cached_move)
+        assert (near.housing_status, near.housing_dir, near.move_bin) == (CHANGED, OUTWARD, "2-5")
+        assert (far.housing_status, far.housing_dir, far.move_bin) == (NOT_CHANGED, None, None)
+        assert cached_move.cache_info().currsize == 2

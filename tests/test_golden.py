@@ -1,4 +1,5 @@
-"""Golden digests: the exact bytes of a fixed synth bundle and of two full runs on it.
+"""Golden digests: the exact bytes of a fixed synth bundle and of the reports
+that ``run``, ``infer --dump-stays`` and ``ingest-check`` write from it.
 
 A refactor that means to keep every bundle and report byte-identical must
 leave these tables alone.  A change that alters those bytes on purpose
@@ -58,6 +59,25 @@ GOLDEN = {
     }),
 }
 
+# The one-year commands on year 1 of the bundle: their arguments, with
+# {bundle} for the bundle directory, and the files they write.
+GOLDEN_ONE_YEAR = {
+    "infer --dump-stays": (("infer", "--config", "{bundle}/bundle.conf", "--dump-stays"), {
+        "profiles.csv": "cd8116b34122988c1aec2b52bbda7cfc4426033507a1c8f4a9d38ba6ddd15293",
+        "rejections.csv": REJECTIONS_HEADER_ONLY,
+        "stays.csv": "5b705f646e52e5f578896bd7c3bc9724a2fa2c08ae9c2815b3ff9708cfc42242",
+        "unmatched.csv": UNMATCHED_HEADER_ONLY,
+    }),
+    "ingest-check": (
+        ("ingest-check", "--transactions", "{bundle}/week1.csv", "--stops", "{bundle}/stops.csv"), {
+            "rejections.csv": REJECTIONS_HEADER_ONLY,
+            "rejections_stops.csv": REJECTIONS_HEADER_ONLY,
+            "stats.csv": "1f5a9bf72a60bd4a8d442408aadbb5ee0409fb968f1afdb6e8c85e8cb16d3291",
+            "unmatched.csv": UNMATCHED_HEADER_ONLY,
+        },
+    ),
+}
+
 # The bundle's own files.  generator.conf is left out: it lists the
 # generator's settings, so it changes whenever a setting is added or removed.
 GOLDEN_BUNDLE = {
@@ -93,6 +113,14 @@ def test_run_reports_match_golden_digests(golden_bundle, tmp_path, name):
     flags, expected = GOLDEN[name]
     out = tmp_path / "reports"
     assert main(["run", "--config", str(golden_bundle / "bundle.conf"), "--out", str(out), *flags]) == 0
+    assert sha256_of_files(out) == expected
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_ONE_YEAR))
+def test_one_year_reports_match_golden_digests(golden_bundle, tmp_path, name):
+    argv, expected = GOLDEN_ONE_YEAR[name]
+    out = tmp_path / "reports"
+    assert main([a.format(bundle=golden_bundle) for a in argv] + ["--out", str(out)]) == 0
     assert sha256_of_files(out) == expected
 
 

@@ -23,7 +23,7 @@ from reference_profile import (
     identify_work,
 )
 
-WEEK = ObservationWeek("2008", date(2008, 4, 7))
+WEEK = ObservationWeek(date(2008, 4, 7))
 WEEKDAYS = WEEK.weekdays
 
 

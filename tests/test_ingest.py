@@ -30,7 +30,7 @@ from cardcohort.ingest import (
 from cardcohort.pipeline import RunConfig
 
 MONDAY = date(2008, 4, 7)
-WEEK = ObservationWeek("2008", MONDAY)
+WEEK = ObservationWeek(MONDAY)
 
 
 def lines(*rows: str) -> list[str]:
@@ -118,7 +118,7 @@ class TestObservationWeek:
         assert WEEK.format(7 * 1440 + 10) == "2008-04-14T00:10"
 
     def test_midweek_start_still_seven_days(self):
-        week = ObservationWeek("w", date(2008, 4, 9))
+        week = ObservationWeek(date(2008, 4, 9))
         assert len(week.weekdays) == 3 + 2  # Wed-Fri plus Mon-Tue of next week
 
 

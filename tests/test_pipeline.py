@@ -12,7 +12,7 @@ from collections import Counter
 import pytest
 
 from cardcohort import pipeline
-from cardcohort.cohort import CHANGED, FOUND, JOBLESS, LOST, NOT_CHANGED, build_delta
+from cardcohort.cohort import CHANGED, FOUND, JOBLESS, LOST, NOT_CHANGED, build_delta, move
 from cardcohort.geo import INWARD, OUTWARD, Region, haversine_km
 from cardcohort.ingest import SchemaError
 from cardcohort.pipeline import (
@@ -529,18 +529,28 @@ class TestGeometryOncePerPlace:
         for card, home in zip(result.fr_cards, homes):
             assert result.deltas[card].r4_2010 == test(home, result.r4_region)
 
-    def test_moves_cached_per_centroid_pair(self, result, mini_bundle):
-        moves = {}
+    def test_moves_cached_per_centroid_pair(self, result, mini_bundle, monkeypatch):
+        computed = []
+
+        def counting_move(old, new, center, change_km):
+            computed.append((old, new))
+            return move(old, new, center, change_km)
+
+        monkeypatch.setattr(pipeline, "move", counting_move)
+        cached = run_pipeline(result.config).deltas
+
+        def in_r4(c):
+            return pipeline.point_in_region(c, result.r4_region)
+
         for card in result.fr_cards:
             p1, p2 = result.year1.profiles[card], result.year2.profiles[card]
-            cached = build_delta(p1, p2, mini_bundle["center"], None, 2.0, moves)
-            assert cached == build_delta(p1, p2, mini_bundle["center"], None, 2.0)
-            assert build_delta(p1, p2, mini_bundle["center"], None, 2.0, moves) == cached
+            assert cached[card] == build_delta(p1, p2, mini_bundle["center"], in_r4, 2.0)
         # A1 moved home, F1 did not; both kept work at WA.
         y1, y2 = result.year1.profiles, result.year2.profiles
         pairs = {(y1[c].home_centroid, y2[c].home_centroid) for c in result.fr_cards}
         pairs |= {(y1[c].work_centroid, y2[c].work_centroid) for c in result.fr_cards}
-        assert set(moves) == pairs
+        assert len(computed) == len(set(computed))
+        assert set(computed) == pairs
 
 
 @pytest.fixture(scope="module")

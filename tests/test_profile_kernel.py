@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 from datetime import date
+from functools import cache
 
 import pytest
 from hypothesis import given, settings
@@ -44,11 +45,8 @@ def ride(board_stop: str, board: int, alight_stop: str | None = None, alight: in
     return (board, route, board_stop, alight_stop, alight)
 
 
-def profile(rides, card_type=CARD_REGULAR, stays=None, commute_km=None, **kw):
-    return build_profile(
-        card_type, rides, STOP_TO_PLACE, WEEKDAYS, centroid_of,
-        commute_km=commute_km, stays=stays, **kw,
-    )
+def profile(rides, card_type=CARD_REGULAR, stays=None, **kw):
+    return build_profile(card_type, rides, STOP_TO_PLACE, WEEKDAYS, centroid_of, stays=stays, **kw)
 
 
 def stay_tuples(stays):
@@ -307,11 +305,18 @@ class TestCommute:
         assert p.commute_min == 40
 
     def test_distance_comes_from_the_per_year_cache(self):
-        memo = {(0, 1): 99.0}
-        assert profile(commuter(), commute_km=memo).commute_km == 99.0
-        memo = {}
-        profile(commuter(), commute_km=memo)
-        assert memo == {(0, 1): haversine_km(CENTROIDS[0], CENTROIDS[1])}
+        assert profile(commuter(), distance_km=lambda home, work: 99.0).commute_km == 99.0
+        computed = []
+
+        @cache
+        def distance_km(home, work):
+            computed.append((home, work))
+            return haversine_km(CENTROIDS[home], CENTROIDS[work])
+
+        for _ in range(3):
+            assert profile(commuter(), distance_km=distance_km).commute_km == haversine_km(CENTROIDS[0], CENTROIDS[1])
+        assert computed == [(0, 1)]
+        assert distance_km.cache_info().currsize == 1
 
     def test_transfer_chain_sums_in_vehicle_time(self):
         rides = []
