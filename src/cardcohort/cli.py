@@ -18,7 +18,9 @@ from . import reports
 from .geo import DEFAULT_CENTER
 from .infer import HOME_RULES, STAY_MODES
 from .ingest import (
+    ObservationWeek,
     SchemaError,
+    derive_week_start,
     iter_lines,
     load_stops,
     parse_coord,
@@ -102,8 +104,12 @@ def _add_tuning(p: argparse.ArgumentParser) -> None:
 
 def cmd_ingest_check(args) -> int:
     require_files([args.transactions, args.stops])
+    if args.week_start is not None:
+        # A start too late for seven days is refused before any input is read.
+        ObservationWeek(args.week_start)
     stops, stop_rejections = load_stops(iter_lines(args.stops))
-    tx = read_transactions(iter_lines(args.transactions), args.week_start, stops)
+    week_start = args.week_start or derive_week_start(iter_lines(args.transactions))
+    tx = read_transactions(iter_lines(args.transactions), week_start, stops)
     os.makedirs(args.out, exist_ok=True)
     reports.write_rejections(os.path.join(args.out, "rejections.csv"), tx.rejections)
     reports.write_rejections(os.path.join(args.out, "rejections_stops.csv"), stop_rejections)

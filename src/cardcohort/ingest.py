@@ -12,9 +12,11 @@ reason and a line number, never silently dropped, and never aborts the
 run unless the rejection rate makes it obvious the file is not in this
 schema at all.
 
-:func:`read_transactions` reads a transactions file in one pass: each
-line is split, checked, tested against the stop registry and appended to
-its card's rides, so no list of all rows is built.
+:func:`read_transactions` reads a transactions file in one pass against a
+fixed observation week: each line is split, checked, tested against the
+stop registry and appended to its card's rides, so no list of all rows is
+built.  A file with no configured week start is first scanned once by
+:func:`derive_week_start` for its earliest boarding date.
 
 Times are integers.  :func:`parse_minute` reads a timestamp as minutes
 after 0001-01-01T00:00; an accepted row carries its times as minutes
@@ -24,12 +26,9 @@ inside the week.
 
 from __future__ import annotations
 
-from array import array
-from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, fields
 from datetime import date, datetime, timedelta
-from operator import attrgetter
 from typing import Iterable, Iterator, Mapping
 
 TRANSACTIONS_HEADER = "card_id,card_type,fare_type,route_id,board_stop,board_time,alight_stop,alight_time"
@@ -79,6 +78,10 @@ class ObservationWeek:
     """
 
     start_date: date
+
+    def __post_init__(self):
+        if self.start_date > date.max - timedelta(days=6):
+            raise ValueError(f"week start {self.start_date}: the week runs past {date.max}")
 
     @property
     def label(self) -> str:
@@ -130,23 +133,17 @@ class _Minutes(dict):
     """Timestamp text -> minutes after ``base``, or None when it does not parse.
 
     A week has at most 10,080 distinct minutes, so each is parsed once.
-    With no base given, the first timestamp that parses fixes it at the
-    midnight before it.
     """
 
-    def __init__(self, base: int | None):
+    def __init__(self, base: int):
         super().__init__()
         self.base = base
 
     def __missing__(self, text: str) -> int | None:
         try:
-            t = parse_minute(text)
+            t = parse_minute(text) - self.base
         except ValueError:
             t = None
-        else:
-            if self.base is None:
-                self.base = t - t % DAY_MINUTES
-            t -= self.base
         self[text] = t
         return t
 
@@ -170,7 +167,9 @@ class Transactions:
     its stops are listed.  ``students`` holds the cards with a kept
     student line.  ``parsed`` counts the accepted lines, those dropped for
     an unknown stop included, and ``unmatched`` counts each unknown stop
-    id once per dropped line that names it.
+    id once per dropped line that names it.  ``week`` is the one week
+    every line was checked against: the configured one or, for a file
+    with none, the one :func:`derive_week_start` scanned the file for.
     """
 
     week: ObservationWeek
@@ -189,17 +188,39 @@ class Transactions:
         return CARD_STUDENT if card_id in self.students else CARD_REGULAR
 
 
+def derive_week_start(lines: Iterable[str]) -> date:
+    """The earliest boarding date that parses on any eight-column data line.
+
+    Lines rejected for another reason count too.  :data:`DEFAULT_WEEK_START`
+    when no boarding time parses.  Each distinct boarding text is parsed
+    once.
+    """
+    it = iter(lines)
+    next(it, None)  # the header
+    boards = set()
+    for raw in it:
+        parts = raw.rstrip("\r\n").split(",")
+        if len(parts) == 8:
+            boards.add(parts[5])
+    days = []
+    for text in boards:
+        try:
+            days.append(parse_minute(text) // DAY_MINUTES)
+        except ValueError:
+            pass
+    return date.fromordinal(min(days) + 1) if days else DEFAULT_WEEK_START
+
+
 def read_transactions(
     lines: Iterable[str],
-    week_start: date | None = None,
+    week_start: date,
     known_stops: Mapping[str, object] | None = None,
 ) -> Transactions:
     """Read a transaction stream once into each card's rides.
 
-    Without ``week_start``, the week starts on the earliest boarding date
-    that parses on any eight-column line, whether that line is accepted or
-    not (:data:`DEFAULT_WEEK_START` when none parses).  Stops are tested
-    against ``known_stops`` only when it is given.
+    Rows are checked against the week starting on ``week_start``; a file
+    with no configured start takes it from :func:`derive_week_start`.
+    Stops are tested against ``known_stops`` only when it is given.
 
     Every data line is either accepted or lands in the rejections, in
     line order.  Raises :class:`SchemaError` when the header is wrong or
@@ -207,35 +228,24 @@ def read_transactions(
     on bare commas; the schema has no quoting and ids containing
     separators are rejected as a column-count error.
     """
+    week = ObservationWeek(week_start)
     it = iter(lines)
     # An empty stream reads as a header with no lines.
     header = _clean(next(it, TRANSACTIONS_HEADER))
     if header != TRANSACTIONS_HEADER:
         raise SchemaError(f"unexpected transactions header: {header!r}")
 
-    derive = week_start is None
-    minutes = _Minutes(None if derive else ObservationWeek(week_start).start_minute)
+    minutes = _Minutes(week.start_minute)
     pool: dict[str, str] = {}
     intern = pool.setdefault
     by_card: dict[str, list[Ride]] = {}
-    # A derived week is final only at the end of the file, so what depends
-    # on it is kept by boarding minute: the earliest kept student boarding
-    # of each card, each line dropped for naming unknown stops, and, when
-    # deriving, the number and boarding of each line that passed the week
-    # check (64-bit: a file may span the whole calendar).
-    student_board: dict[str, int] = {}
-    dropped: list[tuple[int, tuple[str, ...]]] = []
-    checked_lines, checked_boards = array("q"), array("q")
+    students: set[str] = set()
+    unmatched: Counter[str] = Counter()
     rejections: list[Rejection] = []
-    blank_lines: list[int] = []
-    # The week in minutes after ``minutes.base``.  A derived week starts on
-    # the earliest boarding day seen so far, so it can only move earlier.
-    lo, hi = 0, WEEK_MINUTES
     total = 0
     for line_no, raw in enumerate(it, start=2):
         line = raw.rstrip("\r\n")
         if not line:
-            blank_lines.append(line_no)
             continue
         total += 1
         parts = line.split(",")
@@ -243,10 +253,6 @@ def read_transactions(
             reason = "bad column count"
         else:
             card_id, card_type, fare_type, route_id, b_stop, b_time, a_stop, a_time = parts
-            board = minutes[b_time]
-            if derive and board is not None and board < lo:
-                lo = board - board % DAY_MINUTES
-                hi = lo + WEEK_MINUTES
             if not card_id:
                 reason = "empty card_id"
             elif card_type != CARD_REGULAR and card_type != CARD_STUDENT:
@@ -257,14 +263,11 @@ def read_transactions(
                 reason = "empty route_id"
             elif not b_stop:
                 reason = "empty board_stop"
-            elif board is None:
+            elif (board := minutes[b_time]) is None:
                 reason = "bad board_time"
-            elif not lo <= board < hi:
+            elif not 0 <= board < WEEK_MINUTES:
                 reason = OUTSIDE_WEEK
             else:
-                if derive:
-                    checked_lines.append(line_no)
-                    checked_boards.append(board)
                 if fare_type == FARE_FIXED:
                     reason = "fixed fare with alight fields" if a_stop or a_time else None
                     alight = board
@@ -282,8 +285,7 @@ def read_transactions(
                     if known_stops is not None and (
                         b_stop not in known_stops or a_stop and a_stop not in known_stops
                     ):
-                        unknown = tuple(s for s in (b_stop, a_stop) if s and s not in known_stops)
-                        dropped.append((board, unknown))
+                        unmatched.update(s for s in (b_stop, a_stop) if s and s not in known_stops)
                         continue
                     ride = (board, intern(route_id, route_id), intern(b_stop, b_stop),
                             intern(a_stop, a_stop), alight)
@@ -292,54 +294,15 @@ def read_transactions(
                         by_card[card_id] = [ride]
                     else:
                         rides.append(ride)
-                    if card_type == CARD_STUDENT and board < student_board.get(card_id, hi):
-                        student_board[card_id] = board
+                    if card_type == CARD_STUDENT:
+                        students.add(card_id)
                     continue
         rejections.append(Rejection(line_no, reason))
         _bail_early(len(rejections), total)
 
-    if derive:
-        if lo:
-            # The start moved earlier.  A line that passed the week check
-            # against a later start may now lie a week or more after the
-            # final one: it becomes an ``outside observation week``
-            # rejection, also where an alighting check had rejected it,
-            # since the week check comes first.  The early bail is replayed
-            # over the merged rejections in line order, as if the start had
-            # been known from line 2.
-            outside = {n for n, board in zip(checked_lines, checked_boards) if board >= hi}
-            rejections = [r for r in rejections if r.line_no not in outside]
-            rejections += (Rejection(n, OUTSIDE_WEEK) for n in outside)
-            rejections.sort(key=attrgetter("line_no"))
-            for k, r in enumerate(rejections, start=1):
-                _bail_early(k, r.line_no - 1 - bisect_right(blank_lines, r.line_no))
-            # Each card keeps its rides inside the final week, shifted in
-            # place through one int per distinct minute (as ``minutes``
-            # hands them out), and a card left with none goes.
-            shifted = {t: t - lo for t in minutes.values() if t is not None}
-            for card in list(by_card):
-                rides = by_card[card]
-                rides[:] = [
-                    (shifted[board], route_id, b_stop, a_stop, shifted[alight])
-                    for board, route_id, b_stop, a_stop, alight in rides
-                    if board < hi
-                ]
-                if not rides:
-                    del by_card[card]
-        if minutes.base is None:
-            week_start = DEFAULT_WEEK_START
-        else:
-            week_start = date.fromordinal((minutes.base + lo) // DAY_MINUTES + 1)
     if total and len(rejections) > total * FATAL_REJECT_FRACTION:
         raise SchemaError(f"rejected {len(rejections)} of {total} lines; wrong schema")
-    return Transactions(
-        ObservationWeek(week_start),
-        by_card,
-        {card for card, board in student_board.items() if board < hi},
-        rejections,
-        Counter(stop for board, unknown in dropped if board < hi for stop in unknown),
-        total - len(rejections),
-    )
+    return Transactions(week, by_card, students, rejections, unmatched, total - len(rejections))
 
 
 def load_stops(lines: Iterable[str]) -> tuple[dict[str, tuple[float, float]], list[Rejection]]:

@@ -35,7 +35,7 @@ from .geo import (
     point_in_region,
 )
 from .groups import DeprivationScore, DeprivationSummary, classify, score_deprivation
-from .ingest import ObservationWeek, Rejection, iter_lines, load_stops, read_transactions
+from .ingest import ObservationWeek, Rejection, derive_week_start, iter_lines, load_stops, read_transactions
 
 log = logging.getLogger(__name__)
 
@@ -85,6 +85,10 @@ class RunConfig:
             raise ValueError(f"unknown stay_mode: {self.stay_mode!r}")
         if self.home_rule not in infer.HOME_RULES:
             raise ValueError(f"unknown home_rule: {self.home_rule!r}")
+        # ObservationWeek refuses a start that leaves no room for seven days.
+        for start in (self.week1_start, self.week2_start, self.followup_start):
+            if start is not None:
+                ObservationWeek(start)
         paths = {key: getattr(self, key) for key in PATH_FIELDS}
         empty = [key for key, p in paths.items() if p == ""]
         if empty:
@@ -162,13 +166,15 @@ def process_year(
 ) -> YearData:
     """Profile one observation year.
 
-    When ``stays`` is a dict, each card's stays are stored in it as they
-    are formed; otherwise no stay object is built.
+    Without ``week_start``, the transactions file is scanned once for it
+    before it is read.  When ``stays`` is a dict, each card's stays are
+    stored in it as they are formed; otherwise no stay object is built.
     """
     stops, stop_rejections = load_stops(iter_lines(stops_path))
     places = build_places(stops, cfg.cluster_m)
     log.info("%s: %d stops in %d places", stops_path, len(stops), len(places))
 
+    week_start = week_start or derive_week_start(iter_lines(tx_path))
     tx = read_transactions(iter_lines(tx_path), week_start, stops)
     log.info(
         "%s: %d records parsed, %d rejected, %d geocoded, %d cards",
@@ -205,6 +211,7 @@ def _count_followup(path: str, week_start: date | None) -> tuple[Counter, list[R
     Follow-up rows are counted as parsed, without geocoding: a row naming
     a stop absent from the registries still counts as a trip.
     """
+    week_start = week_start or derive_week_start(iter_lines(path))
     tx = read_transactions(iter_lines(path), week_start)
     return Counter({card: len(rides) for card, rides in tx.rides.items()}), tx.rejections
 

@@ -168,7 +168,8 @@ class TestInfer:
         assert code == 0
         stops, _ = ingest.load_stops(ingest.iter_lines(mini_bundle["stops"]))
         stop_to_place = build_places(stops).stop_to_place
-        tx = ingest.read_transactions(ingest.iter_lines(mini_bundle["year1"]), None, stops)
+        week_start = ingest.derive_week_start(ingest.iter_lines(mini_bundle["year1"]))
+        tx = ingest.read_transactions(ingest.iter_lines(mini_bundle["year1"]), week_start, stops)
         stays = {
             card: reference_profile.build_stays(
                 card, reference_profile.build_legs(rides, stop_to_place), reference_profile.PERMISSIVE
@@ -671,6 +672,25 @@ class TestEntryPoints:
         assert opened == []
         assert os.listdir(tmp_path) == ["link"]
 
+    @pytest.mark.parametrize("configured", [False, True])
+    @pytest.mark.parametrize("command", ["run", "infer", "ingest-check"])
+    def test_a_derived_week_scans_its_file_once_before_the_read(
+        self, command_args, mini_bundle, opened, tmp_path, command, configured
+    ):
+        args = list(command_args[command])
+        files = {"year1": "2008-04-07"}
+        if command == "run":
+            args += ["--followup", mini_bundle["followup"]]
+            files.update(year2="2010-04-05", followup="2014-04-07")
+        if configured:
+            flags = {"run": ("--week1-start", "--week2-start", "--followup-start"),
+                     "infer": ("--week1-start",), "ingest-check": ("--week-start",)}[command]
+            for flag, start in zip(flags, files.values()):
+                args += [flag, start]
+        assert run_cli(command, *args, "--out", str(tmp_path / "out")) == 0
+        for key in files:
+            assert opened.count(mini_bundle[key]) == (1 if configured else 2), key
+
     def test_help_exits_zero(self):
         with pytest.raises(SystemExit) as err:
             main(["--help"])
@@ -694,3 +714,50 @@ class TestEntryPoints:
         )
         captured = capsys.readouterr()
         assert captured.out == ""
+
+
+class TestWeekPastTheCalendar:
+    """A week start within six days of 9999-12-31 is refused with exit 2."""
+
+    @pytest.mark.parametrize(
+        "command,flag,threads",
+        [
+            ("run", "--week1-start", "1"),
+            ("run", "--week2-start", "1"),
+            ("run", "--week2-start", "2"),
+            ("score", "--followup-start", "2"),
+            ("infer", "--week1-start", "1"),
+            ("ingest-check", "--week-start", None),
+        ],
+    )
+    def test_configured_start_is_exit_2_before_any_input_is_read(
+        self, command_args, opened, tmp_path, capsys, command, flag, threads
+    ):
+        args = list(command_args[command])
+        if threads:
+            args += ["--threads", threads]
+        assert run_cli(command, *args, flag, "9999-12-28", "--out", str(tmp_path / "out")) == 2
+        assert "error: week start 9999-12-28: the week runs past 9999-12-31" in capsys.readouterr().err
+        assert opened == []
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "command,key,threads",
+        [
+            ("run", "--year1", "1"),
+            ("run", "--year2", "1"),
+            ("run", "--year2", "2"),
+            ("score", "--followup", "2"),
+            ("infer", "--year1", "2"),
+            ("ingest-check", "--transactions", None),
+        ],
+    )
+    def test_derived_start_is_exit_2(self, command_args, mini_bundle, tmp_path, capsys, command, key, threads):
+        late = tmp_path / "late.csv"
+        late.write_text(f"{ingest.TRANSACTIONS_HEADER}\nC1,R,FIX,B1,HA,9999-12-31T09:00,,\n")
+        args = list(command_args[command])
+        args[args.index(key) + 1] = str(late)
+        if threads:
+            args += ["--threads", threads]
+        assert run_cli(command, *args, "--out", str(tmp_path / "out")) == 2
+        assert "error: week start 9999-12-31: the week runs past 9999-12-31" in capsys.readouterr().err

@@ -18,6 +18,7 @@ from cardcohort.ingest import (
     ObservationWeek,
     Rejection,
     SchemaError,
+    derive_week_start,
     format_minute,
     iter_lines,
     load_stops,
@@ -60,8 +61,9 @@ def csv_rows(tx) -> list[str]:
     ]
 
 
-def derived_start(rows) -> date:
-    return read_transactions(rows).week.start_date
+def derived(text_lines: list[str], known_stops=None):
+    """``text_lines`` read against the week derived from them."""
+    return read_transactions(text_lines, derive_week_start(text_lines), known_stops)
 
 
 class TestMinuteTimestamps:
@@ -120,6 +122,12 @@ class TestObservationWeek:
     def test_midweek_start_still_seven_days(self):
         week = ObservationWeek(date(2008, 4, 9))
         assert len(week.weekdays) == 3 + 2  # Wed-Fri plus Mon-Tue of next week
+
+    def test_a_week_past_the_calendar_is_refused(self):
+        assert ObservationWeek(date(9999, 12, 25)).dates[-1] == date(9999, 12, 31)
+        for day in (26, 28, 31):
+            with pytest.raises(ValueError, match=f"week start 9999-12-{day}: the week runs past 9999-12-31"):
+                ObservationWeek(date(9999, 12, day))
 
 
 class TestParseTransactions:
@@ -259,7 +267,7 @@ class TestDeriveWeekStart:
             "C2,R,FIX,B1,S1,2008-04-07T23:50,,",
             "C3,R,FIX,B1,S1,2008-04-11T07:30,,",
         )
-        assert derived_start(rows) == date(2008, 4, 7)
+        assert derive_week_start(rows) == date(2008, 4, 7)
 
     def test_ignores_unparseable_lines(self):
         rows = lines(
@@ -268,12 +276,68 @@ class TestDeriveWeekStart:
             "C2,R,FIX,B1,S1,2008-04-08T07:30,,",
             "C3,R,FIX,B1,S1,2008-04-09T07:30,,",
         )
-        assert derived_start(rows) == date(2008, 4, 8)
+        assert derive_week_start(rows) == date(2008, 4, 8)
 
     def test_default_start_when_nothing_parses(self):
-        assert derived_start(lines()) == DEFAULT_WEEK_START
-        assert derived_start([]) == DEFAULT_WEEK_START
-        assert read_transactions(lines()).week.label == "1970"
+        assert derive_week_start(lines()) == DEFAULT_WEEK_START
+        assert derive_week_start([]) == DEFAULT_WEEK_START
+        assert derived(lines()).week.label == "1970"
+
+    def test_only_eight_column_lines_count(self):
+        rows = lines(
+            "C1,R,FIX,B1,S1,2008-04-01T07:30,",
+            "C1,R,FIX,B1,S1,2008-04-02T07:30,,,",
+            "C2,R,FIX,B1,S1,2008-04-08T07:30,,",
+        )
+        assert derive_week_start(rows) == date(2008, 4, 8)
+
+    @pytest.mark.parametrize(
+        "row",
+        [
+            ",R,FIX,B1,S1,2008-04-06T10:00,,",
+            "C1,X,FIX,B1,S1,2008-04-06T10:00,,",
+            "C1,R,ZZZ,B1,S1,2008-04-06T10:00,,",
+            "C1,R,FIX,,,2008-04-06T10:00,,",
+            "C1,R,FIX,B1,S1,2008-04-06T10:00,S2,2008-04-06T10:30",
+            "C1,R,DST,B1,S1,2008-04-06T10:00,S2,2008-04-06T09:00",
+        ],
+    )
+    def test_a_line_rejected_for_another_reason_still_counts(self, row):
+        rows = lines("C2,R,FIX,B1,S1,2008-04-08T07:30,,", row)
+        assert derive_week_start(rows) == date(2008, 4, 6)
+        assert derived(rows).rejections[0].line_no == 3
+
+    @pytest.mark.parametrize("text", ["2008-04-06 10:00", "2008-02-30T07:30", "2008-W14-7T10:00", ""])
+    def test_a_bad_board_time_is_ignored(self, text):
+        rows = lines(f"C1,R,FIX,B1,S1,{text},,", "C2,R,FIX,B1,S1,2008-04-08T07:30,,")
+        assert derive_week_start(rows) == date(2008, 4, 8)
+        assert derived(rows).rejections == [Rejection(2, "bad board_time")]
+
+    @pytest.mark.parametrize("text_lines", [[], [TRANSACTIONS_HEADER], [TRANSACTIONS_HEADER + "\r\n", "\n"]])
+    def test_header_only_and_empty_streams(self, text_lines):
+        assert derive_week_start(text_lines) == DEFAULT_WEEK_START
+
+    def test_byte_order_mark_file(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_text(
+            "\ufeff" + "\n".join(lines("C1,R,FIX,B1,S1,2008-04-09T07:30,,", "C1,R,FIX,B1,S1,2008-04-08T00:10,,")),
+            encoding="utf-8",
+        )
+        assert derive_week_start(iter_lines(str(path))) == date(2008, 4, 8)
+
+    def test_each_distinct_boarding_text_parses_once(self, monkeypatch):
+        from cardcohort import ingest
+
+        parsed = []
+
+        def counting(text):
+            parsed.append(text)
+            return parse_minute(text)
+
+        monkeypatch.setattr(ingest, "parse_minute", counting)
+        rows = lines(*["C1,R,FIX,B1,S1,2008-04-09T07:30,,"] * 5, *["C1,R,FIX,B1,S1,bad,,"] * 5)
+        assert derive_week_start(rows) == date(2008, 4, 9)
+        assert sorted(parsed) == ["2008-04-09T07:30", "bad"]
 
 
 class TestLoadStops:
@@ -399,8 +463,8 @@ class TestByteOrderMark:
             )
         ) + "\n"
         plain, bom = self._pair(tmp_path, "tx", body)
-        expected = read_transactions(iter_lines(plain))
-        got = read_transactions(iter_lines(bom))
+        expected = read_transactions(iter_lines(plain), derive_week_start(iter_lines(plain)))
+        got = read_transactions(iter_lines(bom), derive_week_start(iter_lines(bom)))
         assert got == expected
         assert got.week == expected.week
         assert got.parsed == 2
@@ -419,7 +483,7 @@ class TestByteOrderMark:
 
 
 def reference_parse(text_lines: list[str], week_start: date | None, known_stops=None):
-    """The reading the one-pass reader must reproduce, written the slow way.
+    """The reading the scan and the reader must reproduce, written the slow way.
 
     A first scan over every eight-column line finds the earliest boarding
     date (the derived week start); a second scan checks each line against
@@ -502,7 +566,7 @@ def reference_parse(text_lines: list[str], week_start: date | None, known_stops=
 
 def one_pass(text_lines: list[str], week_start: date | None, known_stops=None):
     try:
-        tx = read_transactions(text_lines, week_start, known_stops)
+        tx = read_transactions(text_lines, week_start or derive_week_start(text_lines), known_stops)
     except SchemaError:
         return ("schema",)
     return (
@@ -555,7 +619,8 @@ def transaction_lines(draw):
             out.append("")
             continue
         # Few distinct minutes, so duplicate timestamps are common; days
-        # span two weeks, so a derived week can move by more than seven.
+        # span two weeks, so the earliest date can come after lines a week
+        # or more later.
         board = era + timedelta(
             days=draw(st.integers(-3, 10)), minutes=draw(st.sampled_from([0, 1, 450, 1439]))
         )
@@ -581,7 +646,7 @@ def transaction_lines(draw):
 
 
 class TestOnePassParity:
-    """The one-pass reader against the scan-by-scan reading it replaces."""
+    """derive_week_start then read_transactions against the reading written the slow way."""
 
     @settings(max_examples=1000, deadline=None)
     @given(transaction_lines(), st.sampled_from([None, None, 0, 1]), registries)
@@ -608,7 +673,7 @@ class TestOnePassParity:
                 date(2008, 4, 6),
                 [(3, "unknown card type"), (5, "outside observation week")],
             ),
-            # The earliest date comes last: earlier verdicts are redone,
+            # The earliest date comes last: earlier lines are judged by its week,
             # and outside-the-week wins over a later alight check.
             (
                 [
@@ -648,8 +713,8 @@ class TestOnePassParity:
                 date(2008, 12, 31),
                 [],
             ),
-            # The first and the last day of the calendar: the week moves
-            # back by more than 2**31 minutes.
+            # The first and the last day of the calendar: the first line
+            # lies more than 2**31 minutes after the derived start.
             (
                 [
                     "C1,R,FIX,B1,S1,9999-12-31T23:59,,",
@@ -668,13 +733,13 @@ class TestOnePassParity:
         assert got[0] == start
         assert got[3] == rejections
         accepted = [r for n, r in enumerate(rows, start=2) if n not in dict(rejections)]
-        assert sorted(csv_rows(read_transactions(text_lines))) == sorted(accepted)
+        assert sorted(csv_rows(derived(text_lines))) == sorted(accepted)
 
     @pytest.mark.parametrize(
         "rows,field,value",
         [
-            # A student line that the move puts after the week makes no
-            # student, though its card keeps a ride.
+            # A student line after the derived week makes no student,
+            # though its card keeps a ride.
             (
                 [
                     "C1,S,FIX,B1,S1,2008-04-16T07:30,,",
@@ -684,8 +749,8 @@ class TestOnePassParity:
                 "students",
                 set(),
             ),
-            # A line dropped for its unknown stop and then put after the
-            # week by the move counts in no unmatched total.
+            # A line naming an unknown stop after the derived week counts
+            # in no unmatched total.
             (
                 [
                     "C1,R,FIX,B1,SX,2008-04-16T07:30,,",
@@ -695,7 +760,7 @@ class TestOnePassParity:
                 "unmatched",
                 {"SY": 1},
             ),
-            # A card whose every ride the move puts after the week is gone.
+            # A card whose every ride lies after the derived week is gone.
             (
                 [
                     "C9,R,FIX,B1,S1,2008-04-16T07:30,,",
@@ -711,21 +776,19 @@ class TestOnePassParity:
         text_lines = lines(*rows)
         known = {"S1": (0.0, 0.0)}
         assert one_pass(text_lines, None, known) == reference_parse(text_lines, None, known)
-        tx = read_transactions(text_lines, None, known)
+        tx = derived(text_lines, known)
         assert (tx.week.start_date, tx.rejections) == (date(2008, 4, 8), [Rejection(2, OUTSIDE_WEEK)])
         assert getattr(tx, field) == value
 
     def test_minutes_count_from_the_derived_start(self):
-        tx = read_transactions(
-            lines("C1,R,FIX,B1,S1,2008-04-09T07:30,,", "C1,R,FIX,B1,S1,2008-04-08T00:10,,")
-        )
+        tx = derived(lines("C1,R,FIX,B1,S1,2008-04-09T07:30,,", "C1,R,FIX,B1,S1,2008-04-08T00:10,,"))
         assert tx.week.start_date == date(2008, 4, 8)
         assert [r[0] for r in tx.rides["C1"]] == [1440 + 450, 10]
 
     def test_a_moved_week_keeps_one_int_per_minute(self):
-        # Rides share the int of each distinct minute, also after a move
-        # shifts them, so a year's rides hold no int per ride.
-        tx = read_transactions(
+        # Rides share the int of each distinct minute, also when the
+        # earliest date comes last, so a year's rides hold no int per ride.
+        tx = derived(
             lines(
                 "C1,R,FIX,B1,S1,2008-04-09T07:30,,",
                 "C2,R,FIX,B1,S1,2008-04-09T07:30,,",
@@ -737,10 +800,10 @@ class TestOnePassParity:
         assert c1[0] is c2[0] is c1[4]
 
     def test_early_bail_counts_rejections_found_after_the_week_moved(self):
-        # 1,200 lines look in-week until the last-but-many line moves the
-        # start a day earlier; read in order they are a majority of the
-        # first thousand lines, so the file is refused as before even
-        # though the whole file is mostly good.
+        # 1,200 lines would look in-week but for the last-but-many line,
+        # whose date starts the week a day earlier; read in order they
+        # are a majority of the first thousand lines, so the file is
+        # refused even though the whole file is mostly good.
         text_lines = lines(
             "C1,R,FIX,B1,S1,2008-04-08T07:30,,",
             *["C1,R,FIX,B1,S1,2008-04-14T07:30,,"] * 1200,
@@ -749,7 +812,7 @@ class TestOnePassParity:
         )
         assert reference_parse(text_lines, None) == ("schema",)
         with pytest.raises(SchemaError):
-            read_transactions(text_lines)
+            derived(text_lines)
 
 
 class TestReadConfig:
