@@ -114,14 +114,14 @@ def cmd_ingest_check(args) -> int:
     reports.write_rejections(os.path.join(args.out, "rejections.csv"), tx.rejections)
     reports.write_rejections(os.path.join(args.out, "rejections_stops.csv"), stop_rejections)
     reports.write_unmatched(os.path.join(args.out, "unmatched.csv"), tx.unmatched)
-    with open(os.path.join(args.out, "stats.csv"), "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("metric,value\n")
-        fh.write(f"week_start,{tx.week.start_date.isoformat()}\n")
-        fh.write(f"stops,{len(stops)}\n")
-        fh.write(f"parsed,{tx.parsed}\n")
-        fh.write(f"rejected,{len(tx.rejections)}\n")
-        fh.write(f"geocoded,{tx.geocoded}\n")
-        fh.write(f"cards,{len(tx.rides)}\n")
+    reports.write_metrics(os.path.join(args.out, "stats.csv"), (
+        ("week_start", tx.week.start_date.isoformat()),
+        ("stops", len(stops)),
+        ("parsed", tx.parsed),
+        ("rejected", len(tx.rejections)),
+        ("geocoded", tx.geocoded),
+        ("cards", len(tx.rides)),
+    ))
     log.info("ingest-check: %d parsed, %d rejected, %d geocoded", tx.parsed, len(tx.rejections), tx.geocoded)
     return 0
 

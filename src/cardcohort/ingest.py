@@ -188,27 +188,39 @@ class Transactions:
         return CARD_STUDENT if card_id in self.students else CARD_REGULAR
 
 
+def _take_header(it: Iterator[str]) -> None:
+    """Take the header off a transaction stream; an empty stream reads as a header with no lines."""
+    header = _clean(next(it, TRANSACTIONS_HEADER))
+    if header != TRANSACTIONS_HEADER:
+        raise SchemaError(f"unexpected transactions header: {header!r}")
+
+
 def derive_week_start(lines: Iterable[str]) -> date:
     """The earliest boarding date that parses on any eight-column data line.
 
     Lines rejected for another reason count too.  :data:`DEFAULT_WEEK_START`
     when no boarding time parses.  Each distinct boarding text is parsed
-    once.
+    once.  A wrong header, or lines of another column count that bail
+    :func:`read_transactions` out early whatever the week, raise its
+    :class:`SchemaError` without reading the rest of the file.
     """
     it = iter(lines)
-    next(it, None)  # the header
+    _take_header(it)
     boards = set()
-    for raw in it:
+    blank = wrong = 0
+    for line_no, raw in enumerate(it, start=2):
         parts = raw.rstrip("\r\n").split(",")
         if len(parts) == 8:
             boards.add(parts[5])
-    days = []
-    for text in boards:
-        try:
-            days.append(parse_minute(text) // DAY_MINUTES)
-        except ValueError:
-            pass
-    return date.fromordinal(min(days) + 1) if days else DEFAULT_WEEK_START
+        elif parts == [""]:
+            blank += 1
+        else:
+            wrong += 1
+            # The reader rejects each of these too, so it bails at this line or before.
+            _bail_early(wrong, line_no - 1 - blank)
+    minutes = _Minutes(0)
+    first = min((t for t in map(minutes.__getitem__, boards) if t is not None), default=None)
+    return DEFAULT_WEEK_START if first is None else date.fromordinal(first // DAY_MINUTES + 1)
 
 
 def read_transactions(
@@ -230,10 +242,7 @@ def read_transactions(
     """
     week = ObservationWeek(week_start)
     it = iter(lines)
-    # An empty stream reads as a header with no lines.
-    header = _clean(next(it, TRANSACTIONS_HEADER))
-    if header != TRANSACTIONS_HEADER:
-        raise SchemaError(f"unexpected transactions header: {header!r}")
+    _take_header(it)
 
     minutes = _Minutes(week.start_minute)
     pool: dict[str, str] = {}

@@ -46,7 +46,6 @@ sleepover only suppresses homes when F_j > 0).
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from collections import Counter
@@ -65,6 +64,7 @@ from .geo import (
 )
 from .groups import group_index
 from .ingest import TRANSACTIONS_HEADER, read_config
+from .reports import write_json, write_lines
 
 GOLDEN = 0x9E3779B97F4A7C15
 _MASK = (1 << 64) - 1
@@ -175,8 +175,7 @@ class GeneratorConfig:
 
     def to_file(self, path: str) -> None:
         # A date prints as YYYY-MM-DD, the format read_config parses.
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.writelines(f"{f.name}={getattr(self, f.name)}\n" for f in fields(self))
+        write_lines(path, (f"{f.name}={getattr(self, f.name)}" for f in fields(self)))
 
     @classmethod
     def from_file(cls, path: str) -> "GeneratorConfig":
@@ -556,12 +555,6 @@ BUNDLE_FILES = (
 )
 
 
-def _write_lines(path: str, lines: Iterable[str]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for line in lines:
-            fh.write(line + "\n")
-
-
 def _write_zones(path: str, geom: _Geom, zones: Iterable[tuple[str, float, float, float, float]]) -> None:
     """Write rectangles ``(name, x0, y0, x1, y1)``, in metres from the origin,
     as a GeoJSON FeatureCollection with one Polygon feature each."""
@@ -574,9 +567,7 @@ def _write_zones(path: str, geom: _Geom, zones: Iterable[tuple[str, float, float
             "properties": {"name": name},
             "geometry": {"type": "Polygon", "coordinates": [ring]},
         })
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump({"type": "FeatureCollection", "features": features}, fh, indent=1)
-        fh.write("\n")
+    write_json(path, {"type": "FeatureCollection", "features": features})
 
 
 def generate(cfg: GeneratorConfig, out_dir: str) -> GeneratedBundle:
@@ -593,7 +584,7 @@ def generate(cfg: GeneratorConfig, out_dir: str) -> GeneratedBundle:
     os.makedirs(out_dir, exist_ok=True)
     paths = {name.partition(".")[0]: os.path.join(out_dir, name) for name in BUNDLE_FILES}
 
-    _write_lines(paths["stops"], ["stop_id,lon,lat", *geom.stop_rows()])
+    write_lines(paths["stops"], ["stop_id,lon,lat"], geom.stop_rows())
 
     week_files = (
         ("week1", cfg.week1_start, 1, False),
@@ -613,7 +604,7 @@ def generate(cfg: GeneratorConfig, out_dir: str) -> GeneratedBundle:
             home = plan.home1 if year_idx == 1 else plan.home2
             work = plan.work1 if year_idx == 1 else plan.work2
             _emit_agent_week(rows, cfg, geom, rng, plan, prefixes, weekday_offsets, home, work, metro)
-        _write_lines(paths[key], rows)
+        write_lines(paths[key], rows)
 
     truth = [
         TruthRow(
@@ -627,11 +618,11 @@ def generate(cfg: GeneratorConfig, out_dir: str) -> GeneratedBundle:
         )
         for p in plans
     ]
-    _write_lines(paths["truth"], [TRUTH_HEADER, *(
+    write_lines(paths["truth"], [TRUTH_HEADER], (
         f"{t.card_id},{t.archetype},{t.home1},{t.home2},"
         f"{t.work1 or ''},{t.work2 or ''},{1 if t.retained else 0}"
         for t in truth
-    )])
+    ))
 
     cx, cy = geom.center_m
     half = cfg.site_pitch_m * geom.rows / 4.0
@@ -644,7 +635,7 @@ def generate(cfg: GeneratorConfig, out_dir: str) -> GeneratedBundle:
 
     cfg.to_file(paths["generator"])
     center = geom.center
-    _write_lines(paths["bundle"], [
+    write_lines(paths["bundle"], [
         "year1=week1.csv",
         "year2=week2.csv",
         "followup=followup.csv",

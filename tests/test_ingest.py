@@ -238,7 +238,8 @@ class TestParseTransactions:
 
     def test_early_bail_on_wrong_schema(self):
         # A thousand rejects in a row must abort the scan rather than
-        # grind through an arbitrarily large wrong-schema file.
+        # grind through an arbitrarily large wrong-schema file, and so
+        # must the week scan that runs first when no start is configured.
         seen = 0
 
         def stream():
@@ -250,6 +251,10 @@ class TestParseTransactions:
 
         with pytest.raises(SchemaError):
             read_transactions(stream(), MONDAY)
+        assert seen < 1100
+        seen = 0
+        with pytest.raises(SchemaError, match="wrong schema"):
+            derive_week_start(stream())
         assert seen < 1100
 
     def test_csv_row_round_trip(self):
@@ -316,6 +321,32 @@ class TestDeriveWeekStart:
     @pytest.mark.parametrize("text_lines", [[], [TRANSACTIONS_HEADER], [TRANSACTIONS_HEADER + "\r\n", "\n"]])
     def test_header_only_and_empty_streams(self, text_lines):
         assert derive_week_start(text_lines) == DEFAULT_WEEK_START
+
+    def test_wrong_header_raises_before_any_data_line(self):
+        read = []
+
+        def stream():
+            yield "card,type,fare"
+            for i in range(10):
+                read.append(i)
+                yield "C1,R,FIX,B1,S1,2008-04-07T07:30,,"
+
+        with pytest.raises(SchemaError, match="unexpected transactions header: 'card,type,fare'"):
+            derive_week_start(stream())
+        assert read == []
+
+    def test_refuses_only_what_the_reader_refuses(self):
+        # Blank lines count as neither seen nor rejected, as in the reader:
+        # half of the first 1,000 non-empty lines pass, 501 of them bail.
+        good = "C1,R,FIX,B1,S1,2008-04-08T07:30,,"
+        rows = lines(*[good] * 500, *["x,y,z", ""] * 500)
+        assert derive_week_start(rows) == date(2008, 4, 8)
+        assert len(read_transactions(rows, date(2008, 4, 8)).rejections) == 500
+        rows = lines(*[good] * 499, *["x,y,z", ""] * 600)
+        with pytest.raises(SchemaError, match="rejected 501 of first 1000 lines"):
+            derive_week_start(rows)
+        with pytest.raises(SchemaError, match="rejected 501 of first 1000 lines"):
+            read_transactions(rows, date(2008, 4, 8))
 
     def test_byte_order_mark_file(self, tmp_path):
         path = tmp_path / "bom.csv"

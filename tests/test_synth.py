@@ -99,6 +99,19 @@ class TestGeneratorConfig:
         cfg.to_file(p)
         assert GeneratorConfig.from_file(p) == cfg
 
+    def test_default_file_text(self, tmp_path):
+        # The golden digests leave generator.conf out, so its text is pinned here.
+        p = tmp_path / "generator.conf"
+        GeneratorConfig().to_file(str(p))
+        assert p.read_bytes() == (
+            b"seed=20080407\n"
+            b"commuters=400\nmovers=400\njob_changers=400\njobless=400\nchurners=400\n"
+            b"grid_rows=10\ngrid_cols=10\nsite_stops=2\n"
+            b"stop_spacing_m=300.0\nsite_pitch_m=2000.0\n"
+            b"fixed_fare_fraction=0.3\nnoise_rate=0.0\nfollowup_retention=0.25\n"
+            b"week1_start=2008-04-07\nweek2_start=2010-04-05\nfollowup_start=2014-04-07\n"
+        )
+
 
 SMALL = dict(commuters=4, movers=4, job_changers=4, jobless=4, churners=4)
 
