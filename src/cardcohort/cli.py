@@ -110,7 +110,6 @@ def cmd_ingest_check(args) -> int:
     stops, stop_rejections = load_stops(iter_lines(args.stops))
     week_start = args.week_start or derive_week_start(iter_lines(args.transactions))
     tx = read_transactions(iter_lines(args.transactions), week_start, stops)
-    os.makedirs(args.out, exist_ok=True)
     reports.write_rejections(os.path.join(args.out, "rejections.csv"), tx.rejections)
     reports.write_rejections(os.path.join(args.out, "rejections_stops.csv"), stop_rejections)
     reports.write_unmatched(os.path.join(args.out, "unmatched.csv"), tx.unmatched)
@@ -130,7 +129,6 @@ def cmd_infer(args) -> int:
     cfg = _build_run_config(args)
     stays = {} if args.dump_stays else None
     year = process_year(cfg.year1, cfg.stops1, cfg, cfg.week1_start, stays)
-    os.makedirs(args.out, exist_ok=True)
     reports.write_profiles(os.path.join(args.out, "profiles.csv"), year.profiles, year.week)
     reports.write_rejections(os.path.join(args.out, "rejections.csv"), year.rejections)
     reports.write_unmatched(os.path.join(args.out, "unmatched.csv"), year.unmatched)

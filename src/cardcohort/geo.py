@@ -183,11 +183,14 @@ def read_features(path: str, parse: Callable[[Any], Any] = lambda geom: geom) ->
     is not a JSON object, a ``features`` member that is not an array, a
     feature without a ``geometry`` member and a ValueError from ``parse``
     raise ValueError, prefixed with ``path`` and, for a fault within one
-    feature of a collection, the feature's zero-based index.
+    feature of a collection, the feature's zero-based index.  The file is
+    read by :func:`cardcohort.ingest.iter_lines`.
     """
+    from .ingest import iter_lines  # here, so that importing geo loads no other module
+
+    text = "".join(iter_lines(path))
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = _expect(json.load(fh), dict, "GeoJSON document")
+        doc = _expect(json.loads(text), dict, "GeoJSON document")
         dtype = doc.get("type")
         if dtype == "FeatureCollection":
             feats = _expect(doc.get("features", []), list, "features")

@@ -1,6 +1,11 @@
 """Reading and validating smartcard transaction logs, stop registries and
 ``key=value`` config files.
 
+:func:`iter_lines` is the only code in the package that opens a file for
+reading: every input, the GeoJSON layers and the oracle's truth table
+included, goes through it.  :func:`take_header` is the one header rule
+for transactions, stops and truth files.
+
 The transaction format is a plain CSV with one boarding (and, for
 distance-based fares, one alighting) per line.  Fixed-fare lines carry no
 alighting information at all; that asymmetry is the reason most of the
@@ -188,11 +193,11 @@ class Transactions:
         return CARD_STUDENT if card_id in self.students else CARD_REGULAR
 
 
-def _take_header(it: Iterator[str]) -> None:
-    """Take the header off a transaction stream; an empty stream reads as a header with no lines."""
-    header = _clean(next(it, TRANSACTIONS_HEADER))
-    if header != TRANSACTIONS_HEADER:
-        raise SchemaError(f"unexpected transactions header: {header!r}")
+def take_header(it: Iterator[str], expected: str, kind: str) -> None:
+    """Take the header off a ``kind`` stream; an empty stream reads as a header with no lines."""
+    header = _clean(next(it, expected))
+    if header != expected:
+        raise SchemaError(f"unexpected {kind} header: {header!r}")
 
 
 def derive_week_start(lines: Iterable[str]) -> date:
@@ -205,7 +210,7 @@ def derive_week_start(lines: Iterable[str]) -> date:
     :class:`SchemaError` without reading the rest of the file.
     """
     it = iter(lines)
-    _take_header(it)
+    take_header(it, TRANSACTIONS_HEADER, "transactions")
     boards = set()
     blank = wrong = 0
     for line_no, raw in enumerate(it, start=2):
@@ -242,7 +247,7 @@ def read_transactions(
     """
     week = ObservationWeek(week_start)
     it = iter(lines)
-    _take_header(it)
+    take_header(it, TRANSACTIONS_HEADER, "transactions")
 
     minutes = _Minutes(week.start_minute)
     pool: dict[str, str] = {}
@@ -322,12 +327,7 @@ def load_stops(lines: Iterable[str]) -> tuple[dict[str, tuple[float, float]], li
     coordinate lines are rejected individually.
     """
     it = iter(lines)
-    try:
-        header = _clean(next(it))
-    except StopIteration:
-        return {}, []
-    if header != STOPS_HEADER:
-        raise SchemaError(f"unexpected stops header: {header!r}")
+    take_header(it, STOPS_HEADER, "stops")
     stops: dict[str, tuple[float, float]] = {}
     rejections: list[Rejection] = []
     for line_no, raw in enumerate(it, start=2):
@@ -358,15 +358,19 @@ def load_stops(lines: Iterable[str]) -> tuple[dict[str, tuple[float, float]], li
 
 
 def iter_lines(path: str) -> Iterator[str]:
-    """The lines of a CSV input, without a leading UTF-8 byte order mark.
+    """The lines of an input file, each with its line ending as written.
 
-    Text that is not UTF-8 raises ValueError naming ``path``.
+    Every input file of the package is read here: as UTF-8, with a leading
+    byte order mark dropped.  A file that cannot be read or is not UTF-8
+    text raises ValueError naming ``path``.
     """
-    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        try:
+    try:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             yield from fh
-        except UnicodeDecodeError as exc:
-            raise ValueError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    except OSError as exc:
+        raise ValueError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
 def parse_date(text: str) -> date:
@@ -391,32 +395,23 @@ def read_config(path: str, cls) -> dict:
 
     Blank lines and ``#`` comments are skipped.  Each value is parsed by
     the annotation of its field: ``int``, ``float``, ``date``, ``Coord``
-    or ``str``, each optionally ``| None``.  A file that cannot be opened
-    or is not UTF-8, a line without ``=``, a key that is not a field and a
-    value that does not parse raise ValueError.
+    or ``str``, each optionally ``| None``.  The file is read by
+    :func:`iter_lines`.  A line without ``=``, a key that is not a field
+    and a value that does not parse raise ValueError.
     """
     parsers = {f.name: _VALUE_PARSERS[f.type.removesuffix(" | None")] for f in fields(cls)}
     values = {}
-    try:
-        fh = open(path, "r", encoding="utf-8")
-    except OSError as exc:
-        raise ValueError(f"cannot read config file {path}: {exc.strerror}") from None
-    with fh:
+    for line in iter_lines(path):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, eq, text = (s.strip() for s in line.partition("="))
+        if not eq:
+            raise ValueError(f"bad config line: {line!r}")
+        if key not in parsers:
+            raise ValueError(f"unknown config key: {key!r}")
         try:
-            lines = fh.readlines()
-        except UnicodeDecodeError as exc:
-            raise ValueError(f"{path}: not UTF-8 text ({exc.reason})") from None
-        for line in lines:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, eq, text = (s.strip() for s in line.partition("="))
-            if not eq:
-                raise ValueError(f"bad config line: {line!r}")
-            if key not in parsers:
-                raise ValueError(f"unknown config key: {key!r}")
-            try:
-                values[key] = parsers[key](text)
-            except ValueError as exc:
-                raise ValueError(f"bad value for {key}: {text!r} ({exc})") from None
+            values[key] = parsers[key](text)
+        except ValueError as exc:
+            raise ValueError(f"bad value for {key}: {text!r} ({exc})") from None
     return values

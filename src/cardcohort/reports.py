@@ -25,11 +25,19 @@ from .pipeline import PipelineResult
 
 
 def write_lines(path: str, *blocks: Iterable[str]) -> None:
-    """Write the lines of each block in turn, each ended by LF, as UTF-8."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for block in blocks:
-            for line in block:
-                fh.write(line + "\n")
+    """Write the lines of each block in turn, each ended by LF, as UTF-8.
+
+    The file's directory is created when missing.  A file that cannot be
+    written raises ValueError naming ``path``.
+    """
+    try:
+        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            for block in blocks:
+                for line in block:
+                    fh.write(line + "\n")
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc.strerror}") from None
 
 
 def write_json(path: str, doc) -> None:
@@ -248,7 +256,6 @@ def write_run_reports(
     was given its input.  With ``names``, only the bundle files so named
     are written, with the same bytes as in the full bundle.
     """
-    os.makedirs(out_dir, exist_ok=True)
     skipped = {name for key, files in OPTIONAL_INPUT_FILES.items() if not getattr(result.config, key) for name in files}
     written = []
 

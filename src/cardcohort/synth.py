@@ -63,7 +63,7 @@ from .geo import (
     radial_direction,
 )
 from .groups import group_index
-from .ingest import TRANSACTIONS_HEADER, read_config
+from .ingest import TRANSACTIONS_HEADER, iter_lines, read_config, take_header
 from .reports import write_json, write_lines
 
 GOLDEN = 0x9E3779B97F4A7C15
@@ -581,7 +581,6 @@ def generate(cfg: GeneratorConfig, out_dir: str) -> GeneratedBundle:
     cfg.validate()
     geom = _Geom(cfg)
     plans = _place_agents(cfg, geom)
-    os.makedirs(out_dir, exist_ok=True)
     paths = {name.partition(".")[0]: os.path.join(out_dir, name) for name in BUNDLE_FILES}
 
     write_lines(paths["stops"], ["stop_id,lon,lat"], geom.stop_rows())
@@ -652,26 +651,16 @@ def generate(cfg: GeneratorConfig, out_dir: str) -> GeneratedBundle:
 
 
 def load_truth(path: str) -> list[TruthRow]:
+    """The rows of a ``truth.csv``; a wrong header raises SchemaError, a row without seven fields ValueError."""
+    it = iter_lines(path)
+    take_header(it, TRUTH_HEADER, "truth")
     rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n")
-        if header != TRUTH_HEADER:
-            raise ValueError(f"unexpected truth header: {header!r}")
-        for line in fh:
-            parts = line.rstrip("\n").split(",")
-            if len(parts) != 7:
-                raise ValueError(f"bad truth row: {line!r}")
-            rows.append(
-                TruthRow(
-                    parts[0],
-                    parts[1],
-                    parts[2],
-                    parts[3],
-                    parts[4] or None,
-                    parts[5] or None,
-                    parts[6] == "1",
-                )
-            )
+    for line in it:
+        parts = line.rstrip("\r\n").split(",")
+        if len(parts) != 7:
+            raise ValueError(f"bad truth row: {line!r}")
+        card_id, archetype, home1, home2, work1, work2, retained = parts
+        rows.append(TruthRow(card_id, archetype, home1, home2, work1 or None, work2 or None, retained == "1"))
     return rows
 
 

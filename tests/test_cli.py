@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import errno
 import json
 import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -322,6 +324,45 @@ MALFORMED_LAYER_CASES = [
 ]
 
 
+# Each input kind, by the option that names it.  --year2 is read in a worker.
+INPUT_KINDS = ("--transactions", "--stops", "--year1", "--stops1", "--year2", "--config", "synth --config",
+               "--r4", "--taz")
+
+
+@pytest.fixture
+def input_cases(mini_args, mini_bundle, tmp_path):
+    """Input kind -> (a clean file of that kind, the argv without --out that reads ``path`` as that kind)."""
+    run_conf = tmp_path / "run.conf"
+    run_conf.write_text("".join(f"{flag[2:]}={path}\n" for flag, path in zip(mini_args[::2], mini_args[1::2])))
+    gen_conf = tmp_path / "generator.conf"
+    gen_conf.write_text("commuters=2\nmovers=2\njob_changers=2\njobless=2\nchurners=2\n")
+
+    def run_with(flag, *extra):
+        def argv(path):
+            args = list(mini_args)
+            args[args.index(flag) + 1] = path
+            return ["run", *args, *extra]
+        return argv
+
+    return {
+        "--transactions": (mini_bundle["year1"], lambda path: [
+            "ingest-check", "--transactions", path, "--stops", mini_bundle["stops"]]),
+        "--stops": (mini_bundle["stops"], lambda path: [
+            "ingest-check", "--transactions", mini_bundle["year1"], "--stops", path]),
+        "--year1": (mini_bundle["year1"], run_with("--year1")),
+        "--stops1": (mini_bundle["stops"], run_with("--stops1")),
+        "--year2": (mini_bundle["year2"], run_with("--year2", "--threads", "2")),
+        "--config": (str(run_conf), lambda path: ["run", "--config", path]),
+        "synth --config": (str(gen_conf), lambda path: ["synth", "--config", path]),
+        "--r4": (mini_bundle["r4"], lambda path: ["run", *mini_args, "--r4", path]),
+        "--taz": (mini_bundle["taz"], lambda path: ["run", *mini_args, "--taz", path]),
+    }
+
+
+def _tree(out) -> dict[str, bytes]:
+    return {name: (out / name).read_bytes() for name in sorted(os.listdir(out))}
+
+
 class TestRun:
     def test_full_run_with_all_layers(self, mini_args, mini_bundle, tmp_path):
         code = run_cli(
@@ -403,20 +444,43 @@ class TestRun:
         )
         assert code == 3
 
-    @pytest.mark.parametrize("flag", ["--year1", "--stops1", "--config"])
-    def test_non_utf8_input_names_its_file(self, mini_args, tmp_path, capsys, flag):
+    @pytest.mark.parametrize("flag", INPUT_KINDS)
+    def test_non_utf8_input_names_its_file(self, input_cases, tmp_path, capsys, flag):
+        clean, argv = input_cases[flag]
         bad = tmp_path / "bad.txt"
-        args = list(mini_args)
-        if flag == "--config":
-            bad.write_bytes(b"# caf\xe9\n")
-            args += [flag, str(bad)]
-        else:
-            i = args.index(flag) + 1
-            with open(args[i], "rb") as fh:
-                bad.write_bytes(fh.read() + b"# caf\xe9\n")
-            args[i] = str(bad)
-        assert run_cli("run", *args, "--out", str(tmp_path / "out")) == 2
-        assert f"{bad}: not UTF-8 text" in capsys.readouterr().err
+        bad.write_bytes(Path(clean).read_bytes() + b"# caf\xe9\n")
+        assert run_cli(*argv(str(bad)), "--out", str(tmp_path / "out")) == 2
+        err = capsys.readouterr().err
+        assert f"error: {bad}: not UTF-8 text" in err
+        assert err.count(str(bad)) == 1
+
+    @pytest.mark.parametrize("flag", INPUT_KINDS)
+    def test_byte_order_mark_reads_as_none(self, input_cases, tmp_path, flag):
+        clean, argv = input_cases[flag]
+        bom = tmp_path / "bom.txt"
+        bom.write_bytes(b"\xef\xbb\xbf" + Path(clean).read_bytes())
+        outs = tmp_path / "plain", tmp_path / "bom"
+        for path, out in zip((clean, str(bom)), outs):
+            assert run_cli(*argv(path), "--out", str(out)) == 0
+        assert _tree(outs[0]) == _tree(outs[1])
+
+    @pytest.mark.parametrize("flag", INPUT_KINDS)
+    def test_input_that_cannot_be_opened_names_its_file(self, input_cases, tmp_path, monkeypatch, capsys, flag):
+        clean, argv = input_cases[flag]
+        locked = tmp_path / "locked.txt"
+        locked.write_bytes(Path(clean).read_bytes())
+
+        # Refused in the one opener, so the case holds for a user who may read anything.
+        def refuse(path, *args, **kwargs):
+            if path == str(locked):
+                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+            return open(path, *args, **kwargs)
+
+        monkeypatch.setattr(ingest, "open", refuse, raising=False)
+        assert run_cli(*argv(str(locked)), "--out", str(tmp_path / "out")) == 2
+        err = capsys.readouterr().err
+        assert f"error: cannot read {locked}: Permission denied" in err
+        assert err.count(str(locked)) == 1
 
     def test_wrong_year2_header_in_worker_is_exit_3(self, mini_args, tmp_path):
         bad = tmp_path / "bad.csv"
@@ -671,6 +735,15 @@ class TestEntryPoints:
         assert f"error: {expected}" in capsys.readouterr().err
         assert opened == []
         assert os.listdir(tmp_path) == ["link"]
+
+    @pytest.mark.parametrize("command", OUT_COMMANDS)
+    def test_out_that_cannot_be_created_is_exit_2(self, command_args, tmp_path, capsys, command):
+        out = tmp_path / ("x" * 300)
+        assert run_cli(command, *command_args[command], "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert f"error: cannot write {out}{os.sep}" in err
+        assert err.rstrip().endswith(": File name too long")
+        assert os.listdir(tmp_path) == []
 
     @pytest.mark.parametrize("configured", [False, True])
     @pytest.mark.parametrize("command", ["run", "infer", "ingest-check"])

@@ -3,13 +3,15 @@
 from __future__ import annotations
 
 import math
+import re
 from datetime import date
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cardcohort.ingest import iter_lines, load_stops, read_transactions
+from cardcohort.ingest import SchemaError, iter_lines, load_stops, read_transactions
 from cardcohort.pipeline import RunConfig, run_pipeline
 from cardcohort.synth import (
     ARCHETYPE_ORDER,
@@ -166,6 +168,23 @@ class TestGenerate:
 
     def test_truth_file_round_trips(self, small_bundle):
         assert load_truth(small_bundle.paths["truth"]) == small_bundle.truth
+
+    def test_truth_file_reads_under_the_input_rule(self, small_bundle, tmp_path):
+        body = Path(small_bundle.paths["truth"]).read_bytes()
+        path = tmp_path / "truth.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + body.replace(b"\n", b"\r\n"))
+        assert load_truth(str(path)) == small_bundle.truth
+        path.write_bytes(body + b"caf\xe9\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: not UTF-8 text"):
+            load_truth(str(path))
+        gone = tmp_path / "gone.csv"
+        with pytest.raises(ValueError, match=f"^cannot read {re.escape(str(gone))}: "):
+            load_truth(str(gone))
+        path.write_text("card_id,archetype\n")
+        with pytest.raises(SchemaError, match="unexpected truth header: 'card_id,archetype'"):
+            load_truth(str(path))
+        path.write_text("")
+        assert load_truth(str(path)) == []
 
     def test_weeks_are_schema_clean(self, small_bundle):
         cfg = small_bundle.config
