@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import errno
 import json
 import math
@@ -834,3 +835,93 @@ class TestWeekPastTheCalendar:
             args += ["--threads", threads]
         assert run_cli(command, *args, "--out", str(tmp_path / "out")) == 2
         assert "error: week start 9999-12-31: the week runs past 9999-12-31" in capsys.readouterr().err
+
+
+# Every subcommand's flags: flag -> (dest, parser of its text, choices,
+# required).  The parser is ``str`` for a plain string and None for a
+# flag that takes no text.
+_TUNING = {
+    "--config": ("config", str, None, False),
+    "--center": ("center", ingest.parse_coord, None, False),
+    "--stay-mode": ("stay_mode", str, ("strict", "permissive"), False),
+    "--home-rule": ("home_rule", str, ("paper", "relaxed"), False),
+    "--stay-min": ("stay_min", int, None, False),
+    "--cluster-m": ("cluster_m", float, None, False),
+    "--change-km": ("change_km", float, None, False),
+    "--threads": ("threads", int, None, False),
+    "--out": ("out", str, None, True),
+}
+_TWO_YEAR_FLAGS = _TUNING | {
+    "--year1": ("year1", str, None, False),
+    "--year2": ("year2", str, None, False),
+    "--stops1": ("stops1", str, None, False),
+    "--stops2": ("stops2", str, None, False),
+    "--r4": ("r4", str, None, False),
+    "--taz": ("taz", str, None, False),
+    "--week1-start": ("week1_start", ingest.parse_date, None, False),
+    "--week2-start": ("week2_start", ingest.parse_date, None, False),
+}
+_FOLLOWUP_FLAGS = _TWO_YEAR_FLAGS | {
+    "--followup": ("followup", str, None, False),
+    "--followup-start": ("followup_start", ingest.parse_date, None, False),
+}
+FLAG_TABLE = {
+    "ingest-check": {
+        "--transactions": ("transactions", str, None, True),
+        "--stops": ("stops", str, None, True),
+        "--week-start": ("week_start", ingest.parse_date, None, False),
+        "--out": ("out", str, None, True),
+    },
+    "infer": _TUNING | {
+        "--year1": ("year1", str, None, False),
+        "--stops1": ("stops1", str, None, False),
+        "--week1-start": ("week1_start", ingest.parse_date, None, False),
+        "--dump-stays": ("dump_stays", None, None, False),
+    },
+    "diff": _TWO_YEAR_FLAGS,
+    "classify": _TWO_YEAR_FLAGS,
+    "score": _FOLLOWUP_FLAGS,
+    "run": _FOLLOWUP_FLAGS,
+    "synth": {
+        "--out": ("out", str, None, True),
+        "--config": ("config", str, None, False),
+        "--agents": ("agents", int, None, False),
+        "--seed": ("seed", int, None, False),
+        "--commuters": ("commuters", int, None, False),
+        "--movers": ("movers", int, None, False),
+        "--job-changers": ("job_changers", int, None, False),
+        "--jobless": ("jobless", int, None, False),
+        "--churners": ("churners", int, None, False),
+        "--grid-rows": ("grid_rows", int, None, False),
+        "--grid-cols": ("grid_cols", int, None, False),
+        "--site-stops": ("site_stops", int, None, False),
+        "--stop-spacing-m": ("stop_spacing_m", float, None, False),
+        "--site-pitch-m": ("site_pitch_m", float, None, False),
+        "--fixed-fare-fraction": ("fixed_fare_fraction", float, None, False),
+        "--noise-rate": ("noise_rate", float, None, False),
+        "--retention": ("followup_retention", float, None, False),
+    },
+}
+
+
+def _subcommand_actions():
+    """Each subcommand's name and its option actions, --help left out."""
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    for name, p in sub.choices.items():
+        yield name, [a for a in p._actions if not isinstance(a, argparse._HelpAction)]
+
+
+class TestOptionTable:
+    def test_flag_set_is_pinned(self):
+        seen = {}
+        for name, actions in _subcommand_actions():
+            table = seen[name] = {}
+            for a in actions:
+                (flag,) = a.option_strings
+                parser = None if a.nargs == 0 else a.type or str
+                choices = tuple(a.choices) if a.choices else None
+                table[flag] = (a.dest, parser, choices, a.required)
+                # An unset flag leaves its config value alone.
+                assert a.default is (False if parser is None else None), flag
+        assert seen == FLAG_TABLE
