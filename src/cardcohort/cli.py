@@ -21,9 +21,9 @@ from .ingest import (
     ObservationWeek,
     SchemaError,
     derive_week_start,
+    field_parser,
     iter_lines,
     load_stops,
-    parse_coord,
     parse_date,
     read_config,
     read_transactions,
@@ -74,32 +74,31 @@ def _build_run_config(args) -> RunConfig:
     return cfg
 
 
-def _add_common_inputs(p: argparse.ArgumentParser, followup: bool = True) -> None:
-    p.add_argument("--year1", help="transactions CSV for the first observation week")
-    p.add_argument("--year2", help="transactions CSV for the second observation week")
-    if followup:
-        p.add_argument("--followup", help="transactions CSV for the follow-up week")
-    p.add_argument("--stops1", help="stop registry CSV for year 1")
-    p.add_argument("--stops2", help="stop registry CSV for year 2")
-    p.add_argument("--r4", help="GeoJSON polygon for the inner-city boundary")
-    p.add_argument("--taz", help="GeoJSON zone layer for home aggregation")
-    p.add_argument("--config", help="flat key=value run config (flags override)")
-    p.add_argument("--week1-start", dest="week1_start", type=parse_date, default=None)
-    p.add_argument("--week2-start", dest="week2_start", type=parse_date, default=None)
-    if followup:
-        p.add_argument("--followup-start", dest="followup_start", type=parse_date, default=None)
+# What a field's flag has beyond its name, dest and parser: add_argument
+# keywords, and "flag" where the flag is not the field name with - for _.
+_FLAG_EXTRAS = {
+    "year1": {"help": "transactions CSV for the first observation week"},
+    "year2": {"help": "transactions CSV for the second observation week"},
+    "followup": {"help": "transactions CSV for the follow-up week"},
+    "stops1": {"help": "stop registry CSV for year 1"},
+    "stops2": {"help": "stop registry CSV for year 2"},
+    "r4": {"help": "GeoJSON polygon for the inner-city boundary"},
+    "taz": {"help": "GeoJSON zone layer for home aggregation"},
+    "center": {"metavar": "LON,LAT", "help": f"city center (default {DEFAULT_CENTER[0]},{DEFAULT_CENTER[1]})"},
+    "stay_mode": {"choices": STAY_MODES},
+    "home_rule": {"choices": HOME_RULES},
+    "threads": {"help": "processes for the per-file jobs: year 1, year 2, follow-up (default 1)"},
+    "followup_retention": {"flag": "--retention"},
+}
 
 
-def _add_tuning(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--center", type=parse_coord, default=None, metavar="LON,LAT",
-                   help=f"city center (default {DEFAULT_CENTER[0]},{DEFAULT_CENTER[1]})")
-    p.add_argument("--stay-mode", dest="stay_mode", choices=STAY_MODES, default=None)
-    p.add_argument("--home-rule", dest="home_rule", choices=HOME_RULES, default=None)
-    p.add_argument("--stay-min", dest="stay_min", type=int, default=None)
-    p.add_argument("--cluster-m", dest="cluster_m", type=float, default=None)
-    p.add_argument("--change-km", dest="change_km", type=float, default=None)
-    p.add_argument("--threads", type=int, default=None,
-                   help="processes for the year 1, year 2 and follow-up jobs (default 1)")
+def _add_fields(p: argparse.ArgumentParser, cls, skip=()) -> None:
+    """A flag for each field of the dataclass ``cls`` not in ``skip``; its text parses as its config value."""
+    for f in fields(cls):
+        if f.name not in skip:
+            extras = dict(_FLAG_EXTRAS.get(f.name, {}))
+            flag = extras.pop("flag", "--" + f.name.replace("_", "-"))
+            p.add_argument(flag, dest=f.name, type=field_parser(f), **extras)
 
 
 def cmd_ingest_check(args) -> int:
@@ -188,50 +187,34 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("ingest-check", help="validate a transactions file against a stop registry")
+    def subcommand(name: str, help_text: str, **defaults) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--out", required=True, help="directory for the files written")
+        p.set_defaults(**defaults)
+        return p
+
+    p = subcommand("ingest-check", "validate a transactions file against a stop registry", func=cmd_ingest_check)
     p.add_argument("--transactions", required=True)
     p.add_argument("--stops", required=True)
-    p.add_argument("--week-start", dest="week_start", type=parse_date, default=None)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_ingest_check)
+    p.add_argument("--week-start", type=parse_date)
 
-    p = sub.add_parser("infer", help="profile one observation week")
-    p.add_argument("--year1", help="transactions CSV")
-    p.add_argument("--stops1", help="stop registry CSV")
-    p.add_argument("--config", help="flat key=value run config")
-    p.add_argument("--week1-start", dest="week1_start", type=parse_date, default=None)
-    p.add_argument("--dump-stays", dest="dump_stays", action="store_true")
-    _add_tuning(p)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_infer, required=("year1", "stops1"))
+    p = subcommand("infer", "profile one observation week", func=cmd_infer, required=("year1", "stops1"))
+    p.add_argument("--config", help="flat key=value run config (flags override)")
+    _add_fields(p, RunConfig, skip=("year2", "stops2", "followup", "r4", "taz", "week2_start", "followup_start"))
+    p.add_argument("--dump-stays", action="store_true", help="also write the stays behind the profiles")
 
     for name, help_text, names, required in _TWO_YEAR_COMMANDS:
-        p = sub.add_parser(name, help=help_text)
+        p = subcommand(name, help_text, func=cmd_run, reports=names, required=required)
+        p.add_argument("--config", help="flat key=value run config (flags override)")
         # Only run and score write reports that read a follow-up week.
-        _add_common_inputs(p, followup=names is None or "followup" in required)
-        _add_tuning(p)
-        p.add_argument("--out", required=True)
-        p.set_defaults(func=cmd_run, reports=names, required=required)
+        reads_followup = names is None or "followup" in required
+        _add_fields(p, RunConfig, skip=() if reads_followup else ("followup", "followup_start"))
 
-    p = sub.add_parser("synth", help="generate a synthetic bundle with ground truth")
-    p.add_argument("--out", required=True)
-    p.add_argument("--config", help="generator config file (key=value)")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--agents", type=int, default=None, help="total agents, split across archetypes")
-    p.add_argument("--commuters", type=int, default=None)
-    p.add_argument("--movers", type=int, default=None)
-    p.add_argument("--job-changers", dest="job_changers", type=int, default=None)
-    p.add_argument("--jobless", type=int, default=None)
-    p.add_argument("--churners", type=int, default=None)
-    p.add_argument("--grid-rows", dest="grid_rows", type=int, default=None)
-    p.add_argument("--grid-cols", dest="grid_cols", type=int, default=None)
-    p.add_argument("--site-stops", dest="site_stops", type=int, default=None)
-    p.add_argument("--stop-spacing-m", dest="stop_spacing_m", type=float, default=None)
-    p.add_argument("--site-pitch-m", dest="site_pitch_m", type=float, default=None)
-    p.add_argument("--fixed-fare-fraction", dest="fixed_fare_fraction", type=float, default=None)
-    p.add_argument("--noise-rate", dest="noise_rate", type=float, default=None)
-    p.add_argument("--retention", dest="followup_retention", type=float, default=None)
-    p.set_defaults(func=cmd_synth)
+    p = subcommand("synth", "generate a synthetic bundle with ground truth", func=cmd_synth)
+    p.add_argument("--config", help="generator config file (key=value; flags override)")
+    p.add_argument("--agents", type=int, help="total agents, split across archetypes")
+    # The week starts are config keys only.
+    _add_fields(p, GeneratorConfig, skip=("week1_start", "week2_start", "followup_start"))
 
     return parser
 

@@ -32,7 +32,7 @@ inside the week.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, fields
+from dataclasses import Field, dataclass, fields
 from datetime import date, datetime, timedelta
 from typing import Iterable, Iterator, Mapping
 
@@ -390,16 +390,25 @@ def parse_coord(text: str) -> tuple[float, float]:
 _VALUE_PARSERS = {"int": int, "float": float, "date": parse_date, "Coord": parse_coord, "str": str}
 
 
+def field_parser(f: Field):
+    """The parser of a text value for the dataclass field ``f``.
+
+    It is chosen by the field's annotation: ``int``, ``float``, ``date``,
+    ``Coord`` or ``str``, each optionally ``| None``.  A config line and a
+    command-line flag for the field both parse with it.
+    """
+    return _VALUE_PARSERS[f.type.removesuffix(" | None")]
+
+
 def read_config(path: str, cls) -> dict:
     """The values of a ``key=value`` config file for the dataclass ``cls``.
 
     Blank lines and ``#`` comments are skipped.  Each value is parsed by
-    the annotation of its field: ``int``, ``float``, ``date``, ``Coord``
-    or ``str``, each optionally ``| None``.  The file is read by
+    :func:`field_parser` for its field.  The file is read by
     :func:`iter_lines`.  A line without ``=``, a key that is not a field
     and a value that does not parse raise ValueError.
     """
-    parsers = {f.name: _VALUE_PARSERS[f.type.removesuffix(" | None")] for f in fields(cls)}
+    parsers = {f.name: field_parser(f) for f in fields(cls)}
     values = {}
     for line in iter_lines(path):
         line = line.strip()

@@ -150,6 +150,9 @@ class GeneratorConfig:
     followup_start: date = date(2014, 4, 7)
 
     def validate(self) -> None:
+        # SplitMix64 keeps the low 64 bits, so a seed outside would stand for another.
+        if not 0 <= self.seed <= _MASK:
+            raise ValueError("seed must lie in [0, 2**64)")
         counts = (self.commuters, self.movers, self.job_changers, self.jobless, self.churners)
         if any(c < 0 for c in counts):
             raise ValueError("agent counts must be non-negative")

@@ -9,6 +9,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -16,6 +17,7 @@ import pytest
 from cardcohort import cli, ingest, pipeline, reports
 from cardcohort.cli import main
 from cardcohort.geo import build_places
+from cardcohort.synth import GeneratorConfig
 
 import reference_profile
 from test_pipeline import read_rows
@@ -658,6 +660,9 @@ class TestSynthCommand:
             "site_pitch_m=nan",
             "site_pitch_m=inf",
             "site_stops=1\nstop_spacing_m=inf",
+            # SplitMix64 keeps 64 bits: these would stand for 2**64 - 1 and 0.
+            "seed=-1",
+            "seed=18446744073709551616",
         ],
     )
     def test_bad_config_file_is_exit_2(self, tmp_path, capsys, line):
@@ -667,6 +672,14 @@ class TestSynthCommand:
         assert not (tmp_path / "x").exists()
         # The error names the offending key (or line).
         assert line.splitlines()[-1].partition("=")[0] in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seed,code", [("-1", 2), ("18446744073709551616", 2), ("18446744073709551615", 0)])
+    def test_seed_outside_64_bits_is_exit_2(self, tmp_path, capsys, seed, code):
+        out = tmp_path / "x"
+        assert run_cli("synth", "--agents", "5", "--seed", seed, "--out", str(out)) == code
+        assert out.exists() == (code == 0)
+        if code:
+            assert "error: seed must lie in [0, 2**64)" in capsys.readouterr().err
 
     def test_generator_conf_reproduces_the_bundle(self, tmp_path):
         b1, b2 = tmp_path / "b1", tmp_path / "b2"
@@ -925,3 +938,83 @@ class TestOptionTable:
                 # An unset flag leaves its config value alone.
                 assert a.default is (False if parser is None else None), flag
         assert seen == FLAG_TABLE
+
+
+class _Captured(Exception):
+    """Raised with the config a subcommand built, in place of its work."""
+
+
+@pytest.fixture
+def captured(monkeypatch):
+    build = cli._build_run_config
+
+    def capture(cfg, *rest):
+        raise _Captured(cfg)
+
+    monkeypatch.setattr(cli, "_build_run_config", lambda args: capture(build(args)))
+    monkeypatch.setattr(cli, "generate", capture)
+
+
+def _config_of(argv):
+    with pytest.raises(_Captured) as got:
+        main(argv)
+    return got.value.args[0]
+
+
+def _exit_code(argv):
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+def _field_types(command):
+    cls = GeneratorConfig if command == "synth" else pipeline.RunConfig
+    return {f.name: f.type for f in fields(cls)}
+
+
+# Each (subcommand, flag) that sets a config field.
+CONFIG_FLAGS = [
+    (command, flag)
+    for command, table in FLAG_TABLE.items() if command != "ingest-check"
+    for flag, (dest, *_) in table.items() if dest in _field_types(command)
+]
+# A text that each annotation parses, and one that no field with it takes.
+# Paths and choices take their own good texts.
+_GOOD_TEXT = {"int": "7", "float": "0.5", "date": "2008-04-14", "Coord": "116.4,39.9"}
+_BAD_TEXT = {"int": "abc", "float": "abc", "date": "2008-13-01", "Coord": "1,2,3", "str": "bogus"}
+
+
+class TestFlagAndConfigLineAgree:
+    def test_every_annotation_is_covered(self):
+        annotations = {_field_types(c)[FLAG_TABLE[c][f][0]] for c, f in CONFIG_FLAGS}
+        assert annotations == {"int", "float", "Coord", "str", "str | None", "date | None"}
+
+    @pytest.mark.parametrize("command,flag", CONFIG_FLAGS)
+    def test_same_value_by_either_route(self, mini_bundle, captured, tmp_path, command, flag):
+        dest, parser, choices, _ = FLAG_TABLE[command][flag]
+        annotation = _field_types(command)[dest].removesuffix(" | None")
+        if choices:
+            good = choices[0]
+        elif dest in pipeline.PATH_FIELDS:
+            good = mini_bundle["stops"]
+        else:
+            good = _GOOD_TEXT[annotation]
+        # The inputs the subcommand requires, less the one under test.
+        required = getattr(cli.build_parser().parse_args([command, "--out", "o"]), "required", ())
+        lines = [f"{key}={mini_bundle['stops']}" for key in required if key != dest]
+        confs = iter(range(4))
+
+        def argv(*extra_lines, flag_text=None):
+            conf = tmp_path / f"{next(confs)}.conf"
+            conf.write_text("".join(line + "\n" for line in lines + list(extra_lines)))
+            flags = [] if flag_text is None else [flag, flag_text]
+            return [command, "--config", str(conf), *flags, "--out", str(tmp_path / "out")]
+
+        by_flag = _config_of(argv(flag_text=good))
+        assert getattr(by_flag, dest) == parser(good)
+        assert _config_of(argv(f"{dest}={good}")) == by_flag
+        bad = _BAD_TEXT[annotation]
+        assert _exit_code(argv(flag_text=bad)) == 2
+        assert _exit_code(argv(f"{dest}={bad}")) == 2
+        assert not (tmp_path / "out").exists()
