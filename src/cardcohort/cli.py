@@ -27,6 +27,7 @@ from .ingest import (
     parse_date,
     read_config,
     read_transactions,
+    stop_codes,
 )
 from .pipeline import PATH_FIELDS, MissingInputError, RunConfig, process_year, require_files, run_pipeline
 from .synth import GeneratorConfig, generate
@@ -84,7 +85,11 @@ _FLAG_EXTRAS = {
     "stops2": {"help": "stop registry CSV for year 2"},
     "r4": {"help": "GeoJSON polygon for the inner-city boundary"},
     "taz": {"help": "GeoJSON zone layer for home aggregation"},
-    "center": {"metavar": "LON,LAT", "help": f"city center (default {DEFAULT_CENTER[0]},{DEFAULT_CENTER[1]})"},
+    "center": {
+        "metavar": "LON,LAT",
+        "help": f"city center (default {DEFAULT_CENTER[0]},{DEFAULT_CENTER[1]}); "
+        "give a value that starts with - as --center=-73.9,40.7",
+    },
     "stay_mode": {"choices": STAY_MODES},
     "home_rule": {"choices": HOME_RULES},
     "threads": {"help": "processes for the per-file jobs: year 1, year 2, follow-up (default 1)"},
@@ -102,13 +107,13 @@ def _add_fields(p: argparse.ArgumentParser, cls, skip=()) -> None:
 
 
 def cmd_ingest_check(args) -> int:
-    require_files([args.transactions, args.stops])
     if args.week_start is not None:
         # A start too late for seven days is refused before any input is read.
         ObservationWeek(args.week_start)
+    require_files([args.transactions, args.stops])
     stops, stop_rejections = load_stops(iter_lines(args.stops))
     week_start = args.week_start or derive_week_start(iter_lines(args.transactions))
-    tx = read_transactions(iter_lines(args.transactions), week_start, stops)
+    tx = read_transactions(iter_lines(args.transactions), week_start, stop_codes(stops))
     reports.write_rejections(os.path.join(args.out, "rejections.csv"), tx.rejections)
     reports.write_rejections(os.path.join(args.out, "rejections_stops.csv"), stop_rejections)
     reports.write_unmatched(os.path.join(args.out, "unmatched.csv"), tx.unmatched)

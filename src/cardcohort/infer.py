@@ -1,6 +1,9 @@
 """Weekly rule system: one card's rides to its work place, home place, commute.
 
-``build_profile`` walks a card's rides once, in boarding order.  It forms
+``build_profile`` walks a card's rides once, in boarding order.  It
+takes them as :func:`cardcohort.ingest.read_transactions` keeps them:
+one flat list of coded fields, re-formed into ride tuples only while
+they are sorted, with each stop's place looked up by its code.  It forms
 each stay and, as the stay is formed, counts it for both rules below; no
 stay outlives the walk unless the caller passes a list to keep them in
 (``infer --dump-stays``).
@@ -46,10 +49,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from statistics import median
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 from .geo import Coord, haversine_km
-from .ingest import CARD_STUDENT, DAY_MINUTES, Ride
+from .ingest import CARD_STUDENT, DAY_MINUTES, Ride, ride_tuples
 
 STAY_MIN_DEFAULT = 360
 
@@ -89,8 +92,8 @@ class YearProfile:
 
 def build_profile(
     card_type: str,
-    rides: Sequence[Ride],
-    stop_to_place: Mapping[str, int],
+    rides: list,
+    place_of: Sequence[int | None],
     weekdays: frozenset[int],
     centroid_of: Callable[[int], Coord],
     stay_mode: str = PERMISSIVE,
@@ -101,18 +104,20 @@ def build_profile(
 ) -> YearProfile:
     """One card's profile for one observation week.
 
-    Rides sort as tuples, boarding minute first and the remaining fields
-    as tie-breakers, so the result is a pure function of the ride set,
-    not of file order.  ``distance_km(home, work)``, when given, answers
-    the commute distance in place of the haversine between the two
-    centroids, so a caller can cache it across cards; ``stays``, when
-    given, receives the card's stays in order.
+    ``rides`` is the card's flat list of coded ride fields and
+    ``place_of[code]`` the place of each stop code, None for code 0 (no
+    alighting).  Rides sort as tuples, boarding minute first and the
+    remaining fields as tie-breakers, so the result is a pure function of
+    the ride set, not of file order.  ``distance_km(home, work)``, when
+    given, answers the commute distance in place of the haversine between
+    the two centroids, so a caller can cache it across cards; ``stays``,
+    when given, receives the card's stays in order.
     """
     if stay_mode not in STAY_MODES:
         raise ValueError(f"unknown stay mode: {stay_mode!r}")
     if home_rule not in HOME_RULES:
         raise ValueError(f"unknown home rule: {home_rule!r}")
-    rides = sorted(rides)
+    rides = sorted(ride_tuples(rides))
     permissive = stay_mode == PERMISSIVE
     # Per place, counted over its weekday stays:
     #   [0] weekdays it opened (F_h)   [1] minutes   [2] stays (F_j)
@@ -126,7 +131,7 @@ def build_profile(
     prev_board = None  # None before the first ride
     prev_at = prev_alight = None  # prev_at is None after a ride with no alighting
     for board, _route, board_stop, alight_stop, alight in rides:
-        place = stop_to_place[board_stop]
+        place = place_of[board_stop]
         day = board // DAY_MINUTES
         first = day != current_day
         if first:
@@ -142,7 +147,7 @@ def build_profile(
             arrive = None
             approx = True
         prev_board = board
-        prev_at = stop_to_place[alight_stop] if alight_stop else None
+        prev_at = place_of[alight_stop]
         prev_alight = alight
         if dur is None:
             if not first:
@@ -188,7 +193,7 @@ def build_profile(
     km = minutes = None
     if home is not None and work is not None:
         km = distance_km(home, work) if distance_km else haversine_km(centroid_of(home), centroid_of(work))
-        minutes = _commute_minutes(rides, stop_to_place, weekdays, home, work)
+        minutes = _commute_minutes(rides, place_of, weekdays, home, work)
     return YearProfile(
         home=home,
         work=work,
@@ -202,7 +207,7 @@ def build_profile(
 
 def _commute_minutes(
     rides: list[Ride],
-    stop_to_place: Mapping[str, int],
+    place_of: Sequence[int | None],
     weekdays: frozenset[int],
     home: int,
     work: int,
@@ -222,7 +227,7 @@ def _commute_minutes(
         day = board // DAY_MINUTES
         if day not in weekdays:
             continue
-        place = stop_to_place[board_stop]
+        place = place_of[board_stop]
         if day == chain_day:
             if at is None or place != at:
                 at = None
@@ -232,11 +237,10 @@ def _commute_minutes(
             total = 0
         else:
             continue
-        if not alight_stop:
-            at = None
+        at = place_of[alight_stop]
+        if at is None:
             continue
         total += alight - board
-        at = stop_to_place[alight_stop]
         if at == work:
             day_minutes.append(total)
             at = None

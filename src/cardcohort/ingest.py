@@ -57,10 +57,16 @@ OUTSIDE_WEEK = "outside observation week"
 FATAL_REJECT_FRACTION = 0.5
 
 # One ride of one card: (board_min, route_id, board_stop, alight_stop,
-# alight_min).  A fixed-fare ride has alight_stop "" and alight_min equal
-# to board_min, so rides sort by boarding time with the other fields as
-# tie-breakers.
-Ride = tuple[int, str, str, str, int]
+# alight_min).  A card's rides are kept as one flat list, five fields per
+# ride in file order; ride_tuples re-forms the tuples.  Read against a
+# stop registry, a stop field holds the stop's code (see stop_codes) and
+# a fixed-fare ride's alight_stop is 0; read without one, a stop field
+# holds the stop id as text and a fixed-fare ride's alight_stop is "".
+# A fixed-fare ride has alight_min equal to board_min.  Either way, rides
+# sort by boarding time with the other fields as tie-breakers, in the
+# order their ids give.
+Ride = tuple[int, str, int | str, int | str, int]
+RIDE_FIELDS = 5
 
 
 class SchemaError(Exception):
@@ -163,22 +169,39 @@ def _bail_early(rejected: int, seen: int) -> None:
         raise SchemaError(f"rejected {rejected} of first {seen} lines; wrong schema")
 
 
+def stop_codes(stop_ids: Iterable[str]) -> dict[str, int]:
+    """Each stop id's code: its 1-based rank among the sorted ids.
+
+    Codes sort as the ids do.  Code 0 is left for no alighting, which
+    sorts first, as "" does among the ids.
+    """
+    return {sid: code for code, sid in enumerate(sorted(stop_ids), 1)}
+
+
+def ride_tuples(rides: list) -> Iterator[Ride]:
+    """The rides of a flat per-card list, one tuple each."""
+    return zip(*[iter(rides)] * RIDE_FIELDS)
+
+
 @dataclass
 class Transactions:
     """One transactions file read into each card's rides.
 
-    ``rides`` maps each card id to its kept rides in file order: a line is
-    kept when it is accepted and, when a stop registry is given, both of
-    its stops are listed.  ``students`` holds the cards with a kept
-    student line.  ``parsed`` counts the accepted lines, those dropped for
-    an unknown stop included, and ``unmatched`` counts each unknown stop
-    id once per dropped line that names it.  ``week`` is the one week
-    every line was checked against: the configured one or, for a file
-    with none, the one :func:`derive_week_start` scanned the file for.
+    ``rides`` maps each card id to its kept rides in file order, as one
+    flat list of :data:`Ride` fields, five per ride: with a stop registry
+    the stop fields hold stop codes, 0 for no alighting; without one,
+    the stop ids as text, "" for no alighting.  A line is kept when it is
+    accepted and, when a stop registry is given, both of its stops are
+    listed.  ``students`` holds the cards with a kept student line.
+    ``parsed`` counts the accepted lines, those dropped for an unknown
+    stop included, and ``unmatched`` counts each unknown stop id once per
+    dropped line that names it.  ``week`` is the one week every line was
+    checked against: the configured one or, for a file with none, the one
+    :func:`derive_week_start` scanned the file for.
     """
 
     week: ObservationWeek
-    rides: dict[str, list[Ride]]
+    rides: dict[str, list]
     students: set[str]
     rejections: list[Rejection]
     unmatched: Counter[str]
@@ -187,7 +210,7 @@ class Transactions:
     @property
     def geocoded(self) -> int:
         """The number of kept lines."""
-        return sum(map(len, self.rides.values()))
+        return sum(map(len, self.rides.values())) // RIDE_FIELDS
 
     def card_type(self, card_id: str) -> str:
         return CARD_STUDENT if card_id in self.students else CARD_REGULAR
@@ -231,13 +254,16 @@ def derive_week_start(lines: Iterable[str]) -> date:
 def read_transactions(
     lines: Iterable[str],
     week_start: date,
-    known_stops: Mapping[str, object] | None = None,
+    codes: Mapping[str, int] | None = None,
 ) -> Transactions:
     """Read a transaction stream once into each card's rides.
 
     Rows are checked against the week starting on ``week_start``; a file
     with no configured start takes it from :func:`derive_week_start`.
-    Stops are tested against ``known_stops`` only when it is given.
+    ``codes`` is the stop registry as :func:`stop_codes` gives it: a line
+    naming a stop outside it is dropped, and the kept stop fields hold
+    codes.  Without it no line is dropped, and the stop fields keep the
+    stop ids as text.
 
     Every data line is either accepted or lands in the rejections, in
     line order.  Raises :class:`SchemaError` when the header is wrong or
@@ -252,7 +278,8 @@ def read_transactions(
     minutes = _Minutes(week.start_minute)
     pool: dict[str, str] = {}
     intern = pool.setdefault
-    by_card: dict[str, list[Ride]] = {}
+    code_of = None if codes is None else {"": 0, **codes}.get
+    by_card: dict[str, list] = {}
     students: set[str] = set()
     unmatched: Counter[str] = Counter()
     rejections: list[Rejection] = []
@@ -296,18 +323,21 @@ def read_transactions(
                     else:
                         reason = None
                 if reason is None:
-                    if known_stops is not None and (
-                        b_stop not in known_stops or a_stop and a_stop not in known_stops
-                    ):
-                        unmatched.update(s for s in (b_stop, a_stop) if s and s not in known_stops)
-                        continue
-                    ride = (board, intern(route_id, route_id), intern(b_stop, b_stop),
-                            intern(a_stop, a_stop), alight)
+                    if code_of is None:
+                        b = intern(b_stop, b_stop)
+                        a = intern(a_stop, a_stop)
+                    else:
+                        b = code_of(b_stop)
+                        a = code_of(a_stop)
+                        if b is None or a is None:
+                            unmatched.update(s for s in (b_stop, a_stop) if s and s not in codes)
+                            continue
+                    ride = (board, intern(route_id, route_id), b, a, alight)
                     rides = by_card.get(card_id)
                     if rides is None:
-                        by_card[card_id] = [ride]
+                        by_card[card_id] = [*ride]
                     else:
-                        rides.append(ride)
+                        rides += ride
                     if card_type == CARD_STUDENT:
                         students.add(card_id)
                     continue

@@ -15,7 +15,7 @@ import logging
 import math
 import os
 from collections import Counter
-from contextlib import contextmanager
+from contextlib import closing, contextmanager
 from dataclasses import dataclass, field
 from datetime import date
 from functools import cache
@@ -35,7 +35,16 @@ from .geo import (
     point_in_region,
 )
 from .groups import DeprivationScore, DeprivationSummary, classify, score_deprivation
-from .ingest import ObservationWeek, Rejection, derive_week_start, iter_lines, load_stops, read_transactions
+from .ingest import (
+    RIDE_FIELDS,
+    ObservationWeek,
+    Rejection,
+    derive_week_start,
+    iter_lines,
+    load_stops,
+    read_transactions,
+    stop_codes,
+)
 
 log = logging.getLogger(__name__)
 
@@ -99,13 +108,21 @@ class RunConfig:
 
 
 def require_files(paths: list[str]) -> None:
-    """Raise MissingInputError naming the paths that are not existing regular files."""
+    """Refuse paths that are not existing, readable regular files, before any work.
+
+    Raises MissingInputError naming the paths that do not exist or are not
+    regular files.  Each path then has its first line read by
+    :func:`iter_lines`, whose ValueError names a file that cannot be read.
+    """
     missing = [p for p in paths if not os.path.exists(p)]
     if missing:
         raise MissingInputError(f"missing input file(s): {', '.join(missing)}")
     not_files = [p for p in paths if not os.path.isfile(p)]
     if not_files:
         raise MissingInputError(f"input path(s) not a regular file: {', '.join(not_files)}")
+    for p in dict.fromkeys(paths):
+        with closing(iter_lines(p)) as lines:
+            next(lines, None)
 
 
 @dataclass
@@ -175,22 +192,26 @@ def process_year(
     log.info("%s: %d stops in %d places", stops_path, len(stops), len(places))
 
     week_start = week_start or derive_week_start(iter_lines(tx_path))
-    tx = read_transactions(iter_lines(tx_path), week_start, stops)
+    codes = stop_codes(stops)
+    tx = read_transactions(iter_lines(tx_path), week_start, codes)
+    kept = tx.geocoded
     log.info(
         "%s: %d records parsed, %d rejected, %d geocoded, %d cards",
-        tx_path, tx.parsed, len(tx.rejections), tx.geocoded, len(tx.rides),
+        tx_path, tx.parsed, len(tx.rejections), kept, len(tx.rides),
     )
     weekdays = tx.week.weekdays
-    stop_to_place = places.stop_to_place
+    # The place of each stop code; code 0, no alighting, has none.
+    place_of = [None, *map(places.stop_to_place.__getitem__, codes)]
     # Many cards share a (home, work) pair.
     distance_km = cache(lambda home, work: haversine_km(places.centroid(home), places.centroid(work)))
     profiles: dict[str, infer.YearProfile] = {}
+    # Each card's rides are let go once it is profiled.
     for card in sorted(tx.rides):
         card_stays = None if stays is None else stays.setdefault(card, [])
         profiles[card] = infer.build_profile(
             tx.card_type(card),
-            tx.rides[card],
-            stop_to_place,
+            tx.rides.pop(card),
+            place_of,
             weekdays,
             places.centroid,
             cfg.stay_mode,
@@ -200,7 +221,7 @@ def process_year(
             card_stays,
         )
     return YearData(
-        tx.week, places, profiles, tx.rejections, stop_rejections, tx.unmatched, tx.parsed, tx.geocoded
+        tx.week, places, profiles, tx.rejections, stop_rejections, tx.unmatched, tx.parsed, kept
     )
 
 
@@ -213,7 +234,7 @@ def _count_followup(path: str, week_start: date | None) -> tuple[Counter, list[R
     """
     week_start = week_start or derive_week_start(iter_lines(path))
     tx = read_transactions(iter_lines(path), week_start)
-    return Counter({card: len(rides) for card, rides in tx.rides.items()}), tx.rejections
+    return Counter({card: len(rides) // RIDE_FIELDS for card, rides in tx.rides.items()}), tx.rejections
 
 
 def aggregate_taz(

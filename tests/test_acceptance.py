@@ -44,6 +44,7 @@ from cardcohort.pipeline import RunConfig, run_pipeline
 from cardcohort.reports import write_housing_dynamics
 from cardcohort.synth import GeneratorConfig, evaluate_recovery, generate
 
+from coded_rides import encode
 from conftest import offset_coord, record_criterion
 
 
@@ -338,7 +339,7 @@ def test_criterion_7_threshold_edges():
             arrive = d * 1440 + 9 * 60
             rides.append((arrive - 40, "B1", "H", "W", arrive))
             rides.append((arrive + dur, "B1", "W", "H", arrive + dur + 40))
-        return build_profile("R", rides, {"H": 0, "W": 7}, weekdays, lambda p: (0.0, 0.0)).work
+        return build_profile("R", *encode(rides, {"H": 0, "W": 7}), weekdays, lambda p: (0.0, 0.0)).work
 
     stay_ok = work(360) == 7 and work(359) is None
 

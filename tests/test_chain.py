@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from cardcohort.ingest import TRANSACTIONS_HEADER, ObservationWeek, read_transactions
 
+from coded_rides import decode
 from reference_profile import PERMISSIVE, STRICT, Leg, Stay, build_legs, build_stays
 
 WEEK = ObservationWeek(date(2008, 4, 7))
@@ -24,7 +25,7 @@ def t(day: int, hh: int, mm: int = 0) -> int:
 def records(*rows: str):
     tx = read_transactions([TRANSACTIONS_HEADER] + list(rows), WEEK.start_date)
     assert not tx.rejections
-    return [ride for rides in tx.rides.values() for ride in rides]
+    return [ride for rides in tx.rides.values() for ride in decode(rides)]
 
 
 class TestBuildLegs:

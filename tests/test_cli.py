@@ -20,6 +20,7 @@ from cardcohort.geo import build_places
 from cardcohort.synth import GeneratorConfig
 
 import reference_profile
+from coded_rides import card_rides
 from test_pipeline import read_rows
 
 
@@ -174,12 +175,13 @@ class TestInfer:
         stops, _ = ingest.load_stops(ingest.iter_lines(mini_bundle["stops"]))
         stop_to_place = build_places(stops).stop_to_place
         week_start = ingest.derive_week_start(ingest.iter_lines(mini_bundle["year1"]))
-        tx = ingest.read_transactions(ingest.iter_lines(mini_bundle["year1"]), week_start, stops)
+        codes = ingest.stop_codes(stops)
+        tx = ingest.read_transactions(ingest.iter_lines(mini_bundle["year1"]), week_start, codes)
         stays = {
             card: reference_profile.build_stays(
                 card, reference_profile.build_legs(rides, stop_to_place), reference_profile.PERMISSIVE
             )
-            for card, rides in tx.rides.items()
+            for card, rides in card_rides(tx, codes).items()
         }
         direct = tmp_path / "direct.csv"
         reports.write_stays(str(direct), stays, tx.week)
@@ -485,6 +487,29 @@ class TestRun:
         assert f"error: cannot read {locked}: Permission denied" in err
         assert err.count(str(locked)) == 1
 
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_year2_that_cannot_be_read_is_exit_2_before_any_work(
+        self, mini_args, tmp_path, monkeypatch, capsys, threads
+    ):
+        locked = tmp_path / "locked.csv"
+        locked.write_text("")
+
+        def refuse(path, *args, **kwargs):
+            if path == str(locked):
+                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+            return open(path, *args, **kwargs)
+
+        def fail(*args, **kwargs):
+            raise AssertionError("a transactions file was read")
+
+        monkeypatch.setattr(ingest, "open", refuse, raising=False)
+        monkeypatch.setattr(pipeline, "read_transactions", fail)
+        args = list(mini_args)
+        args[args.index("--year2") + 1] = str(locked)
+        assert run_cli("run", *args, "--threads", threads, "--out", str(tmp_path / "out")) == 2
+        assert f"error: cannot read {locked}: Permission denied" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_wrong_year2_header_in_worker_is_exit_3(self, mini_args, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("x,y\n1,2\n")
@@ -775,8 +800,12 @@ class TestEntryPoints:
             for flag, start in zip(flags, files.values()):
                 args += [flag, start]
         assert run_cli(command, *args, "--out", str(tmp_path / "out")) == 0
+        # Each input has one line read when the config is checked: once
+        # when it is built and, for run, again as the pipeline starts.
+        # Then a derived week scans the file once, and the file is read.
+        checks = 2 if command == "run" else 1
         for key in files:
-            assert opened.count(mini_bundle[key]) == (1 if configured else 2), key
+            assert opened.count(mini_bundle[key]) == checks + (1 if configured else 2), key
 
     def test_help_exits_zero(self):
         with pytest.raises(SystemExit) as err:
@@ -986,6 +1015,16 @@ _BAD_TEXT = {"int": "abc", "float": "abc", "date": "2008-13-01", "Coord": "1,2,3
 
 
 class TestFlagAndConfigLineAgree:
+    def test_a_negative_center_needs_an_equals_sign(self, mini_args, captured, tmp_path):
+        conf = tmp_path / "run.conf"
+        conf.write_text("center=-73.9,40.7\n")
+        out = ["--out", str(tmp_path / "out")]
+        by_line = _config_of(["run", *mini_args, "--config", str(conf), *out])
+        assert by_line.center == (-73.9, 40.7)
+        assert _config_of(["run", *mini_args, "--center=-73.9,40.7", *out]) == by_line
+        # argparse takes a value that starts with "-" for an option.
+        assert _exit_code(["run", *mini_args, "--center", "-73.9,40.7", *out]) == 2
+
     def test_every_annotation_is_covered(self):
         annotations = {_field_types(c)[FLAG_TABLE[c][f][0]] for c, f in CONFIG_FLAGS}
         assert annotations == {"int", "float", "Coord", "str", "str | None", "date | None"}

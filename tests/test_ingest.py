@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import tracemalloc
 from collections import Counter
 from datetime import date, datetime, timedelta
 
@@ -27,8 +28,11 @@ from cardcohort.ingest import (
     parse_minute,
     read_config,
     read_transactions,
+    stop_codes,
 )
 from cardcohort.pipeline import RunConfig
+
+from coded_rides import card_rides, decode
 
 MONDAY = date(2008, 4, 7)
 WEEK = ObservationWeek(MONDAY)
@@ -56,14 +60,15 @@ def csv_rows(tx) -> list[str]:
     """The kept rides of a read written back as lines, card by card."""
     return [
         to_csv_row(card, tx.card_type(card), ride, tx.week)
-        for card, rides in tx.rides.items()
+        for card, rides in card_rides(tx).items()
         for ride in rides
     ]
 
 
 def derived(text_lines: list[str], known_stops=None):
-    """``text_lines`` read against the week derived from them."""
-    return read_transactions(text_lines, derive_week_start(text_lines), known_stops)
+    """``text_lines`` read against the week derived from them and the registry ``known_stops``."""
+    codes = None if known_stops is None else stop_codes(known_stops)
+    return read_transactions(text_lines, derive_week_start(text_lines), codes)
 
 
 class TestMinuteTimestamps:
@@ -142,11 +147,11 @@ class TestParseTransactions:
         assert tx.rejections == []
         assert tx.parsed == 2
         assert tx.week == WEEK
-        assert tx.rides["C1"] == [(7 * 60 + 30, "B1", "S1", "S2", 8 * 60 + 10)]
+        assert decode(tx.rides["C1"]) == [(7 * 60 + 30, "B1", "S1", "S2", 8 * 60 + 10)]
         assert (tx.card_type("C1"), tx.card_type("C2")) == ("R", "S")
         # Fixed fares: no alight stop, alight minute equals board minute.
         board = 1440 + 9 * 60
-        assert tx.rides["C2"] == [(board, "B2", "S3", "", board)]
+        assert decode(tx.rides["C2"]) == [(board, "B2", "S3", "", board)]
 
     def test_empty_stream(self):
         tx = read_transactions([], MONDAY)
@@ -208,7 +213,7 @@ class TestParseTransactions:
             ),
             MONDAY,
         )
-        assert [r[0] for r in tx.rides["C1"]] == [0, WEEK_MINUTES - 1]
+        assert [r[0] for r in decode(tx.rides["C1"])] == [0, WEEK_MINUTES - 1]
         assert tx.rejections == [
             Rejection(3, "outside observation week"),
             Rejection(5, "outside observation week"),
@@ -408,7 +413,7 @@ class TestLoadStops:
 
 
 class TestGeocode:
-    KNOWN = {"S1": (0.0, 0.0), "S2": (0.0, 0.0)}
+    KNOWN = stop_codes(["S1", "S2"])
 
     def test_drops_unknown_stops_and_counts_them(self):
         tx = read_transactions(
@@ -428,7 +433,7 @@ class TestGeocode:
         assert (tx.parsed, tx.geocoded) == (4, 2)
 
     def test_fixed_fare_needs_only_board_stop(self):
-        tx = read_transactions(lines("C1,R,FIX,B1,S1,2008-04-07T07:30,,"), MONDAY, {"S1": (0.0, 0.0)})
+        tx = read_transactions(lines("C1,R,FIX,B1,S1,2008-04-07T07:30,,"), MONDAY, stop_codes(["S1"]))
         assert tx.geocoded == 1
         assert not tx.unmatched
 
@@ -446,6 +451,37 @@ class TestGeocode:
         assert tx.card_type("C1") == "R"
 
 
+def test_a_kept_ride_costs_fewer_than_80_bytes():
+    """The live bytes a read leaves, per kept ride, for 2,000 cards of 20 rides.
+
+    Kept as a tuple per ride (80 bytes, plus a 16-byte GC header and an
+    8-byte list slot), this file leaves 98 bytes per ride live, and a
+    500,000-ride year of the ``bulk-1m`` benchmark 108.  Kept as flat
+    per-card lists of stop codes, it leaves 54, and that year 63.  The
+    bound of 80 lies between the two layouts, clear of each.
+    """
+    stop_ids = [f"S{i}" for i in range(400)]
+    rows = []
+    for card in range(2000):
+        for k in range(20):
+            day, slot = divmod(k, 4)
+            board = day * 1440 + 420 + slot * 180 + card % 60
+            head = f"C{card:05d},R,{'DST' if k % 3 else 'FIX'},B{k % 50},{stop_ids[(card * 7 + k) % 400]}"
+            tail = f"{stop_ids[(card * 11 + k) % 400]},{WEEK.format(board + 25)}" if k % 3 else ","
+            rows.append(f"{head},{WEEK.format(board)},{tail}")
+    text_lines = lines(*rows)
+    codes = stop_codes(stop_ids)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tx = read_transactions(text_lines, MONDAY, codes)
+        live = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert (tx.geocoded, len(tx.rides)) == (40_000, 2000)
+    assert live / tx.geocoded < 80
+
+
 def test_group_by_card_preserves_order():
     tx = read_transactions(
         lines(
@@ -457,7 +493,7 @@ def test_group_by_card_preserves_order():
     )
     assert set(tx.rides) == {"C1", "C2"}
     # File order within a card is preserved; sorting is chaining's job.
-    assert [ride[0] // 60 for ride in tx.rides["C2"]] == [8, 7]
+    assert [ride[0] // 60 for ride in decode(tx.rides["C2"])] == [8, 7]
 
 
 def test_group_by_card_any_student_row_makes_a_student_card():
@@ -596,13 +632,14 @@ def reference_parse(text_lines: list[str], week_start: date | None, known_stops=
 
 
 def one_pass(text_lines: list[str], week_start: date | None, known_stops=None):
+    codes = None if known_stops is None else stop_codes(known_stops)
     try:
-        tx = read_transactions(text_lines, week_start or derive_week_start(text_lines), known_stops)
+        tx = read_transactions(text_lines, week_start or derive_week_start(text_lines), codes)
     except SchemaError:
         return ("schema",)
     return (
         tx.week.start_date,
-        tx.rides,
+        card_rides(tx, codes),
         tx.students,
         [(r.line_no, r.reason) for r in tx.rejections],
         tx.unmatched,
@@ -809,12 +846,13 @@ class TestOnePassParity:
         assert one_pass(text_lines, None, known) == reference_parse(text_lines, None, known)
         tx = derived(text_lines, known)
         assert (tx.week.start_date, tx.rejections) == (date(2008, 4, 8), [Rejection(2, OUTSIDE_WEEK)])
-        assert getattr(tx, field) == value
+        got = card_rides(tx, stop_codes(known)) if field == "rides" else getattr(tx, field)
+        assert got == value
 
     def test_minutes_count_from_the_derived_start(self):
         tx = derived(lines("C1,R,FIX,B1,S1,2008-04-09T07:30,,", "C1,R,FIX,B1,S1,2008-04-08T00:10,,"))
         assert tx.week.start_date == date(2008, 4, 8)
-        assert [r[0] for r in tx.rides["C1"]] == [1440 + 450, 10]
+        assert [r[0] for r in decode(tx.rides["C1"])] == [1440 + 450, 10]
 
     def test_a_moved_week_keeps_one_int_per_minute(self):
         # Rides share the int of each distinct minute, also when the
@@ -826,7 +864,7 @@ class TestOnePassParity:
                 "C3,R,FIX,B1,S1,2008-04-08T00:10,,",
             )
         )
-        (c1,), (c2,) = tx.rides["C1"], tx.rides["C2"]
+        (c1,), (c2,) = decode(tx.rides["C1"]), decode(tx.rides["C2"])
         assert c1[0] == 1440 + 450
         assert c1[0] is c2[0] is c1[4]
 

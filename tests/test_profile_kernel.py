@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import dataclasses
+import random
 from datetime import date
 from functools import cache
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cardcohort.geo import haversine_km
@@ -18,15 +19,21 @@ from cardcohort.ingest import (
     TRANSACTIONS_HEADER,
     WEEK_MINUTES,
     read_transactions,
+    stop_codes,
 )
 
 import reference_profile as ref
+from coded_rides import decode, encode
 
 WEEKDAYS = frozenset(range(5))
 MONDAY = date(2008, 4, 7)
 # Two stops share place 0, so a transfer between them is no off-grid move.
-STOP_TO_PLACE = {"H": 0, "H2": 0, "W": 1, "X": 2, "Y": 3}
-CENTROIDS = {0: (116.30, 39.90), 1: (116.30, 39.99532809022739), 2: (116.35, 39.95), 3: (116.40, 39.92)}
+# S9 and S10 sort one way as text and the other way by their numbers.
+STOP_TO_PLACE = {"H": 0, "H2": 0, "W": 1, "X": 2, "Y": 3, "S9": 4, "S10": 5}
+CENTROIDS = {
+    0: (116.30, 39.90), 1: (116.30, 39.99532809022739), 2: (116.35, 39.95), 3: (116.40, 39.92),
+    4: (116.45, 39.90), 5: (116.45, 39.95),
+}
 
 
 def centroid_of(place: int):
@@ -46,7 +53,7 @@ def ride(board_stop: str, board: int, alight_stop: str | None = None, alight: in
 
 
 def profile(rides, card_type=CARD_REGULAR, stays=None, **kw):
-    return build_profile(card_type, rides, STOP_TO_PLACE, WEEKDAYS, centroid_of, stays=stays, **kw)
+    return build_profile(card_type, *encode(rides, STOP_TO_PLACE), WEEKDAYS, centroid_of, stays=stays, **kw)
 
 
 def stay_tuples(stays):
@@ -54,6 +61,25 @@ def stay_tuples(stays):
         (s.place_id, s.arrive_time, s.depart_time, s.duration_min, s.approximate, s.first_of_day)
         for s in stays
     ]
+
+
+# Same-minute rides whose order is decided by a stop or a route id that
+# sorts differently as text ("S10" < "S9", "B10" < "B9") and by number.
+# The last of each tie names where the card alighted, so the order
+# decides the day's opener and which stays form.
+SAME_MINUTE = [
+    # Monday: two taps; the opener is at S10.
+    ride("S9", t(0, 7, 30)),
+    ride("S10", t(0, 7, 30)),
+    # Tuesday: two rides from H differing in the route; B9's, to S9, is last.
+    ride("H", t(1, 7, 30), "S9", t(1, 8), route="B9"),
+    ride("H", t(1, 7, 30), "W", t(1, 8), route="B10"),
+    ride("S9", t(1, 8, 30), "H", t(1, 9)),
+    # Wednesday: two rides from H differing in the alighting; S9 is last.
+    ride("H", t(2, 7, 30), "S9", t(2, 8)),
+    ride("H", t(2, 7, 30), "S10", t(2, 8)),
+    ride("S9", t(2, 15), "H", t(2, 15, 30)),
+]
 
 
 # -- parity with the staged reference ---------------------------------------
@@ -129,6 +155,7 @@ def commuter_rides(draw):
 
 
 @settings(max_examples=600, deadline=None)
+@example(list(SAME_MINUTE), random.Random(0), CARD_REGULAR, PERMISSIVE, HOME_RULE_RELAXED, 360)
 @given(
     st.one_of(random_rides(), commuter_rides()),
     st.randoms(use_true_random=False),
@@ -151,6 +178,24 @@ def test_kernel_matches_staged_reference(rides, rnd, card_type, mode, home_rule,
     assert stay_tuples(kept) == stay_tuples(expected_stays)
     # Keeping the stays does not change the profile.
     assert profile(rides, card_type, stay_mode=mode, home_rule=home_rule, stay_min=stay_min) == got
+
+
+def test_codes_keep_the_text_order_of_stop_and_route_ids():
+    assert stop_codes(STOP_TO_PLACE)["S10"] < stop_codes(STOP_TO_PLACE)["S9"]
+    for mode in (PERMISSIVE, STRICT):
+        legs = ref.build_legs(SAME_MINUTE, STOP_TO_PLACE)
+        expected_stays = ref.build_stays("C", legs, mode)
+        expected = ref.build_profile("C", "2008", CARD_REGULAR, legs, expected_stays, WEEKDAYS, centroid_of,
+                                     rides=len(SAME_MINUTE))
+        for rides in (SAME_MINUTE, SAME_MINUTE[::-1]):
+            kept = []
+            assert profile(rides, stays=kept, stay_mode=mode) == expected
+            assert stay_tuples(kept) == stay_tuples(expected_stays)
+        openers = [s.place_id for s in kept if s.first_of_day]
+        exact = [(s.place_id, s.duration_min) for s in kept if not s.first_of_day and not s.approximate]
+        # Monday opens at S10; on Tuesday and Wednesday the card alighted at S9.
+        assert openers[0] == STOP_TO_PLACE["S10"]
+        assert exact == [(STOP_TO_PLACE["S9"], 30), (STOP_TO_PLACE["S9"], 420)]
 
 
 # -- the edges, on the kernel itself -----------------------------------------
@@ -360,7 +405,7 @@ class TestInputRules:
     def test_duplicate_rows_are_all_kept(self):
         line = "C,R,DST,B1,H,2008-04-07T07:30,W,2008-04-07T08:10"
         tx = read_transactions([TRANSACTIONS_HEADER, line, line], MONDAY)
-        assert (len(tx.rides["C"]), tx.rejections) == (2, [])
+        assert (len(decode(tx.rides["C"])), tx.rejections) == (2, [])
 
         # A copied distance-fare ride boards before the original alighted,
         # so no stay forms between them: only the ride count changes.
@@ -411,7 +456,7 @@ class TestInputRules:
         line = "C,R,DST,B1,W,2008-04-13T23:50,H,2008-04-14T00:20"
         tx = read_transactions([TRANSACTIONS_HEADER, line], MONDAY)
         assert tx.rejections == []
-        (last,) = tx.rides["C"]
+        (last,) = decode(tx.rides["C"])
         assert last == (t(6, 23, 50), "B1", "W", "H", WEEK_MINUTES + 20)
         before, after = [], []
         p = profile(commuter(), stays=before)

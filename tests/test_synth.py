@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cardcohort.ingest import SchemaError, iter_lines, load_stops, read_transactions
+from cardcohort.ingest import SchemaError, iter_lines, load_stops, read_transactions, stop_codes
 from cardcohort.pipeline import RunConfig, run_pipeline
 from cardcohort.synth import (
     ARCHETYPE_ORDER,
@@ -194,7 +194,7 @@ class TestGenerate:
             ("week2", cfg.week2_start),
             ("followup", cfg.followup_start),
         ):
-            tx = read_transactions(iter_lines(small_bundle.paths[key]), start, stops)
+            tx = read_transactions(iter_lines(small_bundle.paths[key]), start, stop_codes(stops))
             assert tx.rejections == [], key
             assert not tx.unmatched, key
             assert tx.geocoded == tx.parsed
