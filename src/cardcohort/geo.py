@@ -69,32 +69,97 @@ class PlaceIndex:
 def build_places(stops: Mapping[str, Coord], radius_m: float = CLUSTER_RADIUS_M) -> PlaceIndex:
     """Cluster stops (stop id -> (lon, lat)) into places by single-linkage within ``radius_m``.
 
-    Two stops belong to the same place when they are joined by a chain of
-    pairwise distances each at most ``radius_m``.  Each place is grown by
-    a flood fill from its smallest stop id, in ascending id order, so
-    place ids follow each cluster's smallest stop id and are a pure
-    function of the stop registry.
+    Two stops are linked when ``haversine_km(a, b) <= radius_m / 1000``,
+    the edge included, and belong to the same place when a chain of links
+    joins them.  Each place is grown by a flood fill from its smallest
+    stop id, in ascending id order, so place ids follow each cluster's
+    smallest stop id and are a pure function of the stop registry.
 
-    Candidate pairs come from a lat/lon grid whose cells are at least
-    ``radius_m`` wide, so only the 3x3 neighbourhood of a cell needs
-    checking; the construction is linear-ish for realistic registries.
+    Candidate pairs come from a grid on the sphere.  A link spans at most
+    the radius in latitude, so with rows that tall it stays within one
+    row or joins two neighbouring rows.  Each row is cut into equal
+    columns, as wide as the widest longitude span a link can have in any
+    occupied row, and the columns wrap at +-180 degrees.  A row where a
+    link may span more than 60 degrees of longitude, near a pole, is a
+    single cell, whose neighbours are every cell of the rows beside it.
+    So a stop's candidates are the stops of its cell and of the cells
+    around it, and no link across the antimeridian or over a pole is
+    missed.
+
+    Each candidate is first measured by the chord between the two stops'
+    unit vectors, computed once per stop.  The chord is 2 sin(d / 2) for
+    a great-circle distance d, so it orders pairs exactly as d does, and
+    a chord more than a millionth (plus 1e-12) away from the radius's
+    chord decides the link; rounding in either formula is many orders of
+    magnitude smaller than that band.  Inside the band ``haversine_km``
+    decides, so every link is the haversine rule's decision.
     """
     if not stops:
         return PlaceIndex([])
     ids = sorted(stops)
     coords = [stops[sid] for sid in ids]
-    max_abs_lat = max(abs(lat) for _, lat in coords)
-    cell_lat = radius_m / M_PER_DEG_LAT
-    # Cell width must be >= radius_m everywhere in the data, and the
-    # metre width of a degree of longitude shrinks with latitude.
-    cos_lat = max(math.cos(math.radians(min(max_abs_lat, 89.9))), 1e-6)
-    cell_lon = radius_m / (M_PER_DEG_LAT * cos_lat)
-    cells = [(math.floor(lon / cell_lon), math.floor(lat / cell_lat)) for lon, lat in coords]
-    buckets: dict[tuple[int, int], list[int]] = {}
-    for i, cell in enumerate(cells):
-        buckets.setdefault(cell, []).append(i)
-
     radius_km = radius_m / 1000.0
+    angle = radius_km / EARTH_RADIUS_KM  # the radius as a central angle, in radians
+    half_chord = math.sin(angle / 2.0)  # on the unit sphere
+    # The margins outweigh any rounding in placing a stop in its cell.
+    row_deg = math.degrees(angle) * (1.0 + 1e-6) + 1e-9
+    rows = [math.floor(lat / row_deg) for _, lat in coords]
+    occupied = set(rows)
+
+    # Between stops at |lat| <= reach, a link spans at most 2 asin(s) of
+    # longitude, with s = half_chord / cos(reach).
+    polar = set()
+    widest = 0.0
+    for row in occupied:
+        reach = max(abs(row), abs(row + 1)) * row_deg + 1e-9
+        s = half_chord / math.cos(math.radians(reach)) if reach < 90.0 else math.inf
+        if s > 0.5:
+            polar.add(row)
+        else:
+            widest = max(widest, s)
+    # Columns at most 60 degrees wide: n >= 5, so a cell has two others beside it.
+    n = int(360.0 / (math.degrees(2.0 * math.asin(widest)) * (1.0 + 1e-6) + 1e-9)) if widest else 3
+    per_deg = n / 360.0
+    buckets: dict[int, list[int]] = {}  # row * n + column -> stop indices
+    for i, ((lon, _), row) in enumerate(zip(coords, rows)):
+        col = 0 if row in polar else int((lon + 180.0) % 360.0 * per_deg) % n
+        buckets.setdefault(row * n + col, []).append(i)
+
+    # Each stop's candidates: the members of its cell and of every cell
+    # around it, listed once per cell.
+    near_pole = {r + d for r in polar for d in (-1, 0, 1)}
+    around = (-n - 1, -n, -n + 1, -1, 0, 1, n - 1, n, n + 1)
+    get = buckets.get
+    candidates: list = [None] * len(ids)
+    for key, members in buckets.items():
+        row, col = divmod(key, n)
+        near = []
+        if 0 < col < n - 1 and row not in near_pole:
+            for d in around:
+                near += get(key + d, ())
+        else:
+            for r in occupied.intersection((row - 1, row, row + 1)):
+                if r in polar:
+                    cols = (0,)
+                elif row in polar:
+                    cols = range(n)
+                else:
+                    cols = (col - 1, col, col + 1)
+                for c in cols:
+                    near += get(r * n + c % n, ())
+        for i in members:
+            candidates[i] = near
+
+    # Each stop's unit vector; a chord below ``sure`` is a link, and one
+    # above ``unsure`` is none.
+    cos, sin, to_rad = math.cos, math.sin, math.pi / 180.0
+    vectors = [
+        ((c := cos(lat * to_rad)) * cos(lon * to_rad), c * sin(lon * to_rad), sin(lat * to_rad))
+        for lon, lat in coords
+    ]
+    chord = 2.0 * half_chord
+    sure, unsure = chord * (1.0 - 1e-6) - 1e-12, chord * (1.0 + 1e-6) + 1e-12
+    dist = math.dist
     seen = bytearray(len(ids))
     places = []
     for first in range(len(ids)):
@@ -103,14 +168,13 @@ def build_places(stops: Mapping[str, Coord], radius_m: float = CLUSTER_RADIUS_M)
         seen[first] = 1
         group = [first]
         for i in group:  # grows while it is walked
-            here = coords[i]
-            cx, cy = cells[i]
-            for dx in (-1, 0, 1):
-                for dy in (-1, 0, 1):
-                    for j in buckets.get((cx + dx, cy + dy), ()):
-                        if not seen[j] and haversine_km(here, coords[j]) <= radius_km:
-                            seen[j] = 1
-                            group.append(j)
+            here = vectors[i]
+            for j in candidates[i]:
+                if not seen[j]:
+                    d = dist(here, vectors[j])
+                    if d <= sure or (d <= unsure and haversine_km(coords[i], coords[j]) <= radius_km):
+                        seen[j] = 1
+                        group.append(j)
         group.sort()
         lon = math.fsum(coords[i][0] for i in group) / len(group)
         lat = math.fsum(coords[i][1] for i in group) / len(group)

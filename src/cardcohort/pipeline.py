@@ -261,6 +261,13 @@ def aggregate_taz(
     return counts, outside, overlap
 
 
+def _pickled(fn, *args) -> bytes:
+    """``fn(*args)``, pickled in the worker that runs it."""
+    import pickle
+
+    return pickle.dumps(fn(*args))
+
+
 def _run_jobs(cfg: RunConfig) -> list:
     """Year 1, year 2 and, if configured, the follow-up count, in that order.
 
@@ -268,8 +275,10 @@ def _run_jobs(cfg: RunConfig) -> list:
     parent runs the first job and any left over; each of the n - 1
     workers runs one of the others.  Only the workers' results are
     pickled, and the parent's own jobs stay visible to in-process
-    profilers.  Results come back in job order, and a worker's exception
-    is raised again here with its type.
+    profilers.  A worker's result stays as bytes until the parent's own
+    jobs are done, so the parent never holds it while it profiles a
+    year, whichever finishes first.  Results come back in job order, and
+    a worker's exception is raised again here with its type.
     """
     jobs = [
         (process_year, (cfg.year1, cfg.stops1, cfg, cfg.week1_start)),
@@ -283,22 +292,24 @@ def _run_jobs(cfg: RunConfig) -> list:
 
     # Imported here so that a single-process run does not load
     # multiprocessing at all.
+    import pickle
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=n - 1) as pool:
-        futures = [pool.submit(fn, *args) for fn, args in jobs[1:n]]
+        futures = [pool.submit(_pickled, fn, *args) for fn, args in jobs[1:n]]
         inline = [fn(*args) for fn, args in jobs[:1] + jobs[n:]]
-        return inline[:1] + [f.result() for f in futures] + inline[1:]
+        return inline[:1] + [pickle.loads(f.result()) for f in futures] + inline[1:]
 
 
 @_collector_off()
 def run_pipeline(cfg: RunConfig) -> PipelineResult:
     """Compute everything the configured inputs allow.
 
-    Report files are written separately (see the reports module); this
-    function is pure computation plus input loading.
+    ``cfg`` is taken as checked by :meth:`RunConfig.validate`, which the
+    command line calls once, when it builds the config.  Report files are
+    written separately (see the reports module); this function is pure
+    computation plus input loading.
     """
-    cfg.validate()
     # The layers are small; loading them first lets a malformed one fail
     # before any transactions file is read.
     r4_region = load_region(cfg.r4, "R4") if cfg.r4 else None

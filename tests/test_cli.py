@@ -800,12 +800,10 @@ class TestEntryPoints:
             for flag, start in zip(flags, files.values()):
                 args += [flag, start]
         assert run_cli(command, *args, "--out", str(tmp_path / "out")) == 0
-        # Each input has one line read when the config is checked: once
-        # when it is built and, for run, again as the pipeline starts.
+        # Each input has one line read when the config is checked, once.
         # Then a derived week scans the file once, and the file is read.
-        checks = 2 if command == "run" else 1
         for key in files:
-            assert opened.count(mini_bundle[key]) == checks + (1 if configured else 2), key
+            assert opened.count(mini_bundle[key]) == 1 + (1 if configured else 2), key
 
     def test_help_exits_zero(self):
         with pytest.raises(SystemExit) as err:

@@ -24,6 +24,8 @@ from cardcohort.geo import (
     radial_direction,
     read_features,
 )
+from cardcohort.ingest import iter_lines, load_stops
+from cardcohort.synth import GeneratorConfig, generate
 
 from conftest import offset_coord
 
@@ -73,6 +75,59 @@ class TestHaversine:
 
 def _stops(coords: list[tuple[float, float]]) -> dict[str, tuple[float, float]]:
     return {f"S{i:03d}": coord for i, coord in enumerate(coords)}
+
+
+@st.composite
+def registries(draw) -> tuple[dict[str, tuple[float, float]], float]:
+    """Up to 150 stops in a box a few radii wide, with a radius from 50 m to 5 km.
+
+    The box lies in mid latitudes, near a pole or across the antimeridian.
+    With ``edge``, the radius is set so that the first two stops are
+    exactly one radius apart ("at"), or to the next float below that
+    ("below").
+    """
+    radius_m = draw(st.floats(50.0, 5000.0))
+    lat0 = draw(st.one_of(
+        st.floats(-60.0, 60.0), st.floats(80.0, 90.0), st.floats(-90.0, -80.0),
+        st.floats(89.9, 90.0), st.floats(-90.0, -89.9),
+    ))
+    lon0 = draw(st.one_of(st.floats(-180.0, 180.0), st.sampled_from([-180.0, 180.0])))
+    half_m = radius_m * draw(st.floats(0.5, 6.0))
+    unit = st.floats(-1.0, 1.0)
+    coords = []
+    for x, y in draw(st.lists(st.tuples(unit, unit), max_size=150)):
+        lat = min(90.0, max(-90.0, lat0 + y * half_m / M_PER_DEG_LAT))
+        dlon = x * half_m / (M_PER_DEG_LAT * max(math.cos(math.radians(lat0)), 1e-3))
+        coords.append(((lon0 + dlon + 180.0) % 360.0 - 180.0, lat))
+    edge = draw(st.sampled_from([None, "at", "below"]))
+    if edge and len(coords) >= 2 and coords[0] != coords[1]:
+        radius_m = _edge_radius_m(coords[0], coords[1])
+        if edge == "below":
+            radius_m = math.nextafter(radius_m, 0.0)
+    return _stops(coords), radius_m
+
+
+def _edge_radius_m(a: tuple[float, float], b: tuple[float, float]) -> float:
+    """The smallest radius in metres at which ``a`` and ``b`` are linked."""
+    d_km = haversine_km(a, b)
+    radius_m = d_km * 1000.0
+    while radius_m / 1000.0 < d_km:
+        radius_m = math.nextafter(radius_m, math.inf)
+    while math.nextafter(radius_m, 0.0) / 1000.0 >= d_km:
+        radius_m = math.nextafter(radius_m, 0.0)
+    return radius_m
+
+
+def _destination(start: tuple[float, float], bearing_deg: float, km: float) -> tuple[float, float]:
+    """The point ``km`` from ``start`` along the great circle at ``bearing_deg``, lon in [-180, 180)."""
+    lon1, lat1 = map(math.radians, start)
+    theta, delta = math.radians(bearing_deg), km / EARTH_RADIUS_KM
+    lat2 = math.asin(math.sin(lat1) * math.cos(delta) + math.cos(lat1) * math.sin(delta) * math.cos(theta))
+    lon2 = lon1 + math.atan2(
+        math.sin(theta) * math.sin(delta) * math.cos(lat1),
+        math.cos(delta) - math.sin(lat1) * math.sin(lat2),
+    )
+    return (math.degrees(lon2) + 180.0) % 360.0 - 180.0, math.degrees(lat2)
 
 
 ORIGIN = (116.30, 39.90)
@@ -141,42 +196,80 @@ class TestBuildPlaces:
         assert places.places[1].stop_ids == ("S001",)
         assert places.centroid(0) == places.places[0].centroid
 
-    @settings(max_examples=60, deadline=None)
-    @given(
-        st.lists(
-            st.tuples(
-                st.floats(116.00, 116.04, allow_nan=False),
-                st.floats(39.90, 39.93, allow_nan=False),
-            ),
-            min_size=0,
-            max_size=25,
-        )
-    )
-    def test_matches_all_pairs_single_linkage(self, coords):
+    def test_links_across_the_antimeridian(self):
+        # 17 m apart, on either side of +-180 degrees.
+        stops = {"E": (179.9999, 39.9), "W": (-179.9999, 39.9)}
+        assert haversine_km(stops["E"], stops["W"]) < 0.02
+        places = build_places(stops)
+        assert [p.stop_ids for p in places.places] == [("E", "W")]
+
+    def test_links_near_a_pole(self):
+        # 111 m apart, 60 degrees of longitude apart at 89.999 N; and one
+        # pair across the pole at 89.999 S.
+        stops = {"N1": (0.0, 89.999), "N2": (60.0, 89.999), "S1": (-90.0, -89.999), "S2": (90.0, -89.999)}
+        assert haversine_km(stops["N1"], stops["N2"]) < 0.12
+        places = build_places(stops)
+        assert [p.stop_ids for p in places.places] == [("N1", "N2"), ("S1", "S2")]
+
+    @pytest.mark.parametrize("lon", [116.3, 179.9])
+    @pytest.mark.parametrize("lat", [0.0, 39.9, -60.0, 80.0, 89.99, -89.995, 89.9995])
+    def test_a_pair_one_radius_apart_links_wherever_it_lies(self, lat, lon):
+        # Each pair is one radius apart: at each of twelve bearings, from
+        # fifty starts a fiftieth of a radius apart, so that the pair
+        # crosses every kind of cell edge.  Both id orders are tried,
+        # since the flood fill starts from the smaller id.
+        step = CLUSTER_RADIUS_M / M_PER_DEG_LAT / 50.0
+        for k in range(50):
+            a = (lon + k * step / max(math.cos(math.radians(lat)), 1e-3), min(lat + k * step, 90.0))
+            for bearing in range(0, 360, 30):
+                b = _destination(a, bearing, CLUSTER_RADIUS_M / 1000.0)
+                radius_m = _edge_radius_m(a, b)
+                for stops in ({"A": a, "B": b}, {"A": b, "B": a}):
+                    assert len(build_places(stops, radius_m)) == 1, (a, b)
+                    assert len(build_places(stops, math.nextafter(radius_m, 0.0))) == 2, (a, b)
+
+    @settings(max_examples=100, deadline=None)
+    @given(registries())
+    def test_matches_all_pairs_single_linkage(self, registry):
         """The grid-bucketed clustering must equal brute-force linkage."""
-        stops = _stops(coords)
-        got = {frozenset(p.stop_ids) for p in build_places(stops).places}
+        stops, radius_m = registry
+        got = {frozenset(p.stop_ids) for p in build_places(stops, radius_m).places}
+        assert got == _single_linkage(stops, radius_m)
 
-        ordered = sorted(stops)
-        n = len(ordered)
-        parent = list(range(n))
+    def test_synth_registry_matches_all_pairs_single_linkage(self, tmp_path):
+        # 576 stops, 500 m apart within a site: up to rounding to seven
+        # decimals, each pair of neighbours is at the radius.
+        cfg = GeneratorConfig(
+            commuters=2, movers=0, job_changers=0, jobless=0, churners=0,
+            grid_rows=8, grid_cols=8, site_stops=3, stop_spacing_m=500.0, site_pitch_m=2500.0,
+        )
+        stops, _ = load_stops(iter_lines(generate(cfg, str(tmp_path)).paths["stops"]))
+        assert len(stops) == 576
+        places = build_places(stops)
+        assert {frozenset(p.stop_ids) for p in places.places} == _single_linkage(stops, CLUSTER_RADIUS_M)
+        assert 64 < len(places) < 576
 
-        def find(i):
-            while parent[i] != i:
-                i = parent[i]
-            return i
 
-        for i in range(n):
-            for j in range(i + 1, n):
-                if haversine_km(stops[ordered[i]], stops[ordered[j]]) <= CLUSTER_RADIUS_M / 1000.0:
-                    ri, rj = find(i), find(j)
-                    if ri != rj:
-                        parent[rj] = ri
-        groups: dict[int, set[str]] = {}
-        for i in range(n):
-            groups.setdefault(find(i), set()).add(ordered[i])
-        expected = {frozenset(g) for g in groups.values()}
-        assert got == expected
+def _single_linkage(stops: dict[str, tuple[float, float]], radius_m: float) -> set[frozenset[str]]:
+    """The places of ``stops`` by the definition: every pair tested, then joined transitively."""
+    ordered = sorted(stops)
+    parent = list(range(len(ordered)))
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for i in range(len(ordered)):
+        for j in range(i + 1, len(ordered)):
+            if haversine_km(stops[ordered[i]], stops[ordered[j]]) <= radius_m / 1000.0:
+                ri, rj = find(i), find(j)
+                if ri != rj:
+                    parent[rj] = ri
+    groups: dict[int, set[str]] = {}
+    for i, sid in enumerate(ordered):
+        groups.setdefault(find(i), set()).add(sid)
+    return {frozenset(g) for g in groups.values()}
 
 
 SQUARE = Region("sq", ((( 0.0, 0.0), (4.0, 0.0), (4.0, 4.0), (0.0, 4.0), (0.0, 0.0)),))
