@@ -29,7 +29,16 @@ from .ingest import (
     read_transactions,
     stop_codes,
 )
-from .pipeline import PATH_FIELDS, MissingInputError, RunConfig, process_year, require_files, run_pipeline
+from .pipeline import (
+    PATH_FIELDS,
+    STOPS,
+    TRANSACTIONS,
+    MissingInputError,
+    RunConfig,
+    process_year,
+    require_files,
+    run_pipeline,
+)
 from .synth import GeneratorConfig, generate
 
 log = logging.getLogger("cardcohort")
@@ -110,7 +119,8 @@ def cmd_ingest_check(args) -> int:
     if args.week_start is not None:
         # A start too late for seven days is refused before any input is read.
         ObservationWeek(args.week_start)
-    require_files([args.transactions, args.stops])
+    require_files([(args.transactions, TRANSACTIONS), (args.stops, STOPS)])
+    _make_out_dir(args.out)
     stops, stop_rejections = load_stops(iter_lines(args.stops))
     week_start = args.week_start or derive_week_start(iter_lines(args.transactions))
     tx = read_transactions(iter_lines(args.transactions), week_start, stop_codes(stops))
@@ -131,6 +141,7 @@ def cmd_ingest_check(args) -> int:
 
 def cmd_infer(args) -> int:
     cfg = _build_run_config(args)
+    _make_out_dir(args.out)
     stays = {} if args.dump_stays else None
     year = process_year(cfg.year1, cfg.stops1, cfg, cfg.week1_start, stays)
     reports.write_profiles(os.path.join(args.out, "profiles.csv"), year.profiles, year.week)
@@ -145,6 +156,7 @@ def cmd_infer(args) -> int:
 def cmd_run(args) -> int:
     """run, diff, classify and score: the pipeline their report files need, then the files."""
     cfg = _build_run_config(args)
+    _make_out_dir(args.out)
     if args.reports is not None:
         # Skip the optional inputs that no file of the subset reads.
         unread = [k for k, files in reports.OPTIONAL_INPUT_FILES.items() if files.isdisjoint(args.reports)]
@@ -182,6 +194,14 @@ def _require_out_dir(path: str) -> None:
         head = os.path.dirname(head) or "."
     if not os.path.isdir(head):
         raise ValueError(f"--out {path}: {head} is not a directory")
+
+
+def _make_out_dir(path: str) -> None:
+    """Create --out once the inputs have passed their checks, before any is read in full."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ValueError(f"cannot create --out {path}: {exc.strerror}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -2,8 +2,10 @@
 
 ``build_profile`` walks a card's rides once, in boarding order.  It
 takes them as :func:`cardcohort.ingest.read_transactions` keeps them:
-one flat list of coded fields, re-formed into ride tuples only while
-they are sorted, with each stop's place looked up by its code.  It forms
+one int array of coded fields, five per ride, re-formed into ride tuples
+only while they are sorted, with each stop's place looked up by its
+code.  The codes sort as the ids behind them do, so the walk sees the
+rides in the order their ids give.  It forms
 each stay and, as the stay is formed, counts it for both rules below; no
 stay outlives the walk unless the caller passes a list to keep them in
 (``infer --dump-stays``).
@@ -92,7 +94,7 @@ class YearProfile:
 
 def build_profile(
     card_type: str,
-    rides: list,
+    rides: Sequence[int],
     place_of: Sequence[int | None],
     weekdays: frozenset[int],
     centroid_of: Callable[[int], Coord],
@@ -104,7 +106,8 @@ def build_profile(
 ) -> YearProfile:
     """One card's profile for one observation week.
 
-    ``rides`` is the card's flat list of coded ride fields and
+    ``rides`` is the card's flat sequence of coded ride fields, as
+    :func:`cardcohort.ingest.read_transactions` keeps them, and
     ``place_of[code]`` the place of each stop code, None for code 0 (no
     alighting).  Rides sort as tuples, boarding minute first and the
     remaining fields as tie-breakers, so the result is a pure function of

@@ -21,7 +21,10 @@ schema at all.
 fixed observation week: each line is split, checked, tested against the
 stop registry and appended to its card's rides, so no list of all rows is
 built.  A file with no configured week start is first scanned once by
-:func:`derive_week_start` for its earliest boarding date.
+:func:`derive_week_start` for its earliest boarding date.  Each card's
+rides are one 32-bit int array, five ints per ride: routes, and stops
+read without a registry, are held as codes, and :class:`Transactions`
+names the id behind each code.
 
 Times are integers.  :func:`parse_minute` reads a timestamp as minutes
 after 0001-01-01T00:00; an accepted row carries its times as minutes
@@ -31,9 +34,12 @@ inside the week.
 
 from __future__ import annotations
 
+from array import array
 from collections import Counter
 from dataclasses import Field, dataclass, fields
 from datetime import date, datetime, timedelta
+from struct import Struct
+from struct import error as StructError
 from typing import Iterable, Iterator, Mapping
 
 TRANSACTIONS_HEADER = "card_id,card_type,fare_type,route_id,board_stop,board_time,alight_stop,alight_time"
@@ -56,16 +62,16 @@ OUTSIDE_WEEK = "outside observation week"
 # the wrong schema entirely rather than merely dirty.
 FATAL_REJECT_FRACTION = 0.5
 
-# One ride of one card: (board_min, route_id, board_stop, alight_stop,
-# alight_min).  A card's rides are kept as one flat list, five fields per
-# ride in file order; ride_tuples re-forms the tuples.  Read against a
-# stop registry, a stop field holds the stop's code (see stop_codes) and
-# a fixed-fare ride's alight_stop is 0; read without one, a stop field
-# holds the stop id as text and a fixed-fare ride's alight_stop is "".
-# A fixed-fare ride has alight_min equal to board_min.  Either way, rides
-# sort by boarding time with the other fields as tie-breakers, in the
-# order their ids give.
-Ride = tuple[int, str, int | str, int | str, int]
+# One ride of one card: (board_min, route, board_stop, alight_stop,
+# alight_min), each field an int.  A card's rides are kept as one array,
+# five ints per ride in file order; ride_tuples re-forms the tuples.  A
+# route is held as its code (see Transactions.routes).  Read against a
+# stop registry, a stop is held as its code there (see stop_codes);
+# read without one, as its code in Transactions.stops.  Either way code
+# 0 is no alighting, and a fixed-fare ride has alight_stop 0 and
+# alight_min equal to board_min.  Rides sort by boarding time with the
+# other fields as tie-breakers, in the order their ids give.
+Ride = tuple[int, int, int, int, int]
 RIDE_FIELDS = 5
 
 
@@ -178,8 +184,8 @@ def stop_codes(stop_ids: Iterable[str]) -> dict[str, int]:
     return {sid: code for code, sid in enumerate(sorted(stop_ids), 1)}
 
 
-def ride_tuples(rides: list) -> Iterator[Ride]:
-    """The rides of a flat per-card list, one tuple each."""
+def ride_tuples(rides) -> Iterator[Ride]:
+    """The rides of a card's flat int array, one tuple each."""
     return zip(*[iter(rides)] * RIDE_FIELDS)
 
 
@@ -188,24 +194,29 @@ class Transactions:
     """One transactions file read into each card's rides.
 
     ``rides`` maps each card id to its kept rides in file order, as one
-    flat list of :data:`Ride` fields, five per ride: with a stop registry
-    the stop fields hold stop codes, 0 for no alighting; without one,
-    the stop ids as text, "" for no alighting.  A line is kept when it is
-    accepted and, when a stop registry is given, both of its stops are
-    listed.  ``students`` holds the cards with a kept student line.
-    ``parsed`` counts the accepted lines, those dropped for an unknown
-    stop included, and ``unmatched`` counts each unknown stop id once per
+    int array of :data:`Ride` fields, five per ride.  ``routes[code]`` is
+    the route id of each route code; an id may have two codes (see
+    :func:`_rank_tied_cards`).  With a stop registry the stop
+    fields hold its :func:`stop_codes` and ``stops`` is None; without
+    one, ``stops[code]`` is the stop id of each stop code, coded as
+    routes are, with "" for code 0, no alighting.  A line is kept when it is accepted and, when
+    a stop registry is given, both of its stops are listed.
+    ``students`` holds the cards with a kept student line.  ``parsed``
+    counts the accepted lines, those dropped for an unknown stop
+    included, and ``unmatched`` counts each unknown stop id once per
     dropped line that names it.  ``week`` is the one week every line was
-    checked against: the configured one or, for a file with none, the one
-    :func:`derive_week_start` scanned the file for.
+    checked against: the configured one or, for a file with none, the
+    one :func:`derive_week_start` scanned the file for.
     """
 
     week: ObservationWeek
-    rides: dict[str, list]
+    rides: dict[str, array]
     students: set[str]
     rejections: list[Rejection]
     unmatched: Counter[str]
     parsed: int
+    routes: list[str]
+    stops: list[str] | None
 
     @property
     def geocoded(self) -> int:
@@ -214,6 +225,46 @@ class Transactions:
 
     def card_type(self, card_id: str) -> str:
         return CARD_STUDENT if card_id in self.students else CARD_REGULAR
+
+
+class _Codes(dict):
+    """Id text -> its code: 0 for "", then 1, 2, ... in the order ids are first seen."""
+
+    def __init__(self):
+        super().__init__({"": 0})
+
+    def __missing__(self, text: str) -> int:
+        code = self[text] = len(self)
+        return code
+
+
+def _rank_tied_cards(rides: Iterable[array], tables: list[tuple[list[str], tuple[int, ...]]]) -> None:
+    """Make each card's rides sort as their ids do where the codes alone would not.
+
+    ``tables`` pairs the ids of a code table, in code order, with the
+    ride fields that hold its codes.  First-seen codes decide the order
+    only of two rides of one card that board in the same minute, so only
+    a card with such a pair is recoded: a table whose ids are not in
+    sorted order is extended in place by its ids in sorted order, and
+    the card's fields move to those new codes, which sort as the ids do.
+    Every other card keeps the codes it was read with.
+    """
+    tables = [(ids, slots) for ids, slots in tables if ids != sorted(ids)]
+    if not tables:
+        return
+    tied = [r for r in rides if len(set(r[::RIDE_FIELDS])) * RIDE_FIELDS < len(r)]
+    if not tied:
+        return
+    for ids, slots in tables:
+        n = len(ids)
+        order = sorted(range(n), key=ids.__getitem__)
+        ranked = [0] * n
+        for rank, code in enumerate(order, n):
+            ranked[code] = rank
+        ids += [ids[code] for code in order]
+        for r in tied:
+            for slot in slots:
+                r[slot::RIDE_FIELDS] = array(r.typecode, map(ranked.__getitem__, r[slot::RIDE_FIELDS]))
 
 
 def take_header(it: Iterator[str], expected: str, kind: str) -> None:
@@ -262,8 +313,13 @@ def read_transactions(
     with no configured start takes it from :func:`derive_week_start`.
     ``codes`` is the stop registry as :func:`stop_codes` gives it: a line
     naming a stop outside it is dropped, and the kept stop fields hold
-    codes.  Without it no line is dropped, and the stop fields keep the
-    stop ids as text.
+    its codes.  Without it no line is dropped, and stops are coded as
+    routes are, in the order they are first seen.
+
+    Each card's rides are one ``array('i')``.  A distance-fare ride may
+    alight any time after it boards, up to the end of the calendar, so
+    the first ride that does not fit in 32 bits turns every card's array
+    into ``array('q')`` for the rest of the read.
 
     Every data line is either accepted or lands in the rejections, in
     line order.  Raises :class:`SchemaError` when the header is wrong or
@@ -276,24 +332,28 @@ def read_transactions(
     take_header(it, TRANSACTIONS_HEADER, "transactions")
 
     minutes = _Minutes(week.start_minute)
-    pool: dict[str, str] = {}
-    intern = pool.setdefault
-    code_of = None if codes is None else {"": 0, **codes}.get
-    by_card: dict[str, list] = {}
+    route_code = _Codes()
+    stop_code = _Codes() if codes is None else {"": 0, **codes}
+    typecode = "i"
+    pack = Struct(f"{RIDE_FIELDS}i").pack
+    by_card: dict[str, array] = {}
     students: set[str] = set()
     unmatched: Counter[str] = Counter()
     rejections: list[Rejection] = []
-    total = 0
+    line_no = 1
+    blank = 0
     for line_no, raw in enumerate(it, start=2):
-        line = raw.rstrip("\r\n")
-        if not line:
-            continue
-        total += 1
-        parts = line.split(",")
+        parts = raw.split(",")
         if len(parts) != 8:
+            # The line ending is stripped from the last field alone; a
+            # blank line is the one one-field line left empty by it.
+            if len(parts) == 1 and not raw.rstrip("\r\n"):
+                blank += 1
+                continue
             reason = "bad column count"
         else:
             card_id, card_type, fare_type, route_id, b_stop, b_time, a_stop, a_time = parts
+            a_time = a_time.rstrip("\r\n")
             if not card_id:
                 reason = "empty card_id"
             elif card_type != CARD_REGULAR and card_type != CARD_STUDENT:
@@ -323,30 +383,41 @@ def read_transactions(
                     else:
                         reason = None
                 if reason is None:
-                    if code_of is None:
-                        b = intern(b_stop, b_stop)
-                        a = intern(a_stop, a_stop)
-                    else:
-                        b = code_of(b_stop)
-                        a = code_of(a_stop)
-                        if b is None or a is None:
-                            unmatched.update(s for s in (b_stop, a_stop) if s and s not in codes)
-                            continue
-                    ride = (board, intern(route_id, route_id), b, a, alight)
+                    try:
+                        b = stop_code[b_stop]
+                        a = stop_code[a_stop]
+                    except KeyError:
+                        unmatched.update(s for s in (b_stop, a_stop) if s not in stop_code)
+                        continue
+                    try:
+                        ride = pack(board, route_code[route_id], b, a, alight)
+                    except StructError:
+                        typecode = "q"
+                        pack = Struct(f"{RIDE_FIELDS}q").pack
+                        for card, rides in by_card.items():
+                            by_card[card] = array(typecode, rides)
+                        ride = pack(board, route_code[route_id], b, a, alight)
                     rides = by_card.get(card_id)
                     if rides is None:
-                        by_card[card_id] = [*ride]
+                        by_card[card_id] = array(typecode, ride)
                     else:
-                        rides += ride
+                        rides.frombytes(ride)
                     if card_type == CARD_STUDENT:
                         students.add(card_id)
                     continue
         rejections.append(Rejection(line_no, reason))
-        _bail_early(len(rejections), total)
+        _bail_early(len(rejections), line_no - 1 - blank)
 
+    total = line_no - 1 - blank
     if total and len(rejections) > total * FATAL_REJECT_FRACTION:
         raise SchemaError(f"rejected {len(rejections)} of {total} lines; wrong schema")
-    return Transactions(week, by_card, students, rejections, unmatched, total - len(rejections))
+    routes = list(route_code)
+    stops = None if codes is not None else list(stop_code)
+    tables = [(routes, (1,))]
+    if stops is not None:
+        tables.append((stops, (2, 3)))
+    _rank_tied_cards(by_card.values(), tables)
+    return Transactions(week, by_card, students, rejections, unmatched, total - len(rejections), routes, stops)
 
 
 def load_stops(lines: Iterable[str]) -> tuple[dict[str, tuple[float, float]], list[Rejection]]:

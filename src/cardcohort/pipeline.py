@@ -1,11 +1,13 @@
 """End-to-end batch pipeline: two observation years to cohort reports.
 
-Year 1, year 2 and the follow-up count read separate files and share
-nothing, so with ``threads > 1`` they run at the same time in separate
-processes; everything after them runs in the parent.  Each year's cards
-are inferred in one loop in sorted card order, and job results are
-gathered in fixed job order, so the output bytes cannot depend on the
-thread count.
+Year 1, year 2 and the follow-up count each read their own transactions
+file, so with ``threads > 1`` they run at the same time in separate
+processes; everything after them runs in the parent.  The years may name
+one stop registry, as every synthetic bundle does: the year jobs that
+run in one process load and cluster each registry once and share it.
+Each year's cards are inferred in one loop in sorted card order, and job
+results are gathered in fixed job order, so the output bytes cannot
+depend on the thread count.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from contextlib import closing, contextmanager
 from dataclasses import dataclass, field
 from datetime import date
 from functools import cache
+from typing import NamedTuple
 
 from . import infer
 from .cohort import CHANGE_KM_DEFAULT, CohortDelta, build_delta, match_cohort, move
@@ -37,13 +40,17 @@ from .geo import (
 from .groups import DeprivationScore, DeprivationSummary, classify, score_deprivation
 from .ingest import (
     RIDE_FIELDS,
+    STOPS_HEADER,
+    TRANSACTIONS_HEADER,
     ObservationWeek,
     Rejection,
+    SchemaError,
     derive_week_start,
     iter_lines,
     load_stops,
     read_transactions,
     stop_codes,
+    take_header,
 )
 
 log = logging.getLogger(__name__)
@@ -55,6 +62,11 @@ class MissingInputError(Exception):
 
 # The RunConfig fields that name input files.
 PATH_FIELDS = ("year1", "year2", "stops1", "stops2", "followup", "r4", "taz")
+
+# The header and kind of each input file that has a header rule.
+TRANSACTIONS = (TRANSACTIONS_HEADER, "transactions")
+STOPS = (STOPS_HEADER, "stops")
+HEADERS = {"year1": TRANSACTIONS, "year2": TRANSACTIONS, "followup": TRANSACTIONS, "stops1": STOPS, "stops2": STOPS}
 
 
 @dataclass
@@ -104,25 +116,35 @@ class RunConfig:
             raise MissingInputError(
                 f"empty path for {', '.join(empty)} (leave an optional input out by omitting its key)"
             )
-        require_files([p for p in paths.values() if p is not None])
+        require_files([(p, HEADERS.get(key)) for key, p in paths.items() if p is not None])
 
 
-def require_files(paths: list[str]) -> None:
-    """Refuse paths that are not existing, readable regular files, before any work.
+def require_files(inputs: list[tuple[str, tuple[str, str] | None]]) -> None:
+    """Refuse inputs that are not readable regular files or start with the wrong header, before any work.
 
-    Raises MissingInputError naming the paths that do not exist or are not
-    regular files.  Each path then has its first line read by
-    :func:`iter_lines`, whose ValueError names a file that cannot be read.
+    ``inputs`` pairs each path with the (header, kind) it must start with,
+    or None for a file with no header rule.  Raises MissingInputError
+    naming the paths that do not exist or are not regular files.  Each
+    path then has its first line read by :func:`iter_lines`, whose
+    ValueError names a file that cannot be read, and taken by
+    :func:`take_header`, whose SchemaError is raised naming the path.
     """
+    paths = [p for p, _ in inputs]
     missing = [p for p in paths if not os.path.exists(p)]
     if missing:
         raise MissingInputError(f"missing input file(s): {', '.join(missing)}")
     not_files = [p for p in paths if not os.path.isfile(p)]
     if not_files:
         raise MissingInputError(f"input path(s) not a regular file: {', '.join(not_files)}")
-    for p in dict.fromkeys(paths):
+    for p, header in dict.fromkeys(inputs):
         with closing(iter_lines(p)) as lines:
-            next(lines, None)
+            if header is None:
+                next(lines, None)
+                continue
+            try:
+                take_header(lines, *header)
+            except SchemaError as exc:
+                raise SchemaError(f"{p}: {exc}") from None
 
 
 @dataclass
@@ -173,6 +195,24 @@ def _collector_off():
             gc.enable()
 
 
+class Registry(NamedTuple):
+    """A stop registry, loaded and clustered once for every year that names it."""
+
+    places: PlaceIndex
+    codes: dict[str, int]  # see ingest.stop_codes
+    place_of: list[int | None]  # the place of each stop code; code 0, no alighting, has none
+    rejections: list[Rejection]
+
+
+def load_registry(path: str, cluster_m: float) -> Registry:
+    """The stop registry at ``path``, its stops clustered into places within ``cluster_m``."""
+    stops, rejections = load_stops(iter_lines(path))
+    places = build_places(stops, cluster_m)
+    log.info("%s: %d stops in %d places", path, len(stops), len(places))
+    codes = stop_codes(stops)
+    return Registry(places, codes, [None, *map(places.stop_to_place.__getitem__, codes)], rejections)
+
+
 @_collector_off()
 def process_year(
     tx_path: str,
@@ -180,19 +220,24 @@ def process_year(
     cfg: RunConfig,
     week_start: date | None,
     stays: dict[str, list[infer.Stay]] | None = None,
+    registries: dict[str, Registry] | None = None,
 ) -> YearData:
     """Profile one observation year.
 
     Without ``week_start``, the transactions file is scanned once for it
     before it is read.  When ``stays`` is a dict, each card's stays are
     stored in it as they are formed; otherwise no stay object is built.
+    ``registries`` holds the registries already loaded by the caller, by
+    path; the stop registry is loaded into it unless it is there.
     """
-    stops, stop_rejections = load_stops(iter_lines(stops_path))
-    places = build_places(stops, cfg.cluster_m)
-    log.info("%s: %d stops in %d places", stops_path, len(stops), len(places))
+    if registries is None:
+        registries = {}
+    key = os.path.realpath(stops_path)
+    if key not in registries:
+        registries[key] = load_registry(stops_path, cfg.cluster_m)
+    places, codes, place_of, stop_rejections = registries[key]
 
     week_start = week_start or derive_week_start(iter_lines(tx_path))
-    codes = stop_codes(stops)
     tx = read_transactions(iter_lines(tx_path), week_start, codes)
     kept = tx.geocoded
     log.info(
@@ -200,8 +245,6 @@ def process_year(
         tx_path, tx.parsed, len(tx.rejections), kept, len(tx.rides),
     )
     weekdays = tx.week.weekdays
-    # The place of each stop code; code 0, no alighting, has none.
-    place_of = [None, *map(places.stop_to_place.__getitem__, codes)]
     # Many cards share a (home, work) pair.
     distance_km = cache(lambda home, work: haversine_km(places.centroid(home), places.centroid(work)))
     profiles: dict[str, infer.YearProfile] = {}
@@ -278,7 +321,8 @@ def _run_jobs(cfg: RunConfig) -> list:
     profilers.  A worker's result stays as bytes until the parent's own
     jobs are done, so the parent never holds it while it profiles a
     year, whichever finishes first.  Results come back in job order, and
-    a worker's exception is raised again here with its type.
+    a worker's exception is raised again here with its type.  The year
+    jobs the parent runs share the stop registries it loads.
     """
     jobs = [
         (process_year, (cfg.year1, cfg.stops1, cfg, cfg.week1_start)),
@@ -287,8 +331,15 @@ def _run_jobs(cfg: RunConfig) -> list:
     if cfg.followup:
         jobs.append((_count_followup, (cfg.followup, cfg.followup_start)))
     n = min(cfg.threads, len(jobs))
+    # Only the parent's year jobs share this dict: a worker's arguments
+    # are pickled while the parent may be filling it.
+    registries: dict[str, Registry] = {}
+
+    def here(fn, args):
+        return fn(*args, registries=registries) if fn is process_year else fn(*args)
+
     if n == 1:
-        return [fn(*args) for fn, args in jobs]
+        return [here(fn, args) for fn, args in jobs]
 
     # Imported here so that a single-process run does not load
     # multiprocessing at all.
@@ -297,7 +348,7 @@ def _run_jobs(cfg: RunConfig) -> list:
 
     with ProcessPoolExecutor(max_workers=n - 1) as pool:
         futures = [pool.submit(_pickled, fn, *args) for fn, args in jobs[1:n]]
-        inline = [fn(*args) for fn, args in jobs[:1] + jobs[n:]]
+        inline = [here(fn, args) for fn, args in jobs[:1] + jobs[n:]]
         return inline[:1] + [pickle.loads(f.result()) for f in futures] + inline[1:]
 
 

@@ -1,39 +1,49 @@
-"""Rides written as string tuples, to and from the reader's flat, stop-coded lists.
+"""Rides written as text tuples, to and from the reader's coded int arrays.
 
 Tests state rides as ``(board, route, board_stop, alight_stop, alight)``
-with stop ids as text and "" for no alighting.  ``read_transactions``
-keeps each card's rides as one flat list of those fields, with each
-stop as its code against a registry, and ``build_profile`` takes that
-list and the place of each code.
+with route and stop ids as text and "" for no alighting.
+``read_transactions`` keeps each card's rides as one int array of those
+fields, with each route and stop as its code, and ``build_profile``
+takes that array and the place of each stop code.
 """
 
 from __future__ import annotations
 
+from array import array
 from typing import Iterable, Mapping
 
-from cardcohort.ingest import Ride, ride_tuples, stop_codes
+from cardcohort.ingest import ride_tuples, stop_codes
+
+# One ride with its ids as text.
+TextRide = tuple[int, str, str, str, int]
 
 
-def encode(rides: Iterable[Ride], stop_to_place: Mapping[str, int]) -> tuple[list, list]:
+def encode(rides: Iterable[TextRide], stop_to_place: Mapping[str, int]) -> tuple[array, list]:
     """``rides`` as ``build_profile`` takes them, coded against the registry ``stop_to_place``.
 
-    Returns the flat coded list and ``place_of``, the place of each code.
+    Route codes are the routes' ranks, so the coded rides sort as the
+    text ones do.  Returns the int array and ``place_of``, the place of
+    each stop code.
     """
+    rides = list(rides)
     codes = stop_codes(stop_to_place)
-    flat = []
+    route_code = {route: code for code, route in enumerate(sorted({r[1] for r in rides}), 1)}
+    coded = array("i")
     for board, route, board_stop, alight_stop, alight in rides:
-        flat += (board, route, codes[board_stop], codes[alight_stop] if alight_stop else 0, alight)
-    return flat, [None, *map(stop_to_place.__getitem__, codes)]
+        coded.extend((board, route_code[route], codes[board_stop], codes[alight_stop] if alight_stop else 0, alight))
+    return coded, [None, *map(stop_to_place.__getitem__, codes)]
 
 
-def decode(rides: list, codes: Mapping[str, int] | None = None) -> list[Ride]:
-    """A card's flat list as string tuples; ``codes`` names the registry it was coded against."""
-    if codes is None:
-        return list(ride_tuples(rides))
-    ids = ["", *sorted(codes, key=codes.__getitem__)]
-    return [(b, route, ids[bs], ids[a_s], a) for b, route, bs, a_s, a in ride_tuples(rides)]
+def decode(tx, card: str, codes: Mapping[str, int] | None = None) -> list[TextRide]:
+    """The rides of ``card`` in the read ``tx`` as text tuples.
+
+    ``codes`` names the stop registry ``tx`` was read against; without
+    one, the read names its own stop codes.
+    """
+    stops = tx.stops if codes is None else ["", *sorted(codes, key=codes.__getitem__)]
+    return [(b, tx.routes[r], stops[bs], stops[a_s], a) for b, r, bs, a_s, a in ride_tuples(tx.rides[card])]
 
 
-def card_rides(tx, codes: Mapping[str, int] | None = None) -> dict[str, list[Ride]]:
+def card_rides(tx, codes: Mapping[str, int] | None = None) -> dict[str, list[TextRide]]:
     """Each card's rides in ``tx``, as :func:`decode` gives them."""
-    return {card: decode(rides, codes) for card, rides in tx.rides.items()}
+    return {card: decode(tx, card, codes) for card in tx.rides}

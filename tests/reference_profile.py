@@ -25,7 +25,9 @@ from cardcohort.infer import (  # noqa: F401
     STRICT,
     YearProfile,
 )
-from cardcohort.ingest import CARD_STUDENT, DAY_MINUTES, Ride
+from cardcohort.ingest import CARD_STUDENT, DAY_MINUTES
+
+from coded_rides import TextRide as Ride
 
 
 @dataclass(slots=True)

@@ -25,7 +25,7 @@ def t(day: int, hh: int, mm: int = 0) -> int:
 def records(*rows: str):
     tx = read_transactions([TRANSACTIONS_HEADER] + list(rows), WEEK.start_date)
     assert not tx.rejections
-    return [ride for rides in tx.rides.values() for ride in decode(rides)]
+    return [ride for card in tx.rides for ride in decode(tx, card)]
 
 
 class TestBuildLegs:

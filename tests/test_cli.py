@@ -518,6 +518,43 @@ class TestRun:
         code = run_cli("run", *args, "--threads", "2", "--out", str(tmp_path / "out"))
         assert code == 3
 
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("flag,kind", [("--year2", "transactions"), ("--stops2", "stops"), ("--followup", "transactions")])
+    def test_a_wrong_header_is_exit_3_before_any_work(
+        self, mini_args, mini_bundle, tmp_path, monkeypatch, capsys, flag, kind, threads
+    ):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("x,y\n1,2\n")
+
+        def fail(*args, **kwargs):
+            raise AssertionError("an input was read in full")
+
+        for name in ("load_stops", "derive_week_start", "read_transactions", "load_region", "load_region_features"):
+            monkeypatch.setattr(pipeline, name, fail)
+        args = [*mini_args, "--followup", mini_bundle["followup"], "--r4", mini_bundle["r4"]]
+        args[args.index(flag) + 1] = str(bad)
+        assert run_cli("run", *args, "--threads", threads, "--out", str(tmp_path / "out")) == 3
+        assert f"error: {bad}: unexpected {kind} header: 'x,y'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("flag,kind", [("--transactions", "transactions"), ("--stops", "stops")])
+    def test_ingest_check_takes_both_headers_before_any_work(
+        self, command_args, tmp_path, monkeypatch, capsys, flag, kind
+    ):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("x,y\n1,2\n")
+
+        def fail(*args, **kwargs):
+            raise AssertionError("an input was read in full")
+
+        for name in ("load_stops", "derive_week_start", "read_transactions"):
+            monkeypatch.setattr(cli, name, fail)
+        args = list(command_args["ingest-check"])
+        args[args.index(flag) + 1] = str(bad)
+        assert run_cli("ingest-check", *args, "--out", str(tmp_path / "out")) == 3
+        assert f"error: {bad}: unexpected {kind} header: 'x,y'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_single_process_run_loads_no_multiprocessing(self, mini_args, tmp_path):
         script = (
             "import sys; from cardcohort.cli import main; "
@@ -776,11 +813,19 @@ class TestEntryPoints:
         assert os.listdir(tmp_path) == ["link"]
 
     @pytest.mark.parametrize("command", OUT_COMMANDS)
-    def test_out_that_cannot_be_created_is_exit_2(self, command_args, tmp_path, capsys, command):
+    def test_out_that_cannot_be_created_is_exit_2(self, command_args, request, tmp_path, capsys, command):
         out = tmp_path / ("x" * 300)
+        # synth makes its bundle in generate, which the recorder replaces.
+        opened = [] if command == "synth" else request.getfixturevalue("opened")
         assert run_cli(command, *command_args[command], "--out", str(out)) == 2
         err = capsys.readouterr().err
-        assert f"error: cannot write {out}{os.sep}" in err
+        if command == "synth":
+            assert f"error: cannot write {out}{os.sep}" in err
+        else:
+            # Made once the inputs pass their checks, so no input was read
+            # past the first line that the checks read.
+            assert f"error: cannot create --out {out}: " in err
+            assert opened == list(dict.fromkeys(opened)) != []
         assert err.rstrip().endswith(": File name too long")
         assert os.listdir(tmp_path) == []
 
@@ -982,6 +1027,11 @@ def captured(monkeypatch):
     monkeypatch.setattr(cli, "generate", capture)
 
 
+def _input_file(bundle, key):
+    """A file of the kind the input field ``key`` names, so that its header passes."""
+    return bundle["stops" if key.startswith("stops") else key]
+
+
 def _config_of(argv):
     with pytest.raises(_Captured) as got:
         main(argv)
@@ -1034,12 +1084,12 @@ class TestFlagAndConfigLineAgree:
         if choices:
             good = choices[0]
         elif dest in pipeline.PATH_FIELDS:
-            good = mini_bundle["stops"]
+            good = _input_file(mini_bundle, dest)
         else:
             good = _GOOD_TEXT[annotation]
         # The inputs the subcommand requires, less the one under test.
         required = getattr(cli.build_parser().parse_args([command, "--out", "o"]), "required", ())
-        lines = [f"{key}={mini_bundle['stops']}" for key in required if key != dest]
+        lines = [f"{key}={_input_file(mini_bundle, key)}" for key in required if key != dest]
         confs = iter(range(4))
 
         def argv(*extra_lines, flag_text=None):

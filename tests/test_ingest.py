@@ -28,6 +28,7 @@ from cardcohort.ingest import (
     parse_minute,
     read_config,
     read_transactions,
+    ride_tuples,
     stop_codes,
 )
 from cardcohort.pipeline import RunConfig
@@ -147,11 +148,11 @@ class TestParseTransactions:
         assert tx.rejections == []
         assert tx.parsed == 2
         assert tx.week == WEEK
-        assert decode(tx.rides["C1"]) == [(7 * 60 + 30, "B1", "S1", "S2", 8 * 60 + 10)]
+        assert decode(tx, "C1") == [(7 * 60 + 30, "B1", "S1", "S2", 8 * 60 + 10)]
         assert (tx.card_type("C1"), tx.card_type("C2")) == ("R", "S")
         # Fixed fares: no alight stop, alight minute equals board minute.
         board = 1440 + 9 * 60
-        assert decode(tx.rides["C2"]) == [(board, "B2", "S3", "", board)]
+        assert decode(tx, "C2") == [(board, "B2", "S3", "", board)]
 
     def test_empty_stream(self):
         tx = read_transactions([], MONDAY)
@@ -213,7 +214,7 @@ class TestParseTransactions:
             ),
             MONDAY,
         )
-        assert [r[0] for r in decode(tx.rides["C1"])] == [0, WEEK_MINUTES - 1]
+        assert [r[0] for r in decode(tx, "C1")] == [0, WEEK_MINUTES - 1]
         assert tx.rejections == [
             Rejection(3, "outside observation week"),
             Rejection(5, "outside observation week"),
@@ -482,6 +483,120 @@ def test_a_kept_ride_costs_fewer_than_80_bytes():
     assert live / tx.geocoded < 80
 
 
+@pytest.mark.parametrize("registry", [True, False])
+def test_a_kept_ride_costs_fewer_than_42_bytes(registry):
+    """The live bytes a read leaves, per kept ride, for 2,000 cards of 20 rides.
+
+    Kept as flat per-card lists of stop codes, this file leaves 54 bytes
+    per ride live.  Kept as one 32-bit int array per card, five ints per
+    ride, it leaves 31, with a stop registry or without one.  The bound
+    of 42 lies between the two layouts, clear of each.
+    """
+    stop_ids = [f"S{i}" for i in range(400)]
+    rows = []
+    for card in range(2000):
+        for k in range(20):
+            day, slot = divmod(k, 4)
+            board = day * 1440 + 420 + slot * 180 + card % 60
+            head = f"C{card:05d},R,{'DST' if k % 3 else 'FIX'},B{k % 50},{stop_ids[(card * 7 + k) % 400]}"
+            tail = f"{stop_ids[(card * 11 + k) % 400]},{WEEK.format(board + 25)}" if k % 3 else ","
+            rows.append(f"{head},{WEEK.format(board)},{tail}")
+    text_lines = lines(*rows)
+    codes = stop_codes(stop_ids) if registry else None
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tx = read_transactions(text_lines, MONDAY, codes)
+        live = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert (tx.geocoded, len(tx.rides)) == (40_000, 2000)
+    assert live / tx.geocoded < 42
+
+
+class TestIntArrays:
+    """Each card's rides as one int array: codes, their order, and 64-bit alightings."""
+
+    def test_codes_number_ids_as_first_seen(self):
+        tx = read_transactions(
+            lines(
+                "C1,R,DST,B9,S9,2008-04-07T07:30,S10,2008-04-07T08:10",
+                "C2,R,FIX,B10,S10,2008-04-07T07:30,,",
+                "C1,R,FIX,B10,S9,2008-04-07T18:00,,",
+            ),
+            MONDAY,
+        )
+        assert (tx.routes, tx.stops) == (["", "B9", "B10"], ["", "S9", "S10"])
+        assert list(tx.rides["C1"]) == [450, 1, 1, 2, 490, 1080, 2, 1, 0, 1080]
+        assert list(tx.rides["C2"]) == [450, 2, 2, 0, 450]
+        # Against a registry, stops are its codes and name no table here.
+        tx = read_transactions(lines("C2,R,FIX,B10,S10,2008-04-07T07:30,,"), MONDAY, stop_codes(["S9", "S10"]))
+        assert (tx.routes, tx.stops, list(tx.rides["C2"])) == (["", "B10"], None, [450, 1, 1, 0, 450])
+
+    @pytest.mark.parametrize("registry", [True, False])
+    def test_a_card_with_two_rides_in_one_minute_sorts_as_its_ids(self, registry):
+        # B9 and S9 are seen first, but "B10" < "B9" and "S10" < "S9".
+        rows = [
+            "C1,R,DST,B9,S9,2008-04-07T07:30,S9,2008-04-07T08:00",
+            "C1,R,DST,B10,S9,2008-04-07T07:30,S10,2008-04-07T08:00",
+            "C1,R,DST,B9,S9,2008-04-08T07:30,S9,2008-04-08T08:00",
+            "C1,R,DST,B9,S10,2008-04-08T07:30,S9,2008-04-08T08:00",
+            "C2,R,DST,B9,S9,2008-04-07T07:30,S10,2008-04-07T08:00",
+            "C2,R,FIX,B10,S10,2008-04-07T09:30,,",
+        ]
+        codes = stop_codes(["S9", "S10"]) if registry else None
+        tx = read_transactions(lines(*rows), MONDAY, codes)
+        stops = tx.stops or ["", *sorted(codes, key=codes.__getitem__)]
+        for card, rides in card_rides(tx, codes).items():
+            by_code = sorted(ride_tuples(tx.rides[card]))
+            assert [(b, tx.routes[r], stops[bs], stops[a_s], a) for b, r, bs, a_s, a in by_code] == sorted(rides)
+        assert card_rides(tx, codes) == {
+            "C1": [
+                (450, "B9", "S9", "S9", 480),
+                (450, "B10", "S9", "S10", 480),
+                (1890, "B9", "S9", "S9", 1920),
+                (1890, "B9", "S10", "S9", 1920),
+            ],
+            "C2": [(450, "B9", "S9", "S10", 480), (570, "B10", "S10", "", 570)],
+        }
+        # Only the tied card moved to the codes after the first-seen ones.
+        assert tx.routes == ["", "B9", "B10", "", "B10", "B9"]
+        assert list(tx.rides["C1"])[1::5] == [5, 4, 5, 5]
+        assert list(tx.rides["C2"])[1::5] == [1, 2]
+        if not registry:
+            assert tx.stops == ["", "S9", "S10", "", "S10", "S9"]
+            assert list(tx.rides["C2"])[2::5] == [1, 2]
+
+    def test_codes_already_in_order_are_kept_as_read(self):
+        rows = ["C1,R,FIX,B1,S1,2008-04-07T07:30,,", "C1,R,FIX,B2,S2,2008-04-07T07:30,,"]
+        tx = read_transactions(lines(*rows), MONDAY)
+        assert (tx.routes, tx.stops) == (["", "B1", "B2"], ["", "S1", "S2"])
+        assert list(tx.rides["C1"]) == [450, 1, 1, 0, 450, 450, 2, 2, 0, 450]
+
+    @pytest.mark.parametrize(
+        "late_min,typecode",
+        [(2**31 - 1, "i"), (2**31, "q"), (parse_minute("9999-12-31T23:59") - WEEK.start_minute, "q")],
+    )
+    def test_an_alighting_past_32_bits_turns_the_read_into_64_bit_ints(self, late_min, typecode):
+        rows = [
+            "C1,R,FIX,B1,S1,2008-04-07T07:30,,",
+            "C2,R,DST,B1,S1,2008-04-07T08:00,S2,2008-04-07T08:30",
+            f"C2,R,DST,B2,S2,2008-04-13T23:50,S1,{WEEK.format(late_min)}",
+            "C1,R,DST,B1,S1,2008-04-08T07:30,S2,2008-04-08T08:00",
+            "C3,S,FIX,B2,S2,2008-04-09T07:30,,",
+        ]
+        for codes in (None, stop_codes(["S1", "S2"])):
+            tx = read_transactions(lines(*rows), MONDAY, codes)
+            assert tx.rejections == []
+            assert {rides.typecode for rides in tx.rides.values()} == {typecode}
+            assert card_rides(tx, codes) == {
+                "C1": [(450, "B1", "S1", "", 450), (1890, "B1", "S1", "S2", 1920)],
+                "C2": [(480, "B1", "S1", "S2", 510), (6 * 1440 + 1430, "B2", "S2", "S1", late_min)],
+                "C3": [(2 * 1440 + 450, "B2", "S2", "", 2 * 1440 + 450)],
+            }
+            assert (tx.students, tx.geocoded) == ({"C3"}, 5)
+
+
 def test_group_by_card_preserves_order():
     tx = read_transactions(
         lines(
@@ -493,7 +608,7 @@ def test_group_by_card_preserves_order():
     )
     assert set(tx.rides) == {"C1", "C2"}
     # File order within a card is preserved; sorting is chaining's job.
-    assert [ride[0] // 60 for ride in decode(tx.rides["C2"])] == [8, 7]
+    assert [ride[0] // 60 for ride in decode(tx, "C2")] == [8, 7]
 
 
 def test_group_by_card_any_student_row_makes_a_student_card():
@@ -692,12 +807,15 @@ def transaction_lines(draw):
         board = era + timedelta(
             days=draw(st.integers(-3, 10)), minutes=draw(st.sampled_from([0, 1, 450, 1439]))
         )
-        alight = board + timedelta(minutes=draw(st.sampled_from([-5, 0, 1, 40, 600])))
+        # The last minute of the calendar lies past 2**31 - 1 minutes after any week start here.
+        alight = draw(st.sampled_from([board + timedelta(minutes=m) for m in (-5, 0, 1, 40, 600)] + [datetime.max]))
         fields = [
             draw(st.sampled_from(["C1", "C2", "C3", "C4"])),
             draw(st.sampled_from(["R", "R", "S"])),
             "FIX",
-            draw(st.sampled_from(["B1", "B2"])),
+            # "B10" sorts before "B9", so first-seen route codes are
+            # often out of id order and same-minute cards get recoded.
+            draw(st.sampled_from(["B9", "B10", "B2"])),
             draw(st.sampled_from(STOP_IDS)),
             board.strftime("%Y-%m-%dT%H:%M"),
             "",
@@ -852,11 +970,12 @@ class TestOnePassParity:
     def test_minutes_count_from_the_derived_start(self):
         tx = derived(lines("C1,R,FIX,B1,S1,2008-04-09T07:30,,", "C1,R,FIX,B1,S1,2008-04-08T00:10,,"))
         assert tx.week.start_date == date(2008, 4, 8)
-        assert [r[0] for r in decode(tx.rides["C1"])] == [1440 + 450, 10]
+        assert [r[0] for r in decode(tx, "C1")] == [1440 + 450, 10]
 
-    def test_a_moved_week_keeps_one_int_per_minute(self):
-        # Rides share the int of each distinct minute, also when the
-        # earliest date comes last, so a year's rides hold no int per ride.
+    def test_a_moved_week_keeps_rides_in_an_int_array(self):
+        # Each card's rides are one 32-bit int array, also when the
+        # earliest date comes last, so a year's rides hold no int object
+        # per ride.
         tx = derived(
             lines(
                 "C1,R,FIX,B1,S1,2008-04-09T07:30,,",
@@ -864,9 +983,9 @@ class TestOnePassParity:
                 "C3,R,FIX,B1,S1,2008-04-08T00:10,,",
             )
         )
-        (c1,), (c2,) = decode(tx.rides["C1"]), decode(tx.rides["C2"])
-        assert c1[0] == 1440 + 450
-        assert c1[0] is c2[0] is c1[4]
+        assert {(rides.typecode, rides.itemsize) for rides in tx.rides.values()} == {("i", 4)}
+        (c1,), (c2,) = decode(tx, "C1"), decode(tx, "C2")
+        assert c1[0] == c2[0] == c1[4] == 1440 + 450
 
     def test_early_bail_counts_rejections_found_after_the_week_moved(self):
         # 1,200 lines would look in-week but for the last-but-many line,

@@ -196,6 +196,27 @@ class TestJobs:
         assert seen == [False, False]
         assert gc.isenabled()
 
+    def test_each_registry_is_clustered_once_per_process(self, mini_config, tmp_path, monkeypatch):
+        clustered = []
+        real = pipeline.build_places
+
+        def counting(stops, *args):
+            clustered.append(sorted(stops))
+            return real(stops, *args)
+
+        monkeypatch.setattr(pipeline, "build_places", counting)
+        copy = tmp_path / "stops2.csv"
+        copy.write_bytes(open(mini_config.stops1, "rb").read())
+        files = {}
+        for stops2, calls in ((mini_config.stops1, 1), (str(copy), 2)):
+            clustered.clear()
+            result = run_pipeline(dataclasses.replace(mini_config, stops2=stops2, threads=1))
+            assert len(clustered) == calls
+            assert (result.year1.places is result.year2.places) == (calls == 1)
+            out = tmp_path / f"calls{calls}"
+            files[calls] = {n: (out / n).read_bytes() for n in write_run_reports(result, str(out))}
+        assert files[1] == files[2]
+
     def test_run_leaves_no_cyclic_garbage(self, mini_config):
         gc.collect()
         result = run_pipeline(mini_config)

@@ -18,12 +18,14 @@ from cardcohort.ingest import (
     CARD_STUDENT,
     TRANSACTIONS_HEADER,
     WEEK_MINUTES,
+    ObservationWeek,
+    parse_minute,
     read_transactions,
     stop_codes,
 )
 
 import reference_profile as ref
-from coded_rides import decode, encode
+from coded_rides import card_rides, decode, encode
 
 WEEKDAYS = frozenset(range(5))
 MONDAY = date(2008, 4, 7)
@@ -178,6 +180,68 @@ def test_kernel_matches_staged_reference(rides, rnd, card_type, mode, home_rule,
     assert stay_tuples(kept) == stay_tuples(expected_stays)
     # Keeping the stays does not change the profile.
     assert profile(rides, card_type, stay_mode=mode, home_rule=home_rule, stay_min=stay_min) == got
+
+
+# Route ids that sort differently as text ("B10" < "B9") and by number.
+ROUTES = ("B9", "B10", "A7", "B1")
+WEEK = ObservationWeek(MONDAY)
+# Minutes from MONDAY to the last minute of the calendar, past 2**31 - 1.
+LAST_MINUTE = parse_minute("9999-12-31T23:59") - WEEK.start_minute
+
+
+def as_line(card: str, ride) -> str:
+    """A text ride as the transactions line that holds it."""
+    board, route, board_stop, alight_stop, alight = ride
+    fare, a_time = ("DST", WEEK.format(alight)) if alight_stop else ("FIX", "")
+    return f"{card},R,{fare},{route},{board_stop},{WEEK.format(board)},{alight_stop},{a_time}"
+
+
+@st.composite
+def read_cards(draw):
+    """Cards' text rides: routes redrawn, same-minute rides on other routes, exact copies, late alightings."""
+    cards = {}
+    for card in draw(st.lists(st.sampled_from(["C1", "C2", "C3"]), min_size=1, max_size=3, unique=True)):
+        rides = draw(st.one_of(random_rides(), commuter_rides(), st.just(list(SAME_MINUTE))))
+        # A line read against the week must board inside it.
+        rides = [(b, draw(st.sampled_from(ROUTES)), bs, a_s, a) for b, _route, bs, a_s, a in rides if b < WEEK_MINUTES]
+        for b, route, bs, a_s, a in draw(st.lists(st.sampled_from(rides), max_size=3)) if rides else []:
+            # The same boarding minute on another route, to another stop.
+            other = draw(st.sampled_from([r for r in ROUTES if r != route]))
+            rides.append((b, other, bs, draw(st.sampled_from(STOPS)), max(a, b)))
+        if rides:
+            rides += draw(st.lists(st.sampled_from(rides), max_size=3))
+        if draw(st.integers(0, 3)) == 0:
+            board = t(draw(st.sampled_from([2, 4, 6])), 23, 50)
+            rides.append((board, draw(st.sampled_from(ROUTES)), "W", "H", LAST_MINUTE))
+        cards[card] = rides
+    return cards
+
+
+@settings(max_examples=400, deadline=None)
+@example({"C1": list(SAME_MINUTE)}, True, random.Random(0), PERMISSIVE)
+@given(read_cards(), st.booleans(), st.randoms(use_true_random=False), st.sampled_from([STRICT, PERMISSIVE]))
+def test_a_read_profiles_as_its_text_rides(cards, registry, rnd, mode):
+    text_lines = [as_line(card, ride) for card, rides in cards.items() for ride in rides]
+    rnd.shuffle(text_lines)
+    codes = stop_codes(STOP_TO_PLACE) if registry else None
+    tx = read_transactions([TRANSACTIONS_HEADER, *text_lines], MONDAY, codes)
+    assert (tx.rejections, tx.parsed) == ([], len(text_lines))
+    late = any(ride[4] == LAST_MINUTE for rides in cards.values() for ride in rides)
+    assert {rides.typecode for rides in tx.rides.values()} <= {"q" if late else "i"}
+    stops = ["", *codes] if registry else tx.stops
+    place_of = [None if s == "" else STOP_TO_PLACE[s] for s in stops]
+    assert sorted(tx.rides) == sorted(card for card, rides in cards.items() if rides)
+    for card, rides in card_rides(tx, codes).items():
+        assert sorted(rides) == sorted(cards[card])
+        legs = ref.build_legs(cards[card], STOP_TO_PLACE)
+        expected_stays = ref.build_stays(card, legs, mode)
+        expected = ref.build_profile(
+            card, "2008", CARD_REGULAR, legs, expected_stays, WEEKDAYS, centroid_of, rides=len(rides)
+        )
+        kept = []
+        got = build_profile(CARD_REGULAR, tx.rides[card], place_of, WEEKDAYS, centroid_of, mode, stays=kept)
+        assert got == expected
+        assert stay_tuples(kept) == stay_tuples(expected_stays)
 
 
 def test_codes_keep_the_text_order_of_stop_and_route_ids():
@@ -405,7 +469,7 @@ class TestInputRules:
     def test_duplicate_rows_are_all_kept(self):
         line = "C,R,DST,B1,H,2008-04-07T07:30,W,2008-04-07T08:10"
         tx = read_transactions([TRANSACTIONS_HEADER, line, line], MONDAY)
-        assert (len(decode(tx.rides["C"])), tx.rejections) == (2, [])
+        assert (len(decode(tx, "C")), tx.rejections) == (2, [])
 
         # A copied distance-fare ride boards before the original alighted,
         # so no stay forms between them: only the ride count changes.
@@ -456,7 +520,7 @@ class TestInputRules:
         line = "C,R,DST,B1,W,2008-04-13T23:50,H,2008-04-14T00:20"
         tx = read_transactions([TRANSACTIONS_HEADER, line], MONDAY)
         assert tx.rejections == []
-        (last,) = decode(tx.rides["C"])
+        (last,) = decode(tx, "C")
         assert last == (t(6, 23, 50), "B1", "W", "H", WEEK_MINUTES + 20)
         before, after = [], []
         p = profile(commuter(), stays=before)
