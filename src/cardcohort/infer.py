@@ -4,11 +4,11 @@
 takes them as :func:`cardcohort.ingest.read_transactions` keeps them:
 one int array of coded fields, five per ride, re-formed into ride tuples
 only while they are sorted, with each stop's place looked up by its
-code.  The codes sort as the ids behind them do, so the walk sees the
-rides in the order their ids give.  It forms
-each stay and, as the stay is formed, counts it for both rules below; no
-stay outlives the walk unless the caller passes a list to keep them in
-(``infer --dump-stays``).
+code.  Each code is its id's rank among the sorted ids, so the walk sees
+the rides in the order their ids give, whatever the order of the lines.
+It forms each stay and, as the stay is formed, counts it for both rules
+below; no stay outlives the walk unless the caller passes a list to
+keep them in (``infer --dump-stays``).
 
 Stays: a stay is the time between arriving at a place and boarding the
 next vehicle there; its place and its departure are that boarding's.

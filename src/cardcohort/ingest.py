@@ -23,8 +23,9 @@ stop registry and appended to its card's rides, so no list of all rows is
 built.  A file with no configured week start is first scanned once by
 :func:`derive_week_start` for its earliest boarding date.  Each card's
 rides are one 32-bit int array, five ints per ride: routes, and stops
-read without a registry, are held as codes, and :class:`Transactions`
-names the id behind each code.
+read without a registry, are held as codes, each an id's rank among the
+sorted ids of its read, and :class:`Transactions` names the id behind
+each code.
 
 Times are integers.  :func:`parse_minute` reads a timestamp as minutes
 after 0001-01-01T00:00; an accepted row carries its times as minutes
@@ -65,12 +66,12 @@ FATAL_REJECT_FRACTION = 0.5
 # One ride of one card: (board_min, route, board_stop, alight_stop,
 # alight_min), each field an int.  A card's rides are kept as one array,
 # five ints per ride in file order; ride_tuples re-forms the tuples.  A
-# route is held as its code (see Transactions.routes).  Read against a
-# stop registry, a stop is held as its code there (see stop_codes);
-# read without one, as its code in Transactions.stops.  Either way code
-# 0 is no alighting, and a fixed-fare ride has alight_stop 0 and
-# alight_min equal to board_min.  Rides sort by boarding time with the
-# other fields as tie-breakers, in the order their ids give.
+# route or stop is held as its code, its id's 1-based rank among the
+# sorted ids (see stop_codes): the registry's ids for stops read against
+# one, else the ids of the read.  Code 0 is no alighting, and a
+# fixed-fare ride has alight_stop 0 and alight_min equal to board_min.
+# Rides sort by boarding time with the other fields as tie-breakers, in
+# the order their ids give.
 Ride = tuple[int, int, int, int, int]
 RIDE_FIELDS = 5
 
@@ -195,12 +196,12 @@ class Transactions:
 
     ``rides`` maps each card id to its kept rides in file order, as one
     int array of :data:`Ride` fields, five per ride.  ``routes[code]`` is
-    the route id of each route code; an id may have two codes (see
-    :func:`_rank_tied_cards`).  With a stop registry the stop
-    fields hold its :func:`stop_codes` and ``stops`` is None; without
-    one, ``stops[code]`` is the stop id of each stop code, coded as
-    routes are, with "" for code 0, no alighting.  A line is kept when it is accepted and, when
-    a stop registry is given, both of its stops are listed.
+    the route id of each route code and ``stops[code]`` the stop id of
+    each stop code.  Each lists every id once, in code order, which is
+    sorted order with "" at code 0 (no alighting for a stop): the
+    registry's ids for stops read against one, else the ids of the read.
+    A line is kept when it is accepted and, when a stop registry is
+    given, both of its stops are listed.
     ``students`` holds the cards with a kept student line.  ``parsed``
     counts the accepted lines, those dropped for an unknown stop
     included, and ``unmatched`` counts each unknown stop id once per
@@ -216,7 +217,7 @@ class Transactions:
     unmatched: Counter[str]
     parsed: int
     routes: list[str]
-    stops: list[str] | None
+    stops: list[str]
 
     @property
     def geocoded(self) -> int:
@@ -237,34 +238,14 @@ class _Codes(dict):
         code = self[text] = len(self)
         return code
 
+    def ranked(self) -> tuple[list[str], list[int]]:
+        """The ids in sorted order, "" first, and the rank there of each first-seen code.
 
-def _rank_tied_cards(rides: Iterable[array], tables: list[tuple[list[str], tuple[int, ...]]]) -> None:
-    """Make each card's rides sort as their ids do where the codes alone would not.
-
-    ``tables`` pairs the ids of a code table, in code order, with the
-    ride fields that hold its codes.  First-seen codes decide the order
-    only of two rides of one card that board in the same minute, so only
-    a card with such a pair is recoded: a table whose ids are not in
-    sorted order is extended in place by its ids in sorted order, and
-    the card's fields move to those new codes, which sort as the ids do.
-    Every other card keeps the codes it was read with.
-    """
-    tables = [(ids, slots) for ids, slots in tables if ids != sorted(ids)]
-    if not tables:
-        return
-    tied = [r for r in rides if len(set(r[::RIDE_FIELDS])) * RIDE_FIELDS < len(r)]
-    if not tied:
-        return
-    for ids, slots in tables:
-        n = len(ids)
-        order = sorted(range(n), key=ids.__getitem__)
-        ranked = [0] * n
-        for rank, code in enumerate(order, n):
-            ranked[code] = rank
-        ids += [ids[code] for code in order]
-        for r in tied:
-            for slot in slots:
-                r[slot::RIDE_FIELDS] = array(r.typecode, map(ranked.__getitem__, r[slot::RIDE_FIELDS]))
+        Ranks are :func:`stop_codes`, so "" keeps code 0.
+        """
+        ids = [*self][1:]
+        rank = stop_codes(ids)
+        return ["", *rank], [0, *map(rank.__getitem__, ids)]
 
 
 def take_header(it: Iterator[str], expected: str, kind: str) -> None:
@@ -314,7 +295,8 @@ def read_transactions(
     ``codes`` is the stop registry as :func:`stop_codes` gives it: a line
     naming a stop outside it is dropped, and the kept stop fields hold
     its codes.  Without it no line is dropped, and stops are coded as
-    routes are, in the order they are first seen.
+    routes are: ids get codes as they are first seen, and once the read
+    is done each card's codes are rewritten to the ids' ranks.
 
     Each card's rides are one ``array('i')``.  A distance-fare ride may
     alight any time after it boards, up to the end of the calendar, so
@@ -411,12 +393,16 @@ def read_transactions(
     total = line_no - 1 - blank
     if total and len(rejections) > total * FATAL_REJECT_FRACTION:
         raise SchemaError(f"rejected {len(rejections)} of {total} lines; wrong schema")
-    routes = list(route_code)
-    stops = None if codes is not None else list(stop_code)
-    tables = [(routes, (1,))]
-    if stops is not None:
-        tables.append((stops, (2, 3)))
-    _rank_tied_cards(by_card.values(), tables)
+    routes, route_rank = route_code.ranked()
+    if codes is None:
+        stops, stop_rank = stop_code.ranked()
+        ranks = ((1, route_rank), (2, stop_rank), (3, stop_rank))
+    else:
+        stops = ["", *codes]
+        ranks = ((1, route_rank),)
+    for r in by_card.values():
+        for slot, rank in ranks:
+            r[slot::RIDE_FIELDS] = array(r.typecode, [rank[c] for c in r[slot::RIDE_FIELDS]])
     return Transactions(week, by_card, students, rejections, unmatched, total - len(rejections), routes, stops)
 
 

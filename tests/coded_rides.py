@@ -34,16 +34,11 @@ def encode(rides: Iterable[TextRide], stop_to_place: Mapping[str, int]) -> tuple
     return coded, [None, *map(stop_to_place.__getitem__, codes)]
 
 
-def decode(tx, card: str, codes: Mapping[str, int] | None = None) -> list[TextRide]:
-    """The rides of ``card`` in the read ``tx`` as text tuples.
-
-    ``codes`` names the stop registry ``tx`` was read against; without
-    one, the read names its own stop codes.
-    """
-    stops = tx.stops if codes is None else ["", *sorted(codes, key=codes.__getitem__)]
-    return [(b, tx.routes[r], stops[bs], stops[a_s], a) for b, r, bs, a_s, a in ride_tuples(tx.rides[card])]
+def decode(tx, card: str) -> list[TextRide]:
+    """The rides of ``card`` in the read ``tx`` as text tuples, named through ``tx.routes`` and ``tx.stops``."""
+    return [(b, tx.routes[r], tx.stops[bs], tx.stops[a_s], a) for b, r, bs, a_s, a in ride_tuples(tx.rides[card])]
 
 
-def card_rides(tx, codes: Mapping[str, int] | None = None) -> dict[str, list[TextRide]]:
+def card_rides(tx) -> dict[str, list[TextRide]]:
     """Each card's rides in ``tx``, as :func:`decode` gives them."""
-    return {card: decode(tx, card, codes) for card in tx.rides}
+    return {card: decode(tx, card) for card in tx.rides}

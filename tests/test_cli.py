@@ -181,7 +181,7 @@ class TestInfer:
             card: reference_profile.build_stays(
                 card, reference_profile.build_legs(rides, stop_to_place), reference_profile.PERMISSIVE
             )
-            for card, rides in card_rides(tx, codes).items()
+            for card, rides in card_rides(tx).items()
         }
         direct = tmp_path / "direct.csv"
         reports.write_stays(str(direct), stays, tx.week)

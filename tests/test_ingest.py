@@ -517,7 +517,8 @@ def test_a_kept_ride_costs_fewer_than_42_bytes(registry):
 class TestIntArrays:
     """Each card's rides as one int array: codes, their order, and 64-bit alightings."""
 
-    def test_codes_number_ids_as_first_seen(self):
+    def test_codes_number_ids_by_rank(self):
+        # B9 and S9 are seen first, but "B10" < "B9" and "S10" < "S9".
         tx = read_transactions(
             lines(
                 "C1,R,DST,B9,S9,2008-04-07T07:30,S10,2008-04-07T08:10",
@@ -526,12 +527,14 @@ class TestIntArrays:
             ),
             MONDAY,
         )
-        assert (tx.routes, tx.stops) == (["", "B9", "B10"], ["", "S9", "S10"])
-        assert list(tx.rides["C1"]) == [450, 1, 1, 2, 490, 1080, 2, 1, 0, 1080]
-        assert list(tx.rides["C2"]) == [450, 2, 2, 0, 450]
-        # Against a registry, stops are its codes and name no table here.
-        tx = read_transactions(lines("C2,R,FIX,B10,S10,2008-04-07T07:30,,"), MONDAY, stop_codes(["S9", "S10"]))
-        assert (tx.routes, tx.stops, list(tx.rides["C2"])) == (["", "B10"], None, [450, 1, 1, 0, 450])
+        assert (tx.routes, tx.stops) == (["", "B10", "B9"], ["", "S10", "S9"])
+        assert list(tx.rides["C1"]) == [450, 2, 2, 1, 490, 1080, 1, 2, 0, 1080]
+        assert list(tx.rides["C2"]) == [450, 1, 1, 0, 450]
+        # Against a registry, stops are its codes and name its ids.
+        registry = stop_codes(["S9", "S10", "S8"])
+        tx = read_transactions(lines("C2,R,FIX,B10,S10,2008-04-07T07:30,,"), MONDAY, registry)
+        assert (tx.routes, tx.stops) == (["", "B10"], ["", "S10", "S8", "S9"])
+        assert list(tx.rides["C2"]) == [450, 1, 1, 0, 450]
 
     @pytest.mark.parametrize("registry", [True, False])
     def test_a_card_with_two_rides_in_one_minute_sorts_as_its_ids(self, registry):
@@ -544,13 +547,11 @@ class TestIntArrays:
             "C2,R,DST,B9,S9,2008-04-07T07:30,S10,2008-04-07T08:00",
             "C2,R,FIX,B10,S10,2008-04-07T09:30,,",
         ]
-        codes = stop_codes(["S9", "S10"]) if registry else None
-        tx = read_transactions(lines(*rows), MONDAY, codes)
-        stops = tx.stops or ["", *sorted(codes, key=codes.__getitem__)]
-        for card, rides in card_rides(tx, codes).items():
+        tx = read_transactions(lines(*rows), MONDAY, stop_codes(["S9", "S10"]) if registry else None)
+        for card, rides in card_rides(tx).items():
             by_code = sorted(ride_tuples(tx.rides[card]))
-            assert [(b, tx.routes[r], stops[bs], stops[a_s], a) for b, r, bs, a_s, a in by_code] == sorted(rides)
-        assert card_rides(tx, codes) == {
+            assert [(b, tx.routes[r], tx.stops[bs], tx.stops[a_s], a) for b, r, bs, a_s, a in by_code] == sorted(rides)
+        assert card_rides(tx) == {
             "C1": [
                 (450, "B9", "S9", "S9", 480),
                 (450, "B10", "S9", "S10", 480),
@@ -559,13 +560,11 @@ class TestIntArrays:
             ],
             "C2": [(450, "B9", "S9", "S10", 480), (570, "B10", "S10", "", 570)],
         }
-        # Only the tied card moved to the codes after the first-seen ones.
-        assert tx.routes == ["", "B9", "B10", "", "B10", "B9"]
-        assert list(tx.rides["C1"])[1::5] == [5, 4, 5, 5]
-        assert list(tx.rides["C2"])[1::5] == [1, 2]
-        if not registry:
-            assert tx.stops == ["", "S9", "S10", "", "S10", "S9"]
-            assert list(tx.rides["C2"])[2::5] == [1, 2]
+        # Every card holds the ranks, tied or not, and each id has one code.
+        assert (tx.routes, tx.stops) == (["", "B10", "B9"], ["", "S10", "S9"])
+        assert list(tx.rides["C1"])[1::5] == [2, 1, 2, 2]
+        assert list(tx.rides["C2"])[1::5] == [2, 1]
+        assert list(tx.rides["C2"])[2::5] == [2, 1]
 
     def test_codes_already_in_order_are_kept_as_read(self):
         rows = ["C1,R,FIX,B1,S1,2008-04-07T07:30,,", "C1,R,FIX,B2,S2,2008-04-07T07:30,,"]
@@ -578,22 +577,25 @@ class TestIntArrays:
         [(2**31 - 1, "i"), (2**31, "q"), (parse_minute("9999-12-31T23:59") - WEEK.start_minute, "q")],
     )
     def test_an_alighting_past_32_bits_turns_the_read_into_64_bit_ints(self, late_min, typecode):
+        # B9 and S9 are seen first, so the ranks rewrite the arrays after any turn to 64 bits.
         rows = [
-            "C1,R,FIX,B1,S1,2008-04-07T07:30,,",
-            "C2,R,DST,B1,S1,2008-04-07T08:00,S2,2008-04-07T08:30",
-            f"C2,R,DST,B2,S2,2008-04-13T23:50,S1,{WEEK.format(late_min)}",
-            "C1,R,DST,B1,S1,2008-04-08T07:30,S2,2008-04-08T08:00",
-            "C3,S,FIX,B2,S2,2008-04-09T07:30,,",
+            "C1,R,FIX,B9,S9,2008-04-07T07:30,,",
+            "C2,R,DST,B9,S9,2008-04-07T08:00,S10,2008-04-07T08:30",
+            f"C2,R,DST,B10,S10,2008-04-13T23:50,S9,{WEEK.format(late_min)}",
+            "C1,R,DST,B9,S9,2008-04-08T07:30,S10,2008-04-08T08:00",
+            "C3,S,FIX,B10,S10,2008-04-09T07:30,,",
         ]
-        for codes in (None, stop_codes(["S1", "S2"])):
+        for codes in (None, stop_codes(["S9", "S10"])):
             tx = read_transactions(lines(*rows), MONDAY, codes)
             assert tx.rejections == []
             assert {rides.typecode for rides in tx.rides.values()} == {typecode}
-            assert card_rides(tx, codes) == {
-                "C1": [(450, "B1", "S1", "", 450), (1890, "B1", "S1", "S2", 1920)],
-                "C2": [(480, "B1", "S1", "S2", 510), (6 * 1440 + 1430, "B2", "S2", "S1", late_min)],
-                "C3": [(2 * 1440 + 450, "B2", "S2", "", 2 * 1440 + 450)],
+            assert card_rides(tx) == {
+                "C1": [(450, "B9", "S9", "", 450), (1890, "B9", "S9", "S10", 1920)],
+                "C2": [(480, "B9", "S9", "S10", 510), (6 * 1440 + 1430, "B10", "S10", "S9", late_min)],
+                "C3": [(2 * 1440 + 450, "B10", "S10", "", 2 * 1440 + 450)],
             }
+            assert (tx.routes, tx.stops) == (["", "B10", "B9"], ["", "S10", "S9"])
+            assert list(tx.rides["C2"]) == [480, 2, 2, 1, 510, 6 * 1440 + 1430, 1, 1, 2, late_min]
             assert (tx.students, tx.geocoded) == ({"C3"}, 5)
 
 
@@ -754,9 +756,30 @@ def one_pass(text_lines: list[str], week_start: date | None, known_stops=None):
         return ("schema",)
     return (
         tx.week.start_date,
-        card_rides(tx, codes),
+        card_rides(tx),
         tx.students,
         [(r.line_no, r.reason) for r in tx.rejections],
+        tx.unmatched,
+        tx.parsed,
+    )
+
+
+def order_free(text_lines: list[str], known_stops):
+    """What a read of ``text_lines`` keeps that the order of its data lines must not change.
+
+    Rejection line numbers move with the lines, so only their reasons are kept.
+    """
+    try:
+        tx = derived(text_lines, known_stops)
+    except SchemaError:
+        return ("schema",)
+    return (
+        tx.week,
+        tx.routes,
+        tx.stops,
+        {card: sorted(ride_tuples(rides)) for card, rides in tx.rides.items()},
+        tx.students,
+        Counter(r.reason for r in tx.rejections),
         tx.unmatched,
         tx.parsed,
     )
@@ -813,8 +836,8 @@ def transaction_lines(draw):
             draw(st.sampled_from(["C1", "C2", "C3", "C4"])),
             draw(st.sampled_from(["R", "R", "S"])),
             "FIX",
-            # "B10" sorts before "B9", so first-seen route codes are
-            # often out of id order and same-minute cards get recoded.
+            # "B10" sorts before "B9", so route ids are often first
+            # seen out of id order and their codes move to their ranks.
             draw(st.sampled_from(["B9", "B10", "B2"])),
             draw(st.sampled_from(STOP_IDS)),
             board.strftime("%Y-%m-%dT%H:%M"),
@@ -844,6 +867,14 @@ class TestOnePassParity:
             start = ERAS[0].date() + timedelta(days=shift)
         expected = reference_parse(text_lines, start, known_stops)
         assert one_pass(text_lines, start, known_stops) == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(transaction_lines(), st.randoms(use_true_random=False))
+    def test_shuffled_lines_read_to_the_same_codes(self, text_lines, rnd):
+        shuffled = [text_lines[0], *rnd.sample(text_lines[1:], len(text_lines) - 1)]
+        # With no registry, and with one that leaves out S4.
+        for known_stops in (None, dict.fromkeys(STOP_IDS[:3], (0.0, 0.0))):
+            assert order_free(shuffled, known_stops) == order_free(text_lines, known_stops)
 
     @pytest.mark.parametrize(
         "rows,start,rejections",
@@ -964,7 +995,7 @@ class TestOnePassParity:
         assert one_pass(text_lines, None, known) == reference_parse(text_lines, None, known)
         tx = derived(text_lines, known)
         assert (tx.week.start_date, tx.rejections) == (date(2008, 4, 8), [Rejection(2, OUTSIDE_WEEK)])
-        got = card_rides(tx, stop_codes(known)) if field == "rides" else getattr(tx, field)
+        got = card_rides(tx) if field == "rides" else getattr(tx, field)
         assert got == value
 
     def test_minutes_count_from_the_derived_start(self):

@@ -228,10 +228,9 @@ def test_a_read_profiles_as_its_text_rides(cards, registry, rnd, mode):
     assert (tx.rejections, tx.parsed) == ([], len(text_lines))
     late = any(ride[4] == LAST_MINUTE for rides in cards.values() for ride in rides)
     assert {rides.typecode for rides in tx.rides.values()} <= {"q" if late else "i"}
-    stops = ["", *codes] if registry else tx.stops
-    place_of = [None if s == "" else STOP_TO_PLACE[s] for s in stops]
+    place_of = [None if s == "" else STOP_TO_PLACE[s] for s in tx.stops]
     assert sorted(tx.rides) == sorted(card for card, rides in cards.items() if rides)
-    for card, rides in card_rides(tx, codes).items():
+    for card, rides in card_rides(tx).items():
         assert sorted(rides) == sorted(cards[card])
         legs = ref.build_legs(cards[card], STOP_TO_PLACE)
         expected_stays = ref.build_stays(card, legs, mode)
