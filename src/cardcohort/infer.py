@@ -2,10 +2,11 @@
 
 ``build_profile`` walks a card's rides once, in boarding order.  It
 takes them as :func:`cardcohort.ingest.read_transactions` keeps them:
-one int array of coded fields, five per ride, re-formed into ride tuples
+one int array of coded fields, four per ride, re-formed into ride tuples
 only while they are sorted, with each stop's place looked up by its
-code.  Each code is its id's rank among the sorted ids, so the walk sees
-the rides in the order their ids give, whatever the order of the lines.
+code.  Rides sort as (board, board_stop, alight_stop, alight) and each
+stop code is its id's rank among the sorted ids, so the walk sees the
+rides in the order their ids give, whatever the order of the lines.
 It forms each stay and, as the stay is formed, counts it for both rules
 below; no stay outlives the walk unless the caller passes a list to
 keep them in (``infer --dump-stays``).
@@ -133,7 +134,7 @@ def build_profile(
     current_day = None
     prev_board = None  # None before the first ride
     prev_at = prev_alight = None  # prev_at is None after a ride with no alighting
-    for board, _route, board_stop, alight_stop, alight in rides:
+    for board, board_stop, alight_stop, alight in rides:
         place = place_of[board_stop]
         day = board // DAY_MINUTES
         first = day != current_day
@@ -226,7 +227,7 @@ def _commute_minutes(
     chain_day = None  # the last day whose chain started
     at = None  # place the next ride must board at; None once the day has its answer
     total = 0
-    for board, _route, board_stop, alight_stop, alight in rides:
+    for board, board_stop, alight_stop, alight in rides:
         day = board // DAY_MINUTES
         if day not in weekdays:
             continue

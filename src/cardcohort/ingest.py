@@ -22,10 +22,11 @@ fixed observation week: each line is split, checked, tested against the
 stop registry and appended to its card's rides, so no list of all rows is
 built.  A file with no configured week start is first scanned once by
 :func:`derive_week_start` for its earliest boarding date.  Each card's
-rides are one 32-bit int array, five ints per ride: routes, and stops
-read without a registry, are held as codes, each an id's rank among the
-sorted ids of its read, and :class:`Transactions` names the id behind
-each code.
+rides are one 32-bit int array, four ints per ride: its boarding and
+alighting minutes and stops, all a rule reads of a ride.  A stop is
+held as its code, its id's rank among the sorted ids of the registry
+or, without one, of its read, and :class:`Transactions` names the id
+behind each code.
 
 Times are integers.  :func:`parse_minute` reads a timestamp as minutes
 after 0001-01-01T00:00; an accepted row carries its times as minutes
@@ -63,17 +64,17 @@ OUTSIDE_WEEK = "outside observation week"
 # the wrong schema entirely rather than merely dirty.
 FATAL_REJECT_FRACTION = 0.5
 
-# One ride of one card: (board_min, route, board_stop, alight_stop,
-# alight_min), each field an int.  A card's rides are kept as one array,
-# five ints per ride in file order; ride_tuples re-forms the tuples.  A
-# route or stop is held as its code, its id's 1-based rank among the
-# sorted ids (see stop_codes): the registry's ids for stops read against
-# one, else the ids of the read.  Code 0 is no alighting, and a
-# fixed-fare ride has alight_stop 0 and alight_min equal to board_min.
-# Rides sort by boarding time with the other fields as tie-breakers, in
-# the order their ids give.
-Ride = tuple[int, int, int, int, int]
-RIDE_FIELDS = 5
+# One ride of one card: (board_min, board_stop, alight_stop, alight_min),
+# each field an int.  A card's rides are kept as one array, four ints per
+# ride in file order; ride_tuples re-forms the tuples.  A stop is held as
+# its code, its id's 1-based rank among the sorted ids (see stop_codes):
+# the registry's ids for a read against one, else the ids of the read.
+# Code 0 is no alighting, and a fixed-fare ride has alight_stop 0 and
+# alight_min equal to board_min.  Rides sort by boarding time, then by
+# their stops in the order their ids give, then by alighting time; rides
+# equal in all four walk alike.
+Ride = tuple[int, int, int, int]
+RIDE_FIELDS = 4
 
 
 class SchemaError(Exception):
@@ -195,11 +196,10 @@ class Transactions:
     """One transactions file read into each card's rides.
 
     ``rides`` maps each card id to its kept rides in file order, as one
-    int array of :data:`Ride` fields, five per ride.  ``routes[code]`` is
-    the route id of each route code and ``stops[code]`` the stop id of
-    each stop code.  Each lists every id once, in code order, which is
-    sorted order with "" at code 0 (no alighting for a stop): the
-    registry's ids for stops read against one, else the ids of the read.
+    int array of :data:`Ride` fields, four per ride.  ``stops[code]`` is
+    the stop id of each stop code.  It lists every id once, in code
+    order, which is sorted order with "" at code 0 (no alighting): the
+    registry's ids for a read against one, else the ids of the read.
     A line is kept when it is accepted and, when a stop registry is
     given, both of its stops are listed.
     ``students`` holds the cards with a kept student line.  ``parsed``
@@ -216,7 +216,6 @@ class Transactions:
     rejections: list[Rejection]
     unmatched: Counter[str]
     parsed: int
-    routes: list[str]
     stops: list[str]
 
     @property
@@ -294,9 +293,9 @@ def read_transactions(
     with no configured start takes it from :func:`derive_week_start`.
     ``codes`` is the stop registry as :func:`stop_codes` gives it: a line
     naming a stop outside it is dropped, and the kept stop fields hold
-    its codes.  Without it no line is dropped, and stops are coded as
-    routes are: ids get codes as they are first seen, and once the read
-    is done each card's codes are rewritten to the ids' ranks.
+    its codes.  Without it no line is dropped, stop ids get codes as
+    they are first seen, and once the read is done each card's codes are
+    rewritten to the ids' ranks.
 
     Each card's rides are one ``array('i')``.  A distance-fare ride may
     alight any time after it boards, up to the end of the calendar, so
@@ -314,7 +313,6 @@ def read_transactions(
     take_header(it, TRANSACTIONS_HEADER, "transactions")
 
     minutes = _Minutes(week.start_minute)
-    route_code = _Codes()
     stop_code = _Codes() if codes is None else {"": 0, **codes}
     typecode = "i"
     pack = Struct(f"{RIDE_FIELDS}i").pack
@@ -372,13 +370,13 @@ def read_transactions(
                         unmatched.update(s for s in (b_stop, a_stop) if s not in stop_code)
                         continue
                     try:
-                        ride = pack(board, route_code[route_id], b, a, alight)
+                        ride = pack(board, b, a, alight)
                     except StructError:
                         typecode = "q"
                         pack = Struct(f"{RIDE_FIELDS}q").pack
                         for card, rides in by_card.items():
                             by_card[card] = array(typecode, rides)
-                        ride = pack(board, route_code[route_id], b, a, alight)
+                        ride = pack(board, b, a, alight)
                     rides = by_card.get(card_id)
                     if rides is None:
                         by_card[card_id] = array(typecode, ride)
@@ -393,17 +391,14 @@ def read_transactions(
     total = line_no - 1 - blank
     if total and len(rejections) > total * FATAL_REJECT_FRACTION:
         raise SchemaError(f"rejected {len(rejections)} of {total} lines; wrong schema")
-    routes, route_rank = route_code.ranked()
     if codes is None:
-        stops, stop_rank = stop_code.ranked()
-        ranks = ((1, route_rank), (2, stop_rank), (3, stop_rank))
+        stops, rank = stop_code.ranked()
+        for r in by_card.values():
+            for slot in (1, 2):
+                r[slot::RIDE_FIELDS] = array(r.typecode, [rank[c] for c in r[slot::RIDE_FIELDS]])
     else:
         stops = ["", *codes]
-        ranks = ((1, route_rank),)
-    for r in by_card.values():
-        for slot, rank in ranks:
-            r[slot::RIDE_FIELDS] = array(r.typecode, [rank[c] for c in r[slot::RIDE_FIELDS]])
-    return Transactions(week, by_card, students, rejections, unmatched, total - len(rejections), routes, stops)
+    return Transactions(week, by_card, students, rejections, unmatched, total - len(rejections), stops)
 
 
 def load_stops(lines: Iterable[str]) -> tuple[dict[str, tuple[float, float]], list[Rejection]]:

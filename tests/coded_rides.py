@@ -2,9 +2,11 @@
 
 Tests state rides as ``(board, route, board_stop, alight_stop, alight)``
 with route and stop ids as text and "" for no alighting.
-``read_transactions`` keeps each card's rides as one int array of those
-fields, with each route and stop as its code, and ``build_profile``
-takes that array and the place of each stop code.
+``read_transactions`` checks each line's route but keeps none: each
+card's rides are one int array of ``(board, board_stop, alight_stop,
+alight)``, with each stop as its code, and ``build_profile`` takes that
+array and the place of each stop code.  This module is where a text
+ride loses its route.
 """
 
 from __future__ import annotations
@@ -16,29 +18,46 @@ from cardcohort.ingest import ride_tuples, stop_codes
 
 # One ride with its ids as text.
 TextRide = tuple[int, str, str, str, int]
+# A text ride as the reader keeps it: without its route.
+KeptRide = tuple[int, str, str, int]
+# The route every ride of one_route takes.
+ONE_ROUTE = "R"
 
 
-def encode(rides: Iterable[TextRide], stop_to_place: Mapping[str, int]) -> tuple[array, list]:
+def drop_route(ride: TextRide | KeptRide) -> KeptRide:
+    """``ride`` without its route; a ride that has none comes back as it is."""
+    board, *_route, board_stop, alight_stop, alight = ride
+    return board, board_stop, alight_stop, alight
+
+
+def one_route(rides: Iterable[TextRide | KeptRide]) -> list[TextRide]:
+    """``rides`` as text rides that all take :data:`ONE_ROUTE`.
+
+    The staged reference sorts whole text rides, so it orders these as
+    ``build_profile`` orders the reader's: by boarding minute, boarding
+    stop, alighting stop and alighting minute.
+    """
+    return [(b, ONE_ROUTE, bs, a_s, a) for b, bs, a_s, a in map(drop_route, rides)]
+
+
+def encode(rides: Iterable[TextRide | KeptRide], stop_to_place: Mapping[str, int]) -> tuple[array, list]:
     """``rides`` as ``build_profile`` takes them, coded against the registry ``stop_to_place``.
 
-    Route codes are the routes' ranks, so the coded rides sort as the
-    text ones do.  Returns the int array and ``place_of``, the place of
-    each stop code.
+    The route of a ride is dropped, as the reader drops it.  Returns the
+    int array and ``place_of``, the place of each stop code.
     """
-    rides = list(rides)
     codes = stop_codes(stop_to_place)
-    route_code = {route: code for code, route in enumerate(sorted({r[1] for r in rides}), 1)}
     coded = array("i")
-    for board, route, board_stop, alight_stop, alight in rides:
-        coded.extend((board, route_code[route], codes[board_stop], codes[alight_stop] if alight_stop else 0, alight))
+    for board, board_stop, alight_stop, alight in map(drop_route, rides):
+        coded.extend((board, codes[board_stop], codes[alight_stop] if alight_stop else 0, alight))
     return coded, [None, *map(stop_to_place.__getitem__, codes)]
 
 
-def decode(tx, card: str) -> list[TextRide]:
-    """The rides of ``card`` in the read ``tx`` as text tuples, named through ``tx.routes`` and ``tx.stops``."""
-    return [(b, tx.routes[r], tx.stops[bs], tx.stops[a_s], a) for b, r, bs, a_s, a in ride_tuples(tx.rides[card])]
+def decode(tx, card: str) -> list[KeptRide]:
+    """The rides of ``card`` in the read ``tx``, with their stops named through ``tx.stops``."""
+    return [(b, tx.stops[bs], tx.stops[a_s], a) for b, bs, a_s, a in ride_tuples(tx.rides[card])]
 
 
-def card_rides(tx) -> dict[str, list[TextRide]]:
+def card_rides(tx) -> dict[str, list[KeptRide]]:
     """Each card's rides in ``tx``, as :func:`decode` gives them."""
     return {card: decode(tx, card) for card in tx.rides}

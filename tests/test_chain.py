@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from cardcohort.ingest import TRANSACTIONS_HEADER, ObservationWeek, read_transactions
 
-from coded_rides import decode
+from coded_rides import decode, one_route
 from reference_profile import PERMISSIVE, STRICT, Leg, Stay, build_legs, build_stays
 
 WEEK = ObservationWeek(date(2008, 4, 7))
@@ -25,7 +25,7 @@ def t(day: int, hh: int, mm: int = 0) -> int:
 def records(*rows: str):
     tx = read_transactions([TRANSACTIONS_HEADER] + list(rows), WEEK.start_date)
     assert not tx.rejections
-    return [ride for card in tx.rides for ride in decode(tx, card)]
+    return one_route(ride for card in tx.rides for ride in decode(tx, card))
 
 
 class TestBuildLegs:

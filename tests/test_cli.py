@@ -20,7 +20,7 @@ from cardcohort.geo import build_places
 from cardcohort.synth import GeneratorConfig
 
 import reference_profile
-from coded_rides import card_rides
+from coded_rides import card_rides, one_route
 from test_pipeline import read_rows
 
 
@@ -179,7 +179,7 @@ class TestInfer:
         tx = ingest.read_transactions(ingest.iter_lines(mini_bundle["year1"]), week_start, codes)
         stays = {
             card: reference_profile.build_stays(
-                card, reference_profile.build_legs(rides, stop_to_place), reference_profile.PERMISSIVE
+                card, reference_profile.build_legs(one_route(rides), stop_to_place), reference_profile.PERMISSIVE
             )
             for card, rides in card_rides(tx).items()
         }

@@ -33,7 +33,7 @@ from cardcohort.ingest import (
 )
 from cardcohort.pipeline import RunConfig
 
-from coded_rides import card_rides, decode
+from coded_rides import card_rides, decode, drop_route
 
 MONDAY = date(2008, 4, 7)
 WEEK = ObservationWeek(MONDAY)
@@ -49,11 +49,14 @@ def minute_of(t: datetime) -> int:
 
 
 def to_csv_row(card_id: str, card_type: str, ride, week: ObservationWeek) -> str:
-    """A kept ride written back as the transactions line it came from."""
-    board, route_id, b_stop, a_stop, alight = ride
+    """A kept ride written back as the transactions line it came from.
+
+    The reader keeps no route, so the line names B1, as the lines written back here do.
+    """
+    board, b_stop, a_stop, alight = ride
     fare, a_time = ("DST", week.format(alight)) if a_stop else ("FIX", "")
     return ",".join(
-        (card_id, card_type, fare, route_id, b_stop, week.format(board), a_stop, a_time)
+        (card_id, card_type, fare, "B1", b_stop, week.format(board), a_stop, a_time)
     )
 
 
@@ -148,11 +151,11 @@ class TestParseTransactions:
         assert tx.rejections == []
         assert tx.parsed == 2
         assert tx.week == WEEK
-        assert decode(tx, "C1") == [(7 * 60 + 30, "B1", "S1", "S2", 8 * 60 + 10)]
+        assert decode(tx, "C1") == [(7 * 60 + 30, "S1", "S2", 8 * 60 + 10)]
         assert (tx.card_type("C1"), tx.card_type("C2")) == ("R", "S")
         # Fixed fares: no alight stop, alight minute equals board minute.
         board = 1440 + 9 * 60
-        assert decode(tx, "C2") == [(board, "B2", "S3", "", board)]
+        assert decode(tx, "C2") == [(board, "S3", "", board)]
 
     def test_empty_stream(self):
         tx = read_transactions([], MONDAY)
@@ -266,7 +269,7 @@ class TestParseTransactions:
     def test_csv_row_round_trip(self):
         rows = [
             "C1,R,DST,B1,S1,2008-04-07T07:30,S2,2008-04-07T08:10",
-            "C2,S,FIX,B2,S3,2008-04-08T09:00,,",
+            "C2,S,FIX,B1,S3,2008-04-08T09:00,,",
         ]
         assert csv_rows(read_transactions(lines(*rows), MONDAY)) == rows
 
@@ -452,45 +455,16 @@ class TestGeocode:
         assert tx.card_type("C1") == "R"
 
 
-def test_a_kept_ride_costs_fewer_than_80_bytes():
-    """The live bytes a read leaves, per kept ride, for 2,000 cards of 20 rides.
-
-    Kept as a tuple per ride (80 bytes, plus a 16-byte GC header and an
-    8-byte list slot), this file leaves 98 bytes per ride live, and a
-    500,000-ride year of the ``bulk-1m`` benchmark 108.  Kept as flat
-    per-card lists of stop codes, it leaves 54, and that year 63.  The
-    bound of 80 lies between the two layouts, clear of each.
-    """
-    stop_ids = [f"S{i}" for i in range(400)]
-    rows = []
-    for card in range(2000):
-        for k in range(20):
-            day, slot = divmod(k, 4)
-            board = day * 1440 + 420 + slot * 180 + card % 60
-            head = f"C{card:05d},R,{'DST' if k % 3 else 'FIX'},B{k % 50},{stop_ids[(card * 7 + k) % 400]}"
-            tail = f"{stop_ids[(card * 11 + k) % 400]},{WEEK.format(board + 25)}" if k % 3 else ","
-            rows.append(f"{head},{WEEK.format(board)},{tail}")
-    text_lines = lines(*rows)
-    codes = stop_codes(stop_ids)
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        tx = read_transactions(text_lines, MONDAY, codes)
-        live = tracemalloc.get_traced_memory()[0] - before
-    finally:
-        tracemalloc.stop()
-    assert (tx.geocoded, len(tx.rides)) == (40_000, 2000)
-    assert live / tx.geocoded < 80
-
-
 @pytest.mark.parametrize("registry", [True, False])
 def test_a_kept_ride_costs_fewer_than_42_bytes(registry):
     """The live bytes a read leaves, per kept ride, for 2,000 cards of 20 rides.
 
-    Kept as flat per-card lists of stop codes, this file leaves 54 bytes
-    per ride live.  Kept as one 32-bit int array per card, five ints per
-    ride, it leaves 31, with a stop registry or without one.  The bound
-    of 42 lies between the two layouts, clear of each.
+    Kept as a tuple per ride (80 bytes, plus a 16-byte GC header and an
+    8-byte list slot), this file leaves 98 bytes per ride live with a
+    stop registry.  Kept as flat per-card lists of stop codes, it leaves
+    54.  Kept as one 32-bit int array per card, it leaves 31 with five
+    ints per ride and 27 with four, with a registry or without one.  The
+    bound of 42 lies between the lists and the arrays, clear of each.
     """
     stop_ids = [f"S{i}" for i in range(400)]
     rows = []
@@ -518,7 +492,7 @@ class TestIntArrays:
     """Each card's rides as one int array: codes, their order, and 64-bit alightings."""
 
     def test_codes_number_ids_by_rank(self):
-        # B9 and S9 are seen first, but "B10" < "B9" and "S10" < "S9".
+        # S9 is seen first, but "S10" < "S9".
         tx = read_transactions(
             lines(
                 "C1,R,DST,B9,S9,2008-04-07T07:30,S10,2008-04-07T08:10",
@@ -527,18 +501,18 @@ class TestIntArrays:
             ),
             MONDAY,
         )
-        assert (tx.routes, tx.stops) == (["", "B10", "B9"], ["", "S10", "S9"])
-        assert list(tx.rides["C1"]) == [450, 2, 2, 1, 490, 1080, 1, 2, 0, 1080]
-        assert list(tx.rides["C2"]) == [450, 1, 1, 0, 450]
+        assert tx.stops == ["", "S10", "S9"]
+        assert list(tx.rides["C1"]) == [450, 2, 1, 490, 1080, 2, 0, 1080]
+        assert list(tx.rides["C2"]) == [450, 1, 0, 450]
         # Against a registry, stops are its codes and name its ids.
         registry = stop_codes(["S9", "S10", "S8"])
         tx = read_transactions(lines("C2,R,FIX,B10,S10,2008-04-07T07:30,,"), MONDAY, registry)
-        assert (tx.routes, tx.stops) == (["", "B10"], ["", "S10", "S8", "S9"])
-        assert list(tx.rides["C2"]) == [450, 1, 1, 0, 450]
+        assert tx.stops == ["", "S10", "S8", "S9"]
+        assert list(tx.rides["C2"]) == [450, 1, 0, 450]
 
     @pytest.mark.parametrize("registry", [True, False])
     def test_a_card_with_two_rides_in_one_minute_sorts_as_its_ids(self, registry):
-        # B9 and S9 are seen first, but "B10" < "B9" and "S10" < "S9".
+        # S9 is seen first, but "S10" < "S9".
         rows = [
             "C1,R,DST,B9,S9,2008-04-07T07:30,S9,2008-04-07T08:00",
             "C1,R,DST,B10,S9,2008-04-07T07:30,S10,2008-04-07T08:00",
@@ -550,34 +524,33 @@ class TestIntArrays:
         tx = read_transactions(lines(*rows), MONDAY, stop_codes(["S9", "S10"]) if registry else None)
         for card, rides in card_rides(tx).items():
             by_code = sorted(ride_tuples(tx.rides[card]))
-            assert [(b, tx.routes[r], tx.stops[bs], tx.stops[a_s], a) for b, r, bs, a_s, a in by_code] == sorted(rides)
+            assert [(b, tx.stops[bs], tx.stops[a_s], a) for b, bs, a_s, a in by_code] == sorted(rides)
         assert card_rides(tx) == {
             "C1": [
-                (450, "B9", "S9", "S9", 480),
-                (450, "B10", "S9", "S10", 480),
-                (1890, "B9", "S9", "S9", 1920),
-                (1890, "B9", "S10", "S9", 1920),
+                (450, "S9", "S9", 480),
+                (450, "S9", "S10", 480),
+                (1890, "S9", "S9", 1920),
+                (1890, "S10", "S9", 1920),
             ],
-            "C2": [(450, "B9", "S9", "S10", 480), (570, "B10", "S10", "", 570)],
+            "C2": [(450, "S9", "S10", 480), (570, "S10", "", 570)],
         }
         # Every card holds the ranks, tied or not, and each id has one code.
-        assert (tx.routes, tx.stops) == (["", "B10", "B9"], ["", "S10", "S9"])
-        assert list(tx.rides["C1"])[1::5] == [2, 1, 2, 2]
-        assert list(tx.rides["C2"])[1::5] == [2, 1]
-        assert list(tx.rides["C2"])[2::5] == [2, 1]
+        assert tx.stops == ["", "S10", "S9"]
+        assert list(tx.rides["C1"])[1::4] == [2, 2, 2, 1]
+        assert list(tx.rides["C2"])[1::4] == [2, 1]
 
     def test_codes_already_in_order_are_kept_as_read(self):
         rows = ["C1,R,FIX,B1,S1,2008-04-07T07:30,,", "C1,R,FIX,B2,S2,2008-04-07T07:30,,"]
         tx = read_transactions(lines(*rows), MONDAY)
-        assert (tx.routes, tx.stops) == (["", "B1", "B2"], ["", "S1", "S2"])
-        assert list(tx.rides["C1"]) == [450, 1, 1, 0, 450, 450, 2, 2, 0, 450]
+        assert tx.stops == ["", "S1", "S2"]
+        assert list(tx.rides["C1"]) == [450, 1, 0, 450, 450, 2, 0, 450]
 
     @pytest.mark.parametrize(
         "late_min,typecode",
         [(2**31 - 1, "i"), (2**31, "q"), (parse_minute("9999-12-31T23:59") - WEEK.start_minute, "q")],
     )
     def test_an_alighting_past_32_bits_turns_the_read_into_64_bit_ints(self, late_min, typecode):
-        # B9 and S9 are seen first, so the ranks rewrite the arrays after any turn to 64 bits.
+        # S9 is seen first, so without a registry the ranks rewrite the arrays after any turn to 64 bits.
         rows = [
             "C1,R,FIX,B9,S9,2008-04-07T07:30,,",
             "C2,R,DST,B9,S9,2008-04-07T08:00,S10,2008-04-07T08:30",
@@ -590,12 +563,14 @@ class TestIntArrays:
             assert tx.rejections == []
             assert {rides.typecode for rides in tx.rides.values()} == {typecode}
             assert card_rides(tx) == {
-                "C1": [(450, "B9", "S9", "", 450), (1890, "B9", "S9", "S10", 1920)],
-                "C2": [(480, "B9", "S9", "S10", 510), (6 * 1440 + 1430, "B10", "S10", "S9", late_min)],
-                "C3": [(2 * 1440 + 450, "B10", "S10", "", 2 * 1440 + 450)],
+                "C1": [(450, "S9", "", 450), (1890, "S9", "S10", 1920)],
+                "C2": [(480, "S9", "S10", 510), (6 * 1440 + 1430, "S10", "S9", late_min)],
+                "C3": [(2 * 1440 + 450, "S10", "", 2 * 1440 + 450)],
             }
-            assert (tx.routes, tx.stops) == (["", "B10", "B9"], ["", "S10", "S9"])
-            assert list(tx.rides["C2"]) == [480, 2, 2, 1, 510, 6 * 1440 + 1430, 1, 1, 2, late_min]
+            # Four ints per kept ride, whatever their width.
+            assert {card: len(rides) for card, rides in tx.rides.items()} == {"C1": 4 * 2, "C2": 4 * 2, "C3": 4}
+            assert tx.stops == ["", "S10", "S9"]
+            assert list(tx.rides["C2"]) == [480, 2, 1, 510, 6 * 1440 + 1430, 1, 2, late_min]
             assert (tx.students, tx.geocoded) == ({"C3"}, 5)
 
 
@@ -742,7 +717,7 @@ def reference_parse(text_lines: list[str], week_start: date | None, known_stops=
             continue
         board = minute(p[5]) - lo
         alight = minute(p[7]) - lo if p[2] == "DST" else board
-        rides.setdefault(p[0], []).append((board, p[3], p[4], p[6], alight))
+        rides.setdefault(p[0], []).append(drop_route((board, p[3], p[4], p[6], alight)))
         if p[1] == "S":
             students.add(p[0])
     return start, rides, students, rejections, unmatched, len(accepted)
@@ -775,7 +750,6 @@ def order_free(text_lines: list[str], known_stops):
         return ("schema",)
     return (
         tx.week,
-        tx.routes,
         tx.stops,
         {card: sorted(ride_tuples(rides)) for card, rides in tx.rides.items()},
         tx.students,
@@ -836,8 +810,8 @@ def transaction_lines(draw):
             draw(st.sampled_from(["C1", "C2", "C3", "C4"])),
             draw(st.sampled_from(["R", "R", "S"])),
             "FIX",
-            # "B10" sorts before "B9", so route ids are often first
-            # seen out of id order and their codes move to their ranks.
+            # "B10" sorts before "B9" as text and after it by number; the
+            # reader checks that a route is there and keeps none.
             draw(st.sampled_from(["B9", "B10", "B2"])),
             draw(st.sampled_from(STOP_IDS)),
             board.strftime("%Y-%m-%dT%H:%M"),
@@ -875,6 +849,28 @@ class TestOnePassParity:
         # With no registry, and with one that leaves out S4.
         for known_stops in (None, dict.fromkeys(STOP_IDS[:3], (0.0, 0.0))):
             assert order_free(shuffled, known_stops) == order_free(text_lines, known_stops)
+
+    @settings(max_examples=300, deadline=None)
+    @given(transaction_lines(), st.data())
+    def test_route_ids_change_nothing_a_read_keeps(self, text_lines, data):
+        # Each line that names a route names another one (or the same);
+        # an empty route_id stays empty, since it is a rejection.
+        renamed = [text_lines[0]]
+        for line in text_lines[1:]:
+            fields = line.split(",")
+            if len(fields) == 8 and fields[3]:
+                fields[3] = data.draw(st.sampled_from(["B9", "B10", "B2", "Z"]))
+            renamed.append(",".join(fields))
+        for known_stops in (None, dict.fromkeys(STOP_IDS[:3], (0.0, 0.0))):
+            try:
+                tx = derived(text_lines, known_stops)
+            except SchemaError:
+                with pytest.raises(SchemaError):
+                    derived(renamed, known_stops)
+                continue
+            got = derived(renamed, known_stops)
+            assert got.rides == tx.rides
+            assert got == tx
 
     @pytest.mark.parametrize(
         "rows,start,rejections",
@@ -985,7 +981,7 @@ class TestOnePassParity:
                     "C1,R,FIX,B1,S1,2008-04-09T07:30,,",
                 ],
                 "rides",
-                {"C1": [(450, "B1", "S1", "", 450), (1440 + 450, "B1", "S1", "", 1440 + 450)]},
+                {"C1": [(450, "S1", "", 450), (1440 + 450, "S1", "", 1440 + 450)]},
             ),
         ],
     )
@@ -1016,7 +1012,7 @@ class TestOnePassParity:
         )
         assert {(rides.typecode, rides.itemsize) for rides in tx.rides.values()} == {("i", 4)}
         (c1,), (c2,) = decode(tx, "C1"), decode(tx, "C2")
-        assert c1[0] == c2[0] == c1[4] == 1440 + 450
+        assert c1[0] == c2[0] == c1[3] == 1440 + 450
 
     def test_early_bail_counts_rejections_found_after_the_week_moved(self):
         # 1,200 lines would look in-week but for the last-but-many line,

@@ -25,7 +25,7 @@ from cardcohort.ingest import (
 )
 
 import reference_profile as ref
-from coded_rides import card_rides, decode, encode
+from coded_rides import card_rides, decode, drop_route, encode, one_route
 
 WEEKDAYS = frozenset(range(5))
 MONDAY = date(2008, 4, 7)
@@ -65,18 +65,19 @@ def stay_tuples(stays):
     ]
 
 
-# Same-minute rides whose order is decided by a stop or a route id that
-# sorts differently as text ("S10" < "S9", "B10" < "B9") and by number.
-# The last of each tie names where the card alighted, so the order
-# decides the day's opener and which stays form.
+# Same-minute rides whose order is decided by their stops, in the order
+# of the stop ids ("S10" < "S9" as text, not by number), and never by
+# their routes.  The last of each tie names where the card alighted, so
+# the order decides the day's opener and which stays form.
 SAME_MINUTE = [
     # Monday: two taps; the opener is at S10.
     ride("S9", t(0, 7, 30)),
     ride("S10", t(0, 7, 30)),
-    # Tuesday: two rides from H differing in the route; B9's, to S9, is last.
+    # Tuesday: two rides from H on routes that sort the other way
+    # ("B10" < "B9"); "S9" < "W", so the ride to W is last.
     ride("H", t(1, 7, 30), "S9", t(1, 8), route="B9"),
     ride("H", t(1, 7, 30), "W", t(1, 8), route="B10"),
-    ride("S9", t(1, 8, 30), "H", t(1, 9)),
+    ride("W", t(1, 8, 30), "H", t(1, 9)),
     # Wednesday: two rides from H differing in the alighting; S9 is last.
     ride("H", t(2, 7, 30), "S9", t(2, 8)),
     ride("H", t(2, 7, 30), "S10", t(2, 8)),
@@ -168,7 +169,7 @@ def commuter_rides(draw):
 )
 def test_kernel_matches_staged_reference(rides, rnd, card_type, mode, home_rule, stay_min):
     rnd.shuffle(rides)
-    legs = ref.build_legs(rides, STOP_TO_PLACE)
+    legs = ref.build_legs(one_route(rides), STOP_TO_PLACE)
     expected_stays = ref.build_stays("C", legs, mode)
     expected = ref.build_profile(
         "C", "2008", card_type, legs, expected_stays, WEEKDAYS, centroid_of,
@@ -231,8 +232,8 @@ def test_a_read_profiles_as_its_text_rides(cards, registry, rnd, mode):
     place_of = [None if s == "" else STOP_TO_PLACE[s] for s in tx.stops]
     assert sorted(tx.rides) == sorted(card for card, rides in cards.items() if rides)
     for card, rides in card_rides(tx).items():
-        assert sorted(rides) == sorted(cards[card])
-        legs = ref.build_legs(cards[card], STOP_TO_PLACE)
+        assert sorted(rides) == sorted(map(drop_route, cards[card]))
+        legs = ref.build_legs(one_route(cards[card]), STOP_TO_PLACE)
         expected_stays = ref.build_stays(card, legs, mode)
         expected = ref.build_profile(
             card, "2008", CARD_REGULAR, legs, expected_stays, WEEKDAYS, centroid_of, rides=len(rides)
@@ -243,10 +244,34 @@ def test_a_read_profiles_as_its_text_rides(cards, registry, rnd, mode):
         assert stay_tuples(kept) == stay_tuples(expected_stays)
 
 
-def test_codes_keep_the_text_order_of_stop_and_route_ids():
+def read_profiles(cards, codes, mode):
+    """Each card's profile and stays, from its text rides written as lines and read."""
+    text_lines = [as_line(card, ride) for card, rides in cards.items() for ride in rides]
+    tx = read_transactions([TRANSACTIONS_HEADER, *text_lines], MONDAY, codes)
+    place_of = [None if s == "" else STOP_TO_PLACE[s] for s in tx.stops]
+    profiles = {}
+    for card, rides in tx.rides.items():
+        kept = []
+        got = build_profile(CARD_REGULAR, rides, place_of, WEEKDAYS, centroid_of, mode, stays=kept)
+        profiles[card] = got, stay_tuples(kept)
+    return profiles
+
+
+@settings(max_examples=200, deadline=None)
+@given(read_cards(), st.data(), st.booleans(), st.sampled_from([STRICT, PERMISSIVE]))
+def test_redrawn_routes_leave_every_profile_and_stay(cards, data, registry, mode):
+    redrawn = {
+        card: [(b, data.draw(st.sampled_from(ROUTES)), bs, a_s, a) for b, _route, bs, a_s, a in rides]
+        for card, rides in cards.items()
+    }
+    codes = stop_codes(STOP_TO_PLACE) if registry else None
+    assert read_profiles(redrawn, codes, mode) == read_profiles(cards, codes, mode)
+
+
+def test_codes_keep_the_text_order_of_stop_ids():
     assert stop_codes(STOP_TO_PLACE)["S10"] < stop_codes(STOP_TO_PLACE)["S9"]
     for mode in (PERMISSIVE, STRICT):
-        legs = ref.build_legs(SAME_MINUTE, STOP_TO_PLACE)
+        legs = ref.build_legs(one_route(SAME_MINUTE), STOP_TO_PLACE)
         expected_stays = ref.build_stays("C", legs, mode)
         expected = ref.build_profile("C", "2008", CARD_REGULAR, legs, expected_stays, WEEKDAYS, centroid_of,
                                      rides=len(SAME_MINUTE))
@@ -256,9 +281,9 @@ def test_codes_keep_the_text_order_of_stop_and_route_ids():
             assert stay_tuples(kept) == stay_tuples(expected_stays)
         openers = [s.place_id for s in kept if s.first_of_day]
         exact = [(s.place_id, s.duration_min) for s in kept if not s.first_of_day and not s.approximate]
-        # Monday opens at S10; on Tuesday and Wednesday the card alighted at S9.
+        # Monday opens at S10; the card alighted at W on Tuesday and at S9 on Wednesday.
         assert openers[0] == STOP_TO_PLACE["S10"]
-        assert exact == [(STOP_TO_PLACE["S9"], 30), (STOP_TO_PLACE["S9"], 420)]
+        assert exact == [(STOP_TO_PLACE["W"], 30), (STOP_TO_PLACE["S9"], 420)]
 
 
 # -- the edges, on the kernel itself -----------------------------------------
@@ -520,7 +545,7 @@ class TestInputRules:
         tx = read_transactions([TRANSACTIONS_HEADER, line], MONDAY)
         assert tx.rejections == []
         (last,) = decode(tx, "C")
-        assert last == (t(6, 23, 50), "B1", "W", "H", WEEK_MINUTES + 20)
+        assert last == (t(6, 23, 50), "W", "H", WEEK_MINUTES + 20)
         before, after = [], []
         p = profile(commuter(), stays=before)
         with_last = profile(commuter() + [last], stays=after)
