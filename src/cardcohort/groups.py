@@ -1,4 +1,4 @@
-"""The 20-group resident taxonomy and the follow-up deprivation score.
+"""The 20-group resident taxonomy and the follow-up deprivation summary.
 
 Groups cross three axes: housing changed or not (major), job transition
 category (middle), and whether the later home sits within the fourth
@@ -6,8 +6,8 @@ ring road (minor).  The numbering is fixed; downstream reports rely on
 group k always meaning the same triple.
 
 The deprivation score for an FR is its transaction count in a follow-up
-observation week years later.  Cards absent from the follow-up data are
-unscored; the summary statistics cover scored cards only and use exact
+observation week years later; an FR is scored when that count is above
+zero.  The summary statistics cover scored cards only and use exact
 integer accumulation so they do not depend on iteration order.
 """
 
@@ -64,13 +64,6 @@ def group_counts(groups: Iterable[int]) -> dict[int, int]:
 
 
 @dataclass(frozen=True, slots=True)
-class DeprivationScore:
-    card_id: str
-    followup_trips: int
-    scored: bool
-
-
-@dataclass(frozen=True, slots=True)
 class DeprivationSummary:
     fr_count: int
     scored_count: int
@@ -79,35 +72,25 @@ class DeprivationSummary:
     std_trips: float | None
 
 
-def score_deprivation(
-    fr_cards: Iterable[str], followup_counts: Mapping[str, int]
-) -> tuple[list[DeprivationScore], DeprivationSummary]:
-    """Per-FR follow-up trip counts plus a summary over scored cards.
+def score_deprivation(fr_cards: Iterable[str], followup_counts: Mapping[str, int]) -> DeprivationSummary:
+    """The summary of the FRs' follow-up trip counts over scored cards.
 
-    The standard deviation is the population form, computed from exact
-    integer sums: counts are integers, so sum and sum of squares are
-    exact and the result is identical however the cards are ordered.
+    Duplicate ids count once.  The standard deviation is the population
+    form, computed from exact integer sums: counts are integers, so sum
+    and sum of squares are exact and the result is identical however the
+    cards are ordered.
     """
-    scores = []
-    n_scored = 0
-    total = 0
-    total_sq = 0
-    for card in sorted(set(fr_cards)):
-        trips = followup_counts.get(card, 0)
-        scored = trips > 0
-        scores.append(DeprivationScore(card, trips, scored))
-        if scored:
-            n_scored += 1
-            total += trips
-            total_sq += trips * trips
-    fr_count = len(scores)
+    cards = set(fr_cards)
+    trips = [n for card in cards if (n := followup_counts.get(card, 0)) > 0]
+    fr_count = len(cards)
+    n_scored = len(trips)
     if fr_count == 0:
-        return scores, DeprivationSummary(0, 0, None, None, None)
+        return DeprivationSummary(0, 0, None, None, None)
     fraction = n_scored / fr_count
     if n_scored == 0:
-        return scores, DeprivationSummary(fr_count, 0, fraction, None, None)
+        return DeprivationSummary(fr_count, 0, fraction, None, None)
+    total = sum(trips)
     mean = total / n_scored
-    variance = (total_sq - total * total / n_scored) / n_scored
+    variance = (sum(n * n for n in trips) - total * total / n_scored) / n_scored
     std = math.sqrt(max(variance, 0.0))
-    return scores, DeprivationSummary(fr_count, n_scored, fraction, mean, std)
-
+    return DeprivationSummary(fr_count, n_scored, fraction, mean, std)

@@ -37,7 +37,7 @@ from .geo import (
     load_region_features,
     point_in_region,
 )
-from .groups import DeprivationScore, DeprivationSummary, classify, score_deprivation
+from .groups import DeprivationSummary, score_deprivation
 from .ingest import (
     RIDE_FIELDS,
     STOPS_HEADER,
@@ -166,8 +166,6 @@ class PipelineResult:
     year2: YearData
     fr_cards: list[str]
     deltas: dict[str, CohortDelta]
-    groups: dict[str, int]
-    scores: list[DeprivationScore] = field(default_factory=list)
     dep_summary: DeprivationSummary | None = None
     followup_counts: Counter = field(default_factory=Counter)
     followup_rejections: list[Rejection] = field(default_factory=list)
@@ -374,12 +372,10 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
     fr_cards = match_cohort(y1.profiles, y2.profiles)
     log.info("cohort: %d frequent riders", len(fr_cards))
 
-    deltas: dict[str, CohortDelta] = {}
-    groups: dict[str, int] = {}
-    for card in fr_cards:
-        d = build_delta(y1.profiles[card], y2.profiles[card], cfg.center, in_r4, cfg.change_km, cached_move)
-        deltas[card] = d
-        groups[card] = classify(d)
+    deltas = {
+        card: build_delta(y1.profiles[card], y2.profiles[card], cfg.center, in_r4, cfg.change_km, cached_move)
+        for card in fr_cards
+    }
 
     result = PipelineResult(
         config=cfg,
@@ -387,7 +383,6 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
         year2=y2,
         fr_cards=fr_cards,
         deltas=deltas,
-        groups=groups,
         r4_region=r4_region,
     )
 
@@ -395,7 +390,7 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
         counts, rejections = followup[0]
         result.followup_counts = counts
         result.followup_rejections = rejections
-        result.scores, result.dep_summary = score_deprivation(fr_cards, counts)
+        result.dep_summary = score_deprivation(fr_cards, counts)
         log.info(
             "followup: %d cards seen, %d of %d FRs scored",
             len(counts), result.dep_summary.scored_count, len(fr_cards),

@@ -5,7 +5,8 @@ rounded to one decimal, or, for ``taz_fr_homes.geojson``, indented JSON.
 :func:`write_lines` is the one writer: every output file of the package,
 the synthetic bundle's included, goes through it as UTF-8 with LF line
 endings, so reruns diff cleanly.  Nothing here computes; writers only
-format what the pipeline already derived.
+format what the pipeline already derived, and an FR's group number is
+:func:`~cardcohort.groups.classify` of its delta.
 """
 
 from __future__ import annotations
@@ -14,11 +15,11 @@ import json
 import math
 import os
 from collections import Counter
-from typing import Collection, Iterable, Sequence
+from typing import Collection, Iterable, Mapping, Sequence
 
 from .cohort import CHANGED, COMMUTE_BINS, FOUND, JOBLESS, LOST, MOVE_BINS, NOT_CHANGED, CohortDelta
 from .geo import INWARD, OUTWARD
-from .groups import GROUP_COUNT, DeprivationScore, DeprivationSummary, group_counts, group_triple
+from .groups import GROUP_COUNT, DeprivationSummary, classify, group_counts, group_triple
 from .infer import Stay, YearProfile
 from .ingest import ObservationWeek, Rejection
 from .pipeline import PipelineResult
@@ -206,9 +207,9 @@ def write_commute_variation(path: str, deltas: dict[str, CohortDelta]) -> None:
     )
 
 
-def write_groups(path: str, groups: dict[str, int]) -> None:
-    counts = group_counts(groups.values())
-    total = len(groups)
+def write_groups(path: str, deltas: dict[str, CohortDelta]) -> None:
+    counts = group_counts(map(classify, deltas.values()))
+    total = len(deltas)
     write_lines(path, ["group,housing_change,job_change,location,count,share_pct"], (
         f"{g},{','.join(group_triple(g))},{counts[g]},{_pct(counts[g], total)}" for g in range(1, GROUP_COUNT + 1)
     ))
@@ -225,9 +226,11 @@ def write_deprivation(path: str, summary: DeprivationSummary) -> None:
     ))
 
 
-def write_scores(path: str, scores: Sequence[DeprivationScore], groups: dict[str, int]) -> None:
+def write_scores(path: str, deltas: dict[str, CohortDelta], followup_counts: Mapping[str, int]) -> None:
+    """One row per FR in card order; an FR is scored when it has follow-up trips."""
     write_lines(path, ["card_id,group,followup_trips,scored"], (
-        f"{s.card_id},{groups.get(s.card_id, '')},{s.followup_trips},{1 if s.scored else 0}" for s in scores
+        f"{card},{classify(deltas[card])},{n},{1 if n > 0 else 0}"
+        for card in sorted(deltas) for n in (followup_counts.get(card, 0),)
     ))
 
 
@@ -277,9 +280,9 @@ def write_run_reports(
     emit("housing_dynamics.csv", write_housing_dynamics, result.deltas)
     emit("work_dynamics.csv", write_work_dynamics, result.deltas)
     emit("commute_variation.csv", write_commute_variation, result.deltas)
-    emit("groups.csv", write_groups, result.groups)
+    emit("groups.csv", write_groups, result.deltas)
     emit("deprivation.csv", write_deprivation, result.dep_summary)
-    emit("scores.csv", write_scores, result.scores, result.groups)
+    emit("scores.csv", write_scores, result.deltas, result.followup_counts)
     emit("rejections_followup.csv", write_rejections, result.followup_rejections)
     emit("taz_fr_homes.geojson", write_taz_geojson, result)
     return written

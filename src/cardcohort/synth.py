@@ -62,7 +62,7 @@ from .geo import (
     point_in_region,
     radial_direction,
 )
-from .groups import group_index
+from .groups import classify, group_index
 from .ingest import TRANSACTIONS_HEADER, iter_lines, read_config, take_header
 from .reports import write_json, write_lines
 
@@ -799,7 +799,7 @@ def evaluate_recovery(truth: Sequence[TruthRow], result, tolerance_km: float = 0
 
         in_r4 = point_in_region(h2c, region) if region is not None else False
         truth_group = group_index(housing_truth != NOT_CHANGED, work_truth.split("/")[0], in_r4)
-        if result.groups.get(t.card_id) == truth_group:
+        if delta and classify(delta) == truth_group:
             group_correct += 1
 
     return RecoveryMetrics(

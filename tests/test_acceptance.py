@@ -31,7 +31,7 @@ from cardcohort.cohort import (
     move_bin,
 )
 from cardcohort.geo import INWARD, OUTWARD, build_places, haversine_km
-from cardcohort.groups import group_counts, group_index, group_triple
+from cardcohort.groups import classify, group_counts, group_index, group_triple
 from cardcohort.infer import YearProfile, build_profile
 from cardcohort.ingest import (
     STOPS_HEADER,
@@ -149,7 +149,7 @@ def _partition_failures(result) -> list[str]:
     if sorted(deltas) != sorted(result.fr_cards):
         fails.append("delta keys differ from FR cards")
 
-    counts = group_counts(result.groups.values())
+    counts = group_counts(map(classify, deltas.values()))
     if set(counts) != set(range(1, 21)):
         fails.append("group table is not exactly 1..20")
     if sum(counts.values()) != n:

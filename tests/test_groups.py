@@ -13,6 +13,7 @@ from cardcohort.groups import (
     group_triple,
     score_deprivation,
 )
+from cardcohort.reports import write_groups, write_scores
 
 # The canonical ordering of the twenty (housing, job, location) triples.
 # Housing-changed residents come first; within each half the job axis
@@ -94,39 +95,50 @@ def test_group_counts_always_has_twenty_keys():
     assert counts[15] == 3
 
 
+def score_rows(tmp_path, deltas, counts) -> list[list[str]]:
+    """The data rows of ``scores.csv`` written from ``deltas`` and ``counts``."""
+    path = tmp_path / "scores.csv"
+    write_scores(str(path), deltas, counts)
+    header, *rows = path.read_text(encoding="utf-8").splitlines()
+    assert header == "card_id,group,followup_trips,scored"
+    return [row.split(",") for row in rows]
+
+
 class TestScoreDeprivation:
-    def test_textbook_population_stats(self):
+    def test_textbook_population_stats(self, tmp_path):
         # 2,4,4,4,5,5,7,9 is the classic example: mean 5, variance 4.
         counts = {f"C{i}": v for i, v in enumerate([2, 4, 4, 4, 5, 5, 7, 9])}
-        scores, summary = score_deprivation(sorted(counts), counts)
+        summary = score_deprivation(sorted(counts), counts)
         assert summary.fr_count == 8
         assert summary.scored_count == 8
         assert summary.scored_fraction == 1.0
         assert summary.mean_trips == pytest.approx(5.0)
         assert summary.std_trips == pytest.approx(2.0)
-        assert all(s.scored for s in scores)
+        rows = score_rows(tmp_path, {card: delta() for card in counts}, counts)
+        assert all(row[3] == "1" for row in rows)
 
-    def test_absent_cards_are_unscored(self):
-        scores, summary = score_deprivation(["A", "B", "C", "D"], {"B": 3, "D": 7})
+    def test_absent_cards_are_unscored(self, tmp_path):
+        counts = {"B": 3, "D": 7}
+        summary = score_deprivation(["A", "B", "C", "D"], counts)
         assert summary.fr_count == 4
         assert summary.scored_count == 2
         assert summary.scored_fraction == 0.5
         assert summary.mean_trips == pytest.approx(5.0)
-        by_card = {s.card_id: s for s in scores}
-        assert not by_card["A"].scored
-        assert by_card["A"].followup_trips == 0
-        assert by_card["D"].scored
+        rows = score_rows(tmp_path, {card: delta() for card in "ABCD"}, counts)
+        by_card = {row[0]: row[2:] for row in rows}
+        assert by_card["A"] == ["0", "0"]
+        assert by_card["D"] == ["7", "1"]
 
-    def test_empty_cohort(self):
-        scores, summary = score_deprivation([], {"X": 5})
-        assert scores == []
+    def test_empty_cohort(self, tmp_path):
+        summary = score_deprivation([], {"X": 5})
+        assert score_rows(tmp_path, {}, {"X": 5}) == []
         assert summary.fr_count == 0
         assert summary.scored_fraction is None
         assert summary.mean_trips is None
         assert summary.std_trips is None
 
     def test_nobody_scored(self):
-        scores, summary = score_deprivation(["A"], {})
+        summary = score_deprivation(["A"], {})
         assert summary.fr_count == 1
         assert summary.scored_count == 0
         assert summary.scored_fraction == 0.0
@@ -137,10 +149,36 @@ class TestScoreDeprivation:
         a = score_deprivation(["C", "A", "B"], counts)
         b = score_deprivation(["A", "B", "C", "A"], counts)
         assert a == b
-        assert [s.card_id for s in a[0]] == ["A", "B", "C"]
+        assert a.fr_count == 3
 
     def test_single_card_zero_std(self):
-        _, summary = score_deprivation(["A"], {"A": 13})
+        summary = score_deprivation(["A"], {"A": 13})
         assert summary.mean_trips == 13.0
         assert summary.std_trips == 0.0
 
+
+class TestGroupAndScoreWriters:
+    """groups.csv and scores.csv are formatted from hand-made deltas alone."""
+
+    DELTAS = {
+        "C": delta(housing=CHANGED, work=LOST, r4=True),
+        "A": delta(),
+        "B": delta(work=FOUND),
+        "D": delta(housing=CHANGED, work=JOBLESS),
+    }
+
+    def test_scores_rows(self, tmp_path):
+        rows = score_rows(tmp_path, self.DELTAS, {"B": 4, "Z": 2})
+        # One row per FR in card order; a card that is not an FR writes none.
+        assert [row[0] for row in rows] == ["A", "B", "C", "D"]
+        # The group column is the delta's group, never empty.
+        assert [int(row[1]) for row in rows] == [classify(self.DELTAS[row[0]]) for row in rows]
+        assert [row[2:] for row in rows] == [["0", "0"], ["4", "1"], ["0", "0"], ["0", "0"]]
+
+    def test_group_counts_sum_to_the_fr_count(self, tmp_path):
+        path = tmp_path / "groups.csv"
+        write_groups(str(path), self.DELTAS)
+        _, *rows = path.read_text(encoding="utf-8").splitlines()
+        counts = {int(row.split(",")[0]): int(row.split(",")[4]) for row in rows}
+        assert sum(counts.values()) == len(self.DELTAS)
+        assert counts == group_counts(map(classify, self.DELTAS.values()))

@@ -14,6 +14,7 @@ import pytest
 from cardcohort import pipeline
 from cardcohort.cohort import CHANGED, FOUND, JOBLESS, LOST, NOT_CHANGED, build_delta, move
 from cardcohort.geo import INWARD, OUTWARD, Region, haversine_km
+from cardcohort.groups import classify
 from cardcohort.ingest import SchemaError
 from cardcohort.pipeline import (
     MissingInputError,
@@ -54,6 +55,16 @@ EXPECTED_HEADERS = {
 def read_rows(path: str) -> list[list[str]]:
     with open(path, "r", encoding="utf-8") as fh:
         return [line.rstrip("\n").split(",") for line in fh]
+
+
+def groups_of(result) -> dict[str, int]:
+    return {c: classify(d) for c, d in result.deltas.items()}
+
+
+def score_rows(result, out) -> dict[str, list[str]]:
+    """The ``scores.csv`` rows of ``result`` by card, without the card id."""
+    write_run_reports(result, str(out), names={"scores.csv"})
+    return {row[0]: row[1:] for row in read_rows(os.path.join(out, "scores.csv"))[1:]}
 
 
 def as_written(coord: tuple[float, float]) -> tuple[float, float]:
@@ -160,7 +171,7 @@ class TestJobs:
             assert result.year1.profiles == serial.year1.profiles
             assert result.year2.profiles == serial.year2.profiles
             assert result.deltas == serial.deltas
-            assert result.groups == serial.groups
+            assert groups_of(result) == groups_of(serial)
             assert result.followup_counts == serial.followup_counts
             assert files == serial_files
 
@@ -269,18 +280,18 @@ class TestMiniPipeline:
         assert d.r4_2010 is True
 
     def test_group_assignments(self, result):
-        assert result.groups == {"A1": 9, "F1": 20}
+        assert groups_of(result) == {"A1": 9, "F1": 20}
 
-    def test_deprivation(self, result):
+    def test_deprivation(self, result, tmp_path):
         summary = result.dep_summary
         assert summary.fr_count == 2
         assert summary.scored_count == 1
         assert summary.scored_fraction == 0.5
         assert summary.mean_trips == 3.0
         assert summary.std_trips == 0.0
-        by_card = {s.card_id: s for s in result.scores}
-        assert by_card["A1"].followup_trips == 0 and not by_card["A1"].scored
-        assert by_card["F1"].followup_trips == 3 and by_card["F1"].scored
+        by_card = score_rows(result, tmp_path)
+        assert by_card["A1"] == ["9", "0", "0"]
+        assert by_card["F1"] == ["20", "3", "1"]
 
     def test_taz_assignment(self, result):
         assert [r.name for r in result.taz_regions] == ["near", "far"]
@@ -595,7 +606,7 @@ class TestEmptyInputs:
     def test_no_riders_no_cohort(self, empty_result):
         assert empty_result.fr_cards == []
         assert empty_result.deltas == {}
-        assert empty_result.groups == {}
+        assert groups_of(empty_result) == {}
         assert empty_result.dep_summary.fr_count == 0
         assert empty_result.dep_summary.mean_trips is None
 
@@ -661,6 +672,6 @@ class TestInputRules:
         # Rows naming stops absent from both registries still count as trips.
         assert result.followup_rejections == []
         assert result.followup_counts == {"F1": 3, "A1": 1}
-        by_card = {s.card_id: s for s in result.scores}
-        assert by_card["A1"].followup_trips == 1 and by_card["A1"].scored
-        assert by_card["F1"].followup_trips == 3
+        by_card = score_rows(result, tmp_path)
+        assert by_card["A1"][1:] == ["1", "1"]
+        assert by_card["F1"][1] == "3"
