@@ -10,12 +10,15 @@ observation years.  For each FR this module derives:
   neither;
 * a signed commute-distance delta when a commute distance exists in both
   years.
+
+Each year's place ids are looked up in that year's own place index.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from typing import Callable
 
 from .geo import Coord, haversine_km, radial_direction
 from .infer import YearProfile
@@ -101,6 +104,8 @@ def move(old: Coord, new: Coord, center: Coord, change_km: float) -> tuple[str, 
 def build_delta(
     p1: YearProfile,
     p2: YearProfile,
+    centroid1: Callable[[int], Coord],
+    centroid2: Callable[[int], Coord],
     center: Coord,
     in_r4,
     change_km: float = CHANGE_KM_DEFAULT,
@@ -108,16 +113,19 @@ def build_delta(
 ) -> CohortDelta:
     """Assemble the full delta row for one FR.
 
-    ``in_r4`` is a predicate over a (lon, lat) coordinate; pass a region
+    ``centroid1`` and ``centroid2`` give the centroid of a place id in
+    year 1's and in year 2's place index.  ``in_r4`` is a predicate over
+    a (lon, lat) coordinate, applied to year 2's home; pass a region
     containment closure, or None when no R4 layer is configured (every
-    card then counts as outside).  ``move`` answers the home and the work
-    move; a caller may pass a cached :func:`move` to share answers across
-    the FRs of a run.
+    card then counts as outside).  ``move`` answers the home and the
+    work move; a caller may pass a cached :func:`move` to share answers
+    across the FRs of a run.
     """
-    h_status, h_dir, h_km, h_bin = move(p1.home_centroid, p2.home_centroid, center, change_km)
+    home2 = centroid2(p2.home)
+    h_status, h_dir, h_km, h_bin = move(centroid1(p1.home), home2, center, change_km)
     w1, w2 = p1.work, p2.work
     if w1 is not None and w2 is not None:
-        w_status, w_dir, w_km, w_bin = move(p1.work_centroid, p2.work_centroid, center, change_km)
+        w_status, w_dir, w_km, w_bin = move(centroid1(w1), centroid2(w2), center, change_km)
     else:
         w_status = JOBLESS if w1 is None and w2 is None else LOST if w2 is None else FOUND
         w_dir = w_km = w_bin = None
@@ -135,5 +143,5 @@ def build_delta(
         work_move_bin=w_bin,
         commute_delta_km=commute_delta_km,
         commute_bin=None if commute_delta_km is None else commute_bin(commute_delta_km),
-        r4_2010=bool(in_r4(p2.home_centroid)) if in_r4 is not None else False,
+        r4_2010=bool(in_r4(home2)) if in_r4 is not None else False,
     )

@@ -42,7 +42,8 @@ as F_j = 0.  The relaxed variant exists because published cohort counts
 include large jobless groups with identified homes, which the strict
 precondition cannot produce.
 
-Commute: distance is between home and work centroids; time is the
+Commute: distance is the caller's ``distance_km`` of the two place ids,
+as a profile names its places and holds no coordinate; time is the
 median over weekdays of the in-vehicle minutes of the first complete
 home-to-work ride chain of the day, when complete timestamps exist.
 Only a card with both places is walked a second time, for the chain.
@@ -54,7 +55,6 @@ from dataclasses import dataclass
 from statistics import median
 from typing import Callable, Sequence
 
-from .geo import Coord, haversine_km
 from .ingest import CARD_STUDENT, DAY_MINUTES, Ride, ride_tuples
 
 STAY_MIN_DEFAULT = 360
@@ -86,8 +86,6 @@ class YearProfile:
 
     home: int | None
     work: int | None
-    home_centroid: Coord | None
-    work_centroid: Coord | None
     commute_km: float | None
     commute_min: int | None
     rides: int
@@ -98,11 +96,10 @@ def build_profile(
     rides: Sequence[int],
     place_of: Sequence[int | None],
     weekdays: frozenset[int],
-    centroid_of: Callable[[int], Coord],
+    distance_km: Callable[[int, int], float],
     stay_mode: str = PERMISSIVE,
     home_rule: str = HOME_RULE_RELAXED,
     stay_min: int = STAY_MIN_DEFAULT,
-    distance_km: Callable[[int, int], float] | None = None,
     stays: list[Stay] | None = None,
 ) -> YearProfile:
     """One card's profile for one observation week.
@@ -112,10 +109,10 @@ def build_profile(
     ``place_of[code]`` the place of each stop code, None for code 0 (no
     alighting).  Rides sort as tuples, boarding minute first and the
     remaining fields as tie-breakers, so the result is a pure function of
-    the ride set, not of file order.  ``distance_km(home, work)``, when
-    given, answers the commute distance in place of the haversine between
-    the two centroids, so a caller can cache it across cards; ``stays``,
-    when given, receives the card's stays in order.
+    the ride set, not of file order.  ``distance_km(home, work)``
+    answers the commute distance between two place ids, so a caller can
+    cache it across cards; ``stays``, when given, receives the card's
+    stays in order.
     """
     if stay_mode not in STAY_MODES:
         raise ValueError(f"unknown stay mode: {stay_mode!r}")
@@ -196,13 +193,11 @@ def build_profile(
 
     km = minutes = None
     if home is not None and work is not None:
-        km = distance_km(home, work) if distance_km else haversine_km(centroid_of(home), centroid_of(work))
+        km = distance_km(home, work)
         minutes = _commute_minutes(rides, place_of, weekdays, home, work)
     return YearProfile(
         home=home,
         work=work,
-        home_centroid=centroid_of(home) if home is not None else None,
-        work_centroid=centroid_of(work) if work is not None else None,
         commute_km=km,
         commute_min=minutes,
         rides=len(rides),

@@ -7,7 +7,8 @@ one stop registry, as every synthetic bundle does: the year jobs that
 run in one process load and cluster each registry once and share it.
 Each year's cards are inferred in one loop in sorted card order, and job
 results are gathered in fixed job order, so the output bytes cannot
-depend on the thread count.
+depend on the thread count.  Profiles name their places by id; each
+year's ids are looked up in that year's own place index.
 """
 
 from __future__ import annotations
@@ -164,7 +165,7 @@ class PipelineResult:
     config: RunConfig
     year1: YearData
     year2: YearData
-    fr_cards: list[str]
+    # One delta per frequent rider, in card order: its keys are the FRs.
     deltas: dict[str, CohortDelta]
     dep_summary: DeprivationSummary | None = None
     followup_counts: Counter = field(default_factory=Counter)
@@ -254,11 +255,10 @@ def process_year(
             tx.rides.pop(card),
             place_of,
             weekdays,
-            places.centroid,
+            distance_km,
             cfg.stay_mode,
             cfg.home_rule,
             cfg.stay_min,
-            distance_km,
             card_stays,
         )
     return YearData(
@@ -369,35 +369,29 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
     # Many FRs share a home place, or a pair of home or work places.
     in_r4 = cache(lambda c: point_in_region(c, r4_region)) if r4_region is not None else None
     cached_move = cache(move)
-    fr_cards = match_cohort(y1.profiles, y2.profiles)
-    log.info("cohort: %d frequent riders", len(fr_cards))
-
+    centroid1, centroid2 = y1.places.centroid, y2.places.centroid
     deltas = {
-        card: build_delta(y1.profiles[card], y2.profiles[card], cfg.center, in_r4, cfg.change_km, cached_move)
-        for card in fr_cards
+        card: build_delta(
+            y1.profiles[card], y2.profiles[card], centroid1, centroid2, cfg.center, in_r4, cfg.change_km, cached_move
+        )
+        for card in match_cohort(y1.profiles, y2.profiles)
     }
+    log.info("cohort: %d frequent riders", len(deltas))
 
-    result = PipelineResult(
-        config=cfg,
-        year1=y1,
-        year2=y2,
-        fr_cards=fr_cards,
-        deltas=deltas,
-        r4_region=r4_region,
-    )
+    result = PipelineResult(cfg, y1, y2, deltas, r4_region=r4_region)
 
     if cfg.followup:
         counts, rejections = followup[0]
         result.followup_counts = counts
         result.followup_rejections = rejections
-        result.dep_summary = score_deprivation(fr_cards, counts)
+        result.dep_summary = score_deprivation(deltas, counts)
         log.info(
             "followup: %d cards seen, %d of %d FRs scored",
-            len(counts), result.dep_summary.scored_count, len(fr_cards),
+            len(counts), result.dep_summary.scored_count, len(deltas),
         )
 
     if taz_regions is not None:
-        homes = [y2.profiles[c].home_centroid for c in fr_cards]
+        homes = [centroid2(y2.profiles[c].home) for c in deltas]
         counts, outside, overlap = aggregate_taz(homes, taz_regions)
         result.taz_regions = taz_regions
         result.taz_counts = counts

@@ -776,13 +776,13 @@ def evaluate_recovery(truth: Sequence[TruthRow], result, tolerance_km: float = 0
             home_planted += 1
             if profile is not None and profile.home is not None:
                 home_recovered += 1
-                if haversine_km(profile.home_centroid, hc) <= tolerance_km:
+                if haversine_km(places.centroid(profile.home), hc) <= tolerance_km:
                     home_correct += 1
             if wc is not None:
                 work_planted += 1
             if profile is not None and profile.work is not None:
                 work_recovered += 1
-                if wc is not None and haversine_km(profile.work_centroid, wc) <= tolerance_km:
+                if wc is not None and haversine_km(places.centroid(profile.work), wc) <= tolerance_km:
                     work_correct += 1
 
         (h1c, w1c), (h2c, w2c) = cents

@@ -255,8 +255,6 @@ def build_profile(
     return YearProfile(
         home=home,
         work=work,
-        home_centroid=centroid_of(home) if home is not None else None,
-        work_centroid=centroid_of(work) if work is not None else None,
         commute_km=commute_km,
         commute_min=commute_min,
         rides=rides,

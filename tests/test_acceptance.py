@@ -28,6 +28,7 @@ from cardcohort.cohort import (
     NOT_CHANGED,
     build_delta,
     commute_bin,
+    match_cohort,
     move_bin,
 )
 from cardcohort.geo import INWARD, OUTWARD, build_places, haversine_km
@@ -144,9 +145,9 @@ def test_criterion_2_noisy_recovery(noisy_run):
 
 def _partition_failures(result) -> list[str]:
     fails = []
-    n = len(result.fr_cards)
     deltas = result.deltas
-    if sorted(deltas) != sorted(result.fr_cards):
+    n = len(deltas)
+    if list(deltas) != match_cohort(result.year1.profiles, result.year2.profiles):
         fails.append("delta keys differ from FR cards")
 
     counts = group_counts(map(classify, deltas.values()))
@@ -184,7 +185,7 @@ def test_criterion_3_partition_invariants(clean_run, noisy_run, empty_run):
         ("noisy", noisy_run[1]),
         ("empty", empty_run),
     ):
-        sizes.append(f"{label}={len(result.fr_cards)}")
+        sizes.append(f"{label}={len(result.deltas)}")
         fails += [f"{label}: {msg}" for msg in _partition_failures(result)]
     record_criterion(
         3,
@@ -339,7 +340,7 @@ def test_criterion_7_threshold_edges():
             arrive = d * 1440 + 9 * 60
             rides.append((arrive - 40, "B1", "H", "W", arrive))
             rides.append((arrive + dur, "B1", "W", "H", arrive + dur + 40))
-        return build_profile("R", *encode(rides, {"H": 0, "W": 7}), weekdays, lambda p: (0.0, 0.0)).work
+        return build_profile("R", *encode(rides, {"H": 0, "W": 7}), weekdays, lambda home, work: 0.0).work
 
     stay_ok = work(360) == 7 and work(359) is None
 
@@ -350,12 +351,11 @@ def test_criterion_7_threshold_edges():
     c2 = offset_coord(c1, 7000.0, 0.0)
     km = haversine_km(c1, c2)
 
-    def profile(centroid) -> YearProfile:
-        return YearProfile(0, None, centroid, None, None, None, 10)
-
-    p1, p2 = profile(c1), profile(c2)
-    at_edge = build_delta(p1, p2, c1, None, change_km=km)
-    above = build_delta(p1, p2, c1, None, change_km=math.nextafter(km, math.inf))
+    # Place 0 in each year, looked up in that year's own index.
+    p = YearProfile(0, None, None, None, 10)
+    centroid1, centroid2 = {0: c1}.__getitem__, {0: c2}.__getitem__
+    at_edge = build_delta(p, p, centroid1, centroid2, c1, None, change_km=km)
+    above = build_delta(p, p, centroid1, centroid2, c1, None, change_km=math.nextafter(km, math.inf))
     move_ok = at_edge.housing_status == CHANGED and above.housing_status == NOT_CHANGED
 
     bin_ok = move_bin(2.0) == "2-5" and commute_bin(0.0) == "0-2"
@@ -393,7 +393,7 @@ def test_criterion_8_performance(tmp_path_factory):
     t0 = time.perf_counter()
     result = _run_bundle(bundle, threads=8)
     run_s = time.perf_counter() - t0
-    pipeline_ok = tx == 1_000_000 and run_s < 60.0 and len(result.fr_cards) == 50000
+    pipeline_ok = tx == 1_000_000 and run_s < 60.0 and len(result.deltas) == 50000
 
     stops = {}
     base = (116.30, 39.90)

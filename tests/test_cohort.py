@@ -33,14 +33,19 @@ CENTER = (116.3913, 39.9053)
 OLD_HOME = (116.5671534984672, 39.9053)
 NEW_HOME = (116.42647069969344, 39.9053)
 MOVE_KM = 11.9999987594
+# A quarter of the way from NEW_HOME to OLD_HOME: 3 km farther out.
+FARTHER_HOME = (NEW_HOME[0] + (OLD_HOME[0] - NEW_HOME[0]) / 4, NEW_HOME[1])
+
+# Profiles name places by id; unless a test says otherwise, both years
+# look their ids up in this one table.
+OLD, NEW, FARTHER = 0, 1, 2
+CENTROID = {OLD: OLD_HOME, NEW: NEW_HOME, FARTHER: FARTHER_HOME}.__getitem__
 
 
-def prof(home=0, work=None, hc=OLD_HOME, wc=None, ckm=None) -> YearProfile:
+def prof(home=OLD, work=None, ckm=None) -> YearProfile:
     return YearProfile(
         home=home,
         work=work,
-        home_centroid=hc,
-        work_centroid=wc,
         commute_km=ckm,
         commute_min=None,
         rides=1,
@@ -127,24 +132,24 @@ def test_match_cohort_output_is_sorted():
 
 # The home, work and commute parts of one FR's delta, each as a tuple.
 def housing(p1, p2, change_km=2.0):
-    d = build_delta(p1, p2, CENTER, None, change_km)
+    d = build_delta(p1, p2, CENTROID, CENTROID, CENTER, None, change_km)
     return d.housing_status, d.housing_dir, d.move_km, d.move_bin
 
 
 def work(p1, p2):
-    d = build_delta(p1, p2, CENTER, None)
+    d = build_delta(p1, p2, CENTROID, CENTROID, CENTER, None)
     return d.work_status, d.work_dir, d.work_move_km, d.work_move_bin
 
 
 def commute(p1, p2):
-    d = build_delta(p1, p2, CENTER, None)
+    d = build_delta(p1, p2, CENTROID, CENTROID, CENTER, None)
     return d.commute_delta_km, d.commute_bin
 
 
 class TestHousingDelta:
     def test_frozen_inward_move(self):
-        p1 = prof(hc=OLD_HOME)
-        p2 = prof(hc=NEW_HOME)
+        p1 = prof(home=OLD)
+        p2 = prof(home=NEW)
         status, direction, km, label = housing(p1, p2)
         assert status == CHANGED
         assert direction == INWARD
@@ -152,50 +157,50 @@ class TestHousingDelta:
         assert label == "10-20"
 
     def test_same_centroid_not_changed(self):
-        p1 = prof(hc=OLD_HOME)
-        p2 = prof(hc=OLD_HOME)
+        p1 = prof(home=OLD)
+        p2 = prof(home=OLD)
         assert housing(p1, p2) == (NOT_CHANGED, None, 0.0, None)
 
     def test_benchmark_is_inclusive(self):
         # A move of exactly the configured benchmark counts as Changed;
         # the tiniest representable increase of the benchmark flips it.
         d = haversine_km(OLD_HOME, NEW_HOME)
-        p1, p2 = prof(hc=OLD_HOME), prof(hc=NEW_HOME)
+        p1, p2 = prof(home=OLD), prof(home=NEW)
         status, _, _, _ = housing(p1, p2, change_km=d)
         assert status == CHANGED
         status, _, _, _ = housing(p1, p2, change_km=math.nextafter(d, math.inf))
         assert status == NOT_CHANGED
 
     def test_outward_move(self):
-        status, direction, _, _ = housing(prof(hc=NEW_HOME), prof(hc=OLD_HOME))
+        status, direction, _, _ = housing(prof(home=NEW), prof(home=OLD))
         assert status == CHANGED
         assert direction == OUTWARD
 
 
 class TestWorkDelta:
-    W1 = OLD_HOME
-    W2 = NEW_HOME
+    W1 = OLD
+    W2 = NEW
 
     def test_jobless(self):
         assert work(prof(), prof()) == (JOBLESS, None, None, None)
 
     def test_lost(self):
-        p1 = prof(work=1, wc=self.W1)
+        p1 = prof(work=self.W1)
         assert work(p1, prof()) == (LOST, None, None, None)
 
     def test_found(self):
-        p2 = prof(work=1, wc=self.W2)
+        p2 = prof(work=self.W2)
         assert work(prof(), p2) == (FOUND, None, None, None)
 
     def test_not_changed_under_benchmark(self):
-        p1 = prof(work=1, wc=self.W1)
-        p2 = prof(work=2, wc=self.W1)
+        p1 = prof(work=self.W1)
+        p2 = prof(work=self.W1)
         status, direction, km, label = work(p1, p2)
         assert (status, direction, km, label) == (NOT_CHANGED, None, 0.0, None)
 
     def test_changed_with_direction_and_bin(self):
-        p1 = prof(work=1, wc=self.W1)
-        p2 = prof(work=2, wc=self.W2)
+        p1 = prof(work=self.W1)
+        p2 = prof(work=self.W2)
         status, direction, km, label = work(p1, p2)
         assert status == CHANGED
         assert direction == INWARD
@@ -224,9 +229,9 @@ class TestCommuteDelta:
 
 class TestBuildDelta:
     def test_assembles_all_components(self):
-        p1 = prof(hc=OLD_HOME, work=1, wc=OLD_HOME, ckm=10.0)
-        p2 = prof(hc=NEW_HOME, work=1, wc=OLD_HOME, ckm=4.0)
-        d = build_delta(p1, p2, CENTER, in_r4=lambda c: c[0] < 116.5, change_km=2.0)
+        p1 = prof(home=OLD, work=OLD, ckm=10.0)
+        p2 = prof(home=NEW, work=OLD, ckm=4.0)
+        d = build_delta(p1, p2, CENTROID, CENTROID, CENTER, in_r4=lambda c: c[0] < 116.5, change_km=2.0)
         assert d.housing_status == CHANGED
         assert d.housing_dir == INWARD
         assert d.move_bin == "10-20"
@@ -237,22 +242,33 @@ class TestBuildDelta:
         assert d.r4_2010 is True
 
     def test_no_region_means_outside(self):
-        p1 = prof(hc=OLD_HOME)
-        p2 = prof(hc=OLD_HOME)
-        d = build_delta(p1, p2, CENTER, in_r4=None)
+        p1 = prof(home=OLD)
+        p2 = prof(home=OLD)
+        d = build_delta(p1, p2, CENTROID, CENTROID, CENTER, in_r4=None)
         assert d.r4_2010 is False
         assert d.housing_status == NOT_CHANGED
         assert d.commute_delta_km is None
         assert d.commute_bin is None
 
     def test_shared_move_cache_keys_on_the_benchmark(self):
-        # A 3 km outward home move, a quarter of the way from NEW_HOME to OLD_HOME.
-        farther = (NEW_HOME[0] + (OLD_HOME[0] - NEW_HOME[0]) / 4, NEW_HOME[1])
-        p1, p2 = prof(hc=NEW_HOME), prof(hc=farther)
-        assert haversine_km(NEW_HOME, farther) == pytest.approx(3.0, abs=1e-5)
+        # A 3 km outward home move.
+        p1, p2 = prof(home=NEW), prof(home=FARTHER)
+        assert haversine_km(NEW_HOME, FARTHER_HOME) == pytest.approx(3.0, abs=1e-5)
         cached_move = cache(move)
-        near = build_delta(p1, p2, CENTER, None, 1.0, cached_move)
-        far = build_delta(p1, p2, CENTER, None, 5.0, cached_move)
+        near = build_delta(p1, p2, CENTROID, CENTROID, CENTER, None, 1.0, cached_move)
+        far = build_delta(p1, p2, CENTROID, CENTROID, CENTER, None, 5.0, cached_move)
         assert (near.housing_status, near.housing_dir, near.move_bin) == (CHANGED, OUTWARD, "2-5")
         assert (far.housing_status, far.housing_dir, far.move_bin) == (NOT_CHANGED, None, None)
         assert cached_move.cache_info().currsize == 2
+
+    def test_each_year_looks_up_its_own_places(self):
+        # Year 2's registry put a new place first, so the same places
+        # have ids one greater there.
+        centroid2 = {OLD + 1: OLD_HOME, NEW + 1: NEW_HOME}.__getitem__
+        p1 = prof(home=OLD, work=OLD)
+        p2 = prof(home=NEW + 1, work=OLD + 1)
+        d = build_delta(p1, p2, CENTROID, centroid2, CENTER, in_r4=lambda c: c == NEW_HOME)
+        assert (d.housing_status, d.housing_dir) == (CHANGED, INWARD)
+        assert d.move_km == pytest.approx(MOVE_KM, abs=1e-6)
+        assert (d.work_status, d.work_move_km) == (NOT_CHANGED, 0.0)
+        assert d.r4_2010 is True

@@ -287,8 +287,6 @@ class TestBuildProfile:
         )
         assert profile.home == 0
         assert profile.work == 1
-        assert profile.home_centroid == COMMUTE_CENTROIDS[0]
-        assert profile.work_centroid == COMMUTE_CENTROIDS[1]
         assert profile.commute_km == pytest.approx(10.6, abs=1e-9)
         assert profile.commute_min == 40
         assert profile.rides == 6

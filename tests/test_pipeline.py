@@ -228,11 +228,28 @@ class TestJobs:
             files[calls] = {n: (out / n).read_bytes() for n in write_run_reports(result, str(out))}
         assert files[1] == files[2]
 
+    def test_a_year2_registry_that_shifts_every_place_id(self, mini_config, tmp_path):
+        # A far-off stop whose id sorts first becomes year 2's place 0, so
+        # every year-2 place id is one greater than the same place's id in
+        # year 1.  Only year 2's profiles name place ids.
+        lines = open(mini_config.stops1, encoding="utf-8").readlines()
+        shifted = tmp_path / "stops2.csv"
+        shifted.write_text("".join([lines[0], "A0,100.0,10.0\n", *lines[1:]]), encoding="utf-8")
+        files = []
+        for n, stops2 in enumerate((mini_config.stops1, str(shifted))):
+            result = run_pipeline(dataclasses.replace(mini_config, stops2=stops2, threads=1))
+            out = tmp_path / f"run{n}"
+            files.append({name: (out / name).read_bytes() for name in write_run_reports(result, str(out))})
+        shared, own = files
+        assert (result.year2.profiles["A1"].home, result.year2.profiles["A1"].work) == (3, 2)
+        assert shared.pop("profiles_year2.csv") != own.pop("profiles_year2.csv")
+        assert own == shared
+
     def test_run_leaves_no_cyclic_garbage(self, mini_config):
         gc.collect()
         result = run_pipeline(mini_config)
         assert gc.collect() == 0
-        assert result.fr_cards == ["A1", "F1"]
+        assert list(result.deltas) == ["A1", "F1"]
 
 
 @pytest.fixture(scope="module")
@@ -252,7 +269,7 @@ def result(mini_bundle):
 
 class TestMiniPipeline:
     def test_frequent_riders(self, result):
-        assert result.fr_cards == ["A1", "F1"]
+        assert list(result.deltas) == ["A1", "F1"]
 
     def test_mover_delta(self, result, mini_bundle):
         d = result.deltas["A1"]
@@ -475,7 +492,7 @@ class TestDynamicsTables:
             center=offset_coord(MINI_ORIGIN, -10000, 0), change_km=change_km,
         )
         result = run_pipeline(cfg)
-        assert result.fr_cards == ["F1", "J1", "L1", "M1", "N1"]
+        assert list(result.deltas) == ["F1", "J1", "L1", "M1", "N1"]
         write_run_reports(result, str(tmp_path), {name})
         rows = read_rows(os.path.join(tmp_path, name))[1:]
         count = {(r[0], r[1], r[2]): int(r[3]) for r in rows}
@@ -484,7 +501,7 @@ class TestDynamicsTables:
         statuses = (NOT_CHANGED, CHANGED, *tail)
         expected = Counter(getattr(delta, status_of) for delta in result.deltas.values())
         assert {s: count[s, "", ""] for s in statuses} == {s: expected[s] for s in statuses}
-        assert count["Sum", "", ""] == sum(expected.values()) == len(result.fr_cards)
+        assert count["Sum", "", ""] == sum(expected.values()) == len(result.deltas)
         for direction in (INWARD, OUTWARD):
             bins = [n for (s, dir_, label), n in count.items() if s == CHANGED and dir_ == direction and label]
             assert count[CHANGED, direction, ""] == sum(bins)
@@ -553,12 +570,12 @@ class TestGeometryOncePerPlace:
             stops1=bundle.paths["stops"], stops2=bundle.paths["stops"],
             r4=bundle.paths["r4"], taz=bundle.paths["taz"], center=bundle.center,
         ))
-        homes = [result.year2.profiles[c].home_centroid for c in result.fr_cards]
+        homes = [result.year2.places.centroid(result.year2.profiles[c].home) for c in result.deltas]
         assert len(set(homes)) < len(homes)
         r4_calls = [c for c, name in calls if name == "R4"]
         assert sorted(r4_calls) == sorted(set(homes))
         assert len(calls) == len(set(calls)) == len(set(homes)) * (1 + len(result.taz_regions))
-        for card, home in zip(result.fr_cards, homes):
+        for card, home in zip(result.deltas, homes):
             assert result.deltas[card].r4_2010 == test(home, result.r4_region)
 
     def test_moves_cached_per_centroid_pair(self, result, mini_bundle, monkeypatch):
@@ -574,13 +591,14 @@ class TestGeometryOncePerPlace:
         def in_r4(c):
             return pipeline.point_in_region(c, result.r4_region)
 
-        for card in result.fr_cards:
+        c1, c2 = result.year1.places.centroid, result.year2.places.centroid
+        for card in result.deltas:
             p1, p2 = result.year1.profiles[card], result.year2.profiles[card]
-            assert cached[card] == build_delta(p1, p2, mini_bundle["center"], in_r4, 2.0)
+            assert cached[card] == build_delta(p1, p2, c1, c2, mini_bundle["center"], in_r4, 2.0)
         # A1 moved home, F1 did not; both kept work at WA.
         y1, y2 = result.year1.profiles, result.year2.profiles
-        pairs = {(y1[c].home_centroid, y2[c].home_centroid) for c in result.fr_cards}
-        pairs |= {(y1[c].work_centroid, y2[c].work_centroid) for c in result.fr_cards}
+        pairs = {(c1(y1[c].home), c2(y2[c].home)) for c in result.deltas}
+        pairs |= {(c1(y1[c].work), c2(y2[c].work)) for c in result.deltas}
         assert len(computed) == len(set(computed))
         assert set(computed) == pairs
 
@@ -604,7 +622,6 @@ def empty_result(tmp_path_factory):
 
 class TestEmptyInputs:
     def test_no_riders_no_cohort(self, empty_result):
-        assert empty_result.fr_cards == []
         assert empty_result.deltas == {}
         assert groups_of(empty_result) == {}
         assert empty_result.dep_summary.fr_count == 0
