@@ -99,7 +99,7 @@ def build_places(stops: Mapping[str, Coord], radius_m: float = CLUSTER_RADIUS_M)
     ids = sorted(stops)
     coords = [stops[sid] for sid in ids]
     radius_km = radius_m / 1000.0
-    angle = radius_km / EARTH_RADIUS_KM  # the radius as a central angle, in radians
+    angle = min(radius_km / EARTH_RADIUS_KM, math.pi)  # the radius as a central angle, at most pi
     half_chord = math.sin(angle / 2.0)  # on the unit sphere
     # The margins outweigh any rounding in placing a stop in its cell.
     row_deg = math.degrees(angle) * (1.0 + 1e-6) + 1e-9
@@ -203,11 +203,15 @@ def _expect(value, kind: type, what: str):
     return value
 
 
-def _position(pos) -> Coord:
-    """The (lon, lat) of a GeoJSON position; an altitude after them is ignored.
+def _finite(text: str) -> float:
+    """A JSON number as a float.  JSON has no NaN or infinity, though Python's reader takes them."""
+    if math.isfinite(x := float(text)):
+        return x
+    raise ValueError(f"number is not finite: {text}")
 
-    JSON has no NaN or infinity, though Python's reader accepts them.
-    """
+
+def _position(pos) -> Coord:
+    """The (lon, lat) of a GeoJSON position; an altitude after them is ignored."""
     if isinstance(pos, list) and len(pos) >= 2 and all(type(v) in (int, float) for v in pos):
         try:
             if all(map(math.isfinite, pos)):
@@ -245,16 +249,17 @@ def read_features(path: str, parse: Callable[[Any], Any] = lambda geom: geom) ->
     an empty dict.  With ``parse``, each geometry is replaced by
     ``parse(geometry)``.  A document, feature or properties member that
     is not a JSON object, a ``features`` member that is not an array, a
-    feature without a ``geometry`` member and a ValueError from ``parse``
-    raise ValueError, prefixed with ``path`` and, for a fault within one
-    feature of a collection, the feature's zero-based index.  The file is
-    read by :func:`cardcohort.ingest.iter_lines`.
+    non-finite number (see :func:`_finite`), a feature without a
+    ``geometry`` member and a ValueError from ``parse`` raise ValueError,
+    prefixed with ``path`` and, for a fault within one feature of a
+    collection, the feature's zero-based index.  The file is read by
+    :func:`cardcohort.ingest.iter_lines`.
     """
     from .ingest import iter_lines  # here, so that importing geo loads no other module
 
     text = "".join(iter_lines(path))
     try:
-        doc = _expect(json.loads(text), dict, "GeoJSON document")
+        doc = _expect(json.loads(text, parse_float=_finite, parse_constant=_finite), dict, "GeoJSON document")
         dtype = doc.get("type")
         if dtype == "FeatureCollection":
             feats = _expect(doc.get("features", []), list, "features")

@@ -7,15 +7,15 @@ group k always meaning the same triple.
 
 The deprivation score for an FR is its transaction count in a follow-up
 observation week years later; an FR is scored when that count is above
-zero.  The summary statistics cover scored cards only and use exact
-integer accumulation so they do not depend on iteration order.
+zero.  The summary statistics cover scored cards only, from exact
+integer sums made in one pass over the FRs, whatever their order.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Collection, Iterable, Mapping
 
 from .cohort import CHANGED, FOUND, JOBLESS, LOST, NOT_CHANGED, CohortDelta
 
@@ -72,25 +72,25 @@ class DeprivationSummary:
     std_trips: float | None
 
 
-def score_deprivation(fr_cards: Iterable[str], followup_counts: Mapping[str, int]) -> DeprivationSummary:
+def score_deprivation(frs: Collection[str], followup_counts: Mapping[str, int]) -> DeprivationSummary:
     """The summary of the FRs' follow-up trip counts over scored cards.
 
-    Duplicate ids count once.  The standard deviation is the population
-    form, computed from exact integer sums: counts are integers, so sum
-    and sum of squares are exact and the result is identical however the
-    cards are ordered.
+    ``frs`` holds distinct card ids, as the keys of the FR deltas do; one
+    pass sums the scored counts and their squares.  The standard
+    deviation is the population form: counts are integers, so both sums
+    are exact and the result is identical however the cards are ordered.
     """
-    cards = set(fr_cards)
-    trips = [n for card in cards if (n := followup_counts.get(card, 0)) > 0]
-    fr_count = len(cards)
-    n_scored = len(trips)
+    fr_count = len(frs)
+    n_scored = total = squares = 0
+    for card in frs:
+        if (n := followup_counts.get(card, 0)) > 0:
+            n_scored, total, squares = n_scored + 1, total + n, squares + n * n
     if fr_count == 0:
         return DeprivationSummary(0, 0, None, None, None)
     fraction = n_scored / fr_count
     if n_scored == 0:
         return DeprivationSummary(fr_count, 0, fraction, None, None)
-    total = sum(trips)
     mean = total / n_scored
-    variance = (sum(n * n for n in trips) - total * total / n_scored) / n_scored
+    variance = (squares - total * total / n_scored) / n_scored
     std = math.sqrt(max(variance, 0.0))
     return DeprivationSummary(fr_count, n_scored, fraction, mean, std)

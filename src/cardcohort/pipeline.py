@@ -5,7 +5,8 @@ file, so with ``threads > 1`` they run at the same time in separate
 processes; everything after them runs in the parent.  The years may name
 one stop registry, as every synthetic bundle does: the year jobs that
 run in one process load and cluster each registry once and share it.
-Each year's cards are inferred in one loop in sorted card order, and job
+Each year's cards are profiled in one loop in sorted card order, each
+card's rides replaced by its profile in the reader's own dict, and job
 results are gathered in fixed job order, so the output bytes cannot
 depend on the thread count.  Profiles name their places by id; each
 year's ids are looked up in that year's own place index.
@@ -150,6 +151,8 @@ def require_files(inputs: list[tuple[str, tuple[str, str] | None]]) -> None:
 
 @dataclass
 class YearData:
+    """``profiles`` lists the cards in the order of their first kept line; every consumer sorts or counts."""
+
     week: ObservationWeek
     places: PlaceIndex
     profiles: dict[str, infer.YearProfile]
@@ -246,13 +249,13 @@ def process_year(
     weekdays = tx.week.weekdays
     # Many cards share a (home, work) pair.
     distance_km = cache(lambda home, work: haversine_km(places.centroid(home), places.centroid(work)))
-    profiles: dict[str, infer.YearProfile] = {}
-    # Each card's rides are let go once it is profiled.
-    for card in sorted(tx.rides):
+    # The reader's dict becomes the profiles: each card's rides are let go as they are replaced.
+    profiles: dict = tx.rides
+    for card in sorted(profiles):
         card_stays = None if stays is None else stays.setdefault(card, [])
         profiles[card] = infer.build_profile(
             tx.card_type(card),
-            tx.rides.pop(card),
+            profiles[card],
             place_of,
             weekdays,
             distance_km,

@@ -106,55 +106,46 @@ def write_deltas(path: str, deltas: dict[str, CohortDelta]) -> None:
     ))
 
 
-def _mean(values: list[float]) -> float | None:
-    if not values:
-        return None
-    return math.fsum(values) / len(values)
-
-
-def _tally(profiles: Iterable[YearProfile]) -> tuple[int, int, list[float], list[int]]:
-    """Profiles with a home and with a work place, and the commute km and minutes they carry."""
-    homes = works = 0
-    km: list[float] = []
-    minutes: list[int] = []
+def _tally(profiles: Iterable[YearProfile]) -> tuple[int, int, int, int]:
+    """Profiles with a home, a work place, a commute distance and a commute time."""
+    homes = works = km = minutes = 0
     for p in profiles:
-        if p.home is not None:
-            homes += 1
-        if p.work is not None:
-            works += 1
-        if p.commute_km is not None:
-            km.append(p.commute_km)
-        if p.commute_min is not None:
-            minutes.append(p.commute_min)
+        homes += p.home is not None
+        works += p.work is not None
+        km += p.commute_km is not None
+        minutes += p.commute_min is not None
     return homes, works, km, minutes
 
 
+def _average(profiles: Mapping[str, YearProfile], field: str, n: int) -> str:
+    """The mean of ``field`` over the ``n`` profiles that have one, to one decimal; fsum rounds it once."""
+    values = (v for p in profiles.values() if (v := getattr(p, field)) is not None)
+    return _one_decimal(math.fsum(values) / n) if n else ""
+
+
 def write_summary(path: str, result: PipelineResult) -> None:
-    """Cardholder and identification counts per year plus the overlap."""
+    """Cardholder and identification counts per year plus the overlap, with no per-card copy."""
     p1, p2 = result.year1.profiles, result.year2.profiles
-    both = p1.keys() & p2.keys()
     homes1, works1, km1, min1 = _tally(p1.values())
     homes2, works2, km2, min2 = _tally(p2.values())
     # The overlap counts a card for an indicator when both years have it.
-    homes = works = with_km = with_min = 0
-    for card in both:
-        a, b = p1[card], p2[card]
-        if a.home is not None and b.home is not None:
-            homes += 1
-        if a.work is not None and b.work is not None:
-            works += 1
-        if a.commute_km is not None and b.commute_km is not None:
-            with_km += 1
-        if a.commute_min is not None and b.commute_min is not None:
-            with_min += 1
+    both = homes = works = with_km = with_min = 0
+    for card, a in p1.items():
+        if (b := p2.get(card)) is None:
+            continue
+        both += 1
+        homes += a.home is not None and b.home is not None
+        works += a.work is not None and b.work is not None
+        with_km += a.commute_km is not None and b.commute_km is not None
+        with_min += a.commute_min is not None and b.commute_min is not None
     rows = (
-        ("total_cardholders", len(p1), len(p2), len(both)),
+        ("total_cardholders", len(p1), len(p2), both),
         ("with_home_place", homes1, homes2, homes),
         ("with_work_place", works1, works2, works),
-        ("with_commute_distance", len(km1), len(km2), with_km),
-        ("with_commute_time", len(min1), len(min2), with_min),
-        ("avg_commute_km", _one_decimal(_mean(km1)), _one_decimal(_mean(km2)), ""),
-        ("avg_commute_min", _one_decimal(_mean(min1)), _one_decimal(_mean(min2)), ""),
+        ("with_commute_distance", km1, km2, with_km),
+        ("with_commute_time", min1, min2, with_min),
+        ("avg_commute_km", _average(p1, "commute_km", km1), _average(p2, "commute_km", km2), ""),
+        ("avg_commute_min", _average(p1, "commute_min", min1), _average(p2, "commute_min", min2), ""),
     )
     write_lines(path, ["indicator,year1,year2,both"], (f"{name},{a},{b},{c}" for name, a, b, c in rows))
 

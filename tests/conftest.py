@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import os
+import tracemalloc
 
 import pytest
 
@@ -35,6 +36,22 @@ def offset_coord(origin: tuple[float, float], east_m: float, north_m: float) -> 
     dlat = north_m / M_PER_DEG_LAT
     dlon = east_m / (M_PER_DEG_LAT * math.cos(math.radians(lat0)))
     return lon0 + dlon, lat0 + dlat
+
+
+def peak_traced_bytes(fn, *args) -> int:
+    """The most bytes ``fn(*args)`` held at once beyond those live before it, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+# What scoring or summarizing 20,000 cards may hold at once: a list of one
+# 8-byte reference per card would already take 160,000 bytes.
+PER_CARD_COPY_BYTES = 64 * 1024
 
 
 MINI_ORIGIN = (116.30, 39.90)

@@ -320,6 +320,12 @@ MALFORMED_LAYERS = {
     "string-coordinate": {"type": "Polygon", "coordinates": [[[0, 0], [1, "0"], [1, 1], [0, 1], [0, 0]]]},
     "nan-coordinate": {"type": "Polygon", "coordinates": [[[0, 0], [math.nan, 0], [1, 1], [0, 1], [0, 0]]]},
     "huge-coordinate": {"type": "Polygon", "coordinates": [[[0, 0], [10**400, 0], [1, 1], [0, 1], [0, 0]]]},
+    # Written as a bare NaN, which no strict JSON reader takes back.
+    "nan-property": {
+        "type": "Feature",
+        "properties": {"area": math.nan},
+        "geometry": {"type": "Polygon", "coordinates": [[[0, 0], [1, 0], [1, 1], [0, 1], [0, 0]]]},
+    },
 }
 # The null-geometry case goes by the bare layer name.
 MALFORMED_LAYER_CASES = [

@@ -196,6 +196,14 @@ class TestBuildPlaces:
         assert places.places[1].stop_ids == ("S001",)
         assert places.centroid(0) == places.places[0].centroid
 
+    @pytest.mark.parametrize("stops, radius_m", [
+        ({"A": (0.0, 0.0), "B": (180.0, 0.0)}, 2.1e7),  # antipodes, 20,015 km apart
+        ({"A": (10.0, 10.0), "B": (10.0, -10.0)}, 3.9e7),  # 2,224 km apart
+    ])
+    def test_a_radius_beyond_half_the_circumference_links_every_pair(self, stops, radius_m):
+        assert haversine_km(stops["A"], stops["B"]) * 1000.0 < radius_m
+        assert [p.stop_ids for p in build_places(stops, radius_m).places] == [("A", "B")]
+
     def test_links_across_the_antimeridian(self):
         # 17 m apart, on either side of +-180 degrees.
         stops = {"E": (179.9999, 39.9), "W": (-179.9999, 39.9)}
@@ -407,6 +415,23 @@ class TestRegionLoading:
             load_region(path)
         with pytest.raises(ValueError):
             load_region_features(path)
+
+    @pytest.mark.parametrize("number", ["NaN", "Infinity", "-Infinity", "1e400", "-1e999"])
+    @pytest.mark.parametrize("where", ["properties", "coordinates"])
+    def test_non_finite_number_rejected_naming_the_path(self, tmp_path, number, where):
+        # Python's reader takes these, but they are not JSON: a zone's
+        # properties echoed into a report would make it unreadable.
+        feat = self._feature("alpha", self.RING_A)
+        if where == "properties":
+            feat["properties"]["area"] = "X"
+        else:
+            feat["geometry"]["coordinates"][0][1] = ["X", 0]
+        path = tmp_path / "zones.geojson"
+        path.write_text(json.dumps(feat).replace('"X"', number))
+        for load in (load_region, load_region_features, read_features):
+            with pytest.raises(ValueError) as info:
+                load(str(path))
+            assert str(info.value).startswith(f"{path}: ")
 
     def test_empty_collection_rejected(self, tmp_path):
         doc = {"type": "FeatureCollection", "features": []}

@@ -15,6 +15,8 @@ from cardcohort.groups import (
 )
 from cardcohort.reports import write_groups, write_scores
 
+from conftest import PER_CARD_COPY_BYTES, peak_traced_bytes
+
 # The canonical ordering of the twenty (housing, job, location) triples.
 # Housing-changed residents come first; within each half the job axis
 # runs changed, found, jobless, lost, unchanged; the out-of-R4 variant
@@ -145,9 +147,10 @@ class TestScoreDeprivation:
         assert summary.mean_trips is None
 
     def test_order_and_duplicates_do_not_matter(self):
+        # The FRs come as the keys of a mapping, so a repeated id is one key.
         counts = {"A": 1, "B": 2, "C": 3}
-        a = score_deprivation(["C", "A", "B"], counts)
-        b = score_deprivation(["A", "B", "C", "A"], counts)
+        a = score_deprivation(dict.fromkeys(["C", "A", "B"]), counts)
+        b = score_deprivation(dict.fromkeys(["A", "B", "C", "A"]), counts)
         assert a == b
         assert a.fr_count == 3
 
@@ -155,6 +158,14 @@ class TestScoreDeprivation:
         summary = score_deprivation(["A"], {"A": 13})
         assert summary.mean_trips == 13.0
         assert summary.std_trips == 0.0
+
+    def test_scoring_copies_nothing_per_card(self):
+        # A set of the ids or a list of the counts, 20,000 long, would
+        # hold hundreds of KiB.
+        frs = dict.fromkeys(f"C{i:05d}" for i in range(20_000))
+        counts = {card: i % 7 for i, card in enumerate(frs)}
+        assert score_deprivation(frs, counts).scored_count == 20_000 - len(range(0, 20_000, 7))
+        assert peak_traced_bytes(score_deprivation, frs, counts) < PER_CARD_COPY_BYTES
 
 
 class TestGroupAndScoreWriters:

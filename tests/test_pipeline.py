@@ -8,6 +8,7 @@ import json
 import math
 import os
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 
@@ -23,10 +24,11 @@ from cardcohort.pipeline import (
     process_year,
     run_pipeline,
 )
-from cardcohort.reports import write_run_reports
+from cardcohort.infer import YearProfile
+from cardcohort.reports import write_run_reports, write_summary
 from cardcohort.synth import GeneratorConfig, generate
 
-from conftest import MINI_ORIGIN, offset_coord
+from conftest import MINI_ORIGIN, PER_CARD_COPY_BYTES, offset_coord, peak_traced_bytes
 
 EXPECTED_HEADERS = {
     "profiles_year1.csv": "card_id,year,home_place,work_place,commute_km,commute_min,rides",
@@ -415,6 +417,22 @@ class TestMiniPipeline:
         assert table["with_commute_distance"] == ["2", "2", "2"]
         assert table["with_commute_time"] == ["1", "1", "1"]
         assert float(table["avg_commute_min"][0]) == 40.0
+
+    def test_summary_copies_nothing_per_card(self, tmp_path):
+        # Two years of 20,000 profiles, 10,000 cards in both; a set of the
+        # shared ids or a list of the commute values would hold hundreds of KiB.
+        def year(first):
+            def profile(i):
+                km, minutes = (None, None) if i % 3 == 0 else (i / 7, i % 90)
+                return YearProfile(i % 5 or None, i % 4 or None, km, minutes, 9)
+
+            return SimpleNamespace(profiles={f"C{i:05d}": profile(i) for i in range(first, first + 20_000)})
+
+        result = SimpleNamespace(year1=year(0), year2=year(10_000))
+        path = str(tmp_path / "summary.csv")
+        assert peak_traced_bytes(write_summary, path, result) < PER_CARD_COPY_BYTES
+        table = {r[0]: r[1:] for r in read_rows(path)[1:]}
+        assert table["total_cardholders"] == ["20000", "20000", "10000"]
 
     def test_scores_csv(self, result, tmp_path):
         write_run_reports(result, str(tmp_path))
