@@ -82,13 +82,23 @@ class Stay:
 
 @dataclass(slots=True)
 class YearProfile:
-    """One card's places and commute in one week; callers key it by card id."""
+    """One card's places and commute in one week; callers key it by card id.
+
+    A slotted dataclass pickles as its class plus a ``(None, {field:
+    value})`` state, and the unpickler's memo keeps every such dict and
+    tuple alive until the load ends.  ``__reduce__`` pickles it as its
+    class and its five values instead, so a worker's year of profiles
+    loads with no state dict per card.
+    """
 
     home: int | None
     work: int | None
     commute_km: float | None
     commute_min: int | None
     rides: int
+
+    def __reduce__(self):
+        return YearProfile, (self.home, self.work, self.commute_km, self.commute_min, self.rides)
 
 
 def build_profile(

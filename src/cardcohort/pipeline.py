@@ -4,7 +4,10 @@ Year 1, year 2 and the follow-up count each read their own transactions
 file, so with ``threads > 1`` they run at the same time in separate
 processes; everything after them runs in the parent.  The years may name
 one stop registry, as every synthetic bundle does: the year jobs that
-run in one process load and cluster each registry once and share it.
+run in one process load and cluster each registry once and share it,
+and a year that comes back from a worker leaves out a registry the
+parent holds, which the parent then shares with it.  So the years of one
+registry share one place index at every thread count.
 Each year's cards are profiled in one loop in sorted card order, each
 card's rides replaced by its profile in the reader's own dict, and job
 results are gathered in fixed job order, so the output bytes cannot
@@ -305,11 +308,19 @@ def aggregate_taz(
     return counts, outside, overlap
 
 
-def _pickled(fn, *args) -> bytes:
-    """``fn(*args)``, pickled in the worker that runs it."""
+def _pickled(fn, args, registry_held: bool) -> bytes:
+    """``fn(*args)``, pickled in the worker that runs it.
+
+    With ``registry_held`` the job is a :func:`process_year` whose stop
+    registry the parent holds: its ``places`` and ``stop_rejections`` are
+    left out, and the parent fills them in from its own copy.
+    """
     import pickle
 
-    return pickle.dumps(fn(*args))
+    result = fn(*args)
+    if registry_held:
+        result.places = result.stop_rejections = None
+    return pickle.dumps(result)
 
 
 def _run_jobs(cfg: RunConfig) -> list:
@@ -323,7 +334,10 @@ def _run_jobs(cfg: RunConfig) -> list:
     jobs are done, so the parent never holds it while it profiles a
     year, whichever finishes first.  Results come back in job order, and
     a worker's exception is raised again here with its type.  The year
-    jobs the parent runs share the stop registries it loads.
+    jobs the parent runs share the stop registries it loads, and a
+    worker's year that names one of them comes back without it: the
+    parent shares its own copy, as if it had run that year itself.  A
+    registry that only a worker loads comes back from that worker.
     """
     jobs = [
         (process_year, (cfg.year1, cfg.stops1, cfg, cfg.week1_start)),
@@ -347,10 +361,20 @@ def _run_jobs(cfg: RunConfig) -> list:
     import pickle
     from concurrent.futures import ProcessPoolExecutor
 
+    parent_jobs = jobs[:1] + jobs[n:]
+    # The registries the parent's own year jobs load, by the key process_year files them under.
+    held = {os.path.realpath(args[1]) for fn, args in parent_jobs if fn is process_year}
+    keys = [os.path.realpath(args[1]) if fn is process_year else None for fn, args in jobs[1:n]]
     with ProcessPoolExecutor(max_workers=n - 1) as pool:
-        futures = [pool.submit(_pickled, fn, *args) for fn, args in jobs[1:n]]
-        inline = [here(fn, args) for fn, args in jobs[:1] + jobs[n:]]
-        return inline[:1] + [pickle.loads(f.result()) for f in futures] + inline[1:]
+        futures = [pool.submit(_pickled, fn, args, key in held) for (fn, args), key in zip(jobs[1:n], keys)]
+        inline = [here(fn, args) for fn, args in parent_jobs]
+        sent = []
+        for future, key in zip(futures, keys):
+            result = pickle.loads(future.result())
+            if key in held:
+                result.places, _, _, result.stop_rejections = registries[key]
+            sent.append(result)
+        return inline[:1] + sent + inline[1:]
 
 
 @_collector_off()

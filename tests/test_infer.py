@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
+import tracemalloc
 from datetime import date
 from statistics import median
 
@@ -10,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cardcohort.geo import haversine_km
+from cardcohort.infer import YearProfile
 from cardcohort.ingest import CARD_REGULAR, CARD_STUDENT, ObservationWeek
 
 from reference_profile import (
@@ -299,3 +303,40 @@ class TestBuildProfile:
         assert profile.work is None
         assert profile.commute_km is None
         assert profile.rides == 4
+
+
+class TestYearProfilePickle:
+    """A worker's year of profiles comes back pickled, so loading it must hold little beyond the result."""
+
+    @pytest.fixture(scope="class")
+    def profiles(self):
+        return {
+            f"C{i:05d}": YearProfile(
+                i % 500 if i % 7 else None,
+                i % 400 if i % 3 else None,
+                i / 7 if i % 3 else None,
+                i % 90 if i % 5 else None,
+                i % 40,
+            )
+            for i in range(20_000)
+        }
+
+    def test_round_trips_equal(self, profiles):
+        assert pickle.loads(pickle.dumps(profiles)) == profiles
+        p = profiles["C00000"]
+        assert (p.home, p.work, p.commute_km, p.commute_min) == (None, None, None, None)
+        assert copy.copy(p) == p and copy.copy(p) is not p
+        assert copy.deepcopy(profiles) == profiles
+
+    def test_loading_builds_no_state_dict_per_profile(self, profiles):
+        # A state dict and its tuple kept by the unpickler's memo cost 281
+        # bytes per profile; the class and a five-value tuple cost 91.
+        data = pickle.dumps(profiles)
+        tracemalloc.start()
+        try:
+            loaded = pickle.loads(data)
+            live, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(loaded) == len(profiles)
+        assert (peak - live) / len(profiles) < 160

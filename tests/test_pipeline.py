@@ -220,30 +220,74 @@ class TestJobs:
         monkeypatch.setattr(pipeline, "build_places", counting)
         copy = tmp_path / "stops2.csv"
         copy.write_bytes(open(mini_config.stops1, "rb").read())
-        files = {}
-        for stops2, calls in ((mini_config.stops1, 1), (str(copy), 2)):
+        files = []
+        # At threads=2 the spy sees only the parent, which clusters year 1's
+        # registry and never the one a worker clustered for year 2.
+        cases = ((mini_config.stops1, 1, 1), (str(copy), 1, 2), (mini_config.stops1, 2, 1), (str(copy), 2, 1))
+        for stops2, threads, calls in cases:
             clustered.clear()
-            result = run_pipeline(dataclasses.replace(mini_config, stops2=stops2, threads=1))
+            result = run_pipeline(dataclasses.replace(mini_config, stops2=stops2, threads=threads))
             assert len(clustered) == calls
-            assert (result.year1.places is result.year2.places) == (calls == 1)
-            out = tmp_path / f"calls{calls}"
-            files[calls] = {n: (out / n).read_bytes() for n in write_run_reports(result, str(out))}
-        assert files[1] == files[2]
+            shared = stops2 == mini_config.stops1
+            assert (result.year1.places is result.year2.places) == shared
+            assert (result.year1.stop_rejections is result.year2.stop_rejections) == shared
+            out = tmp_path / f"run{len(files)}"
+            files.append({n: (out / n).read_bytes() for n in write_run_reports(result, str(out))})
+        assert all(f == files[0] for f in files)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_one_registry_by_another_spelling_is_shared(self, mini_config, tmp_path, monkeypatch, threads):
+        link = tmp_path / "link.csv"
+        link.symlink_to(mini_config.stops1)
+        folder, name = os.path.split(mini_config.stops1)
+        monkeypatch.chdir(folder)
+        for stops2 in (f"./{name}", str(link)):
+            result = run_pipeline(dataclasses.replace(mini_config, stops2=stops2, threads=threads))
+            assert result.year1.places is result.year2.places
+            assert result.year1.stop_rejections is result.year2.stop_rejections
+
+    def test_a_worker_sends_back_only_the_registry_the_parent_lacks(self, mini_config, tmp_path, monkeypatch):
+        args = (mini_config.year2, mini_config.stops2, mini_config, None)
+        assert b"PlaceIndex" not in pipeline._pickled(process_year, args, True)
+        assert b"PlaceIndex" in pipeline._pickled(process_year, args, False)
+        # And so the parent unpickles a registry only when it holds none by that path.
+        import pickle
+
+        loaded = []
+        real = pickle.loads
+
+        def spy(data, *a, **kw):
+            loaded.append(data)
+            return real(data, *a, **kw)
+
+        monkeypatch.setattr(pickle, "loads", spy)
+        copy = tmp_path / "stops2.csv"
+        copy.write_bytes(open(mini_config.stops1, "rb").read())
+        for stops2, sent in ((mini_config.stops1, False), (str(copy), True)):
+            loaded.clear()
+            run_pipeline(dataclasses.replace(mini_config, stops2=stops2, threads=2))
+            assert [b"PlaceIndex" in data for data in loaded] == [sent]
 
     def test_a_year2_registry_that_shifts_every_place_id(self, mini_config, tmp_path):
         # A far-off stop whose id sorts first becomes year 2's place 0, so
         # every year-2 place id is one greater than the same place's id in
-        # year 1.  Only year 2's profiles name place ids.
+        # year 1.  Only year 2's profiles name place ids.  A worker that
+        # left out year 2's own registry would have its ids looked up in
+        # year 1's.
         lines = open(mini_config.stops1, encoding="utf-8").readlines()
         shifted = tmp_path / "stops2.csv"
         shifted.write_text("".join([lines[0], "A0,100.0,10.0\n", *lines[1:]]), encoding="utf-8")
-        files = []
-        for n, stops2 in enumerate((mini_config.stops1, str(shifted))):
-            result = run_pipeline(dataclasses.replace(mini_config, stops2=stops2, threads=1))
-            out = tmp_path / f"run{n}"
-            files.append({name: (out / name).read_bytes() for name in write_run_reports(result, str(out))})
-        shared, own = files
+        files = {}
+        for threads in (1, 2):
+            for stops2 in (mini_config.stops1, str(shifted)):
+                result = run_pipeline(dataclasses.replace(mini_config, stops2=stops2, threads=threads))
+                out = tmp_path / f"run{len(files)}"
+                files[threads, stops2] = {name: (out / name).read_bytes() for name in write_run_reports(result, str(out))}
+                assert (result.year2.places is result.year1.places) == (stops2 == mini_config.stops1)
         assert (result.year2.profiles["A1"].home, result.year2.profiles["A1"].work) == (3, 2)
+        for stops2 in (mini_config.stops1, str(shifted)):
+            assert files[2, stops2] == files[1, stops2]
+        shared, own = files[1, mini_config.stops1], files[1, str(shifted)]
         assert shared.pop("profiles_year2.csv") != own.pop("profiles_year2.csv")
         assert own == shared
 
