@@ -119,9 +119,9 @@ def cmd_ingest_check(args) -> int:
     if args.week_start is not None:
         # A start too late for seven days is refused before any input is read.
         ObservationWeek(args.week_start)
-    require_files([(args.transactions, TRANSACTIONS), (args.stops, STOPS)])
+    require_files([(args.transactions, TRANSACTIONS), (args.stops_path, STOPS)])
     _make_out_dir(args.out)
-    stops, stop_rejections = load_stops(iter_lines(args.stops))
+    stops, stop_rejections = load_stops(iter_lines(args.stops_path))
     week_start = args.week_start or derive_week_start(iter_lines(args.transactions))
     tx = read_transactions(iter_lines(args.transactions), week_start, stop_codes(stops))
     reports.write_rejections(os.path.join(args.out, "rejections.csv"), tx.rejections)
@@ -220,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subcommand("ingest-check", "validate a transactions file against a stop registry", func=cmd_ingest_check)
     p.add_argument("--transactions", required=True)
-    p.add_argument("--stops", required=True)
+    p.add_argument("--stops", dest="stops_path", required=True)
     p.add_argument("--week-start", type=parse_date)
 
     p = subcommand("infer", "profile one observation week", func=cmd_infer, required=("year1", "stops1"))

@@ -5,8 +5,9 @@ takes them as :func:`cardcohort.ingest.read_transactions` keeps them:
 one int array of coded fields, four per ride, re-formed into ride tuples
 only while they are sorted, with each stop's place looked up by its
 code.  Rides sort as (board, board_stop, alight_stop, alight) and each
-stop code is its id's rank among the sorted ids, so the walk sees the
-rides in the order their ids give, whatever the order of the lines.
+stop code is its id's rank among the registry's sorted ids, so the walk
+sees the rides in the order their ids give, whatever the order of the
+lines.
 It forms each stay and, as the stay is formed, counts it for both rules
 below; no stay outlives the walk unless the caller passes a list to
 keep them in (``infer --dump-stays``).

@@ -24,9 +24,8 @@ built.  A file with no configured week start is first scanned once by
 :func:`derive_week_start` for its earliest boarding date.  Each card's
 rides are one 32-bit int array, four ints per ride: its boarding and
 alighting minutes and stops, all a rule reads of a ride.  A stop is
-held as its code, its id's rank among the sorted ids of the registry
-or, without one, of its read, and :class:`Transactions` names the id
-behind each code.
+held as its code: its id's rank in the registry the read was given.  A
+read given none keeps no stop.
 
 Times are integers.  :func:`parse_minute` reads a timestamp as minutes
 after 0001-01-01T00:00; an accepted row carries its times as minutes
@@ -37,7 +36,7 @@ inside the week.
 from __future__ import annotations
 
 from array import array
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import Field, dataclass, fields
 from datetime import date, datetime, timedelta
 from struct import Struct
@@ -67,12 +66,12 @@ FATAL_REJECT_FRACTION = 0.5
 # One ride of one card: (board_min, board_stop, alight_stop, alight_min),
 # each field an int.  A card's rides are kept as one array, four ints per
 # ride in file order; ride_tuples re-forms the tuples.  A stop is held as
-# its code, its id's 1-based rank among the sorted ids (see stop_codes):
-# the registry's ids for a read against one, else the ids of the read.
-# Code 0 is no alighting, and a fixed-fare ride has alight_stop 0 and
-# alight_min equal to board_min.  Rides sort by boarding time, then by
-# their stops in the order their ids give, then by alighting time; rides
-# equal in all four walk alike.
+# its code, its id's 1-based rank in the registry the read was given
+# (see stop_codes); a read given none holds 0 for every stop.  Code 0 is
+# no alighting, and a fixed-fare ride has alight_stop 0 and alight_min
+# equal to board_min.  Rides sort by boarding time, then by their stops
+# in the order their ids give, then by alighting time; rides equal in
+# all four walk alike.
 Ride = tuple[int, int, int, int]
 RIDE_FIELDS = 4
 
@@ -196,12 +195,10 @@ class Transactions:
     """One transactions file read into each card's rides.
 
     ``rides`` maps each card id to its kept rides in file order, as one
-    int array of :data:`Ride` fields, four per ride.  ``stops[code]`` is
-    the stop id of each stop code.  It lists every id once, in code
-    order, which is sorted order with "" at code 0 (no alighting): the
-    registry's ids for a read against one, else the ids of the read.
-    A line is kept when it is accepted and, when a stop registry is
-    given, both of its stops are listed.
+    int array of :data:`Ride` fields, four per ride.  Each stop field
+    holds the stop's code in the registry the read was given, or 0 when
+    it was given none.  A line is kept when it is accepted and, when a
+    stop registry is given, both of its stops are listed.
     ``students`` holds the cards with a kept student line.  ``parsed``
     counts the accepted lines, those dropped for an unknown stop
     included, and ``unmatched`` counts each unknown stop id once per
@@ -216,7 +213,6 @@ class Transactions:
     rejections: list[Rejection]
     unmatched: Counter[str]
     parsed: int
-    stops: list[str]
 
     @property
     def geocoded(self) -> int:
@@ -225,26 +221,6 @@ class Transactions:
 
     def card_type(self, card_id: str) -> str:
         return CARD_STUDENT if card_id in self.students else CARD_REGULAR
-
-
-class _Codes(dict):
-    """Id text -> its code: 0 for "", then 1, 2, ... in the order ids are first seen."""
-
-    def __init__(self):
-        super().__init__({"": 0})
-
-    def __missing__(self, text: str) -> int:
-        code = self[text] = len(self)
-        return code
-
-    def ranked(self) -> tuple[list[str], list[int]]:
-        """The ids in sorted order, "" first, and the rank there of each first-seen code.
-
-        Ranks are :func:`stop_codes`, so "" keeps code 0.
-        """
-        ids = [*self][1:]
-        rank = stop_codes(ids)
-        return ["", *rank], [0, *map(rank.__getitem__, ids)]
 
 
 def take_header(it: Iterator[str], expected: str, kind: str) -> None:
@@ -293,9 +269,8 @@ def read_transactions(
     with no configured start takes it from :func:`derive_week_start`.
     ``codes`` is the stop registry as :func:`stop_codes` gives it: a line
     naming a stop outside it is dropped, and the kept stop fields hold
-    its codes.  Without it no line is dropped, stop ids get codes as
-    they are first seen, and once the read is done each card's codes are
-    rewritten to the ids' ranks.
+    its codes.  Without it no line is dropped and no stop is kept: both
+    stop fields of every ride hold 0.
 
     Each card's rides are one ``array('i')``.  A distance-fare ride may
     alight any time after it boards, up to the end of the calendar, so
@@ -313,7 +288,7 @@ def read_transactions(
     take_header(it, TRANSACTIONS_HEADER, "transactions")
 
     minutes = _Minutes(week.start_minute)
-    stop_code = _Codes() if codes is None else {"": 0, **codes}
+    stop_code = defaultdict(int) if codes is None else {"": 0, **codes}
     typecode = "i"
     pack = Struct(f"{RIDE_FIELDS}i").pack
     by_card: dict[str, array] = {}
@@ -367,7 +342,7 @@ def read_transactions(
                         b = stop_code[b_stop]
                         a = stop_code[a_stop]
                     except KeyError:
-                        unmatched.update(s for s in (b_stop, a_stop) if s not in stop_code)
+                        unmatched.update({s for s in (b_stop, a_stop) if s not in stop_code})
                         continue
                     try:
                         ride = pack(board, b, a, alight)
@@ -391,14 +366,7 @@ def read_transactions(
     total = line_no - 1 - blank
     if total and len(rejections) > total * FATAL_REJECT_FRACTION:
         raise SchemaError(f"rejected {len(rejections)} of {total} lines; wrong schema")
-    if codes is None:
-        stops, rank = stop_code.ranked()
-        for r in by_card.values():
-            for slot in (1, 2):
-                r[slot::RIDE_FIELDS] = array(r.typecode, [rank[c] for c in r[slot::RIDE_FIELDS]])
-    else:
-        stops = ["", *codes]
-    return Transactions(week, by_card, students, rejections, unmatched, total - len(rejections), stops)
+    return Transactions(week, by_card, students, rejections, unmatched, total - len(rejections))
 
 
 def load_stops(lines: Iterable[str]) -> tuple[dict[str, tuple[float, float]], list[Rejection]]:

@@ -4,9 +4,9 @@ Tests state rides as ``(board, route, board_stop, alight_stop, alight)``
 with route and stop ids as text and "" for no alighting.
 ``read_transactions`` checks each line's route but keeps none: each
 card's rides are one int array of ``(board, board_stop, alight_stop,
-alight)``, with each stop as its code, and ``build_profile`` takes that
-array and the place of each stop code.  This module is where a text
-ride loses its route.
+alight)``, with each stop as its code in the registry the read was
+given, and ``build_profile`` takes that array and the place of each
+stop code.  This module is where a text ride loses its route.
 """
 
 from __future__ import annotations
@@ -50,14 +50,25 @@ def encode(rides: Iterable[TextRide | KeptRide], stop_to_place: Mapping[str, int
     coded = array("i")
     for board, board_stop, alight_stop, alight in map(drop_route, rides):
         coded.extend((board, codes[board_stop], codes[alight_stop] if alight_stop else 0, alight))
-    return coded, [None, *map(stop_to_place.__getitem__, codes)]
+    return coded, places_of(codes, stop_to_place)
 
 
-def decode(tx, card: str) -> list[KeptRide]:
-    """The rides of ``card`` in the read ``tx``, with their stops named through ``tx.stops``."""
-    return [(b, tx.stops[bs], tx.stops[a_s], a) for b, bs, a_s, a in ride_tuples(tx.rides[card])]
+def places_of(codes: Mapping[str, int], stop_to_place: Mapping[str, int]) -> list:
+    """The place of each stop code of ``codes`` (from :func:`stop_codes`), None at code 0."""
+    return [None, *map(stop_to_place.__getitem__, codes)]
 
 
-def card_rides(tx) -> dict[str, list[KeptRide]]:
+def decode(tx, card: str, codes: Mapping[str, int]) -> list[KeptRide]:
+    """The rides of ``card`` in the read ``tx``, with their stops named through ``codes``.
+
+    ``codes`` is the registry the read was given, as :func:`stop_codes`
+    gives it; pass ``{}`` for a read given none, whose stops all read "".
+    """
+    name = {code: sid for sid, code in codes.items()}
+    name[0] = ""
+    return [(b, name[bs], name[a_s], a) for b, bs, a_s, a in ride_tuples(tx.rides[card])]
+
+
+def card_rides(tx, codes: Mapping[str, int]) -> dict[str, list[KeptRide]]:
     """Each card's rides in ``tx``, as :func:`decode` gives them."""
-    return {card: decode(tx, card) for card in tx.rides}
+    return {card: decode(tx, card, codes) for card in tx.rides}

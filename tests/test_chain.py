@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cardcohort.ingest import TRANSACTIONS_HEADER, ObservationWeek, read_transactions
+from cardcohort.ingest import TRANSACTIONS_HEADER, ObservationWeek, read_transactions, stop_codes
 
 from coded_rides import decode, one_route
 from reference_profile import PERMISSIVE, STRICT, Leg, Stay, build_legs, build_stays
@@ -23,9 +23,10 @@ def t(day: int, hh: int, mm: int = 0) -> int:
 
 
 def records(*rows: str):
-    tx = read_transactions([TRANSACTIONS_HEADER] + list(rows), WEEK.start_date)
+    codes = stop_codes(PLACES)
+    tx = read_transactions([TRANSACTIONS_HEADER] + list(rows), WEEK.start_date, codes)
     assert not tx.rejections
-    return one_route(ride for card in tx.rides for ride in decode(tx, card))
+    return one_route(ride for card in tx.rides for ride in decode(tx, card, codes))
 
 
 class TestBuildLegs:

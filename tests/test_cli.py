@@ -181,7 +181,7 @@ class TestInfer:
             card: reference_profile.build_stays(
                 card, reference_profile.build_legs(one_route(rides), stop_to_place), reference_profile.PERMISSIVE
             )
-            for card, rides in card_rides(tx).items()
+            for card, rides in card_rides(tx, codes).items()
         }
         direct = tmp_path / "direct.csv"
         reports.write_stays(str(direct), stays, tx.week)
@@ -959,7 +959,7 @@ _FOLLOWUP_FLAGS = _TWO_YEAR_FLAGS | {
 FLAG_TABLE = {
     "ingest-check": {
         "--transactions": ("transactions", str, None, True),
-        "--stops": ("stops", str, None, True),
+        "--stops": ("stops_path", str, None, True),
         "--week-start": ("week_start", ingest.parse_date, None, False),
         "--out": ("out", str, None, True),
     },

@@ -33,7 +33,7 @@ from cardcohort.ingest import (
 )
 from cardcohort.pipeline import RunConfig
 
-from coded_rides import card_rides, decode, drop_route
+from coded_rides import card_rides, decode
 
 MONDAY = date(2008, 4, 7)
 WEEK = ObservationWeek(MONDAY)
@@ -60,11 +60,11 @@ def to_csv_row(card_id: str, card_type: str, ride, week: ObservationWeek) -> str
     )
 
 
-def csv_rows(tx) -> list[str]:
-    """The kept rides of a read written back as lines, card by card."""
+def csv_rows(tx, codes) -> list[str]:
+    """The kept rides of a read against the registry ``codes`` written back as lines, card by card."""
     return [
         to_csv_row(card, tx.card_type(card), ride, tx.week)
-        for card, rides in card_rides(tx).items()
+        for card, rides in card_rides(tx, codes).items()
         for ride in rides
     ]
 
@@ -141,21 +141,23 @@ class TestObservationWeek:
 
 class TestParseTransactions:
     def test_accepts_distance_and_fixed(self):
+        codes = stop_codes(["S1", "S2", "S3"])
         tx = read_transactions(
             lines(
                 "C1,R,DST,B1,S1,2008-04-07T07:30,S2,2008-04-07T08:10",
                 "C2,S,FIX,B2,S3,2008-04-08T09:00,,",
             ),
             MONDAY,
+            codes,
         )
         assert tx.rejections == []
         assert tx.parsed == 2
         assert tx.week == WEEK
-        assert decode(tx, "C1") == [(7 * 60 + 30, "S1", "S2", 8 * 60 + 10)]
+        assert decode(tx, "C1", codes) == [(7 * 60 + 30, "S1", "S2", 8 * 60 + 10)]
         assert (tx.card_type("C1"), tx.card_type("C2")) == ("R", "S")
         # Fixed fares: no alight stop, alight minute equals board minute.
         board = 1440 + 9 * 60
-        assert decode(tx, "C2") == [(board, "S3", "", board)]
+        assert decode(tx, "C2", codes) == [(board, "S3", "", board)]
 
     def test_empty_stream(self):
         tx = read_transactions([], MONDAY)
@@ -217,7 +219,7 @@ class TestParseTransactions:
             ),
             MONDAY,
         )
-        assert [r[0] for r in decode(tx, "C1")] == [0, WEEK_MINUTES - 1]
+        assert [r[0] for r in decode(tx, "C1", {})] == [0, WEEK_MINUTES - 1]
         assert tx.rejections == [
             Rejection(3, "outside observation week"),
             Rejection(5, "outside observation week"),
@@ -271,7 +273,8 @@ class TestParseTransactions:
             "C1,R,DST,B1,S1,2008-04-07T07:30,S2,2008-04-07T08:10",
             "C2,S,FIX,B1,S3,2008-04-08T09:00,,",
         ]
-        assert csv_rows(read_transactions(lines(*rows), MONDAY)) == rows
+        codes = stop_codes(["S1", "S2", "S3"])
+        assert csv_rows(read_transactions(lines(*rows), MONDAY, codes), codes) == rows
 
 
 class TestDeriveWeekStart:
@@ -400,6 +403,14 @@ class TestLoadStops:
     def test_empty_stream(self):
         assert load_stops([]) == ({}, [])
 
+    def test_blank_lines_are_neither_kept_nor_rejected(self):
+        stops, rejections = load_stops(
+            [STOPS_HEADER, "S1,116.30,39.90\n", "\n", "\r\n", "", "S2,abc,39.91", "S3,116.0,39.0"]
+        )
+        assert list(stops) == ["S1", "S3"]
+        # Later rejections keep the line numbers of the file.
+        assert rejections == [Rejection(6, "bad coordinate")]
+
     @pytest.mark.parametrize(
         "row,reason",
         [
@@ -426,15 +437,17 @@ class TestGeocode:
                 "C2,R,DST,B1,SX,2008-04-07T07:30,S2,2008-04-07T08:10",
                 "C3,R,DST,B1,SX,2008-04-07T07:30,SY,2008-04-07T08:10",
                 "C4,R,FIX,B1,S1,2008-04-07T07:30,,",
+                # An id named twice on one line counts once.
+                "C5,R,DST,B1,SX,2008-04-07T07:30,SX,2008-04-07T08:10",
             ),
             MONDAY,
             self.KNOWN,
         )
         assert not tx.rejections
         assert list(tx.rides) == ["C1", "C4"]
-        assert tx.unmatched == {"SX": 2, "SY": 1}
+        assert tx.unmatched == {"SX": 3, "SY": 1}
         # A dropped line was still accepted.
-        assert (tx.parsed, tx.geocoded) == (4, 2)
+        assert (tx.parsed, tx.geocoded) == (5, 2)
 
     def test_fixed_fare_needs_only_board_stop(self):
         tx = read_transactions(lines("C1,R,FIX,B1,S1,2008-04-07T07:30,,"), MONDAY, stop_codes(["S1"]))
@@ -444,6 +457,8 @@ class TestGeocode:
     def test_without_a_registry_nothing_is_dropped(self):
         tx = read_transactions(lines("C1,R,DST,B1,SX,2008-04-07T07:30,SY,2008-04-07T08:10"), MONDAY)
         assert (tx.geocoded, tx.unmatched) == (1, {})
+        # Nor is any stop kept: both stop fields hold 0.
+        assert list(tx.rides["C1"]) == [450, 0, 0, 490]
 
     def test_a_student_line_naming_an_unknown_stop_makes_no_student(self):
         tx = read_transactions(
@@ -511,19 +526,19 @@ class TestIntArrays:
                 "C1,R,FIX,B10,S9,2008-04-07T18:00,,",
             ),
             MONDAY,
+            stop_codes(["S9", "S10"]),
         )
-        assert tx.stops == ["", "S10", "S9"]
         assert list(tx.rides["C1"]) == [450, 2, 1, 490, 1080, 2, 0, 1080]
         assert list(tx.rides["C2"]) == [450, 1, 0, 450]
-        # Against a registry, stops are its codes and name its ids.
+        # The ranks are among the registry's ids, named on a line or not.
         registry = stop_codes(["S9", "S10", "S8"])
         tx = read_transactions(lines("C2,R,FIX,B10,S10,2008-04-07T07:30,,"), MONDAY, registry)
-        assert tx.stops == ["", "S10", "S8", "S9"]
         assert list(tx.rides["C2"]) == [450, 1, 0, 450]
 
-    @pytest.mark.parametrize("registry", [True, False])
-    def test_a_card_with_two_rides_in_one_minute_sorts_as_its_ids(self, registry):
-        # S9 is seen first, but "S10" < "S9".
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_a_card_with_two_rides_in_one_minute_sorts_as_its_ids(self, exact):
+        # S9 is seen first, but "S10" < "S9".  A registry that is not exact
+        # holds ids the lines do not name, which sort before, between and after theirs.
         rows = [
             "C1,R,DST,B9,S9,2008-04-07T07:30,S9,2008-04-07T08:00",
             "C1,R,DST,B10,S9,2008-04-07T07:30,S10,2008-04-07T08:00",
@@ -532,11 +547,13 @@ class TestIntArrays:
             "C2,R,DST,B9,S9,2008-04-07T07:30,S10,2008-04-07T08:00",
             "C2,R,FIX,B10,S10,2008-04-07T09:30,,",
         ]
-        tx = read_transactions(lines(*rows), MONDAY, stop_codes(["S9", "S10"]) if registry else None)
-        for card, rides in card_rides(tx).items():
+        codes = stop_codes(["S9", "S10"] if exact else ["A", "S1", "S9", "S10", "S5", "Z"])
+        tx = read_transactions(lines(*rows), MONDAY, codes)
+        ids = ["", *codes]
+        for card, rides in card_rides(tx, codes).items():
             by_code = sorted(ride_tuples(tx.rides[card]))
-            assert [(b, tx.stops[bs], tx.stops[a_s], a) for b, bs, a_s, a in by_code] == sorted(rides)
-        assert card_rides(tx) == {
+            assert [(b, ids[bs], ids[a_s], a) for b, bs, a_s, a in by_code] == sorted(rides)
+        assert card_rides(tx, codes) == {
             "C1": [
                 (450, "S9", "S9", 480),
                 (450, "S9", "S10", 480),
@@ -545,23 +562,17 @@ class TestIntArrays:
             ],
             "C2": [(450, "S9", "S10", 480), (570, "S10", "", 570)],
         }
-        # Every card holds the ranks, tied or not, and each id has one code.
-        assert tx.stops == ["", "S10", "S9"]
-        assert list(tx.rides["C1"])[1::4] == [2, 2, 2, 1]
-        assert list(tx.rides["C2"])[1::4] == [2, 1]
-
-    def test_codes_already_in_order_are_kept_as_read(self):
-        rows = ["C1,R,FIX,B1,S1,2008-04-07T07:30,,", "C1,R,FIX,B2,S2,2008-04-07T07:30,,"]
-        tx = read_transactions(lines(*rows), MONDAY)
-        assert tx.stops == ["", "S1", "S2"]
-        assert list(tx.rides["C1"]) == [450, 1, 0, 450, 450, 2, 0, 450]
+        # Every card holds the registry's codes, tied or not.
+        s9, s10 = codes["S9"], codes["S10"]
+        assert list(tx.rides["C1"])[1::4] == [s9, s9, s9, s10]
+        assert list(tx.rides["C2"])[1::4] == [s9, s10]
 
     @pytest.mark.parametrize(
         "late_min,typecode",
         [(2**31 - 1, "i"), (2**31, "q"), (parse_minute("9999-12-31T23:59") - WEEK.start_minute, "q")],
     )
     def test_an_alighting_past_32_bits_turns_the_read_into_64_bit_ints(self, late_min, typecode):
-        # S9 is seen first, so without a registry the ranks rewrite the arrays after any turn to 64 bits.
+        # The turn to 64 bits keeps every card's rides, with a registry and without one.
         rows = [
             "C1,R,FIX,B9,S9,2008-04-07T07:30,,",
             "C2,R,DST,B9,S9,2008-04-07T08:00,S10,2008-04-07T08:30",
@@ -569,19 +580,25 @@ class TestIntArrays:
             "C1,R,DST,B9,S9,2008-04-08T07:30,S10,2008-04-08T08:00",
             "C3,S,FIX,B10,S10,2008-04-09T07:30,,",
         ]
-        for codes in (None, stop_codes(["S9", "S10"])):
+        expected = {
+            "C1": [(450, "S9", "", 450), (1890, "S9", "S10", 1920)],
+            "C2": [(480, "S9", "S10", 510), (6 * 1440 + 1430, "S10", "S9", late_min)],
+            "C3": [(2 * 1440 + 450, "S10", "", 2 * 1440 + 450)],
+        }
+        registry = stop_codes(["S9", "S10"])
+        for codes in (None, registry):
             tx = read_transactions(lines(*rows), MONDAY, codes)
             assert tx.rejections == []
             assert {rides.typecode for rides in tx.rides.values()} == {typecode}
-            assert card_rides(tx) == {
-                "C1": [(450, "S9", "", 450), (1890, "S9", "S10", 1920)],
-                "C2": [(480, "S9", "S10", 510), (6 * 1440 + 1430, "S10", "S9", late_min)],
-                "C3": [(2 * 1440 + 450, "S10", "", 2 * 1440 + 450)],
-            }
+            if codes is None:
+                blanked = {card: [(b, "", "", a) for b, _, _, a in rides] for card, rides in expected.items()}
+                assert card_rides(tx, {}) == blanked
+                assert list(tx.rides["C2"]) == [480, 0, 0, 510, 6 * 1440 + 1430, 0, 0, late_min]
+            else:
+                assert card_rides(tx, codes) == expected
+                assert list(tx.rides["C2"]) == [480, 2, 1, 510, 6 * 1440 + 1430, 1, 2, late_min]
             # Four ints per kept ride, whatever their width.
             assert {card: len(rides) for card, rides in tx.rides.items()} == {"C1": 4 * 2, "C2": 4 * 2, "C3": 4}
-            assert tx.stops == ["", "S10", "S9"]
-            assert list(tx.rides["C2"]) == [480, 2, 1, 510, 6 * 1440 + 1430, 1, 2, late_min]
             assert (tx.students, tx.geocoded) == ({"C3"}, 5)
 
 
@@ -596,7 +613,7 @@ def test_group_by_card_preserves_order():
     )
     assert set(tx.rides) == {"C1", "C2"}
     # File order within a card is preserved; sorting is chaining's job.
-    assert [ride[0] // 60 for ride in decode(tx, "C2")] == [8, 7]
+    assert [ride[0] // 60 for ride in decode(tx, "C2", {})] == [8, 7]
 
 
 def test_group_by_card_any_student_row_makes_a_student_card():
@@ -658,7 +675,8 @@ def reference_parse(text_lines: list[str], week_start: date | None, known_stops=
     A first scan over every eight-column line finds the earliest boarding
     date (the derived week start); a second scan checks each line against
     that week in schema order; a third drops the accepted lines that name
-    a stop absent from ``known_stops`` and groups the rest by card.
+    a stop absent from ``known_stops`` and groups the rest by card.  With
+    no ``known_stops`` no line is dropped and no stop is kept.
     Returns ("schema",) when the file would be refused, else (week start,
     card -> rides, student cards, rejections, unmatched stop counts,
     number of accepted lines).
@@ -722,13 +740,15 @@ def reference_parse(text_lines: list[str], week_start: date | None, known_stops=
     rides, students, unmatched = {}, set(), Counter()
     for line in accepted:
         p = line.split(",")
-        unknown = [s for s in (p[4], p[6]) if s and known_stops is not None and s not in known_stops]
+        # Each unknown id on a line counts once, however often the line names it.
+        unknown = {s for s in (p[4], p[6]) if s and known_stops is not None and s not in known_stops}
         if unknown:
             unmatched.update(unknown)
             continue
         board = minute(p[5]) - lo
         alight = minute(p[7]) - lo if p[2] == "DST" else board
-        rides.setdefault(p[0], []).append(drop_route((board, p[3], p[4], p[6], alight)))
+        stops = (p[4], p[6]) if known_stops is not None else ("", "")
+        rides.setdefault(p[0], []).append((board, *stops, alight))
         if p[1] == "S":
             students.add(p[0])
     return start, rides, students, rejections, unmatched, len(accepted)
@@ -742,7 +762,7 @@ def one_pass(text_lines: list[str], week_start: date | None, known_stops=None):
         return ("schema",)
     return (
         tx.week.start_date,
-        card_rides(tx),
+        card_rides(tx, codes or {}),
         tx.students,
         [(r.line_no, r.reason) for r in tx.rejections],
         tx.unmatched,
@@ -761,7 +781,6 @@ def order_free(text_lines: list[str], known_stops):
         return ("schema",)
     return (
         tx.week,
-        tx.stops,
         {card: sorted(ride_tuples(rides)) for card, rides in tx.rides.items()},
         tx.students,
         Counter(r.reason for r in tx.rejections),
@@ -792,8 +811,9 @@ CORRUPTIONS = (
 
 STOP_IDS = ("S1", "S2", "S3", "S4")
 
-# No registry (as for the follow-up week), or one that leaves out at
-# least one of the stops the lines name.
+# No registry (as for the follow-up week, whose read keeps no stop), or
+# one that leaves out at least one of the stops the lines name; a kept
+# stop is coded by its rank in that registry.
 registries = st.one_of(
     st.none(),
     st.sets(st.sampled_from(STOP_IDS), max_size=3).map(lambda ids: dict.fromkeys(ids, (0.0, 0.0))),
@@ -957,7 +977,7 @@ class TestOnePassParity:
         assert got[0] == start
         assert got[3] == rejections
         accepted = [r for n, r in enumerate(rows, start=2) if n not in dict(rejections)]
-        assert sorted(csv_rows(derived(text_lines))) == sorted(accepted)
+        assert sorted(csv_rows(derived(text_lines, STOP_IDS), stop_codes(STOP_IDS))) == sorted(accepted)
 
     @pytest.mark.parametrize(
         "rows,field,value",
@@ -1002,13 +1022,13 @@ class TestOnePassParity:
         assert one_pass(text_lines, None, known) == reference_parse(text_lines, None, known)
         tx = derived(text_lines, known)
         assert (tx.week.start_date, tx.rejections) == (date(2008, 4, 8), [Rejection(2, OUTSIDE_WEEK)])
-        got = card_rides(tx) if field == "rides" else getattr(tx, field)
+        got = card_rides(tx, stop_codes(known)) if field == "rides" else getattr(tx, field)
         assert got == value
 
     def test_minutes_count_from_the_derived_start(self):
         tx = derived(lines("C1,R,FIX,B1,S1,2008-04-09T07:30,,", "C1,R,FIX,B1,S1,2008-04-08T00:10,,"))
         assert tx.week.start_date == date(2008, 4, 8)
-        assert [r[0] for r in decode(tx, "C1")] == [1440 + 450, 10]
+        assert [r[0] for r in decode(tx, "C1", {})] == [1440 + 450, 10]
 
     def test_a_moved_week_keeps_rides_in_an_int_array(self):
         # Each card's rides are one 32-bit int array, also when the
@@ -1022,7 +1042,7 @@ class TestOnePassParity:
             )
         )
         assert {(rides.typecode, rides.itemsize) for rides in tx.rides.values()} == {("i", 4)}
-        (c1,), (c2,) = decode(tx, "C1"), decode(tx, "C2")
+        (c1,), (c2,) = decode(tx, "C1", {}), decode(tx, "C2", {})
         assert c1[0] == c2[0] == c1[3] == 1440 + 450
 
     def test_early_bail_counts_rejections_found_after_the_week_moved(self):

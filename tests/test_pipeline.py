@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import gc
 import json
+import logging
 import math
 import os
 from collections import Counter
@@ -28,7 +29,7 @@ from cardcohort.infer import YearProfile
 from cardcohort.reports import write_run_reports, write_summary
 from cardcohort.synth import GeneratorConfig, generate
 
-from conftest import MINI_ORIGIN, PER_CARD_COPY_BYTES, offset_coord, peak_traced_bytes
+from conftest import MINI_ORIGIN, PER_CARD_COPY_BYTES, _square_geojson, offset_coord, peak_traced_bytes
 
 EXPECTED_HEADERS = {
     "profiles_year1.csv": "card_id,year,home_place,work_place,commute_km,commute_min,rides",
@@ -412,6 +413,36 @@ class TestMiniPipeline:
         assert [f["geometry"] for f in doc["features"]] == [f["geometry"] for f in before["features"]]
         assert [f["properties"]["name"] for f in doc["features"]] == ["near", "far"]
         assert [f["properties"]["fr_homes"] for f in doc["features"]] == result.taz_counts
+
+    def test_overlapping_zones_send_each_home_to_the_first(self, mini_bundle, tmp_path, caplog):
+        # "wide" holds both FR homes (F1 at HA, A1 at XA), and each of the others holds one.
+        taz = tmp_path / "taz.geojson"
+        taz.write_text(
+            _square_geojson(
+                [
+                    ("wide", -1000, 15000, -3000, 3000),
+                    ("near", -1000, 3000, -3000, 3000),
+                    ("far", 9000, 15000, -3000, 3000),
+                ]
+            )
+        )
+        cfg = RunConfig(
+            year1=mini_bundle["year1"],
+            year2=mini_bundle["year2"],
+            stops1=mini_bundle["stops"],
+            stops2=mini_bundle["stops"],
+            taz=str(taz),
+            center=mini_bundle["center"],
+        )
+        with caplog.at_level(logging.WARNING, logger=pipeline.__name__):
+            result = run_pipeline(cfg)
+        assert list(result.deltas) == ["A1", "F1"]
+        assert result.taz_overlap is True
+        assert [r.name for r in result.taz_regions] == ["wide", "near", "far"]
+        assert (result.taz_counts, result.taz_outside) == ([2, 0, 0], 0)
+        assert [(r.levelno, r.getMessage()) for r in caplog.records] == [
+            (logging.WARNING, "overlapping TAZ polygons: homes assigned to first match in file order")
+        ]
 
     def test_deltas_csv_rows(self, result, tmp_path):
         out = str(tmp_path)

@@ -25,7 +25,7 @@ from cardcohort.ingest import (
 )
 
 import reference_profile as ref
-from coded_rides import card_rides, decode, drop_route, encode, one_route
+from coded_rides import card_rides, decode, drop_route, encode, one_route, places_of
 
 WEEKDAYS = frozenset(range(5))
 MONDAY = date(2008, 4, 7)
@@ -222,20 +222,26 @@ def read_cards(draw):
     return cards
 
 
+# A registry that names more ids than the rides do: "A" and "S1" sort
+# before ids the rides name, so every one of those gets another code.
+WIDER = {**STOP_TO_PLACE, "A": 6, "S1": 6}
+REGISTRIES = st.sampled_from([STOP_TO_PLACE, WIDER])
+
+
 @settings(max_examples=400, deadline=None)
-@example({"C1": list(SAME_MINUTE)}, True, random.Random(0), PERMISSIVE)
-@given(read_cards(), st.booleans(), st.randoms(use_true_random=False), st.sampled_from([STRICT, PERMISSIVE]))
+@example({"C1": list(SAME_MINUTE)}, STOP_TO_PLACE, random.Random(0), PERMISSIVE)
+@given(read_cards(), REGISTRIES, st.randoms(use_true_random=False), st.sampled_from([STRICT, PERMISSIVE]))
 def test_a_read_profiles_as_its_text_rides(cards, registry, rnd, mode):
     text_lines = [as_line(card, ride) for card, rides in cards.items() for ride in rides]
     rnd.shuffle(text_lines)
-    codes = stop_codes(STOP_TO_PLACE) if registry else None
+    codes = stop_codes(registry)
     tx = read_transactions([TRANSACTIONS_HEADER, *text_lines], MONDAY, codes)
     assert (tx.rejections, tx.parsed) == ([], len(text_lines))
     late = any(ride[4] == LAST_MINUTE for rides in cards.values() for ride in rides)
     assert {rides.typecode for rides in tx.rides.values()} <= {"q" if late else "i"}
-    place_of = [None if s == "" else STOP_TO_PLACE[s] for s in tx.stops]
+    place_of = places_of(codes, registry)
     assert sorted(tx.rides) == sorted(card for card, rides in cards.items() if rides)
-    for card, rides in card_rides(tx).items():
+    for card, rides in card_rides(tx, codes).items():
         assert sorted(rides) == sorted(map(drop_route, cards[card]))
         legs = ref.build_legs(one_route(cards[card]), STOP_TO_PLACE)
         expected_stays = ref.build_stays(card, legs, mode)
@@ -248,11 +254,12 @@ def test_a_read_profiles_as_its_text_rides(cards, registry, rnd, mode):
         assert stay_tuples(kept) == stay_tuples(expected_stays)
 
 
-def read_profiles(cards, codes, mode):
-    """Each card's profile and stays, from its text rides written as lines and read."""
+def read_profiles(cards, registry, mode):
+    """Each card's profile and stays, from its text rides written as lines and read against ``registry``."""
     text_lines = [as_line(card, ride) for card, rides in cards.items() for ride in rides]
+    codes = stop_codes(registry)
     tx = read_transactions([TRANSACTIONS_HEADER, *text_lines], MONDAY, codes)
-    place_of = [None if s == "" else STOP_TO_PLACE[s] for s in tx.stops]
+    place_of = places_of(codes, registry)
     profiles = {}
     for card, rides in tx.rides.items():
         kept = []
@@ -262,14 +269,13 @@ def read_profiles(cards, codes, mode):
 
 
 @settings(max_examples=200, deadline=None)
-@given(read_cards(), st.data(), st.booleans(), st.sampled_from([STRICT, PERMISSIVE]))
+@given(read_cards(), st.data(), REGISTRIES, st.sampled_from([STRICT, PERMISSIVE]))
 def test_redrawn_routes_leave_every_profile_and_stay(cards, data, registry, mode):
     redrawn = {
         card: [(b, data.draw(st.sampled_from(ROUTES)), bs, a_s, a) for b, _route, bs, a_s, a in rides]
         for card, rides in cards.items()
     }
-    codes = stop_codes(STOP_TO_PLACE) if registry else None
-    assert read_profiles(redrawn, codes, mode) == read_profiles(cards, codes, mode)
+    assert read_profiles(redrawn, registry, mode) == read_profiles(cards, registry, mode)
 
 
 def test_codes_keep_the_text_order_of_stop_ids():
@@ -494,8 +500,10 @@ class TestInputRules:
 
     def test_duplicate_rows_are_all_kept(self):
         line = "C,R,DST,B1,H,2008-04-07T07:30,W,2008-04-07T08:10"
-        tx = read_transactions([TRANSACTIONS_HEADER, line, line], MONDAY)
-        assert (len(decode(tx, "C")), tx.rejections) == (2, [])
+        codes = stop_codes(STOP_TO_PLACE)
+        tx = read_transactions([TRANSACTIONS_HEADER, line, line], MONDAY, codes)
+        assert decode(tx, "C", codes) == [(t(0, 7, 30), "H", "W", t(0, 8, 10))] * 2
+        assert tx.rejections == []
 
         # A copied distance-fare ride boards before the original alighted,
         # so no stay forms between them: only the ride count changes.
@@ -544,9 +552,10 @@ class TestInputRules:
         # A ride boarding inside the week may alight after it ends: the row
         # is kept with its alighting past the week, and no stay follows it.
         line = "C,R,DST,B1,W,2008-04-13T23:50,H,2008-04-14T00:20"
-        tx = read_transactions([TRANSACTIONS_HEADER, line], MONDAY)
+        codes = stop_codes(STOP_TO_PLACE)
+        tx = read_transactions([TRANSACTIONS_HEADER, line], MONDAY, codes)
         assert tx.rejections == []
-        (last,) = decode(tx, "C")
+        (last,) = decode(tx, "C", codes)
         assert last == (t(6, 23, 50), "W", "H", WEEK_MINUTES + 20)
         before, after = [], []
         p = profile(commuter(), stays=before)
