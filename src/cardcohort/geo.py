@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Mapping
 
 EARTH_RADIUS_KM = 6371.0
 # Metres per degree of latitude on the reference sphere.
@@ -41,33 +41,29 @@ def haversine_km(a: Coord, b: Coord) -> float:
 
 
 @dataclass(frozen=True)
-class Place:
-    """A cluster of stops treated as one location.
+class PlaceIndex:
+    """A stop registry clustered into places; a place id indexes ``centroids``.
 
-    ``centroid`` is the arithmetic mean of the member coordinates, which
-    is adequate at the sub-kilometre scale of a cluster.
+    ``codes`` gives each stop id its code (see
+    :func:`cardcohort.ingest.stop_codes`), ``place_of`` the place id of
+    each code, None at code 0 (no alighting), and ``centroids`` each
+    place's arithmetic mean of its member coordinates, which is adequate
+    at the sub-kilometre scale of a cluster.
     """
 
-    stop_ids: tuple[str, ...]
-    centroid: Coord
-
-
-class PlaceIndex:
-    """Clustered stops; a place id is the place's index in ``places``."""
-
-    def __init__(self, places: Sequence[Place]):
-        self.places = list(places)
-        self.stop_to_place = {sid: i for i, p in enumerate(self.places) for sid in p.stop_ids}
+    codes: dict[str, int]
+    place_of: list[int | None]
+    centroids: list[Coord]
 
     def __len__(self) -> int:
-        return len(self.places)
+        return len(self.centroids)
 
     def centroid(self, place_id: int) -> Coord:
-        return self.places[place_id].centroid
+        return self.centroids[place_id]
 
 
 def build_places(stops: Mapping[str, Coord], radius_m: float = CLUSTER_RADIUS_M) -> PlaceIndex:
-    """Cluster stops (stop id -> (lon, lat)) into places by single-linkage within ``radius_m``.
+    """Code stops (stop id -> (lon, lat)) and cluster them into places by single-linkage within ``radius_m``.
 
     Two stops are linked when ``haversine_km(a, b) <= radius_m / 1000``,
     the edge included, and belong to the same place when a chain of links
@@ -94,10 +90,10 @@ def build_places(stops: Mapping[str, Coord], radius_m: float = CLUSTER_RADIUS_M)
     magnitude smaller than that band.  Inside the band ``haversine_km``
     decides, so every link is the haversine rule's decision.
     """
-    if not stops:
-        return PlaceIndex([])
-    ids = sorted(stops)
-    coords = [stops[sid] for sid in ids]
+    from .ingest import stop_codes  # here, so that importing geo loads no other module
+
+    codes = stop_codes(stops)
+    coords = [stops[sid] for sid in codes]
     radius_km = radius_m / 1000.0
     angle = min(radius_km / EARTH_RADIUS_KM, math.pi)  # the radius as a central angle, at most pi
     half_chord = math.sin(angle / 2.0)  # on the unit sphere
@@ -130,7 +126,7 @@ def build_places(stops: Mapping[str, Coord], radius_m: float = CLUSTER_RADIUS_M)
     near_pole = {r + d for r in polar for d in (-1, 0, 1)}
     around = (-n - 1, -n, -n + 1, -1, 0, 1, n - 1, n, n + 1)
     get = buckets.get
-    candidates: list = [None] * len(ids)
+    candidates: list = [None] * len(coords)
     for key, members in buckets.items():
         row, col = divmod(key, n)
         near = []
@@ -149,6 +145,7 @@ def build_places(stops: Mapping[str, Coord], radius_m: float = CLUSTER_RADIUS_M)
                     near += get(r * n + c % n, ())
         for i in members:
             candidates[i] = near
+    del rows, buckets  # let them go before the flood fill, which sets the peak
 
     # Each stop's unit vector; a chord below ``sure`` is a link, and one
     # above ``unsure`` is none.
@@ -160,26 +157,25 @@ def build_places(stops: Mapping[str, Coord], radius_m: float = CLUSTER_RADIUS_M)
     chord = 2.0 * half_chord
     sure, unsure = chord * (1.0 - 1e-6) - 1e-12, chord * (1.0 + 1e-6) + 1e-12
     dist = math.dist
-    seen = bytearray(len(ids))
-    places = []
-    for first in range(len(ids)):
-        if seen[first]:
+    place_of: list[int | None] = [None] * len(coords)  # by stop index; None until the stop is placed
+    centroids = []
+    for first in range(len(coords)):
+        if place_of[first] is not None:
             continue
-        seen[first] = 1
+        place = place_of[first] = len(centroids)  # one int object for all the place's stops
         group = [first]
         for i in group:  # grows while it is walked
             here = vectors[i]
             for j in candidates[i]:
-                if not seen[j]:
+                if place_of[j] is None:
                     d = dist(here, vectors[j])
                     if d <= sure or (d <= unsure and haversine_km(coords[i], coords[j]) <= radius_km):
-                        seen[j] = 1
+                        place_of[j] = place
                         group.append(j)
-        group.sort()
         lon = math.fsum(coords[i][0] for i in group) / len(group)
         lat = math.fsum(coords[i][1] for i in group) / len(group)
-        places.append(Place(tuple(ids[i] for i in group), (lon, lat)))
-    return PlaceIndex(places)
+        centroids.append((lon, lat))
+    return PlaceIndex(codes, [None, *place_of], centroids)  # code 0 has no place
 
 
 @dataclass(frozen=True)

@@ -4,10 +4,10 @@
 takes them as :func:`cardcohort.ingest.read_transactions` keeps them:
 one int array of coded fields, four per ride, re-formed into ride tuples
 only while they are sorted, with each stop's place looked up by its
-code.  Rides sort as (board, board_stop, alight_stop, alight) and each
-stop code is its id's rank among the registry's sorted ids, so the walk
-sees the rides in the order their ids give, whatever the order of the
-lines.
+code in the registry's :class:`cardcohort.geo.PlaceIndex`.  Rides sort
+as (board, board_stop, alight_stop, alight) and each stop code is its
+id's rank among the registry's sorted ids, so the walk sees the rides in
+the order their ids give, whatever the order of the lines.
 It forms each stay and, as the stay is formed, counts it for both rules
 below; no stay outlives the walk unless the caller passes a list to
 keep them in (``infer --dump-stays``).
@@ -118,12 +118,12 @@ def build_profile(
     ``rides`` is the card's flat sequence of coded ride fields, as
     :func:`cardcohort.ingest.read_transactions` keeps them, and
     ``place_of[code]`` the place of each stop code, None for code 0 (no
-    alighting).  Rides sort as tuples, boarding minute first and the
-    remaining fields as tie-breakers, so the result is a pure function of
-    the ride set, not of file order.  ``distance_km(home, work)``
-    answers the commute distance between two place ids, so a caller can
-    cache it across cards; ``stays``, when given, receives the card's
-    stays in order.
+    alighting), as the registry's place index holds it.  Rides sort as
+    tuples, boarding minute first and the remaining fields as
+    tie-breakers, so the result is a pure function of the ride set, not
+    of file order.  ``distance_km(home, work)`` answers the commute
+    distance between two place ids, so a caller can cache it across
+    cards; ``stays``, when given, receives the card's stays in order.
     """
     if stay_mode not in STAY_MODES:
         raise ValueError(f"unknown stay mode: {stay_mode!r}")

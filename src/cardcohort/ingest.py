@@ -66,12 +66,13 @@ FATAL_REJECT_FRACTION = 0.5
 # One ride of one card: (board_min, board_stop, alight_stop, alight_min),
 # each field an int.  A card's rides are kept as one array, four ints per
 # ride in file order; ride_tuples re-forms the tuples.  A stop is held as
-# its code, its id's 1-based rank in the registry the read was given
-# (see stop_codes); a read given none holds 0 for every stop.  Code 0 is
-# no alighting, and a fixed-fare ride has alight_stop 0 and alight_min
-# equal to board_min.  Rides sort by boarding time, then by their stops
-# in the order their ids give, then by alighting time; rides equal in
-# all four walk alike.
+# its code, its id's 1-based rank in the registry the read was given (see
+# stop_codes; a registry's geo.PlaceIndex holds its codes and each code's
+# place); a read given none holds 0 for every stop.  Code 0 is no
+# alighting, and a fixed-fare ride has alight_stop 0 and alight_min equal
+# to board_min.  Rides sort by boarding time, then by their stops in the
+# order their ids give, then by alighting time; rides equal in all four
+# walk alike.
 Ride = tuple[int, int, int, int]
 RIDE_FIELDS = 4
 

@@ -11,8 +11,10 @@ registry share one place index at every thread count.
 Each year's cards are profiled in one loop in sorted card order, each
 card's rides replaced by its profile in the reader's own dict, and job
 results are gathered in fixed job order, so the output bytes cannot
-depend on the thread count.  Profiles name their places by id; each
-year's ids are looked up in that year's own place index.
+depend on the thread count.  A registry is held as its place index, one
+table of each stop's code, each code's place and each place's centroid:
+a year's lines are read against its codes, its profiles name their
+places by id, and each year's ids are looked up in its own place index.
 """
 
 from __future__ import annotations
@@ -54,7 +56,6 @@ from .ingest import (
     iter_lines,
     load_stops,
     read_transactions,
-    stop_codes,
     take_header,
 )
 
@@ -204,8 +205,6 @@ class Registry(NamedTuple):
     """A stop registry, loaded and clustered once for every year that names it."""
 
     places: PlaceIndex
-    codes: dict[str, int]  # see ingest.stop_codes
-    place_of: list[int | None]  # the place of each stop code; code 0, no alighting, has none
     rejections: list[Rejection]
 
 
@@ -214,8 +213,12 @@ def load_registry(path: str, cluster_m: float) -> Registry:
     stops, rejections = load_stops(iter_lines(path))
     places = build_places(stops, cluster_m)
     log.info("%s: %d stops in %d places", path, len(stops), len(places))
-    codes = stop_codes(stops)
-    return Registry(places, codes, [None, *map(places.stop_to_place.__getitem__, codes)], rejections)
+    return Registry(places, rejections)
+
+
+def _registry_key(stops_path: str) -> str:
+    """The key a loaded registry is filed under, the same for every spelling of its path."""
+    return os.path.realpath(stops_path)
 
 
 @_collector_off()
@@ -237,13 +240,13 @@ def process_year(
     """
     if registries is None:
         registries = {}
-    key = os.path.realpath(stops_path)
+    key = _registry_key(stops_path)
     if key not in registries:
         registries[key] = load_registry(stops_path, cfg.cluster_m)
-    places, codes, place_of, stop_rejections = registries[key]
+    places, stop_rejections = registries[key]
 
     week_start = week_start or derive_week_start(iter_lines(tx_path))
-    tx = read_transactions(iter_lines(tx_path), week_start, codes)
+    tx = read_transactions(iter_lines(tx_path), week_start, places.codes)
     kept = tx.geocoded
     log.info(
         "%s: %d records parsed, %d rejected, %d geocoded, %d cards",
@@ -259,7 +262,7 @@ def process_year(
         profiles[card] = infer.build_profile(
             tx.card_type(card),
             profiles[card],
-            place_of,
+            places.place_of,
             weekdays,
             distance_km,
             cfg.stay_mode,
@@ -362,9 +365,8 @@ def _run_jobs(cfg: RunConfig) -> list:
     from concurrent.futures import ProcessPoolExecutor
 
     parent_jobs = jobs[:1] + jobs[n:]
-    # The registries the parent's own year jobs load, by the key process_year files them under.
-    held = {os.path.realpath(args[1]) for fn, args in parent_jobs if fn is process_year}
-    keys = [os.path.realpath(args[1]) if fn is process_year else None for fn, args in jobs[1:n]]
+    held = {_registry_key(args[1]) for fn, args in parent_jobs if fn is process_year}
+    keys = [_registry_key(args[1]) if fn is process_year else None for fn, args in jobs[1:n]]
     with ProcessPoolExecutor(max_workers=n - 1) as pool:
         futures = [pool.submit(_pickled, fn, args, key in held) for (fn, args), key in zip(jobs[1:n], keys)]
         inline = [here(fn, args) for fn, args in parent_jobs]
@@ -372,7 +374,7 @@ def _run_jobs(cfg: RunConfig) -> list:
         for future, key in zip(futures, keys):
             result = pickle.loads(future.result())
             if key in held:
-                result.places, _, _, result.stop_rejections = registries[key]
+                result.places, result.stop_rejections = registries[key]
             sent.append(result)
         return inline[:1] + sent + inline[1:]
 

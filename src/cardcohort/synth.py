@@ -755,7 +755,7 @@ def evaluate_recovery(truth: Sequence[TruthRow], result, tolerance_km: float = 0
     def planted_centroid(places, anchor: str | None) -> Coord | None:
         if anchor is None:
             return None
-        return places.centroid(places.stop_to_place[anchor])
+        return places.centroid(places.place_of[places.codes[anchor]])
 
     home_planted = home_recovered = home_correct = 0
     work_planted = work_recovered = work_correct = 0

@@ -38,6 +38,19 @@ def offset_coord(origin: tuple[float, float], east_m: float, north_m: float) -> 
     return lon0 + dlon, lat0 + dlat
 
 
+def members(index) -> list[tuple[str, ...]]:
+    """Each place's stop ids in id order, by place id, rebuilt from a PlaceIndex's ``codes`` and ``place_of``."""
+    out: list[list[str]] = [[] for _ in range(len(index))]
+    for sid in sorted(index.codes):
+        out[index.place_of[index.codes[sid]]].append(sid)
+    return [tuple(m) for m in out]
+
+
+def stop_places(index) -> dict[str, int]:
+    """Each stop id's place id in a PlaceIndex."""
+    return {sid: index.place_of[code] for sid, code in index.codes.items()}
+
+
 def peak_traced_bytes(fn, *args) -> int:
     """The most bytes ``fn(*args)`` held at once beyond those live before it, by tracemalloc."""
     tracemalloc.start()

@@ -46,7 +46,7 @@ from cardcohort.reports import write_housing_dynamics
 from cardcohort.synth import GeneratorConfig, evaluate_recovery, generate
 
 from coded_rides import encode
-from conftest import offset_coord, record_criterion
+from conftest import members, offset_coord, record_criterion
 
 
 def _run_bundle(bundle, threads: int = 1):
@@ -311,14 +311,14 @@ def test_criterion_6_geometry(tmp_path):
     sites = dense.config.grid_rows * dense.config.grid_cols
     per_site = dense.config.site_stops ** 2
     dense_ok = len(places) == sites and all(
-        len(p.stop_ids) == per_site for p in places.places
+        len(m) == per_site for m in members(places)
     )
 
     sparse = generate(GeneratorConfig(**small, stop_spacing_m=600.0), str(tmp_path / "sparse"))
     stops, _ = load_stops(iter_lines(sparse.paths["stops"]))
     places = build_places(stops)
     sparse_ok = len(places) == sites * per_site and all(
-        len(p.stop_ids) == 1 for p in places.places
+        len(m) == 1 for m in members(places)
     )
 
     record_criterion(

@@ -21,6 +21,7 @@ from cardcohort.synth import GeneratorConfig
 
 import reference_profile
 from coded_rides import card_rides, one_route
+from conftest import stop_places
 from test_pipeline import read_rows
 
 
@@ -173,9 +174,10 @@ class TestInfer:
         )
         assert code == 0
         stops, _ = ingest.load_stops(ingest.iter_lines(mini_bundle["stops"]))
-        stop_to_place = build_places(stops).stop_to_place
+        places = build_places(stops)
+        stop_to_place = stop_places(places)
         week_start = ingest.derive_week_start(ingest.iter_lines(mini_bundle["year1"]))
-        codes = ingest.stop_codes(stops)
+        codes = places.codes
         tx = ingest.read_transactions(ingest.iter_lines(mini_bundle["year1"]), week_start, codes)
         stays = {
             card: reference_profile.build_stays(

@@ -27,7 +27,7 @@ from cardcohort.geo import (
 from cardcohort.ingest import iter_lines, load_stops
 from cardcohort.synth import GeneratorConfig, generate
 
-from conftest import offset_coord
+from conftest import members, offset_coord, stop_places
 
 # Frozen against an independent great-circle calculation: two central
 # Beijing points, 0.07 deg of longitude and 0.09 deg of latitude apart.
@@ -140,14 +140,14 @@ class TestBuildPlaces:
         coords = [offset_coord(ORIGIN, x, 0) for x in (0, 400, 800)]
         places = build_places(_stops(coords))
         assert len(places) == 1
-        assert places.places[0].stop_ids == ("S000", "S001", "S002")
+        assert members(places)[0] == ("S000", "S001", "S002")
 
     def test_gap_beyond_radius_splits(self):
         coords = [offset_coord(ORIGIN, x, 0) for x in (0, 400, 1000)]
         places = build_places(_stops(coords))
         assert len(places) == 2
-        assert places.places[0].stop_ids == ("S000", "S001")
-        assert places.places[1].stop_ids == ("S002",)
+        assert members(places)[0] == ("S000", "S001")
+        assert members(places)[1] == ("S002",)
 
     def test_link_radius_is_inclusive(self):
         a = ORIGIN
@@ -164,37 +164,38 @@ class TestBuildPlaces:
         # The eastern cluster holds the lexically smallest stop id, so it
         # must get place 0 even though it appears later in the input.
         places = build_places({"S9": west, "S1": east, "S2": east})
-        assert places.places[0].stop_ids == ("S1", "S2")
-        assert places.places[1].stop_ids == ("S9",)
-        assert places.stop_to_place == {"S1": 0, "S2": 0, "S9": 1}
+        assert members(places)[0] == ("S1", "S2")
+        assert members(places)[1] == ("S9",)
+        assert stop_places(places) == {"S1": 0, "S2": 0, "S9": 1}
 
     def test_input_order_is_irrelevant(self):
         coords = [offset_coord(ORIGIN, x, y) for x in (0, 400, 2000) for y in (0, 300)]
         stops = _stops(coords)
         a = build_places(stops)
         b = build_places(dict(reversed(stops.items())))
-        assert a.places == b.places
+        assert a == b
 
     def test_centroid_is_member_mean(self):
         coords = [offset_coord(ORIGIN, x, 0) for x in (0, 300)]
         places = build_places(_stops(coords))
         lon = (coords[0][0] + coords[1][0]) / 2
         lat = (coords[0][1] + coords[1][1]) / 2
-        got = places.places[0].centroid
+        got = places.centroids[0]
         assert got[0] == pytest.approx(lon, abs=1e-12)
         assert got[1] == pytest.approx(lat, abs=1e-12)
 
     def test_empty_registry(self):
         places = build_places({})
         assert len(places) == 0
-        assert places.stop_to_place == {}
+        assert stop_places(places) == {}
+        assert places.place_of == [None]
 
     def test_index_lookups(self):
         coords = [offset_coord(ORIGIN, x, 0) for x in (0, 5000)]
         places = build_places(_stops(coords))
-        assert places.stop_to_place == {"S000": 0, "S001": 1}
-        assert places.places[1].stop_ids == ("S001",)
-        assert places.centroid(0) == places.places[0].centroid
+        assert stop_places(places) == {"S000": 0, "S001": 1}
+        assert members(places)[1] == ("S001",)
+        assert places.centroid(0) == places.centroids[0]
 
     @pytest.mark.parametrize("stops, radius_m", [
         ({"A": (0.0, 0.0), "B": (180.0, 0.0)}, 2.1e7),  # antipodes, 20,015 km apart
@@ -202,14 +203,14 @@ class TestBuildPlaces:
     ])
     def test_a_radius_beyond_half_the_circumference_links_every_pair(self, stops, radius_m):
         assert haversine_km(stops["A"], stops["B"]) * 1000.0 < radius_m
-        assert [p.stop_ids for p in build_places(stops, radius_m).places] == [("A", "B")]
+        assert members(build_places(stops, radius_m)) == [("A", "B")]
 
     def test_links_across_the_antimeridian(self):
         # 17 m apart, on either side of +-180 degrees.
         stops = {"E": (179.9999, 39.9), "W": (-179.9999, 39.9)}
         assert haversine_km(stops["E"], stops["W"]) < 0.02
         places = build_places(stops)
-        assert [p.stop_ids for p in places.places] == [("E", "W")]
+        assert members(places) == [("E", "W")]
 
     def test_links_near_a_pole(self):
         # 111 m apart, 60 degrees of longitude apart at 89.999 N; and one
@@ -217,7 +218,7 @@ class TestBuildPlaces:
         stops = {"N1": (0.0, 89.999), "N2": (60.0, 89.999), "S1": (-90.0, -89.999), "S2": (90.0, -89.999)}
         assert haversine_km(stops["N1"], stops["N2"]) < 0.12
         places = build_places(stops)
-        assert [p.stop_ids for p in places.places] == [("N1", "N2"), ("S1", "S2")]
+        assert members(places) == [("N1", "N2"), ("S1", "S2")]
 
     @pytest.mark.parametrize("lon", [116.3, 179.9])
     @pytest.mark.parametrize("lat", [0.0, 39.9, -60.0, 80.0, 89.99, -89.995, 89.9995])
@@ -237,12 +238,18 @@ class TestBuildPlaces:
                     assert len(build_places(stops, math.nextafter(radius_m, 0.0))) == 2, (a, b)
 
     @settings(max_examples=100, deadline=None)
-    @given(registries())
-    def test_matches_all_pairs_single_linkage(self, registry):
-        """The grid-bucketed clustering must equal brute-force linkage."""
+    @given(registries(), st.randoms(use_true_random=False))
+    def test_matches_all_pairs_single_linkage(self, registry, rng):
+        """The grid-bucketed clustering must equal brute-force linkage, with
+        place ids in order of each place's smallest code, whatever the order
+        of the registry's entries."""
         stops, radius_m = registry
-        got = {frozenset(p.stop_ids) for p in build_places(stops, radius_m).places}
-        assert got == _single_linkage(stops, radius_m)
+        entries = list(stops.items())
+        rng.shuffle(entries)
+        places = build_places(dict(entries), radius_m)
+        assert {frozenset(m) for m in members(places)} == _single_linkage(stops, radius_m)
+        firsts = [min(places.codes[sid] for sid in m) for m in members(places)]
+        assert all(a < b for a, b in zip(firsts, firsts[1:]))
 
     def test_synth_registry_matches_all_pairs_single_linkage(self, tmp_path):
         # 576 stops, 500 m apart within a site: up to rounding to seven
@@ -254,7 +261,7 @@ class TestBuildPlaces:
         stops, _ = load_stops(iter_lines(generate(cfg, str(tmp_path)).paths["stops"]))
         assert len(stops) == 576
         places = build_places(stops)
-        assert {frozenset(p.stop_ids) for p in places.places} == _single_linkage(stops, CLUSTER_RADIUS_M)
+        assert {frozenset(m) for m in members(places)} == _single_linkage(stops, CLUSTER_RADIUS_M)
         assert 64 < len(places) < 576
 
 
