@@ -171,10 +171,16 @@ def _clean(line: str) -> str:
     return line.rstrip("\r\n")
 
 
-def _bail_early(rejected: int, seen: int) -> None:
+def _bail_early(rejected: int, seen: int, reasons: Iterable[str]) -> None:
     # Bail out early on files that are clearly not in this schema.
     if seen >= 1000 and rejected * 2 > seen:
-        raise SchemaError(f"rejected {rejected} of first {seen} lines; wrong schema")
+        raise _wrong_schema(rejected, f"first {seen}", reasons)
+
+
+def _wrong_schema(rejected: int, lines: str, reasons: Iterable[str]) -> SchemaError:
+    """The error for a file that too many of its lines reject, naming their most common reason."""
+    most = Counter(reasons).most_common(1)[0][0]
+    return SchemaError(f"rejected {rejected} of {lines} lines; wrong schema (most: {most})")
 
 
 def stop_codes(stop_ids: Iterable[str]) -> dict[str, int]:
@@ -253,7 +259,7 @@ def derive_week_start(lines: Iterable[str]) -> date:
         else:
             wrong += 1
             # The reader rejects each of these too, so it bails at this line or before.
-            _bail_early(wrong, line_no - 1 - blank)
+            _bail_early(wrong, line_no - 1 - blank, ("bad column count",))
     minutes = _Minutes(0)
     first = min((t for t in map(minutes.__getitem__, boards) if t is not None), default=None)
     return DEFAULT_WEEK_START if first is None else date.fromordinal(first // DAY_MINUTES + 1)
@@ -362,20 +368,21 @@ def read_transactions(
                         students.add(card_id)
                     continue
         rejections.append(Rejection(line_no, reason))
-        _bail_early(len(rejections), line_no - 1 - blank)
+        _bail_early(len(rejections), line_no - 1 - blank, (r.reason for r in rejections))
 
     total = line_no - 1 - blank
     if total and len(rejections) > total * FATAL_REJECT_FRACTION:
-        raise SchemaError(f"rejected {len(rejections)} of {total} lines; wrong schema")
+        raise _wrong_schema(len(rejections), str(total), (r.reason for r in rejections))
     return Transactions(week, by_card, students, rejections, unmatched, total - len(rejections))
 
 
 def load_stops(lines: Iterable[str]) -> tuple[dict[str, tuple[float, float]], list[Rejection]]:
     """Read a stop registry as stop id -> (lon, lat).
 
-    Duplicate ids are a fatal SchemaError: two conflicting coordinates for
-    one stop would silently corrupt every distance downstream.  Bad
-    coordinate lines are rejected individually.
+    Bad lines are rejected individually.  Two lines that both pass their
+    checks and name one id are a fatal SchemaError, in either order: two
+    coordinates for one stop would silently corrupt every distance
+    downstream.  A rejected line never conflicts with a kept one.
     """
     it = iter(lines)
     take_header(it, STOPS_HEADER, "stops")
@@ -393,8 +400,6 @@ def load_stops(lines: Iterable[str]) -> tuple[dict[str, tuple[float, float]], li
         if not stop_id:
             rejections.append(Rejection(line_no, "empty stop_id"))
             continue
-        if stop_id in stops:
-            raise SchemaError(f"duplicate stop_id {stop_id!r} at line {line_no}")
         try:
             lon = float(lon_s)
             lat = float(lat_s)
@@ -404,6 +409,8 @@ def load_stops(lines: Iterable[str]) -> tuple[dict[str, tuple[float, float]], li
         if not (-180.0 <= lon <= 180.0 and -90.0 <= lat <= 90.0):
             rejections.append(Rejection(line_no, "coordinate out of range"))
             continue
+        if stop_id in stops:
+            raise SchemaError(f"duplicate stop_id {stop_id!r} at line {line_no}")
         stops[stop_id] = (lon, lat)
     return stops, rejections
 

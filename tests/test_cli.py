@@ -103,6 +103,22 @@ class TestIngestCheck:
         )
         assert code == 3
 
+    def test_a_week_one_year_off_names_its_leading_reason(self, mini_bundle, tmp_path, capsys):
+        # Every line is in the schema; only the configured week is wrong.
+        week = tmp_path / "week.csv"
+        week.write_text(ingest.TRANSACTIONS_HEADER + "\n" + "C1,R,FIX,B1,S1,2008-04-07T07:30,,\n" * 1200)
+        code = run_cli(
+            "ingest-check",
+            "--transactions", str(week),
+            "--stops", mini_bundle["stops"],
+            "--week-start", "2009-04-06",
+            "--out", str(tmp_path / "out"),
+        )
+        assert code == 3
+        assert capsys.readouterr().err.endswith(
+            "error: rejected 1000 of first 1000 lines; wrong schema (most: outside observation week)\n"
+        )
+
 
 class TestInfer:
     def test_profiles_single_year(self, mini_bundle, tmp_path):

@@ -396,6 +396,16 @@ class TestLoadStops:
         with pytest.raises(SchemaError):
             load_stops(["stop_id,lon,lat", "S1,116.30,39.90", "S1,116.31,39.91"])
 
+    @pytest.mark.parametrize("bad,reason", [("S1,x,39.9", "bad coordinate"), ("S1,181.0,39.9", "coordinate out of range")])
+    @pytest.mark.parametrize("bad_first", [True, False])
+    def test_a_rejected_line_does_not_conflict_with_a_kept_one(self, bad, reason, bad_first):
+        # Only two lines that both pass their checks conflict, so the
+        # order of the two lines moves the rejection and nothing else.
+        rows = [bad, "S1,116.4,39.9"] if bad_first else ["S1,116.4,39.9", bad]
+        stops, rejections = load_stops([STOPS_HEADER, *rows])
+        assert stops == {"S1": (116.4, 39.9)}
+        assert rejections == [Rejection(2 if bad_first else 3, reason)]
+
     def test_wrong_header_is_fatal(self):
         with pytest.raises(SchemaError):
             load_stops(["id,x,y", "S1,116.30,39.90"])

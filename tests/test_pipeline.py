@@ -8,7 +8,6 @@ import json
 import logging
 import math
 import os
-import random
 import tracemalloc
 from collections import Counter
 from types import SimpleNamespace
@@ -162,24 +161,6 @@ class TestProcessYear:
 class TestJobs:
     """Year 1, year 2 and the follow-up run as processes at threads > 1."""
 
-    def test_thread_count_does_not_change_results(self, mini_config, tmp_path):
-        runs = {}
-        for threads in (1, 2, 3):
-            result = run_pipeline(dataclasses.replace(mini_config, threads=threads))
-            out = tmp_path / f"t{threads}"
-            names = write_run_reports(result, str(out))
-            files = {n: (out / n).read_bytes() for n in names}
-            runs[threads] = result, files
-        serial, serial_files = runs[1]
-        for threads in (2, 3):
-            result, files = runs[threads]
-            assert result.year1.profiles == serial.year1.profiles
-            assert result.year2.profiles == serial.year2.profiles
-            assert result.deltas == serial.deltas
-            assert groups_of(result) == groups_of(serial)
-            assert result.followup_counts == serial.followup_counts
-            assert files == serial_files
-
     @pytest.mark.parametrize("enabled", [True, False])
     def test_collector_state_restored(self, mini_config, tmp_path, enabled):
         bad = tmp_path / "bad.csv"
@@ -223,7 +204,6 @@ class TestJobs:
         monkeypatch.setattr(pipeline, "build_places", counting)
         copy = tmp_path / "stops2.csv"
         copy.write_bytes(open(mini_config.stops1, "rb").read())
-        files = []
         # At threads=2 the spy sees only the parent, which clusters year 1's
         # registry and never the one a worker clustered for year 2.
         cases = ((mini_config.stops1, 1, 1), (str(copy), 1, 2), (mini_config.stops1, 2, 1), (str(copy), 2, 1))
@@ -234,20 +214,6 @@ class TestJobs:
             shared = stops2 == mini_config.stops1
             assert (result.year1.places is result.year2.places) == shared
             assert (result.year1.stop_rejections is result.year2.stop_rejections) == shared
-            out = tmp_path / f"run{len(files)}"
-            files.append({n: (out / n).read_bytes() for n in write_run_reports(result, str(out))})
-        assert all(f == files[0] for f in files)
-
-    @pytest.mark.parametrize("threads", [1, 2])
-    def test_one_registry_by_another_spelling_is_shared(self, mini_config, tmp_path, monkeypatch, threads):
-        link = tmp_path / "link.csv"
-        link.symlink_to(mini_config.stops1)
-        folder, name = os.path.split(mini_config.stops1)
-        monkeypatch.chdir(folder)
-        for stops2 in (f"./{name}", str(link)):
-            result = run_pipeline(dataclasses.replace(mini_config, stops2=stops2, threads=threads))
-            assert result.year1.places is result.year2.places
-            assert result.year1.stop_rejections is result.year2.stop_rejections
 
     def test_a_worker_sends_back_only_the_registry_the_parent_lacks(self, mini_config, tmp_path, monkeypatch):
         args = (mini_config.year2, mini_config.stops2, mini_config, None)
@@ -274,58 +240,14 @@ class TestJobs:
     def test_a_year2_registry_that_shifts_every_place_id(self, mini_config, tmp_path):
         # A far-off stop whose id sorts first becomes year 2's place 0, so
         # every year-2 place id is one greater than the same place's id in
-        # year 1.  Only year 2's profiles name place ids.  A worker that
-        # left out year 2's own registry would have its ids looked up in
-        # year 1's.
+        # year 1.  test_invariance.py checks the reports of such a run.
         lines = open(mini_config.stops1, encoding="utf-8").readlines()
         shifted = tmp_path / "stops2.csv"
         shifted.write_text("".join([lines[0], "A0,100.0,10.0\n", *lines[1:]]), encoding="utf-8")
-        files = {}
         for threads in (1, 2):
-            for stops2 in (mini_config.stops1, str(shifted)):
-                result = run_pipeline(dataclasses.replace(mini_config, stops2=stops2, threads=threads))
-                out = tmp_path / f"run{len(files)}"
-                files[threads, stops2] = {name: (out / name).read_bytes() for name in write_run_reports(result, str(out))}
-                assert (result.year2.places is result.year1.places) == (stops2 == mini_config.stops1)
-        assert (result.year2.profiles["A1"].home, result.year2.profiles["A1"].work) == (3, 2)
-        for stops2 in (mini_config.stops1, str(shifted)):
-            assert files[2, stops2] == files[1, stops2]
-        shared, own = files[1, mini_config.stops1], files[1, str(shifted)]
-        assert shared.pop("profiles_year2.csv") != own.pop("profiles_year2.csv")
-        assert own == shared
-
-    def test_registry_line_order_does_not_change_reports(self, tmp_path):
-        # Codes and place ids follow the sorted stop ids, not the order of
-        # the registry's lines.  Year 2 alone naming a reordered copy has
-        # that copy loaded by the worker at threads=2.
-        gen = GeneratorConfig(
-            seed=3, commuters=20, movers=20, job_changers=20, jobless=10, churners=10,
-            grid_rows=6, grid_cols=6, site_stops=3, noise_rate=0.2,
-        )
-        bundle = generate(gen, str(tmp_path / "bundle"))
-        header, *rows = open(bundle.paths["stops"], encoding="utf-8").readlines()
-        shuffled = rows[:]
-        random.Random(7).shuffle(shuffled)
-        registry = {"as written": bundle.paths["stops"]}
-        for name, lines in (("reversed", rows[::-1]), ("shuffled", shuffled)):
-            registry[name] = str(tmp_path / f"{name}.csv")
-            with open(registry[name], "w", encoding="utf-8") as fh:
-                fh.write(header + "".join(lines))
-        cfg = RunConfig(
-            year1=bundle.paths["week1"], year2=bundle.paths["week2"],
-            stops1=bundle.paths["stops"], stops2=bundle.paths["stops"],
-            followup=bundle.paths["followup"], r4=bundle.paths["r4"], taz=bundle.paths["taz"],
-            center=bundle.center,
-        )
-        cases = [(registry[name],) * 2 for name in registry] + [(registry["as written"], registry["shuffled"])]
-        files = []
-        for stops1, stops2 in cases:
-            for threads in (1, 2):
-                result = run_pipeline(dataclasses.replace(cfg, stops1=stops1, stops2=stops2, threads=threads))
-                out = tmp_path / f"run{len(files)}"
-                files.append({n: (out / n).read_bytes() for n in write_run_reports(result, str(out))})
-        assert len(files[0]["deltas.csv"].splitlines()) > 50
-        assert all(f == files[0] for f in files)
+            result = run_pipeline(dataclasses.replace(mini_config, stops2=str(shifted), threads=threads))
+            assert result.year2.places is not result.year1.places
+            assert (result.year2.profiles["A1"].home, result.year2.profiles["A1"].work) == (3, 2)
 
     def test_run_leaves_no_cyclic_garbage(self, mini_config):
         gc.collect()
