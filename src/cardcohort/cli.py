@@ -17,28 +17,10 @@ from dataclasses import fields, replace
 from . import reports
 from .geo import DEFAULT_CENTER
 from .infer import HOME_RULES, STAY_MODES
-from .ingest import (
-    ObservationWeek,
-    SchemaError,
-    derive_week_start,
-    field_parser,
-    iter_lines,
-    load_stops,
-    parse_date,
-    read_config,
-    read_transactions,
-    stop_codes,
-)
-from .pipeline import (
-    PATH_FIELDS,
-    STOPS,
-    TRANSACTIONS,
-    MissingInputError,
-    RunConfig,
-    process_year,
-    require_files,
-    run_pipeline,
-)
+from .ingest import ObservationWeek, SchemaError, derive_week_start, field_parser, iter_lines, load_stops, parse_date
+from .ingest import read_config, read_transactions, stop_codes
+from .pipeline import PATH_FIELDS, STOPS, TRANSACTIONS, MissingInputError, RunConfig, process_year, require_files
+from .pipeline import run_pipeline
 from .synth import GeneratorConfig, generate
 
 log = logging.getLogger("cardcohort")

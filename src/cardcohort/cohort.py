@@ -18,10 +18,10 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 from .geo import Coord, haversine_km, radial_direction
-from .infer import YearProfile
+from .infer import CardView, Profiles, YearProfile, shared
 
 CHANGE_KM_DEFAULT = 2.0
 
@@ -39,18 +39,7 @@ _MOVE_EDGES = (2.0, 5.0, 10.0, 20.0)
 
 # Commute-delta bins from largest increase to largest decrease.  Each bin
 # is [lower, upper) with the lower bound inclusive; "<=-20" is open below.
-COMMUTE_BINS = (
-    ">=20",
-    "10-20",
-    "5-10",
-    "2-5",
-    "0-2",
-    "-2-0",
-    "-5-(-2)",
-    "-10-(-5)",
-    "-20-(-10)",
-    "<=-20",
-)
+COMMUTE_BINS = (">=20", "10-20", "5-10", "2-5", "0-2", "-2-0", "-5-(-2)", "-10-(-5)", "-20-(-10)", "<=-20")
 _COMMUTE_EDGES = (-20.0, -10.0, -5.0, -2.0, 0.0, 2.0, 5.0, 10.0, 20.0)
 
 
@@ -78,15 +67,39 @@ class CohortDelta:
     r4_2010: bool
 
 
-def match_cohort(
-    profiles1: dict[str, YearProfile], profiles2: dict[str, YearProfile]
-) -> list[str]:
-    """Card ids with a home identified in both years, sorted."""
-    return sorted(
-        c
-        for c, p in profiles1.items()
-        if p.home is not None and c in profiles2 and profiles2[c].home is not None
-    )
+def _fr_positions(profiles1: Profiles, profiles2: Profiles) -> Iterator[tuple[int, int]]:
+    """Each FR's positions in the two years' columns, in card order."""
+    home1, home2 = profiles1.home, profiles2.home
+    return ((i, j) for i, j in shared(profiles1, profiles2) if home1[i] >= 0 and home2[j] >= 0)
+
+
+def match_cohort(profiles1: Profiles, profiles2: Profiles) -> list[str]:
+    """Card ids with a home identified in both years, sorted: a merge of the two years' sorted card lists."""
+    return [profiles1.cards[i] for i, _ in _fr_positions(profiles1, profiles2)]
+
+
+class Deltas(CardView):
+    """Each FR's delta by card id, in card order, built when asked for and not kept.
+
+    ``build(p1, p2)`` makes the delta of an FR's two profiles.
+    :meth:`items` is one iterator that finds each FR's profiles in a
+    merge of the two years' columns, with no lookup by card.
+    """
+
+    __slots__ = ("years", "_build")
+
+    def __init__(self, profiles1: Profiles, profiles2: Profiles, build: Callable[..., CohortDelta]):
+        self.cards = match_cohort(profiles1, profiles2)
+        self.years = profiles1, profiles2
+        self._build = build
+
+    def at(self, i: int) -> CohortDelta:
+        p1, p2 = self.years
+        return self._build(p1[self.cards[i]], p2[self.cards[i]])
+
+    def items(self) -> Iterator[tuple[str, CohortDelta]]:
+        p1, p2 = self.years
+        return ((p1.cards[i], self._build(p1.at(i), p2.at(j))) for i, j in _fr_positions(p1, p2))
 
 
 def move(old: Coord, new: Coord, center: Coord, change_km: float) -> tuple[str, str | None, float, str | None]:
@@ -133,14 +146,8 @@ def build_delta(
     if p1.commute_km is not None and p2.commute_km is not None:
         commute_delta_km = p2.commute_km - p1.commute_km
     return CohortDelta(
-        housing_status=h_status,
-        housing_dir=h_dir,
-        move_km=h_km,
-        move_bin=h_bin,
-        work_status=w_status,
-        work_dir=w_dir,
-        work_move_km=w_km,
-        work_move_bin=w_bin,
+        housing_status=h_status, housing_dir=h_dir, move_km=h_km, move_bin=h_bin,
+        work_status=w_status, work_dir=w_dir, work_move_km=w_km, work_move_bin=w_bin,
         commute_delta_km=commute_delta_km,
         commute_bin=None if commute_delta_km is None else commute_bin(commute_delta_km),
         r4_2010=bool(in_r4(home2)) if in_r4 is not None else False,

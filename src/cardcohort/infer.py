@@ -52,9 +52,13 @@ Only a card with both places is walked a second time, for the chain.
 
 from __future__ import annotations
 
+import math
+from array import array
+from bisect import bisect_left
+from collections.abc import Mapping
 from dataclasses import dataclass
 from statistics import median
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .ingest import CARD_STUDENT, DAY_MINUTES, Ride, ride_tuples
 
@@ -83,14 +87,7 @@ class Stay:
 
 @dataclass(slots=True)
 class YearProfile:
-    """One card's places and commute in one week; callers key it by card id.
-
-    A slotted dataclass pickles as its class plus a ``(None, {field:
-    value})`` state, and the unpickler's memo keeps every such dict and
-    tuple alive until the load ends.  ``__reduce__`` pickles it as its
-    class and its five values instead, so a worker's year of profiles
-    loads with no state dict per card.
-    """
+    """One card's places and commute in one week: one card's value in a year's :class:`Profiles`."""
 
     home: int | None
     work: int | None
@@ -98,8 +95,73 @@ class YearProfile:
     commute_min: int | None
     rides: int
 
-    def __reduce__(self):
-        return YearProfile, (self.home, self.work, self.commute_km, self.commute_min, self.rides)
+
+class CardView(Mapping):
+    """A read-only mapping over the sorted card ids ``cards``: ``cards[i]`` maps to ``at(i)``, built when asked."""
+
+    __slots__ = ("cards",)
+
+    def __getitem__(self, card: str):
+        i = bisect_left(self.cards, card)
+        if i == len(self.cards) or self.cards[i] != card:
+            raise KeyError(card)
+        return self.at(i)
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.cards)
+
+    def __len__(self) -> int:
+        return len(self.cards)
+
+
+class Profiles(CardView):
+    """A year's profiles as columns: its card ids in sorted order and one array per field.
+
+    ``home``, ``work`` and ``rides`` are ``array('i')`` and
+    ``commute_min`` is ``array('q')``, as a distance-fare ride may alight
+    as late as the calendar allows; each holds -1 for None.
+    ``commute_km`` is ``array('d')`` with NaN for None.  Writers read the
+    columns; the mapping builds each card's :class:`YearProfile`.
+    """
+
+    __slots__ = ("home", "work", "commute_km", "commute_min", "rides")
+
+    def __init__(self, profiles: Iterable[tuple[str, YearProfile]] = ()):
+        self.cards: list[str] = []
+        self.home, self.work, self.commute_km, self.commute_min, self.rides = map(array, "iidqi")
+        for card, p in profiles:
+            self.append(card, p)
+
+    def append(self, card: str, p: YearProfile) -> None:
+        """Add ``card``'s profile; it must sort after every card held."""
+        if self.cards and card <= self.cards[-1]:
+            raise ValueError(f"card {card!r} does not sort after {self.cards[-1]!r}")
+        self.cards.append(card)
+        self.home.append(-1 if p.home is None else p.home)
+        self.work.append(-1 if p.work is None else p.work)
+        self.commute_km.append(math.nan if p.commute_km is None else p.commute_km)
+        self.commute_min.append(-1 if p.commute_min is None else p.commute_min)
+        self.rides.append(p.rides)
+
+    def at(self, i: int) -> YearProfile:
+        home, work, km, minutes = self.home[i], self.work[i], self.commute_km[i], self.commute_min[i]
+        return YearProfile(
+            None if home < 0 else home, None if work < 0 else work, None if math.isnan(km) else km,
+            None if minutes < 0 else minutes, self.rides[i],
+        )
+
+
+def shared(a: Profiles, b: Profiles) -> Iterator[tuple[int, int]]:
+    """The positions ``(i, j)`` of each card both years hold, in card order: a merge of the sorted card lists."""
+    cards = b.cards
+    j, n = 0, len(cards)
+    for i, card in enumerate(a.cards):
+        while j < n and cards[j] < card:
+            j += 1
+        if j == n:
+            return
+        if cards[j] == card:
+            yield i, j
 
 
 def build_profile(
@@ -194,11 +256,7 @@ def build_profile(
             work = min(works)[2]
         if work is not None or home_rule == HOME_RULE_RELAXED:
             f_j = acc[work][2] if work is not None else 0
-            homes = [
-                (-a[0], -a[1], p)
-                for p, a in acc.items()
-                if a[0] and a[3] and p != work and a[0] >= f_j
-            ]
+            homes = [(-a[0], -a[1], p) for p, a in acc.items() if a[0] and a[3] and p != work and a[0] >= f_j]
             if homes:
                 home = min(homes)[2]
 
@@ -206,21 +264,11 @@ def build_profile(
     if home is not None and work is not None:
         km = distance_km(home, work)
         minutes = _commute_minutes(rides, place_of, weekdays, home, work)
-    return YearProfile(
-        home=home,
-        work=work,
-        commute_km=km,
-        commute_min=minutes,
-        rides=len(rides),
-    )
+    return YearProfile(home=home, work=work, commute_km=km, commute_min=minutes, rides=len(rides))
 
 
 def _commute_minutes(
-    rides: list[Ride],
-    place_of: Sequence[int | None],
-    weekdays: frozenset[int],
-    home: int,
-    work: int,
+    rides: list[Ride], place_of: Sequence[int | None], weekdays: frozenset[int], home: int, work: int
 ) -> int | None:
     """Median in-vehicle minutes of each weekday's home-to-work chain.
 

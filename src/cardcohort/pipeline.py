@@ -8,13 +8,14 @@ run in one process load and cluster each registry once and share it,
 and a year that comes back from a worker leaves out a registry the
 parent holds, which the parent then shares with it.  So the years of one
 registry share one place index at every thread count.
-Each year's cards are profiled in one loop in sorted card order, each
-card's rides replaced by its profile in the reader's own dict, and job
+Each year's cards are profiled in sorted card order into the year's
+columns, each card's rides let go as its profile is appended, and job
 results are gathered in fixed job order, so the output bytes cannot
-depend on the thread count.  A registry is held as its place index, one
-table of each stop's code, each code's place and each place's centroid:
-a year's lines are read against its codes, its profiles name their
-places by id, and each year's ids are looked up in its own place index.
+depend on the thread count.  No FR's delta is stored: the result builds
+one when asked.  A registry is held as its place index, one table of
+each stop's code, each code's place and each place's centroid: a year's
+lines are read against its codes, its profiles name their places by id,
+and each year's ids are looked up in its own place index.
 """
 
 from __future__ import annotations
@@ -28,36 +29,15 @@ from contextlib import closing, contextmanager
 from dataclasses import dataclass, field
 from datetime import date
 from functools import cache
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from . import infer
-from .cohort import CHANGE_KM_DEFAULT, CohortDelta, build_delta, match_cohort, move
-from .geo import (
-    CLUSTER_RADIUS_M,
-    Coord,
-    DEFAULT_CENTER,
-    PlaceIndex,
-    Region,
-    build_places,
-    haversine_km,
-    load_region,
-    load_region_features,
-    point_in_region,
-)
+from .cohort import CHANGE_KM_DEFAULT, Deltas, build_delta, move
+from .geo import CLUSTER_RADIUS_M, DEFAULT_CENTER, Coord, PlaceIndex, Region, build_places, haversine_km
+from .geo import load_region, load_region_features, point_in_region
 from .groups import DeprivationSummary, score_deprivation
-from .ingest import (
-    RIDE_FIELDS,
-    STOPS_HEADER,
-    TRANSACTIONS_HEADER,
-    ObservationWeek,
-    Rejection,
-    SchemaError,
-    derive_week_start,
-    iter_lines,
-    load_stops,
-    read_transactions,
-    take_header,
-)
+from .ingest import RIDE_FIELDS, STOPS_HEADER, TRANSACTIONS_HEADER, ObservationWeek, Rejection, SchemaError
+from .ingest import derive_week_start, iter_lines, load_stops, read_transactions, take_header
 
 log = logging.getLogger(__name__)
 
@@ -155,11 +135,11 @@ def require_files(inputs: list[tuple[str, tuple[str, str] | None]]) -> None:
 
 @dataclass
 class YearData:
-    """``profiles`` lists the cards in the order of their first kept line; every consumer sorts or counts."""
+    """``profiles`` holds the year's cards as columns, in sorted card order."""
 
     week: ObservationWeek
     places: PlaceIndex
-    profiles: dict[str, infer.YearProfile]
+    profiles: infer.Profiles
     rejections: list[Rejection]
     stop_rejections: list[Rejection]
     unmatched: Counter
@@ -172,8 +152,8 @@ class PipelineResult:
     config: RunConfig
     year1: YearData
     year2: YearData
-    # One delta per frequent rider, in card order: its keys are the FRs.
-    deltas: dict[str, CohortDelta]
+    # One delta per frequent rider, in card order, built when asked: its keys are the FRs.
+    deltas: Deltas
     dep_summary: DeprivationSummary | None = None
     followup_counts: Counter = field(default_factory=Counter)
     followup_rejections: list[Rejection] = field(default_factory=list)
@@ -255,24 +235,16 @@ def process_year(
     weekdays = tx.week.weekdays
     # Many cards share a (home, work) pair.
     distance_km = cache(lambda home, work: haversine_km(places.centroid(home), places.centroid(work)))
-    # The reader's dict becomes the profiles: each card's rides are let go as they are replaced.
-    profiles: dict = tx.rides
-    for card in sorted(profiles):
+    # Each card's rides are let go as its profile is appended.
+    rides = tx.rides
+    profiles = infer.Profiles()
+    for card in sorted(rides):
         card_stays = None if stays is None else stays.setdefault(card, [])
-        profiles[card] = infer.build_profile(
-            tx.card_type(card),
-            profiles[card],
-            places.place_of,
-            weekdays,
-            distance_km,
-            cfg.stay_mode,
-            cfg.home_rule,
-            cfg.stay_min,
-            card_stays,
-        )
-    return YearData(
-        tx.week, places, profiles, tx.rejections, stop_rejections, tx.unmatched, tx.parsed, kept
-    )
+        profiles.append(card, infer.build_profile(
+            tx.card_type(card), rides.pop(card), places.place_of, weekdays, distance_km,
+            cfg.stay_mode, cfg.home_rule, cfg.stay_min, card_stays,
+        ))
+    return YearData(tx.week, places, profiles, tx.rejections, stop_rejections, tx.unmatched, tx.parsed, kept)
 
 
 @_collector_off()
@@ -287,9 +259,7 @@ def _count_followup(path: str, week_start: date | None) -> tuple[Counter, list[R
     return Counter({card: len(rides) // RIDE_FIELDS for card, rides in tx.rides.items()}), tx.rejections
 
 
-def aggregate_taz(
-    centroids: list[Coord], regions: list[Region]
-) -> tuple[list[int], int, bool]:
+def aggregate_taz(centroids: Iterable[Coord], regions: list[Region]) -> tuple[list[int], int, bool]:
     """Assign each centroid to the first containing region.
 
     Returns per-region counts, the count outside all regions, and a flag
@@ -386,7 +356,7 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
     ``cfg`` is taken as checked by :meth:`RunConfig.validate`, which the
     command line calls once, when it builds the config.  Report files are
     written separately (see the reports module); this function is pure
-    computation plus input loading.
+    computation plus input loading.  An FR's delta is built when asked for.
     """
     # The layers are small; loading them first lets a malformed one fail
     # before any transactions file is read.
@@ -399,13 +369,11 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
     in_r4 = cache(lambda c: point_in_region(c, r4_region)) if r4_region is not None else None
     cached_move = cache(move)
     centroid1, centroid2 = y1.places.centroid, y2.places.centroid
-    deltas = {
-        card: build_delta(
-            y1.profiles[card], y2.profiles[card], centroid1, centroid2, cfg.center, in_r4, cfg.change_km, cached_move
-        )
-        for card in match_cohort(y1.profiles, y2.profiles)
-    }
-    log.info("cohort: %d frequent riders", len(deltas))
+    deltas = Deltas(y1.profiles, y2.profiles, lambda p1, p2: build_delta(
+        p1, p2, centroid1, centroid2, cfg.center, in_r4, cfg.change_km, cached_move
+    ))
+    frs = deltas.cards
+    log.info("cohort: %d frequent riders", len(frs))
 
     result = PipelineResult(cfg, y1, y2, deltas, r4_region=r4_region)
 
@@ -413,14 +381,11 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
         counts, rejections = followup[0]
         result.followup_counts = counts
         result.followup_rejections = rejections
-        result.dep_summary = score_deprivation(deltas, counts)
-        log.info(
-            "followup: %d cards seen, %d of %d FRs scored",
-            len(counts), result.dep_summary.scored_count, len(deltas),
-        )
+        result.dep_summary = score_deprivation(frs, counts)
+        log.info("followup: %d cards seen, %d of %d FRs scored", len(counts), result.dep_summary.scored_count, len(frs))
 
     if taz_regions is not None:
-        homes = [centroid2(y2.profiles[c].home) for c in deltas]
+        homes = (centroid2(y2.profiles[c].home) for c in frs)
         counts, outside, overlap = aggregate_taz(homes, taz_regions)
         result.taz_regions = taz_regions
         result.taz_counts = counts

@@ -6,7 +6,9 @@ rounded to one decimal, or, for ``taz_fr_homes.geojson``, indented JSON.
 the synthetic bundle's included, goes through it as UTF-8 with LF line
 endings, so reruns diff cleanly.  Nothing here computes; writers only
 format what the pipeline already derived, and an FR's group number is
-:func:`~cardcohort.groups.classify` of its delta.
+:func:`~cardcohort.groups.classify` of its delta.  No FR's delta is
+stored: :func:`write_run_reports` builds each once, in one pass over the
+FRs that writes ``deltas.csv`` and counts the other FR tables.
 """
 
 from __future__ import annotations
@@ -14,13 +16,14 @@ from __future__ import annotations
 import json
 import math
 import os
-from collections import Counter
+from array import array
+from collections import Counter, deque
 from typing import Collection, Iterable, Mapping, Sequence
 
-from .cohort import CHANGED, COMMUTE_BINS, FOUND, JOBLESS, LOST, MOVE_BINS, NOT_CHANGED, CohortDelta
+from .cohort import CHANGED, COMMUTE_BINS, FOUND, JOBLESS, LOST, MOVE_BINS, NOT_CHANGED
 from .geo import INWARD, OUTWARD
 from .groups import GROUP_COUNT, DeprivationSummary, classify, group_counts, group_triple
-from .infer import Stay, YearProfile
+from .infer import Profiles, Stay, shared
 from .ingest import ObservationWeek, Rejection
 from .pipeline import PipelineResult
 
@@ -60,7 +63,8 @@ def _pct(count: int, total: int) -> str:
 
 
 def _km(x: float | None) -> str:
-    return "" if x is None else f"{x:.3f}"
+    """A distance to three decimals; "" for None, and for NaN, which stands for None in a profile column."""
+    return "" if x is None or math.isnan(x) else f"{x:.3f}"
 
 
 def _opt(x) -> str:
@@ -75,11 +79,14 @@ def write_unmatched(path: str, unmatched: Counter) -> None:
     write_lines(path, ["stop_id,count"], (f"{stop_id},{unmatched[stop_id]}" for stop_id in sorted(unmatched)))
 
 
-def write_profiles(path: str, profiles: dict[str, YearProfile], week: ObservationWeek) -> None:
+def write_profiles(path: str, profiles: Profiles, week: ObservationWeek) -> None:
+    """One row per card in card order, read from the year's columns: -1 and NaN are written as ""."""
     label = week.label
+    p = profiles
     write_lines(path, ["card_id,year,home_place,work_place,commute_km,commute_min,rides"], (
-        f"{card},{label},{_opt(p.home)},{_opt(p.work)},{_km(p.commute_km)},{_opt(p.commute_min)},{p.rides}"
-        for card in sorted(profiles) for p in (profiles[card],)
+        f"{card},{label},{'' if home < 0 else home},{'' if work < 0 else work},{_km(km)},"
+        f"{'' if minutes < 0 else minutes},{rides}"
+        for card, home, work, km, minutes, rides in zip(p.cards, p.home, p.work, p.commute_km, p.commute_min, p.rides)
     ))
 
 
@@ -93,70 +100,54 @@ def write_stays(path: str, stays_by_card: dict[str, list[Stay]], week: Observati
     ))
 
 
-def write_deltas(path: str, deltas: dict[str, CohortDelta]) -> None:
-    header = (
-        "card_id,housing_status,housing_dir,move_km,move_bin,"
-        "work_status,work_dir,work_move_km,commute_delta_km,commute_bin,r4_2010"
-    )
-    write_lines(path, [header], (
-        f"{card},{d.housing_status},{_opt(d.housing_dir)},{_km(d.move_km)},"
-        f"{_opt(d.move_bin)},{d.work_status},{_opt(d.work_dir)},{_km(d.work_move_km)},"
-        f"{_km(d.commute_delta_km)},{_opt(d.commute_bin)},{1 if d.r4_2010 else 0}"
-        for card in sorted(deltas) for d in (deltas[card],)
-    ))
+DELTAS_HEADER = (
+    "card_id,housing_status,housing_dir,move_km,move_bin,"
+    "work_status,work_dir,work_move_km,commute_delta_km,commute_bin,r4_2010"
+)
 
 
-def _tally(profiles: Iterable[YearProfile]) -> tuple[int, int, int, int]:
-    """Profiles with a home, a work place, a commute distance and a commute time."""
-    homes = works = km = minutes = 0
-    for p in profiles:
-        homes += p.home is not None
-        works += p.work is not None
-        km += p.commute_km is not None
-        minutes += p.commute_min is not None
-    return homes, works, km, minutes
+def _with(column: array) -> int:
+    """How many cards have a value in a profile column."""
+    return len(column) - (sum(map(math.isnan, column)) if column.typecode == "d" else column.count(-1))
 
 
-def _average(profiles: Mapping[str, YearProfile], field: str, n: int) -> str:
-    """The mean of ``field`` over the ``n`` profiles that have one, to one decimal; fsum rounds it once."""
-    values = (v for p in profiles.values() if (v := getattr(p, field)) is not None)
-    return _one_decimal(math.fsum(values) / n) if n else ""
+def _average(column: array, n: int) -> str:
+    """The mean over the ``n`` cards with a value in ``column``, to one decimal; fsum rounds it once."""
+    return _one_decimal(math.fsum(v for v in column if v >= 0) / n) if n else ""
 
 
 def write_summary(path: str, result: PipelineResult) -> None:
-    """Cardholder and identification counts per year plus the overlap, with no per-card copy."""
+    """Cardholder and identification counts per year plus the overlap, read from the columns with no per-card copy."""
     p1, p2 = result.year1.profiles, result.year2.profiles
-    homes1, works1, km1, min1 = _tally(p1.values())
-    homes2, works2, km2, min2 = _tally(p2.values())
-    # The overlap counts a card for an indicator when both years have it.
-    both = homes = works = with_km = with_min = 0
-    for card, a in p1.items():
-        if (b := p2.get(card)) is None:
-            continue
+    columns = [(getattr(p1, f), getattr(p2, f)) for f in ("home", "work", "commute_km", "commute_min")]
+    # A card has a value in a column where it holds a number >= 0: -1
+    # and NaN stand for None.  The overlap counts a card for a column
+    # when both years have a value.
+    both = 0
+    overlap = [0] * len(columns)
+    for i, j in shared(p1, p2):
         both += 1
-        homes += a.home is not None and b.home is not None
-        works += a.work is not None and b.work is not None
-        with_km += a.commute_km is not None and b.commute_km is not None
-        with_min += a.commute_min is not None and b.commute_min is not None
+        for k, (a, b) in enumerate(columns):
+            overlap[k] += a[i] >= 0 and b[j] >= 0
+    (homes1, homes2), (works1, works2), (km1, km2), (min1, min2) = ((_with(a), _with(b)) for a, b in columns)
     rows = (
         ("total_cardholders", len(p1), len(p2), both),
-        ("with_home_place", homes1, homes2, homes),
-        ("with_work_place", works1, works2, works),
-        ("with_commute_distance", km1, km2, with_km),
-        ("with_commute_time", min1, min2, with_min),
-        ("avg_commute_km", _average(p1, "commute_km", km1), _average(p2, "commute_km", km2), ""),
-        ("avg_commute_min", _average(p1, "commute_min", min1), _average(p2, "commute_min", min2), ""),
+        ("with_home_place", homes1, homes2, overlap[0]),
+        ("with_work_place", works1, works2, overlap[1]),
+        ("with_commute_distance", km1, km2, overlap[2]),
+        ("with_commute_time", min1, min2, overlap[3]),
+        ("avg_commute_km", _average(p1.commute_km, km1), _average(p2.commute_km, km2), ""),
+        ("avg_commute_min", _average(p1.commute_min, min1), _average(p2.commute_min, min2), ""),
     )
     write_lines(path, ["indicator,year1,year2,both"], (f"{name},{a},{b},{c}" for name, a, b, c in rows))
 
 
-def _write_dynamics(path: str, moves: Iterable[tuple], tail_statuses: Sequence[str] = ()) -> None:
-    """A place-change table from one (status, direction, bin) triple per FR.
+def write_dynamics(path: str, counts: Counter, tail_statuses: Sequence[str] = ()) -> None:
+    """A place-change table from the FRs' (status, direction, bin) triples, counted.
 
     NotChanged comes first, then Changed broken down by direction and move
     bin, then one row per status in ``tail_statuses``, then the Sum.
     """
-    counts = Counter(moves)
     total = sum(counts.values())
     statuses: Counter = Counter()
     for (status, _, _), n in counts.items():
@@ -175,20 +166,8 @@ def _write_dynamics(path: str, moves: Iterable[tuple], tail_statuses: Sequence[s
     ))
 
 
-def write_housing_dynamics(path: str, deltas: dict[str, CohortDelta]) -> None:
-    _write_dynamics(path, ((d.housing_status, d.housing_dir, d.move_bin) for d in deltas.values()))
-
-
-def write_work_dynamics(path: str, deltas: dict[str, CohortDelta]) -> None:
-    _write_dynamics(
-        path,
-        ((d.work_status, d.work_dir, d.work_move_bin) for d in deltas.values()),
-        (LOST, FOUND, JOBLESS),
-    )
-
-
-def write_commute_variation(path: str, deltas: dict[str, CohortDelta]) -> None:
-    bins = Counter(d.commute_bin for d in deltas.values() if d.commute_bin is not None)
+def write_commute_variation(path: str, bins: Counter) -> None:
+    """The FRs with a commute delta, counted by commute bin."""
     total = sum(bins.values())
     write_lines(
         path,
@@ -198,9 +177,10 @@ def write_commute_variation(path: str, deltas: dict[str, CohortDelta]) -> None:
     )
 
 
-def write_groups(path: str, deltas: dict[str, CohortDelta]) -> None:
-    counts = group_counts(map(classify, deltas.values()))
-    total = len(deltas)
+def write_groups(path: str, groups: Collection[int]) -> None:
+    """The FRs counted by group, from one group number per FR."""
+    counts = group_counts(groups)
+    total = len(groups)
     write_lines(path, ["group,housing_change,job_change,location,count,share_pct"], (
         f"{g},{','.join(group_triple(g))},{counts[g]},{_pct(counts[g], total)}" for g in range(1, GROUP_COUNT + 1)
     ))
@@ -217,11 +197,11 @@ def write_deprivation(path: str, summary: DeprivationSummary) -> None:
     ))
 
 
-def write_scores(path: str, deltas: dict[str, CohortDelta], followup_counts: Mapping[str, int]) -> None:
-    """One row per FR in card order; an FR is scored when it has follow-up trips."""
+def write_scores(path: str, frs: Iterable[str], groups: Iterable[int], followup_counts: Mapping[str, int]) -> None:
+    """One row per FR, with its group, in the order of ``frs``; an FR is scored when it has follow-up trips."""
     write_lines(path, ["card_id,group,followup_trips,scored"], (
-        f"{card},{classify(deltas[card])},{n},{1 if n > 0 else 0}"
-        for card in sorted(deltas) for n in (followup_counts.get(card, 0),)
+        f"{card},{g},{n},{1 if n > 0 else 0}"
+        for card, g in zip(frs, groups) for n in (followup_counts.get(card, 0),)
     ))
 
 
@@ -233,6 +213,9 @@ def write_taz_geojson(path: str, result: PipelineResult) -> None:
         features.append({"type": "Feature", "properties": {**props, "fr_homes": count}, "geometry": geom})
     write_json(path, {"type": "FeatureCollection", "outside_count": result.taz_outside, "features": features})
 
+
+# The bundle files besides deltas.csv written from what the one pass over the FRs counts.
+FR_TABLES = {"housing_dynamics.csv", "work_dynamics.csv", "commute_variation.csv", "groups.csv", "scores.csv"}
 
 # The bundle files that read an optional run input; without it they are not written.
 OPTIONAL_INPUT_FILES = {
@@ -267,13 +250,34 @@ def write_run_reports(
     emit("unmatched_year1.csv", write_unmatched, result.year1.unmatched)
     emit("unmatched_year2.csv", write_unmatched, result.year2.unmatched)
     emit("summary.csv", write_summary, result)
-    emit("deltas.csv", write_deltas, result.deltas)
-    emit("housing_dynamics.csv", write_housing_dynamics, result.deltas)
-    emit("work_dynamics.csv", write_work_dynamics, result.deltas)
-    emit("commute_variation.csv", write_commute_variation, result.deltas)
-    emit("groups.csv", write_groups, result.deltas)
+    # One pass over the FRs builds each delta once, as its deltas.csv row
+    # is made, and counts it for the other FR tables; groups holds each
+    # FR's group number in FR order.
+    housing, work, commute, groups = Counter(), Counter(), Counter(), bytearray()
+
+    def delta_rows():
+        for card, d in result.deltas.items():
+            housing[d.housing_status, d.housing_dir, d.move_bin] += 1
+            work[d.work_status, d.work_dir, d.work_move_bin] += 1
+            if d.commute_bin is not None:
+                commute[d.commute_bin] += 1
+            groups.append(classify(d))
+            yield (
+                f"{card},{d.housing_status},{_opt(d.housing_dir)},{_km(d.move_km)},"
+                f"{_opt(d.move_bin)},{d.work_status},{_opt(d.work_dir)},{_km(d.work_move_km)},"
+                f"{_km(d.commute_delta_km)},{_opt(d.commute_bin)},{1 if d.r4_2010 else 0}"
+            )
+
+    rows = delta_rows()
+    emit("deltas.csv", write_lines, [DELTAS_HEADER], rows)
+    if names is None or not FR_TABLES.isdisjoint(names):
+        deque(rows, maxlen=0)  # the pass ends here when deltas.csv is not written
+    emit("housing_dynamics.csv", write_dynamics, housing)
+    emit("work_dynamics.csv", write_dynamics, work, (LOST, FOUND, JOBLESS))
+    emit("commute_variation.csv", write_commute_variation, commute)
+    emit("groups.csv", write_groups, groups)
     emit("deprivation.csv", write_deprivation, result.dep_summary)
-    emit("scores.csv", write_scores, result.deltas, result.followup_counts)
+    emit("scores.csv", write_scores, result.deltas, groups, result.followup_counts)
     emit("rejections_followup.csv", write_rejections, result.followup_rejections)
     emit("taz_fr_homes.geojson", write_taz_geojson, result)
     return written

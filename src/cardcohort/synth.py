@@ -54,14 +54,7 @@ from datetime import date, timedelta
 from typing import Iterable, Mapping, Sequence
 
 from .cohort import CHANGED, FOUND, JOBLESS, LOST, NOT_CHANGED
-from .geo import (
-    Coord,
-    M_PER_DEG_LAT,
-    Region,
-    haversine_km,
-    point_in_region,
-    radial_direction,
-)
+from .geo import M_PER_DEG_LAT, Coord, Region, haversine_km, point_in_region, radial_direction
 from .groups import classify, group_index
 from .ingest import TRANSACTIONS_HEADER, iter_lines, read_config, take_header
 from .reports import write_json, write_lines

@@ -42,7 +42,7 @@ from cardcohort.ingest import (
     load_stops,
 )
 from cardcohort.pipeline import RunConfig, run_pipeline
-from cardcohort.reports import write_housing_dynamics
+from cardcohort.reports import write_dynamics
 from cardcohort.synth import GeneratorConfig, evaluate_recovery, generate
 
 from coded_rides import encode
@@ -228,7 +228,7 @@ def test_criterion_4_published_arithmetic(tmp_path):
             i += 1
 
     path = str(tmp_path / "housing_dynamics.csv")
-    write_housing_dynamics(path, deltas)
+    write_dynamics(path, Counter((d.housing_status, d.housing_dir, d.move_bin) for d in deltas.values()))
     rows = {}
     with open(path, "r", encoding="utf-8") as fh:
         next(fh)

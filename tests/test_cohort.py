@@ -24,7 +24,7 @@ from cardcohort.cohort import (
     move_bin,
 )
 from cardcohort.geo import INWARD, OUTWARD, haversine_km
-from cardcohort.infer import YearProfile
+from cardcohort.infer import Profiles, YearProfile
 
 # Frozen fixture: both homes due east of the centre on the same
 # parallel, 15 km and 3 km out, so the move is 12 km inward (up to the
@@ -40,6 +40,11 @@ FARTHER_HOME = (NEW_HOME[0] + (OLD_HOME[0] - NEW_HOME[0]) / 4, NEW_HOME[1])
 # look their ids up in this one table.
 OLD, NEW, FARTHER = 0, 1, 2
 CENTROID = {OLD: OLD_HOME, NEW: NEW_HOME, FARTHER: FARTHER_HOME}.__getitem__
+
+
+def columns(profiles: dict[str, YearProfile]) -> Profiles:
+    """A year's profiles held as the pipeline holds them."""
+    return Profiles(sorted(profiles.items()))
 
 
 def prof(home=OLD, work=None, ckm=None) -> YearProfile:
@@ -121,13 +126,13 @@ def test_match_cohort_requires_home_both_years():
         "B": prof(home=1),
         "C": prof(home=None),
     }
-    assert match_cohort(p1, p2) == ["A"]
+    assert match_cohort(columns(p1), columns(p2)) == ["A"]
 
 
 def test_match_cohort_output_is_sorted():
     p1 = {c: prof(home=1) for c in ("Z", "M", "A")}
     p2 = {c: prof(home=1) for c in ("Z", "M", "A")}
-    assert match_cohort(p1, p2) == ["A", "M", "Z"]
+    assert match_cohort(columns(p1), columns(p2)) == ["A", "M", "Z"]
 
 
 # The home, work and commute parts of one FR's delta, each as a tuple.

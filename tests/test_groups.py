@@ -98,9 +98,10 @@ def test_group_counts_always_has_twenty_keys():
 
 
 def score_rows(tmp_path, deltas, counts) -> list[list[str]]:
-    """The data rows of ``scores.csv`` written from ``deltas`` and ``counts``."""
+    """The data rows of ``scores.csv`` written from ``deltas``, in card order, and ``counts``."""
     path = tmp_path / "scores.csv"
-    write_scores(str(path), deltas, counts)
+    frs = sorted(deltas)
+    write_scores(str(path), frs, [classify(deltas[card]) for card in frs], counts)
     header, *rows = path.read_text(encoding="utf-8").splitlines()
     assert header == "card_id,group,followup_trips,scored"
     return [row.split(",") for row in rows]
@@ -188,7 +189,7 @@ class TestGroupAndScoreWriters:
 
     def test_group_counts_sum_to_the_fr_count(self, tmp_path):
         path = tmp_path / "groups.csv"
-        write_groups(str(path), self.DELTAS)
+        write_groups(str(path), [classify(d) for d in self.DELTAS.values()])
         _, *rows = path.read_text(encoding="utf-8").splitlines()
         counts = {int(row.split(",")[0]): int(row.split(",")[4]) for row in rows}
         assert sum(counts.values()) == len(self.DELTAS)

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cardcohort.geo import haversine_km
-from cardcohort.infer import YearProfile
+from cardcohort.infer import Profiles, YearProfile
 from cardcohort.ingest import CARD_REGULAR, CARD_STUDENT, ObservationWeek
 
 from reference_profile import (
@@ -305,21 +305,58 @@ class TestBuildProfile:
         assert profile.rides == 4
 
 
+def _none_zero_or(values):
+    return st.none() | st.just(0) | values
+
+
+# One card's profile: place id 0, commute_km 0.0 and commute_min 0 are
+# drawn as often as None, and commute minutes reach past 32 bits.
+PROFILE = st.builds(
+    YearProfile,
+    _none_zero_or(st.integers(1, 2**31 - 1)),
+    _none_zero_or(st.integers(1, 2**31 - 1)),
+    st.none() | st.just(0.0) | st.floats(0.0, 1e5, allow_nan=False, allow_infinity=False),
+    _none_zero_or(st.integers(1, 2**63 - 1)),
+    st.integers(0, 2**31 - 1),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(st.text(max_size=6), PROFILE, max_size=20), st.text(max_size=6))
+def test_the_columns_read_back_as_the_dict_they_came_from(profiles, card):
+    view = Profiles(sorted(profiles.items()))
+    assert view == profiles and profiles == view
+    assert list(view) == sorted(profiles)
+    if card not in profiles:
+        assert view.get(card) is None and card not in view
+    assert pickle.loads(pickle.dumps(view)) == view
+
+
+def test_the_columns_take_cards_in_ascending_order_only():
+    p = YearProfile(0, None, None, None, 1)
+    for cards in (("B", "A"), ("A", "A")):
+        with pytest.raises(ValueError, match="does not sort after"):
+            Profiles((card, p) for card in cards)
+
+
 class TestYearProfilePickle:
-    """A worker's year of profiles comes back pickled, so loading it must hold little beyond the result."""
+    """A worker's year comes back pickled as its columns, so loading it must hold little beyond the result."""
 
     @pytest.fixture(scope="class")
     def profiles(self):
-        return {
-            f"C{i:05d}": YearProfile(
-                i % 500 if i % 7 else None,
-                i % 400 if i % 3 else None,
-                i / 7 if i % 3 else None,
-                i % 90 if i % 5 else None,
-                i % 40,
+        return Profiles(
+            (
+                f"C{i:05d}",
+                YearProfile(
+                    i % 500 if i % 7 else None,
+                    i % 400 if i % 3 else None,
+                    i / 7 if i % 3 else None,
+                    i % 90 if i % 5 else None,
+                    i % 40,
+                ),
             )
             for i in range(20_000)
-        }
+        )
 
     def test_round_trips_equal(self, profiles):
         assert pickle.loads(pickle.dumps(profiles)) == profiles
@@ -329,8 +366,10 @@ class TestYearProfilePickle:
         assert copy.deepcopy(profiles) == profiles
 
     def test_loading_builds_no_state_dict_per_profile(self, profiles):
-        # A state dict and its tuple kept by the unpickler's memo cost 281
-        # bytes per profile; the class and a five-value tuple cost 91.
+        # One profile object per card, each pickled as its class and five
+        # values, left 91 bytes per card in the unpickler's memo at the
+        # peak; the columns load as one list and five bytes objects and
+        # leave 42: the memo's slot per card id and the arrays' bytes.
         data = pickle.dumps(profiles)
         tracemalloc.start()
         try:
@@ -339,4 +378,4 @@ class TestYearProfilePickle:
         finally:
             tracemalloc.stop()
         assert len(loaded) == len(profiles)
-        assert (peak - live) / len(profiles) < 160
+        assert (peak - live) / len(profiles) < 64

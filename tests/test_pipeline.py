@@ -18,7 +18,7 @@ from cardcohort import pipeline
 from cardcohort.cohort import CHANGED, FOUND, JOBLESS, LOST, NOT_CHANGED, build_delta, move
 from cardcohort.geo import CLUSTER_RADIUS_M, INWARD, OUTWARD, Region, haversine_km
 from cardcohort.groups import classify
-from cardcohort.ingest import SchemaError
+from cardcohort.ingest import SchemaError, format_minute, parse_minute
 from cardcohort.pipeline import (
     MissingInputError,
     RunConfig,
@@ -26,8 +26,8 @@ from cardcohort.pipeline import (
     process_year,
     run_pipeline,
 )
-from cardcohort.infer import YearProfile
-from cardcohort.reports import write_run_reports, write_summary
+from cardcohort.infer import Profiles, YearProfile
+from cardcohort.reports import write_profiles, write_run_reports, write_summary
 from cardcohort.synth import GeneratorConfig, generate
 
 from conftest import MINI_ORIGIN, PER_CARD_COPY_BYTES, _square_geojson, offset_coord, peak_traced_bytes
@@ -283,6 +283,29 @@ def test_a_clustered_stop_costs_fewer_than_160_bytes(tmp_path):
     assert live / 3600 < 160
 
 
+def test_a_profiled_card_costs_fewer_than_130_bytes(tmp_path):
+    """A year of 500 profiled cards held as a dict of one profile object
+    per card leaves 167 bytes per card live after process_year, its id
+    text included.  Held as a sorted id list and five arrays, it leaves
+    96.  The bound of 130 lies between the two, clear of each.
+    """
+    gen = GeneratorConfig(commuters=100, movers=100, job_changers=100, jobless=100, churners=100)
+    paths = generate(gen, str(tmp_path)).paths
+    cfg = RunConfig(year1=paths["week1"], year2=paths["week2"], stops1=paths["stops"], stops2=paths["stops"])
+    registries = {pipeline._registry_key(cfg.stops1): pipeline.load_registry(cfg.stops1, cfg.cluster_m)}
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        year = process_year(cfg.year1, cfg.stops1, cfg, None, registries=registries)
+        gc.collect()
+        live = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(year.profiles) == 500
+    assert live / 500 < 130
+
+
 @pytest.fixture(scope="module")
 def result(mini_bundle):
     cfg = RunConfig(
@@ -485,7 +508,7 @@ class TestMiniPipeline:
                 km, minutes = (None, None) if i % 3 == 0 else (i / 7, i % 90)
                 return YearProfile(i % 5 or None, i % 4 or None, km, minutes, 9)
 
-            return SimpleNamespace(profiles={f"C{i:05d}": profile(i) for i in range(first, first + 20_000)})
+            return SimpleNamespace(profiles=Profiles((f"C{i:05d}", profile(i)) for i in range(first, first + 20_000)))
 
         result = SimpleNamespace(year1=year(0), year2=year(10_000))
         path = str(tmp_path / "summary.csv")
@@ -647,13 +670,15 @@ class TestGeometryOncePerPlace:
             stops1=bundle.paths["stops"], stops2=bundle.paths["stops"],
             r4=bundle.paths["r4"], taz=bundle.paths["taz"], center=bundle.center,
         ))
-        homes = [result.year2.places.centroid(result.year2.profiles[c].home) for c in result.deltas]
+        # Deltas are built when asked for, and each tests its year-2 home against R4.
+        deltas = dict(result.deltas)
+        homes = [result.year2.places.centroid(result.year2.profiles[c].home) for c in deltas]
         assert len(set(homes)) < len(homes)
         r4_calls = [c for c, name in calls if name == "R4"]
         assert sorted(r4_calls) == sorted(set(homes))
         assert len(calls) == len(set(calls)) == len(set(homes)) * (1 + len(result.taz_regions))
-        for card, home in zip(result.deltas, homes):
-            assert result.deltas[card].r4_2010 == test(home, result.r4_region)
+        for card, home in zip(deltas, homes):
+            assert deltas[card].r4_2010 == test(home, result.r4_region)
 
     def test_moves_cached_per_centroid_pair(self, result, mini_bundle, monkeypatch):
         computed = []
@@ -750,6 +775,28 @@ class TestInputRules:
         assert (profiles[0]["M1"].home, profiles[0]["M1"].work) == (None, None)
         assert profiles[0]["M1"].rides == 10
         assert (profiles[0]["R1"].home, profiles[0]["R1"].work) == (0, 1)
+
+    def test_a_commute_longer_than_32_bits_of_minutes_is_kept(self, tmp_path, mini_bundle, mini_config):
+        # A distance-fare ride may alight as late as 9999-12-31, so a
+        # commute can last more than 2**31 - 1 minutes.  HA is place 0
+        # (home) and WA place 1 (work).  On three weekdays the morning
+        # ride alights 3e9 minutes after it boards and a fixed-fare tap at
+        # work follows; on two it takes 30 minutes.  The median is 3e9.
+        long_min = 3_000_000_000
+        rows = []
+        for k, day in enumerate(f"2008-04-{d:02d}" for d in range(7, 12)):
+            if k < 3:
+                alight = format_minute(parse_minute(f"{day}T07:30") + long_min)
+                rows += [f"L1,R,DST,B1,HA,{day}T07:30,WA,{alight}", f"L1,R,FIX,B2,WA,{day}T08:00,,"]
+            else:
+                rows.append(f"L1,R,DST,B1,HA,{day}T07:30,WA,{day}T08:00")
+            rows.append(f"L1,R,DST,B1,WA,{day}T18:00,HA,{day}T18:40")
+        year = process_year(self._write(tmp_path, "long.csv", rows), mini_bundle["stops"], mini_config, None)
+        p = year.profiles["L1"]
+        assert (p.home, p.work, p.commute_min, p.rides) == (0, 1, long_min, 13)
+        path = tmp_path / "profiles.csv"
+        write_profiles(str(path), year.profiles, year.week)
+        assert read_rows(str(path))[1] == ["L1", "2008", "0", "1", f"{p.commute_km:.3f}", str(long_min), "13"]
 
     def test_followup_rows_count_without_geocoding(self, tmp_path, mini_config):
         path = self._write(
