@@ -12,10 +12,18 @@ observation years.  For each FR this module derives:
   years.
 
 Each year's place ids are looked up in that year's own place index.
+The housing half of a delta (status, direction, km, bin and whether the
+year-2 home lies within R4) depends only on the FR's two home places, and
+the work half only on its two work places: :func:`housing_change` and
+:func:`work_change` make them, :func:`commute_change` makes the commute
+part, and :func:`build_delta` is the three put together.  So a caller
+that walks the years' columns by position can make each half once per
+distinct place pair, with the same rules.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, Iterator
@@ -78,30 +86,6 @@ def match_cohort(profiles1: Profiles, profiles2: Profiles) -> list[str]:
     return [profiles1.cards[i] for i, _ in _fr_positions(profiles1, profiles2)]
 
 
-class Deltas(CardView):
-    """Each FR's delta by card id, in card order, built when asked for and not kept.
-
-    ``build(p1, p2)`` makes the delta of an FR's two profiles.
-    :meth:`items` is one iterator that finds each FR's profiles in a
-    merge of the two years' columns, with no lookup by card.
-    """
-
-    __slots__ = ("years", "_build")
-
-    def __init__(self, profiles1: Profiles, profiles2: Profiles, build: Callable[..., CohortDelta]):
-        self.cards = match_cohort(profiles1, profiles2)
-        self.years = profiles1, profiles2
-        self._build = build
-
-    def at(self, i: int) -> CohortDelta:
-        p1, p2 = self.years
-        return self._build(p1[self.cards[i]], p2[self.cards[i]])
-
-    def items(self) -> Iterator[tuple[str, CohortDelta]]:
-        p1, p2 = self.years
-        return ((p1.cards[i], self._build(p1.at(i), p2.at(j))) for i, j in _fr_positions(p1, p2))
-
-
 def move(old: Coord, new: Coord, center: Coord, change_km: float) -> tuple[str, str | None, float, str | None]:
     """(status, direction, km, bin) of a move between two centroids.
 
@@ -114,6 +98,41 @@ def move(old: Coord, new: Coord, center: Coord, change_km: float) -> tuple[str, 
     return CHANGED, radial_direction(old, new, center), km, move_bin(km)
 
 
+def housing_change(
+    old: Coord, new: Coord, center: Coord, change_km: float, in_r4, move=move
+) -> tuple[str, str | None, float, str | None, bool]:
+    """The housing half of a delta: the home move's (status, direction, km, bin) and whether ``new`` is within R4.
+
+    ``in_r4`` is a predicate over a (lon, lat) coordinate; pass a region
+    containment closure, or None when no R4 layer is configured (every
+    home then counts as outside).
+    """
+    return (*move(old, new, center, change_km), bool(in_r4(new)) if in_r4 is not None else False)
+
+
+def work_change(
+    old: Coord | None, new: Coord | None, center: Coord, change_km: float, move=move
+) -> tuple[str, str | None, float | None, str | None]:
+    """The work half of a delta from the two work centroids, None for no work place.
+
+    Employed both years: the work move.  Otherwise Lost, Found or
+    Jobless, with no direction, distance or bin.
+    """
+    if old is not None and new is not None:
+        return move(old, new, center, change_km)
+    return JOBLESS if old is None and new is None else LOST if new is None else FOUND, None, None, None
+
+
+def commute_change(km1: float, km2: float) -> tuple[float | None, str | None]:
+    """The signed change between two commute distances and its bin.
+
+    NaN stands for no distance, as in a profile column: NaN in either
+    gives (None, None).
+    """
+    delta = km2 - km1
+    return (None, None) if math.isnan(delta) else (delta, commute_bin(delta))
+
+
 def build_delta(
     p1: YearProfile,
     p2: YearProfile,
@@ -124,31 +143,70 @@ def build_delta(
     change_km: float = CHANGE_KM_DEFAULT,
     move=move,
 ) -> CohortDelta:
-    """Assemble the full delta row for one FR.
+    """Assemble the full delta row for one FR from its two profiles.
 
     ``centroid1`` and ``centroid2`` give the centroid of a place id in
-    year 1's and in year 2's place index.  ``in_r4`` is a predicate over
-    a (lon, lat) coordinate, applied to year 2's home; pass a region
-    containment closure, or None when no R4 layer is configured (every
-    card then counts as outside).  ``move`` answers the home and the
-    work move; a caller may pass a cached :func:`move` to share answers
-    across the FRs of a run.
+    year 1's and in year 2's place index; ``in_r4`` is as in
+    :func:`housing_change`, applied to year 2's home.  ``move`` answers
+    the home and the work move; a caller may pass a cached :func:`move`
+    to share answers across the FRs of a run.
     """
-    home2 = centroid2(p2.home)
-    h_status, h_dir, h_km, h_bin = move(centroid1(p1.home), home2, center, change_km)
     w1, w2 = p1.work, p2.work
-    if w1 is not None and w2 is not None:
-        w_status, w_dir, w_km, w_bin = move(centroid1(w1), centroid2(w2), center, change_km)
-    else:
-        w_status = JOBLESS if w1 is None and w2 is None else LOST if w2 is None else FOUND
-        w_dir = w_km = w_bin = None
-    commute_delta_km = None
-    if p1.commute_km is not None and p2.commute_km is not None:
-        commute_delta_km = p2.commute_km - p1.commute_km
-    return CohortDelta(
-        housing_status=h_status, housing_dir=h_dir, move_km=h_km, move_bin=h_bin,
-        work_status=w_status, work_dir=w_dir, work_move_km=w_km, work_move_bin=w_bin,
-        commute_delta_km=commute_delta_km,
-        commute_bin=None if commute_delta_km is None else commute_bin(commute_delta_km),
-        r4_2010=bool(in_r4(home2)) if in_r4 is not None else False,
-    )
+    km1, km2 = p1.commute_km, p2.commute_km
+    *housing, r4 = housing_change(centroid1(p1.home), centroid2(p2.home), center, change_km, in_r4, move)
+    old_work, new_work = None if w1 is None else centroid1(w1), None if w2 is None else centroid2(w2)
+    work = work_change(old_work, new_work, center, change_km, move)
+    commute = commute_change(math.nan if km1 is None else km1, math.nan if km2 is None else km2)
+    return CohortDelta(*housing, *work, *commute, r4)
+
+
+class Deltas(CardView):
+    """Each FR's delta by card id, in card order, built when asked for and not kept.
+
+    ``rules`` holds the arguments of :func:`build_delta` after the two
+    profiles, by which each delta is built.  :meth:`items` finds each
+    FR's profiles in a merge of the two years' columns, with no lookup by
+    card; :meth:`positions` yields the FRs' positions in those columns,
+    and :meth:`housing` and :meth:`work` make a delta's two halves from a
+    pair of place ids, so a caller can make each half once per pair.
+    """
+
+    __slots__ = ("years", "rules")
+
+    def __init__(
+        self,
+        profiles1: Profiles,
+        profiles2: Profiles,
+        centroid1: Callable[[int], Coord],
+        centroid2: Callable[[int], Coord],
+        center: Coord,
+        in_r4,
+        change_km: float = CHANGE_KM_DEFAULT,
+        move=move,
+    ):
+        self.cards = match_cohort(profiles1, profiles2)
+        self.years = profiles1, profiles2
+        self.rules = centroid1, centroid2, center, in_r4, change_km, move
+
+    def positions(self) -> Iterator[tuple[int, int]]:
+        return _fr_positions(*self.years)
+
+    def at(self, i: int) -> CohortDelta:
+        p1, p2 = self.years
+        return build_delta(p1[self.cards[i]], p2[self.cards[i]], *self.rules)
+
+    def items(self) -> Iterator[tuple[str, CohortDelta]]:
+        p1, p2 = self.years
+        return ((p1.cards[i], build_delta(p1.at(i), p2.at(j), *self.rules)) for i, j in self.positions())
+
+    def housing(self, home1: int, home2: int) -> tuple[str, str | None, float, str | None, bool]:
+        """The housing half of an FR whose home places are ``home1`` and ``home2``."""
+        centroid1, centroid2, center, in_r4, change_km, move = self.rules
+        return housing_change(centroid1(home1), centroid2(home2), center, change_km, in_r4, move)
+
+    def work(self, work1: int, work2: int) -> tuple[str, str | None, float | None, str | None]:
+        """The work half of an FR whose work places are ``work1`` and ``work2``, -1 for none."""
+        centroid1, centroid2, center, _, change_km, move = self.rules
+        return work_change(
+            None if work1 < 0 else centroid1(work1), None if work2 < 0 else centroid2(work2), center, change_km, move
+        )

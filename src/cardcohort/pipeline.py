@@ -12,10 +12,12 @@ Each year's cards are profiled in sorted card order into the year's
 columns, each card's rides let go as its profile is appended, and job
 results are gathered in fixed job order, so the output bytes cannot
 depend on the thread count.  No FR's delta is stored: the result builds
-one when asked.  A registry is held as its place index, one table of
-each stop's code, each code's place and each place's centroid: a year's
-lines are read against its codes, its profiles name their places by id,
-and each year's ids are looked up in its own place index.
+one when asked, and the FR homes for the TAZ layer are counted per
+year-2 place, by position in the year's columns.  A registry is held as
+its place index, one table of each stop's code, each code's place and
+each place's centroid: a year's lines are read against its codes, its
+profiles name their places by id, and each year's ids are looked up in
+its own place index.
 """
 
 from __future__ import annotations
@@ -29,10 +31,10 @@ from contextlib import closing, contextmanager
 from dataclasses import dataclass, field
 from datetime import date
 from functools import cache
-from typing import Iterable, NamedTuple
+from typing import Mapping, NamedTuple
 
 from . import infer
-from .cohort import CHANGE_KM_DEFAULT, Deltas, build_delta, move
+from .cohort import CHANGE_KM_DEFAULT, Deltas, move
 from .geo import CLUSTER_RADIUS_M, DEFAULT_CENTER, Coord, PlaceIndex, Region, build_places, haversine_km
 from .geo import load_region, load_region_features, point_in_region
 from .groups import DeprivationSummary, score_deprivation
@@ -259,25 +261,25 @@ def _count_followup(path: str, week_start: date | None) -> tuple[Counter, list[R
     return Counter({card: len(rides) // RIDE_FIELDS for card, rides in tx.rides.items()}), tx.rejections
 
 
-def aggregate_taz(centroids: Iterable[Coord], regions: list[Region]) -> tuple[list[int], int, bool]:
-    """Assign each centroid to the first containing region.
+def aggregate_taz(homes: Mapping[Coord, int], regions: list[Region]) -> tuple[list[int], int, bool]:
+    """Assign the homes at each centroid to the first region containing it.
 
+    ``homes`` counts the homes at each distinct centroid, so each is
+    tested against the regions once; a count of n stands for n homes.
     Returns per-region counts, the count outside all regions, and a flag
-    telling whether any centroid fell inside more than one region.  Many
-    homes share a place, so each distinct centroid is tested once.
+    telling whether any centroid fell inside more than one region.
     """
     counts = [0] * len(regions)
     outside = 0
     overlap = False
-    hits_of = cache(lambda c: [i for i, r in enumerate(regions) if point_in_region(c, r)])
-    for c in centroids:
-        hits = hits_of(c)
+    for c, n in homes.items():
+        hits = [i for i, r in enumerate(regions) if point_in_region(c, r)]
         if not hits:
-            outside += 1
+            outside += n
             continue
         if len(hits) > 1:
             overlap = True
-        counts[hits[0]] += 1
+        counts[hits[0]] += n
     return counts, outside, overlap
 
 
@@ -365,13 +367,11 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
 
     y1, y2, *followup = _run_jobs(cfg)
 
-    # Many FRs share a home place, or a pair of home or work places.
+    # Many FRs share a home place, or a pair of home or work places: the
+    # deltas built one by one, when asked for, share each answer.
     in_r4 = cache(lambda c: point_in_region(c, r4_region)) if r4_region is not None else None
-    cached_move = cache(move)
     centroid1, centroid2 = y1.places.centroid, y2.places.centroid
-    deltas = Deltas(y1.profiles, y2.profiles, lambda p1, p2: build_delta(
-        p1, p2, centroid1, centroid2, cfg.center, in_r4, cfg.change_km, cached_move
-    ))
+    deltas = Deltas(y1.profiles, y2.profiles, centroid1, centroid2, cfg.center, in_r4, cfg.change_km, cache(move))
     frs = deltas.cards
     log.info("cohort: %d frequent riders", len(frs))
 
@@ -385,7 +385,11 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
         log.info("followup: %d cards seen, %d of %d FRs scored", len(counts), result.dep_summary.scored_count, len(frs))
 
     if taz_regions is not None:
-        homes = (centroid2(y2.profiles[c].home) for c in frs)
+        # FR homes counted per year-2 place, by position, then per centroid.
+        home2 = y2.profiles.home
+        homes: Counter = Counter()
+        for place, n in Counter(home2[j] for _, j in deltas.positions()).items():
+            homes[centroid2(place)] += n
         counts, outside, overlap = aggregate_taz(homes, taz_regions)
         result.taz_regions = taz_regions
         result.taz_counts = counts

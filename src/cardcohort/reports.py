@@ -4,11 +4,15 @@ Every report is text: a CSV with a fixed column order and percentages
 rounded to one decimal, or, for ``taz_fr_homes.geojson``, indented JSON.
 :func:`write_lines` is the one writer: every output file of the package,
 the synthetic bundle's included, goes through it as UTF-8 with LF line
-endings, so reruns diff cleanly.  Nothing here computes; writers only
-format what the pipeline already derived, and an FR's group number is
-:func:`~cardcohort.groups.classify` of its delta.  No FR's delta is
-stored: :func:`write_run_reports` builds each once, in one pass over the
-FRs that writes ``deltas.csv`` and counts the other FR tables.
+endings, so reruns diff cleanly.  Nothing here decides a rule; writers
+format what the pipeline derived, by the rules of the modules that own
+them.  No FR's delta is stored: :func:`write_run_reports` makes one pass
+over the FRs, by position in both years' columns, that writes
+``deltas.csv`` and counts the other FR tables.  It makes each half of a
+delta with :meth:`~cardcohort.cohort.Deltas.housing` and
+:meth:`~cardcohort.cohort.Deltas.work` once per distinct place pair, and
+an FR's group number with :func:`~cardcohort.groups.group_index` of its
+halves, as :func:`~cardcohort.groups.classify` makes it of a delta.
 """
 
 from __future__ import annotations
@@ -18,11 +22,12 @@ import math
 import os
 from array import array
 from collections import Counter, deque
+from functools import cache
 from typing import Collection, Iterable, Mapping, Sequence
 
-from .cohort import CHANGED, COMMUTE_BINS, FOUND, JOBLESS, LOST, MOVE_BINS, NOT_CHANGED
+from .cohort import CHANGED, COMMUTE_BINS, FOUND, JOBLESS, LOST, MOVE_BINS, NOT_CHANGED, commute_change
 from .geo import INWARD, OUTWARD
-from .groups import GROUP_COUNT, DeprivationSummary, classify, group_counts, group_triple
+from .groups import GROUP_COUNT, DeprivationSummary, group_counts, group_index, group_triple
 from .infer import Profiles, Stay, shared
 from .ingest import ObservationWeek, Rejection
 from .pipeline import PipelineResult
@@ -42,6 +47,16 @@ def write_lines(path: str, *blocks: Iterable[str]) -> None:
                     fh.write(line + "\n")
     except OSError as exc:
         raise ValueError(f"cannot write {path}: {exc.strerror}") from None
+
+
+def remove_file(path: str) -> None:
+    """Remove the file at ``path`` if there is one; one that cannot be removed raises ValueError naming ``path``."""
+    try:
+        os.remove(path)
+    except FileNotFoundError:
+        pass
+    except OSError as exc:
+        raise ValueError(f"cannot remove {path}: {exc.strerror}") from None
 
 
 def write_json(path: str, doc) -> None:
@@ -80,11 +95,22 @@ def write_unmatched(path: str, unmatched: Counter) -> None:
 
 
 def write_profiles(path: str, profiles: Profiles, week: ObservationWeek) -> None:
-    """One row per card in card order, read from the year's columns: -1 and NaN are written as ""."""
+    """One row per card in card order, read from the year's columns: -1 and NaN are written as "".
+
+    Many cards share a (home, work, commute_km), so the text of each
+    distinct one is made once.
+    """
     label = week.label
     p = profiles
+
+    @cache
+    def places(home: int, work: int, km: float | str) -> str:
+        return f"{'' if home < 0 else home},{'' if work < 0 else work},{_km(float(km))}"
+
+    # NaN never equals itself, and -0.0 equals 0.0 but is written apart,
+    # so those distances are keyed by their repr.
     write_lines(path, ["card_id,year,home_place,work_place,commute_km,commute_min,rides"], (
-        f"{card},{label},{'' if home < 0 else home},{'' if work < 0 else work},{_km(km)},"
+        f"{card},{label},{places(home, work, km if km == km and km else repr(km))},"
         f"{'' if minutes < 0 else minutes},{rides}"
         for card, home, work, km, minutes, rides in zip(p.cards, p.home, p.work, p.commute_km, p.commute_min, p.rides)
     ))
@@ -214,6 +240,17 @@ def write_taz_geojson(path: str, result: PipelineResult) -> None:
     write_json(path, {"type": "FeatureCollection", "outside_count": result.taz_outside, "features": features})
 
 
+def _housing_row(status: str, direction: str | None, km: float, label: str | None, r4: bool) -> tuple:
+    """A housing half as the FR pass uses it: its dynamics key, its two group inputs and its two texts."""
+    text = f"{status},{_opt(direction)},{_km(km)},{_opt(label)}"
+    return (status, direction, label), status == CHANGED, r4, text, "1" if r4 else "0"
+
+
+def _work_row(status: str, direction: str | None, km: float | None, label: str | None) -> tuple:
+    """A work half as the FR pass uses it: its dynamics key, its group input and its text."""
+    return (status, direction, label), status, f"{status},{_opt(direction)},{_km(km)}"
+
+
 # The bundle files besides deltas.csv written from what the one pass over the FRs counts.
 FR_TABLES = {"housing_dynamics.csv", "work_dynamics.csv", "commute_variation.csv", "groups.csv", "scores.csv"}
 
@@ -231,15 +268,21 @@ def write_run_reports(
 
     A file in :data:`OPTIONAL_INPUT_FILES` is written only when the run
     was given its input.  With ``names``, only the bundle files so named
-    are written, with the same bytes as in the full bundle.
+    are written, with the same bytes as in the full bundle.  Every other
+    file of the full bundle is removed from ``out_dir``, so an earlier
+    run's file never stands beside this run's; no other file there is
+    touched.
     """
     skipped = {name for key, files in OPTIONAL_INPUT_FILES.items() if not getattr(result.config, key) for name in files}
     written = []
 
     def emit(name: str, writer, *args) -> None:
+        path = os.path.join(out_dir, name)
         if name not in skipped and (names is None or name in names):
-            writer(os.path.join(out_dir, name), *args)
+            writer(path, *args)
             written.append(name)
+        else:
+            remove_file(path)
 
     emit("profiles_year1.csv", write_profiles, result.year1.profiles, result.year1.week)
     emit("profiles_year2.csv", write_profiles, result.year2.profiles, result.year2.week)
@@ -250,23 +293,31 @@ def write_run_reports(
     emit("unmatched_year1.csv", write_unmatched, result.year1.unmatched)
     emit("unmatched_year2.csv", write_unmatched, result.year2.unmatched)
     emit("summary.csv", write_summary, result)
-    # One pass over the FRs builds each delta once, as its deltas.csv row
-    # is made, and counts it for the other FR tables; groups holds each
-    # FR's group number in FR order.
+    # One pass over the FRs, by position in both years' columns, writes
+    # deltas.csv and counts the other FR tables; groups holds each FR's
+    # group number in FR order.  A delta's housing half depends only on
+    # the FR's two home places and its work half on its two work places,
+    # so each half, with its counter key, group input and text, is made
+    # once per distinct pair; per FR only the commute change is made.
     housing, work, commute, groups = Counter(), Counter(), Counter(), bytearray()
 
     def delta_rows():
-        for card, d in result.deltas.items():
-            housing[d.housing_status, d.housing_dir, d.move_bin] += 1
-            work[d.work_status, d.work_dir, d.work_move_bin] += 1
-            if d.commute_bin is not None:
-                commute[d.commute_bin] += 1
-            groups.append(classify(d))
-            yield (
-                f"{card},{d.housing_status},{_opt(d.housing_dir)},{_km(d.move_km)},"
-                f"{_opt(d.move_bin)},{d.work_status},{_opt(d.work_dir)},{_km(d.work_move_km)},"
-                f"{_km(d.commute_delta_km)},{_opt(d.commute_bin)},{1 if d.r4_2010 else 0}"
-            )
+        deltas = result.deltas
+        housing_of = cache(lambda h1, h2: _housing_row(*deltas.housing(h1, h2)))
+        work_of = cache(lambda w1, w2: _work_row(*deltas.work(w1, w2)))
+        p1, p2 = deltas.years
+        cards, home1, work1, km1 = p1.cards, p1.home, p1.work, p1.commute_km
+        home2, work2, km2 = p2.home, p2.work, p2.commute_km
+        for i, j in deltas.positions():
+            h_key, changed, within, h_text, r4_text = housing_of(home1[i], home2[j])
+            w_key, job, w_text = work_of(work1[i], work2[j])
+            housing[h_key] += 1
+            work[w_key] += 1
+            commute_km, label = commute_change(km1[i], km2[j])
+            if label is not None:
+                commute[label] += 1
+            groups.append(group_index(changed, job, within))
+            yield f"{cards[i]},{h_text},{w_text},{_km(commute_km)},{_opt(label)},{r4_text}"
 
     rows = delta_rows()
     emit("deltas.csv", write_lines, [DELTAS_HEADER], rows)

@@ -292,6 +292,33 @@ class TestDiffClassifyScore:
         assert os.path.exists(tmp_path / "profiles_year1.csv")
         assert os.path.exists(tmp_path / "profiles_year2.csv")
 
+    def test_a_plain_run_after_a_follow_up_run_leaves_no_follow_up_file(self, full_config, tmp_path):
+        # The same config without its follow-up week.
+        plain = tmp_path / "plain.conf"
+        plain.write_text("".join(line for line in open(full_config) if not line.startswith("followup")))
+        out, fresh = tmp_path / "out", tmp_path / "fresh"
+        assert run_cli("run", "--config", full_config, "--out", str(out)) == 0
+        followup_files = reports.OPTIONAL_INPUT_FILES["followup"]
+        assert followup_files <= set(os.listdir(out))
+        assert run_cli("run", "--config", str(plain), "--out", str(out)) == 0
+        assert run_cli("run", "--config", str(plain), "--out", str(fresh)) == 0
+        assert followup_files.isdisjoint(os.listdir(out))
+        assert _tree(out) == _tree(fresh)
+
+    def test_a_subset_after_a_run_leaves_only_its_files_and_other_files(self, full_config, run_out, tmp_path):
+        (tmp_path / "notes.txt").write_text("kept\n")
+        (tmp_path / "stays.csv").write_text("kept\n")
+        assert run_cli("run", "--config", full_config, "--out", str(tmp_path)) == 0
+        assert run_cli("diff", "--config", full_config, "--out", str(tmp_path)) == 0
+        assert sorted(os.listdir(tmp_path)) == sorted(SUBSETS["diff"] + ["notes.txt", "stays.csv"])
+        assert (tmp_path / "notes.txt").read_text() == (tmp_path / "stays.csv").read_text() == "kept\n"
+        for name in SUBSETS["diff"]:
+            assert (tmp_path / name).read_bytes() == (run_out / name).read_bytes(), name
+
+    def test_a_bundle_file_that_cannot_be_removed_exits_2(self, full_config, tmp_path):
+        (tmp_path / "scores.csv").mkdir()
+        assert run_cli("diff", "--config", full_config, "--out", str(tmp_path)) == 2
+
     def test_classify(self, mini_args, mini_bundle, tmp_path):
         code = run_cli(
             "classify", *mini_args, "--r4", mini_bundle["r4"],

@@ -621,37 +621,38 @@ class TestAggregateTaz:
 
     def test_disjoint_assignment(self):
         counts, outside, overlap = aggregate_taz(
-            [(1.0, 1.0), (6.0, 1.0), (9.0, 9.0)], [self.SQ1, self.SQ2]
+            {(1.0, 1.0): 1, (6.0, 1.0): 1, (9.0, 9.0): 1}, [self.SQ1, self.SQ2]
         )
         assert counts == [1, 1]
         assert outside == 1
         assert overlap is False
 
     def test_overlap_goes_to_first_region_and_is_flagged(self):
-        counts, outside, overlap = aggregate_taz([(1.5, 1.0)], [self.SQ1, self.SQ_OVERLAP])
+        counts, outside, overlap = aggregate_taz({(1.5, 1.0): 1}, [self.SQ1, self.SQ_OVERLAP])
         assert counts == [1, 0]
         assert outside == 0
         assert overlap is True
 
     def test_empty_inputs(self):
-        assert aggregate_taz([], [self.SQ1]) == ([0], 0, False)
-        assert aggregate_taz([(1.0, 1.0)], []) == ([], 1, False)
+        assert aggregate_taz({}, [self.SQ1]) == ([0], 0, False)
+        assert aggregate_taz({(1.0, 1.0): 1}, []) == ([], 1, False)
 
     def test_repeated_centroids_tested_once(self, monkeypatch):
         centroids = [(1.0, 1.0), (1.5, 1.0), (6.0, 1.0), (9.0, 9.0)]
         regions = [self.SQ1, self.SQ2, self.SQ_OVERLAP]
         repeated = centroids * 3 + centroids[::-1] + [(1.5, 1.0)]
-        # Expected: the sum of the one-centroid aggregates.
+        # Expected: the sum of the one-home aggregates, one per repeat.
         counts, outside, overlap = [0, 0, 0], 0, False
         for c in repeated:
-            one = aggregate_taz([c], regions)
+            one = aggregate_taz({c: 1}, regions)
             counts = [a + b for a, b in zip(counts, one[0])]
             outside += one[1]
             overlap = overlap or one[2]
         calls = []
         test = pipeline.point_in_region
         monkeypatch.setattr(pipeline, "point_in_region", lambda c, r: calls.append((c, r)) or test(c, r))
-        assert aggregate_taz(repeated, regions) == (counts, outside, overlap)
+        # A count of n stands for n repeats of its centroid.
+        assert aggregate_taz(Counter(repeated), regions) == (counts, outside, overlap)
         assert (counts, outside, overlap) == ([9, 4, 0], 4, True)
         assert len(calls) == len(set(calls)) == len(centroids) * len(regions)
 
