@@ -1,7 +1,11 @@
 """Weekly rule system: one card's rides to its work place, home place, commute.
 
-``build_profile`` walks a card's rides once, in boarding order.  It
-takes them as :func:`cardcohort.ingest.read_transactions` keeps them:
+``profile_row`` is the one rule walk: it walks a card's rides once, in
+boarding order, and returns the card's values for its year's
+:class:`Profiles` columns, which the profile pass adds straight onto
+them through :meth:`Profiles.extend`; ``build_profile`` gives the same walk's result as one
+:class:`YearProfile`.  The walk takes the rides as
+:func:`cardcohort.ingest.read_transactions` keeps them:
 one int array of coded fields, four per ride, re-formed into ride tuples
 only while they are sorted, with each stop's place looked up by its
 code in the registry's :class:`cardcohort.geo.PlaceIndex`.  Rides sort
@@ -47,7 +51,9 @@ Commute: distance is the caller's ``distance_km`` of the two place ids,
 as a profile names its places and holds no coordinate; time is the
 median over weekdays of the in-vehicle minutes of the first complete
 home-to-work ride chain of the day, when complete timestamps exist.
-Only a card with both places is walked a second time, for the chain.
+For an even number of days the median is the mean of the two middle
+days, truncated to whole minutes.  Only a card with both places is
+walked a second time, for the chain.
 """
 
 from __future__ import annotations
@@ -57,7 +63,6 @@ from array import array
 from bisect import bisect_left
 from collections.abc import Mapping
 from dataclasses import dataclass
-from statistics import median
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .ingest import CARD_STUDENT, DAY_MINUTES, Ride, ride_tuples
@@ -126,29 +131,38 @@ class Profiles(CardView):
 
     __slots__ = ("home", "work", "commute_km", "commute_min", "rides")
 
-    def __init__(self, profiles: Iterable[tuple[str, YearProfile]] = ()):
+    def __init__(self):
         self.cards: list[str] = []
         self.home, self.work, self.commute_km, self.commute_min, self.rides = map(array, "iidqi")
-        for card, p in profiles:
-            self.append(card, p)
 
-    def append(self, card: str, p: YearProfile) -> None:
-        """Add ``card``'s profile; it must sort after every card held."""
-        if self.cards and card <= self.cards[-1]:
-            raise ValueError(f"card {card!r} does not sort after {self.cards[-1]!r}")
-        self.cards.append(card)
-        self.home.append(-1 if p.home is None else p.home)
-        self.work.append(-1 if p.work is None else p.work)
-        self.commute_km.append(math.nan if p.commute_km is None else p.commute_km)
-        self.commute_min.append(-1 if p.commute_min is None else p.commute_min)
-        self.rides.append(p.rides)
+    def extend(self, rows: Iterable[tuple[str, tuple[int, int, float, int, int]]]) -> None:
+        """Add each ``(card, values)`` of ``rows``, the values as :func:`profile_row` gives them.
+
+        The cards must come in ascending order, after every card held.
+        """
+        cards = self.cards
+        columns = self.home, self.work, self.commute_km, self.commute_min, self.rides
+        home, work, km, minutes, rides = (column.append for column in columns)
+        for card, (h, w, k, m, r) in rows:
+            if cards and card <= cards[-1]:
+                raise ValueError(f"card {card!r} does not sort after {cards[-1]!r}")
+            cards.append(card)
+            home(h)
+            work(w)
+            km(k)
+            minutes(m)
+            rides(r)
 
     def at(self, i: int) -> YearProfile:
-        home, work, km, minutes = self.home[i], self.work[i], self.commute_km[i], self.commute_min[i]
-        return YearProfile(
-            None if home < 0 else home, None if work < 0 else work, None if math.isnan(km) else km,
-            None if minutes < 0 else minutes, self.rides[i],
-        )
+        return _as_profile(self.home[i], self.work[i], self.commute_km[i], self.commute_min[i], self.rides[i])
+
+
+def _as_profile(home: int, work: int, km: float, minutes: int, rides: int) -> YearProfile:
+    """The :class:`YearProfile` of one card's column values, -1 or NaN read as None."""
+    return YearProfile(
+        None if home < 0 else home, None if work < 0 else work, None if math.isnan(km) else km,
+        None if minutes < 0 else minutes, rides,
+    )
 
 
 def shared(a: Profiles, b: Profiles) -> Iterator[tuple[int, int]]:
@@ -175,22 +189,45 @@ def build_profile(
     stay_min: int = STAY_MIN_DEFAULT,
     stays: list[Stay] | None = None,
 ) -> YearProfile:
-    """One card's profile for one observation week.
+    """One card's profile for one observation week: :func:`profile_row` as a :class:`YearProfile`.
 
-    ``rides`` is the card's flat sequence of coded ride fields, as
+    ``rides`` is the card's int array of coded ride fields, as
     :func:`cardcohort.ingest.read_transactions` keeps them, and
     ``place_of[code]`` the place of each stop code, None for code 0 (no
-    alighting), as the registry's place index holds it.  Rides sort as
-    tuples, boarding minute first and the remaining fields as
-    tie-breakers, so the result is a pure function of the ride set, not
-    of file order.  ``distance_km(home, work)`` answers the commute
-    distance between two place ids, so a caller can cache it across
-    cards; ``stays``, when given, receives the card's stays in order.
+    alighting), as the registry's place index holds it.
+    ``distance_km(home, work)`` answers the commute distance between two
+    place ids, so a caller can cache it across cards; ``stays``, when
+    given, receives the card's stays in order.
     """
     if stay_mode not in STAY_MODES:
         raise ValueError(f"unknown stay mode: {stay_mode!r}")
     if home_rule not in HOME_RULES:
         raise ValueError(f"unknown home rule: {home_rule!r}")
+    return _as_profile(*profile_row(
+        card_type == CARD_STUDENT, rides, place_of, weekdays, distance_km, stay_mode, home_rule, stay_min, stays
+    ))
+
+
+def profile_row(
+    student: bool,
+    rides: array,
+    place_of: Sequence[int | None],
+    weekdays: frozenset[int],
+    distance_km: Callable[[int, int], float],
+    stay_mode: str,
+    home_rule: str,
+    stay_min: int,
+    stays: list[Stay] | None = None,
+) -> tuple[int, int, float, int, int]:
+    """One card's values in its year's :class:`Profiles` columns: home, work, commute km, commute minutes, rides.
+
+    The one rule walk.  A home, work place or commute time the rules
+    find none of is -1, and a commute distance NaN.  The arguments are
+    those of :func:`build_profile`, with the card's type as ``student``
+    and the modes taken as checked.  Rides sort as tuples, boarding
+    minute first and the remaining fields as tie-breakers, so the values
+    are a pure function of the ride set, not of file order.
+    """
     rides = sorted(ride_tuples(rides))
     permissive = stay_mode == PERMISSIVE
     # Per place, counted over its weekday stays:
@@ -248,29 +285,28 @@ def build_profile(
                 a[6] = day
                 a[4] += 1
             a[5] += dur
-    home = work = None
-    if card_type != CARD_STUDENT:
+    home = work = minutes = -1
+    km = math.nan
+    if not student:
         # Ties go to more minutes, then to the smaller place id.
         works = [(-a[4], -a[5], p) for p, a in acc.items() if a[4]]
         if works:
             work = min(works)[2]
-        if work is not None or home_rule == HOME_RULE_RELAXED:
-            f_j = acc[work][2] if work is not None else 0
+        if work >= 0 or home_rule == HOME_RULE_RELAXED:
+            f_j = acc[work][2] if work >= 0 else 0
             homes = [(-a[0], -a[1], p) for p, a in acc.items() if a[0] and a[3] and p != work and a[0] >= f_j]
             if homes:
                 home = min(homes)[2]
-
-    km = minutes = None
-    if home is not None and work is not None:
+    if home >= 0 and work >= 0:
         km = distance_km(home, work)
         minutes = _commute_minutes(rides, place_of, weekdays, home, work)
-    return YearProfile(home=home, work=work, commute_km=km, commute_min=minutes, rides=len(rides))
+    return home, work, km, minutes, len(rides)
 
 
 def _commute_minutes(
     rides: list[Ride], place_of: Sequence[int | None], weekdays: frozenset[int], home: int, work: int
-) -> int | None:
-    """Median in-vehicle minutes of each weekday's home-to-work chain.
+) -> int:
+    """Median in-vehicle minutes of each weekday's home-to-work chain, -1 for none.
 
     A day's chain starts at its first ride boarding at home and follows
     consecutive same-place transfers to work.  A chain broken by a
@@ -302,4 +338,16 @@ def _commute_minutes(
         if at == work:
             day_minutes.append(total)
             at = None
-    return int(median(day_minutes)) if day_minutes else None
+    return median_minutes(day_minutes) if day_minutes else -1
+
+
+def median_minutes(values: list[int]) -> int:
+    """The median of ``values`` as an int, truncated.
+
+    That is the middle value, or for an even count the mean of the two
+    middle ones, taken as the float ``(a + b) / 2`` and truncated, as
+    ``int(statistics.median(values))`` gives it.
+    """
+    values = sorted(values)
+    half = len(values) // 2
+    return values[half] if len(values) % 2 else int((values[half - 1] + values[half]) / 2)

@@ -75,6 +75,8 @@ FATAL_REJECT_FRACTION = 0.5
 # walk alike.
 Ride = tuple[int, int, int, int]
 RIDE_FIELDS = 4
+# The packed form of one ride in each typecode a ride array takes.
+RIDE_STRUCTS = {typecode: Struct(f"{RIDE_FIELDS}{typecode}") for typecode in "iq"}
 
 
 class SchemaError(Exception):
@@ -192,9 +194,9 @@ def stop_codes(stop_ids: Iterable[str]) -> dict[str, int]:
     return {sid: code for code, sid in enumerate(sorted(stop_ids), 1)}
 
 
-def ride_tuples(rides) -> Iterator[Ride]:
-    """The rides of a card's flat int array, one tuple each."""
-    return zip(*[iter(rides)] * RIDE_FIELDS)
+def ride_tuples(rides: array) -> Iterator[Ride]:
+    """The rides of a card's int array, one tuple each."""
+    return RIDE_STRUCTS[rides.typecode].iter_unpack(rides)
 
 
 @dataclass
@@ -226,9 +228,6 @@ class Transactions:
         """The number of kept lines."""
         return sum(map(len, self.rides.values())) // RIDE_FIELDS
 
-    def card_type(self, card_id: str) -> str:
-        return CARD_STUDENT if card_id in self.students else CARD_REGULAR
-
 
 def take_header(it: Iterator[str], expected: str, kind: str) -> None:
     """Take the header off a ``kind`` stream; an empty stream reads as a header with no lines."""
@@ -251,10 +250,10 @@ def derive_week_start(lines: Iterable[str]) -> date:
     boards = set()
     blank = wrong = 0
     for line_no, raw in enumerate(it, start=2):
-        parts = raw.rstrip("\r\n").split(",")
+        parts = raw.split(",")
         if len(parts) == 8:
             boards.add(parts[5])
-        elif parts == [""]:
+        elif len(parts) == 1 and not raw.rstrip("\r\n"):
             blank += 1
         else:
             wrong += 1
@@ -297,7 +296,7 @@ def read_transactions(
     minutes = _Minutes(week.start_minute)
     stop_code = defaultdict(int) if codes is None else {"": 0, **codes}
     typecode = "i"
-    pack = Struct(f"{RIDE_FIELDS}i").pack
+    pack = RIDE_STRUCTS[typecode].pack
     by_card: dict[str, array] = {}
     students: set[str] = set()
     unmatched: Counter[str] = Counter()
@@ -355,7 +354,7 @@ def read_transactions(
                         ride = pack(board, b, a, alight)
                     except StructError:
                         typecode = "q"
-                        pack = Struct(f"{RIDE_FIELDS}q").pack
+                        pack = RIDE_STRUCTS[typecode].pack
                         for card, rides in by_card.items():
                             by_card[card] = array(typecode, rides)
                         ride = pack(board, b, a, alight)

@@ -8,8 +8,8 @@ run in one process load and cluster each registry once and share it,
 and a year that comes back from a worker leaves out a registry the
 parent holds, which the parent then shares with it.  So the years of one
 registry share one place index at every thread count.
-Each year's cards are profiled in sorted card order into the year's
-columns, each card's rides let go as its profile is appended, and job
+Each year's cards are profiled in sorted card order straight into the
+year's columns, each card's rides let go as its values are appended, and job
 results are gathered in fixed job order, so the output bytes cannot
 depend on the thread count.  No FR's delta is stored: the result builds
 one when asked, and the FR homes for the TAZ layer are counted per
@@ -237,15 +237,17 @@ def process_year(
     weekdays = tx.week.weekdays
     # Many cards share a (home, work) pair.
     distance_km = cache(lambda home, work: haversine_km(places.centroid(home), places.centroid(work)))
-    # Each card's rides are let go as its profile is appended.
-    rides = tx.rides
+    # Each card's values go straight onto the year's columns, and its
+    # rides are let go as they do.
+    rides, students = tx.rides, tx.students
     profiles = infer.Profiles()
-    for card in sorted(rides):
-        card_stays = None if stays is None else stays.setdefault(card, [])
-        profiles.append(card, infer.build_profile(
-            tx.card_type(card), rides.pop(card), places.place_of, weekdays, distance_km,
-            cfg.stay_mode, cfg.home_rule, cfg.stay_min, card_stays,
+    profiles.extend(
+        (card, infer.profile_row(
+            card in students, rides.pop(card), places.place_of, weekdays, distance_km,
+            cfg.stay_mode, cfg.home_rule, cfg.stay_min, None if stays is None else stays.setdefault(card, []),
         ))
+        for card in sorted(rides)
+    )
     return YearData(tx.week, places, profiles, tx.rejections, stop_rejections, tx.unmatched, tx.parsed, kept)
 
 

@@ -5,10 +5,12 @@ from __future__ import annotations
 import math
 import os
 import tracemalloc
+from collections.abc import Iterable
 
 import pytest
 
 from cardcohort.geo import M_PER_DEG_LAT
+from cardcohort.infer import Profiles, YearProfile
 
 # Acceptance tests register one (number, passed, detail) entry each; the
 # terminal summary prints them as a block so a run's verdict is readable
@@ -49,6 +51,25 @@ def members(index) -> list[tuple[str, ...]]:
 def stop_places(index) -> dict[str, int]:
     """Each stop id's place id in a PlaceIndex."""
     return {sid: index.place_of[code] for sid, code in index.codes.items()}
+
+
+def profile_columns(profiles: Iterable[tuple[str, YearProfile]]) -> Profiles:
+    """A year's columns of hand-made ``(card, profile)`` pairs in card order, None held as -1 or NaN."""
+    columns = Profiles()
+    columns.extend(
+        (
+            card,
+            (
+                -1 if p.home is None else p.home,
+                -1 if p.work is None else p.work,
+                math.nan if p.commute_km is None else p.commute_km,
+                -1 if p.commute_min is None else p.commute_min,
+                p.rides,
+            ),
+        )
+        for card, p in profiles
+    )
+    return columns
 
 
 def peak_traced_bytes(fn, *args) -> int:

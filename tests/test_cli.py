@@ -618,6 +618,19 @@ class TestRun:
         )
         assert proc.stdout == "0 False\n"
 
+    def test_single_process_run_loads_no_statistics(self, mini_args, tmp_path):
+        # statistics would load decimal and fractions, about 0.8 MB resident.
+        script = (
+            "import sys; from cardcohort.cli import main; code = main(sys.argv[1:]); "
+            "print(code, [m for m in ('statistics', 'decimal', 'fractions') if m in sys.modules])"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "run", *mini_args, "--threads", "1", "--out", str(tmp_path)],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.stdout == "0 []\n"
+
     def test_importing_geo_loads_only_geo(self):
         script = "import sys, cardcohort.geo; print(sorted(m for m in sys.modules if m.startswith('cardcohort')))"
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)

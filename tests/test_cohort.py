@@ -26,6 +26,8 @@ from cardcohort.cohort import (
 from cardcohort.geo import INWARD, OUTWARD, haversine_km
 from cardcohort.infer import Profiles, YearProfile
 
+from conftest import profile_columns
+
 # Frozen fixture: both homes due east of the centre on the same
 # parallel, 15 km and 3 km out, so the move is 12 km inward (up to the
 # curvature-induced float error in the last digits).
@@ -44,7 +46,7 @@ CENTROID = {OLD: OLD_HOME, NEW: NEW_HOME, FARTHER: FARTHER_HOME}.__getitem__
 
 def columns(profiles: dict[str, YearProfile]) -> Profiles:
     """A year's profiles held as the pipeline holds them."""
-    return Profiles(sorted(profiles.items()))
+    return profile_columns(sorted(profiles.items()))
 
 
 def prof(home=OLD, work=None, ckm=None) -> YearProfile:

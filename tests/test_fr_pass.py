@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from cardcohort.cohort import FOUND, JOBLESS, LOST, Deltas
 from cardcohort.geo import PlaceIndex
 from cardcohort.groups import classify
-from cardcohort.infer import Profiles, YearProfile
+from cardcohort.infer import YearProfile
 from cardcohort.ingest import ObservationWeek
 from cardcohort.pipeline import PipelineResult, RunConfig, YearData, run_pipeline
 from cardcohort.reports import (
@@ -33,7 +33,7 @@ from cardcohort.reports import (
 )
 from cardcohort.synth import GeneratorConfig, generate
 
-from conftest import offset_coord
+from conftest import offset_coord, profile_columns
 
 FR_FILES = ("deltas.csv", "housing_dynamics.csv", "work_dynamics.csv", "commute_variation.csv", "groups.csv")
 PROFILE_FILES = ("profiles_year1.csv", "profiles_year2.csv")
@@ -124,7 +124,7 @@ def hand_made_result(year1: dict[str, YearProfile], year2: dict[str, YearProfile
     cfg = RunConfig(year1="", year2="", stops1="", stops2="", center=CENTER)
 
     def year(profiles, start):
-        return YearData(ObservationWeek(start), places, Profiles(sorted(profiles.items())), [], [], Counter(), 0, 0)
+        return YearData(ObservationWeek(start), places, profile_columns(sorted(profiles.items())), [], [], Counter(), 0, 0)
 
     y1, y2 = year(year1, date(2008, 4, 7)), year(year2, date(2010, 4, 5))
     deltas = Deltas(

@@ -13,9 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cardcohort.geo import haversine_km
-from cardcohort.infer import Profiles, YearProfile
+from cardcohort.infer import YearProfile
 from cardcohort.ingest import CARD_REGULAR, CARD_STUDENT, ObservationWeek
 
+from conftest import profile_columns
 from reference_profile import (
     HOME_RULE_PAPER,
     HOME_RULE_RELAXED,
@@ -324,7 +325,7 @@ PROFILE = st.builds(
 @settings(max_examples=200, deadline=None)
 @given(st.dictionaries(st.text(max_size=6), PROFILE, max_size=20), st.text(max_size=6))
 def test_the_columns_read_back_as_the_dict_they_came_from(profiles, card):
-    view = Profiles(sorted(profiles.items()))
+    view = profile_columns(sorted(profiles.items()))
     assert view == profiles and profiles == view
     assert list(view) == sorted(profiles)
     if card not in profiles:
@@ -336,7 +337,7 @@ def test_the_columns_take_cards_in_ascending_order_only():
     p = YearProfile(0, None, None, None, 1)
     for cards in (("B", "A"), ("A", "A")):
         with pytest.raises(ValueError, match="does not sort after"):
-            Profiles((card, p) for card in cards)
+            profile_columns((card, p) for card in cards)
 
 
 class TestYearProfilePickle:
@@ -344,7 +345,7 @@ class TestYearProfilePickle:
 
     @pytest.fixture(scope="class")
     def profiles(self):
-        return Profiles(
+        return profile_columns(
             (
                 f"C{i:05d}",
                 YearProfile(

@@ -37,6 +37,8 @@ from coded_rides import card_rides, decode
 
 MONDAY = date(2008, 4, 7)
 WEEK = ObservationWeek(MONDAY)
+# Each line ending iter_lines can leave on a line, and none.
+LINE_ENDS = ["", "\n", "\r\n", "\r"]
 
 
 def lines(*rows: str) -> list[str]:
@@ -63,7 +65,7 @@ def to_csv_row(card_id: str, card_type: str, ride, week: ObservationWeek) -> str
 def csv_rows(tx, codes) -> list[str]:
     """The kept rides of a read against the registry ``codes`` written back as lines, card by card."""
     return [
-        to_csv_row(card, tx.card_type(card), ride, tx.week)
+        to_csv_row(card, "S" if card in tx.students else "R", ride, tx.week)
         for card, rides in card_rides(tx, codes).items()
         for ride in rides
     ]
@@ -154,7 +156,7 @@ class TestParseTransactions:
         assert tx.parsed == 2
         assert tx.week == WEEK
         assert decode(tx, "C1", codes) == [(7 * 60 + 30, "S1", "S2", 8 * 60 + 10)]
-        assert (tx.card_type("C1"), tx.card_type("C2")) == ("R", "S")
+        assert tx.students == {"C2"}
         # Fixed fares: no alight stop, alight minute equals board minute.
         board = 1440 + 9 * 60
         assert decode(tx, "C2", codes) == [(board, "S3", "", board)]
@@ -207,6 +209,43 @@ class TestParseTransactions:
         tx = read_transactions(lines(good, row), MONDAY)
         assert tx.parsed == 1
         assert tx.rejections == [Rejection(3, reason)]
+
+    # A run of endings reaches the reader only from a list of lines, not from iter_lines.
+    @pytest.mark.parametrize("ending", [*LINE_ENDS, "\n\r\n"], ids=repr)
+    @pytest.mark.parametrize(
+        "row,reason",
+        [
+            ("C1,R,FIX,B1,S1,2008-04-07T07:30,,", None),
+            ("C1,R,FIX,B1,S1,2008-04-07T07:30,S2,", "fixed fare with alight fields"),
+            ("C1,R,FIX,B1,S1,2008-04-07T07:30,,2008-04-07T08:10", "fixed fare with alight fields"),
+            ("C1,R,DST,B1,S1,2008-04-07T07:30,S2,2008-04-07T08:10", None),
+            ("C1,R,DST,B1,S1,2008-04-07T07:30,,", "distance fare missing alight fields"),
+            ("C1,R,DST,B1,S1,2008-04-07T07:30,S2,", "distance fare missing alight fields"),
+            ("C1,R,DST,B1,S1,2008-04-07T07:30,,2008-04-07T08:10", "distance fare missing alight fields"),
+        ],
+    )
+    def test_the_line_ending_is_no_alight_field(self, row, reason, ending):
+        good = "C9,R,FIX,B9,S9,2008-04-07T12:00,,"
+        tx = read_transactions([TRANSACTIONS_HEADER + ending, good + ending, row + ending], MONDAY)
+        assert tx.rejections == ([] if reason is None else [Rejection(3, reason)])
+        if reason is None:
+            alight = 490 if "DST" in row else 450
+            assert decode(tx, "C1", {}) == [(450, "", "", alight)]
+
+    def test_each_distinct_alight_text_parses_once_whatever_its_ending(self, monkeypatch):
+        from cardcohort import ingest
+
+        parsed = []
+
+        def counting(text):
+            parsed.append(text)
+            return parse_minute(text)
+
+        monkeypatch.setattr(ingest, "parse_minute", counting)
+        row = "C1,R,DST,B1,S1,2008-04-07T07:30,S2,2008-04-07T08:10"
+        tx = read_transactions([TRANSACTIONS_HEADER, *(row + end for end in LINE_ENDS)], MONDAY)
+        assert tx.parsed == 4
+        assert sorted(parsed) == ["2008-04-07T07:30", "2008-04-07T08:10"]
 
     def test_week_is_half_open(self):
         # 7 and 13 April are in the week starting 7 April; 6 and 14 are out.
@@ -477,7 +516,6 @@ class TestGeocode:
             self.KNOWN,
         )
         assert tx.students == set()
-        assert tx.card_type("C1") == "R"
 
 
 def live_bytes_per_kept_ride(registry: bool) -> float:
@@ -636,8 +674,6 @@ def test_group_by_card_any_student_row_makes_a_student_card():
     for order in (rows, rows[::-1], rows[1:] + rows[:1]):
         grouped = read_transactions(lines(*order), MONDAY)
         assert grouped.students == {"C1"}
-        assert grouped.card_type("C1") == "S"
-        assert grouped.card_type("C2") == "R"
 
 
 class TestByteOrderMark:
@@ -865,7 +901,7 @@ def transaction_lines(draw):
             fields[7] = alight.strftime("%Y-%m-%dT%H:%M")
         if draw(st.integers(0, 3)) == 0:
             fields = draw(st.sampled_from(CORRUPTIONS))(fields)
-        out.append(",".join(fields) + draw(st.sampled_from(["", "\n", "\r\n"])))
+        out.append(",".join(fields) + draw(st.sampled_from(LINE_ENDS)))
     return out
 
 

@@ -95,16 +95,21 @@ def dirty_registry(rows: list[str], rng: random.Random) -> list[str]:
     return rows
 
 
-def copied(b: Bundle, tag: str, keys, edit: Callable[[list[str]], list[str]] = list, head: str = "") -> RunConfig:
-    """``b.cfg`` with each input in ``keys`` copied to ``tag/``: ``head``, the first line, then ``edit`` of the others."""
+def copied(
+    b: Bundle, tag: str, keys, edit: Callable[[list[str]], list[str]] = list, head: str = "", end: str = "\n"
+) -> RunConfig:
+    """``b.cfg`` with each input in ``keys`` copied to ``tag/``: ``head``, the first line, then ``edit`` of the others.
+
+    Each line of a copy ends with ``end``.
+    """
     os.makedirs(os.path.join(b.dir, tag), exist_ok=True)
     paths = {}
     for key in keys:
         with open(getattr(b.cfg, key), encoding="utf-8") as fh:
             first, *rows = fh.read().splitlines()
         paths[key] = os.path.join(b.dir, tag, key)
-        with open(paths[key], "w", encoding="utf-8") as fh:
-            fh.write(head + "\n".join([first, *edit(rows)]) + "\n")
+        with open(paths[key], "w", encoding="utf-8", newline="") as fh:
+            fh.write(head + end.join([first, *edit(rows)]) + end)
     return dataclasses.replace(b.cfg, **paths)
 
 
@@ -170,6 +175,12 @@ def byte_order_marks(b: Bundle) -> Iterator[Reports]:
     cfg = copied(b, "bom", [k for k in PATH_FIELDS if getattr(b.cfg, k)], head="\ufeff")
     conf = config_file(os.path.join(b.dir, "bom.conf"), cfg, head="\ufeff")
     yield from run(b, RunConfig(**read_config(conf, RunConfig)))
+
+
+def line_endings(b: Bundle) -> Iterator[Reports]:
+    for tag, end in (("crlf", "\r\n"), ("cr", "\r")):
+        cfg = copied(b, tag, (*TRANSACTIONS, "stops1"), end=end)
+        yield from run(b, dataclasses.replace(cfg, stops2=cfg.stops1))
 
 
 def year2_registry_shifted(b: Bundle) -> Iterator[Reports]:
@@ -248,6 +259,7 @@ ROWS = [
     Row("route ids", routes_rewritten, identical),
     Row("registry spelling", registry_respelled, identical),
     Row("byte order marks", byte_order_marks, identical),
+    Row("line endings", line_endings, identical),
     Row("shifted year-2 registry", year2_registry_shifted, year2_place_ids_up_one),
     Row("card ids", card_ids_renamed, rows_permuted),
     Row("hash seed", hash_seeds, identical),

@@ -26,11 +26,13 @@ from cardcohort.pipeline import (
     process_year,
     run_pipeline,
 )
-from cardcohort.infer import Profiles, YearProfile
+from cardcohort.infer import YearProfile
 from cardcohort.reports import write_profiles, write_run_reports, write_summary
 from cardcohort.synth import GeneratorConfig, generate
 
-from conftest import MINI_ORIGIN, PER_CARD_COPY_BYTES, _square_geojson, offset_coord, peak_traced_bytes
+from conftest import (
+    MINI_ORIGIN, PER_CARD_COPY_BYTES, _square_geojson, offset_coord, peak_traced_bytes, profile_columns,
+)
 
 EXPECTED_HEADERS = {
     "profiles_year1.csv": "card_id,year,home_place,work_place,commute_km,commute_min,rides",
@@ -508,7 +510,7 @@ class TestMiniPipeline:
                 km, minutes = (None, None) if i % 3 == 0 else (i / 7, i % 90)
                 return YearProfile(i % 5 or None, i % 4 or None, km, minutes, 9)
 
-            return SimpleNamespace(profiles=Profiles((f"C{i:05d}", profile(i)) for i in range(first, first + 20_000)))
+            return SimpleNamespace(profiles=profile_columns((f"C{i:05d}", profile(i)) for i in range(first, first + 20_000)))
 
         result = SimpleNamespace(year1=year(0), year2=year(10_000))
         path = str(tmp_path / "summary.csv")

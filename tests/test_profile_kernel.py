@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cardcohort.geo import haversine_km
-from cardcohort.infer import HOME_RULE_PAPER, HOME_RULE_RELAXED, PERMISSIVE, STRICT, build_profile
+from cardcohort.infer import HOME_RULE_PAPER, HOME_RULE_RELAXED, PERMISSIVE, STRICT, build_profile, median_minutes
 from cardcohort.ingest import (
     CARD_REGULAR,
     CARD_STUDENT,
@@ -445,6 +445,16 @@ class TestCommute:
         assert p.commute_km == haversine_km(CENTROIDS[0], CENTROIDS[1])
         assert p.commute_min == 40
 
+    def test_two_days_take_their_mean_truncated(self):
+        rides = commuter(days=(0,), out=30) + commuter(days=(1,), out=31)
+        assert profile(rides).commute_min == 30
+
+    def test_four_days_take_the_mean_of_the_middle_two(self):
+        rides = [*commuter(days=(0,), out=50), *commuter(days=(1,), out=20), *commuter(days=(2,), out=45),
+                 *commuter(days=(3,), out=38)]
+        # Sorted 20, 38, 45, 50: the middle two give 41.5.
+        assert profile(rides).commute_min == 41
+
     def test_distance_comes_from_the_per_year_cache(self):
         assert profile(commuter(), distance_km=lambda home, work: 99.0).commute_km == 99.0
         computed = []
@@ -493,6 +503,13 @@ class TestCommute:
         rides[2] = ride("H", t(1, 7, 30))
         p = profile(rides)
         assert (p.home, p.work, p.commute_min) == (0, 1, None)
+
+
+@given(st.lists(st.integers(-(2**40), 2**40) | st.integers(2**31 - 3, 2**31 + 3), min_size=1, max_size=9))
+def test_median_minutes_is_the_truncated_statistics_median(values):
+    import statistics
+
+    assert median_minutes(values) == int(statistics.median(values))
 
 
 class TestInputRules:
