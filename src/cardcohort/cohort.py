@@ -15,21 +15,21 @@ Each year's place ids are looked up in that year's own place index.
 The housing half of a delta (status, direction, km, bin and whether the
 year-2 home lies within R4) depends only on the FR's two home places, and
 the work half only on its two work places: :func:`housing_change` and
-:func:`work_change` make them, :func:`commute_change` makes the commute
-part, and :func:`build_delta` is the three put together.  So a caller
-that walks the years' columns by position can make each half once per
-distinct place pair, with the same rules.
+:func:`work_change` make them and :func:`commute_change` makes the
+commute part.  :meth:`Deltas.rows` is the one pass over the FRs, by
+position in the two years' columns: it makes each half once per distinct
+place pair, and every report and score reads the FRs through it.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from functools import cache
 from typing import Callable, Iterator
 
 from .geo import Coord, haversine_km, radial_direction
-from .infer import CardView, Profiles, YearProfile, shared
+from .infer import Profiles, shared
 
 CHANGE_KM_DEFAULT = 2.0
 
@@ -60,21 +60,6 @@ def commute_bin(delta_km: float) -> str:
     return COMMUTE_BINS[-1 - bisect_right(_COMMUTE_EDGES, delta_km)]
 
 
-@dataclass(slots=True)
-class CohortDelta:
-    housing_status: str
-    housing_dir: str | None
-    move_km: float
-    move_bin: str | None
-    work_status: str
-    work_dir: str | None
-    work_move_km: float | None
-    work_move_bin: str | None
-    commute_delta_km: float | None
-    commute_bin: str | None
-    r4_2010: bool
-
-
 def _fr_positions(profiles1: Profiles, profiles2: Profiles) -> Iterator[tuple[int, int]]:
     """Each FR's positions in the two years' columns, in card order."""
     home1, home2 = profiles1.home, profiles2.home
@@ -99,7 +84,7 @@ def move(old: Coord, new: Coord, center: Coord, change_km: float) -> tuple[str, 
 
 
 def housing_change(
-    old: Coord, new: Coord, center: Coord, change_km: float, in_r4, move=move
+    old: Coord, new: Coord, center: Coord, change_km: float, in_r4
 ) -> tuple[str, str | None, float, str | None, bool]:
     """The housing half of a delta: the home move's (status, direction, km, bin) and whether ``new`` is within R4.
 
@@ -111,7 +96,7 @@ def housing_change(
 
 
 def work_change(
-    old: Coord | None, new: Coord | None, center: Coord, change_km: float, move=move
+    old: Coord | None, new: Coord | None, center: Coord, change_km: float
 ) -> tuple[str, str | None, float | None, str | None]:
     """The work half of a delta from the two work centroids, None for no work place.
 
@@ -133,45 +118,15 @@ def commute_change(km1: float, km2: float) -> tuple[float | None, str | None]:
     return (None, None) if math.isnan(delta) else (delta, commute_bin(delta))
 
 
-def build_delta(
-    p1: YearProfile,
-    p2: YearProfile,
-    centroid1: Callable[[int], Coord],
-    centroid2: Callable[[int], Coord],
-    center: Coord,
-    in_r4,
-    change_km: float = CHANGE_KM_DEFAULT,
-    move=move,
-) -> CohortDelta:
-    """Assemble the full delta row for one FR from its two profiles.
+class Deltas:
+    """The FRs of two years, in card order, and the rules of their deltas; no FR's delta is stored.
 
-    ``centroid1`` and ``centroid2`` give the centroid of a place id in
-    year 1's and in year 2's place index; ``in_r4`` is as in
-    :func:`housing_change`, applied to year 2's home.  ``move`` answers
-    the home and the work move; a caller may pass a cached :func:`move`
-    to share answers across the FRs of a run.
-    """
-    w1, w2 = p1.work, p2.work
-    km1, km2 = p1.commute_km, p2.commute_km
-    *housing, r4 = housing_change(centroid1(p1.home), centroid2(p2.home), center, change_km, in_r4, move)
-    old_work, new_work = None if w1 is None else centroid1(w1), None if w2 is None else centroid2(w2)
-    work = work_change(old_work, new_work, center, change_km, move)
-    commute = commute_change(math.nan if km1 is None else km1, math.nan if km2 is None else km2)
-    return CohortDelta(*housing, *work, *commute, r4)
-
-
-class Deltas(CardView):
-    """Each FR's delta by card id, in card order, built when asked for and not kept.
-
-    ``rules`` holds the arguments of :func:`build_delta` after the two
-    profiles, by which each delta is built.  :meth:`items` finds each
-    FR's profiles in a merge of the two years' columns, with no lookup by
-    card; :meth:`positions` yields the FRs' positions in those columns,
-    and :meth:`housing` and :meth:`work` make a delta's two halves from a
-    pair of place ids, so a caller can make each half once per pair.
+    ``cards`` holds the FRs' card ids and ``years`` the two years'
+    columns; ``rules`` holds the two years' centroid lookups, the center,
+    ``in_r4`` (as in :func:`housing_change`) and the change benchmark.
     """
 
-    __slots__ = ("years", "rules")
+    __slots__ = ("cards", "years", "rules")
 
     def __init__(
         self,
@@ -182,31 +137,38 @@ class Deltas(CardView):
         center: Coord,
         in_r4,
         change_km: float = CHANGE_KM_DEFAULT,
-        move=move,
     ):
         self.cards = match_cohort(profiles1, profiles2)
         self.years = profiles1, profiles2
-        self.rules = centroid1, centroid2, center, in_r4, change_km, move
+        self.rules = centroid1, centroid2, center, in_r4, change_km
 
     def positions(self) -> Iterator[tuple[int, int]]:
         return _fr_positions(*self.years)
 
-    def at(self, i: int) -> CohortDelta:
+    def rows(self, of_housing=tuple, of_work=tuple) -> Iterator[tuple]:
+        """Each FR's ``(card, housing, work, commute_delta_km, commute_bin)``, in card order.
+
+        ``housing`` is ``of_housing`` of the FR's :func:`housing_change`
+        and ``work`` is ``of_work`` of its :func:`work_change`.  A half
+        depends only on the FR's two home places, or its two work
+        places, so each is made once per distinct pair of place ids and
+        every FR of that pair gets the same value.  The commute part is
+        :func:`commute_change`, made per FR.
+        """
+        centroid1, centroid2, center, in_r4, change_km = self.rules
+
+        @cache
+        def housing_of(home1: int, home2: int):
+            return of_housing(housing_change(centroid1(home1), centroid2(home2), center, change_km, in_r4))
+
+        @cache
+        def work_of(work1: int, work2: int):
+            old, new = None if work1 < 0 else centroid1(work1), None if work2 < 0 else centroid2(work2)
+            return of_work(work_change(old, new, center, change_km))
+
         p1, p2 = self.years
-        return build_delta(p1[self.cards[i]], p2[self.cards[i]], *self.rules)
-
-    def items(self) -> Iterator[tuple[str, CohortDelta]]:
-        p1, p2 = self.years
-        return ((p1.cards[i], build_delta(p1.at(i), p2.at(j), *self.rules)) for i, j in self.positions())
-
-    def housing(self, home1: int, home2: int) -> tuple[str, str | None, float, str | None, bool]:
-        """The housing half of an FR whose home places are ``home1`` and ``home2``."""
-        centroid1, centroid2, center, in_r4, change_km, move = self.rules
-        return housing_change(centroid1(home1), centroid2(home2), center, change_km, in_r4, move)
-
-    def work(self, work1: int, work2: int) -> tuple[str, str | None, float | None, str | None]:
-        """The work half of an FR whose work places are ``work1`` and ``work2``, -1 for none."""
-        centroid1, centroid2, center, _, change_km, move = self.rules
-        return work_change(
-            None if work1 < 0 else centroid1(work1), None if work2 < 0 else centroid2(work2), center, change_km, move
-        )
+        cards, home1, work1, km1 = p1.cards, p1.home, p1.work, p1.commute_km
+        home2, work2, km2 = p2.home, p2.work, p2.commute_km
+        for i, j in self.positions():
+            commute_km, label = commute_change(km1[i], km2[j])
+            yield cards[i], housing_of(home1[i], home2[j]), work_of(work1[i], work2[j]), commute_km, label

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from typing import Collection, Iterable, Mapping
 
-from .cohort import CHANGED, FOUND, JOBLESS, LOST, NOT_CHANGED, CohortDelta
+from .cohort import CHANGED, FOUND, JOBLESS, LOST, NOT_CHANGED
 
 JOB_RANK = {CHANGED: 0, FOUND: 1, JOBLESS: 2, LOST: 3, NOT_CHANGED: 4}
 
@@ -51,11 +51,6 @@ def group_triple(group: int) -> tuple[str, str, str]:
     return housing, job, location
 
 
-def classify(delta: CohortDelta) -> int:
-    """Group number 1..20 of one FR's delta."""
-    return group_index(delta.housing_status == CHANGED, delta.work_status, delta.r4_2010)
-
-
 def group_counts(groups: Iterable[int]) -> dict[int, int]:
     counts = {g: 0 for g in range(1, GROUP_COUNT + 1)}
     for g in groups:
@@ -75,8 +70,8 @@ class DeprivationSummary:
 def score_deprivation(frs: Collection[str], followup_counts: Mapping[str, int]) -> DeprivationSummary:
     """The summary of the FRs' follow-up trip counts over scored cards.
 
-    ``frs`` holds distinct card ids, as the keys of the FR deltas do; one
-    pass sums the scored counts and their squares.  The standard
+    ``frs`` holds distinct card ids, as the FR list ``Deltas.cards``
+    does; one pass sums the scored counts and their squares.  The standard
     deviation is the population form: counts are integers, so both sums
     are exact and the result is identical however the cards are ordered.
     """

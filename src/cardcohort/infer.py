@@ -101,35 +101,17 @@ class YearProfile:
     rides: int
 
 
-class CardView(Mapping):
-    """A read-only mapping over the sorted card ids ``cards``: ``cards[i]`` maps to ``at(i)``, built when asked."""
-
-    __slots__ = ("cards",)
-
-    def __getitem__(self, card: str):
-        i = bisect_left(self.cards, card)
-        if i == len(self.cards) or self.cards[i] != card:
-            raise KeyError(card)
-        return self.at(i)
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.cards)
-
-    def __len__(self) -> int:
-        return len(self.cards)
-
-
-class Profiles(CardView):
+class Profiles(Mapping):
     """A year's profiles as columns: its card ids in sorted order and one array per field.
 
     ``home``, ``work`` and ``rides`` are ``array('i')`` and
     ``commute_min`` is ``array('q')``, as a distance-fare ride may alight
     as late as the calendar allows; each holds -1 for None.
     ``commute_km`` is ``array('d')`` with NaN for None.  Writers read the
-    columns; the mapping builds each card's :class:`YearProfile`.
+    columns; the mapping over ``cards`` builds each card's :class:`YearProfile`.
     """
 
-    __slots__ = ("home", "work", "commute_km", "commute_min", "rides")
+    __slots__ = ("cards", "home", "work", "commute_km", "commute_min", "rides")
 
     def __init__(self):
         self.cards: list[str] = []
@@ -155,6 +137,18 @@ class Profiles(CardView):
 
     def at(self, i: int) -> YearProfile:
         return _as_profile(self.home[i], self.work[i], self.commute_km[i], self.commute_min[i], self.rides[i])
+
+    def __getitem__(self, card: str) -> YearProfile:
+        i = bisect_left(self.cards, card)
+        if i == len(self.cards) or self.cards[i] != card:
+            raise KeyError(card)
+        return self.at(i)
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.cards)
+
+    def __len__(self) -> int:
+        return len(self.cards)
 
 
 def _as_profile(home: int, work: int, km: float, minutes: int, rides: int) -> YearProfile:

@@ -11,13 +11,14 @@ registry share one place index at every thread count.
 Each year's cards are profiled in sorted card order straight into the
 year's columns, each card's rides let go as its values are appended, and job
 results are gathered in fixed job order, so the output bytes cannot
-depend on the thread count.  No FR's delta is stored: the result builds
-one when asked, and the FR homes for the TAZ layer are counted per
-year-2 place, by position in the year's columns.  A registry is held as
-its place index, one table of each stop's code, each code's place and
-each place's centroid: a year's lines are read against its codes, its
-profiles name their places by id, and each year's ids are looked up in
-its own place index.
+depend on the thread count.  No FR's delta is stored: the result holds
+the FRs and the rules of their deltas, which
+:meth:`~cardcohort.cohort.Deltas.rows` makes in one pass, and the FR
+homes for the TAZ layer are counted per year-2 place, by position in the
+year's columns.  A registry is held as its place index, one table of
+each stop's code, each code's place and each place's centroid: a year's
+lines are read against its codes, its profiles name their places by id,
+and each year's ids are looked up in its own place index.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from functools import cache
 from typing import Mapping, NamedTuple
 
 from . import infer
-from .cohort import CHANGE_KM_DEFAULT, Deltas, move
+from .cohort import CHANGE_KM_DEFAULT, Deltas
 from .geo import CLUSTER_RADIUS_M, DEFAULT_CENTER, Coord, PlaceIndex, Region, build_places, haversine_km
 from .geo import load_region, load_region_features, point_in_region
 from .groups import DeprivationSummary, score_deprivation
@@ -154,7 +155,7 @@ class PipelineResult:
     config: RunConfig
     year1: YearData
     year2: YearData
-    # One delta per frequent rider, in card order, built when asked: its keys are the FRs.
+    # The frequent riders, in card order, and the rules of their deltas; Deltas.rows makes them.
     deltas: Deltas
     dep_summary: DeprivationSummary | None = None
     followup_counts: Counter = field(default_factory=Counter)
@@ -360,7 +361,9 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
     ``cfg`` is taken as checked by :meth:`RunConfig.validate`, which the
     command line calls once, when it builds the config.  Report files are
     written separately (see the reports module); this function is pure
-    computation plus input loading.  An FR's delta is built when asked for.
+    computation plus input loading.  No FR's delta is made here: the
+    result's ``deltas`` makes them in one pass when a report or a score
+    reads them.
     """
     # The layers are small; loading them first lets a malformed one fail
     # before any transactions file is read.
@@ -369,11 +372,10 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
 
     y1, y2, *followup = _run_jobs(cfg)
 
-    # Many FRs share a home place, or a pair of home or work places: the
-    # deltas built one by one, when asked for, share each answer.
+    # Many FRs' year-2 homes share a centroid: each is tested against R4 once.
     in_r4 = cache(lambda c: point_in_region(c, r4_region)) if r4_region is not None else None
     centroid1, centroid2 = y1.places.centroid, y2.places.centroid
-    deltas = Deltas(y1.profiles, y2.profiles, centroid1, centroid2, cfg.center, in_r4, cfg.change_km, cache(move))
+    deltas = Deltas(y1.profiles, y2.profiles, centroid1, centroid2, cfg.center, in_r4, cfg.change_km)
     frs = deltas.cards
     log.info("cohort: %d frequent riders", len(frs))
 

@@ -6,13 +6,11 @@ rounded to one decimal, or, for ``taz_fr_homes.geojson``, indented JSON.
 the synthetic bundle's included, goes through it as UTF-8 with LF line
 endings, so reruns diff cleanly.  Nothing here decides a rule; writers
 format what the pipeline derived, by the rules of the modules that own
-them.  No FR's delta is stored: :func:`write_run_reports` makes one pass
-over the FRs, by position in both years' columns, that writes
-``deltas.csv`` and counts the other FR tables.  It makes each half of a
-delta with :meth:`~cardcohort.cohort.Deltas.housing` and
-:meth:`~cardcohort.cohort.Deltas.work` once per distinct place pair, and
-an FR's group number with :func:`~cardcohort.groups.group_index` of its
-halves, as :func:`~cardcohort.groups.classify` makes it of a delta.
+them.  No FR's delta is stored: :func:`write_run_reports` reads each FR
+from :meth:`~cardcohort.cohort.Deltas.rows`, each delta half formatted
+once per distinct place pair, writes ``deltas.csv`` and counts the other
+FR tables; an FR's group is :func:`~cardcohort.groups.group_index` of
+its halves.
 """
 
 from __future__ import annotations
@@ -25,7 +23,7 @@ from collections import Counter, deque
 from functools import cache
 from typing import Collection, Iterable, Mapping, Sequence
 
-from .cohort import CHANGED, COMMUTE_BINS, FOUND, JOBLESS, LOST, MOVE_BINS, NOT_CHANGED, commute_change
+from .cohort import CHANGED, COMMUTE_BINS, FOUND, JOBLESS, LOST, MOVE_BINS, NOT_CHANGED
 from .geo import INWARD, OUTWARD
 from .groups import GROUP_COUNT, DeprivationSummary, group_counts, group_index, group_triple
 from .infer import Profiles, Stay, shared
@@ -240,14 +238,16 @@ def write_taz_geojson(path: str, result: PipelineResult) -> None:
     write_json(path, {"type": "FeatureCollection", "outside_count": result.taz_outside, "features": features})
 
 
-def _housing_row(status: str, direction: str | None, km: float, label: str | None, r4: bool) -> tuple:
+def _housing_row(half: tuple[str, str | None, float, str | None, bool]) -> tuple:
     """A housing half as the FR pass uses it: its dynamics key, its two group inputs and its two texts."""
+    status, direction, km, label, r4 = half
     text = f"{status},{_opt(direction)},{_km(km)},{_opt(label)}"
     return (status, direction, label), status == CHANGED, r4, text, "1" if r4 else "0"
 
 
-def _work_row(status: str, direction: str | None, km: float | None, label: str | None) -> tuple:
+def _work_row(half: tuple[str, str | None, float | None, str | None]) -> tuple:
     """A work half as the FR pass uses it: its dynamics key, its group input and its text."""
+    status, direction, km, label = half
     return (status, direction, label), status, f"{status},{_opt(direction)},{_km(km)}"
 
 
@@ -293,31 +293,22 @@ def write_run_reports(
     emit("unmatched_year1.csv", write_unmatched, result.year1.unmatched)
     emit("unmatched_year2.csv", write_unmatched, result.year2.unmatched)
     emit("summary.csv", write_summary, result)
-    # One pass over the FRs, by position in both years' columns, writes
-    # deltas.csv and counts the other FR tables; groups holds each FR's
-    # group number in FR order.  A delta's housing half depends only on
-    # the FR's two home places and its work half on its two work places,
-    # so each half, with its counter key, group input and text, is made
-    # once per distinct pair; per FR only the commute change is made.
+    # One pass over the FRs writes deltas.csv and counts the other FR
+    # tables; groups holds each FR's group number in FR order.  Each
+    # half comes with its counter key, group input and text, made once
+    # per distinct place pair.
     housing, work, commute, groups = Counter(), Counter(), Counter(), bytearray()
 
     def delta_rows():
-        deltas = result.deltas
-        housing_of = cache(lambda h1, h2: _housing_row(*deltas.housing(h1, h2)))
-        work_of = cache(lambda w1, w2: _work_row(*deltas.work(w1, w2)))
-        p1, p2 = deltas.years
-        cards, home1, work1, km1 = p1.cards, p1.home, p1.work, p1.commute_km
-        home2, work2, km2 = p2.home, p2.work, p2.commute_km
-        for i, j in deltas.positions():
-            h_key, changed, within, h_text, r4_text = housing_of(home1[i], home2[j])
-            w_key, job, w_text = work_of(work1[i], work2[j])
+        for card, (h_key, changed, within, h_text, r4_text), (w_key, job, w_text), commute_km, label in (
+            result.deltas.rows(_housing_row, _work_row)
+        ):
             housing[h_key] += 1
             work[w_key] += 1
-            commute_km, label = commute_change(km1[i], km2[j])
             if label is not None:
                 commute[label] += 1
             groups.append(group_index(changed, job, within))
-            yield f"{cards[i]},{h_text},{w_text},{_km(commute_km)},{_opt(label)},{r4_text}"
+            yield f"{card},{h_text},{w_text},{_km(commute_km)},{_opt(label)},{r4_text}"
 
     rows = delta_rows()
     emit("deltas.csv", write_lines, [DELTAS_HEADER], rows)
@@ -328,7 +319,7 @@ def write_run_reports(
     emit("commute_variation.csv", write_commute_variation, commute)
     emit("groups.csv", write_groups, groups)
     emit("deprivation.csv", write_deprivation, result.dep_summary)
-    emit("scores.csv", write_scores, result.deltas, groups, result.followup_counts)
+    emit("scores.csv", write_scores, result.deltas.cards, groups, result.followup_counts)
     emit("rejections_followup.csv", write_rejections, result.followup_rejections)
     emit("taz_fr_homes.geojson", write_taz_geojson, result)
     return written

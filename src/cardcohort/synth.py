@@ -55,7 +55,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .cohort import CHANGED, FOUND, JOBLESS, LOST, NOT_CHANGED
 from .geo import M_PER_DEG_LAT, Coord, Region, haversine_km, point_in_region, radial_direction
-from .groups import classify, group_index
+from .groups import group_index
 from .ingest import TRANSACTIONS_HEADER, iter_lines, read_config, take_header
 from .reports import write_json, write_lines
 
@@ -755,6 +755,7 @@ def evaluate_recovery(truth: Sequence[TruthRow], result, tolerance_km: float = 0
     housing_conf: Counter[tuple[str, str]] = Counter()
     work_conf: Counter[tuple[str, str]] = Counter()
     group_correct = 0
+    predicted = {card: (housing, work) for card, housing, work, _, _ in result.deltas.rows()}
 
     for t in truth:
         anchors = (
@@ -781,10 +782,11 @@ def evaluate_recovery(truth: Sequence[TruthRow], result, tolerance_km: float = 0
         (h1c, w1c), (h2c, w2c) = cents
         housing_truth = planted_move(h1c, h2c)
         work_truth = planted_move(w1c, w2c)
-        delta = result.deltas.get(t.card_id)
-        if delta:
-            housing_pred = _cat_with_dir(delta.housing_status, delta.housing_dir)
-            work_pred = _cat_with_dir(delta.work_status, delta.work_dir)
+        halves = predicted.get(t.card_id)
+        if halves:
+            (housing_status, housing_dir, _, _, r4), (work_status, work_dir, _, _) = halves
+            housing_pred = _cat_with_dir(housing_status, housing_dir)
+            work_pred = _cat_with_dir(work_status, work_dir)
         else:
             housing_pred = work_pred = "(missing)"
         housing_conf[housing_truth, housing_pred] += 1
@@ -792,7 +794,7 @@ def evaluate_recovery(truth: Sequence[TruthRow], result, tolerance_km: float = 0
 
         in_r4 = point_in_region(h2c, region) if region is not None else False
         truth_group = group_index(housing_truth != NOT_CHANGED, work_truth.split("/")[0], in_r4)
-        if delta and classify(delta) == truth_group:
+        if halves and group_index(housing_status == CHANGED, work_status, r4) == truth_group:
             group_correct += 1
 
     return RecoveryMetrics(

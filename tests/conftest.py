@@ -6,10 +6,13 @@ import math
 import os
 import tracemalloc
 from collections.abc import Iterable
+from typing import NamedTuple
 
 import pytest
 
+from cardcohort.cohort import CHANGED
 from cardcohort.geo import M_PER_DEG_LAT
+from cardcohort.groups import group_index
 from cardcohort.infer import Profiles, YearProfile
 
 # Acceptance tests register one (number, passed, detail) entry each; the
@@ -70,6 +73,32 @@ def profile_columns(profiles: Iterable[tuple[str, YearProfile]]) -> Profiles:
         for card, p in profiles
     )
     return columns
+
+
+class Delta(NamedTuple):
+    """One FR's row of ``Deltas.rows()``: its housing half, its work half and its commute change, field by field."""
+
+    housing_status: str
+    housing_dir: str | None
+    move_km: float
+    move_bin: str | None
+    r4_2010: bool
+    work_status: str
+    work_dir: str | None
+    work_move_km: float | None
+    work_move_bin: str | None
+    commute_delta_km: float | None
+    commute_bin: str | None
+
+
+def fr_deltas(deltas) -> dict[str, Delta]:
+    """Each FR's :class:`Delta` by card id, in card order, as ``deltas.rows()`` makes it."""
+    return {card: Delta(*housing, *work, km, label) for card, housing, work, km, label in deltas.rows()}
+
+
+def group_of(d: Delta) -> int:
+    """The group number of one FR's delta."""
+    return group_index(d.housing_status == CHANGED, d.work_status, d.r4_2010)
 
 
 def peak_traced_bytes(fn, *args) -> int:

@@ -21,19 +21,18 @@ import pytest
 from cardcohort.cli import main as cli_main
 from cardcohort.cohort import (
     CHANGED,
-    CohortDelta,
     FOUND,
     JOBLESS,
     LOST,
     NOT_CHANGED,
-    build_delta,
     commute_bin,
+    housing_change,
     match_cohort,
     move_bin,
 )
 from cardcohort.geo import INWARD, OUTWARD, build_places, haversine_km
-from cardcohort.groups import classify, group_counts, group_index, group_triple
-from cardcohort.infer import YearProfile, build_profile
+from cardcohort.groups import group_counts, group_index, group_triple
+from cardcohort.infer import build_profile
 from cardcohort.ingest import (
     STOPS_HEADER,
     ObservationWeek,
@@ -46,7 +45,7 @@ from cardcohort.reports import write_dynamics
 from cardcohort.synth import GeneratorConfig, evaluate_recovery, generate
 
 from coded_rides import encode
-from conftest import members, offset_coord, record_criterion
+from conftest import fr_deltas, group_of, members, offset_coord, record_criterion
 
 
 def _run_bundle(bundle, threads: int = 1):
@@ -145,12 +144,12 @@ def test_criterion_2_noisy_recovery(noisy_run):
 
 def _partition_failures(result) -> list[str]:
     fails = []
-    deltas = result.deltas
+    deltas = fr_deltas(result.deltas)
     n = len(deltas)
     if list(deltas) != match_cohort(result.year1.profiles, result.year2.profiles):
         fails.append("delta keys differ from FR cards")
 
-    counts = group_counts(map(classify, deltas.values()))
+    counts = group_counts(map(group_of, deltas.values()))
     if set(counts) != set(range(1, 21)):
         fails.append("group table is not exactly 1..20")
     if sum(counts.values()) != n:
@@ -185,7 +184,7 @@ def test_criterion_3_partition_invariants(clean_run, noisy_run, empty_run):
         ("noisy", noisy_run[1]),
         ("empty", empty_run),
     ):
-        sizes.append(f"{label}={len(result.deltas)}")
+        sizes.append(f"{label}={len(result.deltas.cards)}")
         fails += [f"{label}: {msg}" for msg in _partition_failures(result)]
     record_criterion(
         3,
@@ -196,21 +195,10 @@ def test_criterion_3_partition_invariants(clean_run, noisy_run, empty_run):
     )
 
 
-def _fixture_delta(status: str, direction: str | None) -> CohortDelta:
+def _fixture_delta(status: str, direction: str | None) -> tuple[str, str | None, float, str | None, bool]:
+    """A housing half: a 3 km move when changed, a 0.4 km one when not."""
     changed = status == CHANGED
-    return CohortDelta(
-        housing_status=status,
-        housing_dir=direction,
-        move_km=3.0 if changed else 0.4,
-        move_bin="2-5" if changed else None,
-        work_status=NOT_CHANGED,
-        work_dir=None,
-        work_move_km=None,
-        work_move_bin=None,
-        commute_delta_km=None,
-        commute_bin=None,
-        r4_2010=False,
-    )
+    return status, direction, 3.0 if changed else 0.4, "2-5" if changed else None, False
 
 
 def test_criterion_4_published_arithmetic(tmp_path):
@@ -228,7 +216,7 @@ def test_criterion_4_published_arithmetic(tmp_path):
             i += 1
 
     path = str(tmp_path / "housing_dynamics.csv")
-    write_dynamics(path, Counter((d.housing_status, d.housing_dir, d.move_bin) for d in deltas.values()))
+    write_dynamics(path, Counter((status, direction, label) for status, direction, _, label, _ in deltas.values()))
     rows = {}
     with open(path, "r", encoding="utf-8") as fh:
         next(fh)
@@ -351,12 +339,9 @@ def test_criterion_7_threshold_edges():
     c2 = offset_coord(c1, 7000.0, 0.0)
     km = haversine_km(c1, c2)
 
-    # Place 0 in each year, looked up in that year's own index.
-    p = YearProfile(0, None, None, None, 10)
-    centroid1, centroid2 = {0: c1}.__getitem__, {0: c2}.__getitem__
-    at_edge = build_delta(p, p, centroid1, centroid2, c1, None, change_km=km)
-    above = build_delta(p, p, centroid1, centroid2, c1, None, change_km=math.nextafter(km, math.inf))
-    move_ok = at_edge.housing_status == CHANGED and above.housing_status == NOT_CHANGED
+    at_edge, *_ = housing_change(c1, c2, c1, km, None)
+    above, *_ = housing_change(c1, c2, c1, math.nextafter(km, math.inf), None)
+    move_ok = at_edge == CHANGED and above == NOT_CHANGED
 
     bin_ok = move_bin(2.0) == "2-5" and commute_bin(0.0) == "0-2"
 
@@ -393,7 +378,7 @@ def test_criterion_8_performance(tmp_path_factory):
     t0 = time.perf_counter()
     result = _run_bundle(bundle, threads=8)
     run_s = time.perf_counter() - t0
-    pipeline_ok = tx == 1_000_000 and run_s < 60.0 and len(result.deltas) == 50000
+    pipeline_ok = tx == 1_000_000 and run_s < 60.0 and len(result.deltas.cards) == 50000
 
     stops = {}
     base = (116.30, 39.90)

@@ -3,12 +3,12 @@
 from __future__ import annotations
 
 import math
-from functools import cache
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from cardcohort import cohort
 from cardcohort.cohort import (
     CHANGED,
     COMMUTE_BINS,
@@ -17,7 +17,7 @@ from cardcohort.cohort import (
     LOST,
     MOVE_BINS,
     NOT_CHANGED,
-    build_delta,
+    Deltas,
     commute_bin,
     match_cohort,
     move,
@@ -26,7 +26,7 @@ from cardcohort.cohort import (
 from cardcohort.geo import INWARD, OUTWARD, haversine_km
 from cardcohort.infer import Profiles, YearProfile
 
-from conftest import profile_columns
+from conftest import fr_deltas, profile_columns
 
 # Frozen fixture: both homes due east of the centre on the same
 # parallel, 15 km and 3 km out, so the move is 12 km inward (up to the
@@ -137,19 +137,25 @@ def test_match_cohort_output_is_sorted():
     assert match_cohort(columns(p1), columns(p2)) == ["A", "M", "Z"]
 
 
+def delta(p1, p2, centroid2=CENTROID, in_r4=None, change_km=2.0):
+    """The delta of one FR whose profiles are ``p1`` and ``p2``, as ``Deltas.rows`` makes it."""
+    deltas = Deltas(columns({"A": p1}), columns({"A": p2}), CENTROID, centroid2, CENTER, in_r4, change_km)
+    return fr_deltas(deltas)["A"]
+
+
 # The home, work and commute parts of one FR's delta, each as a tuple.
 def housing(p1, p2, change_km=2.0):
-    d = build_delta(p1, p2, CENTROID, CENTROID, CENTER, None, change_km)
+    d = delta(p1, p2, change_km=change_km)
     return d.housing_status, d.housing_dir, d.move_km, d.move_bin
 
 
 def work(p1, p2):
-    d = build_delta(p1, p2, CENTROID, CENTROID, CENTER, None)
+    d = delta(p1, p2)
     return d.work_status, d.work_dir, d.work_move_km, d.work_move_bin
 
 
 def commute(p1, p2):
-    d = build_delta(p1, p2, CENTROID, CENTROID, CENTER, None)
+    d = delta(p1, p2)
     return d.commute_delta_km, d.commute_bin
 
 
@@ -238,7 +244,7 @@ class TestBuildDelta:
     def test_assembles_all_components(self):
         p1 = prof(home=OLD, work=OLD, ckm=10.0)
         p2 = prof(home=NEW, work=OLD, ckm=4.0)
-        d = build_delta(p1, p2, CENTROID, CENTROID, CENTER, in_r4=lambda c: c[0] < 116.5, change_km=2.0)
+        d = delta(p1, p2, in_r4=lambda c: c[0] < 116.5, change_km=2.0)
         assert d.housing_status == CHANGED
         assert d.housing_dir == INWARD
         assert d.move_bin == "10-20"
@@ -251,22 +257,24 @@ class TestBuildDelta:
     def test_no_region_means_outside(self):
         p1 = prof(home=OLD)
         p2 = prof(home=OLD)
-        d = build_delta(p1, p2, CENTROID, CENTROID, CENTER, in_r4=None)
+        d = delta(p1, p2, in_r4=None)
         assert d.r4_2010 is False
         assert d.housing_status == NOT_CHANGED
         assert d.commute_delta_km is None
         assert d.commute_bin is None
 
-    def test_shared_move_cache_keys_on_the_benchmark(self):
+    def test_shared_move_cache_keys_on_the_benchmark(self, monkeypatch):
         # A 3 km outward home move.
         p1, p2 = prof(home=NEW), prof(home=FARTHER)
         assert haversine_km(NEW_HOME, FARTHER_HOME) == pytest.approx(3.0, abs=1e-5)
-        cached_move = cache(move)
-        near = build_delta(p1, p2, CENTROID, CENTROID, CENTER, None, 1.0, cached_move)
-        far = build_delta(p1, p2, CENTROID, CENTROID, CENTER, None, 5.0, cached_move)
+        moves = []
+        monkeypatch.setattr(cohort, "move", lambda *args: moves.append(args[-1]) or move(*args))
+        near = delta(p1, p2, change_km=1.0)
+        far = delta(p1, p2, change_km=5.0)
         assert (near.housing_status, near.housing_dir, near.move_bin) == (CHANGED, OUTWARD, "2-5")
         assert (far.housing_status, far.housing_dir, far.move_bin) == (NOT_CHANGED, None, None)
-        assert cached_move.cache_info().currsize == 2
+        # One home move per benchmark; the FR has no work place.
+        assert moves == [1.0, 5.0]
 
     def test_each_year_looks_up_its_own_places(self):
         # Year 2's registry put a new place first, so the same places
@@ -274,7 +282,7 @@ class TestBuildDelta:
         centroid2 = {OLD + 1: OLD_HOME, NEW + 1: NEW_HOME}.__getitem__
         p1 = prof(home=OLD, work=OLD)
         p2 = prof(home=NEW + 1, work=OLD + 1)
-        d = build_delta(p1, p2, CENTROID, centroid2, CENTER, in_r4=lambda c: c == NEW_HOME)
+        d = delta(p1, p2, centroid2, in_r4=lambda c: c == NEW_HOME)
         assert (d.housing_status, d.housing_dir) == (CHANGED, INWARD)
         assert d.move_km == pytest.approx(MOVE_KM, abs=1e-6)
         assert (d.work_status, d.work_move_km) == (NOT_CHANGED, 0.0)

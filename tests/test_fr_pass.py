@@ -1,11 +1,13 @@
 """The FR pass of ``write_run_reports`` against a reference made one FR at a time.
 
-The report writer makes each half of a delta once per distinct place
-pair and formats each profile's places once per distinct (home, work,
-commute_km).  Here every table it writes from them is compared with the
-same table formatted from ``result.deltas.items()`` and ``classify``,
-one FR at a time, and each profile row with its own profile: a cache
-keyed more coarsely than what a row depends on writes some row wrong.
+``Deltas.rows`` makes each half of a delta once per distinct place pair,
+and the report writer formats each profile's places once per distinct
+(home, work, commute_km).  Here every table written from them is
+compared with the same table made one FR at a time, straight from
+``housing_change``, ``work_change``, ``commute_change`` and
+``group_index`` over the FRs' positions in the two years' columns, and
+each profile row with its own profile: a cache keyed more coarsely than
+what a row depends on writes some row wrong.
 """
 
 from __future__ import annotations
@@ -18,10 +20,10 @@ from datetime import date
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from cardcohort.cohort import FOUND, JOBLESS, LOST, Deltas
+from cardcohort.cohort import CHANGED, FOUND, JOBLESS, LOST, Deltas, commute_change, housing_change, work_change
 from cardcohort.geo import PlaceIndex
-from cardcohort.groups import classify
-from cardcohort.infer import YearProfile
+from cardcohort.groups import group_index
+from cardcohort.infer import YearProfile, shared
 from cardcohort.ingest import ObservationWeek
 from cardcohort.pipeline import PipelineResult, RunConfig, YearData, run_pipeline
 from cardcohort.reports import (
@@ -33,7 +35,7 @@ from cardcohort.reports import (
 )
 from cardcohort.synth import GeneratorConfig, generate
 
-from conftest import offset_coord, profile_columns
+from conftest import fr_deltas, offset_coord, profile_columns
 
 FR_FILES = ("deltas.csv", "housing_dynamics.csv", "work_dynamics.csv", "commute_variation.csv", "groups.csv")
 PROFILE_FILES = ("profiles_year1.csv", "profiles_year2.csv")
@@ -56,15 +58,30 @@ def reference(result, out: str) -> dict[str, str]:
     """The FR tables and the profile files, each FR's and each card's row made on its own."""
     housing, work, commute, groups = Counter(), Counter(), Counter(), []
     rows = [DELTAS_HEADER]
-    for card, d in result.deltas.items():
-        housing[d.housing_status, d.housing_dir, d.move_bin] += 1
-        work[d.work_status, d.work_dir, d.work_move_bin] += 1
-        if d.commute_bin is not None:
-            commute[d.commute_bin] += 1
-        groups.append(classify(d))
+    p1, p2 = result.deltas.years
+    centroid1, centroid2, center, in_r4, change_km = result.deltas.rules
+
+    def centroid(lookup, place: int):
+        return None if place < 0 else lookup(place)
+
+    for i, j in shared(p1, p2):
+        if p1.home[i] < 0 or p2.home[j] < 0:
+            continue
+        status, direction, move_km, move_bin, r4 = housing_change(
+            centroid1(p1.home[i]), centroid2(p2.home[j]), center, change_km, in_r4
+        )
+        w_status, w_dir, w_km, w_bin = work_change(
+            centroid(centroid1, p1.work[i]), centroid(centroid2, p2.work[j]), center, change_km
+        )
+        commute_km, commute_label = commute_change(p1.commute_km[i], p2.commute_km[j])
+        housing[status, direction, move_bin] += 1
+        work[w_status, w_dir, w_bin] += 1
+        if commute_label is not None:
+            commute[commute_label] += 1
+        groups.append(group_index(status == CHANGED, w_status, r4))
         rows.append(",".join((
-            card, d.housing_status, text(d.housing_dir), km(d.move_km), text(d.move_bin), d.work_status,
-            text(d.work_dir), km(d.work_move_km), km(d.commute_delta_km), text(d.commute_bin), str(int(d.r4_2010)),
+            p1.cards[i], status, text(direction), km(move_km), text(move_bin), w_status,
+            text(w_dir), km(w_km), km(commute_km), text(commute_label), str(int(r4)),
         )))
     os.makedirs(out)
     write_dynamics(os.path.join(out, "housing_dynamics.csv"), housing)
@@ -108,7 +125,7 @@ def test_noisy_synth_bundles_match_the_reference(tmp_path_factory, seed):
     result = run_pipeline(RunConfig(
         year1=p["week1"], year2=p["week2"], stops1=p["stops"], stops2=p["stops"], r4=p["r4"], center=bundle.center,
     ))
-    assert len(result.deltas) > 100
+    assert len(result.deltas.cards) > 100
     assert_written_as_reference(result, tmp_path)
 
 
@@ -143,7 +160,7 @@ def test_frs_that_share_their_homes_but_not_their_work(tmp_path):
         {"A": prof(0, 1, 4.0), "B": prof(0, 1, 4.0), "C": prof(0, 2, 6.0), "D": prof(0, 1, 4.0), "E": prof(0)},
         {"A": prof(3, 1, 7.0), "B": prof(3, 4, 17.0), "C": prof(3, 1, 7.0), "D": prof(3), "E": prof(3, 2, 5.0)},
     )
-    statuses = {card: (d.housing_status, d.work_status) for card, d in result.deltas.items()}
+    statuses = {card: (d.housing_status, d.work_status) for card, d in fr_deltas(result.deltas).items()}
     assert len({s for s, _ in statuses.values()}) == 1
     assert len({w for _, w in statuses.values()}) == 4
     assert_written_as_reference(result, tmp_path)
@@ -155,8 +172,9 @@ def test_jobless_frs_have_no_commute(tmp_path):
         {"A": prof(0), "B": prof(4), "C": prof(0), "D": prof(1, 2, 2.0)},
     )
     assert math.isnan(result.year1.profiles.commute_km[0])
-    assert [d.commute_delta_km for d in result.deltas.values()] == [None] * 4
-    assert [d.work_status for d in result.deltas.values()] == [JOBLESS, JOBLESS, LOST, FOUND]
+    deltas = fr_deltas(result.deltas).values()
+    assert [d.commute_delta_km for d in deltas] == [None] * 4
+    assert [d.work_status for d in deltas] == [JOBLESS, JOBLESS, LOST, FOUND]
     assert_written_as_reference(result, tmp_path)
 
 

@@ -4,10 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from cardcohort.cohort import CHANGED, FOUND, JOBLESS, LOST, NOT_CHANGED, CohortDelta
+from cardcohort.cohort import CHANGED, FOUND, JOBLESS, LOST, NOT_CHANGED
 from cardcohort.groups import (
     GROUP_COUNT,
-    classify,
     group_counts,
     group_index,
     group_triple,
@@ -36,20 +35,9 @@ CANONICAL_LABELS = [
 ]
 
 
-def delta(housing=NOT_CHANGED, work=NOT_CHANGED, r4=False) -> CohortDelta:
-    return CohortDelta(
-        housing_status=housing,
-        housing_dir=None,
-        move_km=0.0,
-        move_bin=None,
-        work_status=work,
-        work_dir=None,
-        work_move_km=None,
-        work_move_bin=None,
-        commute_delta_km=None,
-        commute_bin=None,
-        r4_2010=r4,
-    )
+def classify(housing=NOT_CHANGED, work=NOT_CHANGED, r4=False) -> int:
+    """The group number of an FR with these housing and work statuses, within R4 or not."""
+    return group_index(housing == CHANGED, work, r4)
 
 
 class TestGroupNumbering:
@@ -77,14 +65,14 @@ class TestGroupNumbering:
 
 class TestClassify:
     def test_moved_jobless_outside(self):
-        assert classify(delta(housing=CHANGED, work=JOBLESS, r4=False)) == 5
+        assert classify(housing=CHANGED, work=JOBLESS, r4=False) == 5
 
     def test_settled_unchanged_within(self):
-        assert classify(delta(housing=NOT_CHANGED, work=NOT_CHANGED, r4=True)) == 20
+        assert classify(housing=NOT_CHANGED, work=NOT_CHANGED, r4=True) == 20
 
     def test_r4_flag_adds_one(self):
-        out = classify(delta(housing=CHANGED, work=LOST, r4=False))
-        within = classify(delta(housing=CHANGED, work=LOST, r4=True))
+        out = classify(housing=CHANGED, work=LOST, r4=False)
+        within = classify(housing=CHANGED, work=LOST, r4=True)
         assert within == out + 1
 
 
@@ -92,16 +80,16 @@ def test_group_counts_always_has_twenty_keys():
     counts = group_counts([])
     assert sorted(counts) == list(range(1, 21))
     assert sum(counts.values()) == 0
-    counts = group_counts(classify(delta(work=JOBLESS)) for _ in range(3))
+    counts = group_counts(classify(work=JOBLESS) for _ in range(3))
     assert sum(counts.values()) == 3
     assert counts[15] == 3
 
 
-def score_rows(tmp_path, deltas, counts) -> list[list[str]]:
-    """The data rows of ``scores.csv`` written from ``deltas``, in card order, and ``counts``."""
+def score_rows(tmp_path, groups, counts) -> list[list[str]]:
+    """The data rows of ``scores.csv`` written from each FR's group in ``groups``, in card order, and ``counts``."""
     path = tmp_path / "scores.csv"
-    frs = sorted(deltas)
-    write_scores(str(path), frs, [classify(deltas[card]) for card in frs], counts)
+    frs = sorted(groups)
+    write_scores(str(path), frs, [groups[card] for card in frs], counts)
     header, *rows = path.read_text(encoding="utf-8").splitlines()
     assert header == "card_id,group,followup_trips,scored"
     return [row.split(",") for row in rows]
@@ -117,7 +105,7 @@ class TestScoreDeprivation:
         assert summary.scored_fraction == 1.0
         assert summary.mean_trips == pytest.approx(5.0)
         assert summary.std_trips == pytest.approx(2.0)
-        rows = score_rows(tmp_path, {card: delta() for card in counts}, counts)
+        rows = score_rows(tmp_path, {card: classify() for card in counts}, counts)
         assert all(row[3] == "1" for row in rows)
 
     def test_absent_cards_are_unscored(self, tmp_path):
@@ -127,7 +115,7 @@ class TestScoreDeprivation:
         assert summary.scored_count == 2
         assert summary.scored_fraction == 0.5
         assert summary.mean_trips == pytest.approx(5.0)
-        rows = score_rows(tmp_path, {card: delta() for card in "ABCD"}, counts)
+        rows = score_rows(tmp_path, {card: classify() for card in "ABCD"}, counts)
         by_card = {row[0]: row[2:] for row in rows}
         assert by_card["A"] == ["0", "0"]
         assert by_card["D"] == ["7", "1"]
@@ -170,27 +158,27 @@ class TestScoreDeprivation:
 
 
 class TestGroupAndScoreWriters:
-    """groups.csv and scores.csv are formatted from hand-made deltas alone."""
+    """groups.csv and scores.csv are formatted from hand-made groups alone."""
 
-    DELTAS = {
-        "C": delta(housing=CHANGED, work=LOST, r4=True),
-        "A": delta(),
-        "B": delta(work=FOUND),
-        "D": delta(housing=CHANGED, work=JOBLESS),
+    GROUPS = {
+        "C": classify(housing=CHANGED, work=LOST, r4=True),
+        "A": classify(),
+        "B": classify(work=FOUND),
+        "D": classify(housing=CHANGED, work=JOBLESS),
     }
 
     def test_scores_rows(self, tmp_path):
-        rows = score_rows(tmp_path, self.DELTAS, {"B": 4, "Z": 2})
+        rows = score_rows(tmp_path, self.GROUPS, {"B": 4, "Z": 2})
         # One row per FR in card order; a card that is not an FR writes none.
         assert [row[0] for row in rows] == ["A", "B", "C", "D"]
-        # The group column is the delta's group, never empty.
-        assert [int(row[1]) for row in rows] == [classify(self.DELTAS[row[0]]) for row in rows]
+        # The group column is the FR's group, never empty.
+        assert [int(row[1]) for row in rows] == [self.GROUPS[row[0]] for row in rows]
         assert [row[2:] for row in rows] == [["0", "0"], ["4", "1"], ["0", "0"], ["0", "0"]]
 
     def test_group_counts_sum_to_the_fr_count(self, tmp_path):
         path = tmp_path / "groups.csv"
-        write_groups(str(path), [classify(d) for d in self.DELTAS.values()])
+        write_groups(str(path), list(self.GROUPS.values()))
         _, *rows = path.read_text(encoding="utf-8").splitlines()
         counts = {int(row.split(",")[0]): int(row.split(",")[4]) for row in rows}
-        assert sum(counts.values()) == len(self.DELTAS)
-        assert counts == group_counts(map(classify, self.DELTAS.values()))
+        assert sum(counts.values()) == len(self.GROUPS)
+        assert counts == group_counts(self.GROUPS.values())

@@ -14,10 +14,9 @@ from types import SimpleNamespace
 
 import pytest
 
-from cardcohort import pipeline
-from cardcohort.cohort import CHANGED, FOUND, JOBLESS, LOST, NOT_CHANGED, build_delta, move
+from cardcohort import cohort, pipeline
+from cardcohort.cohort import CHANGED, FOUND, JOBLESS, LOST, NOT_CHANGED, move
 from cardcohort.geo import CLUSTER_RADIUS_M, INWARD, OUTWARD, Region, haversine_km
-from cardcohort.groups import classify
 from cardcohort.ingest import SchemaError, format_minute, parse_minute
 from cardcohort.pipeline import (
     MissingInputError,
@@ -31,7 +30,8 @@ from cardcohort.reports import write_profiles, write_run_reports, write_summary
 from cardcohort.synth import GeneratorConfig, generate
 
 from conftest import (
-    MINI_ORIGIN, PER_CARD_COPY_BYTES, _square_geojson, offset_coord, peak_traced_bytes, profile_columns,
+    MINI_ORIGIN, PER_CARD_COPY_BYTES, _square_geojson, fr_deltas, group_of, offset_coord, peak_traced_bytes,
+    profile_columns,
 )
 
 EXPECTED_HEADERS = {
@@ -64,7 +64,7 @@ def read_rows(path: str) -> list[list[str]]:
 
 
 def groups_of(result) -> dict[str, int]:
-    return {c: classify(d) for c, d in result.deltas.items()}
+    return {c: group_of(d) for c, d in fr_deltas(result.deltas).items()}
 
 
 def score_rows(result, out) -> dict[str, list[str]]:
@@ -255,7 +255,7 @@ class TestJobs:
         gc.collect()
         result = run_pipeline(mini_config)
         assert gc.collect() == 0
-        assert list(result.deltas) == ["A1", "F1"]
+        assert result.deltas.cards == ["A1", "F1"]
 
 
 def test_a_clustered_stop_costs_fewer_than_160_bytes(tmp_path):
@@ -325,10 +325,10 @@ def result(mini_bundle):
 
 class TestMiniPipeline:
     def test_frequent_riders(self, result):
-        assert list(result.deltas) == ["A1", "F1"]
+        assert result.deltas.cards == ["A1", "F1"]
 
     def test_mover_delta(self, result, mini_bundle):
-        d = result.deltas["A1"]
+        d = fr_deltas(result.deltas)["A1"]
         assert d.housing_status == CHANGED
         assert d.housing_dir == OUTWARD
         assert d.move_bin == "10-20"
@@ -343,7 +343,7 @@ class TestMiniPipeline:
         assert d.r4_2010 is False
 
     def test_settled_delta(self, result):
-        d = result.deltas["F1"]
+        d = fr_deltas(result.deltas)["F1"]
         assert d.housing_status == NOT_CHANGED
         assert d.housing_dir is None
         assert d.move_bin is None
@@ -445,7 +445,7 @@ class TestMiniPipeline:
         )
         with caplog.at_level(logging.WARNING, logger=pipeline.__name__):
             result = run_pipeline(cfg)
-        assert list(result.deltas) == ["A1", "F1"]
+        assert result.deltas.cards == ["A1", "F1"]
         assert result.taz_overlap is True
         assert [r.name for r in result.taz_regions] == ["wide", "near", "far"]
         assert (result.taz_counts, result.taz_outside) == ([2, 0, 0], 0)
@@ -594,16 +594,16 @@ class TestDynamicsTables:
             center=offset_coord(MINI_ORIGIN, -10000, 0), change_km=change_km,
         )
         result = run_pipeline(cfg)
-        assert list(result.deltas) == ["F1", "J1", "L1", "M1", "N1"]
+        assert result.deltas.cards == ["F1", "J1", "L1", "M1", "N1"]
         write_run_reports(result, str(tmp_path), {name})
         rows = read_rows(os.path.join(tmp_path, name))[1:]
         count = {(r[0], r[1], r[2]): int(r[3]) for r in rows}
         assert [r[0] for r in rows if not r[1]] == [NOT_CHANGED, CHANGED, *tail, "Sum"]
 
         statuses = (NOT_CHANGED, CHANGED, *tail)
-        expected = Counter(getattr(delta, status_of) for delta in result.deltas.values())
+        expected = Counter(getattr(delta, status_of) for delta in fr_deltas(result.deltas).values())
         assert {s: count[s, "", ""] for s in statuses} == {s: expected[s] for s in statuses}
-        assert count["Sum", "", ""] == sum(expected.values()) == len(result.deltas)
+        assert count["Sum", "", ""] == sum(expected.values()) == len(result.deltas.cards)
         for direction in (INWARD, OUTWARD):
             bins = [n for (s, dir_, label), n in count.items() if s == CHANGED and dir_ == direction and label]
             assert count[CHANGED, direction, ""] == sum(bins)
@@ -673,8 +673,8 @@ class TestGeometryOncePerPlace:
             stops1=bundle.paths["stops"], stops2=bundle.paths["stops"],
             r4=bundle.paths["r4"], taz=bundle.paths["taz"], center=bundle.center,
         ))
-        # Deltas are built when asked for, and each tests its year-2 home against R4.
-        deltas = dict(result.deltas)
+        # Each FR's delta tests its year-2 home against R4.
+        deltas = fr_deltas(result.deltas)
         homes = [result.year2.places.centroid(result.year2.profiles[c].home) for c in deltas]
         assert len(set(homes)) < len(homes)
         r4_calls = [c for c, name in calls if name == "R4"]
@@ -684,26 +684,32 @@ class TestGeometryOncePerPlace:
             assert deltas[card].r4_2010 == test(home, result.r4_region)
 
     def test_moves_cached_per_centroid_pair(self, result, mini_bundle, monkeypatch):
+        c1, c2 = result.year1.places.centroid, result.year2.places.centroid
+        center = mini_bundle["center"]
+        y1, y2 = result.year1.profiles, result.year2.profiles
+        # Each FR's delta made on its own, with no cache.
+        expected = {
+            card: (
+                cohort.housing_change(
+                    c1(y1[card].home), c2(y2[card].home), center, 2.0,
+                    lambda c: pipeline.point_in_region(c, result.r4_region),
+                ),
+                cohort.work_change(c1(y1[card].work), c2(y2[card].work), center, 2.0),
+            )
+            for card in result.deltas.cards
+        }
         computed = []
 
         def counting_move(old, new, center, change_km):
             computed.append((old, new))
             return move(old, new, center, change_km)
 
-        monkeypatch.setattr(pipeline, "move", counting_move)
-        cached = run_pipeline(result.config).deltas
-
-        def in_r4(c):
-            return pipeline.point_in_region(c, result.r4_region)
-
-        c1, c2 = result.year1.places.centroid, result.year2.places.centroid
-        for card in result.deltas:
-            p1, p2 = result.year1.profiles[card], result.year2.profiles[card]
-            assert cached[card] == build_delta(p1, p2, c1, c2, mini_bundle["center"], in_r4, 2.0)
+        monkeypatch.setattr(cohort, "move", counting_move)
+        cached = {card: (housing, work) for card, housing, work, _, _ in run_pipeline(result.config).deltas.rows()}
+        assert cached == expected
         # A1 moved home, F1 did not; both kept work at WA.
-        y1, y2 = result.year1.profiles, result.year2.profiles
-        pairs = {(c1(y1[c].home), c2(y2[c].home)) for c in result.deltas}
-        pairs |= {(c1(y1[c].work), c2(y2[c].work)) for c in result.deltas}
+        pairs = {(c1(y1[c].home), c2(y2[c].home)) for c in result.deltas.cards}
+        pairs |= {(c1(y1[c].work), c2(y2[c].work)) for c in result.deltas.cards}
         assert len(computed) == len(set(computed))
         assert set(computed) == pairs
 
@@ -727,7 +733,7 @@ def empty_result(tmp_path_factory):
 
 class TestEmptyInputs:
     def test_no_riders_no_cohort(self, empty_result):
-        assert empty_result.deltas == {}
+        assert empty_result.deltas.cards == []
         assert groups_of(empty_result) == {}
         assert empty_result.dep_summary.fr_count == 0
         assert empty_result.dep_summary.mean_trips is None

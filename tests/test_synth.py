@@ -4,15 +4,17 @@ from __future__ import annotations
 
 import math
 import re
+from collections import Counter
 from datetime import date
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from cardcohort.ingest import SchemaError, iter_lines, load_stops, read_transactions, stop_codes
 from cardcohort.pipeline import RunConfig, run_pipeline
+from cardcohort.reports import write_run_reports
 from cardcohort.synth import (
     ARCHETYPE_ORDER,
     GeneratorConfig,
@@ -262,6 +264,32 @@ class TestRecovery:
         assert metrics.housing_diag == 1.0
         assert metrics.work_diag == 1.0
         assert metrics.group_accuracy == 1.0
+
+    # A smaller seed is no simpler bundle, so a failing draw is reported as drawn, unshrunk.
+    @settings(max_examples=3, deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate))
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_predictions_are_the_written_deltas(self, tmp_path_factory, seed):
+        # Criterion 2's shape: every archetype, with noise, so some truth
+        # cards are no FR and some FRs miss a work place.
+        folder = tmp_path_factory.mktemp("recovery")
+        bundle = generate(GeneratorConfig(seed=seed, noise_rate=0.2), str(folder / "bundle"))
+        result = run_on_bundle(bundle)
+        write_run_reports(result, str(folder / "out"), {"deltas.csv"})
+        with open(folder / "out" / "deltas.csv", encoding="utf-8") as fh:
+            rows = {row[0]: row for row in (line.rstrip("\n").split(",") for line in fh)}
+
+        def written(card: str, status: int, direction: int) -> str:
+            """The status/direction category of a card's deltas.csv row, "(missing)" when it has none."""
+            row = rows.get(card)
+            return "(missing)" if row is None else f"{row[status]}/{row[direction]}" if row[direction] else row[status]
+
+        metrics = evaluate_recovery(bundle.truth, result)
+        for confusion, status, direction in ((metrics.housing_confusion, 1, 2), (metrics.work_confusion, 5, 6)):
+            predicted = Counter()
+            for (_, pred), n in confusion.items():
+                predicted[pred] += n
+            assert predicted == Counter(written(t.card_id, status, direction) for t in bundle.truth)
+        assert predicted["(missing)"] > 0
 
     def test_card_universe_mismatch_is_fatal(self, small_bundle):
         result = run_on_bundle(small_bundle)
