@@ -144,7 +144,11 @@ def cmd_run(args) -> int:
         unread = [k for k, files in reports.OPTIONAL_INPUT_FILES.items() if files.isdisjoint(args.reports)]
         cfg = replace(cfg, **dict.fromkeys(unread))
     result = run_pipeline(cfg)
-    written = reports.write_run_reports(result, args.out, args.reports)
+    try:
+        written = reports.write_run_reports(result, args.out, args.reports)
+    finally:
+        # No worker outlives the command, even when no file read its job.
+        result.close()
     log.info("%s: wrote %d report files to %s", args.command, len(written), args.out)
     return 0
 

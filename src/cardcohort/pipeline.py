@@ -1,12 +1,15 @@
 """End-to-end batch pipeline: two observation years to cohort reports.
 
 Year 1, year 2 and the follow-up count each read their own transactions
-file, so with ``threads > 1`` they run at the same time in separate
-processes; everything after them runs in the parent.  The years may name
-one stop registry, as every synthetic bundle does: the year jobs that
-run in one process load and cluster each registry once and share it,
-and a year that comes back from a worker leaves out a registry the
-parent holds, which the parent then shares with it.  So the years of one
+file, so with ``threads > 1`` they run in separate processes: year 1 in
+the parent, the other two in workers, one after the other at
+``threads=2``.  The rest runs in the parent as soon as year 2 is back;
+a follow-up count still in a worker is waited for when the result's
+follow-up is first read, which the report writer does late, so the two
+overlap.  The years may name one stop registry, as every synthetic
+bundle does: a year run in the parent loads and clusters it once, and a
+year that comes back from a worker leaves out a registry the parent
+holds, which the parent then shares with it.  So the years of one
 registry share one place index at every thread count.
 Each year's cards are profiled in sorted card order straight into the
 year's columns, each card's rides let go as its values are appended, and job
@@ -29,9 +32,9 @@ import math
 import os
 from collections import Counter
 from contextlib import closing, contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import date
-from functools import cache
+from functools import cache, cached_property
 from typing import Mapping, NamedTuple
 
 from . import infer
@@ -157,14 +160,47 @@ class PipelineResult:
     year2: YearData
     # The frequent riders, in card order, and the rules of their deltas; Deltas.rows makes them.
     deltas: Deltas
-    dep_summary: DeprivationSummary | None = None
-    followup_counts: Counter = field(default_factory=Counter)
-    followup_rejections: list[Rejection] = field(default_factory=list)
+    # The follow-up count, (trips per card, rejections), or the worker
+    # job still making it; None without a follow-up week.  The three
+    # properties below read it.
+    followup: tuple[Counter, list[Rejection]] | WorkerJob | None = None
     r4_region: Region | None = None
     taz_regions: list[Region] | None = None
     taz_counts: list[int] | None = None
     taz_outside: int | None = None
     taz_overlap: bool = False
+
+    @cached_property
+    def _scored(self) -> tuple[Counter, list[Rejection], DeprivationSummary | None]:
+        """The follow-up's counts and rejections and the FRs' deprivation summary, made on first read.
+
+        A count still in a worker is waited for here: its pool ends, and
+        its exception is raised again with its type.
+        """
+        if self.followup is None:
+            return Counter(), [], None
+        counts, rejections = self.followup.result() if isinstance(self.followup, WorkerJob) else self.followup
+        frs = self.deltas.cards
+        summary = score_deprivation(frs, counts)
+        log.info("followup: %d cards seen, %d of %d FRs scored", len(counts), summary.scored_count, len(frs))
+        return counts, rejections, summary
+
+    @property
+    def followup_counts(self) -> Counter:
+        return self._scored[0]
+
+    @property
+    def followup_rejections(self) -> list[Rejection]:
+        return self._scored[1]
+
+    @property
+    def dep_summary(self) -> DeprivationSummary | None:
+        return self._scored[2]
+
+    def close(self) -> None:
+        """Wait for a follow-up count still in a worker to end, and for its pool, without reading it."""
+        if isinstance(self.followup, WorkerJob):
+            self.followup.close()
 
 
 @contextmanager
@@ -301,57 +337,82 @@ def _pickled(fn, args, registry_held: bool) -> bytes:
     return pickle.dumps(result)
 
 
-def _run_jobs(cfg: RunConfig) -> list:
-    """Year 1, year 2 and, if configured, the follow-up count, in that order.
+class WorkerJob:
+    """A job a worker may still be running, and the pool it runs in.
 
-    With ``cfg.threads`` = n > 1 they run on min(n, jobs) processes.  The
-    parent runs the first job and any left over; each of the n - 1
-    workers runs one of the others.  Only the workers' results are
-    pickled, and the parent's own jobs stay visible to in-process
-    profilers.  A worker's result stays as bytes until the parent's own
-    jobs are done, so the parent never holds it while it profiles a
-    year, whichever finishes first.  Results come back in job order, and
-    a worker's exception is raised again here with its type.  The year
-    jobs the parent runs share the stop registries it loads, and a
-    worker's year that names one of them comes back without it: the
-    parent shares its own copy, as if it had run that year itself.  A
-    registry that only a worker loads comes back from that worker.
+    :meth:`result` waits for the job, ends the pool and returns the
+    job's result, or raises the worker's exception again with its type;
+    :meth:`close` only waits for the pool to end.
     """
-    jobs = [
-        (process_year, (cfg.year1, cfg.stops1, cfg, cfg.week1_start)),
-        (process_year, (cfg.year2, cfg.stops2, cfg, cfg.week2_start)),
-    ]
-    if cfg.followup:
-        jobs.append((_count_followup, (cfg.followup, cfg.followup_start)))
-    n = min(cfg.threads, len(jobs))
+
+    def __init__(self, pool, future):
+        self.pool = pool
+        self.future = future
+
+    def result(self):
+        import pickle
+
+        try:
+            return pickle.loads(self.future.result())
+        finally:
+            self.close()
+
+    def close(self) -> None:
+        self.pool.shutdown(cancel_futures=True)
+
+
+def _run_jobs(cfg: RunConfig) -> tuple[YearData, YearData, tuple[Counter, list[Rejection]] | WorkerJob | None]:
+    """Year 1, year 2 and, if configured, the follow-up count.
+
+    With ``cfg.threads`` = 1 all three run here, in that order.  With n >
+    1, year 1 runs here and the other jobs go, in job order, to min(n,
+    jobs) - 1 workers: at n = 2 one worker profiles year 2 and then
+    counts the follow-up week, and at n = 3 the two run side by side.
+    The parent's own job stays visible to in-process profilers.  A
+    worker's result is pickled, and year 2's stays as bytes until year 1
+    is done, so the parent never holds it while it profiles a year.  The
+    function returns once year 2 is back: a follow-up count still in a
+    worker is returned as its :class:`WorkerJob`, whose reader waits for
+    it and ends the pool.  A worker's exception is raised again with its
+    type, and a failure here ends the pool first.  When year 2 names
+    year 1's stop registry it comes back without it, and the parent
+    shares its own copy, as if it had run that year itself; a registry
+    that only the worker loads comes back from it.
+    """
+    year1 = (cfg.year1, cfg.stops1, cfg, cfg.week1_start)
+    year2 = (cfg.year2, cfg.stops2, cfg, cfg.week2_start)
+    followup = (cfg.followup, cfg.followup_start) if cfg.followup else None
+    workers = min(cfg.threads, 3 if followup else 2) - 1
     # Only the parent's year jobs share this dict: a worker's arguments
     # are pickled while the parent may be filling it.
     registries: dict[str, Registry] = {}
-
-    def here(fn, args):
-        return fn(*args, registries=registries) if fn is process_year else fn(*args)
-
-    if n == 1:
-        return [here(fn, args) for fn, args in jobs]
+    if not workers:
+        y1 = process_year(*year1, registries=registries)
+        y2 = process_year(*year2, registries=registries)
+        return y1, y2, followup and _count_followup(*followup)
 
     # Imported here so that a single-process run does not load
     # multiprocessing at all.
     import pickle
     from concurrent.futures import ProcessPoolExecutor
 
-    parent_jobs = jobs[:1] + jobs[n:]
-    held = {_registry_key(args[1]) for fn, args in parent_jobs if fn is process_year}
-    keys = [_registry_key(args[1]) if fn is process_year else None for fn, args in jobs[1:n]]
-    with ProcessPoolExecutor(max_workers=n - 1) as pool:
-        futures = [pool.submit(_pickled, fn, args, key in held) for (fn, args), key in zip(jobs[1:n], keys)]
-        inline = [here(fn, args) for fn, args in parent_jobs]
-        sent = []
-        for future, key in zip(futures, keys):
-            result = pickle.loads(future.result())
-            if key in held:
-                result.places, result.stop_rejections = registries[key]
-            sent.append(result)
-        return inline[:1] + sent + inline[1:]
+    key = _registry_key(cfg.stops1)
+    held = _registry_key(cfg.stops2) == key
+    pool = ProcessPoolExecutor(max_workers=workers)
+    try:
+        sent = pool.submit(_pickled, process_year, year2, held)
+        counted = pool.submit(_pickled, _count_followup, followup, False) if followup else None
+        y1 = process_year(*year1, registries=registries)
+        y2 = pickle.loads(sent.result())
+    except BaseException:
+        pool.shutdown(cancel_futures=True)
+        raise
+    if held:
+        y2.places, y2.stop_rejections = registries[key]
+    if counted is None:
+        pool.shutdown()
+        return y1, y2, None
+    return y1, y2, WorkerJob(pool, counted)
 
 
 @_collector_off()
@@ -363,30 +424,24 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
     written separately (see the reports module); this function is pure
     computation plus input loading.  No FR's delta is made here: the
     result's ``deltas`` makes them in one pass when a report or a score
-    reads them.
+    reads them.  It returns once year 2 is profiled: a follow-up count
+    still in a worker is waited for when the result's follow-up is first
+    read, and :meth:`PipelineResult.close` ends it unread.
     """
     # The layers are small; loading them first lets a malformed one fail
     # before any transactions file is read.
     r4_region = load_region(cfg.r4, "R4") if cfg.r4 else None
     taz_regions = load_region_features(cfg.taz) if cfg.taz else None
 
-    y1, y2, *followup = _run_jobs(cfg)
+    y1, y2, followup = _run_jobs(cfg)
 
     # Many FRs' year-2 homes share a centroid: each is tested against R4 once.
     in_r4 = cache(lambda c: point_in_region(c, r4_region)) if r4_region is not None else None
     centroid1, centroid2 = y1.places.centroid, y2.places.centroid
     deltas = Deltas(y1.profiles, y2.profiles, centroid1, centroid2, cfg.center, in_r4, cfg.change_km)
-    frs = deltas.cards
-    log.info("cohort: %d frequent riders", len(frs))
+    log.info("cohort: %d frequent riders", len(deltas.cards))
 
-    result = PipelineResult(cfg, y1, y2, deltas, r4_region=r4_region)
-
-    if cfg.followup:
-        counts, rejections = followup[0]
-        result.followup_counts = counts
-        result.followup_rejections = rejections
-        result.dep_summary = score_deprivation(frs, counts)
-        log.info("followup: %d cards seen, %d of %d FRs scored", len(counts), result.dep_summary.scored_count, len(frs))
+    result = PipelineResult(cfg, y1, y2, deltas, followup, r4_region=r4_region)
 
     if taz_regions is not None:
         # FR homes counted per year-2 place, by position, then per centroid.

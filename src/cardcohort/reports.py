@@ -10,16 +10,19 @@ them.  No FR's delta is stored: :func:`write_run_reports` reads each FR
 from :meth:`~cardcohort.cohort.Deltas.rows`, each delta half formatted
 once per distinct place pair, writes ``deltas.csv`` and counts the other
 FR tables; an FR's group is :func:`~cardcohort.groups.group_index` of
-its halves.
+its halves.  It writes the bundle all or nothing: every file under a
+temporary name first, then all renamed at once.
 """
 
 from __future__ import annotations
 
+import errno
 import json
 import math
 import os
 from array import array
 from collections import Counter, deque
+from contextlib import suppress
 from functools import cache
 from typing import Collection, Iterable, Mapping, Sequence
 
@@ -264,62 +267,103 @@ OPTIONAL_INPUT_FILES = {
 def write_run_reports(
     result: PipelineResult, out_dir: str, names: Collection[str] | None = None
 ) -> list[str]:
-    """Write the report bundle; returns the file names written, in bundle order.
+    """Write the report bundle, all or nothing; returns the file names written, in bundle order.
 
     A file in :data:`OPTIONAL_INPUT_FILES` is written only when the run
     was given its input.  With ``names``, only the bundle files so named
     are written, with the same bytes as in the full bundle.  Every other
     file of the full bundle is removed from ``out_dir``, so an earlier
     run's file never stands beside this run's; no other file there is
-    touched.
+    touched.  Each file is written under a temporary name in
+    ``out_dir``; only after the last one do they all take their names
+    and the stale files go (:func:`_commit`).  On any failure before
+    that, the temporaries are removed and ``out_dir`` is left as it
+    was.  The follow-up's results are first read at ``deprivation.csv``,
+    so a count still running in a worker is waited for there, after the
+    files before it are written.
     """
     skipped = {name for key, files in OPTIONAL_INPUT_FILES.items() if not getattr(result.config, key) for name in files}
-    written = []
+    written: list[str] = []
+    stale: list[str] = []
 
     def emit(name: str, writer, *args) -> None:
-        path = os.path.join(out_dir, name)
         if name not in skipped and (names is None or name in names):
-            writer(path, *args)
             written.append(name)
+            writer(_temporary(out_dir, name), *args)
         else:
-            remove_file(path)
+            stale.append(name)
 
-    emit("profiles_year1.csv", write_profiles, result.year1.profiles, result.year1.week)
-    emit("profiles_year2.csv", write_profiles, result.year2.profiles, result.year2.week)
-    emit("rejections_year1.csv", write_rejections, result.year1.rejections)
-    emit("rejections_year2.csv", write_rejections, result.year2.rejections)
-    emit("rejections_stops1.csv", write_rejections, result.year1.stop_rejections)
-    emit("rejections_stops2.csv", write_rejections, result.year2.stop_rejections)
-    emit("unmatched_year1.csv", write_unmatched, result.year1.unmatched)
-    emit("unmatched_year2.csv", write_unmatched, result.year2.unmatched)
-    emit("summary.csv", write_summary, result)
-    # One pass over the FRs writes deltas.csv and counts the other FR
-    # tables; groups holds each FR's group number in FR order.  Each
-    # half comes with its counter key, group input and text, made once
-    # per distinct place pair.
-    housing, work, commute, groups = Counter(), Counter(), Counter(), bytearray()
+    try:
+        emit("profiles_year1.csv", write_profiles, result.year1.profiles, result.year1.week)
+        emit("profiles_year2.csv", write_profiles, result.year2.profiles, result.year2.week)
+        emit("rejections_year1.csv", write_rejections, result.year1.rejections)
+        emit("rejections_year2.csv", write_rejections, result.year2.rejections)
+        emit("rejections_stops1.csv", write_rejections, result.year1.stop_rejections)
+        emit("rejections_stops2.csv", write_rejections, result.year2.stop_rejections)
+        emit("unmatched_year1.csv", write_unmatched, result.year1.unmatched)
+        emit("unmatched_year2.csv", write_unmatched, result.year2.unmatched)
+        emit("summary.csv", write_summary, result)
+        # One pass over the FRs writes deltas.csv and counts the other FR
+        # tables; groups holds each FR's group number in FR order.  Each
+        # half comes with its counter key, group input and text, made once
+        # per distinct place pair.
+        housing, work, commute, groups = Counter(), Counter(), Counter(), bytearray()
 
-    def delta_rows():
-        for card, (h_key, changed, within, h_text, r4_text), (w_key, job, w_text), commute_km, label in (
-            result.deltas.rows(_housing_row, _work_row)
-        ):
-            housing[h_key] += 1
-            work[w_key] += 1
-            if label is not None:
-                commute[label] += 1
-            groups.append(group_index(changed, job, within))
-            yield f"{card},{h_text},{w_text},{_km(commute_km)},{_opt(label)},{r4_text}"
+        def delta_rows():
+            for card, (h_key, changed, within, h_text, r4_text), (w_key, job, w_text), commute_km, label in (
+                result.deltas.rows(_housing_row, _work_row)
+            ):
+                housing[h_key] += 1
+                work[w_key] += 1
+                if label is not None:
+                    commute[label] += 1
+                groups.append(group_index(changed, job, within))
+                yield f"{card},{h_text},{w_text},{_km(commute_km)},{_opt(label)},{r4_text}"
 
-    rows = delta_rows()
-    emit("deltas.csv", write_lines, [DELTAS_HEADER], rows)
-    if names is None or not FR_TABLES.isdisjoint(names):
-        deque(rows, maxlen=0)  # the pass ends here when deltas.csv is not written
-    emit("housing_dynamics.csv", write_dynamics, housing)
-    emit("work_dynamics.csv", write_dynamics, work, (LOST, FOUND, JOBLESS))
-    emit("commute_variation.csv", write_commute_variation, commute)
-    emit("groups.csv", write_groups, groups)
-    emit("deprivation.csv", write_deprivation, result.dep_summary)
-    emit("scores.csv", write_scores, result.deltas.cards, groups, result.followup_counts)
-    emit("rejections_followup.csv", write_rejections, result.followup_rejections)
-    emit("taz_fr_homes.geojson", write_taz_geojson, result)
+        rows = delta_rows()
+        emit("deltas.csv", write_lines, [DELTAS_HEADER], rows)
+        if names is None or not FR_TABLES.isdisjoint(names):
+            deque(rows, maxlen=0)  # the pass ends here when deltas.csv is not written
+        emit("housing_dynamics.csv", write_dynamics, housing)
+        emit("work_dynamics.csv", write_dynamics, work, (LOST, FOUND, JOBLESS))
+        emit("commute_variation.csv", write_commute_variation, commute)
+        emit("groups.csv", write_groups, groups)
+        emit("deprivation.csv", write_deprivation, result.dep_summary)
+        emit("scores.csv", write_scores, result.deltas.cards, groups, result.followup_counts)
+        emit("rejections_followup.csv", write_rejections, result.followup_rejections)
+        emit("taz_fr_homes.geojson", write_taz_geojson, result)
+        _commit(out_dir, written, stale)
+    except BaseException:
+        for name in written:
+            # A temporary may not have been made yet; a directory is left alone.
+            with suppress(OSError):
+                os.remove(_temporary(out_dir, name))
+        raise
     return written
+
+
+def _temporary(out_dir: str, name: str) -> str:
+    """The path a bundle file is written to until the whole bundle is written."""
+    return os.path.join(out_dir, f".{name}.tmp")
+
+
+def _commit(out_dir: str, written: Sequence[str], stale: Iterable[str]) -> None:
+    """Give each written file its name and remove the stale ones.
+
+    A directory in the place of any of them is refused before the first
+    rename, so that the renames and removals that follow can only fail
+    on a fault of the file system.
+    """
+    renames = [(_temporary(out_dir, name), os.path.join(out_dir, name)) for name in written]
+    removals = [os.path.join(out_dir, name) for name in stale]
+    checks = [("write", path) for _, path in renames] + [("remove", path) for path in removals]
+    for verb, path in checks:
+        if os.path.isdir(path) and not os.path.islink(path):
+            raise ValueError(f"cannot {verb} {path}: {os.strerror(errno.EISDIR)}")
+    for temporary, path in renames:
+        try:
+            os.replace(temporary, path)
+        except OSError as exc:
+            raise ValueError(f"cannot write {path}: {exc.strerror}") from None
+    for path in removals:
+        remove_file(path)

@@ -6,7 +6,9 @@ import argparse
 import errno
 import json
 import math
+import multiprocessing
 import os
+import shutil
 import subprocess
 import sys
 from dataclasses import fields
@@ -635,6 +637,104 @@ class TestRun:
         script = "import sys, cardcohort.geo; print(sorted(m for m in sys.modules if m.startswith('cardcohort')))"
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
         assert proc.stdout == "['cardcohort', 'cardcohort.geo']\n"
+
+
+def _listing(out) -> dict[str, bytes | None]:
+    """Each name in ``out`` with its bytes, or None for a directory."""
+    return {name: None if (out / name).is_dir() else (out / name).read_bytes() for name in sorted(os.listdir(out))}
+
+
+def _fail_at(monkeypatch, k: int) -> list[str]:
+    """Make the k-th file the report writer writes fail after its first block (never for k = 0).
+
+    Returns the list that the paths written to are appended to.
+    """
+    real = reports.write_lines
+    paths = []
+
+    def write_lines(path, *blocks):
+        paths.append(path)
+        if len(paths) == k:
+            real(path, *blocks[:1])
+            raise ValueError(f"cannot write {path}: {os.strerror(errno.ENOSPC)}")
+        real(path, *blocks)
+
+    monkeypatch.setattr(reports, "write_lines", write_lines)
+    return paths
+
+
+class TestAllOrNothing:
+    """A command leaves --out holding the earlier bundle or its own, never a mix or a part."""
+
+    @pytest.mark.parametrize("case", ["run into an empty --out", "run over a bundle", "diff over a bundle"])
+    def test_a_failure_at_any_file_leaves_out_as_it_was(self, full_config, mini_bundle, tmp_path, case):
+        command = case.split()[0]
+        out = tmp_path / "out"
+        out.mkdir()
+        if case != "run into an empty --out":
+            # With the years swapped, the earlier bundle's profiles and deltas differ from this run's.
+            swapped = ["--year1", mini_bundle["year2"], "--year2", mini_bundle["year1"]]
+            assert run_cli("run", "--config", full_config, *swapped, "--out", str(out)) == 0
+            (out / "notes.txt").write_text("kept\n")
+        before = _listing(out)
+        fresh = tmp_path / "fresh"
+        with pytest.MonkeyPatch.context() as mp:
+            written = _fail_at(mp, 0)
+            assert run_cli(command, "--config", full_config, "--out", str(fresh)) == 0
+        assert len(written) == len(os.listdir(fresh)) > 1
+        for k in range(1, len(written) + 1):
+            with pytest.MonkeyPatch.context() as mp:
+                _fail_at(mp, k)
+                assert run_cli(command, "--config", full_config, "--out", str(out)) == 2, k
+            assert _listing(out) == before, k
+        assert not [name for name in os.listdir(out) if name.endswith(".tmp")]
+        # With no failure, the command leaves its own bundle beside the other file.
+        assert run_cli(command, "--config", full_config, "--out", str(out)) == 0
+        after = _listing(out)
+        assert after.pop("notes.txt", None) == before.get("notes.txt")
+        assert after == _listing(fresh) != before
+
+    @pytest.mark.parametrize("command,name", [("run", "deltas.csv"), ("diff", "scores.csv")])
+    def test_a_directory_in_a_files_place_fails_before_any_rename(
+        self, full_config, run_out, tmp_path, capsys, command, name
+    ):
+        # run writes deltas.csv; diff removes scores.csv.
+        out = tmp_path / "out"
+        shutil.copytree(run_out, out)
+        (out / name).unlink()
+        (out / name).mkdir()
+        before = _listing(out)
+        assert run_cli(command, "--config", full_config, "--out", str(out)) == 2
+        verb = "write" if command == "run" else "remove"
+        assert f"error: cannot {verb} {out / name}: Is a directory" in capsys.readouterr().err
+        assert _listing(out) == before
+
+    @pytest.mark.parametrize("threads", ["1", "2", "3"])
+    def test_a_follow_up_that_fails_late_leaves_the_bundle_and_no_worker(
+        self, full_config, mini_bundle, run_out, tmp_path, capsys, threads
+    ):
+        # A good header and three good lines, then four lines that reject.
+        bad = tmp_path / "followup.csv"
+        bad.write_text(Path(mini_bundle["followup"]).read_text() + "F1,R,FIX\n" * 4)
+        out = tmp_path / "out"
+        shutil.copytree(run_out, out)
+        before = _listing(out)
+        code = run_cli("run", "--config", full_config, "--followup", str(bad), "--threads", threads, "--out", str(out))
+        assert code == 3
+        assert "error: rejected 4 of 7 lines; wrong schema" in capsys.readouterr().err
+        assert _listing(out) == before
+        assert multiprocessing.active_children() == []
+
+    def test_no_worker_outlives_a_run_that_fails_before_it_reads_the_follow_up(
+        self, full_config, run_out, tmp_path, monkeypatch
+    ):
+        out = tmp_path / "out"
+        shutil.copytree(run_out, out)
+        before = _listing(out)
+        _fail_at(monkeypatch, 1)
+        assert run_cli("run", "--config", full_config, "--threads", "2", "--out", str(out)) == 2
+        assert multiprocessing.active_children() == []
+        assert _listing(out) == before
 
 
 class TestConfigFile:

@@ -160,6 +160,19 @@ class TestProcessYear:
         assert year.profiles["F1"].work is None
 
 
+_count_followup = pipeline._count_followup
+_followup_counts_here: list[tuple] = []
+
+
+def _counting_followup(*args):
+    """pipeline._count_followup, noting each call made in this process.
+
+    A module-level function, so that a worker's job that names it pickles.
+    """
+    _followup_counts_here.append(args)
+    return _count_followup(*args)
+
+
 class TestJobs:
     """Year 1, year 2 and the follow-up run as processes at threads > 1."""
 
@@ -216,6 +229,15 @@ class TestJobs:
             shared = stops2 == mini_config.stops1
             assert (result.year1.places is result.year2.places) == shared
             assert (result.year1.stop_rejections is result.year2.stop_rejections) == shared
+
+    def test_the_parent_counts_the_follow_up_only_at_one_thread(self, mini_config, monkeypatch):
+        # At threads=2 the worker that profiles year 2 counts the follow-up week.
+        monkeypatch.setattr(pipeline, "_count_followup", _counting_followup)
+        for threads, calls in ((1, 1), (2, 0)):
+            _followup_counts_here.clear()
+            result = run_pipeline(dataclasses.replace(mini_config, threads=threads))
+            assert result.followup_counts == {"F1": 3}
+            assert len(_followup_counts_here) == calls
 
     def test_a_worker_sends_back_only_the_registry_the_parent_lacks(self, mini_config, tmp_path, monkeypatch):
         args = (mini_config.year2, mini_config.stops2, mini_config, None)
