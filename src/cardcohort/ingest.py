@@ -240,8 +240,9 @@ def derive_week_start(lines: Iterable[str]) -> date:
     """The earliest boarding date that parses on any eight-column data line.
 
     Lines rejected for another reason count too.  :data:`DEFAULT_WEEK_START`
-    when no boarding time parses.  Each distinct boarding text is parsed
-    once.  A wrong header, or lines of another column count that bail
+    when no boarding time parses.  An accepted boarding text is fixed-width
+    ``YYYY-MM-DDTHH:MM``, so its text order is its time order: the distinct
+    texts are parsed in sorted order up to the first that parses.  A wrong header, or lines of another column count that bail
     :func:`read_transactions` out early whatever the week, raise its
     :class:`SchemaError` without reading the rest of the file.
     """
@@ -260,7 +261,7 @@ def derive_week_start(lines: Iterable[str]) -> date:
             # The reader rejects each of these too, so it bails at this line or before.
             _bail_early(wrong, line_no - 1 - blank, ("bad column count",))
     minutes = _Minutes(0)
-    first = min((t for t in map(minutes.__getitem__, boards) if t is not None), default=None)
+    first = next((t for t in map(minutes.__getitem__, sorted(boards)) if t is not None), None)
     return DEFAULT_WEEK_START if first is None else date.fromordinal(first // DAY_MINUTES + 1)
 
 

@@ -6,11 +6,12 @@ the parent, the other two in workers, one after the other at
 ``threads=2``.  The rest runs in the parent as soon as year 2 is back;
 a follow-up count still in a worker is waited for when the result's
 follow-up is first read, which the report writer does late, so the two
-overlap.  The years may name one stop registry, as every synthetic
-bundle does: a year run in the parent loads and clusters it once, and a
-year that comes back from a worker leaves out a registry the parent
-holds, which the parent then shares with it.  So the years of one
-registry share one place index at every thread count.
+overlap.  Each worker is started with its jobs in hand and sends each
+result back on that job's own pipe.  The years may name one stop
+registry, as every synthetic bundle does: the parent then loads and
+clusters it once, before any worker starts, hands that copy to year 2's
+worker, and takes year 2 back without it.  So the years of one registry
+share one place index at every thread count.
 Each year's cards are profiled in sorted card order straight into the
 year's columns, each card's rides let go as its values are appended, and job
 results are gathered in fixed job order, so the output bytes cannot
@@ -174,12 +175,18 @@ class PipelineResult:
     def _scored(self) -> tuple[Counter, list[Rejection], DeprivationSummary | None]:
         """The follow-up's counts and rejections and the FRs' deprivation summary, made on first read.
 
-        A count still in a worker is waited for here: its pool ends, and
+        A count still in a worker is waited for here: its worker ends, and
         its exception is raised again with its type.
         """
         if self.followup is None:
             return Counter(), [], None
-        counts, rejections = self.followup.result() if isinstance(self.followup, WorkerJob) else self.followup
+        if isinstance(self.followup, WorkerJob):
+            try:
+                counts, rejections = self.followup.result()
+            finally:
+                self.followup.close()
+        else:
+            counts, rejections = self.followup
         frs = self.deltas.cards
         summary = score_deprivation(frs, counts)
         log.info("followup: %d cards seen, %d of %d FRs scored", len(counts), summary.scored_count, len(frs))
@@ -198,7 +205,7 @@ class PipelineResult:
         return self._scored[2]
 
     def close(self) -> None:
-        """Wait for a follow-up count still in a worker to end, and for its pool, without reading it."""
+        """End a follow-up count still in a worker, and wait for its worker to exit, without reading it."""
         if isinstance(self.followup, WorkerJob):
             self.followup.close()
 
@@ -337,28 +344,84 @@ def _pickled(fn, args, registry_held: bool) -> bytes:
     return pickle.dumps(result)
 
 
-class WorkerJob:
-    """A job a worker may still be running, and the pool it runs in.
+def _work(jobs) -> None:
+    """A worker's body: run each (fn, args, registry_held, connection) job in turn.
 
-    :meth:`result` waits for the job, ends the pool and returns the
-    job's result, or raises the worker's exception again with its type;
-    :meth:`close` only waits for the pool to end.
+    Each job's pickled result, or its pickled exception, is sent back on
+    the job's own connection, which is then closed.
+    """
+    import pickle
+
+    for fn, args, registry_held, connection in jobs:
+        try:
+            data = _pickled(fn, args, registry_held)
+        except BaseException as exc:
+            data = pickle.dumps(exc)
+        with connection:
+            connection.send_bytes(data)
+
+
+class WorkerJob:
+    """A job a worker process may still be running, and the pipe its result comes back on.
+
+    :meth:`result` waits for the job and returns its result, or raises
+    the worker's exception again with its type; a worker that exits
+    without sending the result is a RuntimeError that names its exit
+    code.  It leaves the worker running, since the worker may have a
+    later job.  :meth:`close` ends the worker and waits for it to exit.
     """
 
-    def __init__(self, pool, future):
-        self.pool = pool
-        self.future = future
+    def __init__(self, process, connection):
+        self.process = process
+        self.connection = connection
 
     def result(self):
         import pickle
 
         try:
-            return pickle.loads(self.future.result())
-        finally:
-            self.close()
+            with self.connection:
+                data = self.connection.recv_bytes()
+        except EOFError:
+            self.process.join()
+            raise RuntimeError(f"a worker exited with code {self.process.exitcode} before it sent its result") from None
+        value = pickle.loads(data)
+        if isinstance(value, BaseException):
+            raise value
+        return value
 
     def close(self) -> None:
-        self.pool.shutdown(cancel_futures=True)
+        self.connection.close()
+        self.process.terminate()
+        self.process.join()
+
+
+def _start_workers(jobs: list[tuple], workers: int) -> list[WorkerJob]:
+    """Start ``workers`` processes for ``jobs``, (fn, args, registry_held) each, one worker per job or one for all.
+
+    Each worker gets its jobs as arguments, so under fork it inherits
+    them and under spawn or forkserver ``start()`` pickles them once.
+    The parent closes its copy of each pipe's sending end once the worker
+    has started, so that a pipe reads as ended when its worker exits.
+    """
+    # Imported here so that a single-process run does not load
+    # multiprocessing at all.
+    import multiprocessing
+
+    started = []
+    try:
+        for group in [jobs] if workers == 1 else [[job] for job in jobs]:
+            pipes = [multiprocessing.Pipe(duplex=False) for _ in group]
+            work = [(*job, send) for job, (_, send) in zip(group, pipes)]
+            process = multiprocessing.Process(target=_work, args=(work,), daemon=True)
+            process.start()
+            for receive, send in pipes:
+                send.close()
+                started.append(WorkerJob(process, receive))
+    except BaseException:
+        for job in started:
+            job.close()
+        raise
+    return started
 
 
 def _run_jobs(cfg: RunConfig) -> tuple[YearData, YearData, tuple[Counter, list[Rejection]] | WorkerJob | None]:
@@ -366,53 +429,52 @@ def _run_jobs(cfg: RunConfig) -> tuple[YearData, YearData, tuple[Counter, list[R
 
     With ``cfg.threads`` = 1 all three run here, in that order.  With n >
     1, year 1 runs here and the other jobs go, in job order, to min(n,
-    jobs) - 1 workers: at n = 2 one worker profiles year 2 and then
-    counts the follow-up week, and at n = 3 the two run side by side.
-    The parent's own job stays visible to in-process profilers.  A
-    worker's result is pickled, and year 2's stays as bytes until year 1
+    jobs) - 1 worker processes, each started with its jobs: at n = 2 one
+    worker profiles year 2 and then counts the follow-up week, and at
+    n = 3 the two run side by side.  No thread runs beside this one, and
+    the parent's own job stays visible to in-process profilers.  When
+    year 2 names year 1's stop registry, the parent loads and clusters it
+    before any worker starts and hands that copy to year 2's worker,
+    which sends its year back without it; the parent shares its own
+    copy, as if it had run that year itself.  A registry that only year
+    2 names is clustered by its worker and comes back from it.  A
+    worker's result is pickled, and year 2 stays as bytes until year 1
     is done, so the parent never holds it while it profiles a year.  The
     function returns once year 2 is back: a follow-up count still in a
     worker is returned as its :class:`WorkerJob`, whose reader waits for
-    it and ends the pool.  A worker's exception is raised again with its
-    type, and a failure here ends the pool first.  When year 2 names
-    year 1's stop registry it comes back without it, and the parent
-    shares its own copy, as if it had run that year itself; a registry
-    that only the worker loads comes back from it.
+    it and ends its worker.  A worker's exception is raised again with
+    its type, and a failure here ends every worker first.
     """
     year1 = (cfg.year1, cfg.stops1, cfg, cfg.week1_start)
     year2 = (cfg.year2, cfg.stops2, cfg, cfg.week2_start)
     followup = (cfg.followup, cfg.followup_start) if cfg.followup else None
     workers = min(cfg.threads, 3 if followup else 2) - 1
-    # Only the parent's year jobs share this dict: a worker's arguments
-    # are pickled while the parent may be filling it.
     registries: dict[str, Registry] = {}
     if not workers:
         y1 = process_year(*year1, registries=registries)
         y2 = process_year(*year2, registries=registries)
         return y1, y2, followup and _count_followup(*followup)
 
-    # Imported here so that a single-process run does not load
-    # multiprocessing at all.
-    import pickle
-    from concurrent.futures import ProcessPoolExecutor
-
     key = _registry_key(cfg.stops1)
     held = _registry_key(cfg.stops2) == key
-    pool = ProcessPoolExecutor(max_workers=workers)
+    if held:
+        registries[key] = load_registry(cfg.stops1, cfg.cluster_m)
+        year2 = (*year2, None, registries)
+    jobs = [(process_year, year2, held)] + ([(_count_followup, followup, False)] if followup else [])
+    started = _start_workers(jobs, workers)
     try:
-        sent = pool.submit(_pickled, process_year, year2, held)
-        counted = pool.submit(_pickled, _count_followup, followup, False) if followup else None
         y1 = process_year(*year1, registries=registries)
-        y2 = pickle.loads(sent.result())
+        y2 = started[0].result()
     except BaseException:
-        pool.shutdown(cancel_futures=True)
+        for job in started:
+            job.close()
         raise
     if held:
         y2.places, y2.stop_rejections = registries[key]
-    if counted is None:
-        pool.shutdown()
-        return y1, y2, None
-    return y1, y2, WorkerJob(pool, counted)
+    # Year 2's worker ends here unless it still has the follow-up to count.
+    if not followup or workers == 2:
+        started[0].close()
+    return y1, y2, started[1] if followup else None
 
 
 @_collector_off()

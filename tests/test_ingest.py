@@ -417,9 +417,13 @@ class TestDeriveWeekStart:
             return parse_minute(text)
 
         monkeypatch.setattr(ingest, "parse_minute", counting)
-        rows = lines(*["C1,R,FIX,B1,S1,2008-04-09T07:30,,"] * 5, *["C1,R,FIX,B1,S1,bad,,"] * 5)
+        # The texts are parsed in text order, which is time order for the
+        # texts that parse: a failing text that sorts first is skipped, and
+        # the scan stops at the first text that parses.
+        texts = ["2008-04-10T07:30", "2008-04-09T07:30", "bad", "2008-02-30T07:30"]
+        rows = lines(*[f"C1,R,FIX,B1,S1,{text},," for text in texts * 5])
         assert derive_week_start(rows) == date(2008, 4, 9)
-        assert sorted(parsed) == ["2008-04-09T07:30", "bad"]
+        assert parsed == ["2008-02-30T07:30", "2008-04-09T07:30"]
 
 
 class TestLoadStops:

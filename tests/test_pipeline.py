@@ -7,9 +7,12 @@ import gc
 import json
 import logging
 import math
+import multiprocessing
 import os
+import threading
 import tracemalloc
 from collections import Counter
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -218,9 +221,10 @@ class TestJobs:
 
         monkeypatch.setattr(pipeline, "build_places", counting)
         copy = tmp_path / "stops2.csv"
-        copy.write_bytes(open(mini_config.stops1, "rb").read())
-        # At threads=2 the spy sees only the parent, which clusters year 1's
-        # registry and never the one a worker clustered for year 2.
+        copy.write_bytes(Path(mini_config.stops1).read_bytes())
+        # At threads=2 the spy's list is the parent's.  The parent clusters
+        # year 1's registry, before the worker starts when year 2 names it
+        # too, and never clusters the copy a worker clustered for year 2.
         cases = ((mini_config.stops1, 1, 1), (str(copy), 1, 2), (mini_config.stops1, 2, 1), (str(copy), 2, 1))
         for stops2, threads, calls in cases:
             clustered.clear()
@@ -255,17 +259,72 @@ class TestJobs:
 
         monkeypatch.setattr(pickle, "loads", spy)
         copy = tmp_path / "stops2.csv"
-        copy.write_bytes(open(mini_config.stops1, "rb").read())
+        copy.write_bytes(Path(mini_config.stops1).read_bytes())
         for stops2, sent in ((mini_config.stops1, False), (str(copy), True)):
             loaded.clear()
             run_pipeline(dataclasses.replace(mini_config, stops2=stops2, threads=2))
             assert [b"PlaceIndex" in data for data in loaded] == [sent]
 
+    @pytest.mark.parametrize("threads,copied,calls", [(2, False, 1), (3, False, 1), (2, True, 2), (3, True, 2)])
+    def test_a_registry_both_years_name_is_clustered_once_per_run(
+        self, mini_config, tmp_path, monkeypatch, threads, copied, calls
+    ):
+        # Each call appends a line to a file, so that the count takes in
+        # the workers, which a fork leaves with the spy.
+        log = tmp_path / "clustered.txt"
+        real = pipeline.build_places
+
+        def counting(stops, *args):
+            with log.open("a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return real(stops, *args)
+
+        monkeypatch.setattr(pipeline, "build_places", counting)
+        stops2 = mini_config.stops1
+        if copied:
+            stops2 = tmp_path / "stops2.csv"
+            stops2.write_bytes(Path(mini_config.stops1).read_bytes())
+        result = run_pipeline(dataclasses.replace(mini_config, stops2=str(stops2), threads=threads))
+        result.close()
+        assert len(log.read_text().splitlines()) == calls
+        assert (result.year1.places is result.year2.places) != copied
+
+    def test_no_thread_runs_beside_the_parent_while_it_profiles_year_1(self, mini_config, monkeypatch):
+        # A worker's own calls land in its copy of the list.
+        seen = []
+        real = pipeline.process_year
+
+        def counting(*args, **kwargs):
+            seen.append(threading.active_count())
+            year = real(*args, **kwargs)
+            seen.append(threading.active_count())
+            return year
+
+        monkeypatch.setattr(pipeline, "process_year", counting)
+        result = run_pipeline(dataclasses.replace(mini_config, threads=2))
+        assert result.followup_counts == {"F1": 3}
+        assert seen == [1, 1]
+
+    @pytest.mark.parametrize("threads", [2, 3])
+    def test_a_worker_that_exits_without_its_result_fails_the_run(self, mini_config, monkeypatch, threads):
+        parent = os.getpid()
+        real = pipeline.process_year
+
+        def dying(*args, **kwargs):
+            if os.getpid() != parent:
+                os._exit(9)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "process_year", dying)
+        with pytest.raises(RuntimeError, match="exited with code 9"):
+            run_pipeline(dataclasses.replace(mini_config, threads=threads))
+        assert multiprocessing.active_children() == []
+
     def test_a_year2_registry_that_shifts_every_place_id(self, mini_config, tmp_path):
         # A far-off stop whose id sorts first becomes year 2's place 0, so
         # every year-2 place id is one greater than the same place's id in
         # year 1.  test_invariance.py checks the reports of such a run.
-        lines = open(mini_config.stops1, encoding="utf-8").readlines()
+        lines = Path(mini_config.stops1).read_text(encoding="utf-8").splitlines(keepends=True)
         shifted = tmp_path / "stops2.csv"
         shifted.write_text("".join([lines[0], "A0,100.0,10.0\n", *lines[1:]]), encoding="utf-8")
         for threads in (1, 2):
