@@ -3,8 +3,7 @@
 ``profile_row`` is the one rule walk: it walks a card's rides once, in
 boarding order, and returns the card's values for its year's
 :class:`Profiles` columns, which the profile pass adds straight onto
-them through :meth:`Profiles.extend`; ``build_profile`` gives the same walk's result as one
-:class:`YearProfile`.  The walk takes the rides as
+them through :meth:`Profiles.extend`.  The walk takes the rides as
 :func:`cardcohort.ingest.read_transactions` keeps them:
 one int array of coded fields, four per ride, re-formed into ride tuples
 only while they are sorted, with each stop's place looked up by its
@@ -60,12 +59,10 @@ from __future__ import annotations
 
 import math
 from array import array
-from bisect import bisect_left
-from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .ingest import CARD_STUDENT, DAY_MINUTES, Ride, ride_tuples
+from .ingest import DAY_MINUTES, Ride, ride_tuples
 
 STAY_MIN_DEFAULT = 360
 
@@ -90,25 +87,15 @@ class Stay:
     first_of_day: bool
 
 
-@dataclass(slots=True)
-class YearProfile:
-    """One card's places and commute in one week: one card's value in a year's :class:`Profiles`."""
-
-    home: int | None
-    work: int | None
-    commute_km: float | None
-    commute_min: int | None
-    rides: int
-
-
-class Profiles(Mapping):
+class Profiles:
     """A year's profiles as columns: its card ids in sorted order and one array per field.
 
     ``home``, ``work`` and ``rides`` are ``array('i')`` and
     ``commute_min`` is ``array('q')``, as a distance-fare ride may alight
     as late as the calendar allows; each holds -1 for None.
-    ``commute_km`` is ``array('d')`` with NaN for None.  Writers read the
-    columns; the mapping over ``cards`` builds each card's :class:`YearProfile`.
+    ``commute_km`` is ``array('d')`` with NaN for None.  A card's values
+    sit at its position in ``cards``; every reader, the writers and the
+    recovery scorer included, reads them there.
     """
 
     __slots__ = ("cards", "home", "work", "commute_km", "commute_min", "rides")
@@ -135,28 +122,8 @@ class Profiles(Mapping):
             minutes(m)
             rides(r)
 
-    def at(self, i: int) -> YearProfile:
-        return _as_profile(self.home[i], self.work[i], self.commute_km[i], self.commute_min[i], self.rides[i])
-
-    def __getitem__(self, card: str) -> YearProfile:
-        i = bisect_left(self.cards, card)
-        if i == len(self.cards) or self.cards[i] != card:
-            raise KeyError(card)
-        return self.at(i)
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.cards)
-
     def __len__(self) -> int:
         return len(self.cards)
-
-
-def _as_profile(home: int, work: int, km: float, minutes: int, rides: int) -> YearProfile:
-    """The :class:`YearProfile` of one card's column values, -1 or NaN read as None."""
-    return YearProfile(
-        None if home < 0 else home, None if work < 0 else work, None if math.isnan(km) else km,
-        None if minutes < 0 else minutes, rides,
-    )
 
 
 def shared(a: Profiles, b: Profiles) -> Iterator[tuple[int, int]]:
@@ -170,36 +137,6 @@ def shared(a: Profiles, b: Profiles) -> Iterator[tuple[int, int]]:
             return
         if cards[j] == card:
             yield i, j
-
-
-def build_profile(
-    card_type: str,
-    rides: Sequence[int],
-    place_of: Sequence[int | None],
-    weekdays: frozenset[int],
-    distance_km: Callable[[int, int], float],
-    stay_mode: str = PERMISSIVE,
-    home_rule: str = HOME_RULE_RELAXED,
-    stay_min: int = STAY_MIN_DEFAULT,
-    stays: list[Stay] | None = None,
-) -> YearProfile:
-    """One card's profile for one observation week: :func:`profile_row` as a :class:`YearProfile`.
-
-    ``rides`` is the card's int array of coded ride fields, as
-    :func:`cardcohort.ingest.read_transactions` keeps them, and
-    ``place_of[code]`` the place of each stop code, None for code 0 (no
-    alighting), as the registry's place index holds it.
-    ``distance_km(home, work)`` answers the commute distance between two
-    place ids, so a caller can cache it across cards; ``stays``, when
-    given, receives the card's stays in order.
-    """
-    if stay_mode not in STAY_MODES:
-        raise ValueError(f"unknown stay mode: {stay_mode!r}")
-    if home_rule not in HOME_RULES:
-        raise ValueError(f"unknown home rule: {home_rule!r}")
-    return _as_profile(*profile_row(
-        card_type == CARD_STUDENT, rides, place_of, weekdays, distance_km, stay_mode, home_rule, stay_min, stays
-    ))
 
 
 def profile_row(
@@ -216,11 +153,18 @@ def profile_row(
     """One card's values in its year's :class:`Profiles` columns: home, work, commute km, commute minutes, rides.
 
     The one rule walk.  A home, work place or commute time the rules
-    find none of is -1, and a commute distance NaN.  The arguments are
-    those of :func:`build_profile`, with the card's type as ``student``
-    and the modes taken as checked.  Rides sort as tuples, boarding
-    minute first and the remaining fields as tie-breakers, so the values
-    are a pure function of the ride set, not of file order.
+    find none of is -1, and a commute distance NaN.  ``rides`` is the
+    card's int array of coded ride fields, as
+    :func:`cardcohort.ingest.read_transactions` keeps them, and
+    ``place_of[code]`` the place of each stop code, None for code 0 (no
+    alighting), as the registry's place index holds it.
+    ``distance_km(home, work)`` answers the commute distance between two
+    place ids, so a caller can cache it across cards.  The modes are
+    taken as checked, as ``RunConfig.validate`` checks them; ``stays``,
+    when given, receives the card's stays in order.  Rides sort as
+    tuples, boarding minute first and the remaining fields as
+    tie-breakers, so the values are a pure function of the ride set, not
+    of file order.
     """
     rides = sorted(ride_tuples(rides))
     permissive = stay_mode == PERMISSIVE

@@ -51,6 +51,7 @@ import os
 from collections import Counter
 from dataclasses import dataclass, fields
 from datetime import date, timedelta
+from functools import cache
 from typing import Iterable, Mapping, Sequence
 
 from .cohort import CHANGED, FOUND, JOBLESS, LOST, NOT_CHANGED
@@ -718,15 +719,20 @@ def _cat_with_dir(status: str, direction: str | None) -> str:
 def evaluate_recovery(truth: Sequence[TruthRow], result, tolerance_km: float = 0.5) -> RecoveryMetrics:
     """Score a pipeline run against the generator's planted truth.
 
-    ``result`` is a PipelineResult for the same bundle.  A recovered
-    place is correct when its centroid lies within ``tolerance_km`` of
-    the planted place's centroid.  Truth-side delta categories are
-    recomputed from planted coordinates with the run's own benchmark
-    parameters by a rule stated here, apart from the pipeline's, so the
-    pipeline is scored against an independent reference.
+    ``result`` is a PipelineResult for the same bundle; each truth card's
+    home and work are read from its year's profile columns, at its
+    position there.  A recovered place is correct when its centroid
+    lies within ``tolerance_km`` of the planted place's centroid.
+    Truth-side delta categories are recomputed from planted coordinates
+    with the run's own benchmark parameters by a rule stated here, apart
+    from the pipeline's, so the pipeline is scored against an
+    independent reference.  Thousands of cards share each planted place,
+    so each geometric test is made once per run.
     """
+    years = result.year1, result.year2
+    positions = [{card: i for i, card in enumerate(year.profiles.cards)} for year in years]
     truth_cards = {t.card_id for t in truth}
-    seen_cards = set(result.year1.profiles) | set(result.year2.profiles)
+    seen_cards = positions[0].keys() | positions[1].keys()
     if truth_cards != seen_cards:
         missing = sorted(truth_cards ^ seen_cards)[:5]
         raise ValueError(f"card-id mismatch between truth and pipeline output: {missing}")
@@ -735,6 +741,16 @@ def evaluate_recovery(truth: Sequence[TruthRow], result, tolerance_km: float = 0
     change_km = result.config.change_km
     region: Region | None = result.r4_region
 
+    @cache
+    def planted_centroid(year: int, anchor: str | None) -> Coord | None:
+        places = years[year].places
+        return None if anchor is None else places.centroid(places.place_of[places.codes[anchor]])
+
+    @cache
+    def near(year: int, place: int, planted: Coord) -> bool:
+        return haversine_km(years[year].places.centroid(place), planted) <= tolerance_km
+
+    @cache
     def planted_move(old: Coord | None, new: Coord | None) -> str:
         """The delta category of a planted place pair (either may be absent)."""
         if old is None:
@@ -745,10 +761,9 @@ def evaluate_recovery(truth: Sequence[TruthRow], result, tolerance_km: float = 0
             return NOT_CHANGED
         return _cat_with_dir(CHANGED, radial_direction(old, new, center))
 
-    def planted_centroid(places, anchor: str | None) -> Coord | None:
-        if anchor is None:
-            return None
-        return places.centroid(places.place_of[places.codes[anchor]])
+    @cache
+    def in_r4(planted: Coord) -> bool:
+        return region is not None and point_in_region(planted, region)
 
     home_planted = home_recovered = home_correct = 0
     work_planted = work_recovered = work_correct = 0
@@ -758,26 +773,24 @@ def evaluate_recovery(truth: Sequence[TruthRow], result, tolerance_km: float = 0
     predicted = {card: (housing, work) for card, housing, work, _, _ in result.deltas.rows()}
 
     for t in truth:
-        anchors = (
-            (result.year1.places, result.year1.profiles.get(t.card_id), t.home1, t.work1),
-            (result.year2.places, result.year2.profiles.get(t.card_id), t.home2, t.work2),
-        )
         cents = []
-        for places, profile, home_anchor, work_anchor in anchors:
-            hc = planted_centroid(places, home_anchor)
-            wc = planted_centroid(places, work_anchor)
+        for y, (home_anchor, work_anchor) in enumerate(((t.home1, t.work1), (t.home2, t.work2))):
+            hc, wc = planted_centroid(y, home_anchor), planted_centroid(y, work_anchor)
             cents.append((hc, wc))
             home_planted += 1
-            if profile is not None and profile.home is not None:
-                home_recovered += 1
-                if haversine_km(places.centroid(profile.home), hc) <= tolerance_km:
-                    home_correct += 1
             if wc is not None:
                 work_planted += 1
-            if profile is not None and profile.work is not None:
+            i = positions[y].get(t.card_id)
+            if i is None:
+                continue
+            home, work = years[y].profiles.home[i], years[y].profiles.work[i]
+            if home >= 0:
+                home_recovered += 1
+                home_correct += near(y, home, hc)
+            if work >= 0:
                 work_recovered += 1
-                if wc is not None and haversine_km(places.centroid(profile.work), wc) <= tolerance_km:
-                    work_correct += 1
+                if wc is not None:
+                    work_correct += near(y, work, wc)
 
         (h1c, w1c), (h2c, w2c) = cents
         housing_truth = planted_move(h1c, h2c)
@@ -792,20 +805,11 @@ def evaluate_recovery(truth: Sequence[TruthRow], result, tolerance_km: float = 0
         housing_conf[housing_truth, housing_pred] += 1
         work_conf[work_truth, work_pred] += 1
 
-        in_r4 = point_in_region(h2c, region) if region is not None else False
-        truth_group = group_index(housing_truth != NOT_CHANGED, work_truth.split("/")[0], in_r4)
+        truth_group = group_index(housing_truth != NOT_CHANGED, work_truth.split("/")[0], in_r4(h2c))
         if halves and group_index(housing_status == CHANGED, work_status, r4) == truth_group:
             group_correct += 1
 
     return RecoveryMetrics(
-        home_planted,
-        home_recovered,
-        home_correct,
-        work_planted,
-        work_recovered,
-        work_correct,
-        housing_conf,
-        work_conf,
-        len(truth),
-        group_correct,
+        home_planted, home_recovered, home_correct, work_planted, work_recovered, work_correct,
+        housing_conf, work_conf, len(truth), group_correct,
     )

@@ -5,8 +5,9 @@ with route and stop ids as text and "" for no alighting.
 ``read_transactions`` checks each line's route but keeps none: each
 card's rides are one int array of ``(board, board_stop, alight_stop,
 alight)``, with each stop as its code in the registry the read was
-given, and ``build_profile`` takes that array and the place of each
-stop code.  This module is where a text ride loses its route.
+given, and ``cardcohort.infer.profile_row`` takes that array and the
+place of each stop code.  This module is where a text ride loses its
+route.
 """
 
 from __future__ import annotations
@@ -34,14 +35,14 @@ def one_route(rides: Iterable[TextRide | KeptRide]) -> list[TextRide]:
     """``rides`` as text rides that all take :data:`ONE_ROUTE`.
 
     The staged reference sorts whole text rides, so it orders these as
-    ``build_profile`` orders the reader's: by boarding minute, boarding
+    ``profile_row`` orders the reader's: by boarding minute, boarding
     stop, alighting stop and alighting minute.
     """
     return [(b, ONE_ROUTE, bs, a_s, a) for b, bs, a_s, a in map(drop_route, rides)]
 
 
 def encode(rides: Iterable[TextRide | KeptRide], stop_to_place: Mapping[str, int]) -> tuple[array, list]:
-    """``rides`` as ``build_profile`` takes them, coded against the registry ``stop_to_place``.
+    """``rides`` as ``profile_row`` takes them, coded against the registry ``stop_to_place``.
 
     The route of a ride is dropped, as the reader drops it.  Returns the
     int array and ``place_of``, the place of each stop code.

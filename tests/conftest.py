@@ -5,7 +5,8 @@ from __future__ import annotations
 import math
 import os
 import tracemalloc
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import pytest
@@ -13,7 +14,7 @@ import pytest
 from cardcohort.cohort import CHANGED
 from cardcohort.geo import M_PER_DEG_LAT
 from cardcohort.groups import group_index
-from cardcohort.infer import Profiles, YearProfile
+from cardcohort.infer import Profiles
 
 # Acceptance tests register one (number, passed, detail) entry each; the
 # terminal summary prints them as a block so a run's verdict is readable
@@ -54,6 +55,36 @@ def members(index) -> list[tuple[str, ...]]:
 def stop_places(index) -> dict[str, int]:
     """Each stop id's place id in a PlaceIndex."""
     return {sid: index.place_of[code] for sid, code in index.codes.items()}
+
+
+@dataclass(slots=True)
+class YearProfile:
+    """One card's places and commute in one week, as tests state and compare it, None for none."""
+
+    home: int | None
+    work: int | None
+    commute_km: float | None
+    commute_min: int | None
+    rides: int
+
+
+def as_profile(values: Sequence) -> YearProfile:
+    """One card's five values as a :class:`YearProfile`, -1 and NaN read as None.
+
+    The values come as ``profile_row`` returns them or as a row of a
+    year's :class:`Profiles` columns holds them.
+    """
+    home, work, km, minutes, rides = values
+    return YearProfile(
+        None if home < 0 else home, None if work < 0 else work, None if math.isnan(km) else km,
+        None if minutes < 0 else minutes, rides,
+    )
+
+
+def card_profiles(profiles: Profiles) -> dict[str, YearProfile]:
+    """Each card's :class:`YearProfile` in a year's columns, by card id in card order."""
+    rows = zip(profiles.home, profiles.work, profiles.commute_km, profiles.commute_min, profiles.rides)
+    return dict(zip(profiles.cards, map(as_profile, rows)))
 
 
 def profile_columns(profiles: Iterable[tuple[str, YearProfile]]) -> Profiles:

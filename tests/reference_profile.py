@@ -2,10 +2,13 @@
 
 These are the chaining and rule functions as they stood before chaining,
 the home/work rules and the commute walk were fused into one pass
-(``cardcohort.infer.build_profile``), copied unchanged.  They stay here,
+(``cardcohort.infer.profile_row``), copied unchanged.  They stay here,
 test-only, as the slow and obviously staged statement of the rules: the
 rule tests in ``test_chain.py`` and ``test_infer.py`` pin their edges,
 and ``test_profile_kernel.py`` checks the fused pass against them.
+``build_profile`` gives its answer as the test-side
+:class:`conftest.YearProfile`, the form the fused pass's values are
+compared in.
 """
 
 from __future__ import annotations
@@ -23,11 +26,11 @@ from cardcohort.infer import (  # noqa: F401
     STAY_MIN_DEFAULT,
     STAY_MODES,
     STRICT,
-    YearProfile,
 )
 from cardcohort.ingest import CARD_STUDENT, DAY_MINUTES
 
 from coded_rides import TextRide as Ride
+from conftest import YearProfile
 
 
 @dataclass(slots=True)

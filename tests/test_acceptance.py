@@ -32,7 +32,7 @@ from cardcohort.cohort import (
 )
 from cardcohort.geo import INWARD, OUTWARD, build_places, haversine_km
 from cardcohort.groups import group_counts, group_index, group_triple
-from cardcohort.infer import build_profile
+from cardcohort.infer import HOME_RULE_RELAXED, PERMISSIVE, STAY_MIN_DEFAULT, profile_row
 from cardcohort.ingest import (
     STOPS_HEADER,
     ObservationWeek,
@@ -45,7 +45,7 @@ from cardcohort.reports import write_dynamics
 from cardcohort.synth import GeneratorConfig, evaluate_recovery, generate
 
 from coded_rides import encode
-from conftest import fr_deltas, group_of, members, offset_coord, record_criterion
+from conftest import as_profile, fr_deltas, group_of, members, offset_coord, record_criterion
 
 
 def _run_bundle(bundle, threads: int = 1):
@@ -328,7 +328,11 @@ def test_criterion_7_threshold_edges():
             arrive = d * 1440 + 9 * 60
             rides.append((arrive - 40, "B1", "H", "W", arrive))
             rides.append((arrive + dur, "B1", "W", "H", arrive + dur + 40))
-        return build_profile("R", *encode(rides, {"H": 0, "W": 7}), weekdays, lambda home, work: 0.0).work
+        coded, place_of = encode(rides, {"H": 0, "W": 7})
+        values = profile_row(
+            False, coded, place_of, weekdays, lambda home, work: 0.0, PERMISSIVE, HOME_RULE_RELAXED, STAY_MIN_DEFAULT
+        )
+        return as_profile(values).work
 
     stay_ok = work(360) == 7 and work(359) is None
 

@@ -297,7 +297,8 @@ class TestDiffClassifyScore:
     def test_a_plain_run_after_a_follow_up_run_leaves_no_follow_up_file(self, full_config, tmp_path):
         # The same config without its follow-up week.
         plain = tmp_path / "plain.conf"
-        plain.write_text("".join(line for line in open(full_config) if not line.startswith("followup")))
+        lines = Path(full_config).read_text(encoding="utf-8").splitlines(keepends=True)
+        plain.write_text("".join(line for line in lines if not line.startswith("followup")))
         out, fresh = tmp_path / "out", tmp_path / "fresh"
         assert run_cli("run", "--config", full_config, "--out", str(out)) == 0
         followup_files = reports.OPTIONAL_INPUT_FILES["followup"]

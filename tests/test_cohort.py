@@ -24,9 +24,9 @@ from cardcohort.cohort import (
     move_bin,
 )
 from cardcohort.geo import INWARD, OUTWARD, haversine_km
-from cardcohort.infer import Profiles, YearProfile
+from cardcohort.infer import Profiles
 
-from conftest import fr_deltas, profile_columns
+from conftest import YearProfile, fr_deltas, profile_columns
 
 # Frozen fixture: both homes due east of the centre on the same
 # parallel, 15 km and 3 km out, so the move is 12 km inward (up to the

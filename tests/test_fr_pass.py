@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 from cardcohort.cohort import CHANGED, FOUND, JOBLESS, LOST, Deltas, commute_change, housing_change, work_change
 from cardcohort.geo import PlaceIndex
 from cardcohort.groups import group_index
-from cardcohort.infer import YearProfile, shared
+from cardcohort.infer import shared
 from cardcohort.ingest import ObservationWeek
 from cardcohort.pipeline import PipelineResult, RunConfig, YearData, run_pipeline
 from cardcohort.reports import (
@@ -35,7 +35,7 @@ from cardcohort.reports import (
 )
 from cardcohort.synth import GeneratorConfig, generate
 
-from conftest import fr_deltas, offset_coord, profile_columns
+from conftest import YearProfile, card_profiles, fr_deltas, offset_coord, profile_columns
 
 FR_FILES = ("deltas.csv", "housing_dynamics.csv", "work_dynamics.csv", "commute_variation.csv", "groups.csv")
 PROFILE_FILES = ("profiles_year1.csv", "profiles_year2.csv")
@@ -92,7 +92,7 @@ def reference(result, out: str) -> dict[str, str]:
     tables["deltas.csv"] = "\n".join(rows)
     for name, year in zip(PROFILE_FILES, (result.year1, result.year2)):
         lines = ["card_id,year,home_place,work_place,commute_km,commute_min,rides"]
-        for card, p in year.profiles.items():
+        for card, p in card_profiles(year.profiles).items():
             lines.append(",".join((
                 card, year.week.label, text(p.home), text(p.work), km(p.commute_km), text(p.commute_min), str(p.rides),
             )))

@@ -15,11 +15,13 @@ No week start is configured, so every file's week is derived.
 from __future__ import annotations
 
 import dataclasses
+import multiprocessing
 import os
 import random
 import subprocess
 import sys
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Callable, Iterator
 
 import pytest
@@ -122,7 +124,7 @@ def config_file(path: str, cfg: RunConfig, head: str = "") -> str:
 
 
 def read_reports(out: str) -> Reports:
-    return {name: open(os.path.join(out, name), "rb").read() for name in os.listdir(out)}
+    return {name: Path(out, name).read_bytes() for name in os.listdir(out)}
 
 
 def reports_of(b: Bundle, result) -> Reports:
@@ -207,6 +209,27 @@ def hash_seeds(b: Bundle) -> Iterator[Reports]:
         yield read_reports(out)
 
 
+def start_methods(b: Bundle) -> Iterator[Reports]:
+    # The command line, in a process that sets each start method first.
+    # Year 2 names a copy of the registry, so a worker clusters it and
+    # sends it back.
+    conf = config_file(os.path.join(b.dir, "own.conf"), copied(b, "own", ("stops2",)))
+    path = os.path.dirname(os.path.dirname(cardcohort.__file__))
+    for method in multiprocessing.get_all_start_methods():
+        script = (
+            f"import multiprocessing, sys; multiprocessing.set_start_method({method!r}); "
+            "from cardcohort.cli import main; sys.exit(main(sys.argv[1:]))"
+        )
+        for threads in ("2", "3"):
+            out = b.out()
+            proc = subprocess.run(
+                [sys.executable, "-c", script, "run", "--config", conf, "--threads", threads, "--out", out],
+                env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=300,
+            )
+            assert proc.returncode == 0, f"{method}, --threads {threads}: {proc.stderr}"
+            yield read_reports(out)
+
+
 # --- what must then hold of the reports.
 
 
@@ -263,6 +286,7 @@ ROWS = [
     Row("shifted year-2 registry", year2_registry_shifted, year2_place_ids_up_one),
     Row("card ids", card_ids_renamed, rows_permuted),
     Row("hash seed", hash_seeds, identical),
+    Row("start method", start_methods, identical),
 ]
 
 

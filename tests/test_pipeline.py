@@ -28,13 +28,12 @@ from cardcohort.pipeline import (
     process_year,
     run_pipeline,
 )
-from cardcohort.infer import YearProfile
 from cardcohort.reports import write_profiles, write_run_reports, write_summary
 from cardcohort.synth import GeneratorConfig, generate
 
 from conftest import (
-    MINI_ORIGIN, PER_CARD_COPY_BYTES, _square_geojson, fr_deltas, group_of, offset_coord, peak_traced_bytes,
-    profile_columns,
+    MINI_ORIGIN, PER_CARD_COPY_BYTES, YearProfile, _square_geojson, card_profiles, fr_deltas, group_of, offset_coord,
+    peak_traced_bytes, profile_columns,
 )
 
 EXPECTED_HEADERS = {
@@ -131,9 +130,10 @@ class TestProcessYear:
         assert len(year.places) == 3
         assert year.parsed == 30
         assert year.kept == 30
-        assert sorted(year.profiles) == ["A1", "F1", "S1"]
+        profiles = card_profiles(year.profiles)
+        assert sorted(profiles) == ["A1", "F1", "S1"]
 
-        a1 = year.profiles["A1"]
+        a1 = profiles["A1"]
         assert (a1.home, a1.work) == (0, 1)
         assert a1.commute_min == 40
         assert a1.rides == 10
@@ -146,21 +146,21 @@ class TestProcessYear:
         )
         assert a1.commute_km == pytest.approx(haversine_km(home_centroid, coords["WA"]), abs=1e-9)
 
-        s1 = year.profiles["S1"]
+        s1 = profiles["S1"]
         assert (s1.home, s1.work) == (None, None)
         assert s1.rides == 10
 
-        f1 = year.profiles["F1"]
+        f1 = profiles["F1"]
         assert (f1.home, f1.work) == (0, 1)
         assert f1.commute_min is None
         assert f1.commute_km == pytest.approx(a1.commute_km, abs=1e-12)
 
     def test_strict_mode_drops_fixed_fare_cards(self, mini_config):
         cfg = dataclasses.replace(mini_config, stay_mode="strict")
-        year = process_year(cfg.year1, cfg.stops1, cfg, None)
-        assert year.profiles["A1"].home == 0
-        assert year.profiles["F1"].home is None
-        assert year.profiles["F1"].work is None
+        profiles = card_profiles(process_year(cfg.year1, cfg.stops1, cfg, None).profiles)
+        assert profiles["A1"].home == 0
+        assert profiles["F1"].home is None
+        assert profiles["F1"].work is None
 
 
 _count_followup = pipeline._count_followup
@@ -330,7 +330,8 @@ class TestJobs:
         for threads in (1, 2):
             result = run_pipeline(dataclasses.replace(mini_config, stops2=str(shifted), threads=threads))
             assert result.year2.places is not result.year1.places
-            assert (result.year2.profiles["A1"].home, result.year2.profiles["A1"].work) == (3, 2)
+            a1 = card_profiles(result.year2.profiles)["A1"]
+            assert (a1.home, a1.work) == (3, 2)
 
     def test_run_leaves_no_cyclic_garbage(self, mini_config):
         gc.collect()
@@ -756,7 +757,8 @@ class TestGeometryOncePerPlace:
         ))
         # Each FR's delta tests its year-2 home against R4.
         deltas = fr_deltas(result.deltas)
-        homes = [result.year2.places.centroid(result.year2.profiles[c].home) for c in deltas]
+        profiles2 = card_profiles(result.year2.profiles)
+        homes = [result.year2.places.centroid(profiles2[c].home) for c in deltas]
         assert len(set(homes)) < len(homes)
         r4_calls = [c for c, name in calls if name == "R4"]
         assert sorted(r4_calls) == sorted(set(homes))
@@ -767,7 +769,7 @@ class TestGeometryOncePerPlace:
     def test_moves_cached_per_centroid_pair(self, result, mini_bundle, monkeypatch):
         c1, c2 = result.year1.places.centroid, result.year2.places.centroid
         center = mini_bundle["center"]
-        y1, y2 = result.year1.profiles, result.year2.profiles
+        y1, y2 = card_profiles(result.year1.profiles), card_profiles(result.year2.profiles)
         # Each FR's delta made on its own, with no cache.
         expected = {
             card: (
@@ -859,7 +861,7 @@ class TestInputRules:
         profiles = []
         for k, order in enumerate(orders):
             path = self._write(tmp_path, f"y{k}.csv", order)
-            profiles.append(process_year(path, mini_bundle["stops"], mini_config, None).profiles)
+            profiles.append(card_profiles(process_year(path, mini_bundle["stops"], mini_config, None).profiles))
         assert all(p == profiles[0] for p in profiles)
         # Any student row makes a student card: no home, no work.
         assert (profiles[0]["M1"].home, profiles[0]["M1"].work) == (None, None)
@@ -882,7 +884,7 @@ class TestInputRules:
                 rows.append(f"L1,R,DST,B1,HA,{day}T07:30,WA,{day}T08:00")
             rows.append(f"L1,R,DST,B1,WA,{day}T18:00,HA,{day}T18:40")
         year = process_year(self._write(tmp_path, "long.csv", rows), mini_bundle["stops"], mini_config, None)
-        p = year.profiles["L1"]
+        p = card_profiles(year.profiles)["L1"]
         assert (p.home, p.work, p.commute_min, p.rides) == (0, 1, long_min, 13)
         path = tmp_path / "profiles.csv"
         write_profiles(str(path), year.profiles, year.week)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import re
 from collections import Counter
@@ -16,6 +17,8 @@ from cardcohort.ingest import SchemaError, iter_lines, load_stops, read_transact
 from cardcohort.pipeline import RunConfig, run_pipeline
 from cardcohort.reports import write_run_reports
 from cardcohort.synth import (
+    ARCH_JOB_CHANGER,
+    ARCH_MOVER,
     ARCHETYPE_ORDER,
     GeneratorConfig,
     RecoveryMetrics,
@@ -126,13 +129,13 @@ def small_bundle(tmp_path_factory):
     return generate(GeneratorConfig(**SMALL), str(out))
 
 
-def run_on_bundle(bundle, threads: int = 1):
+def run_on_bundle(bundle, threads: int = 1, stops2: str | None = None):
     cfg = bundle.config
     run_cfg = RunConfig(
         year1=bundle.paths["week1"],
         year2=bundle.paths["week2"],
         stops1=bundle.paths["stops"],
-        stops2=bundle.paths["stops"],
+        stops2=stops2 or bundle.paths["stops"],
         followup=bundle.paths["followup"],
         r4=bundle.paths["r4"],
         taz=bundle.paths["taz"],
@@ -290,6 +293,64 @@ class TestRecovery:
                 predicted[pred] += n
             assert predicted == Counter(written(t.card_id, status, direction) for t in bundle.truth)
         assert predicted["(missing)"] > 0
+
+    def test_noisy_recovery_scores_exactly(self, tmp_path):
+        # Criterion 2's bundle.  Year 2 reads a copy of the registry with a
+        # far-off stop whose id sorts first, so each year-2 place id is one
+        # more than the same place's year-1 id.
+        bundle = generate(GeneratorConfig(noise_rate=0.2), str(tmp_path / "bundle"))
+        lines = Path(bundle.paths["stops"]).read_text(encoding="utf-8").splitlines(keepends=True)
+        stops2 = tmp_path / "stops2.csv"
+        stops2.write_text("".join([lines[0], "A0,100.0,10.0\n", *lines[1:]]), encoding="utf-8")
+        result = run_on_bundle(bundle, stops2=str(stops2))
+        assert evaluate_recovery(bundle.truth, result) == RecoveryMetrics(
+            4000, 3856, 3856, 2800, 2707, 2707,
+            {
+                ("Changed/Inward", "(missing)"): 41, ("Changed/Inward", "Changed/Inward"): 459,
+                ("Changed/Outward", "(missing)"): 29, ("Changed/Outward", "Changed/Outward"): 471,
+                ("NotChanged", "(missing)"): 72, ("NotChanged", "NotChanged"): 928,
+            },
+            {
+                ("Changed/Inward", "(missing)"): 18, ("Changed/Inward", "Changed/Inward"): 170,
+                ("Changed/Inward", "Found"): 3, ("Changed/Inward", "Lost"): 8,
+                ("Changed/Outward", "(missing)"): 19, ("Changed/Outward", "Changed/Outward"): 169,
+                ("Changed/Outward", "Found"): 8, ("Changed/Outward", "Lost"): 5,
+                ("Found", "(missing)"): 10, ("Found", "Found"): 183, ("Found", "Jobless"): 7,
+                ("Jobless", "Jobless"): 400,
+                ("Lost", "(missing)"): 13, ("Lost", "Jobless"): 6, ("Lost", "Lost"): 181,
+                ("NotChanged", "(missing)"): 82, ("NotChanged", "Found"): 23, ("NotChanged", "Lost"): 28,
+                ("NotChanged", "NotChanged"): 667,
+            },
+            2000, 1770,
+        )
+        # Every place recovered above is right.  Planted as if no Mover had
+        # moved home and no JobChanger had changed work, a year-2 place
+        # that is right for the cards that live or work there is wrong for
+        # the Movers and JobChangers recovered there.
+        stayed = [
+            dataclasses.replace(t, home2=t.home1) if t.archetype == ARCH_MOVER
+            else dataclasses.replace(t, work2=t.work1) if t.archetype == ARCH_JOB_CHANGER
+            else t
+            for t in bundle.truth
+        ]
+        assert evaluate_recovery(stayed, result) == RecoveryMetrics(
+            4000, 3856, 3475, 2800, 2707, 2321,
+            {
+                ("Changed/Inward", "(missing)"): 19, ("Changed/Inward", "Changed/Inward"): 281,
+                ("Changed/Outward", "(missing)"): 11, ("Changed/Outward", "Changed/Outward"): 289,
+                ("NotChanged", "(missing)"): 112, ("NotChanged", "Changed/Inward"): 178,
+                ("NotChanged", "Changed/Outward"): 182, ("NotChanged", "NotChanged"): 928,
+            },
+            {
+                ("Found", "(missing)"): 10, ("Found", "Found"): 183, ("Found", "Jobless"): 7,
+                ("Jobless", "Jobless"): 400,
+                ("Lost", "(missing)"): 13, ("Lost", "Jobless"): 6, ("Lost", "Lost"): 181,
+                ("NotChanged", "(missing)"): 119, ("NotChanged", "Changed/Inward"): 170,
+                ("NotChanged", "Changed/Outward"): 169, ("NotChanged", "Found"): 34, ("NotChanged", "Lost"): 41,
+                ("NotChanged", "NotChanged"): 667,
+            },
+            2000, 1093,
+        )
 
     def test_card_universe_mismatch_is_fatal(self, small_bundle):
         result = run_on_bundle(small_bundle)
