@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Any, Callable, Mapping
 
@@ -83,12 +84,17 @@ def build_places(stops: Mapping[str, Coord], radius_m: float = CLUSTER_RADIUS_M)
     missed.
 
     Each candidate is first measured by the chord between the two stops'
-    unit vectors, computed once per stop.  The chord is 2 sin(d / 2) for
-    a great-circle distance d, so it orders pairs exactly as d does, and
-    a chord more than a millionth (plus 1e-12) away from the radius's
-    chord decides the link; rounding in either formula is many orders of
-    magnitude smaller than that band.  Inside the band ``haversine_km``
-    decides, so every link is the haversine rule's decision.
+    unit vectors, computed once per stop and held in one flat array per
+    axis.  The chord is 2 sin(d / 2) for a great-circle distance d, so it
+    orders pairs exactly as d does, and a chord more than a millionth
+    (plus 1e-12) away from the radius's chord decides the link; rounding
+    in either formula is many orders of magnitude smaller than that band.
+    Inside the band ``haversine_km`` decides, so every link is the
+    haversine rule's decision.
+
+    A cell's candidate list is made when the fill first reaches one of
+    its stops and let go once the place is filled, so the lists of one
+    place at a time are held, not the whole grid's.
     """
     from .ingest import stop_codes  # here, so that importing geo loads no other module
 
@@ -97,6 +103,16 @@ def build_places(stops: Mapping[str, Coord], radius_m: float = CLUSTER_RADIUS_M)
     radius_km = radius_m / 1000.0
     angle = min(radius_km / EARTH_RADIUS_KM, math.pi)  # the radius as a central angle, at most pi
     half_chord = math.sin(angle / 2.0)  # on the unit sphere
+
+    # Each stop's unit vector, one flat array per axis.
+    cos, sin, to_rad = math.cos, math.sin, math.pi / 180.0
+    xs, ys, zs = array("d"), array("d"), array("d")
+    for lon, lat in coords:
+        c = cos(lat * to_rad)
+        xs.append(c * cos(lon * to_rad))
+        ys.append(c * sin(lon * to_rad))
+        zs.append(sin(lat * to_rad))
+
     # The margins outweigh any rounding in placing a stop in its cell.
     row_deg = math.degrees(angle) * (1.0 + 1e-6) + 1e-9
     rows = [math.floor(lat / row_deg) for _, lat in coords]
@@ -120,14 +136,18 @@ def build_places(stops: Mapping[str, Coord], radius_m: float = CLUSTER_RADIUS_M)
     for i, ((lon, _), row) in enumerate(zip(coords, rows)):
         col = 0 if row in polar else int((lon + 180.0) % 360.0 * per_deg) % n
         buckets.setdefault(row * n + col, []).append(i)
+    del rows  # before cell_of is made, which would otherwise set the peak
+    cell_of = [0] * len(coords)  # each stop's cell, the key object its bucket is filed under
+    for key, members in buckets.items():
+        for i in members:
+            cell_of[i] = key
 
-    # Each stop's candidates: the members of its cell and of every cell
-    # around it, listed once per cell.
     near_pole = {r + d for r in polar for d in (-1, 0, 1)}
     around = (-n - 1, -n, -n + 1, -1, 0, 1, n - 1, n, n + 1)
     get = buckets.get
-    candidates: list = [None] * len(coords)
-    for key, members in buckets.items():
+
+    def candidates(key: int) -> list[int]:
+        """The stops of the cell ``key`` and of every cell around it, listed once per cell."""
         row, col = divmod(key, n)
         near = []
         if 0 < col < n - 1 and row not in near_pole:
@@ -143,35 +163,32 @@ def build_places(stops: Mapping[str, Coord], radius_m: float = CLUSTER_RADIUS_M)
                     cols = (col - 1, col, col + 1)
                 for c in cols:
                     near += get(r * n + c % n, ())
-        for i in members:
-            candidates[i] = near
-    del rows, buckets  # let them go before the flood fill, which sets the peak
+        return near
 
-    # Each stop's unit vector; a chord below ``sure`` is a link, and one
-    # above ``unsure`` is none.
-    cos, sin, to_rad = math.cos, math.sin, math.pi / 180.0
-    vectors = [
-        ((c := cos(lat * to_rad)) * cos(lon * to_rad), c * sin(lon * to_rad), sin(lat * to_rad))
-        for lon, lat in coords
-    ]
+    # A chord below ``sure`` is a link, and one above ``unsure`` is none.
     chord = 2.0 * half_chord
     sure, unsure = chord * (1.0 - 1e-6) - 1e-12, chord * (1.0 + 1e-6) + 1e-12
-    dist = math.dist
+    hypot = math.hypot
     place_of: list[int | None] = [None] * len(coords)  # by stop index; None until the stop is placed
     centroids = []
+    near_of: dict[int, list[int]] = {}  # the candidates of each cell the fill reached in this place
     for first in range(len(coords)):
         if place_of[first] is not None:
             continue
         place = place_of[first] = len(centroids)  # one int object for all the place's stops
         group = [first]
         for i in group:  # grows while it is walked
-            here = vectors[i]
-            for j in candidates[i]:
+            near = near_of.get(key := cell_of[i])
+            if near is None:
+                near = near_of[key] = candidates(key)
+            x, y, z = xs[i], ys[i], zs[i]
+            for j in near:
                 if place_of[j] is None:
-                    d = dist(here, vectors[j])
+                    d = hypot(x - xs[j], y - ys[j], z - zs[j])
                     if d <= sure or (d <= unsure and haversine_km(coords[i], coords[j]) <= radius_km):
                         place_of[j] = place
                         group.append(j)
+        near_of.clear()
         lon = math.fsum(coords[i][0] for i in group) / len(group)
         lat = math.fsum(coords[i][1] for i in group) / len(group)
         centroids.append((lon, lat))

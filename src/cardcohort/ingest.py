@@ -22,8 +22,9 @@ fixed observation week: each line is split, checked, tested against the
 stop registry and appended to its card's rides, so no list of all rows is
 built.  A file with no configured week start is first scanned once by
 :func:`derive_week_start` for its earliest boarding date.  Each card's
-rides are one 32-bit int array, four ints per ride: its boarding and
-alighting minutes and stops, all a rule reads of a ride.  A stop is
+rides are one int array, four ints per ride: its boarding and alighting
+minutes and stops, all a rule reads of a ride.  The arrays hold unsigned
+16-bit ints until a ride does not fit, and then wider ones.  A stop is
 held as its code: its id's rank in the registry the read was given.  A
 read given none keeps no stop.
 
@@ -64,19 +65,24 @@ OUTSIDE_WEEK = "outside observation week"
 FATAL_REJECT_FRACTION = 0.5
 
 # One ride of one card: (board_min, board_stop, alight_stop, alight_min),
-# each field an int.  A card's rides are kept as one array, four ints per
-# ride in file order; ride_tuples re-forms the tuples.  A stop is held as
-# its code, its id's 1-based rank in the registry the read was given (see
-# stop_codes; a registry's geo.PlaceIndex holds its codes and each code's
-# place); a read given none holds 0 for every stop.  Code 0 is no
-# alighting, and a fixed-fare ride has alight_stop 0 and alight_min equal
-# to board_min.  Rides sort by boarding time, then by their stops in the
-# order their ids give, then by alighting time; rides equal in all four
-# walk alike.
+# each field a non-negative int.  A card's rides are kept as one array,
+# four ints per ride in file order, in the narrowest of RIDE_TYPECODES
+# that holds every ride of the read; ride_tuples re-forms the tuples.  A
+# stop is held as its code, its id's 1-based rank in the registry the read
+# was given (see stop_codes; a registry's geo.PlaceIndex holds its codes
+# and each code's place); a read given none holds 0 for every stop.  Code
+# 0 is no alighting, and a fixed-fare ride has alight_stop 0 and
+# alight_min equal to board_min.  Rides sort by boarding time, then by
+# their stops in the order their ids give, then by alighting time; rides
+# equal in all four walk alike.
 Ride = tuple[int, int, int, int]
 RIDE_FIELDS = 4
+# The typecodes a ride array takes, narrowest first: unsigned 16-bit ints
+# hold every minute of a week and every code of a registry of up to
+# 65,535 stops, then 32-bit and 64-bit ints.
+RIDE_TYPECODES = "Hiq"
 # The packed form of one ride in each typecode a ride array takes.
-RIDE_STRUCTS = {typecode: Struct(f"{RIDE_FIELDS}{typecode}") for typecode in "iq"}
+RIDE_STRUCTS = {typecode: Struct(f"{RIDE_FIELDS}{typecode}") for typecode in RIDE_TYPECODES}
 
 
 class SchemaError(Exception):
@@ -204,9 +210,10 @@ class Transactions:
     """One transactions file read into each card's rides.
 
     ``rides`` maps each card id to its kept rides in file order, as one
-    int array of :data:`Ride` fields, four per ride.  Each stop field
-    holds the stop's code in the registry the read was given, or 0 when
-    it was given none.  A line is kept when it is accepted and, when a
+    int array of :data:`Ride` fields, four per ride; every card's array
+    has the typecode of :data:`RIDE_TYPECODES` that the read ended on
+    (see :func:`read_transactions`).  Each stop field holds the stop's
+    code in the registry the read was given, or 0 when it was given none.  A line is kept when it is accepted and, when a
     stop registry is given, both of its stops are listed.
     ``students`` holds the cards with a kept student line.  ``parsed``
     counts the accepted lines, those dropped for an unknown stop
@@ -279,10 +286,14 @@ def read_transactions(
     its codes.  Without it no line is dropped and no stop is kept: both
     stop fields of every ride hold 0.
 
-    Each card's rides are one ``array('i')``.  A distance-fare ride may
-    alight any time after it boards, up to the end of the calendar, so
-    the first ride that does not fit in 32 bits turns every card's array
-    into ``array('q')`` for the rest of the read.
+    Each card's rides are one ``array('H')`` of unsigned 16-bit ints,
+    which hold every minute of the week and every code of a registry of
+    up to 65,535 stops.  The first ride with a field that does not fit
+    turns every card's array into the narrowest wider typecode that
+    holds it, ``array('i')`` or ``array('q')``, for the rest of the
+    read: a larger registry widens the read at its first ride past code
+    65,535, and a distance-fare ride may alight any time after it boards,
+    up to the end of the calendar, past 32 bits.
 
     Every data line is either accepted or lands in the rejections, in
     line order.  Raises :class:`SchemaError` when the header is wrong or
@@ -296,7 +307,7 @@ def read_transactions(
 
     minutes = _Minutes(week.start_minute)
     stop_code = defaultdict(int) if codes is None else {"": 0, **codes}
-    typecode = "i"
+    typecode = RIDE_TYPECODES[0]
     pack = RIDE_STRUCTS[typecode].pack
     by_card: dict[str, array] = {}
     students: set[str] = set()
@@ -354,11 +365,17 @@ def read_transactions(
                     try:
                         ride = pack(board, b, a, alight)
                     except StructError:
-                        typecode = "q"
-                        pack = RIDE_STRUCTS[typecode].pack
+                        # Every card's array widens to the narrowest
+                        # typecode that holds this ride; 64-bit ints hold any.
+                        for typecode in RIDE_TYPECODES[RIDE_TYPECODES.index(typecode) + 1:]:
+                            pack = RIDE_STRUCTS[typecode].pack
+                            try:
+                                ride = pack(board, b, a, alight)
+                                break
+                            except StructError:
+                                pass
                         for card, rides in by_card.items():
                             by_card[card] = array(typecode, rides)
-                        ride = pack(board, b, a, alight)
                     rides = by_card.get(card_id)
                     if rides is None:
                         by_card[card_id] = array(typecode, ride)

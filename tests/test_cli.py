@@ -738,6 +738,107 @@ class TestAllOrNothing:
         assert _listing(out) == before
 
 
+# Run by a fresh interpreter: set the start method named first, then run
+# the command line with the arguments after the hook, and print the number
+# of worker processes left as the last line.  With the hook "dying",
+# process_year exits with code 9 in any process but the first; it comes
+# from a module file, so that a spawned worker imports it too.
+START_METHOD_SCRIPT = """
+import multiprocessing, sys
+method, hook, *argv = sys.argv[1:]
+multiprocessing.set_start_method(method)
+from cardcohort import pipeline
+from cardcohort.cli import main
+if hook == "dying":
+    import dying
+    pipeline.process_year = dying.process_year
+try:
+    code = main(argv)
+except RuntimeError as exc:
+    print(exc)
+    code = 1
+print(len(multiprocessing.active_children()))
+sys.exit(code)
+"""
+
+DYING = """
+import multiprocessing, os
+from cardcohort import pipeline
+
+year = pipeline.process_year
+
+def process_year(*args, **kwargs):
+    if multiprocessing.parent_process() is not None:
+        os._exit(9)
+    return year(*args, **kwargs)
+"""
+
+
+def _run_under(method: str, hook: str, tmp_path, *argv: str) -> subprocess.CompletedProcess:
+    """The command line ``argv`` run by START_METHOD_SCRIPT under ``method``."""
+    (tmp_path / "dying.py").write_text(DYING)
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    return subprocess.run(
+        [sys.executable, "-c", START_METHOD_SCRIPT, method, hook, *argv],
+        env={**os.environ, "PYTHONPATH": os.pathsep.join([src, str(tmp_path)])},
+        capture_output=True, text=True, timeout=300,
+    )
+
+
+def _rejected_lines(good: str, tmp_path, name: str) -> tuple[Path, str]:
+    """A copy of the transactions text ``good`` with one more line that rejects than it has data lines.
+
+    Returns the file and the start of the error that rejects it.
+    """
+    kept = len(good.splitlines()) - 1
+    bad = tmp_path / name
+    bad.write_text(good + "A1,R,FIX\n" * (kept + 1))
+    return bad, f"error: rejected {kept + 1} of {2 * kept + 1} lines; wrong schema"
+
+
+@pytest.mark.parametrize("method", multiprocessing.get_all_start_methods())
+class TestStartMethods:
+    """The workers' failure paths under each start method: each leaves ``--out`` as it was and no worker running."""
+
+    @pytest.mark.parametrize("threads", ["2", "3"])
+    def test_a_worker_that_exits_fails_the_run_naming_its_code(self, full_config, run_out, tmp_path, method, threads):
+        out = tmp_path / "out"
+        shutil.copytree(run_out, out)
+        before = _listing(out)
+        proc = _run_under(method, "dying", tmp_path, "run", "--config", full_config, "--threads", threads,
+                          "--out", str(out))
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stdout.splitlines() == ["a worker exited with code 9 before it sent its result", "0"]
+        assert _listing(out) == before
+
+    def test_a_year2_file_rejected_in_its_worker_exits_3(self, full_config, mini_bundle, run_out, tmp_path, method):
+        bad, error = _rejected_lines(Path(mini_bundle["year2"]).read_text(), tmp_path, "week2.csv")
+        out = tmp_path / "out"
+        shutil.copytree(run_out, out)
+        before = _listing(out)
+        proc = _run_under(method, "", tmp_path, "run", "--config", full_config, "--year2", str(bad),
+                          "--threads", "2", "--out", str(out))
+        assert proc.returncode == 3, proc.stderr
+        assert error in proc.stderr
+        assert proc.stdout.splitlines() == ["0"]
+        assert _listing(out) == before
+
+    @pytest.mark.parametrize("threads", ["2", "3"])
+    def test_a_follow_up_rejected_in_its_worker_leaves_the_bundle(
+        self, full_config, mini_bundle, run_out, tmp_path, method, threads
+    ):
+        bad, error = _rejected_lines(Path(mini_bundle["followup"]).read_text(), tmp_path, "followup.csv")
+        out = tmp_path / "out"
+        shutil.copytree(run_out, out)
+        before = _listing(out)
+        proc = _run_under(method, "", tmp_path, "run", "--config", full_config, "--followup", str(bad),
+                          "--threads", threads, "--out", str(out))
+        assert proc.returncode == 3, proc.stderr
+        assert error in proc.stderr
+        assert proc.stdout.splitlines() == ["0"]
+        assert _listing(out) == before
+
+
 class TestConfigFile:
     def _write_config(self, tmp_path, mini_bundle, extra: str = "") -> str:
         p = tmp_path / "run.conf"

@@ -236,11 +236,15 @@ def read_cards(draw):
 # A registry that names more ids than the rides do: "A" and "S1" sort
 # before ids the rides name, so every one of those gets another code.
 WIDER = {**STOP_TO_PLACE, "A": 6, "S1": 6}
-REGISTRIES = st.sampled_from([STOP_TO_PLACE, WIDER])
+# One whose 65,536 extra ids sort before all of theirs, so each stop the
+# rides name has a code past 16 bits.
+PADDED = {**dict.fromkeys((f"{k:05d}" for k in range(2**16)), 6), **STOP_TO_PLACE}
+REGISTRIES = st.sampled_from([STOP_TO_PLACE, WIDER, PADDED])
 
 
 @settings(max_examples=400, deadline=None)
 @example({"C1": list(SAME_MINUTE)}, STOP_TO_PLACE, random.Random(0), PERMISSIVE)
+@example({"C1": list(SAME_MINUTE)}, PADDED, random.Random(0), STRICT)
 @given(read_cards(), REGISTRIES, st.randoms(use_true_random=False), st.sampled_from([STRICT, PERMISSIVE]))
 def test_a_read_profiles_as_its_text_rides(cards, registry, rnd, mode):
     text_lines = [as_line(card, ride) for card, rides in cards.items() for ride in rides]
@@ -249,7 +253,7 @@ def test_a_read_profiles_as_its_text_rides(cards, registry, rnd, mode):
     tx = read_transactions([TRANSACTIONS_HEADER, *text_lines], MONDAY, codes)
     assert (tx.rejections, tx.parsed) == ([], len(text_lines))
     late = any(ride[4] == LAST_MINUTE for rides in cards.values() for ride in rides)
-    assert {rides.typecode for rides in tx.rides.values()} <= {"q" if late else "i"}
+    assert {rides.typecode for rides in tx.rides.values()} <= {"q" if late else "i" if registry is PADDED else "H"}
     place_of = places_of(codes, registry)
     assert sorted(tx.rides) == sorted(card for card, rides in cards.items() if rides)
     for card, rides in card_rides(tx, codes).items():
