@@ -26,7 +26,8 @@ rides are one int array, four ints per ride: its boarding and alighting
 minutes and stops, all a rule reads of a ride.  The arrays hold unsigned
 16-bit ints until a ride does not fit, and then wider ones.  A stop is
 held as its code: its id's rank in the registry the read was given.  A
-read given none keeps no stop.
+read given none keeps no stop.  A read given card ids, such as an
+earlier year's, keys those cards' rides by the given id strings.
 
 Times are integers.  :func:`parse_minute` reads a timestamp as minutes
 after 0001-01-01T00:00; an accepted row carries its times as minutes
@@ -209,12 +210,14 @@ def ride_tuples(rides: array) -> Iterator[Ride]:
 class Transactions:
     """One transactions file read into each card's rides.
 
-    ``rides`` maps each card id to its kept rides in file order, as one
-    int array of :data:`Ride` fields, four per ride; every card's array
-    has the typecode of :data:`RIDE_TYPECODES` that the read ended on
-    (see :func:`read_transactions`).  Each stop field holds the stop's
-    code in the registry the read was given, or 0 when it was given none.  A line is kept when it is accepted and, when a
-    stop registry is given, both of its stops are listed.
+    ``rides`` maps each card with a kept line to its kept rides in file
+    order, as one int array of :data:`Ride` fields, four per ride; every
+    card's array has the typecode of :data:`RIDE_TYPECODES` that the read
+    ended on (see :func:`read_transactions`).  A card the read was seeded
+    with is keyed by the id object it was given.  Each stop field holds
+    the stop's code in the registry the read was given, or 0 when it was
+    given none.  A line is kept when it is accepted and, when a stop
+    registry is given, both of its stops are listed.
     ``students`` holds the cards with a kept student line.  ``parsed``
     counts the accepted lines, those dropped for an unknown stop
     included, and ``unmatched`` counts each unknown stop id once per
@@ -276,6 +279,7 @@ def read_transactions(
     lines: Iterable[str],
     week_start: date,
     codes: Mapping[str, int] | None = None,
+    cards: Iterable[str] = (),
 ) -> Transactions:
     """Read a transaction stream once into each card's rides.
 
@@ -285,6 +289,12 @@ def read_transactions(
     naming a stop outside it is dropped, and the kept stop fields hold
     its codes.  Without it no line is dropped and no stop is kept: both
     stop fields of every ride hold 0.
+
+    ``cards`` seeds the rides with card ids held elsewhere, such as an
+    earlier year's: a seeded card's rides are keyed by the given ``str``
+    object, not by an equal one split from its lines, so the two reads
+    share one string per card.  A seeded card with no kept line is left
+    out of ``rides``, as if it had not been seeded.
 
     Each card's rides are one ``array('H')`` of unsigned 16-bit ints,
     which hold every minute of the week and every code of a registry of
@@ -309,7 +319,8 @@ def read_transactions(
     stop_code = defaultdict(int) if codes is None else {"": 0, **codes}
     typecode = RIDE_TYPECODES[0]
     pack = RIDE_STRUCTS[typecode].pack
-    by_card: dict[str, array] = {}
+    # A seeded card with no ride yet holds None; its first ride keeps the given key.
+    by_card: dict[str, array | None] = dict.fromkeys(cards)
     students: set[str] = set()
     unmatched: Counter[str] = Counter()
     rejections: list[Rejection] = []
@@ -375,7 +386,8 @@ def read_transactions(
                             except StructError:
                                 pass
                         for card, rides in by_card.items():
-                            by_card[card] = array(typecode, rides)
+                            if rides is not None:
+                                by_card[card] = array(typecode, rides)
                     rides = by_card.get(card_id)
                     if rides is None:
                         by_card[card_id] = array(typecode, ride)
@@ -390,6 +402,8 @@ def read_transactions(
     total = line_no - 1 - blank
     if total and len(rejections) > total * FATAL_REJECT_FRACTION:
         raise _wrong_schema(len(rejections), str(total), (r.reason for r in rejections))
+    for card in [card for card, rides in by_card.items() if rides is None]:
+        del by_card[card]
     return Transactions(week, by_card, students, rejections, unmatched, total - len(rejections))
 
 

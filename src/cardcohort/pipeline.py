@@ -11,7 +11,9 @@ result back on that job's own pipe.  The years may name one stop
 registry, as every synthetic bundle does: the parent then loads and
 clusters it once, before any worker starts, hands that copy to year 2's
 worker, and takes year 2 back without it.  So the years of one registry
-share one place index at every thread count.
+share one place index at every thread count.  In one process they
+share card ids too: year 2 is read seeded with year 1's, so a card of
+both years is held by one ``str``; a year read in a worker keeps its own.
 Each year's cards are profiled in sorted card order straight into the
 year's columns, each card's rides let go as its values are appended, and job
 results are gathered in fixed job order, so the output bytes cannot
@@ -36,7 +38,7 @@ from contextlib import closing, contextmanager
 from dataclasses import dataclass
 from datetime import date
 from functools import cache, cached_property
-from typing import Mapping, NamedTuple
+from typing import Iterable, Mapping, NamedTuple
 
 from . import infer
 from .cohort import CHANGE_KM_DEFAULT, Deltas
@@ -255,6 +257,7 @@ def process_year(
     week_start: date | None,
     stays: dict[str, list[infer.Stay]] | None = None,
     registries: dict[str, Registry] | None = None,
+    cards: Iterable[str] = (),
 ) -> YearData:
     """Profile one observation year.
 
@@ -263,6 +266,8 @@ def process_year(
     stored in it as they are formed; otherwise no stay object is built.
     ``registries`` holds the registries already loaded by the caller, by
     path; the stop registry is loaded into it unless it is there.
+    ``cards`` goes to :func:`read_transactions`: the year's cards among
+    them are held by those id objects.
     """
     if registries is None:
         registries = {}
@@ -272,7 +277,7 @@ def process_year(
     places, stop_rejections = registries[key]
 
     week_start = week_start or derive_week_start(iter_lines(tx_path))
-    tx = read_transactions(iter_lines(tx_path), week_start, places.codes)
+    tx = read_transactions(iter_lines(tx_path), week_start, places.codes, cards)
     kept = tx.geocoded
     log.info(
         "%s: %d records parsed, %d rejected, %d geocoded, %d cards",
@@ -427,7 +432,9 @@ def _start_workers(jobs: list[tuple], workers: int) -> list[WorkerJob]:
 def _run_jobs(cfg: RunConfig) -> tuple[YearData, YearData, tuple[Counter, list[Rejection]] | WorkerJob | None]:
     """Year 1, year 2 and, if configured, the follow-up count.
 
-    With ``cfg.threads`` = 1 all three run here, in that order.  With n >
+    With ``cfg.threads`` = 1 all three run here, in that order, and year
+    2 is read seeded with year 1's card ids, so a card of both years is
+    held by one id string.  With n >
     1, year 1 runs here and the other jobs go, in job order, to min(n,
     jobs) - 1 worker processes, each started with its jobs: at n = 2 one
     worker profiles year 2 and then counts the follow-up week, and at
@@ -452,7 +459,7 @@ def _run_jobs(cfg: RunConfig) -> tuple[YearData, YearData, tuple[Counter, list[R
     registries: dict[str, Registry] = {}
     if not workers:
         y1 = process_year(*year1, registries=registries)
-        y2 = process_year(*year2, registries=registries)
+        y2 = process_year(*year2, registries=registries, cards=y1.profiles.cards)
         return y1, y2, followup and _count_followup(*followup)
 
     key = _registry_key(cfg.stops1)

@@ -672,6 +672,69 @@ class TestIntArrays:
             assert (tx.students, tx.geocoded) == ({"C3"}, 5)
 
 
+def fresh(card: str) -> str:
+    """An id equal to ``card`` but a new object, as a split line or an earlier read makes one."""
+    return "".join(list(card))
+
+
+def key_of(tx, card: str) -> str:
+    """The key object ``tx.rides`` holds ``card`` under."""
+    return next(key for key in tx.rides if key == card)
+
+
+class TestSeededCards:
+    """A read seeded with card ids keys their rides by those objects and keeps only the cards it read."""
+
+    def test_a_seeded_card_is_keyed_by_the_given_object(self):
+        rows = lines(
+            "C1,R,DST,B1,S1,2008-04-07T07:30,S2,2008-04-07T08:10",
+            "C2,S,FIX,B1,S2,2008-04-07T09:00,,",
+            "C1,R,FIX,B1,S2,2008-04-07T18:00,,",
+        )
+        seeded = [fresh("C1"), fresh("C2")]
+        plain = read_transactions(rows, MONDAY, TestGeocode.KNOWN)
+        tx = read_transactions(rows, MONDAY, TestGeocode.KNOWN, seeded)
+        assert tx == plain
+        assert [key_of(tx, card) is card for card in seeded] == [True, True]
+        # An unseeded read keys a card by an object of its own.
+        assert key_of(plain, "C1") is not seeded[0]
+
+    def test_a_seeded_card_without_a_kept_line_is_no_key(self):
+        # C0 has no line, C3's lines are all rejected and C4's only line
+        # names a stop the registry lacks; C2 is read but not seeded.
+        rows = lines(
+            "C1,R,FIX,B1,S1,2008-04-07T07:30,,",
+            "C3,X,FIX,B1,S1,2008-04-07T07:40,,",
+            "C3,S,FIX,B1,S1,2008-04-20T07:40,,",
+            "C4,S,DST,B1,S1,2008-04-07T08:00,SX,2008-04-07T08:30",
+            "C2,R,FIX,B1,S2,2008-04-07T09:00,,",
+        )
+        seeded = [fresh(card) for card in ("C0", "C1", "C3", "C4")]
+        plain = read_transactions(rows, MONDAY, TestGeocode.KNOWN)
+        tx = read_transactions(rows, MONDAY, TestGeocode.KNOWN, seeded)
+        assert sorted(tx.rides) == ["C1", "C2"]
+        assert tx == plain
+        assert (tx.students, tx.unmatched, tx.parsed, tx.geocoded) == (set(), {"SX": 1}, 3, 2)
+        assert key_of(tx, "C1") is seeded[1]
+
+    @pytest.mark.parametrize("late_min,typecode", [(2**16, "i"), (2**31, "q")])
+    def test_a_read_widens_past_seeded_cards_it_has_not_seen(self, late_min, typecode):
+        # C2's second ride widens the read while C3 and C9 hold no ride;
+        # C3's ride then takes the wider typecode, and C9 never shows.
+        rows = lines(
+            "C1,R,FIX,B1,S1,2008-04-07T07:30,,",
+            "C2,R,DST,B1,S1,2008-04-07T08:00,S2,2008-04-07T08:30",
+            f"C2,R,DST,B1,S2,2008-04-13T23:50,S1,{WEEK.format(late_min)}",
+            "C3,R,FIX,B1,S2,2008-04-08T07:30,,",
+        )
+        seeded = [fresh(card) for card in ("C1", "C2", "C3", "C9")]
+        tx = read_transactions(rows, MONDAY, TestGeocode.KNOWN, seeded)
+        assert tx == read_transactions(rows, MONDAY, TestGeocode.KNOWN)
+        assert {card: rides.typecode for card, rides in tx.rides.items()} == dict.fromkeys(("C1", "C2", "C3"), typecode)
+        assert list(tx.rides["C3"]) == [1440 + 450, 2, 0, 1440 + 450]
+        assert [key_of(tx, card) is card for card in seeded[:3]] == [True, True, True]
+
+
 def test_group_by_card_preserves_order():
     tx = read_transactions(
         lines(
@@ -970,6 +1033,21 @@ class TestOnePassParity:
             got = derived(renamed, known_stops)
             assert got.rides == tx.rides
             assert got == tx
+
+    @settings(max_examples=300, deadline=None)
+    @given(transaction_lines(), registries, st.sets(st.sampled_from(["C0", "C1", "C2", "C3", "C4", "C5"])))
+    def test_seeded_cards_change_nothing_but_their_keys(self, text_lines, known_stops, seeds):
+        seeded = [fresh(card) for card in sorted(seeds)]
+        try:
+            plain = derived(text_lines, known_stops)
+        except SchemaError:
+            return
+        codes = None if known_stops is None else stop_codes(known_stops)
+        tx = read_transactions(text_lines, plain.week.start_date, codes, seeded)
+        assert tx == plain
+        assert {rides.typecode for rides in tx.rides.values()} == {rides.typecode for rides in plain.rides.values()}
+        held = {id(key) for key in tx.rides}
+        assert [id(card) in held for card in seeded] == [card in plain.rides for card in seeded]
 
     @pytest.mark.parametrize(
         "rows,start,rejections",

@@ -333,6 +333,39 @@ class TestJobs:
             a1 = card_profiles(result.year2.profiles)["A1"]
             assert (a1.home, a1.work) == (3, 2)
 
+    def test_cards_of_one_year_only_read_alike_at_every_thread_count(self, tmp_path):
+        # No synth bundle has a card in only one year, so some cards' lines
+        # are dropped from each year's file.  At threads=1 year 2 is read
+        # seeded with year 1's ids, those dropped from year 2 included.
+        gen = GeneratorConfig(
+            seed=7, commuters=30, movers=30, job_changers=30, jobless=20, churners=20,
+            grid_rows=6, grid_cols=6, site_stops=3, noise_rate=0.2,
+        )
+        p = generate(gen, str(tmp_path / "bundle")).paths
+        cfg = RunConfig(year1=p["week1"], year2=p["week2"], stops1=p["stops"], stops2=p["stops"], followup=p["followup"])
+        full = run_pipeline(cfg)
+        cards1, cards2 = full.year1.profiles.cards, full.year2.profiles.cards
+        both = sorted(set(cards1) & set(cards2))
+        gone = {"year1": set(both[::20]), "year2": set(both[10::20])}
+        for key, cards in gone.items():
+            path = tmp_path / f"{key}.csv"
+            with open(getattr(cfg, key), encoding="utf-8") as fh:
+                path.write_text("".join(line for line in fh if line.split(",", 1)[0] not in cards), encoding="utf-8")
+            cfg = dataclasses.replace(cfg, **{key: str(path)})
+        kept = len(both) - len(gone["year1"]) - len(gone["year2"])
+        counts = [len(cards1) - len(gone["year1"]), len(cards2) - len(gone["year2"]), kept]
+        reports = []
+        for threads in (1, 2, 3):
+            result = run_pipeline(dataclasses.replace(cfg, threads=threads))
+            out = tmp_path / f"out{threads}"
+            write_run_reports(result, str(out))
+            reports.append({f.name: f.read_bytes() for f in out.iterdir()})
+            assert read_rows(str(out / "summary.csv"))[1] == ["total_cardholders", *map(str, counts)]
+            held = {card: card for card in result.year1.profiles.cards}
+            shared = [card is held[card] for card in result.year2.profiles.cards if card in held]
+            assert shared == [threads == 1] * kept
+        assert reports[1] == reports[0] and reports[2] == reports[0]
+
     def test_run_leaves_no_cyclic_garbage(self, mini_config):
         gc.collect()
         result = run_pipeline(mini_config)
