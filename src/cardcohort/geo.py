@@ -48,8 +48,9 @@ class PlaceIndex:
     ``codes`` gives each stop id its code (see
     :func:`cardcohort.ingest.stop_codes`), ``place_of`` the place id of
     each code, None at code 0 (no alighting), and ``centroids`` each
-    place's arithmetic mean of its member coordinates, which is adequate
-    at the sub-kilometre scale of a cluster.
+    place's arithmetic mean of its member coordinates (taken east of
+    +-180 degrees for a place across it; see :func:`build_places`), which
+    is adequate at the sub-kilometre scale of a cluster.
     """
 
     codes: dict[str, int]
@@ -72,16 +73,16 @@ def build_places(stops: Mapping[str, Coord], radius_m: float = CLUSTER_RADIUS_M)
     stop id, in ascending id order, so place ids follow each cluster's
     smallest stop id and are a pure function of the stop registry.
 
-    Candidate pairs come from a grid on the sphere.  A link spans at most
-    the radius in latitude, so with rows that tall it stays within one
-    row or joins two neighbouring rows.  Each row is cut into equal
-    columns, as wide as the widest longitude span a link can have in any
-    occupied row, and the columns wrap at +-180 degrees.  A row where a
-    link may span more than 60 degrees of longitude, near a pole, is a
-    single cell, whose neighbours are every cell of the rows beside it.
-    So a stop's candidates are the stops of its cell and of the cells
-    around it, and no link across the antimeridian or over a pole is
-    missed.
+    Candidate pairs come from a grid of squares on the plane tangent to
+    the sphere at the first stop, with that stop's east and north as its
+    axes.  Each stop is filed under the square its unit vector projects
+    to.  A projection never lengthens a chord, so with squares a little
+    wider than a link's longest chord a link's two stops lie in one
+    square or in two that touch, and a stop's candidates are the stops of
+    its square's 3 x 3 block, wherever on the sphere it lies.  Stops on
+    the far side of the plane fold onto the near side: they can only add
+    candidates, so a registry that spans a hemisphere is still clustered
+    exactly, with longer candidate lists.
 
     Each candidate is first measured by the chord between the two stops'
     unit vectors, computed once per stop and held in one flat array per
@@ -92,9 +93,14 @@ def build_places(stops: Mapping[str, Coord], radius_m: float = CLUSTER_RADIUS_M)
     Inside the band ``haversine_km`` decides, so every link is the
     haversine rule's decision.
 
-    A cell's candidate list is made when the fill first reaches one of
+    A square's candidate list is made when the fill first reaches one of
     its stops and let go once the place is filled, so the lists of one
     place at a time are held, not the whole grid's.
+
+    A place's centroid is the mean of its members' coordinates.  When
+    their longitudes span more than 180 degrees, the place lies across
+    +-180 degrees: the western ones are taken 360 degrees east for the
+    mean, which is then brought back into [-180, 180].
     """
     from .ingest import stop_codes  # here, so that importing geo loads no other module
 
@@ -102,7 +108,9 @@ def build_places(stops: Mapping[str, Coord], radius_m: float = CLUSTER_RADIUS_M)
     coords = [stops[sid] for sid in codes]
     radius_km = radius_m / 1000.0
     angle = min(radius_km / EARTH_RADIUS_KM, math.pi)  # the radius as a central angle, at most pi
-    half_chord = math.sin(angle / 2.0)  # on the unit sphere
+    # A chord below ``sure`` is a link, and one above ``unsure`` is none.
+    chord = 2.0 * math.sin(angle / 2.0)  # on the unit sphere
+    sure, unsure = chord * (1.0 - 1e-6) - 1e-12, chord * (1.0 + 1e-6) + 1e-12
 
     # Each stop's unit vector, one flat array per axis.
     cos, sin, to_rad = math.cos, math.sin, math.pi / 180.0
@@ -113,65 +121,31 @@ def build_places(stops: Mapping[str, Coord], radius_m: float = CLUSTER_RADIUS_M)
         ys.append(c * sin(lon * to_rad))
         zs.append(sin(lat * to_rad))
 
-    # The margins outweigh any rounding in placing a stop in its cell.
-    row_deg = math.degrees(angle) * (1.0 + 1e-6) + 1e-9
-    rows = [math.floor(lat / row_deg) for _, lat in coords]
-    occupied = set(rows)
-
-    # Between stops at |lat| <= reach, a link spans at most 2 asin(s) of
-    # longitude, with s = half_chord / cos(reach).
-    polar = set()
-    widest = 0.0
-    for row in occupied:
-        reach = max(abs(row), abs(row + 1)) * row_deg + 1e-9
-        s = half_chord / math.cos(math.radians(reach)) if reach < 90.0 else math.inf
-        if s > 0.5:
-            polar.add(row)
-        else:
-            widest = max(widest, s)
-    # Columns at most 60 degrees wide: n >= 5, so a cell has two others beside it.
-    n = int(360.0 / (math.degrees(2.0 * math.asin(widest)) * (1.0 + 1e-6) + 1e-9)) if widest else 3
-    per_deg = n / 360.0
-    buckets: dict[int, list[int]] = {}  # row * n + column -> stop indices
-    for i, ((lon, _), row) in enumerate(zip(coords, rows)):
-        col = 0 if row in polar else int((lon + 180.0) % 360.0 * per_deg) % n
-        buckets.setdefault(row * n + col, []).append(i)
-    del rows  # before cell_of is made, which would otherwise set the peak
-    cell_of = [0] * len(coords)  # each stop's cell, the key object its bucket is filed under
+    # The squares' side outweighs any rounding in projecting a stop, and
+    # ``span`` is more than twice the index of the farthest square, so
+    # that a key and its neighbours' offsets never alias.
+    side = unsure * (1.0 + 1e-6) + 1e-12
+    span = 2 * int(1.0 / side) + 5
+    lon, lat = coords[0] if coords else (0.0, 0.0)
+    lon, lat = lon * to_rad, lat * to_rad
+    ex, ey = -sin(lon) / side, cos(lon) / side  # east, in squares
+    nx, ny, nz = -sin(lat) * cos(lon) / side, -sin(lat) * sin(lon) / side, cos(lat) / side  # north
+    floor = math.floor
+    buckets: dict[int, list[int]] = {}  # iu * span + iv -> stop indices
+    for i, (x, y, z) in enumerate(zip(xs, ys, zs)):
+        iu, iv = floor(x * ex + y * ey), floor(x * nx + y * ny + z * nz)
+        buckets.setdefault(iu * span + iv, []).append(i)
+    cell_of = [0] * len(coords)  # each stop's square, the key object its bucket is filed under
     for key, members in buckets.items():
         for i in members:
             cell_of[i] = key
 
-    near_pole = {r + d for r in polar for d in (-1, 0, 1)}
-    around = (-n - 1, -n, -n + 1, -1, 0, 1, n - 1, n, n + 1)
+    around = (-span - 1, -span, -span + 1, -1, 0, 1, span - 1, span, span + 1)
     get = buckets.get
-
-    def candidates(key: int) -> list[int]:
-        """The stops of the cell ``key`` and of every cell around it, listed once per cell."""
-        row, col = divmod(key, n)
-        near = []
-        if 0 < col < n - 1 and row not in near_pole:
-            for d in around:
-                near += get(key + d, ())
-        else:
-            for r in occupied.intersection((row - 1, row, row + 1)):
-                if r in polar:
-                    cols = (0,)
-                elif row in polar:
-                    cols = range(n)
-                else:
-                    cols = (col - 1, col, col + 1)
-                for c in cols:
-                    near += get(r * n + c % n, ())
-        return near
-
-    # A chord below ``sure`` is a link, and one above ``unsure`` is none.
-    chord = 2.0 * half_chord
-    sure, unsure = chord * (1.0 - 1e-6) - 1e-12, chord * (1.0 + 1e-6) + 1e-12
     hypot = math.hypot
     place_of: list[int | None] = [None] * len(coords)  # by stop index; None until the stop is placed
     centroids = []
-    near_of: dict[int, list[int]] = {}  # the candidates of each cell the fill reached in this place
+    near_of: dict[int, list[int]] = {}  # the candidates of each square the fill reached in this place
     for first in range(len(coords)):
         if place_of[first] is not None:
             continue
@@ -180,7 +154,9 @@ def build_places(stops: Mapping[str, Coord], radius_m: float = CLUSTER_RADIUS_M)
         for i in group:  # grows while it is walked
             near = near_of.get(key := cell_of[i])
             if near is None:
-                near = near_of[key] = candidates(key)
+                near = near_of[key] = []
+                for step in around:
+                    near += get(key + step, ())
             x, y, z = xs[i], ys[i], zs[i]
             for j in near:
                 if place_of[j] is None:
@@ -189,9 +165,12 @@ def build_places(stops: Mapping[str, Coord], radius_m: float = CLUSTER_RADIUS_M)
                         place_of[j] = place
                         group.append(j)
         near_of.clear()
-        lon = math.fsum(coords[i][0] for i in group) / len(group)
+        lons = [coords[i][0] for i in group]
+        if max(lons) - min(lons) > 180.0:  # across +-180 degrees
+            lons = [lon + 360.0 if lon < 0.0 else lon for lon in lons]
+        lon = math.fsum(lons) / len(group)
         lat = math.fsum(coords[i][1] for i in group) / len(group)
-        centroids.append((lon, lat))
+        centroids.append((lon - 360.0 if lon > 180.0 else lon, lat))
     return PlaceIndex(codes, [None, *place_of], centroids)  # code 0 has no place
 
 

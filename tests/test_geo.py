@@ -79,28 +79,35 @@ def _stops(coords: list[tuple[float, float]]) -> dict[str, tuple[float, float]]:
 
 @st.composite
 def registries(draw) -> tuple[dict[str, tuple[float, float]], float]:
-    """Up to 150 stops in a box a few radii wide, with a radius from 50 m to 5 km.
+    """Up to 150 stops in a box a few radii wide, with a radius from 50 m to 5 km, or on the whole sphere.
 
     The box lies in mid latitudes, near a pole or across the antimeridian.
-    With ``edge``, the radius is set so that the first two stops are
-    exactly one radius apart ("at"), or to the next float below that
-    ("below").
+    On the whole sphere, stops are uniform and the radius runs up to
+    5,000 km, so that many stops lie on the far side of the plane tangent
+    at the first one, and many near its rim.  With ``edge``, the radius
+    is set so that the first two stops are exactly one radius apart
+    ("at"), or to the next float below that ("below").
     """
-    radius_m = draw(st.floats(50.0, 5000.0))
-    lat0 = draw(st.one_of(
-        st.floats(-60.0, 60.0), st.floats(80.0, 90.0), st.floats(-90.0, -80.0),
-        st.floats(89.9, 90.0), st.floats(-90.0, -89.9),
-    ))
-    lon0 = draw(st.one_of(st.floats(-180.0, 180.0), st.sampled_from([-180.0, 180.0])))
-    half_m = radius_m * draw(st.floats(0.5, 6.0))
     unit = st.floats(-1.0, 1.0)
-    coords = []
-    for x, y in draw(st.lists(st.tuples(unit, unit), max_size=150)):
-        lat = min(90.0, max(-90.0, lat0 + y * half_m / M_PER_DEG_LAT))
-        dlon = x * half_m / (M_PER_DEG_LAT * max(math.cos(math.radians(lat0)), 1e-3))
-        coords.append(((lon0 + dlon + 180.0) % 360.0 - 180.0, lat))
+    if draw(st.booleans()):
+        radius_m = draw(st.floats(50.0, 5e6))
+        sphere = st.tuples(st.floats(-180.0, 180.0), unit)
+        coords = [(lon, math.degrees(math.asin(z))) for lon, z in draw(st.lists(sphere, max_size=150))]
+    else:
+        radius_m = draw(st.floats(50.0, 5000.0))
+        lat0 = draw(st.one_of(
+            st.floats(-60.0, 60.0), st.floats(80.0, 90.0), st.floats(-90.0, -80.0),
+            st.floats(89.9, 90.0), st.floats(-90.0, -89.9),
+        ))
+        lon0 = draw(st.one_of(st.floats(-180.0, 180.0), st.sampled_from([-180.0, 180.0])))
+        half_m = radius_m * draw(st.floats(0.5, 6.0))
+        coords = []
+        for x, y in draw(st.lists(st.tuples(unit, unit), max_size=150)):
+            lat = min(90.0, max(-90.0, lat0 + y * half_m / M_PER_DEG_LAT))
+            dlon = x * half_m / (M_PER_DEG_LAT * max(math.cos(math.radians(lat0)), 1e-3))
+            coords.append(((lon0 + dlon + 180.0) % 360.0 - 180.0, lat))
     edge = draw(st.sampled_from([None, "at", "below"]))
-    if edge and len(coords) >= 2 and coords[0] != coords[1]:
+    if edge and len(coords) >= 2 and haversine_km(coords[0], coords[1]) > 0.0:
         radius_m = _edge_radius_m(coords[0], coords[1])
         if edge == "below":
             radius_m = math.nextafter(radius_m, 0.0)
@@ -211,6 +218,8 @@ class TestBuildPlaces:
         assert haversine_km(stops["E"], stops["W"]) < 0.02
         places = build_places(stops)
         assert members(places) == [("E", "W")]
+        # The centroid lies between them, not on the far side of the Earth.
+        assert all(haversine_km(places.centroid(0), stop) < 0.02 for stop in stops.values())
 
     def test_links_near_a_pole(self):
         # 111 m apart, 60 degrees of longitude apart at 89.999 N; and one
@@ -226,16 +235,19 @@ class TestBuildPlaces:
         # Each pair is one radius apart: at each of twelve bearings, from
         # fifty starts a fiftieth of a radius apart, so that the pair
         # crosses every kind of cell edge.  Both id orders are tried,
-        # since the flood fill starts from the smaller id.
-        step = CLUSTER_RADIUS_M / M_PER_DEG_LAT / 50.0
-        for k in range(50):
-            a = (lon + k * step / max(math.cos(math.radians(lat)), 1e-3), min(lat + k * step, 90.0))
-            for bearing in range(0, 360, 30):
-                b = _destination(a, bearing, CLUSTER_RADIUS_M / 1000.0)
-                radius_m = _edge_radius_m(a, b)
-                for stops in ({"A": a, "B": b}, {"A": b, "B": a}):
-                    assert len(build_places(stops, radius_m)) == 1, (a, b)
-                    assert len(build_places(stops, math.nextafter(radius_m, 0.0))) == 2, (a, b)
+        # since the flood fill starts from the smaller id.  At a radius
+        # of 0.3 mm, rounding in placing a stop outweighs a margin of a
+        # millionth of a cell, so the cell needs its absolute margin.
+        for apart_m in (CLUSTER_RADIUS_M, 0.0003):
+            step = apart_m / M_PER_DEG_LAT / 50.0
+            for k in range(50):
+                a = (lon + k * step / max(math.cos(math.radians(lat)), 1e-3), min(lat + k * step, 90.0))
+                for bearing in range(0, 360, 30):
+                    b = _destination(a, bearing, apart_m / 1000.0)
+                    radius_m = _edge_radius_m(a, b)
+                    for stops in ({"A": a, "B": b}, {"A": b, "B": a}):
+                        assert len(build_places(stops, radius_m)) == 1, (a, b)
+                        assert len(build_places(stops, math.nextafter(radius_m, 0.0))) == 2, (a, b)
 
     @settings(max_examples=100, deadline=None)
     @given(registries(), st.randoms(use_true_random=False))

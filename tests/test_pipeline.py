@@ -155,6 +155,25 @@ class TestProcessYear:
         assert f1.commute_min is None
         assert f1.commute_km == pytest.approx(a1.commute_km, abs=1e-12)
 
+    def test_a_home_across_the_antimeridian_is_near_its_work(self, mini_config, tmp_path):
+        # HE and HW, 17 m apart on either side of +-180 degrees, are the
+        # home place; WK, 5 km east of them, is the work place.
+        west = (-179.9999, 39.9)
+        work = offset_coord(west, 5000, 0)
+        stops = tmp_path / "stops.csv"
+        stops.write_text(f"stop_id,lon,lat\nHE,179.9999000,39.9000000\nHW,-179.9999000,39.9000000\n"
+                         f"WK,{work[0]:.7f},{work[1]:.7f}\n")
+        header = "card_id,card_type,fare_type,route_id,board_stop,board_time,alight_stop,alight_time"
+        rows = [header]
+        for day in (f"2008-04-{d:02d}" for d in range(7, 12)):
+            rows += [f"H1,R,DST,B1,HE,{day}T07:30,WK,{day}T08:10", f"H1,R,DST,B1,WK,{day}T18:00,HW,{day}T18:40"]
+        week = tmp_path / "week.csv"
+        week.write_text("\n".join(rows) + "\n")
+        h1 = card_profiles(process_year(str(week), str(stops), mini_config, None).profiles)["H1"]
+        assert (h1.home, h1.work) == (0, 1)
+        assert h1.commute_km == pytest.approx(haversine_km((180.0, 39.9), as_written(work)), abs=1e-6)
+        assert 4.9 < h1.commute_km < 5.1
+
     def test_strict_mode_drops_fixed_fare_cards(self, mini_config):
         cfg = dataclasses.replace(mini_config, stay_mode="strict")
         profiles = card_profiles(process_year(cfg.year1, cfg.stops1, cfg, None).profiles)
@@ -174,6 +193,21 @@ def _counting_followup(*args):
     """
     _followup_counts_here.append(args)
     return _count_followup(*args)
+
+
+@pytest.fixture
+def fork_workers():
+    """Start this test's workers by fork, whatever the default start method.
+
+    A forked worker inherits the spies the test patched into the parent,
+    local functions included, which a worker started by spawn or
+    forkserver imports afresh or cannot unpickle.  The same failure paths
+    under those methods are checked by ``test_cli.py::TestStartMethods``.
+    """
+    was = multiprocessing.get_start_method(allow_none=True)
+    multiprocessing.set_start_method("fork", force=True)
+    yield
+    multiprocessing.set_start_method(was, force=True)
 
 
 class TestJobs:
@@ -265,6 +299,7 @@ class TestJobs:
             run_pipeline(dataclasses.replace(mini_config, stops2=stops2, threads=2))
             assert [b"PlaceIndex" in data for data in loaded] == [sent]
 
+    @pytest.mark.usefixtures("fork_workers")
     @pytest.mark.parametrize("threads,copied,calls", [(2, False, 1), (3, False, 1), (2, True, 2), (3, True, 2)])
     def test_a_registry_both_years_name_is_clustered_once_per_run(
         self, mini_config, tmp_path, monkeypatch, threads, copied, calls
@@ -289,6 +324,7 @@ class TestJobs:
         assert len(log.read_text().splitlines()) == calls
         assert (result.year1.places is result.year2.places) != copied
 
+    @pytest.mark.usefixtures("fork_workers")
     def test_no_thread_runs_beside_the_parent_while_it_profiles_year_1(self, mini_config, monkeypatch):
         # A worker's own calls land in its copy of the list.
         seen = []
@@ -305,6 +341,7 @@ class TestJobs:
         assert result.followup_counts == {"F1": 3}
         assert seen == [1, 1]
 
+    @pytest.mark.usefixtures("fork_workers")
     @pytest.mark.parametrize("threads", [2, 3])
     def test_a_worker_that_exits_without_its_result_fails_the_run(self, mini_config, monkeypatch, threads):
         parent = os.getpid()
@@ -402,11 +439,11 @@ def test_a_clustered_stop_costs_fewer_than_160_bytes(tmp_path):
 
 def test_clustering_a_stop_peaks_below_600_bytes(tmp_path):
     """While it loads and clusters this registry of 3,600 stops in 400
-    places, ``load_registry`` holds at most 717 bytes per stop beyond what
+    places, ``load_registry`` holds at most 672 bytes per stop beyond what
     was live before it when each stop's unit vector is a tuple of three
-    floats and each grid cell's candidate list lives through the whole
+    floats and each grid square's candidate list lives through the whole
     flood fill.  With the vectors in three flat arrays and only the
-    candidate lists of the place being filled held, it holds at most 503.
+    candidate lists of the place being filled held, it holds at most 446.
     The bound of 600 lies between the two, clear of each.
     """
     gen = GeneratorConfig(
