@@ -19,8 +19,8 @@ from .geo import DEFAULT_CENTER
 from .infer import HOME_RULES, STAY_MODES
 from .ingest import ObservationWeek, SchemaError, derive_week_start, field_parser, iter_lines, load_stops, parse_date
 from .ingest import read_config, read_transactions, stop_codes
-from .pipeline import PATH_FIELDS, STOPS, TRANSACTIONS, MissingInputError, RunConfig, process_year, require_files
-from .pipeline import run_pipeline
+from .pipeline import PATH_FIELDS, STOPS, TRANSACTIONS, MissingInputError, RunConfig, load_registry, process_year
+from .pipeline import require_files, run_pipeline
 from .synth import GeneratorConfig, generate
 
 log = logging.getLogger("cardcohort")
@@ -83,7 +83,7 @@ _FLAG_EXTRAS = {
     },
     "stay_mode": {"choices": STAY_MODES},
     "home_rule": {"choices": HOME_RULES},
-    "threads": {"help": "processes for the per-file jobs: year 1, year 2, follow-up (default 1)"},
+    "threads": {"help": "processes for the per-file jobs: year 1, year 2, follow-up; above 2 runs as 2 (default 1)"},
     "followup_retention": {"flag": "--retention"},
 }
 
@@ -125,7 +125,7 @@ def cmd_infer(args) -> int:
     cfg = _build_run_config(args)
     _make_out_dir(args.out)
     stays = {} if args.dump_stays else None
-    year = process_year(cfg.year1, cfg.stops1, cfg, cfg.week1_start, stays)
+    year = process_year(cfg.year1, load_registry(cfg.stops1, cfg.cluster_m), cfg, cfg.week1_start, stays)
     reports.write_profiles(os.path.join(args.out, "profiles.csv"), year.profiles, year.week)
     reports.write_rejections(os.path.join(args.out, "rejections.csv"), year.rejections)
     reports.write_unmatched(os.path.join(args.out, "unmatched.csv"), year.unmatched)

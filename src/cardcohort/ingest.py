@@ -252,7 +252,8 @@ def derive_week_start(lines: Iterable[str]) -> date:
     Lines rejected for another reason count too.  :data:`DEFAULT_WEEK_START`
     when no boarding time parses.  An accepted boarding text is fixed-width
     ``YYYY-MM-DDTHH:MM``, so its text order is its time order: the distinct
-    texts are parsed in sorted order up to the first that parses.  A wrong header, or lines of another column count that bail
+    texts are parsed in sorted order up to the first that parses.  A
+    wrong header, or lines of another column count that bail
     :func:`read_transactions` out early whatever the week, raise its
     :class:`SchemaError` without reading the rest of the file.
     """

@@ -1,24 +1,23 @@
 """End-to-end batch pipeline: two observation years to cohort reports.
 
 Year 1, year 2 and the follow-up count each read their own transactions
-file, so with ``threads > 1`` they run in separate processes: year 1 in
-the parent, the other two in workers, one after the other at
-``threads=2``.  The rest runs in the parent as soon as year 2 is back;
-a follow-up count still in a worker is waited for when the result's
-follow-up is first read, which the report writer does late, so the two
-overlap.  Each worker is started with its jobs in hand and sends each
-result back on that job's own pipe.  The years may name one stop
-registry, as every synthetic bundle does: the parent then loads and
-clusters it once, before any worker starts, hands that copy to year 2's
-worker, and takes year 2 back without it.  So the years of one registry
-share one place index at every thread count.  In one process they
-share card ids too: year 2 is read seeded with year 1's, so a card of
-both years is held by one ``str``; a year read in a worker keeps its own.
-Each year's cards are profiled in sorted card order straight into the
-year's columns, each card's rides let go as its values are appended, and job
-results are gathered in fixed job order, so the output bytes cannot
-depend on the thread count.  No FR's delta is stored: the result holds
-the FRs and the rules of their deltas, which
+file, so with ``threads > 1`` they run in two processes: year 1 in the
+parent, and year 2 and then the follow-up count in one worker, which
+sends both results back in that order on one pipe.  The rest runs in
+the parent as soon as year 2 is back; a follow-up count still in the
+worker is waited for when the result's follow-up is first read, which
+the report writer does late, so the two overlap.  The years may name
+one stop registry, as every synthetic bundle does: the parent then
+loads and clusters it once, before the worker starts, hands that copy
+to the worker, and takes year 2 back without it.  So the years of one
+registry share one place index at every thread count.  In one process
+they share card ids too: year 2 is read seeded with year 1's, so a card
+of both years is held by one ``str``; a year read in the worker keeps
+its own.  Each year's cards are profiled in sorted card order straight
+into the year's columns, each card's rides let go as its values are
+appended, and job results are gathered in fixed job order, so the
+output bytes cannot depend on the thread count.  No FR's delta is
+stored: the result holds the FRs and the rules of their deltas, which
 :meth:`~cardcohort.cohort.Deltas.rows` makes in one pass, and the FR
 homes for the TAZ layer are counted per year-2 place, by position in the
 year's columns.  A registry is held as its place index, one table of
@@ -236,6 +235,7 @@ class Registry(NamedTuple):
     rejections: list[Rejection]
 
 
+@_collector_off()
 def load_registry(path: str, cluster_m: float) -> Registry:
     """The stop registry at ``path``, its stops clustered into places within ``cluster_m``."""
     stops, rejections = load_stops(iter_lines(path))
@@ -244,38 +244,24 @@ def load_registry(path: str, cluster_m: float) -> Registry:
     return Registry(places, rejections)
 
 
-def _registry_key(stops_path: str) -> str:
-    """The key a loaded registry is filed under, the same for every spelling of its path."""
-    return os.path.realpath(stops_path)
-
-
 @_collector_off()
 def process_year(
     tx_path: str,
-    stops_path: str,
+    registry: Registry,
     cfg: RunConfig,
     week_start: date | None,
     stays: dict[str, list[infer.Stay]] | None = None,
-    registries: dict[str, Registry] | None = None,
     cards: Iterable[str] = (),
 ) -> YearData:
-    """Profile one observation year.
+    """Profile one observation year against its loaded stop ``registry``.
 
     Without ``week_start``, the transactions file is scanned once for it
     before it is read.  When ``stays`` is a dict, each card's stays are
     stored in it as they are formed; otherwise no stay object is built.
-    ``registries`` holds the registries already loaded by the caller, by
-    path; the stop registry is loaded into it unless it is there.
     ``cards`` goes to :func:`read_transactions`: the year's cards among
     them are held by those id objects.
     """
-    if registries is None:
-        registries = {}
-    key = _registry_key(stops_path)
-    if key not in registries:
-        registries[key] = load_registry(stops_path, cfg.cluster_m)
-    places, stop_rejections = registries[key]
-
+    places, stop_rejections = registry
     week_start = week_start or derive_week_start(iter_lines(tx_path))
     tx = read_transactions(iter_lines(tx_path), week_start, places.codes, cards)
     kept = tx.geocoded
@@ -334,58 +320,70 @@ def aggregate_taz(homes: Mapping[Coord, int], regions: list[Region]) -> tuple[li
     return counts, outside, overlap
 
 
-def _pickled(fn, args, registry_held: bool) -> bytes:
-    """``fn(*args)``, pickled in the worker that runs it.
+def _year2(cfg: RunConfig, held: Registry | None) -> YearData:
+    """Year 2, as the worker profiles it.
 
-    With ``registry_held`` the job is a :func:`process_year` whose stop
-    registry the parent holds: its ``places`` and ``stop_rejections`` are
-    left out, and the parent fills them in from its own copy.
+    ``held`` is the registry the parent holds for both years: year 2 is
+    profiled against it and comes back without its ``places`` and
+    ``stop_rejections``, which the parent fills in from its own copy.
+    Without it, year 2's own registry is loaded here and comes back with
+    the year.
     """
-    import pickle
-
-    result = fn(*args)
-    if registry_held:
-        result.places = result.stop_rejections = None
-    return pickle.dumps(result)
+    year = process_year(cfg.year2, held or load_registry(cfg.stops2, cfg.cluster_m), cfg, cfg.week2_start)
+    if held:
+        year.places = year.stop_rejections = None
+    return year
 
 
-def _work(jobs) -> None:
-    """A worker's body: run each (fn, args, registry_held, connection) job in turn.
+def _work(jobs, connection) -> None:
+    """A worker's body: run each (fn, args) job in turn.
 
     Each job's pickled result, or its pickled exception, is sent back on
-    the job's own connection, which is then closed.
+    ``connection``, in job order.
     """
     import pickle
 
-    for fn, args, registry_held, connection in jobs:
-        try:
-            data = _pickled(fn, args, registry_held)
-        except BaseException as exc:
-            data = pickle.dumps(exc)
-        with connection:
+    with connection:
+        for fn, args in jobs:
+            try:
+                data = pickle.dumps(fn(*args))
+            except BaseException as exc:
+                data = pickle.dumps(exc)
             connection.send_bytes(data)
 
 
 class WorkerJob:
-    """A job a worker process may still be running, and the pipe its result comes back on.
+    """A worker process started with its (fn, args) jobs, and the pipe their results come back on.
 
-    :meth:`result` waits for the job and returns its result, or raises
-    the worker's exception again with its type; a worker that exits
-    without sending the result is a RuntimeError that names its exit
-    code.  It leaves the worker running, since the worker may have a
-    later job.  :meth:`close` ends the worker and waits for it to exit.
+    The worker gets its jobs as arguments, so under fork it inherits them
+    and under spawn or forkserver ``start()`` pickles them once.  The
+    parent closes its copy of the pipe's sending end once the worker has
+    started, so that the pipe reads as ended when the worker exits.
+    :meth:`result` waits for the next job and returns its result, or
+    raises the worker's exception again with its type; a worker that
+    exits without sending it is a RuntimeError that names its exit code.
+    :meth:`close` ends the worker and waits for it to exit.
     """
 
-    def __init__(self, process, connection):
-        self.process = process
-        self.connection = connection
+    def __init__(self, jobs: list[tuple]):
+        # Imported here so that a single-process run does not load
+        # multiprocessing at all.
+        import multiprocessing
+
+        self.connection, send = multiprocessing.Pipe(duplex=False)
+        self.process = multiprocessing.Process(target=_work, args=(jobs, send), daemon=True)
+        try:
+            with send:
+                self.process.start()
+        except BaseException:
+            self.connection.close()
+            raise
 
     def result(self):
         import pickle
 
         try:
-            with self.connection:
-                data = self.connection.recv_bytes()
+            data = self.connection.recv_bytes()
         except EOFError:
             self.process.join()
             raise RuntimeError(f"a worker exited with code {self.process.exitcode} before it sent its result") from None
@@ -400,88 +398,48 @@ class WorkerJob:
         self.process.join()
 
 
-def _start_workers(jobs: list[tuple], workers: int) -> list[WorkerJob]:
-    """Start ``workers`` processes for ``jobs``, (fn, args, registry_held) each, one worker per job or one for all.
-
-    Each worker gets its jobs as arguments, so under fork it inherits
-    them and under spawn or forkserver ``start()`` pickles them once.
-    The parent closes its copy of each pipe's sending end once the worker
-    has started, so that a pipe reads as ended when its worker exits.
-    """
-    # Imported here so that a single-process run does not load
-    # multiprocessing at all.
-    import multiprocessing
-
-    started = []
-    try:
-        for group in [jobs] if workers == 1 else [[job] for job in jobs]:
-            pipes = [multiprocessing.Pipe(duplex=False) for _ in group]
-            work = [(*job, send) for job, (_, send) in zip(group, pipes)]
-            process = multiprocessing.Process(target=_work, args=(work,), daemon=True)
-            process.start()
-            for receive, send in pipes:
-                send.close()
-                started.append(WorkerJob(process, receive))
-    except BaseException:
-        for job in started:
-            job.close()
-        raise
-    return started
-
-
 def _run_jobs(cfg: RunConfig) -> tuple[YearData, YearData, tuple[Counter, list[Rejection]] | WorkerJob | None]:
     """Year 1, year 2 and, if configured, the follow-up count.
 
     With ``cfg.threads`` = 1 all three run here, in that order, and year
     2 is read seeded with year 1's card ids, so a card of both years is
-    held by one id string.  With n >
-    1, year 1 runs here and the other jobs go, in job order, to min(n,
-    jobs) - 1 worker processes, each started with its jobs: at n = 2 one
-    worker profiles year 2 and then counts the follow-up week, and at
-    n = 3 the two run side by side.  No thread runs beside this one, and
-    the parent's own job stays visible to in-process profilers.  When
-    year 2 names year 1's stop registry, the parent loads and clusters it
-    before any worker starts and hands that copy to year 2's worker,
-    which sends its year back without it; the parent shares its own
-    copy, as if it had run that year itself.  A registry that only year
-    2 names is clustered by its worker and comes back from it.  A
-    worker's result is pickled, and year 2 stays as bytes until year 1
-    is done, so the parent never holds it while it profiles a year.  The
-    function returns once year 2 is back: a follow-up count still in a
-    worker is returned as its :class:`WorkerJob`, whose reader waits for
-    it and ends its worker.  A worker's exception is raised again with
-    its type, and a failure here ends every worker first.
+    held by one id string.  With more, year 1 runs here, and one worker
+    profiles year 2 and then counts the follow-up week: a count above 2
+    runs as 2.  No thread runs beside this one.  A registry file both
+    years name is loaded and clustered once, here, before the worker
+    starts; the worker is handed that copy and sends year 2 back without
+    it.  A registry only year 2 names is clustered by the worker, beside
+    year 1, and comes back with year 2.  Year 2 stays as pickled bytes
+    until year 1 is done, so the parent never holds it while it profiles
+    a year.  The function returns once year 2 is back: a follow-up count
+    still in the worker is returned as its :class:`WorkerJob`, whose
+    reader waits for it and ends the worker.  A worker's exception is
+    raised again with its type, and a failure here ends the worker first.
     """
-    year1 = (cfg.year1, cfg.stops1, cfg, cfg.week1_start)
-    year2 = (cfg.year2, cfg.stops2, cfg, cfg.week2_start)
     followup = (cfg.followup, cfg.followup_start) if cfg.followup else None
-    workers = min(cfg.threads, 3 if followup else 2) - 1
-    registries: dict[str, Registry] = {}
-    if not workers:
-        y1 = process_year(*year1, registries=registries)
-        y2 = process_year(*year2, registries=registries, cards=y1.profiles.cards)
+    shared = os.path.realpath(cfg.stops1) == os.path.realpath(cfg.stops2)
+    if cfg.threads == 1:
+        registry = load_registry(cfg.stops1, cfg.cluster_m)
+        y1 = process_year(cfg.year1, registry, cfg, cfg.week1_start)
+        if not shared:
+            registry = load_registry(cfg.stops2, cfg.cluster_m)
+        y2 = process_year(cfg.year2, registry, cfg, cfg.week2_start, cards=y1.profiles.cards)
         return y1, y2, followup and _count_followup(*followup)
 
-    key = _registry_key(cfg.stops1)
-    held = _registry_key(cfg.stops2) == key
-    if held:
-        registries[key] = load_registry(cfg.stops1, cfg.cluster_m)
-        year2 = (*year2, None, registries)
-    jobs = [(process_year, year2, held)] + ([(_count_followup, followup, False)] if followup else [])
-    started = _start_workers(jobs, workers)
+    held = load_registry(cfg.stops1, cfg.cluster_m) if shared else None
+    worker = WorkerJob([(_year2, (cfg, held))] + ([(_count_followup, followup)] if followup else []))
     try:
-        y1 = process_year(*year1, registries=registries)
-        y2 = started[0].result()
+        y1 = process_year(cfg.year1, held or load_registry(cfg.stops1, cfg.cluster_m), cfg, cfg.week1_start)
+        y2 = worker.result()
     except BaseException:
-        for job in started:
-            job.close()
+        worker.close()
         raise
     if held:
-        y2.places, y2.stop_rejections = registries[key]
-    # Year 2's worker ends here unless it still has the follow-up to count.
-    if not followup or workers == 2:
-        started[0].close()
-    return y1, y2, started[1] if followup else None
+        y2.places, y2.stop_rejections = held
+    # The worker ends here unless it still has the follow-up to count.
+    if not followup:
+        worker.close()
+    return y1, y2, followup and worker
 
 
 @_collector_off()

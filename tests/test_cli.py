@@ -741,7 +741,7 @@ class TestAllOrNothing:
 # Run by a fresh interpreter: set the start method named first, then run
 # the command line with the arguments after the hook, and print the number
 # of worker processes left as the last line.  With the hook "dying",
-# process_year exits with code 9 in any process but the first; it comes
+# the year-2 job exits with code 9 in any process but the first; it comes
 # from a module file, so that a spawned worker imports it too.
 START_METHOD_SCRIPT = """
 import multiprocessing, sys
@@ -751,7 +751,7 @@ from cardcohort import pipeline
 from cardcohort.cli import main
 if hook == "dying":
     import dying
-    pipeline.process_year = dying.process_year
+    pipeline._year2 = dying._year2
 try:
     code = main(argv)
 except RuntimeError as exc:
@@ -765,12 +765,12 @@ DYING = """
 import multiprocessing, os
 from cardcohort import pipeline
 
-year = pipeline.process_year
+year2 = pipeline._year2
 
-def process_year(*args, **kwargs):
+def _year2(*args):
     if multiprocessing.parent_process() is not None:
         os._exit(9)
-    return year(*args, **kwargs)
+    return year2(*args)
 """
 
 

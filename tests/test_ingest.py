@@ -546,33 +546,17 @@ def live_bytes_per_kept_ride(registry: bool) -> float:
     return live / tx.geocoded
 
 
-def test_a_kept_ride_costs_fewer_than_80_bytes():
+@pytest.mark.parametrize("registry", [True, False])
+def test_a_kept_ride_costs_fewer_than_22_bytes(registry):
     """Kept as a tuple per ride (80 bytes, plus a 16-byte GC header and an
     8-byte list slot), this file leaves 98 bytes per ride live with a stop
     registry.  Kept as flat per-card lists of stop codes, it leaves 54.
-    The bound of 80 lies between the two layouts, clear of each.
-    """
-    assert live_bytes_per_kept_ride(registry=True) < 80
-
-
-@pytest.mark.parametrize("registry", [True, False])
-def test_a_kept_ride_costs_fewer_than_42_bytes(registry):
-    """Kept as flat per-card lists of stop codes, this file leaves 54 bytes
-    per ride live.  Kept as one 32-bit int array per card, it leaves 31
-    with five ints per ride and 27 with four, with a registry or without
-    one.  The bound of 42 lies between the lists and the arrays, clear of
-    each.
-    """
-    assert live_bytes_per_kept_ride(registry) < 42
-
-
-@pytest.mark.parametrize("registry", [True, False])
-def test_a_kept_ride_costs_fewer_than_22_bytes(registry):
-    """Kept as one 32-bit int array per card, four ints per ride, this file
-    leaves 26.5 bytes per ride live.  Kept as unsigned 16-bit ints, which
+    Kept as one 32-bit int array per card, it leaves 31 with five ints per
+    ride and 27 (26.5) with four.  Kept as unsigned 16-bit ints, which
     hold every minute of the week and every code of its 400 stops, it
-    leaves 17.3, with a registry or without one.  The bound of 22 lies
-    between the two widths, clear of each.
+    leaves 17.3.  The arrays leave as much with a registry as without one.
+    The bound of 22 lies between the two widths, clear of each, and so
+    below every older layout.
     """
     assert live_bytes_per_kept_ride(registry) < 22
 

@@ -25,6 +25,7 @@ from cardcohort.pipeline import (
     MissingInputError,
     RunConfig,
     aggregate_taz,
+    load_registry,
     process_year,
     run_pipeline,
 )
@@ -123,9 +124,14 @@ class TestRunConfigValidate:
             self._cfg(**kwargs).validate()
 
 
+def profiled(tx_path: str, stops_path: str, cfg: RunConfig) -> pipeline.YearData:
+    """The year at ``tx_path``, profiled against the registry at ``stops_path`` with its week derived."""
+    return process_year(tx_path, load_registry(stops_path, cfg.cluster_m), cfg, None)
+
+
 class TestProcessYear:
     def test_year_one_profiles(self, mini_config, mini_bundle):
-        year = process_year(mini_config.year1, mini_config.stops1, mini_config, None)
+        year = profiled(mini_config.year1, mini_config.stops1, mini_config)
         assert year.week.start_date.isoformat() == "2008-04-07"
         assert len(year.places) == 3
         assert year.parsed == 30
@@ -169,14 +175,14 @@ class TestProcessYear:
             rows += [f"H1,R,DST,B1,HE,{day}T07:30,WK,{day}T08:10", f"H1,R,DST,B1,WK,{day}T18:00,HW,{day}T18:40"]
         week = tmp_path / "week.csv"
         week.write_text("\n".join(rows) + "\n")
-        h1 = card_profiles(process_year(str(week), str(stops), mini_config, None).profiles)["H1"]
+        h1 = card_profiles(profiled(str(week), str(stops), mini_config).profiles)["H1"]
         assert (h1.home, h1.work) == (0, 1)
         assert h1.commute_km == pytest.approx(haversine_km((180.0, 39.9), as_written(work)), abs=1e-6)
         assert 4.9 < h1.commute_km < 5.1
 
     def test_strict_mode_drops_fixed_fare_cards(self, mini_config):
         cfg = dataclasses.replace(mini_config, stay_mode="strict")
-        profiles = card_profiles(process_year(cfg.year1, cfg.stops1, cfg, None).profiles)
+        profiles = card_profiles(profiled(cfg.year1, cfg.stops1, cfg).profiles)
         assert profiles["A1"].home == 0
         assert profiles["F1"].home is None
         assert profiles["F1"].work is None
@@ -232,17 +238,24 @@ class TestJobs:
         # A worker started by spawn or forkserver does not inherit the
         # parent's collector state, so the jobs turn it off themselves.
         seen = []
-        real = pipeline.read_transactions
 
-        def spy(*args, **kwargs):
-            seen.append(gc.isenabled())
-            return real(*args, **kwargs)
+        def spy(name):
+            real = getattr(pipeline, name)
 
-        monkeypatch.setattr(pipeline, "read_transactions", spy)
+            def call(*args, **kwargs):
+                seen.append((name, gc.isenabled()))
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(pipeline, name, call)
+
+        spy("read_transactions")
+        spy("build_places")
         assert gc.isenabled()
-        process_year(mini_config.year1, mini_config.stops1, mini_config, None)
+        profiled(mini_config.year1, mini_config.stops1, mini_config)
+        pipeline._year2(mini_config, None)
         pipeline._count_followup(mini_config.followup, None)
-        assert seen == [False, False]
+        year = [("build_places", False), ("read_transactions", False)]
+        assert seen == [*year, *year, ("read_transactions", False)]
         assert gc.isenabled()
 
     def test_each_registry_is_clustered_once_per_process(self, mini_config, tmp_path, monkeypatch):
@@ -278,11 +291,12 @@ class TestJobs:
             assert len(_followup_counts_here) == calls
 
     def test_a_worker_sends_back_only_the_registry_the_parent_lacks(self, mini_config, tmp_path, monkeypatch):
-        args = (mini_config.year2, mini_config.stops2, mini_config, None)
-        assert b"PlaceIndex" not in pipeline._pickled(process_year, args, True)
-        assert b"PlaceIndex" in pipeline._pickled(process_year, args, False)
-        # And so the parent unpickles a registry only when it holds none by that path.
         import pickle
+
+        held = load_registry(mini_config.stops1, mini_config.cluster_m)
+        assert b"PlaceIndex" not in pickle.dumps(pipeline._year2(mini_config, held))
+        assert b"PlaceIndex" in pickle.dumps(pipeline._year2(mini_config, None))
+        # And so the parent unpickles a registry only when it holds none by that path.
 
         loaded = []
         real = pickle.loads
@@ -323,6 +337,28 @@ class TestJobs:
         result.close()
         assert len(log.read_text().splitlines()) == calls
         assert (result.year1.places is result.year2.places) != copied
+
+    @pytest.mark.usefixtures("fork_workers")
+    @pytest.mark.parametrize("threads", [3, 8])
+    def test_a_count_above_two_starts_one_worker(self, mini_config, tmp_path, monkeypatch, threads):
+        started = []
+        real = multiprocessing.Process.start
+
+        def counting(process):
+            started.append(process)
+            return real(process)
+
+        monkeypatch.setattr(multiprocessing.Process, "start", counting)
+        reports = []
+        for n in (2, threads):
+            started.clear()
+            result = run_pipeline(dataclasses.replace(mini_config, threads=n))
+            out = tmp_path / f"out{n}"
+            write_run_reports(result, str(out))
+            result.close()
+            assert len(started) == 1
+            reports.append({f.name: f.read_bytes() for f in out.iterdir()})
+        assert reports[1] == reports[0]
 
     @pytest.mark.usefixtures("fork_workers")
     def test_no_thread_runs_beside_the_parent_while_it_profiles_year_1(self, mini_config, monkeypatch):
@@ -464,12 +500,12 @@ def test_a_profiled_card_costs_fewer_than_130_bytes(tmp_path):
     gen = GeneratorConfig(commuters=100, movers=100, job_changers=100, jobless=100, churners=100)
     paths = generate(gen, str(tmp_path)).paths
     cfg = RunConfig(year1=paths["week1"], year2=paths["week2"], stops1=paths["stops"], stops2=paths["stops"])
-    registries = {pipeline._registry_key(cfg.stops1): pipeline.load_registry(cfg.stops1, cfg.cluster_m)}
+    registry = load_registry(cfg.stops1, cfg.cluster_m)
     gc.collect()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        year = process_year(cfg.year1, cfg.stops1, cfg, None, registries=registries)
+        year = process_year(cfg.year1, registry, cfg, None)
         gc.collect()
         live = tracemalloc.get_traced_memory()[0] - before
     finally:
@@ -949,7 +985,7 @@ class TestInputRules:
         profiles = []
         for k, order in enumerate(orders):
             path = self._write(tmp_path, f"y{k}.csv", order)
-            profiles.append(card_profiles(process_year(path, mini_bundle["stops"], mini_config, None).profiles))
+            profiles.append(card_profiles(profiled(path, mini_bundle["stops"], mini_config).profiles))
         assert all(p == profiles[0] for p in profiles)
         # Any student row makes a student card: no home, no work.
         assert (profiles[0]["M1"].home, profiles[0]["M1"].work) == (None, None)
@@ -971,7 +1007,7 @@ class TestInputRules:
             else:
                 rows.append(f"L1,R,DST,B1,HA,{day}T07:30,WA,{day}T08:00")
             rows.append(f"L1,R,DST,B1,WA,{day}T18:00,HA,{day}T18:40")
-        year = process_year(self._write(tmp_path, "long.csv", rows), mini_bundle["stops"], mini_config, None)
+        year = profiled(self._write(tmp_path, "long.csv", rows), mini_bundle["stops"], mini_config)
         p = card_profiles(year.profiles)["L1"]
         assert (p.home, p.work, p.commute_min, p.rides) == (0, 1, long_min, 13)
         path = tmp_path / "profiles.csv"
