@@ -1,4 +1,4 @@
-"""Reading and validating smartcard transaction logs, stop registries and
+"""Reading and validating smartcard transaction logs, stop registry files and
 ``key=value`` config files.
 
 :func:`iter_lines` is the only code in the package that opens a file for

@@ -291,7 +291,7 @@ def _count_followup(path: str, week_start: date | None) -> tuple[Counter, list[R
     """Accepted follow-up rows per card.
 
     Follow-up rows are counted as parsed, without geocoding: a row naming
-    a stop absent from the registries still counts as a trip.
+    a stop absent from every stop registry still counts as a trip.
     """
     week_start = week_start or derive_week_start(iter_lines(path))
     tx = read_transactions(iter_lines(path), week_start)
