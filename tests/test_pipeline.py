@@ -360,6 +360,32 @@ class TestJobs:
             reports.append({f.name: f.read_bytes() for f in out.iterdir()})
         assert reports[1] == reports[0]
 
+    def test_a_worker_sends_its_jobs_results_in_job_order(self):
+        # Builtins, so that the jobs pickle under every start method.  A
+        # job's exception comes back with its type, and the next job runs.
+        worker = pipeline.WorkerJob([(pow, (2, 3)), (int, ("x",)), (divmod, (7, 2))])
+        try:
+            assert worker.result() == 8
+            with pytest.raises(ValueError, match="'x'"):
+                worker.result()
+            assert worker.result() == (3, 1)
+            with pytest.raises(RuntimeError, match="exited with code 0"):
+                worker.result()
+        finally:
+            worker.close()
+        assert multiprocessing.active_children() == []
+
+    def test_closing_a_worker_ends_a_job_it_is_still_running(self):
+        import time
+
+        worker = pipeline.WorkerJob([(time.sleep, (60,))])
+        began = time.monotonic()
+        worker.close()
+        assert time.monotonic() - began < 30
+        assert worker.process.exitcode is not None and worker.process.exitcode < 0
+        assert worker.connection.closed
+        assert multiprocessing.active_children() == []
+
     @pytest.mark.usefixtures("fork_workers")
     def test_no_thread_runs_beside_the_parent_while_it_profiles_year_1(self, mini_config, monkeypatch):
         # A worker's own calls land in its copy of the list.
