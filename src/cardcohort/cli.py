@@ -17,8 +17,8 @@ from dataclasses import fields, replace
 from . import reports
 from .geo import DEFAULT_CENTER
 from .infer import HOME_RULES, STAY_MODES
-from .ingest import ObservationWeek, SchemaError, derive_week_start, field_parser, iter_lines, load_stops, parse_date
-from .ingest import read_config, read_transactions, stop_codes
+from .ingest import ObservationWeek, SchemaError, field_parser, ingest, iter_lines, load_stops, parse_date
+from .ingest import read_config, stop_codes
 from .pipeline import PATH_FIELDS, STOPS, TRANSACTIONS, MissingInputError, RunConfig, load_registry, process_year
 from .pipeline import require_files, run_pipeline
 from .synth import GeneratorConfig, generate
@@ -104,8 +104,7 @@ def cmd_ingest_check(args) -> int:
     require_files([(args.transactions, TRANSACTIONS), (args.stops_path, STOPS)])
     _make_out_dir(args.out)
     stops, stop_rejections = load_stops(iter_lines(args.stops_path))
-    week_start = args.week_start or derive_week_start(iter_lines(args.transactions))
-    tx = read_transactions(iter_lines(args.transactions), week_start, stop_codes(stops))
+    tx = ingest(args.transactions, args.week_start, stop_codes(stops))
     reports.write_rejections(os.path.join(args.out, "rejections.csv"), tx.rejections)
     reports.write_rejections(os.path.join(args.out, "rejections_stops.csv"), stop_rejections)
     reports.write_unmatched(os.path.join(args.out, "unmatched.csv"), tx.unmatched)

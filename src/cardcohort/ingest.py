@@ -20,9 +20,12 @@ schema at all.
 :func:`read_transactions` reads a transactions file in one pass against a
 fixed observation week: each line is split, checked, tested against the
 stop registry and appended to its card's rides, so no list of all rows is
-built.  A file with no configured week start is first scanned once by
-:func:`derive_week_start` for its earliest boarding date.  Each card's
-rides are one int array, four ints per ride: its boarding and alighting
+built.  :func:`ingest` reads a file with no configured week start the
+same way, against the week of the earliest boarding among its first
+lines, and starts over once if a later line boards earlier; only a file
+it cannot settle so is scanned by :func:`derive_week_start` for its
+earliest boarding date and read against that week.  Each card's rides
+are one int array, four ints per ride: its boarding and alighting
 minutes and stops, all a rule reads of a ride.  The arrays hold unsigned
 16-bit ints until a ride does not fit, and then wider ones.  A stop is
 held as its code: its id's rank in the registry the read was given.  A
@@ -41,9 +44,11 @@ from array import array
 from collections import Counter, defaultdict
 from dataclasses import Field, dataclass, fields
 from datetime import date, datetime, timedelta
+from functools import partial
+from itertools import chain, islice
 from struct import Struct
 from struct import error as StructError
-from typing import Iterable, Iterator, Mapping
+from typing import Callable, Collection, Iterable, Iterator, Mapping
 
 TRANSACTIONS_HEADER = "card_id,card_type,fare_type,route_id,board_stop,board_time,alight_stop,alight_time"
 STOPS_HEADER = "stop_id,lon,lat"
@@ -58,6 +63,9 @@ WEEK_MINUTES = 7 * DAY_MINUTES
 
 # Week start when none is configured and no boarding time parses.
 DEFAULT_WEEK_START = date(1970, 1, 5)
+# A read with no week start first tries the week that starts on the
+# earliest boarding date among this many lines after the header.
+HEAD_LINES = 100
 
 OUTSIDE_WEEK = "outside observation week"
 
@@ -176,6 +184,11 @@ class _Minutes(dict):
         return t
 
 
+def _day(minute: int) -> date:
+    """The date of ``minute``, in :func:`parse_minute` units."""
+    return date.fromordinal(minute // DAY_MINUTES + 1)
+
+
 def _clean(line: str) -> str:
     return line.rstrip("\r\n")
 
@@ -223,7 +236,8 @@ class Transactions:
     included, and ``unmatched`` counts each unknown stop id once per
     dropped line that names it.  ``week`` is the one week every line was
     checked against: the configured one or, for a file with none, the
-    one :func:`derive_week_start` scanned the file for.
+    one that starts on its earliest boarding date that parses, which
+    :func:`ingest` takes from its read.
     """
 
     week: ObservationWeek
@@ -273,7 +287,7 @@ def derive_week_start(lines: Iterable[str]) -> date:
             _bail_early(wrong, line_no - 1 - blank, ("bad column count",))
     minutes = _Minutes(0)
     first = next((t for t in map(minutes.__getitem__, sorted(boards)) if t is not None), None)
-    return DEFAULT_WEEK_START if first is None else date.fromordinal(first // DAY_MINUTES + 1)
+    return DEFAULT_WEEK_START if first is None else _day(first)
 
 
 def read_transactions(
@@ -285,7 +299,8 @@ def read_transactions(
     """Read a transaction stream once into each card's rides.
 
     Rows are checked against the week starting on ``week_start``; a file
-    with no configured start takes it from :func:`derive_week_start`.
+    with no configured start is read by :func:`ingest`, which takes the
+    start from the read itself.
     ``codes`` is the stop registry as :func:`stop_codes` gives it: a line
     naming a stop outside it is dropped, and the kept stop fields hold
     its codes.  Without it no line is dropped and no stop is kept: both
@@ -312,11 +327,77 @@ def read_transactions(
     on bare commas; the schema has no quoting and ids containing
     separators are rejected as a column-count error.
     """
-    week = ObservationWeek(week_start)
+    # A start too late for seven days raises before any line is read.
+    ObservationWeek(week_start)
+    return _read(lines, week_start, codes, cards, provisional=False)
+
+
+def ingest(
+    source: str | Callable[[], Iterable[str]],
+    week_start: date | None,
+    codes: Mapping[str, int] | None = None,
+    cards: Collection[str] = (),
+) -> Transactions:
+    """Read a transactions file against ``week_start`` or, without one, the week it derives.
+
+    ``source`` is the file's path, or a function that gives its lines
+    afresh on each call.  ``codes`` and ``cards`` are as for
+    :func:`read_transactions`; ``cards`` is iterated once per read.
+
+    Without ``week_start`` the result is, field for field, the read
+    against the start :func:`derive_week_start` finds, but the file is
+    not scanned for it first.  The read tries the week that starts on
+    the earliest boarding date that parses, on any eight-column line,
+    among the :data:`HEAD_LINES` lines after the header.  A later line
+    that boards before that week starts the read over once, with its
+    date.  The scan and a read against its week follow a second such
+    line, an early refusal of the file as in the wrong schema, or a head
+    with no boarding that parses.  So a time-sorted file is read once,
+    and no file more than four times.
+    """
+    opener = partial(iter_lines, source) if isinstance(source, str) else source
+    if week_start is not None:
+        return read_transactions(opener(), week_start, codes, cards)
+    read = _read(opener(), None, codes, cards, provisional=True)
+    if isinstance(read, date):
+        read = _read(opener(), read, codes, cards, provisional=True)
+    if isinstance(read, Transactions):
+        return read
+    week_start = derive_week_start(opener())
+    return read_transactions(opener(), week_start, codes, cards)
+
+
+def _read(
+    lines: Iterable[str],
+    week_start: date | None,
+    codes: Mapping[str, int] | None,
+    cards: Iterable[str],
+    provisional: bool,
+) -> Transactions | date | None:
+    """The read of :func:`read_transactions`, against ``week_start`` or the week its first lines give.
+
+    Without ``week_start``, the week starts on the earliest boarding date
+    that parses on an eight-column line among the :data:`HEAD_LINES`
+    lines after the header.  When none parses there, the result is None,
+    or the read against :data:`DEFAULT_WEEK_START` if the file ends.  A
+    ``provisional`` read stops at the first eight-column line that boards
+    before its week, whatever else rejects the line, and returns that
+    line's boarding date; its early refusal of the file as in the wrong
+    schema returns None.
+    """
     it = iter(lines)
     take_header(it, TRANSACTIONS_HEADER, "transactions")
+    if week_start is None:
+        head = list(islice(it, HEAD_LINES))
+        minutes = _Minutes(0)
+        boards = (minutes[parts[5]] for parts in (raw.split(",") for raw in head) if len(parts) == 8)
+        first = min((t for t in boards if t is not None), default=None)
+        if first is None and len(head) == HEAD_LINES:
+            return None
+        week_start = DEFAULT_WEEK_START if first is None else _day(first)
+        it = chain(head, it)
 
-    minutes = _Minutes(week.start_minute)
+    minutes = _Minutes((week_start.toordinal() - 1) * DAY_MINUTES)
     stop_code = defaultdict(int) if codes is None else {"": 0, **codes}
     typecode = RIDE_TYPECODES[0]
     pack = RIDE_STRUCTS[typecode].pack
@@ -397,9 +478,19 @@ def read_transactions(
                     if card_type == CARD_STUDENT:
                         students.add(card_id)
                     continue
+        if provisional and len(parts) == 8 and (t := minutes[parts[5]]) is not None and t < 0:
+            return _day(minutes.base + t)
         rejections.append(Rejection(line_no, reason))
-        _bail_early(len(rejections), line_no - 1 - blank, (r.reason for r in rejections))
+        try:
+            _bail_early(len(rejections), line_no - 1 - blank, (r.reason for r in rejections))
+        except SchemaError:
+            if provisional:
+                # Not final: an earlier week may judge these lines otherwise,
+                # and the scan may refuse the file at a later line.
+                return None
+            raise
 
+    week = ObservationWeek(week_start)
     total = line_no - 1 - blank
     if total and len(rejections) > total * FATAL_REJECT_FRACTION:
         raise _wrong_schema(len(rejections), str(total), (r.reason for r in rejections))

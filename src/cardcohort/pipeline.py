@@ -37,7 +37,7 @@ from contextlib import closing, contextmanager
 from dataclasses import dataclass
 from datetime import date
 from functools import cache, cached_property
-from typing import Iterable, Mapping, NamedTuple
+from typing import Collection, Mapping, NamedTuple
 
 from . import infer
 from .cohort import CHANGE_KM_DEFAULT, Deltas
@@ -45,7 +45,7 @@ from .geo import CLUSTER_RADIUS_M, DEFAULT_CENTER, Coord, PlaceIndex, Region, bu
 from .geo import load_region, load_region_features, point_in_region
 from .groups import DeprivationSummary, score_deprivation
 from .ingest import RIDE_FIELDS, STOPS_HEADER, TRANSACTIONS_HEADER, ObservationWeek, Rejection, SchemaError
-from .ingest import derive_week_start, iter_lines, load_stops, read_transactions, take_header
+from .ingest import ingest, iter_lines, load_stops, take_header
 
 log = logging.getLogger(__name__)
 
@@ -251,19 +251,18 @@ def process_year(
     cfg: RunConfig,
     week_start: date | None,
     stays: dict[str, list[infer.Stay]] | None = None,
-    cards: Iterable[str] = (),
+    cards: Collection[str] = (),
 ) -> YearData:
     """Profile one observation year against its loaded stop ``registry``.
 
-    Without ``week_start``, the transactions file is scanned once for it
-    before it is read.  When ``stays`` is a dict, each card's stays are
+    Without ``week_start``, :func:`ingest` takes it from the read of the
+    transactions file.  When ``stays`` is a dict, each card's stays are
     stored in it as they are formed; otherwise no stay object is built.
-    ``cards`` goes to :func:`read_transactions`: the year's cards among
-    them are held by those id objects.
+    ``cards`` goes to :func:`ingest`: the year's cards among them are
+    held by those id objects.
     """
     places, stop_rejections = registry
-    week_start = week_start or derive_week_start(iter_lines(tx_path))
-    tx = read_transactions(iter_lines(tx_path), week_start, places.codes, cards)
+    tx = ingest(tx_path, week_start, places.codes, cards)
     kept = tx.geocoded
     log.info(
         "%s: %d records parsed, %d rejected, %d geocoded, %d cards",
@@ -292,9 +291,9 @@ def _count_followup(path: str, week_start: date | None) -> tuple[Counter, list[R
 
     Follow-up rows are counted as parsed, without geocoding: a row naming
     a stop absent from every stop registry still counts as a trip.
+    Without ``week_start``, :func:`ingest` takes it from the read.
     """
-    week_start = week_start or derive_week_start(iter_lines(path))
-    tx = read_transactions(iter_lines(path), week_start)
+    tx = ingest(path, week_start)
     return Counter({card: len(rides) // RIDE_FIELDS for card, rides in tx.rides.items()}), tx.rejections
 
 

@@ -159,10 +159,10 @@ class TestInfer:
 
         def counting(*args, **kwargs):
             calls.append(args)
-            return ingest.read_transactions(*args, **kwargs)
+            return ingest.ingest(*args, **kwargs)
 
         for mod in (cli, pipeline):
-            monkeypatch.setattr(mod, "read_transactions", counting)
+            monkeypatch.setattr(mod, "ingest", counting)
         code = run_cli(
             "infer",
             "--year1", mini_bundle["year1"],
@@ -450,7 +450,7 @@ class TestRun:
         def fail(*args, **kwargs):
             raise AssertionError("a transactions file was read")
 
-        monkeypatch.setattr(pipeline, "read_transactions", fail)
+        monkeypatch.setattr(pipeline, "ingest", fail)
         code = run_cli(
             "run", *mini_args, "--followup", mini_bundle["followup"],
             f"--{layer}", str(bad), "--out", str(tmp_path / "o"),
@@ -557,7 +557,7 @@ class TestRun:
             raise AssertionError("a transactions file was read")
 
         monkeypatch.setattr(ingest, "open", refuse, raising=False)
-        monkeypatch.setattr(pipeline, "read_transactions", fail)
+        monkeypatch.setattr(pipeline, "ingest", fail)
         args = list(mini_args)
         args[args.index("--year2") + 1] = str(locked)
         assert run_cli("run", *args, "--threads", threads, "--out", str(tmp_path / "out")) == 2
@@ -583,7 +583,7 @@ class TestRun:
         def fail(*args, **kwargs):
             raise AssertionError("an input was read in full")
 
-        for name in ("load_stops", "derive_week_start", "read_transactions", "load_region", "load_region_features"):
+        for name in ("load_stops", "ingest", "load_region", "load_region_features"):
             monkeypatch.setattr(pipeline, name, fail)
         args = [*mini_args, "--followup", mini_bundle["followup"], "--r4", mini_bundle["r4"]]
         args[args.index(flag) + 1] = str(bad)
@@ -601,7 +601,7 @@ class TestRun:
         def fail(*args, **kwargs):
             raise AssertionError("an input was read in full")
 
-        for name in ("load_stops", "derive_week_start", "read_transactions"):
+        for name in ("load_stops", "ingest"):
             monkeypatch.setattr(cli, name, fail)
         args = list(command_args["ingest-check"])
         args[args.index(flag) + 1] = str(bad)
@@ -1039,12 +1039,13 @@ def command_args(mini_args, mini_bundle):
 def opened(monkeypatch):
     """Every input file read and every synth bundle generated, in order."""
     opened = []
+    iter_lines = ingest.iter_lines
 
     def recording(path):
         opened.append(path)
-        return ingest.iter_lines(path)
+        return iter_lines(path)
 
-    for mod in (cli, pipeline):
+    for mod in (cli, pipeline, ingest):
         monkeypatch.setattr(mod, "iter_lines", recording)
     monkeypatch.setattr(cli, "generate", lambda cfg, out: opened.append(out))
     return opened
@@ -1097,7 +1098,7 @@ class TestEntryPoints:
 
     @pytest.mark.parametrize("configured", [False, True])
     @pytest.mark.parametrize("command", ["run", "infer", "ingest-check"])
-    def test_a_derived_week_scans_its_file_once_before_the_read(
+    def test_a_derived_week_is_taken_from_the_one_read(
         self, command_args, mini_bundle, opened, tmp_path, command, configured
     ):
         args = list(command_args[command])
@@ -1112,9 +1113,10 @@ class TestEntryPoints:
                 args += [flag, start]
         assert run_cli(command, *args, "--out", str(tmp_path / "out")) == 0
         # Each input has one line read when the config is checked, once.
-        # Then a derived week scans the file once, and the file is read.
+        # Then the file is read once, whether its week is configured or
+        # derived: a derived week comes from that read.
         for key in files:
-            assert opened.count(mini_bundle[key]) == 1 + (1 if configured else 2), key
+            assert opened.count(mini_bundle[key]) == 2, key
 
     def test_help_exits_zero(self):
         with pytest.raises(SystemExit) as err:

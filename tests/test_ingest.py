@@ -5,13 +5,16 @@ from __future__ import annotations
 import tracemalloc
 from collections import Counter
 from datetime import date, datetime, timedelta
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cardcohort import ingest as ingest_module
 from cardcohort.ingest import (
     DEFAULT_WEEK_START,
+    HEAD_LINES,
     OUTSIDE_WEEK,
     STOPS_HEADER,
     TRANSACTIONS_HEADER,
@@ -21,6 +24,7 @@ from cardcohort.ingest import (
     SchemaError,
     derive_week_start,
     format_minute,
+    ingest,
     iter_lines,
     load_stops,
     parse_coord,
@@ -869,10 +873,38 @@ def reference_parse(text_lines: list[str], week_start: date | None, known_stops=
     return start, rides, students, rejections, unmatched, len(accepted)
 
 
-def one_pass(text_lines: list[str], week_start: date | None, known_stops=None):
+def opener(text_lines: list[str]):
+    """A function that gives ``text_lines`` afresh on each call, and the list it logs each call in."""
+    opens = []
+
+    def open_lines():
+        opens.append(text_lines)
+        return iter(text_lines)
+
+    return open_lines, opens
+
+
+def head_lines(n: int):
+    """A context in which a read with no week start tries the week of the ``n`` lines after the header."""
+    return mock.patch.object(ingest_module, "HEAD_LINES", n)
+
+
+def passes(text_lines: list[str], head: int = HEAD_LINES) -> int:
+    """How many times :func:`ingest`, with no week start and ``head`` head lines, opens ``text_lines``."""
+    open_lines, opens = opener(text_lines)
+    with head_lines(head):
+        try:
+            ingest(open_lines, None)
+        except SchemaError:
+            pass
+    return len(opens)
+
+
+def one_pass(text_lines: list[str], week_start: date | None, known_stops=None, head: int = HEAD_LINES):
     codes = None if known_stops is None else stop_codes(known_stops)
     try:
-        tx = read_transactions(text_lines, week_start or derive_week_start(text_lines), codes)
+        with head_lines(head):
+            tx = ingest(opener(text_lines)[0], week_start, codes)
     except SchemaError:
         return ("schema",)
     return (
@@ -883,6 +915,15 @@ def one_pass(text_lines: list[str], week_start: date | None, known_stops=None):
         tx.unmatched,
         tx.parsed,
     )
+
+
+def boarding(line: str) -> int | None:
+    """The boarding minute of an eight-column ``line``, or None when it has none that parses."""
+    parts = line.split(",")
+    try:
+        return parse_minute(parts[5]) if len(parts) == 8 else None
+    except ValueError:
+        return None
 
 
 def order_free(text_lines: list[str], known_stops):
@@ -975,18 +1016,29 @@ def transaction_lines(draw):
 
 
 class TestOnePassParity:
-    """derive_week_start then read_transactions against the reading written the slow way."""
+    """ingest against the reading written the slow way."""
 
     @settings(max_examples=1000, deadline=None)
-    @given(transaction_lines(), st.sampled_from([None, None, 0, 1]), registries)
-    def test_matches_two_scan_reading(self, text_lines, shift, known_stops):
+    @given(transaction_lines(), st.sampled_from([None, None, 0, 1]), registries, st.sampled_from([1, 2, HEAD_LINES]))
+    def test_matches_two_scan_reading(self, text_lines, shift, known_stops, head):
         start = None
         if shift is not None:
             # The generated lines pick their own era; a fixed week
             # elsewhere rejects them all, which is still worth checking.
             start = ERAS[0].date() + timedelta(days=shift)
         expected = reference_parse(text_lines, start, known_stops)
-        assert one_pass(text_lines, start, known_stops) == expected
+        # Generated files fit in the head; shorter heads reach the restart and the fallback.
+        assert one_pass(text_lines, start, known_stops, head) == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(transaction_lines(), st.randoms(use_true_random=False), st.sampled_from([1, 2, HEAD_LINES]))
+    def test_a_time_sorted_file_is_read_once_and_any_file_at_most_four_times(self, text_lines, rnd, head):
+        # A read, a restart, the scan and a read.
+        shuffled = [text_lines[0], *rnd.sample(text_lines[1:], len(text_lines) - 1)]
+        assert passes(shuffled, head) <= 4
+        # A fixed-width boarding text sorts as its time does.
+        boarded = [line for line in text_lines[1:] if boarding(line) is not None]
+        assert passes([text_lines[0], *sorted(boarded, key=boarding)], head) == 1
 
     @settings(max_examples=300, deadline=None)
     @given(transaction_lines(), st.randoms(use_true_random=False))
@@ -1189,6 +1241,188 @@ class TestOnePassParity:
         assert reference_parse(text_lines, None) == ("schema",)
         with pytest.raises(SchemaError):
             derived(text_lines)
+
+
+class TestIngest:
+    """ingest with no week start: one read, a restart, or the scan and a read, always as the scan and a read give."""
+
+    @pytest.mark.parametrize(
+        "head,rest,opens",
+        [
+            # The earliest boarding on the first line.
+            (
+                ["C1,R,FIX,B1,S1,2008-04-07T07:30,,"],
+                ["C2,R,DST,B1,S1,2008-04-09T07:30,S2,2008-04-09T08:00", "C1,S,FIX,B1,S1,2008-04-13T23:59,,"],
+                1,
+            ),
+            # Past the head, mid-file: the read starts over once, with its date.
+            (
+                ["C1,R,FIX,B1,S1,2008-04-09T07:30,,"],
+                [
+                    "C2,R,FIX,B1,SX,2008-04-14T07:30,,",
+                    "C2,S,FIX,B1,S1,2008-04-07T08:00,,",
+                    "C1,R,FIX,B1,S1,2008-04-10T07:30,,",
+                ],
+                2,
+            ),
+            # On the last line.
+            (
+                ["C1,R,FIX,B1,S1,2008-04-09T07:30,,"],
+                ["C2,R,DST,B1,S1,2008-04-12T07:30,S2,2008-04-12T07:00", "C2,R,FIX,B1,S1,2008-04-06T08:00,,"],
+                2,
+            ),
+            # Only on a line rejected for another reason, past the head.
+            (
+                ["C1,R,FIX,B1,S1,2008-04-09T07:30,,"],
+                [
+                    "C1,X,FIX,B1,S1,2008-04-06T07:30,,",
+                    "C2,R,FIX,B1,S1,2008-04-12T07:30,,",
+                    "C2,R,FIX,B1,S1,2008-04-13T07:30,,",
+                ],
+                2,
+            ),
+            # Only on a line rejected for another reason, in the head,
+            # after lines with no boarding that parses.
+            (
+                [
+                    "C1,R,FIX",
+                    "C1,R,FIX,B1,S1,2008-04-05 07:30,,",
+                    "C1,R,FIX,B1,S1,2008-04-07T07:30,,",
+                    ",R,FIX,B1,S1,2008-04-06T07:30,,",
+                ],
+                [
+                    "C1,R,FIX,B1,S1,2008-04-12T23:59,,",
+                    "C1,R,FIX,B1,S1,2008-04-13T00:00,,",
+                    "C2,R,FIX,B1,S1,2008-04-07T07:30,,",
+                    "C2,R,FIX,B1,S1,2008-04-08T07:30,,",
+                ],
+                1,
+            ),
+            # Two successive earlier boardings: a read, a restart, the scan and a read.
+            (
+                ["C1,R,FIX,B1,S1,2008-04-09T07:30,,"],
+                [
+                    "C1,R,FIX,B1,S1,2008-04-08T07:30,,",
+                    "C2,R,FIX,B1,S1,2008-04-14T07:30,,",
+                    "C2,R,FIX,B1,S1,2008-04-07T07:30,,",
+                ],
+                4,
+            ),
+            # Weeks that would run past the calendar are only tried.
+            (
+                ["C1,R,FIX,B1,S1,9999-12-28T07:30,,"],
+                [
+                    "C1,R,FIX,B1,S1,9999-12-31T23:59,,",
+                    "C2,R,FIX,B1,S1,2008-04-07T07:30,,",
+                    "C2,R,FIX,B1,S1,2008-04-09T07:30,,",
+                ],
+                2,
+            ),
+            (
+                ["C1,R,FIX,B1,S1,9999-12-31T07:30,,"],
+                [
+                    "C1,R,FIX,B1,S1,9999-12-29T23:59,,",
+                    "C2,R,FIX,B1,S1,2008-04-07T07:30,,",
+                    "C2,R,FIX,B1,S1,2008-04-09T07:30,,",
+                ],
+                4,
+            ),
+            # No boarding that parses in the head: the scan and a read.
+            (
+                ["C1,R,FIX", "C1,R,FIX,B1,S1,tuesday,,"],
+                [
+                    "C2,R,FIX,B1,S1,2008-04-08T07:30,,",
+                    "C2,R,FIX,B1,S1,2008-04-07T07:30,,",
+                    "C2,R,FIX,B1,S1,2008-04-09T07:30,,",
+                ],
+                3,
+            ),
+            # No data line: the default week.
+            (["", "\r\n"], [], 1),
+        ],
+    )
+    def test_matches_the_scan_and_a_read(self, head, rest, opens):
+        # Blank lines fill the head, so that the lines of ``rest`` come after it.
+        text_lines = lines(*head, *[""] * (HEAD_LINES if rest else 0), *rest)
+        codes = stop_codes(["S1", "S2"])
+        # Each read seeds its cards from the one list.
+        seeded = [fresh("C1"), fresh("C2")]
+        open_lines, logged = opener(text_lines)
+        tx = ingest(open_lines, None, codes, seeded)
+        expected = read_transactions(text_lines, derive_week_start(text_lines), codes)
+        assert tx == expected
+        assert [rides.typecode for rides in tx.rides.values()] == [rides.typecode for rides in expected.rides.values()]
+        assert [key for key in tx.rides if any(key is card for card in seeded)] == list(tx.rides)
+        assert len(logged) == opens
+
+    def test_a_typecode_widens_as_in_the_scan_and_a_read(self):
+        # The first ride of the final week that needs 64-bit ints comes after a restart.
+        text_lines = lines(
+            "C1,R,FIX,B1,S1,2008-04-09T07:30,,",
+            *[""] * HEAD_LINES,
+            "C1,R,DST,B1,S1,2008-04-08T07:30,S2,9999-12-31T23:59",
+            "C2,R,FIX,B1,S1,2008-04-08T09:30,,",
+        )
+        open_lines, logged = opener(text_lines)
+        tx = ingest(open_lines, None)
+        assert tx == derived(text_lines)
+        assert {rides.typecode for rides in tx.rides.values()} == {"q"}
+        assert len(logged) == 2
+
+    def test_a_configured_start_is_one_read(self):
+        open_lines, logged = opener(lines("C1,R,FIX,B1,S1,2008-04-09T07:30,,", "C1,R,FIX,B1,S1,2008-04-08T07:30,,"))
+        tx = ingest(open_lines, date(2008, 4, 9))
+        assert (tx.week.start_date, tx.rejections, len(logged)) == (date(2008, 4, 9), [Rejection(3, OUTSIDE_WEEK)], 1)
+
+    def test_reads_a_path(self, tmp_path):
+        path = tmp_path / "week.csv"
+        path.write_text("\n".join(lines("C1,R,FIX,B1,S1,2008-04-09T07:30,,", "C1,R,FIX,B1,S1,2008-04-08T07:30,,")))
+        assert ingest(str(path), None) == derived(list(iter_lines(str(path))))
+
+    def test_a_bail_on_column_counts_after_the_week_is_tried_is_the_scans(self):
+        text_lines = lines(
+            "C1,R,FIX,B1,S1,2008-04-08T07:30,,", *["C1,R,FIX,B1"] * 1000, "C1,R,FIX,B1,S1,2008-04-07T07:30,,"
+        )
+        with pytest.raises(SchemaError) as scan:
+            derived(text_lines)
+        open_lines, logged = opener(text_lines)
+        with pytest.raises(SchemaError) as read:
+            ingest(open_lines, None)
+        assert str(read.value) == str(scan.value) == (
+            "rejected 999 of first 1000 lines; wrong schema (most: bad column count)"
+        )
+        # The read's refusal is not final, and the scan raises its own.
+        assert len(logged) == 2
+
+    def test_a_bail_against_a_week_that_moves_later_is_not_final(self):
+        # Against the week of line 2, the next thousand lines are negative
+        # leg durations, and the read bails out; the last line moves the
+        # week a week earlier, where they all lie outside it.
+        text_lines = lines(
+            "C1,R,FIX,B1,S1,2008-04-08T07:30,,",
+            *["C1,R,DST,B1,S1,2008-04-08T08:00,S2,2008-04-08T07:00"] * 1000,
+            "C1,R,FIX,B1,S1,2008-04-01T07:30,,",
+        )
+        with pytest.raises(SchemaError) as scan:
+            derived(text_lines)
+        with pytest.raises(SchemaError) as read:
+            ingest(opener(text_lines)[0], None)
+        assert str(read.value) == str(scan.value) == (
+            "rejected 1000 of first 1000 lines; wrong schema (most: outside observation week)"
+        )
+
+    @pytest.mark.parametrize("wrong", [400, 600])
+    def test_a_bail_with_no_boarding_that_parses_is_the_scans(self, wrong):
+        # No line's reason depends on the week, but the scan raises its
+        # own error, counting the wrong column counts alone, when they are
+        # a majority of the first thousand lines.
+        text_lines = lines(*["C1,R,FIX,B1,S1,tuesday,,"] * (1000 - wrong), *["C1,R,FIX,B1"] * wrong)
+        with pytest.raises(SchemaError) as scan:
+            derived(text_lines)
+        with pytest.raises(SchemaError) as read:
+            ingest(opener(text_lines)[0], None)
+        assert str(read.value) == str(scan.value)
+        assert str(scan.value).startswith(f"rejected {wrong if wrong > 500 else 1000} of first 1000 lines")
 
 
 class TestReadConfig:

@@ -248,14 +248,14 @@ class TestJobs:
 
             monkeypatch.setattr(pipeline, name, call)
 
-        spy("read_transactions")
+        spy("ingest")
         spy("build_places")
         assert gc.isenabled()
         profiled(mini_config.year1, mini_config.stops1, mini_config)
         pipeline._year2(mini_config, None)
         pipeline._count_followup(mini_config.followup, None)
-        year = [("build_places", False), ("read_transactions", False)]
-        assert seen == [*year, *year, ("read_transactions", False)]
+        year = [("build_places", False), ("ingest", False)]
+        assert seen == [*year, *year, ("ingest", False)]
         assert gc.isenabled()
 
     def test_each_registry_is_clustered_once_per_process(self, mini_config, tmp_path, monkeypatch):
